@@ -25,7 +25,6 @@ from delayedpa.pa import (
     dpa_recover_via_rawkey,
     expand_imperfect_key,
     expand_message,
-    otp,
     pa_apply,
 )
 from delayedpa.protocols import (
@@ -59,7 +58,6 @@ __all__ = [
     "dpa_recover_via_rawkey",
     "expand_imperfect_key",
     "expand_message",
-    "otp",
     "pa_apply",
     "Bb84Config",
     "ChannelModel",

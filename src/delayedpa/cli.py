@@ -155,6 +155,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        print(f"delayedpa verify: error: seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     seed = args.seed if args.seed is not None else _fresh_seed()
     start = time.perf_counter()
     try:

@@ -32,7 +32,6 @@ __all__ = [
     "dpa_encrypt",
     "dpa_recover_via_key",
     "dpa_recover_via_rawkey",
-    "otp",
 ]
 
 
@@ -113,12 +112,6 @@ def dpa_recover_via_key(f: AdditivePaFunction, c: BitVector, k: BitVector) -> Bi
 def dpa_recover_via_rawkey(f: AdditivePaFunction, c: BitVector, a: BitVector) -> BitVector:
     """Recover the short message as f(c XOR a); the other decoding route."""
     return pa_apply(f, c ^ a)
-
-
-def otp(x: BitVector, pad: BitVector) -> BitVector:
-    """One-time pad; same XOR as dpa_encrypt, kept separate so ledgers can
-    account pad bits (single-use) apart from raw-key bits."""
-    return x ^ pad
 
 
 @dataclass(frozen=True)

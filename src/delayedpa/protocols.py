@@ -1,10 +1,19 @@
 """Seeded Monte-Carlo protocol runs and key-length accounting.
 
-Qubits are simulated one signal at a time as explicit 2-component complex
-state vectors; channels act as sampled Pauli operations (an exact unraveling
-of the modeled noise), so no circuit engine is involved.  All randomness
-flows from the seed in each run's config; identical seeds give bit-identical
-transcripts.
+Each signal is carried as its Pauli frame, the pair (basis, bit) naming the
+BB84 eigenstate it is in.  That is exact for this gate set: every state a
+run prepares is a BB84 eigenstate, and every encoding, channel and
+eavesdropper action is a Pauli or a measurement in x or z.  A Pauli maps an
+eigenstate to an eigenstate of the same basis, up to global phase, flipping
+the bit when it anticommutes with that basis (X and Y flip z-bits, Z and Y
+flip x-bits); a measurement in the state's own basis returns its bit, and
+one in the other basis is a fair coin that leaves the eigenstate of the
+outcome.  This is the one-qubit case of stabilizer simulation
+(Aaronson-Gottesman, quant-ph/0406196); ``delayedpa.quantum`` holds the
+dense amplitudes and serves as its oracle in the tests.  Channels act as
+sampled Pauli operations (an exact unraveling of the modeled noise).  All
+randomness flows from the seed in each run's config; identical seeds give
+bit-identical transcripts.
 
 Error correction is settled by an ideal authenticated oracle: the receiving
 side's string is overwritten with the sender's, and the ledger is charged
@@ -45,17 +54,9 @@ __all__ = [
     "run_relay",
 ]
 
-_S = 1.0 / math.sqrt(2.0)
-
-_KET = {
-    ("z", 0): (1.0 + 0.0j, 0.0j),
-    ("z", 1): (0.0j, 1.0 + 0.0j),
-    ("x", 0): (_S + 0.0j, _S + 0.0j),
-    ("x", 1): (_S + 0.0j, -_S + 0.0j),
-}
-
-# key bit encoded by each operation, per announced basis
-_DECODE = {
+# whether each Pauli flips the bit of an eigenstate of the given basis; this
+# is also the key bit the operation encodes when that basis is announced
+_FLIPS = {
     "x": {"I": 0, "X": 0, "Z": 1, "Y": 1},
     "z": {"I": 0, "Z": 0, "X": 1, "Y": 1},
 }
@@ -70,27 +71,16 @@ _OP_FROM_FLAGS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
 def _apply(op: str, state):
-    a, b = state
-    if op == "I":
-        return (a, b)
-    if op == "X":
-        return (b, a)
-    if op == "Z":
-        return (a, -b)
-    if op == "Y":
-        return (-1j * b, 1j * a)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def _prob0(state, basis: str) -> float:
-    a, b = state
-    if basis == "z":
-        return abs(a) ** 2
-    return abs((a + b) * _S) ** 2
+    basis, bit = state
+    return basis, bit ^ _FLIPS[basis][op]
 
 
 def _measure(state, basis: str, rng) -> int:
-    return 0 if rng.random() < _prob0(state, basis) else 1
+    # P(0) is 1 or 0 in the state's own basis and 1/2 in the other; the draw
+    # is made either way, so the random stream does not depend on the states
+    u = rng.random()
+    own, bit = state
+    return bit if own == basis else int(u >= 0.5)
 
 
 def _random_basis(rng) -> str:
@@ -104,7 +94,7 @@ def _flip_op(basis: str) -> str:
 
 def decode_key_bit(basis: str, op: str) -> int:
     """Key bit encoded by the given operation when the basis is announced."""
-    return _DECODE[basis][op]
+    return _FLIPS[basis][op]
 
 
 def op_for_bit(basis: str, bit: int, rng) -> str:
@@ -114,12 +104,7 @@ def op_for_bit(basis: str, bit: int, rng) -> str:
 
 def single_signal_roundtrip(basis: str, bob_bit: int, op: str) -> int:
     """Noiseless one-signal round trip: prepare, encode, measure, decode."""
-    state = _apply(op, _KET[(basis, bob_bit)])
-    p0 = _prob0(state, basis)
-    if not (p0 < 1e-9 or p0 > 1 - 1e-9):
-        raise AssertionError("noiseless outcome should be deterministic")
-    outcome = 0 if p0 > 0.5 else 1
-    return outcome ^ bob_bit
+    return _apply(op, (basis, bob_bit))[1] ^ bob_bit
 
 
 # ------------------------------------------------------------------ models
@@ -171,15 +156,13 @@ class ChannelModel:
         return f"{self.kind}:{self.param}"
 
     def transmit(self, state, basis: str, rng):
-        """Returns (new state, whether the carried bit was flipped)."""
+        """Returns (new state, whether the bit carried in ``basis`` was flipped)."""
         if self.kind == "noiseless":
             return state, False
-        if self.kind == "bsc":
-            if rng.random() < self.param:
-                return _apply(_flip_op(basis), state), True
-            return state, False
         u = rng.random()
-        if u < 1.0 - 0.75 * self.param:
+        if self.kind == "bsc":
+            op = _flip_op(basis) if u < self.param else "I"
+        elif u < 1.0 - 0.75 * self.param:
             op = "I"
         elif u < 1.0 - 0.5 * self.param:
             op = "X"
@@ -187,8 +170,9 @@ class ChannelModel:
             op = "Y"
         else:
             op = "Z"
-        flips = op in ("X", "Y") if basis == "z" else op in ("Z", "Y")
-        return _apply(op, state), flips
+        if op == "I":
+            return state, False
+        return _apply(op, state), bool(_FLIPS[basis][op])
 
 
 @dataclass(frozen=True)
@@ -237,8 +221,7 @@ class EveModel:
         if self.kind == "none" or line not in self.lines:
             return state
         basis = _random_basis(rng)
-        outcome = _measure(state, basis, rng)
-        return _KET[(basis, outcome)]
+        return basis, _measure(state, basis, rng)
 
 
 # ------------------------------------------------------------------ ledgers
@@ -330,7 +313,7 @@ class SignalRecord:
     bob_outcome: int | None = None
     forward_flip: bool | None = None
     backward_flip: bool | None = None
-    alice_received: tuple | None = None  # state after the forward line
+    alice_received: tuple | None = None  # (basis, bit) frame after the forward line
 
 
 @dataclass
@@ -412,6 +395,7 @@ class ProtocolTranscript:
 @dataclass
 class RelayTranscript:
     scheme: str  # delayed | normal
+    seed: int  # the relay run's own seed; the inner bb84 run draws its seed from it
     qkd: ProtocolTranscript
     pool_size: int
     pool_consumed: int = 0
@@ -526,23 +510,24 @@ def _draw_pa_matrix(n_pa: int, n: int, pa_seed: BitVector | None, rng):
     return pa_seed, toeplitz_from_seed(pa_seed, n_pa, n)
 
 
-def _forward_signals(n_sent: int, channel: ChannelModel, eve: EveModel, rng):
-    records = []
-    states = []
-    for i in range(n_sent):
-        basis = _random_basis(rng)
-        bit = rng.getrandbits(1)
-        state = _KET[(basis, bit)]
-        state, flipped = channel.transmit(state, basis, rng)
-        state = eve.tap(state, "forward", rng)
-        records.append(
-            SignalRecord(
-                index=i, basis=basis, bob_bit=bit,
-                forward_flip=flipped, alice_received=state,
-            )
-        )
-        states.append(state)
-    return records, states
+def _forward_signal(index: int, channel: ChannelModel, eve: EveModel, rng) -> SignalRecord:
+    basis = _random_basis(rng)
+    bit = rng.getrandbits(1)
+    state, flipped = channel.transmit((basis, bit), basis, rng)
+    return SignalRecord(
+        index=index, basis=basis, bob_bit=bit,
+        forward_flip=flipped, alice_received=eve.tap(state, "forward", rng),
+    )
+
+
+def _forward_signals(n_sent: int, channel: ChannelModel, eve: EveModel, rng) -> list[SignalRecord]:
+    return [_forward_signal(i, channel, eve, rng) for i in range(n_sent)]
+
+
+def _backward_leg(rec: SignalRecord, state, channel: ChannelModel, eve: EveModel, rng) -> None:
+    # the returned signal crosses the backward line and is measured in its basis
+    state, rec.backward_flip = channel.transmit(state, rec.basis, rng)
+    rec.bob_outcome = _measure(eve.tap(state, "backward", rng), rec.basis, rng)
 
 
 def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
@@ -557,23 +542,16 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     rng = random.Random(cfg.seed)
     t = ProtocolTranscript(protocol="bb84", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    records, states = _forward_signals(n_sent, cfg.channel, cfg.eve, rng)
+    records = _forward_signals(n_sent, cfg.channel, cfg.eve, rng)
     t.records = records
     t.sift_sent = n_sent
 
-    if cfg.quantum_memory:
-        for rec, state in zip(records, states):
-            rec.alice_basis = rec.basis
-            rec.alice_bit = _measure(state, rec.basis, rng)
-        kept = list(range(n_sent))
-    else:
-        for rec, state in zip(records, states):
-            rec.alice_basis = _random_basis(rng)
-            rec.alice_bit = _measure(state, rec.alice_basis, rng)
-        kept = [rec.index for rec in records if rec.alice_basis == rec.basis]
-        for rec in records:
-            if rec.alice_basis != rec.basis:
-                rec.role = "discarded"
+    for rec in records:
+        rec.alice_basis = rec.basis if cfg.quantum_memory else _random_basis(rng)
+        rec.alice_bit = _measure(rec.alice_received, rec.alice_basis, rng)
+        if rec.alice_basis != rec.basis:
+            rec.role = "discarded"
+    kept = [rec.index for rec in records if rec.alice_basis == rec.basis]
     t.sift_retained = len(kept)
 
     if len(kept) <= cfg.n_test:
@@ -632,29 +610,17 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
 
     records = []
     for i in range(total):
-        basis = _random_basis(rng)
-        bit = rng.getrandbits(1)
-        state = _KET[(basis, bit)]
-        state, flipped = cfg.forward.transmit(state, basis, rng)
-        state = cfg.eve.tap(state, "forward", rng)
-        rec = SignalRecord(
-            index=i, basis=basis, bob_bit=bit,
-            forward_flip=flipped, alice_received=state,
-        )
+        rec = _forward_signal(i, cfg.forward, cfg.eve, rng)
         if i in check_positions:
             rec.mode, rec.role = "check", "check"
             rec.alice_basis = _random_basis(rng)
-            rec.alice_bit = _measure(state, rec.alice_basis, rng)
+            rec.alice_bit = _measure(rec.alice_received, rec.alice_basis, rng)
         else:
             rec.mode = "encode"
             flags = rng.getrandbits(2)
             rec.m1, rec.m2 = flags & 1, flags >> 1
             rec.op = _OP_FROM_FLAGS[(rec.m1, rec.m2)]
-            returned = _apply(rec.op, state)
-            returned, back_flip = cfg.backward.transmit(returned, basis, rng)
-            returned = cfg.eve.tap(returned, "backward", rng)
-            rec.backward_flip = back_flip
-            rec.bob_outcome = _measure(returned, basis, rng)
+            _backward_leg(rec, _apply(rec.op, rec.alice_received), cfg.backward, cfg.eve, rng)
         records.append(rec)
     t.records = records
     t.sift_sent = n_code
@@ -724,7 +690,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     rng = random.Random(cfg.seed)
     t = ProtocolTranscript(protocol=f"integrated-{cfg.variant}", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    records, states = _forward_signals(n_sent, cfg.forward, cfg.eve, rng)
+    records = _forward_signals(n_sent, cfg.forward, cfg.eve, rng)
     t.records = records
     t.sift_sent = n_sent
     t.sift_retained = n_sent
@@ -734,7 +700,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         rec = records[i]
         rec.role = "test"
         rec.alice_basis = rec.basis
-        rec.alice_bit = _measure(states[i], rec.basis, rng)
+        rec.alice_bit = _measure(rec.alice_received, rec.basis, rng)
     triples = [(records[i].basis, records[i].alice_bit, records[i].bob_bit) for i in test_positions]
     if not any(b == "x" for b, _, _ in triples) or not any(b == "z" for b, _, _ in triples):
         t.abort, t.abort_reason = True, "insufficient test bits in one basis"
@@ -742,8 +708,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     est = estimate_errors(triples)
     t.estimate = est
 
-    code = [records[i] for i in range(n_sent) if records[i].role != "test"]
-    code_states = [states[i] for i in range(n_sent) if records[i].role != "test"]
+    code = [rec for rec in records if rec.role != "test"]
     for rec in code:
         rec.role = "key"
     n_key = cfg.n
@@ -760,18 +725,18 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     msg_error_rate = 0.0
     if cfg.variant in ("2", "2b", "2c"):
         # the encoder measures her code qubits in the announced bases
-        for rec, state in zip(code, code_states):
+        for rec in code:
             rec.alice_basis = rec.basis
-            rec.alice_bit = _measure(state, rec.basis, rng)
+            rec.alice_bit = _measure(rec.alice_received, rec.basis, rng)
         a = BitVector.from_bits(rec.alice_bit for rec in code)
         b = BitVector.from_bits(rec.bob_bit for rec in code)
         t.raw_key_alice, t.raw_key_bob = a, b
         # ideal EC on the forward raw keys before the backward phase
         ec_bits += math.ceil(n_key * binary_entropy(e_b))
         k = matvec(pa_matrix, a)
+        m = BitVector.random(n_key, rng)
 
     if cfg.variant == "2":
-        m = BitVector.random(n_key, rng)
         fm = matvec(pa_matrix, m)
         cipher = fm ^ k
         t.m_prime = fm
@@ -779,7 +744,6 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.alice_key = fm
         t.bob_key = t.recovered_via_key
     elif cfg.variant == "2b":
-        m = BitVector.random(n_key, rng)
         cipher = a ^ m
         t.m_prime = matvec(pa_matrix, m)
         t.recovered_via_key = matvec(pa_matrix, cipher) ^ k
@@ -787,16 +751,9 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.alice_key = t.m_prime
         t.bob_key = t.recovered_via_key
     elif cfg.variant == "2c":
-        m = BitVector.random(n_key, rng)
-        received = []
-        for j, (rec, _) in enumerate(zip(code, code_states)):
-            carried = _KET[(rec.basis, m[j] ^ a[j])]
-            carried, back_flip = cfg.backward.transmit(carried, rec.basis, rng)
-            carried = cfg.eve.tap(carried, "backward", rng)
-            rec.backward_flip = back_flip
-            rec.bob_outcome = _measure(carried, rec.basis, rng)
-            received.append(rec.bob_outcome)
-        y = BitVector.from_bits(received)
+        for j, rec in enumerate(code):
+            _backward_leg(rec, (rec.basis, m[j] ^ a[j]), cfg.backward, cfg.eve, rng)
+        y = BitVector.from_bits(rec.bob_outcome for rec in code)
         t.m_prime = matvec(pa_matrix, m)
         t.recovered_via_key = matvec(pa_matrix, y) ^ k
         t.recovered_via_rawkey = matvec(pa_matrix, y ^ a)
@@ -808,23 +765,15 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     else:  # "2d": no measurement before the backward line
         m1 = BitVector.random(n_key, rng)
         m2 = BitVector.random(n_key, rng)
-        outcomes = []
-        for j, (rec, state) in enumerate(zip(code, code_states)):
+        for j, rec in enumerate(code):
             rec.m1, rec.m2 = m1[j], m2[j]
             rec.op = _OP_FROM_FLAGS[(rec.m1, rec.m2)]
-            returned = _apply(rec.op, state)
-            returned, back_flip = cfg.backward.transmit(returned, rec.basis, rng)
-            returned = cfg.eve.tap(returned, "backward", rng)
-            rec.backward_flip = back_flip
-            rec.bob_outcome = _measure(returned, rec.basis, rng)
-            outcomes.append(rec.bob_outcome)
+            _backward_leg(rec, _apply(rec.op, rec.alice_received), cfg.backward, cfg.eve, rng)
         # announced basis selects which message string carries each bit
         m = BitVector.from_bits(
             rec.m1 if rec.basis == "z" else rec.m2 for rec in code
         )
-        m_hat = BitVector.from_bits(
-            o ^ rec.bob_bit for o, rec in zip(outcomes, code)
-        )
+        m_hat = BitVector.from_bits(rec.bob_outcome ^ rec.bob_bit for rec in code)
         t.raw_key_bob = BitVector.from_bits(rec.bob_bit for rec in code)
         t.m_prime = matvec(pa_matrix, m)
         t.recovered_via_rawkey = matvec(pa_matrix, m_hat)
@@ -873,7 +822,7 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
         )
     )
     scheme = "delayed" if cfg.delayed else "normal"
-    t = RelayTranscript(scheme=scheme, qkd=qkd, pool_size=cfg.pool_size)
+    t = RelayTranscript(scheme=scheme, seed=cfg.seed, qkd=qkd, pool_size=cfg.pool_size)
     if qkd.abort:
         t.abort, t.abort_reason = True, f"key distillation aborted: {qkd.abort_reason}"
         return t
@@ -882,9 +831,8 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
     n = a.length
     n_pa = qkd.ledger.n_pa
     pa_matrix = toeplitz_from_seed(qkd.pa_seed, n_pa, n)
+    # RelayConfig guarantees pool_size >= n >= n_pa
     if cfg.delayed:
-        if cfg.pool_size < n:
-            raise ValueError("pool exhausted")
         m = pool.cut(0, n)
         cipher = a ^ m
         bob_m = cipher ^ a  # Bob holds a after ideal EC
@@ -892,8 +840,6 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
         t.charlie_key = matvec(pa_matrix, m)  # Charlie gets the hash seed from Bob
         t.pool_consumed = n
     else:
-        if cfg.pool_size < n_pa:
-            raise ValueError("pool exhausted")
         m_prime = pool.cut(0, n_pa)
         cipher = m_prime ^ qkd.alice_key
         t.bob_key = cipher ^ qkd.alice_key

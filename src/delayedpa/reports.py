@@ -86,6 +86,7 @@ def relay_report(rt: RelayTranscript, config_doc: dict, seconds: float) -> dict:
     report.update(
         {
             "protocol": "relay",
+            "seed": rt.seed,
             "scheme": rt.scheme,
             "abort": rt.abort or rt.qkd.abort,
             "abort_reason": rt.abort_reason or rt.qkd.abort_reason,
@@ -154,6 +155,8 @@ def config_doc_from_args(protocol: str, args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
     doc["protocol"] = protocol
     if getattr(args, "n", None) is not None:
         doc["n"] = args.n
@@ -194,6 +197,8 @@ def build_config(doc: dict):
     n = int(doc["n"])
     n_test = int(doc.get("n_test", 256))
     seed = int(doc["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     channels = doc.get("channels", {})
     forward = _channel_from_doc(channels.get("forward"))
     backward = _channel_from_doc(channels.get("backward"))

@@ -113,6 +113,7 @@ def test_simulate_relay_digests_match(capsys):
         ["simulate", "relay", "--n", "1024", "--seed", "1"], capsys
     )
     assert code == 0
+    assert report["seed"] == 1
     assert report["bob_key_digest"] == report["charlie_key_digest"]
     assert report["pool_consumed"] == 1024
     check_schema(report)
@@ -175,7 +176,54 @@ def test_simulate_fresh_seed_is_replayable(capsys):
     assert strip(report1) == strip(report2)
 
 
+def test_simulate_relay_fresh_seed_is_replayable(capsys):
+    base = ["simulate", "relay", "--n", "256", "--n-test", "64"]
+    code1, report1, _, _ = run_cli(base, capsys)
+    assert code1 == 0
+    code2, report2, _, _ = run_cli(base + ["--seed", str(report1["seed"])], capsys)
+    assert code2 == 0
+    strip = lambda r: {k: v for k, v in r.items() if k != "timing"}
+    assert json.dumps(strip(report1), sort_keys=True) == json.dumps(strip(report2), sort_keys=True)
+    check_schema(report1)
+
+
+def _assert_one_line_config_error(code, out, err):
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "error" in err
+
+
+def test_simulate_rejects_negative_seed_flag(capsys):
+    code, _, out, err = run_cli(["simulate", "bb84", "--n", "100", "--seed", "-1"], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "seed" in err
+
+
+def test_simulate_rejects_negative_seed_in_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"protocol": "dqkd", "n": 100, "seed": -1}))
+    code, _, out, err = run_cli(["simulate", "dqkd", "--config", str(path)], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "seed" in err
+
+
+def test_simulate_rejects_non_object_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"protocol": "dqkd", "n": 100}]))
+    code, _, out, err = run_cli(["simulate", "dqkd", "--config", str(path)], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "JSON object" in err
+
+
 # --------------------------------------------------------------- verify
+
+def test_verify_rejects_negative_seed(capsys):
+    code, _, out, err = run_cli(["verify", "--suite", "table1", "--seed", "-1"], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "seed" in err
+
+
 
 def test_verify_table1(capsys):
     code, report, _, _ = run_cli(["verify", "--suite", "table1"], capsys)

@@ -15,7 +15,6 @@ from delayedpa.pa import (
     dpa_recover_via_rawkey,
     expand_imperfect_key,
     expand_message,
-    otp,
     pa_apply,
 )
 
@@ -159,13 +158,6 @@ def test_dpa_encrypt_examples():
     a = BitVector.from01("1011")
     assert dpa_encrypt(a, a).to01() == "0000"
     assert dpa_encrypt(BitVector.zeros(4), a) == a
-
-
-def test_otp_examples():
-    assert otp(BitVector.from01("10"), BitVector.from01("11")).to01() == "01"
-    x, p = BitVector.from01("10110"), BitVector.from01("01101")
-    assert otp(otp(x, p), p) == x
-    assert otp(x, BitVector.zeros(5)) == x
 
 
 def test_recovery_example_end_to_end():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -25,7 +26,9 @@ from delayedpa.protocols import (
     run_relay,
     single_signal_roundtrip,
     two_way_rate_single_line,
+    _apply,
 )
+from delayedpa.quantum import basis_ket, pauli
 
 mp.dps = 40
 
@@ -64,6 +67,70 @@ def test_op_for_bit_consistent_and_two_valued():
             assert len(seen) == 2
             for op in seen:
                 assert decode_key_bit(basis, op) == bit
+
+
+# --------------------------------------------------------------- frame oracle
+
+# midpoints of 64 equal cells of [0, 1): every threshold a frame measurement
+# can have (0, 1/2, 1) is a cell edge, so the share of draws giving 0 is
+# exactly the frame's P(0)
+_U_GRID = [(k + 0.5) / 64 for k in range(64)]
+
+
+class _ScriptedRng:
+    """Answers every basis draw with ``basis`` and every uniform draw with ``u``."""
+
+    def __init__(self, basis: str, u: float):
+        self.bit, self.u, self.draws = int(basis == "z"), u, 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return self.bit
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def _frame_measurements(frame, basis):
+    """P(0) of ``frame`` measured in ``basis`` by an intercept-resend tap, and
+    the frames it resends."""
+    tap = EveModel.intercept_resend("forward").tap
+    resent = []
+    for u in _U_GRID:
+        rng = _ScriptedRng(basis, u)
+        resent.append(tap(frame, "forward", rng))
+        assert rng.draws == 2  # one basis bit, one uniform per measurement
+    return sum(bit == 0 for _, bit in resent) / len(_U_GRID), set(resent)
+
+
+def _dense(frame):
+    basis, bit = frame
+    return basis_ket(bit, basis)
+
+
+def _same_ray(u, v) -> bool:
+    return abs(abs(np.vdot(u, v)) - 1.0) < 1e-12
+
+
+def test_frame_matches_dense_paulis_and_measurements():
+    # every frame state, encoding op, channel Pauli and measurement basis,
+    # against the dense amplitudes of delayedpa.quantum
+    for basis, bit, op, chan in itertools.product("xz", (0, 1), "IXYZ", "IXYZ"):
+        frame = _apply(chan, _apply(op, (basis, bit)))
+        psi = pauli(chan) @ pauli(op) @ basis_ket(bit, basis)
+        assert _same_ray(_dense(frame), psi)
+        for mb in "xz":
+            p0, resent = _frame_measurements(frame, mb)
+            assert abs(p0 - abs(np.vdot(basis_ket(0, mb), psi)) ** 2) < 1e-12
+            for new in resent:
+                # Eve resends the post-measurement eigenstate of a possible
+                # outcome; off-basis it is a fair coin in the original basis
+                assert new[0] == mb
+                assert abs(np.vdot(_dense(new), psi)) ** 2 > 1e-12
+                back, _ = _frame_measurements(new, basis)
+                assert abs(back - abs(np.vdot(basis_ket(0, basis), _dense(new))) ** 2) < 1e-12
+            assert len(resent) == (1 if mb == basis else 2)
 
 
 # --------------------------------------------------------------- entropy
@@ -155,7 +222,7 @@ def test_bsc_flips_at_rate_in_both_bases():
     rng = random.Random(1)
     ch = ChannelModel.bsc(0.2)
     for basis in ("x", "z"):
-        flips = sum(ch.transmit((1, 0), basis, rng)[1] for _ in range(4000))
+        flips = sum(ch.transmit((basis, 0), basis, rng)[1] for _ in range(4000))
         assert abs(flips / 4000 - 0.2) < 3 * math.sqrt(0.2 * 0.8 / 4000)
 
 
@@ -163,7 +230,7 @@ def test_depolarizing_bit_flip_rate_is_half_p():
     rng = random.Random(2)
     ch = ChannelModel.depolarizing(0.1)
     for basis in ("x", "z"):
-        flips = sum(ch.transmit((1, 0), basis, rng)[1] for _ in range(8000))
+        flips = sum(ch.transmit((basis, 0), basis, rng)[1] for _ in range(8000))
         assert abs(flips / 8000 - 0.05) < 3 * math.sqrt(0.05 * 0.95 / 8000)
 
 
@@ -437,7 +504,8 @@ def test_integrated_2d_per_signal_states_match_quantum_certificates():
     rng = np.random.default_rng(25)
     code = [rec for rec in t.records if rec.role == "key"][:20]
     for rec in code:
-        qubit = PureState(np.array(rec.alice_received), (2,), ("A",))
+        basis, bit = rec.alice_received
+        qubit = PureState.qubit(bit, basis)
         chi_amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         chi = PureState(chi_amps / np.linalg.norm(chi_amps), (2,), ("Abar",))
         dz, dx = verify_2c_2d(tensor([qubit, chi]))
