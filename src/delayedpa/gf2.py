@@ -6,6 +6,14 @@ integer is viewed as 64-bit words.  XOR of equal-length vectors, AND plus
 popcount dot products, and whole-row eliminations are then single big-int
 operations, which keeps desk-scale exhaustive checks and 10^4-bit protocol
 keys fast without any native extension.
+
+Text forms share the same order: a vector's 0/1 string (character i is bit
+i) is the reversed ``format(bits, "0{length}b")``, and its hex string
+(character j is bits 4j .. 4j+3) is the reversed ``format(bits, "0{N}x")``.
+Conversions go through base-2 and base-16 ``int``/``format``, which run in
+linear time and are exempt from ``int_max_str_digits``.  :func:`row_reduce`
+carries each row's operation record in the bits above column ``cols``, so
+one XOR or swap updates the row and its record together.
 """
 
 from __future__ import annotations
@@ -28,14 +36,6 @@ __all__ = [
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
-
-
-def _reverse_bits(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,15 @@ class BitVector:
     @classmethod
     def from01(cls, text: str) -> "BitVector":
         """Parse a 0/1 string read left to right; character i becomes bit i."""
-        value = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                value |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(len(text), value)
+        # int() would also take a sign, "_", spaces and a "0b" prefix
+        bad = text.strip("01")
+        if bad:
+            raise ValueError(f"invalid bit character {bad[0]!r}")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        value = 0
-        n = 0
-        for b in bits:
-            if b:
-                value |= 1 << n
-            n += 1
-        return cls(n, value)
+        return cls.from01("".join("1" if b else "0" for b in bits))
 
     @classmethod
     def random(cls, length: int, rng) -> "BitVector":
@@ -92,19 +84,24 @@ class BitVector:
         n_nibbles = (length + 3) // 4
         if len(digits) != n_nibbles:
             raise ValueError("hex digit count does not match length")
-        value = 0
-        for j, ch in enumerate(digits):
-            value |= int(ch, 16) << (4 * j)
+        bad = digits.strip("0123456789abcdefABCDEF")
+        if bad:
+            raise ValueError(f"invalid hex digit {bad[0]!r}")
+        value = int(digits[::-1], 16) if digits else 0
         if value.bit_length() > length:
             raise ValueError("set bits beyond declared length")
         return cls(length, value)
 
     def to_hex(self) -> str:
-        n_nibbles = (self.length + 3) // 4
-        return "".join(f"{(self.bits >> (4 * j)) & 0xF:x}" for j in range(n_nibbles))
+        # format(0, "00x") is "0", not ""
+        if not self.length:
+            return ""
+        return format(self.bits, f"0{(self.length + 3) // 4}x")[::-1]
 
     def to01(self) -> str:
-        return "".join("1" if self[i] else "0" for i in range(self.length))
+        if not self.length:
+            return ""
+        return format(self.bits, f"0{self.length}b")[::-1]
 
     def to_text(self) -> str:
         return f"bits={self.length}\n{self.to_hex()}\n"
@@ -185,22 +182,7 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        words = []
-        cols = None
-        for r in rows:
-            bits = list(r)
-            if cols is None:
-                cols = len(bits)
-            elif len(bits) != cols:
-                raise ValueError("ragged rows")
-            w = 0
-            for j, b in enumerate(bits):
-                if b:
-                    w |= 1 << j
-            words.append(w)
-        if cols is None:
-            raise ValueError("matrix needs at least one row")
-        return cls(len(words), cols, tuple(words))
+        return cls.from_row_vectors(BitVector.from_bits(r) for r in rows)
 
     @classmethod
     def from_row_vectors(cls, rows: Iterable[BitVector]) -> "BinaryMatrix":
@@ -316,7 +298,7 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
         )
     # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
     # seed, so each row is a single shift+mask window.
-    rev = _reverse_bits(seed.bits, seed.length)
+    rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
     words = tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa))
     return BinaryMatrix(n_pa, n, words, toeplitz_seed=seed)
@@ -328,8 +310,8 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     Handles any matrix; rank deficiency shows up as zero rows in ``upper``
     and a shorter ``pivot_cols``, never as an error.
     """
-    work = list(a.row_words)
-    ops = [1 << i for i in range(a.rows)]
+    # row i's operation record sits above column a.cols, starting as e_i
+    work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
     pivot_cols: list[int] = []
     r = 0
     for c in range(a.cols):
@@ -341,18 +323,17 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            ops[r], ops[pivot] = ops[pivot], ops[r]
         for i in range(a.rows):
             if i != r and work[i] & mask:
                 work[i] ^= work[r]
-                ops[i] ^= ops[r]
         pivot_cols.append(c)
         r += 1
     pivots = set(pivot_cols)
     free_cols = tuple(c for c in range(a.cols) if c not in pivots)
+    col_mask = (1 << a.cols) - 1
     return RowReduction(
-        upper=BinaryMatrix(a.rows, a.cols, tuple(work)),
-        row_ops=BinaryMatrix(a.rows, a.rows, tuple(ops)),
+        upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
+        row_ops=BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work])),
         pivot_cols=tuple(pivot_cols),
         free_cols=free_cols,
     )

@@ -285,9 +285,9 @@ def key_length(n: int, e_roundtrip: float, e_p: float) -> KeyLedger:
 
 def two_way_rate_single_line(e_b: float, e_p: float) -> float:
     """Asymptotic rate 1 - h(2 e_b) - h(e_p) when both lines share rate e_b
-    and their errors may be fully correlated."""
-    if not 0.0 <= e_b <= 0.5:
-        raise ValueError("rate outside [0, 0.5]")
+    and their errors may be fully correlated; the bound needs e_b <= 1/4."""
+    if not 0.0 <= e_b <= 0.25:
+        raise ValueError(f"single-line rate e_b outside [0, 0.25], got {e_b}")
     return 1.0 - binary_entropy(2.0 * e_b) - binary_entropy(e_p)
 
 

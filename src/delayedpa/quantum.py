@@ -100,10 +100,6 @@ class PureState:
         return self.amps.shape[0]
 
     @classmethod
-    def from_amplitudes(cls, amps, dims, labels) -> "PureState":
-        return cls(np.asarray(amps, dtype=complex), tuple(dims), tuple(labels))
-
-    @classmethod
     def qubit(cls, bit: int, basis: str, label: str = "A") -> "PureState":
         return cls(basis_ket(bit, basis), (2,), (label,))
 

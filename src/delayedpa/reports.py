@@ -7,7 +7,6 @@ the one documented exception).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict
@@ -40,7 +39,6 @@ __all__ = [
     "build_config",
     "ledger_csv_header",
     "ledger_csv_row",
-    "write_sweep_csv",
 ]
 
 PROTOCOLS = ("bb84", "dqkd", "integrated-2", "integrated-2b", "integrated-2c", "integrated-2d", "relay")
@@ -248,12 +246,3 @@ def ledger_csv_header() -> list[str]:
 def ledger_csv_row(t: ProtocolTranscript) -> list:
     doc = ledger_doc(t.ledger) or {}
     return [t.protocol, t.seed, *[doc.get(f) for f in _LEDGER_FIELDS]]
-
-
-def write_sweep_csv(transcripts, path) -> None:
-    """One row per run with all ledger fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ledger_csv_header())
-        for t in transcripts:
-            writer.writerow(ledger_csv_row(t))

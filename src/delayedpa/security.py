@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -287,9 +287,15 @@ def load_eve_bank(path=None) -> list[dict]:
     bank = json.loads(p.read_text())
     if not isinstance(bank, list):
         raise ValueError("view-model bank must be a JSON list")
-    for entry in bank:
-        if "name" not in entry:
-            raise ValueError("every bank entry needs a name")
+    for i, entry in enumerate(bank):
+        if not isinstance(entry, dict):
+            raise ValueError(f"bank entry {i} is not a JSON object")
+        if not isinstance(entry.get("name"), str):
+            raise ValueError(f"bank entry {i} needs a string name")
+        if not isinstance(entry.get("rule"), str):
+            raise ValueError(f"bank entry {entry['name']!r} needs a string rule")
+        if not isinstance(entry.get("params", {}), dict):
+            raise ValueError(f"bank entry {entry['name']!r}: params must be a JSON object")
     return bank
 
 
@@ -338,7 +344,6 @@ def sweep_delayed_pa(
     max_n_pa: int,
     bank: list[dict] | None = None,
     prior=None,
-    on_case: Callable | None = None,
 ) -> dict:
     """Exhaustive classical equivalence sweep.
 
@@ -373,6 +378,4 @@ def sweep_delayed_pa(
                                 asdict(SecurityReport(eps_msg, "delayed-PA", n, n_pa, rows, name)),
                             ],
                         }
-                    if on_case is not None:
-                        on_case(matrix, name, eps_key, eps_msg)
     return {"cases": cases, "max_gap": max_gap, "worst": worst}

@@ -66,6 +66,12 @@ def suite_preimage_uniformity(
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:
         raise ValueError("need 1 <= n_pa < n")
+    cells = 1 << (n - n_pa)
+    # below 5 expected draws per cell the chi-square p-value is meaningless
+    if draws < 5 * cells:
+        raise ValueError(
+            f"draws must be at least 5 per preimage cell: {draws} draws over {cells} cells"
+        )
     rng = random.Random(seed)
     while True:
         matrix = BinaryMatrix.random(n_pa, n, rng)
@@ -105,6 +111,8 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
     Also checks the operator-order-swap identity for the no-measurement
     construction.
     """
+    if abar_dim < 1:
+        raise ValueError(f"abar_dim must be at least 1, got {abar_dim}")
     rng = np.random.default_rng(seed)
     max_dz = max_dx = max_swap = 0.0
     for _ in range(trials):
@@ -143,11 +151,15 @@ def suite_delayed_pa(
     bank model, gap tolerance 1e-12.  Quantum: random adversary state tables,
     gap tolerance 1e-9.
     """
+    if quantum_n > MAX_QUANTUM_N:
+        raise ValueError("limits exceeded: quantum sweep supports n <= 4")
+    if quantum_n < 2:
+        raise ValueError(f"quantum_n must be at least 2, got {quantum_n}")
+    if quantum_dim < 1:
+        raise ValueError(f"quantum_dim must be at least 1, got {quantum_dim}")
     bank = load_eve_bank(eve_bank_path)
     classical = sweep_delayed_pa(n, n_pa, bank)
 
-    if quantum_n > MAX_QUANTUM_N:
-        raise ValueError("limits exceeded: quantum sweep supports n <= 4")
     rng = np.random.default_rng(seed)
     pyrng = random.Random(seed)
     q_max = 0.0

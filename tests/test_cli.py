@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import delayedpa
 from delayedpa.cli import main
@@ -291,6 +292,61 @@ def test_verify_custom_eve_bank(tmp_path, capsys):
     )
     assert code == 0
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "bank, names",
+    [
+        ([1, 2], "entry 0"),
+        ([{"name": 3, "rule": "parity"}], "name"),
+        ([{"name": "x", "params": {}}], "rule"),
+        ([{"name": "x", "rule": "bit", "params": [1]}], "params"),
+    ],
+    ids=["entry-not-object", "name-not-string", "rule-missing", "params-not-object"],
+)
+def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank))
+    code, _, out, err = run_cli(
+        ["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+         "--eve-bank", str(path), "--quantum-trials", "0", "--seed", "9"],
+        capsys,
+    )
+    _assert_one_line_config_error(code, out, err)
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["verify", "--suite", "protocol-2c2d", "--abar-dim", "0", "--seed", "1"], "abar_dim"),
+        (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+          "--quantum-n", "1", "--seed", "1"], "quantum_n"),
+        (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+          "--quantum-dim", "0", "--seed", "1"], "quantum_dim"),
+        (["keyrate", "--n", "1000", "--eb-roundtrip", "0.1", "--ep", "0.05",
+          "--eb-single", "0.3"], "e_b"),
+        # 10 draws over 2048 cells: the chi-square gate could not fail
+        (["verify", "--suite", "preimage-uniformity", "--n", "12", "--npa", "1",
+          "--draws", "10", "--seed", "1"], "draws"),
+    ],
+    ids=["abar-dim-0", "quantum-n-1", "quantum-dim-0", "eb-single-above-quarter",
+         "preimage-too-few-draws"],
+)
+def test_out_of_range_arguments_exit_3(capsys, argv, names):
+    code, _, out, err = run_cli(argv, capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert names in err
+
+
+def test_verify_delayed_pa_accepts_zero_quantum_trials(capsys):
+    code, report, _, _ = run_cli(
+        ["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+         "--quantum-trials", "0", "--seed", "9"],
+        capsys,
+    )
+    assert code == 0
+    assert report["payload"]["quantum"]["trials"] == 0
 
 
 # --------------------------------------------------------------- subprocess

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -28,6 +28,30 @@ def ref_matvec(rows, vec):
             acc ^= aij & vj
         out.append(acc)
     return out
+
+
+def ref_from_bits(bits):
+    """Naive per-bit LSB-first packing: element i becomes bit i."""
+    value = 0
+    for i, b in enumerate(bits):
+        if b:
+            value |= 1 << i
+    return value
+
+
+def ref_to01(v):
+    return "".join(str((v.bits >> i) & 1) for i in range(v.length))
+
+
+def ref_from_hex(digits):
+    value = 0
+    for j, ch in enumerate(digits):
+        value |= int(ch, 16) << (4 * j)
+    return value
+
+
+def ref_to_hex(v):
+    return "".join(f"{(v.bits >> (4 * j)) & 0xF:x}" for j in range((v.length + 3) // 4))
 
 
 def enumerate_vectors(n):
@@ -104,6 +128,37 @@ def test_text_roundtrip():
 def test_hex_roundtrip_property(n, rng):
     v = BitVector.random(n, rng)
     assert BitVector.from_hex(n, v.to_hex()) == v
+
+
+# text is parsed reversed, so "1+" and "1b0" would reach int() as "+1" and "0b1"
+@pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "+1", "1+", "0b1", "1b0", "-0", "0-"])
+def test_from01_rejects_int_literal_syntax(text):
+    with pytest.raises(ValueError, match="invalid bit character"):
+        BitVector.from01(text)
+
+
+@pytest.mark.parametrize(
+    "digits", ["1_2", " 12", "12 ", "+12", "21+", "-12", "21-", "0x1", "1x0"]
+)
+def test_from_hex_rejects_int_literal_syntax(digits):
+    with pytest.raises(ValueError, match="invalid hex digit"):
+        BitVector.from_hex(12, digits)
+
+
+@given(st.lists(st.integers(0, 1), max_size=300))
+@example([])
+@example([1, 0, 1, 0, 1, 1, 1, 1])  # hex "5f": upper case must parse too
+def test_conversions_match_per_bit_references(bits):
+    n = len(bits)
+    v = BitVector.from_bits(bits)
+    assert v == BitVector(n, ref_from_bits(bits))
+    text = v.to01()
+    assert text == ref_to01(v) == "".join(map(str, bits))
+    assert BitVector.from01(text) == v
+    digits = v.to_hex()
+    assert digits == ref_to_hex(v)
+    assert BitVector.from_hex(n, digits) == BitVector(n, ref_from_hex(digits))
+    assert BitVector.from_hex(n, digits.upper()) == v
 
 
 def test_cut_and_bytes():
@@ -187,6 +242,18 @@ def test_toeplitz_constant_diagonals(n_pa, n, rng):
             assert a.entry(i, j) == seed[i - j + n - 1]
             if i + 1 < n_pa and j + 1 < n:
                 assert a.entry(i, j) == a.entry(i + 1, j + 1)
+
+
+@given(st.integers(1, 100), st.integers(1, 100), st.randoms(use_true_random=False))
+@example(100, 100, random.Random(0))
+@settings(max_examples=25)
+def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
+    # rows of up to 100 bits span several 30-bit digits of the packed ints
+    seed = BitVector.random(n + n_pa - 1, rng)
+    a = toeplitz_from_seed(seed, n_pa, n)
+    assert all(
+        a.entry(i, j) == seed[i - j + n - 1] for i in range(n_pa) for j in range(n)
+    )
 
 
 # ---------------------------------------------------------------- reduction
