@@ -25,12 +25,6 @@ from delayedpa.protocols import (
     run_relay,
     two_way_rate_single_line,
 )
-from delayedpa.suites import (
-    suite_delayed_pa,
-    suite_preimage_uniformity,
-    suite_protocol_2c2d,
-    suite_table1,
-)
 
 EXIT_OK = 0
 EXIT_ABORT = 2
@@ -159,6 +153,14 @@ def _cmd_verify(args) -> int:
         print(f"delayedpa verify: error: seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else _fresh_seed()
+    # suites pulls in scipy (about a second), which only verify needs
+    from delayedpa.suites import (
+        suite_delayed_pa,
+        suite_preimage_uniformity,
+        suite_protocol_2c2d,
+        suite_table1,
+    )
+
     start = time.perf_counter()
     try:
         if args.suite == "table1":

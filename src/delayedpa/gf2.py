@@ -14,12 +14,22 @@ Conversions go through base-2 and base-16 ``int``/``format``, which run in
 linear time and are exempt from ``int_max_str_digits``.  :func:`row_reduce`
 carries each row's operation record in the bits above column ``cols``, so
 one XOR or swap updates the row and its record together.
+
+:func:`toeplitz_hash` applies a Toeplitz matrix without building it: the
+product is one real FFT convolution of the seed and key bits (numpy),
+reduced mod 2, in O(n log n) time and memory.  Float rounding cannot flip a
+bit unnoticed, because an exactness guard raises if any convolution entry
+lies 0.25 or more from an integer.  The dense :func:`toeplitz_from_seed`
+matrix stays for row reduction and preimage sampling, and as the hash's
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "BitVector",
@@ -28,6 +38,7 @@ __all__ = [
     "matvec",
     "matmul",
     "toeplitz_from_seed",
+    "toeplitz_hash",
     "row_reduce",
     "kernel_basis",
     "sample_preimage",
@@ -283,6 +294,19 @@ def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(a.rows, b.cols, tuple(words))
 
 
+def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
+    if n_pa < 1 or n < 1:
+        raise ValueError("dimensions must be positive")
+    if seed.length != n + n_pa - 1:
+        raise ValueError(
+            f"seed length {seed.length} does not match n + n_pa - 1 = {n + n_pa - 1}"
+        )
+
+
+def _unpack(v: BitVector) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(v.to_bytes(), dtype=np.uint8), bitorder="little")[: v.length]
+
+
 def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     """Toeplitz matrix with entry (i, j) = seed[i - j + n - 1].
 
@@ -290,18 +314,33 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
     constant along every diagonal and fully determined by n + n_pa - 1 bits.
     """
-    if n_pa < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    if seed.length != n + n_pa - 1:
-        raise ValueError(
-            f"seed length {seed.length} does not match n + n_pa - 1 = {n + n_pa - 1}"
-        )
+    _check_toeplitz_shape(seed, n_pa, n)
     # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
     # seed, so each row is a single shift+mask window.
     rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
     words = tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa))
     return BinaryMatrix(n_pa, n, words, toeplitz_seed=seed)
+
+
+def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
+    """``matvec(toeplitz_from_seed(seed, n_pa, x.length), x)`` without the matrix.
+
+    Output bit i is sum_j seed[i - j + n - 1] x[j] mod 2, which is entry
+    n - 1 + i of the linear convolution of the seed and key bits.
+    """
+    n = x.length
+    _check_toeplitz_shape(seed, n_pa, n)
+    # a power of two at least the full convolution length, so nothing wraps
+    size = 1 << (seed.length + n - 2).bit_length()
+    conv = np.fft.irfft(
+        np.fft.rfft(_unpack(seed), size) * np.fft.rfft(_unpack(x), size), size
+    )[n - 1 : n - 1 + n_pa]
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() >= 0.25:
+        raise ArithmeticError("FFT convolution is not exact enough to round")
+    out = np.packbits(counts.astype(np.int64) & 1, bitorder="little")
+    return BitVector(n_pa, int.from_bytes(out.tobytes(), "little"))
 
 
 def row_reduce(a: BinaryMatrix) -> RowReduction:

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from delayedpa.gf2 import BitVector, matvec, toeplitz_from_seed
+from delayedpa.gf2 import BitVector, toeplitz_hash
 
 __all__ = [
     "ChannelModel",
@@ -500,14 +500,14 @@ class RelayConfig:
 
 # ------------------------------------------------------------------ runs
 
-def _draw_pa_matrix(n_pa: int, n: int, pa_seed: BitVector | None, rng):
+def _draw_pa_seed(n_pa: int, n: int, pa_seed: BitVector | None, rng) -> BitVector:
     if pa_seed is None:
-        pa_seed = BitVector.random(n + n_pa - 1, rng)
-    elif pa_seed.length != n + n_pa - 1:
+        return BitVector.random(n + n_pa - 1, rng)
+    if pa_seed.length != n + n_pa - 1:
         raise ValueError(
             f"pa_seed length {pa_seed.length} does not match required {n + n_pa - 1}"
         )
-    return pa_seed, toeplitz_from_seed(pa_seed, n_pa, n)
+    return pa_seed
 
 
 def _forward_signal(index: int, channel: ChannelModel, eve: EveModel, rng) -> SignalRecord:
@@ -582,8 +582,8 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     a = BitVector.from_bits(records[i].alice_bit for i in key_positions)
     b = BitVector.from_bits(records[i].bob_bit for i in key_positions)
     t.raw_key_alice, t.raw_key_bob = a, b
-    t.pa_seed, pa_matrix = _draw_pa_matrix(ledger.n_pa, n_key, cfg.pa_seed, rng)
-    k = matvec(pa_matrix, a)
+    t.pa_seed = _draw_pa_seed(ledger.n_pa, n_key, cfg.pa_seed, rng)
+    k = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
     t.alice_key = t.bob_key = k
@@ -675,8 +675,8 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     a = BitVector.from_bits(alice_bits)
     b = BitVector.from_bits(bob_bits)
     t.raw_key_alice, t.raw_key_bob = a, b
-    t.pa_seed, pa_matrix = _draw_pa_matrix(ledger.n_pa, cfg.n, cfg.pa_seed, rng)
-    k = matvec(pa_matrix, a)
+    t.pa_seed = _draw_pa_seed(ledger.n_pa, cfg.n, cfg.pa_seed, rng)
+    k = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
     t.alice_key = t.bob_key = k
     return t
 
@@ -719,7 +719,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.ledger = key_length(n_key, e_b, e_p)
         t.abort, t.abort_reason = True, "non-positive key length"
         return t
-    t.pa_seed, pa_matrix = _draw_pa_matrix(n_pa, n_key, cfg.pa_seed, rng)
+    t.pa_seed = pa_seed = _draw_pa_seed(n_pa, n_key, cfg.pa_seed, rng)
 
     ec_bits = 0
     msg_error_rate = 0.0
@@ -733,11 +733,11 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.raw_key_alice, t.raw_key_bob = a, b
         # ideal EC on the forward raw keys before the backward phase
         ec_bits += math.ceil(n_key * binary_entropy(e_b))
-        k = matvec(pa_matrix, a)
+        k = toeplitz_hash(pa_seed, n_pa, a)
         m = BitVector.random(n_key, rng)
 
     if cfg.variant == "2":
-        fm = matvec(pa_matrix, m)
+        fm = toeplitz_hash(pa_seed, n_pa, m)
         cipher = fm ^ k
         t.m_prime = fm
         t.recovered_via_key = cipher ^ k
@@ -745,18 +745,18 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.bob_key = t.recovered_via_key
     elif cfg.variant == "2b":
         cipher = a ^ m
-        t.m_prime = matvec(pa_matrix, m)
-        t.recovered_via_key = matvec(pa_matrix, cipher) ^ k
-        t.recovered_via_rawkey = matvec(pa_matrix, cipher ^ a)
+        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
+        t.recovered_via_key = toeplitz_hash(pa_seed, n_pa, cipher) ^ k
+        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, cipher ^ a)
         t.alice_key = t.m_prime
         t.bob_key = t.recovered_via_key
     elif cfg.variant == "2c":
         for j, rec in enumerate(code):
             _backward_leg(rec, (rec.basis, m[j] ^ a[j]), cfg.backward, cfg.eve, rng)
         y = BitVector.from_bits(rec.bob_outcome for rec in code)
-        t.m_prime = matvec(pa_matrix, m)
-        t.recovered_via_key = matvec(pa_matrix, y) ^ k
-        t.recovered_via_rawkey = matvec(pa_matrix, y ^ a)
+        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
+        t.recovered_via_key = toeplitz_hash(pa_seed, n_pa, y) ^ k
+        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, y ^ a)
         m_hat = y ^ a
         msg_error_rate = (m_hat ^ m).weight() / n_key
         ec_bits += math.ceil(n_key * binary_entropy(_clamp_rate(msg_error_rate)))
@@ -775,8 +775,8 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         )
         m_hat = BitVector.from_bits(rec.bob_outcome ^ rec.bob_bit for rec in code)
         t.raw_key_bob = BitVector.from_bits(rec.bob_bit for rec in code)
-        t.m_prime = matvec(pa_matrix, m)
-        t.recovered_via_rawkey = matvec(pa_matrix, m_hat)
+        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
+        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, m_hat)
         msg_error_rate = (m_hat ^ m).weight() / n_key
         ec_bits += math.ceil(n_key * binary_entropy(_clamp_rate(msg_error_rate)))
         t.alice_key = t.bob_key = t.m_prime
@@ -830,14 +830,13 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
     a = qkd.raw_key_alice
     n = a.length
     n_pa = qkd.ledger.n_pa
-    pa_matrix = toeplitz_from_seed(qkd.pa_seed, n_pa, n)
     # RelayConfig guarantees pool_size >= n >= n_pa
     if cfg.delayed:
         m = pool.cut(0, n)
         cipher = a ^ m
         bob_m = cipher ^ a  # Bob holds a after ideal EC
-        t.bob_key = matvec(pa_matrix, bob_m)
-        t.charlie_key = matvec(pa_matrix, m)  # Charlie gets the hash seed from Bob
+        t.bob_key = toeplitz_hash(qkd.pa_seed, n_pa, bob_m)
+        t.charlie_key = toeplitz_hash(qkd.pa_seed, n_pa, m)  # Charlie gets the hash seed from Bob
         t.pool_consumed = n
     else:
         m_prime = pool.cut(0, n_pa)

@@ -241,13 +241,23 @@ def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) ->
 
 # ------------------------------------------------------------------ models
 
+def _flip_prob(params: dict, default: float) -> float:
+    q = params.get("flip_prob", default)
+    if isinstance(q, bool) or not isinstance(q, (int, float)) or not 0 <= q <= 1:
+        raise ValueError(f"flip_prob must be a number in [0, 1], got {q!r}")
+    return float(q)
+
+
 def eve_table(rule: str, n: int, **params) -> np.ndarray:
     """Conditional view table p(e | a), shape (2^n, |E|), for a named rule."""
     size = 1 << n
     if rule == "blind":
         return np.ones((size, 1))
     if rule == "bit":
-        index = params.get("index", 0) % n
+        index = params.get("index", 0)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise ValueError(f"index must be an integer, got {index!r}")
+        index %= n
         t = np.zeros((size, 2))
         for a in range(size):
             t[a, (a >> index) & 1] = 1.0
@@ -260,7 +270,7 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
     if rule == "copy":
         return np.eye(size)
     if rule == "noisy-copy":
-        q = float(params.get("flip_prob", 0.25))
+        q = _flip_prob(params, 0.25)
         t = np.empty((size, size))
         for a in range(size):
             for e in range(size):
@@ -268,7 +278,7 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
                 t[a, e] = (q ** dist) * ((1 - q) ** (n - dist))
         return t
     if rule == "noisy-parity":
-        q = float(params.get("flip_prob", 0.1))
+        q = _flip_prob(params, 0.1)
         t = np.empty((size, 2))
         for a in range(size):
             par = bin(a).count("1") & 1
@@ -303,12 +313,21 @@ def bank_tables(bank: list[dict], n: int) -> list[tuple[str, np.ndarray]]:
     """Materialize a bank of named models into explicit tables for width n."""
     out = []
     for entry in bank:
-        if entry.get("rule") == "table":
-            if entry.get("n") != n:
-                continue
-            out.append((entry["name"], np.asarray(entry["table"], dtype=float)))
-        else:
-            out.append((entry["name"], eve_table(entry["rule"], n, **entry.get("params", {}))))
+        name = entry["name"]
+        try:
+            if entry.get("rule") == "table":
+                if not isinstance(entry.get("n"), int) or "table" not in entry:
+                    raise ValueError("a table rule needs an integer n and a table")
+                if entry["n"] != n:
+                    continue
+                table = np.asarray(entry["table"], dtype=float)
+                if table.ndim != 2:
+                    raise ValueError("table must be a list of rows")
+            else:
+                table = eve_table(entry["rule"], n, **entry.get("params", {}))
+        except ValueError as exc:
+            raise ValueError(f"bank entry {name!r}: {exc}") from None
+        out.append((name, table))
     return out
 
 

@@ -111,6 +111,8 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
     Also checks the operator-order-swap identity for the no-measurement
     construction.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if abar_dim < 1:
         raise ValueError(f"abar_dim must be at least 1, got {abar_dim}")
     rng = np.random.default_rng(seed)
@@ -151,6 +153,11 @@ def suite_delayed_pa(
     bank model, gap tolerance 1e-12.  Quantum: random adversary state tables,
     gap tolerance 1e-9.
     """
+    # the classical sweep covers 2 <= width <= n and 1 <= rows <= n_pa
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if n_pa < 1:
+        raise ValueError(f"n_pa must be at least 1, got {n_pa}")
     if quantum_n > MAX_QUANTUM_N:
         raise ValueError("limits exceeded: quantum sweep supports n <= 4")
     if quantum_n < 2:

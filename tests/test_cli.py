@@ -301,8 +301,15 @@ def test_verify_custom_eve_bank(tmp_path, capsys):
         ([{"name": 3, "rule": "parity"}], "name"),
         ([{"name": "x", "params": {}}], "rule"),
         ([{"name": "x", "rule": "bit", "params": [1]}], "params"),
+        ([{"name": "a", "rule": "bit", "params": {"index": "a"}}], "'a': index"),
+        ([{"name": "a", "rule": "noisy-copy", "params": {"flip_prob": "x"}}], "'a': flip_prob"),
+        ([{"name": "a", "rule": "table", "n": 2}], "'a': a table rule"),
+        ([{"name": "a", "rule": "table", "table": [[1.0]] * 4}], "'a': a table rule"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": None}], "'a': table must"),
     ],
-    ids=["entry-not-object", "name-not-string", "rule-missing", "params-not-object"],
+    ids=["entry-not-object", "name-not-string", "rule-missing", "params-not-object",
+         "index-not-integer", "flip-prob-not-number", "table-missing", "table-n-missing",
+         "table-not-rows"],
 )
 def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
     path = tmp_path / "bank.json"
@@ -329,9 +336,16 @@ def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
         # 10 draws over 2048 cells: the chi-square gate could not fail
         (["verify", "--suite", "preimage-uniformity", "--n", "12", "--npa", "1",
           "--draws", "10", "--seed", "1"], "draws"),
+        # sweeps that would check no case at all
+        (["verify", "--suite", "delayed-pa", "--n", "1", "--npa", "1",
+          "--quantum-trials", "0", "--seed", "1"], "n must be at least 2"),
+        (["verify", "--suite", "delayed-pa", "--n", "3", "--npa", "0",
+          "--quantum-trials", "0", "--seed", "1"], "n_pa"),
+        (["verify", "--suite", "protocol-2c2d", "--trials", "-3", "--seed", "1"], "trials"),
     ],
     ids=["abar-dim-0", "quantum-n-1", "quantum-dim-0", "eb-single-above-quarter",
-         "preimage-too-few-draws"],
+         "preimage-too-few-draws", "delayed-pa-n-1", "delayed-pa-npa-0",
+         "protocol-2c2d-negative-trials"],
 )
 def test_out_of_range_arguments_exit_3(capsys, argv, names):
     code, _, out, err = run_cli(argv, capsys)
@@ -373,3 +387,20 @@ def test_subprocess_replay_byte_identical():
         {k: v for k, v in json.loads(text).items() if k != "timing"}, sort_keys=True
     )
     assert strip(first.stdout) == strip(second.stdout)
+
+
+def test_scipy_is_loaded_only_by_verify():
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import delayedpa.cli as cli",
+        "assert 'scipy' not in sys.modules, 'import'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['simulate', 'dqkd', '--n', '200', '--seed', '1']) in (0, 2)",
+        "assert 'scipy' not in sys.modules, 'simulate'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['verify', '--suite', 'preimage-uniformity',",
+        "                     '--draws', '2000', '--seed', '1']) == 0",
+        "assert 'scipy' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from delayedpa.gf2 import (
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
+    toeplitz_hash,
 )
 
 
@@ -254,6 +256,53 @@ def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
     assert all(
         a.entry(i, j) == seed[i - j + n - 1] for i in range(n_pa) for j in range(n)
     )
+
+
+def _dense_hash(seed, n_pa, x):
+    return matvec(toeplitz_from_seed(seed, n_pa, x.length), x)
+
+
+@given(
+    st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.randoms(use_true_random=False),
+)
+@example((1, 1), random.Random(0))
+@example((200, 200), random.Random(0))
+@settings(max_examples=60)
+def test_toeplitz_hash_matches_dense(shape, rng):
+    # n_pa == n is the square hash of noiseless protocol runs
+    n, n_pa = shape
+    seed = BitVector.random(n + n_pa - 1, rng)
+    x = BitVector.random(n, rng)
+    assert toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+
+
+def test_toeplitz_hash_matches_dense_at_protocol_size():
+    n, n_pa = 30_000, 21_000
+    rng = random.Random(5)
+    seed = BitVector.random(n + n_pa - 1, rng)
+    x = BitVector.random(n, rng)
+    assert toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+    # all ones: the largest convolution entries, so the largest rounding error
+    ones_seed = BitVector(n + n_pa - 1, (1 << (n + n_pa - 1)) - 1)
+    ones = BitVector(n, (1 << n) - 1)
+    assert toeplitz_hash(ones_seed, n_pa, ones) == _dense_hash(ones_seed, n_pa, ones)
+
+
+@pytest.mark.parametrize(
+    "seed_len, n_pa, n", [(5, 2, 3), (3, 2, 3), (2, 0, 3), (0, 1, 0)]
+)
+def test_toeplitz_hash_rejects_bad_shapes(seed_len, n_pa, n):
+    with pytest.raises(ValueError):
+        toeplitz_hash(BitVector.zeros(seed_len), n_pa, BitVector.zeros(n))
+
+
+def test_toeplitz_hash_guard_rejects_inexact_convolution(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.4)
+    rng = random.Random(6)
+    with pytest.raises(ArithmeticError):
+        toeplitz_hash(BitVector.random(99, rng), 50, BitVector.random(50, rng))
 
 
 # ---------------------------------------------------------------- reduction
