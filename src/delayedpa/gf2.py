@@ -188,10 +188,6 @@ class BinaryMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinaryMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
         return cls.from_row_vectors(BitVector.from_bits(r) for r in rows)
 
@@ -331,8 +327,9 @@ def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
     """
     n = x.length
     _check_toeplitz_shape(seed, n_pa, n)
-    # a power of two at least the full convolution length, so nothing wraps
-    size = 1 << (seed.length + n - 2).bit_length()
+    # the smallest power of two >= len(seed): the circular convolution wraps
+    # linear entries >= size onto indices below n - 1, which are never read
+    size = 1 << (seed.length - 1).bit_length()
     conv = np.fft.irfft(
         np.fft.rfft(_unpack(seed), size) * np.fft.rfft(_unpack(x), size), size
     )[n - 1 : n - 1 + n_pa]

@@ -12,6 +12,13 @@ in the delayed scheme, where m is a uniform preimage of m'.  The two are
 expected to coincide for every additive f with independent rows, every view
 model, and every prior on a; the verifier computes both sides independently
 and reports the gap rather than assuming it.
+
+Both sides, classical and quantum, come from one grouping of the weighted
+views w_a (a row p(a) t[a, .] or a matrix p(a) rho_a) by a table of f over
+all 2^n inputs: the key side sums w_a with f(a) = k, the delayed side sums
+w_a with f(a XOR c) = m' for every pad c.  f is looked up at a XOR c rather
+than computed as f(a) XOR f(c), because that identity is the additivity on
+which the equivalence rests; the check must not assume it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
+from delayedpa.gf2 import BinaryMatrix, row_reduce
 
 __all__ = [
     "ClassicalJoint",
@@ -57,6 +64,8 @@ class ClassicalJoint:
         object.__setattr__(self, "probs", p)
         if p.ndim != 2:
             raise ValueError("joint table must be 2-D")
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite probability")
         if p.min() < -1e-15:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -79,6 +88,8 @@ class CqJoint:
         object.__setattr__(self, "p_k", p)
         rhos = tuple(np.asarray(r, dtype=complex) for r in self.rho_e)
         object.__setattr__(self, "rho_e", rhos)
+        if not (np.isfinite(p).all() and all(np.isfinite(r).all() for r in rhos)):
+            raise ValueError("non-finite probability or state entry")
         if abs(p.sum() - 1.0) > 1e-12 or p.min() < -1e-15:
             raise ValueError("invalid key distribution")
         if len(rhos) != p.shape[0]:
@@ -131,12 +142,33 @@ def cq_epsilon(joint: CqJoint) -> float:
 # ------------------------------------------------------------------ verifier
 
 def _hash_values(matrix: BinaryMatrix) -> np.ndarray:
-    """f(a) as an integer for every a in {0, ..., 2^n - 1}."""
-    n = matrix.cols
-    return np.array(
-        [matvec(matrix, BitVector(n, a)).bits for a in range(1 << n)],
-        dtype=np.int64,
-    )
+    """f(a) as an integer for every a in {0, ..., 2^n - 1}, by one product."""
+    shifts = np.arange(matrix.cols)
+    inputs = (np.arange(1 << matrix.cols)[:, None] >> shifts) & 1
+    rows = (np.array(matrix.row_words)[:, None] >> shifts) & 1
+    return ((inputs @ rows.T) & 1) @ (1 << np.arange(matrix.rows))
+
+
+def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
+    """(key, msg) for the views w_a = weighted[a], of any trailing shape.
+
+    key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a,
+    from one scatter-add that sums every cell over a in increasing order.
+    """
+    size = f_vals.shape[0]
+    flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
+    width = flat.shape[1]
+    pads = np.arange(size)
+    # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
+    # not assume the additivity it certifies
+    cell = f_vals[pads[:, None] ^ pads] * size + pads[:, None]  # [c, a] -> m' * 2^n + c
+    cells = np.add.outer(cell * width, np.arange(width))
+    weights = np.broadcast_to(flat, cells.shape)
+    table = np.bincount(cells.ravel(), weights.ravel(), n_keys * size * width)
+    table = table.view(weighted.dtype).reshape((n_keys, size) + weighted.shape[1:])
+    key = table[:, 0].copy()  # pad c = 0 is the undelayed key
+    table /= size
+    return key, table
 
 
 def _check_instance(matrix: BinaryMatrix, max_n: int) -> None:
@@ -150,7 +182,8 @@ def _normalize_prior(prior, size: int) -> np.ndarray:
     if prior is None:
         return np.full(size, 1.0 / size)
     p = np.asarray(prior, dtype=float)
-    if p.shape != (size,) or p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
+    # p >= 0 is False for NaN, and an infinite entry misses the sum
+    if p.shape != (size,) or not (p >= 0).all() or abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("invalid prior")
     return p
 
@@ -165,27 +198,16 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     of m'.  Both sides are built directly from their definitions.
     """
     _check_instance(matrix, MAX_EXHAUSTIVE_N)
-    n, n_pa = matrix.cols, matrix.rows
-    size = 1 << n
+    size = 1 << matrix.cols
     t = np.asarray(table, dtype=float)
     if t.shape[0] != size:
         raise ValueError(f"table must have {size} rows")
     p_a = _normalize_prior(prior, size)
-    weighted = p_a[:, None] * t  # (a, e)
-    f_vals = _hash_values(matrix)
-    n_keys = 1 << n_pa
-
-    key_joint = np.zeros((n_keys, t.shape[1]))
-    np.add.at(key_joint, f_vals, weighted)
-    eps_key = classical_epsilon(ClassicalJoint(key_joint))
-
-    # delayed side: p(m', e, c) = 2^-n * sum_a p(a) t[a, e] [f(a^c) = m']
-    idx = np.arange(size)
-    delayed = np.zeros((n_keys, size, t.shape[1]))
-    for c in range(size):
-        np.add.at(delayed[:, c, :], f_vals[idx ^ c], weighted)
-    delayed /= size
-    eps_msg = classical_epsilon(ClassicalJoint(delayed.reshape(n_keys, -1)))
+    n_keys = 1 << matrix.rows
+    key, msg = _grouped_views(_hash_values(matrix), n_keys, p_a[:, None] * t)
+    eps_key = classical_epsilon(ClassicalJoint(key))
+    # p(m', c, e): the view is the pair (c, e)
+    eps_msg = classical_epsilon(ClassicalJoint(msg.reshape(n_keys, -1)))
     return eps_key, eps_msg
 
 
@@ -197,45 +219,28 @@ def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) ->
     the adversary system as a classical (diagonal) block index.
     """
     _check_instance(matrix, MAX_QUANTUM_N)
-    n, n_pa = matrix.cols, matrix.rows
-    size = 1 << n
-    rhos = [np.asarray(r, dtype=complex) for r in eve_states]
+    size = 1 << matrix.cols
+    rhos = np.asarray(eve_states, dtype=complex)
     if len(rhos) != size:
         raise ValueError(f"need {size} conditional states")
-    d = rhos[0].shape[0]
+    d = rhos.shape[1]
     p_a = _normalize_prior(prior, size)
     f_vals = _hash_values(matrix)
-    n_keys = 1 << n_pa
+    n_keys = 1 << matrix.rows
+    key, msg = _grouped_views(f_vals, n_keys, p_a[:, None, None] * rhos)
 
     # normal scenario: conditional states grouped by key value
-    p_key = np.zeros(n_keys)
-    blocks = [np.zeros((d, d), dtype=complex) for _ in range(n_keys)]
-    for a in range(size):
-        p_key[f_vals[a]] += p_a[a]
-        blocks[f_vals[a]] += p_a[a] * rhos[a]
-    cond = []
-    for k in range(n_keys):
-        if p_key[k] > 0:
-            cond.append(blocks[k] / p_key[k])
-        else:
-            cond.append(np.eye(d, dtype=complex) / d)
+    p_key = np.bincount(f_vals, p_a, n_keys)
+    cond = [blk / pk if pk > 0 else np.eye(d, dtype=complex) / d for blk, pk in zip(key, p_key)]
     eps_key = cq_epsilon(CqJoint(p_key, tuple(cond)))
 
-    # delayed scenario: view is (ciphertext c, quantum system), block
-    # diagonal over c with joint weight 2^-n sum_a p(a) rho_a [f(a^c) = m']
-    big = size * d
-    p_msg = np.full(n_keys, 1.0 / n_keys)
-    cond_msg = []
-    for mp in range(n_keys):
-        block = np.zeros((big, big), dtype=complex)
-        for c in range(size):
-            s = np.zeros((d, d), dtype=complex)
-            for a in range(size):
-                if f_vals[a ^ c] == mp:
-                    s += p_a[a] * rhos[a]
-            block[c * d:(c + 1) * d, c * d:(c + 1) * d] = s / size
-        cond_msg.append(block * n_keys)  # normalize to trace 1
-    eps_msg = cq_epsilon(CqJoint(p_msg, tuple(cond_msg)))
+    # delayed scenario: the view is (ciphertext c, quantum system), block
+    # diagonal over c; each m' has weight 1/n_keys, so scale to trace 1
+    pads = np.arange(size)
+    big = np.zeros((n_keys, size, d, size, d), dtype=complex)
+    big[:, pads, :, pads, :] = (msg * n_keys).swapaxes(0, 1)
+    cond_msg = tuple(big.reshape(n_keys, size * d, size * d))
+    eps_msg = cq_epsilon(CqJoint(np.full(n_keys, 1.0 / n_keys), cond_msg))
     return eps_key, eps_msg
 
 
@@ -248,8 +253,25 @@ def _flip_prob(params: dict, default: float) -> float:
     return float(q)
 
 
+# the params each rule reads; any other key is a typo that would silently
+# run the rule at its default
+_RULE_PARAMS = {
+    "blind": (),
+    "bit": ("index",),
+    "parity": (),
+    "copy": (),
+    "noisy-copy": ("flip_prob",),
+    "noisy-parity": ("flip_prob",),
+}
+
+
 def eve_table(rule: str, n: int, **params) -> np.ndarray:
     """Conditional view table p(e | a), shape (2^n, |E|), for a named rule."""
+    if rule not in _RULE_PARAMS:
+        raise ValueError(f"unknown view rule {rule!r}")
+    unknown = sorted(set(params) - set(_RULE_PARAMS[rule]))
+    if unknown:
+        raise ValueError(f"unknown params key {unknown[0]!r} for rule {rule!r}")
     size = 1 << n
     if rule == "blind":
         return np.ones((size, 1))
@@ -285,7 +307,6 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
             t[a, par] = 1 - q
             t[a, 1 - par] = q
         return t
-    raise ValueError(f"unknown view rule {rule!r}")
 
 
 def default_eve_bank_path() -> Path:
@@ -306,7 +327,34 @@ def load_eve_bank(path=None) -> list[dict]:
             raise ValueError(f"bank entry {entry['name']!r} needs a string rule")
         if not isinstance(entry.get("params", {}), dict):
             raise ValueError(f"bank entry {entry['name']!r}: params must be a JSON object")
+        keys = {"name", "rule"} | ({"n", "table"} if entry["rule"] == "table" else {"params"})
+        unknown = sorted(set(entry) - keys)
+        if unknown:
+            raise ValueError(f"bank entry {entry['name']!r}: unknown key {unknown[0]!r}")
     return bank
+
+
+def _explicit_table(entry: dict) -> np.ndarray:
+    """A ``table`` rule's table, checked to be p(e | a) for its width n."""
+    width = entry.get("n")
+    if (
+        not isinstance(width, int) or isinstance(width, bool)
+        or not 1 <= width <= MAX_EXHAUSTIVE_N or "table" not in entry
+    ):
+        raise ValueError(f"a table rule needs an integer n in 1..{MAX_EXHAUSTIVE_N} and a table")
+    try:
+        table = np.asarray(entry["table"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("table must hold numbers in equal-length rows") from None
+    if table.ndim != 2 or table.shape[0] != 1 << width:
+        raise ValueError(f"table must be a list of {1 << width} rows")
+    # a comparison with NaN is False, so this also rejects NaN
+    if not ((table >= 0) & (table <= 1)).all():
+        raise ValueError("table entries must be finite probabilities in [0, 1]")
+    off = np.flatnonzero(np.abs(table.sum(axis=1) - 1.0) > 1e-12)
+    if off.size:
+        raise ValueError(f"table row {off[0]} does not sum to 1")
+    return table
 
 
 def bank_tables(bank: list[dict], n: int) -> list[tuple[str, np.ndarray]]:
@@ -316,13 +364,9 @@ def bank_tables(bank: list[dict], n: int) -> list[tuple[str, np.ndarray]]:
         name = entry["name"]
         try:
             if entry.get("rule") == "table":
-                if not isinstance(entry.get("n"), int) or "table" not in entry:
-                    raise ValueError("a table rule needs an integer n and a table")
+                table = _explicit_table(entry)
                 if entry["n"] != n:
                     continue
-                table = np.asarray(entry["table"], dtype=float)
-                if table.ndim != 2:
-                    raise ValueError("table must be a list of rows")
             else:
                 table = eve_table(entry["rule"], n, **entry.get("params", {}))
         except ValueError as exc:
@@ -384,17 +428,19 @@ def sweep_delayed_pa(
                     eps_key, eps_msg = delayed_pa_epsilons(matrix, table, prior)
                     gap = abs(eps_key - eps_msg)
                     cases += 1
-                    if gap >= max_gap:
+                    if gap >= max_gap:  # ties go to the last case
                         max_gap = gap
-                        rows = tuple(matrix.row_words)
-                        worst = {
-                            "n": n,
-                            "n_pa": n_pa,
-                            "rows": list(rows),
-                            "eve_model": name,
-                            "scenarios": [
-                                asdict(SecurityReport(eps_key, "normal-PA", n, n_pa, rows, name)),
-                                asdict(SecurityReport(eps_msg, "delayed-PA", n, n_pa, rows, name)),
-                            ],
-                        }
+                        worst = (n, n_pa, tuple(matrix.row_words), name, eps_key, eps_msg)
+    if worst is not None:
+        n, n_pa, rows, name, eps_key, eps_msg = worst
+        worst = {
+            "n": n,
+            "n_pa": n_pa,
+            "rows": list(rows),
+            "eve_model": name,
+            "scenarios": [
+                asdict(SecurityReport(eps_key, "normal-PA", n, n_pa, rows, name)),
+                asdict(SecurityReport(eps_msg, "delayed-PA", n, n_pa, rows, name)),
+            ],
+        }
     return {"cases": cases, "max_gap": max_gap, "worst": worst}

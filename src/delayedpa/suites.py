@@ -12,11 +12,12 @@ import random
 import numpy as np
 from scipy import stats
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce, sample_preimage
+from delayedpa.gf2 import BinaryMatrix, BitVector, row_reduce, sample_preimage
 from delayedpa.protocols import decode_key_bit
 from delayedpa.quantum import basis_ket, pauli, random_pure_state, build_2d_state, verify_2c_2d
 from delayedpa.security import (
     MAX_QUANTUM_N,
+    _hash_values,
     delayed_pa_epsilons_quantum,
     load_eve_bank,
     random_eve_states,
@@ -34,6 +35,14 @@ CLASSICAL_GAP_TOL = 1e-12
 QUANTUM_GAP_TOL = 1e-9
 EQUIV_TOL = 1e-10
 SWAP_TOL = 1e-12
+
+
+def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
+    """Draw random rows x cols matrices until one has independent rows."""
+    while True:
+        matrix = BinaryMatrix.random(rows, cols, rng)
+        if row_reduce(matrix).rank == rows:
+            return matrix
 
 
 def suite_table1() -> tuple[dict, bool]:
@@ -66,6 +75,9 @@ def suite_preimage_uniformity(
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:
         raise ValueError("need 1 <= n_pa < n")
+    # alpha 0 or below passes any p-value, and 1 or above fails nearly all
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     cells = 1 << (n - n_pa)
     # below 5 expected draws per cell the chi-square p-value is meaningless
     if draws < 5 * cells:
@@ -73,14 +85,9 @@ def suite_preimage_uniformity(
             f"draws must be at least 5 per preimage cell: {draws} draws over {cells} cells"
         )
     rng = random.Random(seed)
-    while True:
-        matrix = BinaryMatrix.random(n_pa, n, rng)
-        if row_reduce(matrix).rank == n_pa:
-            break
+    matrix = _full_rank_matrix(n_pa, n, rng)
     y = BitVector.random(n_pa, rng)
-    preimage = sorted(
-        v for v in range(1 << n) if matvec(matrix, BitVector(n, v)) == y
-    )
+    preimage = np.flatnonzero(_hash_values(matrix) == y.bits).tolist()
     reduction = row_reduce(matrix)
     counts = dict.fromkeys(preimage, 0)
     stray = 0
@@ -164,18 +171,18 @@ def suite_delayed_pa(
         raise ValueError(f"quantum_n must be at least 2, got {quantum_n}")
     if quantum_dim < 1:
         raise ValueError(f"quantum_dim must be at least 1, got {quantum_dim}")
+    if quantum_trials < 0:
+        raise ValueError(f"quantum_trials must be non-negative, got {quantum_trials}")
     bank = load_eve_bank(eve_bank_path)
     classical = sweep_delayed_pa(n, n_pa, bank)
+    if classical["cases"] == 0:
+        raise ValueError(f"the eve bank has no model for any width from 2 to {n}")
 
     rng = np.random.default_rng(seed)
     pyrng = random.Random(seed)
     q_max = 0.0
     for _ in range(quantum_trials):
-        rows = pyrng.randint(1, min(2, quantum_n - 1))
-        while True:
-            matrix = BinaryMatrix.random(rows, quantum_n, pyrng)
-            if row_reduce(matrix).rank == rows:
-                break
+        matrix = _full_rank_matrix(pyrng.randint(1, min(2, quantum_n - 1)), quantum_n, pyrng)
         states = random_eve_states(quantum_n, quantum_dim, rng)
         eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
         q_max = max(q_max, abs(eps_key - eps_msg))

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayedpa
-from delayedpa.cli import main
+from delayedpa.cli import SUITES, main
 
 SCHEMA = json.loads(
     (Path(delayedpa.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -306,10 +311,34 @@ def test_verify_custom_eve_bank(tmp_path, capsys):
         ([{"name": "a", "rule": "table", "n": 2}], "'a': a table rule"),
         ([{"name": "a", "rule": "table", "table": [[1.0]] * 4}], "'a': a table rule"),
         ([{"name": "a", "rule": "table", "n": 2, "table": None}], "'a': table must"),
+        # a typo would otherwise run the rule at its default flip_prob
+        ([{"name": "a", "rule": "noisy-copy", "params": {"flip_porb": 0.5}}],
+         "'a': unknown params key 'flip_porb'"),
+        ([{"name": "a", "rule": "blind", "params": {"index": 0}}],
+         "'a': unknown params key 'index'"),
+        ([{"name": "a", "rule": "noisy-copy", "parms": {"flip_prob": 0.5}}],
+         "'a': unknown key 'parms'"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": [[math.nan, 1.0]] + [[1.0, 0.0]] * 3}],
+         "'a': table entries"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": [[1.5, -0.5]] + [[1.0, 0.0]] * 3}],
+         "'a': table entries"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": [[1.0, 0.0]] * 3 + [[0.5, 0.4]]}],
+         "'a': table row 3"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": [[1.0, 0.0]] * 3}],
+         "'a': table must be a list of 4 rows"),
+        ([{"name": "a", "rule": "table", "n": 2, "table": [[1.0, 0.0]] * 3 + [[1.0]]}],
+         "'a': table must"),
+        ([{"name": "a", "rule": "table", "n": 10**9, "table": [[1.0]]}], "'a': a table rule"),
+        ([{"name": "a", "rule": "nope"}], "'a': unknown view rule"),
+        # a bank with no model for the swept widths would certify nothing
+        ([], "no model"),
+        ([{"name": "a", "rule": "table", "n": 3, "table": [[1.0]] * 8}], "no model"),
     ],
     ids=["entry-not-object", "name-not-string", "rule-missing", "params-not-object",
          "index-not-integer", "flip-prob-not-number", "table-missing", "table-n-missing",
-         "table-not-rows"],
+         "table-not-rows", "params-key-typo", "params-key-foreign-to-rule", "entry-key-typo",
+         "table-nan", "table-outside-unit-interval", "table-row-sum", "table-row-count",
+         "table-ragged", "table-n-huge", "rule-unknown", "bank-empty", "bank-no-model-at-width"],
 )
 def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
     path = tmp_path / "bank.json"
@@ -342,10 +371,18 @@ def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
         (["verify", "--suite", "delayed-pa", "--n", "3", "--npa", "0",
           "--quantum-trials", "0", "--seed", "1"], "n_pa"),
         (["verify", "--suite", "protocol-2c2d", "--trials", "-3", "--seed", "1"], "trials"),
+        # alpha <= 0 passes any p-value; alpha >= 1 or nan is a config error, not a failure
+        (["verify", "--suite", "preimage-uniformity", "--alpha", "-1", "--seed", "1"], "alpha"),
+        (["verify", "--suite", "preimage-uniformity", "--alpha", "0", "--seed", "1"], "alpha"),
+        (["verify", "--suite", "preimage-uniformity", "--alpha", "nan", "--seed", "1"], "alpha"),
+        (["verify", "--suite", "preimage-uniformity", "--alpha", "2", "--seed", "1"], "alpha"),
+        (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+          "--quantum-trials", "-5", "--seed", "1"], "quantum_trials"),
     ],
     ids=["abar-dim-0", "quantum-n-1", "quantum-dim-0", "eb-single-above-quarter",
          "preimage-too-few-draws", "delayed-pa-n-1", "delayed-pa-npa-0",
-         "protocol-2c2d-negative-trials"],
+         "protocol-2c2d-negative-trials", "alpha-negative", "alpha-0", "alpha-nan", "alpha-2",
+         "quantum-trials-negative"],
 )
 def test_out_of_range_arguments_exit_3(capsys, argv, names):
     code, _, out, err = run_cli(argv, capsys)
@@ -361,6 +398,103 @@ def test_verify_delayed_pa_accepts_zero_quantum_trials(capsys):
     )
     assert code == 0
     assert report["payload"]["quantum"]["trials"] == 0
+
+
+# --------------------------------------------------------------- fuzz
+
+_VALID_TABLE = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+_CELLS = st.sampled_from([0.0, 0.5, 1.0, -0.5, 1.5, math.nan, math.inf, None, "x", {}])
+_BANK_ENTRY = st.one_of(
+    st.sampled_from([
+        {"name": "blind", "rule": "blind"},
+        {"name": "bit", "rule": "bit", "params": {"index": -1}},
+        {"name": "noisy", "rule": "noisy-parity", "params": {"flip_prob": 0.1}},
+        {"name": "table", "rule": "table", "n": 2, "table": _VALID_TABLE},
+        {"name": "typo", "rule": "noisy-copy", "parms": {"flip_prob": 0.1}},
+        {"name": 7, "rule": "blind"},
+        {"rule": "blind"},
+        [],
+    ]),
+    st.builds(lambda rule: {"name": "r", "rule": rule}, st.sampled_from(["nope", "", "table", 3])),
+    st.builds(
+        lambda rule, key, value: {"name": "p", "rule": rule, "params": {key: value}},
+        st.sampled_from(["noisy-copy", "bit", "parity"]),
+        st.sampled_from(["flip_prob", "flip_porb", "index"]),
+        st.sampled_from([0, -1, 0.25, 1.5, 2, math.nan, "x", True, None, [0.5]]),
+    ),
+    st.builds(
+        lambda n, table: {"name": "t", "rule": "table", "n": n, "table": table},
+        st.sampled_from([2, 2, 3, 0, -1, True, "2", None, 10**9]),
+        st.one_of(
+            st.lists(st.lists(_CELLS, min_size=1, max_size=3), max_size=9),
+            st.sampled_from([None, "x", 1.0, [[[1.0]]], [[{}]], _VALID_TABLE]),
+        ),
+    ),
+)
+_BANK = st.one_of(st.lists(_BANK_ENTRY, max_size=3), st.sampled_from([{}, 1, "x", None]))
+
+
+# flag: (in-range values, out-of-range values)
+_VERIFY_FLAGS = {
+    "--quantum-n": ((2, 3, 4), (1, 5)),
+    "--quantum-dim": ((1, 2, 4), (0,)),
+    "--quantum-trials": ((0, 1, 3), (-1,)),
+    "--trials": ((1, 5), (0, -1)),
+    "--abar-dim": ((1, 4), (0,)),
+    "--draws": ((200, 2000), (10, 0, -1)),
+    "--alpha": (("1e-6", "0.5"), ("-1", "0", "1", "2", "nan", "inf")),
+    "--seed": ((0, 7, 104729, 2**32 - 1), (-1,)),
+}
+
+
+@st.composite
+def _verify_argv(draw, suite):
+    argv = ["verify", "--suite", suite]
+    n_pa = draw(st.none() | st.integers(-1, 3))
+    # keep each case fast: n <= 4 once n_pa >= 2 (delayed-pa's default is 2),
+    # and n <= 3 at n_pa = 3, where the default width 4 would sweep 2,520
+    # (4, 3) matrices
+    if n_pa is not None and n_pa < 2:
+        n = draw(st.none() | st.integers(-1, 5))
+    elif n_pa == 3:
+        n = draw(st.integers(-1, 3))
+    else:
+        n = draw(st.none() | st.integers(-1, 4))
+    for flag, value in (("--n", n), ("--npa", n_pa)):
+        if value is not None:
+            argv += [flag, str(value)]
+    # at most one flag out of range, so most cases reach the bank and the suite
+    broken = draw(st.sampled_from((None,) * len(_VERIFY_FLAGS) + tuple(_VERIFY_FLAGS)))
+    for flag, (good, bad) in _VERIFY_FLAGS.items():
+        argv += [flag, str(draw(st.sampled_from(bad if flag == broken else good)))]
+    return argv
+
+
+@st.composite
+def _verify_case(draw):
+    # only delayed-pa reads a bank
+    bank = draw(st.none() | _BANK)
+    suite = "delayed-pa" if bank is not None else draw(st.sampled_from(SUITES))
+    return draw(_verify_argv(suite)), bank
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_verify_case())
+def test_verify_fuzz_exits_cleanly(tmp_path_factory, case):
+    argv, bank = case
+    if bank is not None:
+        path = tmp_path_factory.mktemp("bank") / "bank.json"
+        path.write_text(json.dumps(bank))
+        argv = argv + ["--eve-bank", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 3, 4), (argv, bank, err)
+    if code == 3:
+        _assert_one_line_config_error(code, out, err)
+    else:
+        check_schema(json.loads(out))
 
 
 # --------------------------------------------------------------- subprocess

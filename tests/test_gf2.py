@@ -268,9 +268,14 @@ def _dense_hash(seed, n_pa, x):
 )
 @example((1, 1), random.Random(0))
 @example((200, 200), random.Random(0))
+@example((5, 4), random.Random(0))
+@example((9, 8), random.Random(0))
+@example((16, 1), random.Random(0))
 @settings(max_examples=60)
 def test_toeplitz_hash_matches_dense(shape, rng):
-    # n_pa == n is the square hash of noiseless protocol runs
+    # n_pa == n is the square hash of noiseless protocol runs; a seed whose
+    # length is a power of two (5 + 4 - 1, 9 + 8 - 1, 16 + 1 - 1) wraps the
+    # most entries of the circular convolution
     n, n_pa = shape
     seed = BitVector.random(n + n_pa - 1, rng)
     x = BitVector.random(n, rng)

@@ -1,10 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from delayedpa.gf2 import BinaryMatrix
+from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
 from delayedpa.security import (
+    _grouped_views,
+    _hash_values,
     ClassicalJoint,
     CqJoint,
     SecurityReport,
@@ -43,6 +46,8 @@ def test_classical_joint_validation():
         ClassicalJoint(np.array([[0.7, 0.7]]))
     with pytest.raises(ValueError):
         ClassicalJoint(np.array([[1.5, -0.5]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        ClassicalJoint(np.array([[np.nan, 1.0]]))
 
 
 def test_classical_epsilon_relabel_invariant():
@@ -118,6 +123,10 @@ def test_cq_joint_validation():
         CqJoint(np.array([0.6, 0.6]), (good, good))
     with pytest.raises(ValueError):
         CqJoint(np.array([0.5, 0.5]), (np.eye(2, dtype=complex), good))
+    with pytest.raises(ValueError, match="non-finite"):
+        CqJoint(np.array([np.nan, 0.5]), (good, good))
+    with pytest.raises(ValueError, match="non-finite"):
+        CqJoint(np.array([0.5, 0.5]), (good, np.full((2, 2), np.nan, dtype=complex)))
 
 
 # ------------------------------------------------------------- verifier
@@ -231,3 +240,141 @@ def test_security_report_bounds():
         SecurityReport(1.5, "normal-PA", 4, 2, (1, 2), "blind")
     r = SecurityReport(0.25, "delayed-PA", 4, 2, (1, 2), "blind")
     assert r.scenario == "delayed-PA"
+
+
+# ------------------------------------------------------------- loop references
+# The verifier's former implementations, kept as oracles: f(a) by one matvec
+# per raw key, the delayed table by one np.add.at per pad, and the quantum
+# blocks summed one raw key at a time.
+
+def ref_hash_values(matrix):
+    n = matrix.cols
+    return np.array(
+        [matvec(matrix, BitVector(n, a)).bits for a in range(1 << n)], dtype=np.int64
+    )
+
+
+def ref_delayed_pa_epsilons(matrix, table, prior=None):
+    n, n_pa = matrix.cols, matrix.rows
+    size = 1 << n
+    t = np.asarray(table, dtype=float)
+    p_a = np.full(size, 1.0 / size) if prior is None else np.asarray(prior, dtype=float)
+    weighted = p_a[:, None] * t
+    f_vals = ref_hash_values(matrix)
+    n_keys = 1 << n_pa
+    key_joint = np.zeros((n_keys, t.shape[1]))
+    np.add.at(key_joint, f_vals, weighted)
+    idx = np.arange(size)
+    delayed = np.zeros((n_keys, size, t.shape[1]))
+    for c in range(size):
+        np.add.at(delayed[:, c, :], f_vals[idx ^ c], weighted)
+    delayed /= size
+    return (
+        classical_epsilon(ClassicalJoint(key_joint)),
+        classical_epsilon(ClassicalJoint(delayed.reshape(n_keys, -1))),
+    )
+
+
+def ref_delayed_pa_epsilons_quantum(matrix, eve_states, prior=None):
+    n, n_pa = matrix.cols, matrix.rows
+    size = 1 << n
+    rhos = [np.asarray(r, dtype=complex) for r in eve_states]
+    d = rhos[0].shape[0]
+    p_a = np.full(size, 1.0 / size) if prior is None else np.asarray(prior, dtype=float)
+    f_vals = ref_hash_values(matrix)
+    n_keys = 1 << n_pa
+    p_key = np.zeros(n_keys)
+    blocks = [np.zeros((d, d), dtype=complex) for _ in range(n_keys)]
+    for a in range(size):
+        p_key[f_vals[a]] += p_a[a]
+        blocks[f_vals[a]] += p_a[a] * rhos[a]
+    cond = [
+        blocks[k] / p_key[k] if p_key[k] > 0 else np.eye(d, dtype=complex) / d
+        for k in range(n_keys)
+    ]
+    eps_key = cq_epsilon(CqJoint(p_key, tuple(cond)))
+    big = size * d
+    cond_msg = []
+    for mp in range(n_keys):
+        block = np.zeros((big, big), dtype=complex)
+        for c in range(size):
+            s = np.zeros((d, d), dtype=complex)
+            for a in range(size):
+                if f_vals[a ^ c] == mp:
+                    s += p_a[a] * rhos[a]
+            block[c * d:(c + 1) * d, c * d:(c + 1) * d] = s / size
+        cond_msg.append(block * n_keys)
+    eps_msg = cq_epsilon(CqJoint(np.full(n_keys, 1.0 / n_keys), tuple(cond_msg)))
+    return eps_key, eps_msg
+
+
+def _random_prior(rng, size):
+    p = rng.random(size)
+    return p / p.sum()
+
+
+def test_hash_values_match_matvec_reference():
+    rng = random.Random(11)
+    for n in range(1, 13):
+        for rows in range(1, n + 1):
+            matrix = BinaryMatrix.random(rows, n, rng)
+            assert _hash_values(matrix).tolist() == ref_hash_values(matrix).tolist()
+
+
+def test_verifier_matches_loop_reference_on_every_small_matrix():
+    # every ordered independent-row matrix with n <= 4 and n_pa <= 2, against
+    # every default bank model, under the uniform prior and one random prior
+    rng = np.random.default_rng(12)
+    bank = load_eve_bank()
+    cases = 0
+    for n in range(1, 5):
+        tables = [t for _, t in bank_tables(bank, n)]
+        prior = _random_prior(rng, 1 << n)
+        for n_pa in range(1, min(2, n) + 1):
+            for matrix in enumerate_pa_matrices(n, n_pa):
+                for table in tables:
+                    for p in (None, prior):
+                        got = delayed_pa_epsilons(matrix, table, p)
+                        want = ref_delayed_pa_epsilons(matrix, table, p)
+                        assert abs(got[0] - want[0]) <= 1e-12
+                        assert abs(got[1] - want[1]) <= 1e-12
+                        cases += 1
+    assert cases == (1 + 3 + 6 + 7 + 42 + 15 + 210) * len(bank) * 2
+
+
+def test_quantum_verifier_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    pyrng = random.Random(13)
+    for i in range(32):
+        n = pyrng.randint(1, 4)
+        rows = pyrng.randint(1, n)
+        while True:
+            matrix = BinaryMatrix.random(rows, n, pyrng)
+            if row_reduce(matrix).rank == rows:
+                break
+        states = random_eve_states(n, pyrng.randint(1, 4), rng)
+        prior = _random_prior(rng, 1 << n) if i % 2 else None
+        got = delayed_pa_epsilons_quantum(matrix, states, prior)
+        want = ref_delayed_pa_epsilons_quantum(matrix, states, prior)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert abs(got[1] - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("trailing, complex_views", [((3,), False), ((2, 2), True)])
+def test_grouped_views_use_no_linearity(trailing, complex_views):
+    # a random hash table is not additive: f(a ^ c) != f(a) ^ f(c) for most
+    # pairs, so a helper that assumed additivity would miss these sums
+    rng = np.random.default_rng(14)
+    size, n_keys = 16, 4
+    f_vals = rng.integers(0, n_keys, size)
+    assert any(f_vals[a ^ c] != f_vals[a] ^ f_vals[c] for a in range(size) for c in range(size))
+    weighted = rng.random((size,) + trailing)
+    if complex_views:
+        weighted = weighted + 1j * rng.random((size,) + trailing)
+    key, msg = _grouped_views(f_vals, n_keys, weighted)
+    for k in range(n_keys):
+        want = sum(weighted[a] for a in range(size) if f_vals[a] == k)
+        assert np.abs(key[k] - want).max() <= 1e-12
+        for c in range(size):
+            want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
+            assert np.abs(msg[k, c] - want).max() <= 1e-12
