@@ -11,9 +11,10 @@ Text forms share the same order: a vector's 0/1 string (character i is bit
 i) is the reversed ``format(bits, "0{length}b")``, and its hex string
 (character j is bits 4j .. 4j+3) is the reversed ``format(bits, "0{N}x")``.
 Conversions go through base-2 and base-16 ``int``/``format``, which run in
-linear time and are exempt from ``int_max_str_digits``.  :func:`row_reduce`
-carries each row's operation record in the bits above column ``cols``, so
-one XOR or swap updates the row and its record together.
+linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
+through ``np.packbits``.  :func:`row_reduce` carries each row's operation
+record in the bits above column ``cols``, so one XOR or swap updates the row
+and its record together.
 
 :func:`toeplitz_hash` applies a Toeplitz matrix without building it: the
 product is one real FFT convolution of the seed and key bits (numpy),
@@ -81,7 +82,10 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        return cls.from01("".join("1" if b else "0" for b in bits))
+        """Element i becomes bit i; any truthy element is a 1."""
+        bits = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits), bool)
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        return cls(bits.size, int.from_bytes(packed, "little"))
 
     @classmethod
     def random(cls, length: int, rng) -> "BitVector":

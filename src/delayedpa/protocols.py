@@ -1,19 +1,25 @@
 """Seeded Monte-Carlo protocol runs and key-length accounting.
 
-Each signal is carried as its Pauli frame, the pair (basis, bit) naming the
-BB84 eigenstate it is in.  That is exact for this gate set: every state a
-run prepares is a BB84 eigenstate, and every encoding, channel and
-eavesdropper action is a Pauli or a measurement in x or z.  A Pauli maps an
-eigenstate to an eigenstate of the same basis, up to global phase, flipping
-the bit when it anticommutes with that basis (X and Y flip z-bits, Z and Y
-flip x-bits); a measurement in the state's own basis returns its bit, and
-one in the other basis is a fair coin that leaves the eigenstate of the
-outcome.  This is the one-qubit case of stabilizer simulation
+A run carries its signals as :class:`Signals`: equal-length ``uint8`` numpy
+columns in which position i is signal i.  Each signal is held as its Pauli
+frame, the pair (basis, bit) naming the BB84 eigenstate it is in.  That is
+exact for this gate set: every state a run prepares is a BB84 eigenstate,
+and every encoding, channel and eavesdropper action is a Pauli or a
+measurement in x or z.  This is the one-qubit case of stabilizer simulation
 (Aaronson-Gottesman, quant-ph/0406196); ``delayedpa.quantum`` holds the
-dense amplitudes and serves as its oracle in the tests.  Channels act as
-sampled Pauli operations (an exact unraveling of the modeled noise).  All
-randomness flows from the seed in each run's config; identical seeds give
-bit-identical transcripts.
+dense amplitudes and serves as its oracle in the tests.
+
+Codes: a basis is 0 = z, 1 = x, and a Pauli is x | z << 1 (I 0, X 1, Z 2,
+Y 3).  A Pauli maps an eigenstate to an eigenstate of the same basis, up to
+global phase, and flips its bit exactly when ``(op >> basis) & 1`` (X and Y
+flip z-bits, Z and Y flip x-bits).  The same expression is the key bit the
+operation encodes when that basis is announced, so encoding, channels,
+eavesdropping and decoding all share one rule.  A measurement in the
+state's own basis returns its bit; one in the other basis is a fair coin
+that leaves the eigenstate of the outcome.  Channels act as sampled Pauli
+operations (an exact unraveling of the modeled noise).  Each run draws
+every column from one ``np.random.default_rng(cfg.seed)``; identical seeds
+give bit-identical transcripts.
 
 Error correction is settled by an ideal authenticated oracle: the receiving
 side's string is overwritten with the sender's, and the ledger is charged
@@ -24,8 +30,9 @@ This isolates the key accounting from any particular reconciliation code.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from delayedpa.gf2 import BitVector, toeplitz_hash
 
@@ -34,7 +41,9 @@ __all__ = [
     "EveModel",
     "ErrorEstimate",
     "KeyLedger",
-    "SignalRecord",
+    "Signals",
+    "ROLES",
+    "MODES",
     "ProtocolTranscript",
     "RelayTranscript",
     "Bb84Config",
@@ -54,57 +63,46 @@ __all__ = [
     "run_relay",
 ]
 
-# whether each Pauli flips the bit of an eigenstate of the given basis; this
-# is also the key bit the operation encodes when that basis is announced
-_FLIPS = {
-    "x": {"I": 0, "X": 0, "Z": 1, "Y": 1},
-    "z": {"I": 0, "Z": 0, "X": 1, "Y": 1},
-}
-_ENCODERS = {
-    ("x", 0): ("I", "X"),
-    ("x", 1): ("Z", "Y"),
-    ("z", 0): ("I", "Z"),
-    ("z", 1): ("X", "Y"),
-}
-# operation applied for message flags (m1, m2): X^m1 Z^m2 up to global phase
-_OP_FROM_FLAGS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_BASES = "zx"     # basis code -> name
+_PAULIS = "IXZY"  # Pauli code x | z << 1 -> name
+ROLES = ("none", "key", "test", "check", "discarded")
+MODES = ("none", "encode", "check")  # dqkd's per-signal choice; other runs leave "none"
+_KEY, _TEST, _CHECK, _DISCARDED = 1, 2, 3, 4
+_ENCODE_MODE, _CHECK_MODE = 1, 2
 
 
-def _apply(op: str, state):
-    basis, bit = state
-    return basis, bit ^ _FLIPS[basis][op]
+def _flips(op, basis):
+    """Whether Pauli ``op`` flips an eigenstate of ``basis``; this is also the
+    key bit ``op`` encodes when ``basis`` is announced."""
+    return (op >> basis) & 1
 
 
-def _measure(state, basis: str, rng) -> int:
-    # P(0) is 1 or 0 in the state's own basis and 1/2 in the other; the draw
-    # is made either way, so the random stream does not depend on the states
-    u = rng.random()
-    own, bit = state
-    return bit if own == basis else int(u >= 0.5)
+def _bits(rng, n: int) -> np.ndarray:
+    return rng.integers(0, 2, n, dtype=np.uint8)
 
 
-def _random_basis(rng) -> str:
-    return "z" if rng.getrandbits(1) else "x"
-
-
-def _flip_op(basis: str) -> str:
-    # the Pauli that flips eigenstates of the given basis
-    return "X" if basis == "z" else "Z"
+def _measure(basis, bit, in_basis, rng) -> np.ndarray:
+    # a frame's own basis returns its bit and the other one a fair coin; the
+    # coins are drawn for every signal, so the stream does not depend on states
+    return np.where(basis == in_basis, bit, _bits(rng, len(basis)))
 
 
 def decode_key_bit(basis: str, op: str) -> int:
     """Key bit encoded by the given operation when the basis is announced."""
-    return _FLIPS[basis][op]
+    return _flips(_PAULIS.index(op), _BASES.index(basis))
 
 
 def op_for_bit(basis: str, bit: int, rng) -> str:
     """Uniform choice between the two operations encoding ``bit`` in ``basis``."""
-    return _ENCODERS[(basis, bit)][rng.getrandbits(1)]
+    b = _BASES.index(basis)
+    return _PAULIS[bit << b | rng.getrandbits(1) << (1 - b)]
 
 
 def single_signal_roundtrip(basis: str, bob_bit: int, op: str) -> int:
-    """Noiseless one-signal round trip: prepare, encode, measure, decode."""
-    return _apply(op, (basis, bob_bit))[1] ^ bob_bit
+    """Noiseless one-signal round trip: prepare, encode, measure in the
+    prepared basis (which reads the frame's bit), decode."""
+    returned = bob_bit ^ _flips(_PAULIS.index(op), _BASES.index(basis))
+    return returned ^ bob_bit
 
 
 # ------------------------------------------------------------------ models
@@ -155,24 +153,17 @@ class ChannelModel:
             return "noiseless"
         return f"{self.kind}:{self.param}"
 
-    def transmit(self, state, basis: str, rng):
-        """Returns (new state, whether the bit carried in ``basis`` was flipped)."""
+    def paulis(self, basis: np.ndarray, rng) -> np.ndarray:
+        """One sampled Pauli code per signal; ``basis`` holds each signal's
+        own basis, whose eigenstates ``bsc`` flips."""
         if self.kind == "noiseless":
-            return state, False
-        u = rng.random()
+            return np.zeros(len(basis), np.uint8)
+        u = rng.random(len(basis))
         if self.kind == "bsc":
-            op = _flip_op(basis) if u < self.param else "I"
-        elif u < 1.0 - 0.75 * self.param:
-            op = "I"
-        elif u < 1.0 - 0.5 * self.param:
-            op = "X"
-        elif u < 1.0 - 0.25 * self.param:
-            op = "Y"
-        else:
-            op = "Z"
-        if op == "I":
-            return state, False
-        return _apply(op, state), bool(_FLIPS[basis][op])
+            return np.where(u < self.param, 1 << basis, 0).astype(np.uint8)
+        # I below 1 - 3p/4, then X, Y and Z in cells of width p/4
+        edges = 1.0 - self.param * np.array([0.75, 0.5, 0.25])
+        return np.array([0, 1, 3, 2], np.uint8)[np.searchsorted(edges, u, side="right")]
 
 
 @dataclass(frozen=True)
@@ -217,11 +208,12 @@ class EveModel:
             return "none"
         return f"{self.kind}:{','.join(self.lines)}"
 
-    def tap(self, state, line: str, rng):
+    def tap(self, basis: np.ndarray, bit: np.ndarray, line: str, rng):
+        """The (basis, bit) frames that leave ``line``."""
         if self.kind == "none" or line not in self.lines:
-            return state
-        basis = _random_basis(rng)
-        return basis, _measure(state, basis, rng)
+            return basis, bit
+        eve_basis = _bits(rng, len(basis))
+        return eve_basis, _measure(basis, bit, eve_basis, rng)
 
 
 # ------------------------------------------------------------------ ledgers
@@ -252,6 +244,22 @@ class KeyLedger:
     abort: bool
 
 
+def _ledger(n: int, n_test: int, e_roundtrip: float, e_p: float,
+            e_b: float | None = None, forward_ec: int = 0) -> KeyLedger:
+    """The one ledger builder: N_PA = floor(N(1 - h(e_p))) and N_EC =
+    ceil(N h(e_roundtrip)) plus ``forward_ec`` bits already spent
+    reconciling forward raw keys, all paid in pre-shared bits."""
+    h_rt = binary_entropy(e_roundtrip)
+    h_ep = binary_entropy(e_p)
+    n_pa = math.floor(n * (1.0 - h_ep))
+    n_ec = forward_ec + math.ceil(n * h_rt)
+    return KeyLedger(
+        n=n, n_test=n_test, n_pa=n_pa, n_ec=n_ec, n_key=n_pa - n_ec,
+        preshared_consumed=n_ec, pool_consumed=0, h_roundtrip=h_rt, h_ep=h_ep,
+        h_eb=None if e_b is None else binary_entropy(e_b), abort=n_pa - n_ec <= 0,
+    )
+
+
 def key_length(n: int, e_roundtrip: float, e_p: float) -> KeyLedger:
     """Ledger for the two-way rate N[1 - h(e_roundtrip) - h(e_p)].
 
@@ -263,24 +271,7 @@ def key_length(n: int, e_roundtrip: float, e_p: float) -> KeyLedger:
     for rate in (e_roundtrip, e_p):
         if not 0.0 <= rate <= 0.5:
             raise ValueError("rate outside [0, 0.5]")
-    h_rt = binary_entropy(e_roundtrip)
-    h_ep = binary_entropy(e_p)
-    n_pa = math.floor(n * (1.0 - h_ep))
-    n_ec = math.ceil(n * h_rt)
-    n_key = n_pa - n_ec
-    return KeyLedger(
-        n=n,
-        n_test=0,
-        n_pa=n_pa,
-        n_ec=n_ec,
-        n_key=n_key,
-        preshared_consumed=n_ec,
-        pool_consumed=0,
-        h_roundtrip=h_rt,
-        h_ep=h_ep,
-        h_eb=None,
-        abort=n_key <= 0,
-    )
+    return _ledger(n, 0, e_roundtrip, e_p)
 
 
 def two_way_rate_single_line(e_b: float, e_p: float) -> float:
@@ -296,24 +287,36 @@ def _clamp_rate(e: float) -> float:
     return min(max(e, 0.0), 0.5)
 
 
-# ------------------------------------------------------------------ records
+# ------------------------------------------------------------------ signals
 
-@dataclass
-class SignalRecord:
-    index: int
-    basis: str
-    bob_bit: int
-    mode: str | None = None         # dqkd: check | encode
-    role: str | None = None         # check | test | key | discarded
-    alice_basis: str | None = None
-    alice_bit: int | None = None
-    op: str | None = None
-    m1: int | None = None
-    m2: int | None = None
-    bob_outcome: int | None = None
-    forward_flip: bool | None = None
-    backward_flip: bool | None = None
-    alice_received: tuple | None = None  # (basis, bit) frame after the forward line
+@dataclass(eq=False)
+class Signals:
+    """One run's signals as equal-length ``uint8`` columns; position i is
+    signal i.
+
+    Bases and Paulis use the module's codes; ``role`` indexes ``ROLES`` and
+    ``mode`` indexes ``MODES``.  A column a run does not fill for a signal
+    holds 0 there.
+    """
+
+    basis: np.ndarray           # prepared, and later announced, basis
+    bob_bit: np.ndarray         # prepared bit
+    forward_flip: np.ndarray    # the forward channel flipped the bit carried in ``basis``
+    received_basis: np.ndarray  # the frame reaching the encoder after the forward line
+    received_bit: np.ndarray
+    role: np.ndarray
+    mode: np.ndarray
+    alice_bit: np.ndarray       # the encoder's measurement outcome
+    op: np.ndarray              # the encoder's Pauli
+    backward_flip: np.ndarray   # the backward channel flipped the bit carried in ``basis``
+    bob_outcome: np.ndarray     # the sender's measurement of the returned signal
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Signals):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 @dataclass
@@ -339,34 +342,31 @@ def _stderr(e: float, count: int) -> float:
     return math.sqrt(e * (1.0 - e) / count) if count else 0.0
 
 
-def estimate_errors(test_records) -> ErrorEstimate:
-    """Rates from (basis, alice_bit, bob_bit) comparisons.
+def estimate_errors(basis, alice_bit, bob_bit) -> ErrorEstimate:
+    """Rates from test bits given as columns: basis codes and both ends' bits.
 
     e_x and e_z come from the disjoint per-basis subsets; the averaged bit
     and phase rates are both (e_x + e_z) / 2 (phase errors of one basis show
     up as bit errors of the other).
     """
-    test_records = list(test_records)
-    if not test_records:
+    basis = np.asarray(basis, np.uint8)
+    if not basis.size:
         raise ValueError("empty test set")
-    counts = {"x": 0, "z": 0}
-    errors = {"x": 0, "z": 0}
-    for basis, alice_bit, bob_bit in test_records:
-        counts[basis] += 1
-        if alice_bit != bob_bit:
-            errors[basis] += 1
-    for basis in ("x", "z"):
-        if counts[basis] == 0:
-            raise ValueError(f"no test bits in basis {basis}")
-    e_x = errors["x"] / counts["x"]
-    e_z = errors["z"] / counts["z"]
-    se_x = _stderr(e_x, counts["x"])
-    se_z = _stderr(e_z, counts["z"])
+    wrong = np.asarray(alice_bit) != np.asarray(bob_bit)
+    count_z, count_x = (int(c) for c in np.bincount(basis, minlength=2))
+    errors_z, errors_x = (int(c) for c in np.bincount(basis, weights=wrong, minlength=2))
+    for name, count in (("x", count_x), ("z", count_z)):
+        if count == 0:
+            raise ValueError(f"no test bits in basis {name}")
+    e_x = errors_x / count_x
+    e_z = errors_z / count_z
+    se_x = _stderr(e_x, count_x)
+    se_z = _stderr(e_z, count_z)
     avg = (e_x + e_z) / 2.0
     se_avg = 0.5 * math.sqrt(se_x ** 2 + se_z ** 2)
     return ErrorEstimate(
         e_x=e_x, e_z=e_z, e_b=avg, e_p=avg,
-        count_x=counts["x"], count_z=counts["z"],
+        count_x=count_x, count_z=count_z,
         se_x=se_x, se_z=se_z, se_b=se_avg, se_p=se_avg,
     )
 
@@ -375,7 +375,7 @@ def estimate_errors(test_records) -> ErrorEstimate:
 class ProtocolTranscript:
     protocol: str
     seed: int
-    records: list[SignalRecord] = field(default_factory=list)
+    signals: Signals | None = None
     estimate: ErrorEstimate | None = None
     ledger: KeyLedger | None = None
     abort: bool = False
@@ -500,9 +500,13 @@ class RelayConfig:
 
 # ------------------------------------------------------------------ runs
 
+def _random_vector(rng, n: int) -> BitVector:
+    return BitVector.from_bits(_bits(rng, n))
+
+
 def _draw_pa_seed(n_pa: int, n: int, pa_seed: BitVector | None, rng) -> BitVector:
     if pa_seed is None:
-        return BitVector.random(n + n_pa - 1, rng)
+        return _random_vector(rng, n + n_pa - 1)
     if pa_seed.length != n + n_pa - 1:
         raise ValueError(
             f"pa_seed length {pa_seed.length} does not match required {n + n_pa - 1}"
@@ -510,24 +514,46 @@ def _draw_pa_seed(n_pa: int, n: int, pa_seed: BitVector | None, rng) -> BitVecto
     return pa_seed
 
 
-def _forward_signal(index: int, channel: ChannelModel, eve: EveModel, rng) -> SignalRecord:
-    basis = _random_basis(rng)
-    bit = rng.getrandbits(1)
-    state, flipped = channel.transmit((basis, bit), basis, rng)
-    return SignalRecord(
-        index=index, basis=basis, bob_bit=bit,
-        forward_flip=flipped, alice_received=eve.tap(state, "forward", rng),
+def _send(n: int, channel: ChannelModel, eve: EveModel, rng) -> Signals:
+    """n signals prepared in random bases and sent over the forward line."""
+    basis, bit = _bits(rng, n), _bits(rng, n)
+    flip = _flips(channel.paulis(basis, rng), basis)
+    received = eve.tap(basis, bit ^ flip, "forward", rng)
+    return Signals(basis, bit, flip, *received, *np.zeros((6, n), np.uint8))
+
+
+def _backward(basis, state_basis, state_bit, channel: ChannelModel, eve: EveModel, rng):
+    """Frames crossing the backward line, measured by the sender in ``basis``:
+    whether the channel flipped the bit carried in ``basis``, and the outcomes."""
+    op = channel.paulis(basis, rng)
+    state_bit = state_bit ^ _flips(op, state_basis)
+    state_basis, state_bit = eve.tap(state_basis, state_bit, "backward", rng)
+    return _flips(op, basis), _measure(state_basis, state_bit, basis, rng)
+
+
+def _encode_and_return(s: Signals, idx: np.ndarray, channel: ChannelModel, eve: EveModel, rng) -> None:
+    # the encoder applies a uniform Pauli X^m1 Z^m2 (code m1 | m2 << 1) to
+    # each received signal at idx and sends it back
+    op = s.op[idx] = rng.integers(0, 4, len(idx), dtype=np.uint8)
+    rb = s.received_basis[idx]
+    s.backward_flip[idx], s.bob_outcome[idx] = _backward(
+        s.basis[idx], rb, s.received_bit[idx] ^ _flips(op, rb), channel, eve, rng
     )
 
 
-def _forward_signals(n_sent: int, channel: ChannelModel, eve: EveModel, rng) -> list[SignalRecord]:
-    return [_forward_signal(i, channel, eve, rng) for i in range(n_sent)]
+def _abort(t, reason: str):
+    t.abort, t.abort_reason = True, reason
+    return t
 
 
-def _backward_leg(rec: SignalRecord, state, channel: ChannelModel, eve: EveModel, rng) -> None:
-    # the returned signal crosses the backward line and is measured in its basis
-    state, rec.backward_flip = channel.transmit(state, rec.basis, rng)
-    rec.bob_outcome = _measure(eve.tap(state, "backward", rng), rec.basis, rng)
+def _estimate(t: ProtocolTranscript, idx: np.ndarray, minimum: int, reason: str) -> ErrorEstimate | None:
+    """Per-basis rates over the test positions ``idx``, or an abort with
+    ``reason`` when a basis has fewer than ``minimum`` of them."""
+    s = t.signals
+    if np.bincount(s.basis[idx], minlength=2).min() < minimum:
+        _abort(t, reason)
+        return None
+    return estimate_errors(s.basis[idx], s.alice_bit[idx], s.bob_bit[idx])
 
 
 def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
@@ -539,54 +565,36 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     ledger prices hashing and ideal error correction, and both ends share
     the hashed key.
     """
-    rng = random.Random(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol="bb84", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    records = _forward_signals(n_sent, cfg.channel, cfg.eve, rng)
-    t.records = records
-    t.sift_sent = n_sent
-
-    for rec in records:
-        rec.alice_basis = rec.basis if cfg.quantum_memory else _random_basis(rng)
-        rec.alice_bit = _measure(rec.alice_received, rec.alice_basis, rng)
-        if rec.alice_basis != rec.basis:
-            rec.role = "discarded"
-    kept = [rec.index for rec in records if rec.alice_basis == rec.basis]
-    t.sift_retained = len(kept)
-
+    s = t.signals = _send(n_sent, cfg.channel, cfg.eve, rng)
+    alice_basis = s.basis if cfg.quantum_memory else _bits(rng, n_sent)
+    s.alice_bit[:] = _measure(s.received_basis, s.received_bit, alice_basis, rng)
+    kept = np.flatnonzero(alice_basis == s.basis)
+    s.role[alice_basis != s.basis] = _DISCARDED
+    t.sift_sent, t.sift_retained = n_sent, len(kept)
     if len(kept) <= cfg.n_test:
-        t.abort, t.abort_reason = True, "insufficient sifted bits"
+        return _abort(t, "insufficient sifted bits")
+    test = np.sort(rng.choice(kept, cfg.n_test, replace=False))
+    s.role[kept] = _KEY
+    s.role[test] = _TEST
+    est = t.estimate = _estimate(t, test, 1, "insufficient test bits in one basis")
+    if est is None:
         return t
-    test_positions = set(rng.sample(kept, cfg.n_test))
-    key_positions = [i for i in kept if i not in test_positions]
-    for i in test_positions:
-        records[i].role = "test"
-    for i in key_positions:
-        records[i].role = "key"
 
-    triples = [(records[i].basis, records[i].alice_bit, records[i].bob_bit) for i in sorted(test_positions)]
-    if not any(b == "x" for b, _, _ in triples) or not any(b == "z" for b, _, _ in triples):
-        t.abort, t.abort_reason = True, "insufficient test bits in one basis"
-        return t
-    est = estimate_errors(triples)
-    t.estimate = est
-
-    n_key = len(key_positions)
-    ledger = key_length(n_key, _clamp_rate(est.e_b), _clamp_rate(est.e_p))
-    ledger = replace(ledger, n_test=cfg.n_test, h_eb=ledger.h_roundtrip)
-    t.ledger = ledger
+    key = s.role == _KEY
+    e_b = _clamp_rate(est.e_b)
+    ledger = t.ledger = _ledger(int(key.sum()), cfg.n_test, e_b, _clamp_rate(est.e_p), e_b)
     if ledger.abort:
-        t.abort, t.abort_reason = True, "non-positive key length"
-        return t
+        return _abort(t, "non-positive key length")
 
-    a = BitVector.from_bits(records[i].alice_bit for i in key_positions)
-    b = BitVector.from_bits(records[i].bob_bit for i in key_positions)
-    t.raw_key_alice, t.raw_key_bob = a, b
-    t.pa_seed = _draw_pa_seed(ledger.n_pa, n_key, cfg.pa_seed, rng)
-    k = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
+    a = t.raw_key_alice = BitVector.from_bits(s.alice_bit[key])
+    t.raw_key_bob = BitVector.from_bits(s.bob_bit[key])
+    t.pa_seed = _draw_pa_seed(ledger.n_pa, ledger.n, cfg.pa_seed, rng)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
-    t.alice_key = t.bob_key = k
+    t.alice_key = t.bob_key = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
     return t
 
 
@@ -600,84 +608,49 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     reconcile key bits with no code bit discarded; a tested subset fixes the
     round-trip rate; hashing and ideal EC settle the ledger.
     """
-    rng = random.Random(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol="dqkd", seed=cfg.seed)
     n_code = cfg.n + cfg.n_test
     cf = cfg.check_fraction
     n_check = math.ceil(n_code * cf / (1.0 - cf))
     total = n_code + n_check
-    check_positions = set(rng.sample(range(total), n_check))
+    s = t.signals = _send(total, cfg.forward, cfg.eve, rng)
+    is_check = np.zeros(total, bool)
+    is_check[rng.choice(total, n_check, replace=False)] = True
+    check, code = np.flatnonzero(is_check), np.flatnonzero(~is_check)
+    s.mode[:] = _ENCODE_MODE
+    s.mode[check] = _CHECK_MODE
+    s.role[check] = _CHECK
+    alice_basis = _bits(rng, n_check)
+    s.alice_bit[check] = _measure(s.received_basis[check], s.received_bit[check], alice_basis, rng)
+    _encode_and_return(s, code, cfg.backward, cfg.eve, rng)
+    t.sift_sent = t.sift_retained = n_code  # every encode-mode signal is reconciled
 
-    records = []
-    for i in range(total):
-        rec = _forward_signal(i, cfg.forward, cfg.eve, rng)
-        if i in check_positions:
-            rec.mode, rec.role = "check", "check"
-            rec.alice_basis = _random_basis(rng)
-            rec.alice_bit = _measure(rec.alice_received, rec.alice_basis, rng)
-        else:
-            rec.mode = "encode"
-            flags = rng.getrandbits(2)
-            rec.m1, rec.m2 = flags & 1, flags >> 1
-            rec.op = _OP_FROM_FLAGS[(rec.m1, rec.m2)]
-            _backward_leg(rec, _apply(rec.op, rec.alice_received), cfg.backward, cfg.eve, rng)
-        records.append(rec)
-    t.records = records
-    t.sift_sent = n_code
-    t.sift_retained = n_code  # every encode-mode signal is reconciled
-
-    consistent = [
-        (rec.basis, rec.alice_bit, rec.bob_bit)
-        for rec in records
-        if rec.mode == "check" and rec.alice_basis == rec.basis
-    ]
-    for basis in ("x", "z"):
-        if sum(1 for b, _, _ in consistent if b == basis) < cfg.min_check_per_basis:
-            t.abort, t.abort_reason = True, "insufficient consistent-basis check bits"
-            return t
-    est = estimate_errors(consistent)
-
-    code = [rec for rec in records if rec.mode == "encode"]
-    for rec in code:
-        decoded = decode_key_bit(rec.basis, rec.op)
-        assert decoded == (rec.m1 if rec.basis == "z" else rec.m2)
-    test_set = set(rng.sample(range(n_code), cfg.n_test))
-    mismatches = 0
-    alice_bits = []
-    bob_bits = []
-    for j, rec in enumerate(code):
-        alice_bit = decode_key_bit(rec.basis, rec.op)
-        bob_bit = rec.bob_outcome ^ rec.bob_bit
-        if j in test_set:
-            rec.role = "test"
-            if alice_bit != bob_bit:
-                mismatches += 1
-        else:
-            rec.role = "key"
-            alice_bits.append(alice_bit)
-            bob_bits.append(bob_bit)
-    e_rt = mismatches / cfg.n_test
-    est = replace(
-        est,
-        e_roundtrip=e_rt,
-        count_roundtrip=cfg.n_test,
-        se_roundtrip=_stderr(e_rt, cfg.n_test),
-    )
-    t.estimate = est
-
-    ledger = key_length(cfg.n, _clamp_rate(e_rt), _clamp_rate(est.e_p))
-    ledger = replace(ledger, n_test=cfg.n_test, h_eb=binary_entropy(_clamp_rate(est.e_b)))
-    t.ledger = ledger
-    if ledger.abort:
-        t.abort, t.abort_reason = True, "non-positive key length"
+    consistent = check[alice_basis == s.basis[check]]
+    est = _estimate(t, consistent, cfg.min_check_per_basis, "insufficient consistent-basis check bits")
+    if est is None:
         return t
 
-    a = BitVector.from_bits(alice_bits)
-    b = BitVector.from_bits(bob_bits)
-    t.raw_key_alice, t.raw_key_bob = a, b
+    test = code[rng.choice(n_code, cfg.n_test, replace=False)]
+    s.role[code] = _KEY
+    s.role[test] = _TEST
+    alice_bits = _flips(s.op, s.basis)
+    bob_bits = s.bob_outcome ^ s.bob_bit
+    e_rt = int(np.count_nonzero(alice_bits[test] != bob_bits[test])) / cfg.n_test
+    est = t.estimate = replace(
+        est, e_roundtrip=e_rt, count_roundtrip=cfg.n_test, se_roundtrip=_stderr(e_rt, cfg.n_test)
+    )
+
+    e_p, e_b = _clamp_rate(est.e_p), _clamp_rate(est.e_b)
+    ledger = t.ledger = _ledger(cfg.n, cfg.n_test, _clamp_rate(e_rt), e_p, e_b)
+    if ledger.abort:
+        return _abort(t, "non-positive key length")
+
+    key = s.role == _KEY
+    a = t.raw_key_alice = BitVector.from_bits(alice_bits[key])
+    t.raw_key_bob = BitVector.from_bits(bob_bits[key])
     t.pa_seed = _draw_pa_seed(ledger.n_pa, cfg.n, cfg.pa_seed, rng)
-    k = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
-    t.alice_key = t.bob_key = k
+    t.alice_key = t.bob_key = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
     return t
 
 
@@ -687,117 +660,83 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     All variants deliver the hashed message f(m) of length N_PA on both
     sides; 2b, 2c, and 2d exercise the delayed-hash recovery routes.
     """
-    rng = random.Random(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol=f"integrated-{cfg.variant}", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    records = _forward_signals(n_sent, cfg.forward, cfg.eve, rng)
-    t.records = records
-    t.sift_sent = n_sent
-    t.sift_retained = n_sent
+    s = t.signals = _send(n_sent, cfg.forward, cfg.eve, rng)
+    t.sift_sent = t.sift_retained = n_sent
 
-    test_positions = sorted(rng.sample(range(n_sent), cfg.n_test))
-    for i in test_positions:
-        rec = records[i]
-        rec.role = "test"
-        rec.alice_basis = rec.basis
-        rec.alice_bit = _measure(rec.alice_received, rec.basis, rng)
-    triples = [(records[i].basis, records[i].alice_bit, records[i].bob_bit) for i in test_positions]
-    if not any(b == "x" for b, _, _ in triples) or not any(b == "z" for b, _, _ in triples):
-        t.abort, t.abort_reason = True, "insufficient test bits in one basis"
+    test = np.sort(rng.choice(n_sent, cfg.n_test, replace=False))
+    s.role[test] = _TEST
+    s.alice_bit[test] = _measure(s.received_basis[test], s.received_bit[test], s.basis[test], rng)
+    est = t.estimate = _estimate(t, test, 1, "insufficient test bits in one basis")
+    if est is None:
         return t
-    est = estimate_errors(triples)
-    t.estimate = est
 
-    code = [rec for rec in records if rec.role != "test"]
-    for rec in code:
-        rec.role = "key"
+    code = np.flatnonzero(s.role != _TEST)
+    s.role[code] = _KEY
     n_key = cfg.n
-    e_p = _clamp_rate(est.e_p)
-    e_b = _clamp_rate(est.e_b)
-    n_pa = math.floor(n_key * (1.0 - binary_entropy(e_p)))
-    if n_pa <= 0:
-        t.ledger = key_length(n_key, e_b, e_p)
-        t.abort, t.abort_reason = True, "non-positive key length"
-        return t
-    t.pa_seed = pa_seed = _draw_pa_seed(n_pa, n_key, cfg.pa_seed, rng)
+    e_p, e_b = _clamp_rate(est.e_p), _clamp_rate(est.e_b)
+    # the ledger before any reconciliation: nothing spent yet
+    ledger = _ledger(n_key, cfg.n_test, 0.0, e_p, e_b)
+    if ledger.n_pa <= 0:
+        t.ledger = ledger
+        return _abort(t, "non-positive key length")
+    n_pa = ledger.n_pa
+    t.pa_seed = _draw_pa_seed(n_pa, n_key, cfg.pa_seed, rng)
 
-    ec_bits = 0
-    msg_error_rate = 0.0
+    def f(v: BitVector) -> BitVector:
+        return toeplitz_hash(t.pa_seed, n_pa, v)
+
+    bob_bits = s.bob_bit[code]
+    t.raw_key_bob = BitVector.from_bits(bob_bits)
+    forward_ec, msg_error_rate = 0, 0.0
     if cfg.variant in ("2", "2b", "2c"):
         # the encoder measures her code qubits in the announced bases
-        for rec in code:
-            rec.alice_basis = rec.basis
-            rec.alice_bit = _measure(rec.alice_received, rec.basis, rng)
-        a = BitVector.from_bits(rec.alice_bit for rec in code)
-        b = BitVector.from_bits(rec.bob_bit for rec in code)
-        t.raw_key_alice, t.raw_key_bob = a, b
+        a_bits = s.alice_bit[code] = _measure(
+            s.received_basis[code], s.received_bit[code], s.basis[code], rng
+        )
+        a = t.raw_key_alice = BitVector.from_bits(a_bits)
         # ideal EC on the forward raw keys before the backward phase
-        ec_bits += math.ceil(n_key * binary_entropy(e_b))
-        k = toeplitz_hash(pa_seed, n_pa, a)
-        m = BitVector.random(n_key, rng)
+        forward_ec = math.ceil(n_key * binary_entropy(e_b))
+        k = f(a)
+        m_bits = _bits(rng, n_key)
+        m = BitVector.from_bits(m_bits)
 
     if cfg.variant == "2":
-        fm = toeplitz_hash(pa_seed, n_pa, m)
-        cipher = fm ^ k
-        t.m_prime = fm
-        t.recovered_via_key = cipher ^ k
-        t.alice_key = fm
-        t.bob_key = t.recovered_via_key
+        t.m_prime = t.alice_key = f(m)
+        cipher = t.m_prime ^ k
+        t.recovered_via_key = t.bob_key = cipher ^ k
     elif cfg.variant == "2b":
         cipher = a ^ m
-        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
-        t.recovered_via_key = toeplitz_hash(pa_seed, n_pa, cipher) ^ k
-        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, cipher ^ a)
-        t.alice_key = t.m_prime
-        t.bob_key = t.recovered_via_key
+        t.m_prime = t.alice_key = f(m)
+        t.recovered_via_key = t.bob_key = f(cipher) ^ k
+        t.recovered_via_rawkey = f(cipher ^ a)
     elif cfg.variant == "2c":
-        for j, rec in enumerate(code):
-            _backward_leg(rec, (rec.basis, m[j] ^ a[j]), cfg.backward, cfg.eve, rng)
-        y = BitVector.from_bits(rec.bob_outcome for rec in code)
-        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
-        t.recovered_via_key = toeplitz_hash(pa_seed, n_pa, y) ^ k
-        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, y ^ a)
-        m_hat = y ^ a
-        msg_error_rate = (m_hat ^ m).weight() / n_key
-        ec_bits += math.ceil(n_key * binary_entropy(_clamp_rate(msg_error_rate)))
+        basis = s.basis[code]
+        s.backward_flip[code], s.bob_outcome[code] = _backward(
+            basis, basis, m_bits ^ a_bits, cfg.backward, cfg.eve, rng
+        )
+        y = BitVector.from_bits(s.bob_outcome[code])
+        t.m_prime = f(m)
+        t.recovered_via_key = f(y) ^ k
+        t.recovered_via_rawkey = f(y ^ a)
+        msg_error_rate = (y ^ a ^ m).weight() / n_key
         # ideal EC on the message settles both sides on f(m)
         t.alice_key = t.bob_key = t.m_prime
     else:  # "2d": no measurement before the backward line
-        m1 = BitVector.random(n_key, rng)
-        m2 = BitVector.random(n_key, rng)
-        for j, rec in enumerate(code):
-            rec.m1, rec.m2 = m1[j], m2[j]
-            rec.op = _OP_FROM_FLAGS[(rec.m1, rec.m2)]
-            _backward_leg(rec, _apply(rec.op, rec.alice_received), cfg.backward, cfg.eve, rng)
-        # announced basis selects which message string carries each bit
-        m = BitVector.from_bits(
-            rec.m1 if rec.basis == "z" else rec.m2 for rec in code
-        )
-        m_hat = BitVector.from_bits(rec.bob_outcome ^ rec.bob_bit for rec in code)
-        t.raw_key_bob = BitVector.from_bits(rec.bob_bit for rec in code)
-        t.m_prime = toeplitz_hash(pa_seed, n_pa, m)
-        t.recovered_via_rawkey = toeplitz_hash(pa_seed, n_pa, m_hat)
+        _encode_and_return(s, code, cfg.backward, cfg.eve, rng)
+        # the announced basis selects which flag (m1 for z, m2 for x) carries each bit
+        m = BitVector.from_bits(_flips(s.op[code], s.basis[code]))
+        m_hat = BitVector.from_bits(s.bob_outcome[code] ^ bob_bits)
+        t.m_prime = f(m)
+        t.recovered_via_rawkey = f(m_hat)
         msg_error_rate = (m_hat ^ m).weight() / n_key
-        ec_bits += math.ceil(n_key * binary_entropy(_clamp_rate(msg_error_rate)))
         t.alice_key = t.bob_key = t.m_prime
 
-    h_rt = binary_entropy(_clamp_rate(msg_error_rate))
-    ledger = KeyLedger(
-        n=n_key,
-        n_test=cfg.n_test,
-        n_pa=n_pa,
-        n_ec=ec_bits,
-        n_key=n_pa - ec_bits,
-        preshared_consumed=ec_bits,
-        pool_consumed=0,
-        h_roundtrip=h_rt,
-        h_ep=binary_entropy(e_p),
-        h_eb=binary_entropy(e_b),
-        abort=n_pa - ec_bits <= 0,
-    )
-    t.ledger = ledger
+    ledger = t.ledger = _ledger(n_key, cfg.n_test, _clamp_rate(msg_error_rate), e_p, e_b, forward_ec)
     if ledger.abort:
-        t.abort, t.abort_reason = True, "non-positive key length"
+        _abort(t, "non-positive key length")
         t.alice_key = t.bob_key = None
     return t
 
@@ -810,22 +749,16 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
     key and Bob and Charlie hash afterwards (consuming n pool bits); in the
     normal scheme she pads n_pa bits with the hashed key (consuming n_pa).
     """
-    rng = random.Random(cfg.seed)
-    pool = BitVector.random(cfg.pool_size, rng)
-    qkd = run_bb84(
-        Bb84Config(
-            n=cfg.n,
-            n_test=cfg.n_test,
-            channel=cfg.channel,
-            seed=rng.getrandbits(32),
-            pa_seed=cfg.pa_seed,
-        )
-    )
+    rng = np.random.default_rng(cfg.seed)
+    pool = _random_vector(rng, cfg.pool_size)
+    qkd = run_bb84(Bb84Config(
+        n=cfg.n, n_test=cfg.n_test, channel=cfg.channel,
+        seed=int(rng.integers(2**32)), pa_seed=cfg.pa_seed,
+    ))
     scheme = "delayed" if cfg.delayed else "normal"
     t = RelayTranscript(scheme=scheme, seed=cfg.seed, qkd=qkd, pool_size=cfg.pool_size)
     if qkd.abort:
-        t.abort, t.abort_reason = True, f"key distillation aborted: {qkd.abort_reason}"
-        return t
+        return _abort(t, f"key distillation aborted: {qkd.abort_reason}")
 
     a = qkd.raw_key_alice
     n = a.length

@@ -141,10 +141,63 @@ def _channel_doc(ch: ChannelModel) -> dict:
     return {"kind": ch.kind, "param": ch.param}
 
 
-def _channel_from_doc(doc) -> ChannelModel:
-    if doc is None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# scalar config keys: (whether a value is accepted, what the error asks for)
+_SCALARS = {
+    **dict.fromkeys(("n", "n_test", "seed", "pool"), (_is_int, "an integer")),
+    "check_fraction": (_is_number, "a number"),
+    **dict.fromkeys(("delayed", "quantum_memory"), (lambda v: isinstance(v, bool), "true or false")),
+}
+_CONFIG_KEYS = ("protocol", "channels", "eve", "pa", *_SCALARS)
+# a desk-scale bound: a run holds a few dozen bytes per signal at once
+MAX_SIGNALS = 10**7
+
+
+def _object(doc, where: str, keys) -> dict:
+    """``doc`` itself, once it is a JSON object holding only ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown {where} key {key!r}")
+    return doc
+
+
+def _channel_from_doc(channels: dict, line: str) -> ChannelModel:
+    if line not in channels:
         return ChannelModel.noiseless()
-    return ChannelModel(doc.get("kind", "noiseless"), float(doc.get("param", 0.0)))
+    doc = _object(channels[line], f"channels.{line}", ("kind", "param"))
+    param = doc.get("param", 0.0)
+    # checked before float(), which would overflow on a huge integer
+    if not (_is_number(param) and 0 <= param <= 1):
+        raise ValueError(f"channels.{line} param must be a number in [0, 1], got {param!r}")
+    return ChannelModel(doc.get("kind", "noiseless"), float(param))
+
+
+def _eve_from_doc(doc) -> EveModel:
+    doc = _object(doc, "eve", ("kind", "lines"))
+    lines = doc.get("lines", [])
+    if not isinstance(lines, list):
+        raise ValueError(f"eve lines must be a list, got {lines!r}")
+    return EveModel(doc.get("kind", "none"), tuple(lines))
+
+
+def _pa_seed_from_doc(doc) -> BitVector | None:
+    seed = _object(doc, "pa", ("seed",)).get("seed", "auto")
+    if seed == "auto":
+        return None
+    seed = _object(seed, "pa.seed", ("bits", "hex"))
+    bits, digits = seed.get("bits"), seed.get("hex")
+    if not (_is_int(bits) and isinstance(digits, str)):
+        raise ValueError("pa.seed needs integer bits and a hex string")
+    return BitVector.from_hex(bits, digits)
 
 
 def config_doc_from_args(protocol: str, args) -> dict:
@@ -156,11 +209,11 @@ def config_doc_from_args(protocol: str, args) -> dict:
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
     doc["protocol"] = protocol
-    if getattr(args, "n", None) is not None:
-        doc["n"] = args.n
-    if getattr(args, "n_test", None) is not None:
-        doc["n_test"] = args.n_test
-    channels = doc.setdefault("channels", {})
+    for key in ("n", "n_test", "seed", "check_fraction", "pool"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
+    # the flags below write into channels, so its shape is checked first
+    channels = _object(doc.setdefault("channels", {}), "channels", ("forward", "backward"))
     if getattr(args, "noise_fwd", None) is not None:
         channels["forward"] = _channel_doc(ChannelModel.parse(args.noise_fwd))
     if getattr(args, "noise_bwd", None) is not None:
@@ -168,16 +221,10 @@ def config_doc_from_args(protocol: str, args) -> dict:
     if getattr(args, "eve", None) is not None:
         model = EveModel.parse(args.eve)
         doc["eve"] = {"kind": model.kind, "lines": list(model.lines)}
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
     if getattr(args, "pa_seed", None) is not None:
         seed = parse_pa_seed(args.pa_seed)
         doc["pa"] = {"seed": {"bits": seed.length, "hex": seed.to_hex()}}
     doc.setdefault("pa", {"seed": "auto"})
-    if getattr(args, "check_fraction", None) is not None:
-        doc["check_fraction"] = args.check_fraction
-    if getattr(args, "pool", None) is not None:
-        doc["pool"] = args.pool
     if getattr(args, "normal_scheme", False):
         doc["delayed"] = False
     if getattr(args, "no_quantum_memory", False):
@@ -186,36 +233,44 @@ def config_doc_from_args(protocol: str, args) -> dict:
 
 
 def build_config(doc: dict):
-    """Resolved run config dataclass for a config document."""
+    """Resolved run config dataclass for a config document.
+
+    This is the one check of a document's shape: unknown keys, integers
+    that are not ``int`` (bools and floats included), flags that are not
+    ``bool``, and ``channels``/``eve``/``pa`` that are not objects are all
+    rejected with a ``ValueError``.
+    """
+    _object(doc, "config", _CONFIG_KEYS)
     protocol = doc.get("protocol")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if "n" not in doc:
         raise ValueError("config needs n")
-    n = int(doc["n"])
-    n_test = int(doc.get("n_test", 256))
-    seed = int(doc["seed"])
+    for key, (accepts, kind) in _SCALARS.items():
+        if key in doc and not accepts(doc[key]):
+            raise ValueError(f"config {key} must be {kind}, got {doc[key]!r}")
+    for key in ("n", "n_test", "pool"):
+        if doc.get(key, 0) > MAX_SIGNALS:
+            raise ValueError(f"limits exceeded: config {key} above {MAX_SIGNALS}")
+    n = doc["n"]
+    n_test = doc.get("n_test", 256)
+    seed = doc["seed"]
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    channels = doc.get("channels", {})
-    forward = _channel_from_doc(channels.get("forward"))
-    backward = _channel_from_doc(channels.get("backward"))
-    eve_doc = doc.get("eve", {"kind": "none", "lines": []})
-    eve = EveModel(eve_doc.get("kind", "none"), tuple(eve_doc.get("lines", ())))
-    pa_doc = doc.get("pa", {"seed": "auto"})
-    pa_seed = None
-    if isinstance(pa_doc.get("seed"), dict):
-        pa_seed = BitVector.from_hex(int(pa_doc["seed"]["bits"]), pa_doc["seed"]["hex"])
+    channels = _object(doc.get("channels", {}), "channels", ("forward", "backward"))
+    forward = _channel_from_doc(channels, "forward")
+    backward = _channel_from_doc(channels, "backward")
+    eve = _eve_from_doc(doc.get("eve", {}))
+    pa_seed = _pa_seed_from_doc(doc.get("pa", {}))
 
     if protocol == "bb84":
         return Bb84Config(
             n=n, n_test=n_test, channel=forward, eve=eve, seed=seed,
-            pa_seed=pa_seed, quantum_memory=bool(doc.get("quantum_memory", True)),
+            pa_seed=pa_seed, quantum_memory=doc.get("quantum_memory", True),
         )
     if protocol == "dqkd":
         return DqkdConfig(
-            n=n, n_test=n_test,
-            check_fraction=float(doc.get("check_fraction", 0.5)),
+            n=n, n_test=n_test, check_fraction=doc.get("check_fraction", 0.5),
             forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
         )
     if protocol.startswith("integrated-"):
@@ -224,9 +279,9 @@ def build_config(doc: dict):
             forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
         )
     return RelayConfig(
-        n=n, pool_size=int(doc.get("pool", 4 * n)), n_test=n_test,
+        n=n, pool_size=doc.get("pool", 4 * n), n_test=n_test,
         channel=forward, seed=seed,
-        delayed=bool(doc.get("delayed", True)), pa_seed=pa_seed,
+        delayed=doc.get("delayed", True), pa_seed=pa_seed,
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayedpa
+from delayedpa import reports
 from delayedpa.cli import SUITES, main
 
 SCHEMA = json.loads(
@@ -193,6 +194,33 @@ def test_simulate_relay_fresh_seed_is_replayable(capsys):
     check_schema(report1)
 
 
+_REPLAY_CASES = {
+    "bb84": ["bb84", "--noise-fwd", "depolarizing:0.04"],
+    "dqkd": ["dqkd", "--noise-fwd", "bsc:0.02", "--noise-bwd", "bsc:0.03"],
+    "integrated-2": ["integrated-2", "--noise-fwd", "bsc:0.02"],
+    "integrated-2b": ["integrated-2b", "--noise-fwd", "bsc:0.02"],
+    "integrated-2c": ["integrated-2c", "--noise-fwd", "bsc:0.02", "--noise-bwd", "depolarizing:0.04"],
+    "integrated-2d": ["integrated-2d", "--noise-fwd", "depolarizing:0.04", "--noise-bwd", "bsc:0.02"],
+    "relay": ["relay", "--noise-fwd", "bsc:0.02"],
+    "bb84-intercept-resend": ["bb84", "--eve", "intercept-resend"],
+    "dqkd-intercept-resend-backward": ["dqkd", "--eve", "intercept-resend:backward"],
+}
+
+
+@pytest.mark.parametrize("case", list(_REPLAY_CASES.values()), ids=list(_REPLAY_CASES))
+def test_simulate_replay_every_protocol(capsys, case):
+    args = ["simulate", *case, "--n", "600", "--n-test", "200", "--seed", "5"]
+    code1, report1, text1, _ = run_cli(args, capsys)
+    code2, report2, text2, _ = run_cli(args, capsys)
+    assert code1 == code2
+    assert code1 == (2 if report1["abort"] else 0)
+    assert report1["seed"] == 5
+    check_schema(report1)
+    assert text1 == reports.dumps(report1) and text2 == reports.dumps(report2)
+    strip = lambda r: {k: v for k, v in r.items() if k != "timing"}
+    assert reports.dumps(strip(report1)) == reports.dumps(strip(report2))
+
+
 def _assert_one_line_config_error(code, out, err):
     assert code == 3
     assert out == ""
@@ -220,6 +248,62 @@ def test_simulate_rejects_non_object_config(tmp_path, capsys):
     code, _, out, err = run_cli(["simulate", "dqkd", "--config", str(path)], capsys)
     _assert_one_line_config_error(code, out, err)
     assert "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ('{"n": 100, "channels": []}', "channels must be a JSON object"),
+        ('{"n": 100, "channels": {"forward": {"kind": "bsc", "param": null}}}',
+         "channels.forward param must be a number"),
+        ('{"n": 100, "channels": {"forward": {"kind": "bsc", "param": 1e400}}}',
+         "channels.forward param must be a number"),
+        ('{"n": 100, "channels": {"forward": null}}', "channels.forward must be a JSON object"),
+        ('{"n": 100, "channels": {"forwrad": {"kind": "bsc", "param": 0.1}}}',
+         "unknown channels key 'forwrad'"),
+        ('{"n": 100, "channels": {"forward": {"kind": "bsc", "p": 0.1}}}',
+         "unknown channels.forward key 'p'"),
+        ('{"n": 100, "eve": null}', "eve must be a JSON object"),
+        ('{"n": 100, "eve": {"kind": "intercept-resend", "lines": "forward"}}', "eve lines must be a list"),
+        ('{"n": 1e400}', "n must be an integer"),
+        ('{"n": 100.0}', "n must be an integer"),
+        ('{"n": true}', "n must be an integer"),
+        ('{"n": 100000000000000000000000000000}', "limits exceeded"),
+        # a float seed used to run as its integer part, so two seeds aliased
+        ('{"n": 100, "seed": 1.7}', "seed must be an integer"),
+        ('{"n": 100, "n_test": "50"}', "n_test must be an integer"),
+        # the string "no" used to be truthy and run with memory
+        ('{"n": 100, "quantum_memory": "no"}', "quantum_memory must be true or false"),
+        ('{"n": 100, "delayed": 0}', "delayed must be true or false"),
+        ('{"n": 100, "check_fraction": "half"}', "check_fraction must be a number"),
+        # a typo used to be ignored and run with the default
+        ('{"n": 100, "n_tset": 50}', "unknown config key 'n_tset'"),
+        ('{"n": 100, "pa": {"seed": "xyz"}}', "pa.seed must be a JSON object"),
+        ('{"n": 100, "pa": {"seed": {"bits": "8", "hex": "00"}}}', "pa.seed needs integer bits"),
+    ],
+    ids=["channels-list", "param-null", "param-huge", "channel-null", "channels-key-typo",
+         "channel-key-typo", "eve-null", "eve-lines-string", "n-overflow", "n-float", "n-bool",
+         "n-huge", "seed-float", "n-test-string", "flag-string", "flag-int",
+         "check-fraction-string", "key-typo", "pa-seed-string", "pa-seed-bits-string"],
+)
+def test_simulate_rejects_malformed_config(tmp_path, capsys, text, names):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    for protocol in ("bb84", "dqkd", "relay"):
+        code, _, out, err = run_cli(["simulate", protocol, "--config", str(path)], capsys)
+        _assert_one_line_config_error(code, out, err)
+        assert names in err
+
+
+def test_simulate_config_flags_merge_after_shape_check(tmp_path, capsys):
+    # --noise-fwd writes into channels, which must be an object first
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 100, "channels": []}')
+    code, _, out, err = run_cli(
+        ["simulate", "dqkd", "--config", str(path), "--noise-fwd", "bsc:0.1", "--seed", "1"], capsys
+    )
+    _assert_one_line_config_error(code, out, err)
+    assert "channels must be a JSON object" in err
 
 
 # --------------------------------------------------------------- verify
@@ -495,6 +579,73 @@ def test_verify_fuzz_exits_cleanly(tmp_path_factory, case):
         _assert_one_line_config_error(code, out, err)
     else:
         check_schema(json.loads(out))
+
+
+# flag: (in-range values, out-of-range values)
+_SIMULATE_FLAGS = {
+    "--n": ((1, 40, 150), (0, -1)),
+    "--n-test": ((2, 30, 90), (1, 0, -1)),
+    "--noise-fwd": (("noiseless", "bsc:0.02", "depolarizing:0.1", "bsc:0.6"),
+                    ("bsc", "bsc:x", "bsc:1.5", "bsc:nan", "flip:0.1")),
+    "--noise-bwd": (("noiseless", "bsc:0.05", "depolarizing:0.2"), ("depolarizing:-0.1",)),
+    "--eve": (("none", "intercept-resend", "intercept-resend:backward",
+               "intercept-resend:forward,backward"), ("clone", "intercept-resend:sideways")),
+    "--seed": ((0, 7, 104729, 2**32 - 1), (-1,)),
+    "--check-fraction": (("0.3", "0.5", "0.8"), ("0", "1", "nan", "-0.5")),
+    "--pool": ((600, 2000), (1, -1)),
+    "--pa-seed": ((), ("12:abc", "x", "3:zz", "4:")),
+}
+_CONFIG_VALUE = st.sampled_from(
+    [None, True, False, 1.7, math.inf, -1, 0, 3, 64, 10**30, "x", "auto", [], {}, 0.5,
+     {"forward": {"kind": "bsc", "param": 0.05}}, {"backward": {"kind": "depolarizing"}},
+     {"forward": {"kind": "bsc", "param": None}}, {"kind": "intercept-resend", "lines": ["backward"]},
+     {"kind": "intercept-resend", "lines": "forward"}, {"seed": "auto"}, {"seed": {"bits": 3}}]
+)
+_CONFIG_DOC = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["n", "n_test", "channels", "eve", "seed", "pa", "check_fraction",
+                         "pool", "delayed", "quantum_memory", "protocol", "n_tset"]),
+        _CONFIG_VALUE, max_size=5,
+    ),
+    st.sampled_from([[], 3, "x", None]),
+)
+
+
+@st.composite
+def _simulate_case(draw):
+    argv = ["simulate", draw(st.sampled_from(reports.PROTOCOLS))]
+    # at most one flag out of range, so most cases reach the run
+    broken = draw(st.sampled_from((None,) * len(_SIMULATE_FLAGS) + tuple(_SIMULATE_FLAGS)))
+    for flag, (good, bad) in _SIMULATE_FLAGS.items():
+        if flag == broken:
+            argv += [flag, str(draw(st.sampled_from(bad)))]
+        elif good and draw(st.booleans()):
+            argv += [flag, str(draw(st.sampled_from(good)))]
+    for flag in ("--normal-scheme", "--no-quantum-memory"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv, draw(st.none() | _CONFIG_DOC)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_simulate_case())
+def test_simulate_fuzz_exits_cleanly(tmp_path_factory, case):
+    argv, doc = case
+    if doc is not None:
+        path = tmp_path_factory.mktemp("config") / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, doc, err)
+    if code == 3:
+        _assert_one_line_config_error(code, out, err)
+    else:
+        report = json.loads(out)
+        check_schema(report)
+        assert report["abort"] is (code == 2)
 
 
 # --------------------------------------------------------------- subprocess

@@ -14,6 +14,8 @@ from delayedpa.protocols import (
     EveModel,
     IntegratedConfig,
     KeyLedger,
+    MODES,
+    ROLES,
     RelayConfig,
     binary_entropy,
     decode_key_bit,
@@ -26,7 +28,7 @@ from delayedpa.protocols import (
     run_relay,
     single_signal_roundtrip,
     two_way_rate_single_line,
-    _apply,
+    _flips,
 )
 from delayedpa.quantum import basis_ket, pauli
 
@@ -71,42 +73,41 @@ def test_op_for_bit_consistent_and_two_valued():
 
 # --------------------------------------------------------------- frame oracle
 
-# midpoints of 64 equal cells of [0, 1): every threshold a frame measurement
-# can have (0, 1/2, 1) is a cell edge, so the share of draws giving 0 is
-# exactly the frame's P(0)
-_U_GRID = [(k + 0.5) / 64 for k in range(64)]
+# every case below is one position of a column; bases and Paulis are coded
+# as in delayedpa.protocols (basis "zx"[b], Pauli "IXZY"[op])
+_FRAME_CASES = list(itertools.product("zx", (0, 1), "IXZY", "IXZY"))
+
+
+def _codes(values, alphabet=None) -> np.ndarray:
+    return np.array([alphabet.index(v) if alphabet else v for v in values], np.uint8)
 
 
 class _ScriptedRng:
-    """Answers every basis draw with ``basis`` and every uniform draw with ``u``."""
+    """Answers the k-th column draw with a column filled with ``answers[k]``."""
 
-    def __init__(self, basis: str, u: float):
-        self.bit, self.u, self.draws = int(basis == "z"), u, 0
+    def __init__(self, *answers):
+        self.answers, self.draws = answers, 0
 
-    def getrandbits(self, k):
+    def integers(self, low, high, size, dtype):
+        value = self.answers[self.draws]
         self.draws += 1
-        return self.bit
-
-    def random(self):
-        self.draws += 1
-        return self.u
+        return np.full(size, value, dtype)
 
 
-def _frame_measurements(frame, basis):
-    """P(0) of ``frame`` measured in ``basis`` by an intercept-resend tap, and
-    the frames it resends."""
+def _frame_measurements(basis, bit, mb):
+    """P(0) of frames measured in basis code ``mb`` by an intercept-resend
+    tap, exact over both coin values, and the frames it resends."""
     tap = EveModel.intercept_resend("forward").tap
     resent = []
-    for u in _U_GRID:
-        rng = _ScriptedRng(basis, u)
-        resent.append(tap(frame, "forward", rng))
-        assert rng.draws == 2  # one basis bit, one uniform per measurement
-    return sum(bit == 0 for _, bit in resent) / len(_U_GRID), set(resent)
+    for coin in (0, 1):
+        rng = _ScriptedRng(mb, coin)
+        resent.append(tap(basis, bit, "forward", rng))
+        assert rng.draws == 2  # one basis column, one coin column per measurement
+    return sum((b == 0).astype(float) for _, b in resent) / 2, resent
 
 
-def _dense(frame):
-    basis, bit = frame
-    return basis_ket(bit, basis)
+def _dense(basis, bit):
+    return basis_ket(int(bit), "zx"[basis])
 
 
 def _same_ray(u, v) -> bool:
@@ -115,22 +116,32 @@ def _same_ray(u, v) -> bool:
 
 def test_frame_matches_dense_paulis_and_measurements():
     # every frame state, encoding op, channel Pauli and measurement basis,
-    # against the dense amplitudes of delayedpa.quantum
-    for basis, bit, op, chan in itertools.product("xz", (0, 1), "IXYZ", "IXYZ"):
-        frame = _apply(chan, _apply(op, (basis, bit)))
-        psi = pauli(chan) @ pauli(op) @ basis_ket(bit, basis)
-        assert _same_ray(_dense(frame), psi)
-        for mb in "xz":
-            p0, resent = _frame_measurements(frame, mb)
-            assert abs(p0 - abs(np.vdot(basis_ket(0, mb), psi)) ** 2) < 1e-12
-            for new in resent:
+    # run through the column kernels, against the dense amplitudes of
+    # delayedpa.quantum
+    basis = _codes((c[0] for c in _FRAME_CASES), "zx")
+    bit = _codes(c[1] for c in _FRAME_CASES)
+    op = _codes((c[2] for c in _FRAME_CASES), "IXZY")
+    chan = _codes((c[3] for c in _FRAME_CASES), "IXZY")
+    frame_bit = bit ^ _flips(op, basis) ^ _flips(chan, basis)
+    states = [
+        pauli(c) @ pauli(o) @ basis_ket(b_, bs) for bs, b_, o, c in _FRAME_CASES
+    ]
+    for i, psi in enumerate(states):
+        assert _same_ray(_dense(basis[i], frame_bit[i]), psi)
+    for mb in (0, 1):
+        p0, resent = _frame_measurements(basis, frame_bit, mb)
+        for i, psi in enumerate(states):
+            assert abs(p0[i] - abs(np.vdot(basis_ket(0, "zx"[mb]), psi)) ** 2) < 1e-12
+            new_frames = {(int(nb[i]), int(nbit[i])) for nb, nbit in resent}
+            for nb, nbit in new_frames:
                 # Eve resends the post-measurement eigenstate of a possible
                 # outcome; off-basis it is a fair coin in the original basis
-                assert new[0] == mb
-                assert abs(np.vdot(_dense(new), psi)) ** 2 > 1e-12
-                back, _ = _frame_measurements(new, basis)
-                assert abs(back - abs(np.vdot(basis_ket(0, basis), _dense(new))) ** 2) < 1e-12
-            assert len(resent) == (1 if mb == basis else 2)
+                assert nb == mb
+                assert abs(np.vdot(_dense(nb, nbit), psi)) ** 2 > 1e-12
+                back, _ = _frame_measurements(_codes([nb]), _codes([nbit]), basis[i])
+                expect = abs(np.vdot(_dense(basis[i], 0), _dense(nb, nbit))) ** 2
+                assert abs(back[0] - expect) < 1e-12
+            assert len(new_frames) == (1 if mb == basis[i] else 2)
 
 
 # --------------------------------------------------------------- entropy
@@ -218,19 +229,25 @@ def test_channel_validation():
         ChannelModel.parse("foo:0.1")
 
 
+def _channel_flips(ch, basis, n, rng) -> int:
+    """How many of n signals in ``basis`` the channel's sampled Paulis flip."""
+    b = np.full(n, "zx".index(basis), np.uint8)
+    return int(_flips(ch.paulis(b, rng), b).sum())
+
+
 def test_bsc_flips_at_rate_in_both_bases():
-    rng = random.Random(1)
+    rng = np.random.default_rng(1)
     ch = ChannelModel.bsc(0.2)
     for basis in ("x", "z"):
-        flips = sum(ch.transmit((basis, 0), basis, rng)[1] for _ in range(4000))
+        flips = _channel_flips(ch, basis, 4000, rng)
         assert abs(flips / 4000 - 0.2) < 3 * math.sqrt(0.2 * 0.8 / 4000)
 
 
 def test_depolarizing_bit_flip_rate_is_half_p():
-    rng = random.Random(2)
+    rng = np.random.default_rng(2)
     ch = ChannelModel.depolarizing(0.1)
     for basis in ("x", "z"):
-        flips = sum(ch.transmit((basis, 0), basis, rng)[1] for _ in range(8000))
+        flips = _channel_flips(ch, basis, 8000, rng)
         assert abs(flips / 8000 - 0.05) < 3 * math.sqrt(0.05 * 0.95 / 8000)
 
 
@@ -244,14 +261,22 @@ def test_eve_parse():
 
 # --------------------------------------------------------------- estimates
 
+def _estimate(triples):
+    """estimate_errors over (basis, alice_bit, bob_bit) triples as columns."""
+    if not triples:
+        return estimate_errors([], [], [])
+    basis, alice_bit, bob_bit = zip(*triples)
+    return estimate_errors(_codes(basis, "zx"), _codes(alice_bit), _codes(bob_bit))
+
+
 def test_estimate_errors_zero():
-    est = estimate_errors([("x", 0, 0), ("z", 1, 1)])
+    est = _estimate([("x", 0, 0), ("z", 1, 1)])
     assert est.e_x == est.e_z == est.e_b == est.e_p == 0.0
 
 
 def test_estimate_errors_footnote_average():
     records = [("x", 0, 0)] * 9 + [("x", 0, 1)] * 1 + [("z", 0, 0)] * 7 + [("z", 0, 1)] * 3
-    est = estimate_errors(records)
+    est = _estimate(records)
     assert abs(est.e_x - 0.1) < 1e-12
     assert abs(est.e_z - 0.3) < 1e-12
     assert abs(est.e_b - 0.2) < 1e-12
@@ -260,7 +285,7 @@ def test_estimate_errors_footnote_average():
 
 def test_estimate_errors_empty():
     with pytest.raises(ValueError):
-        estimate_errors([])
+        _estimate([])
 
 
 # --------------------------------------------------------------- bb84
@@ -362,12 +387,12 @@ def test_dqkd_error_pattern_is_xor_of_lines():
             seed=14,
         )
     )
-    for rec in t.records:
-        if rec.mode != "encode":
-            continue
-        alice_bit = decode_key_bit(rec.basis, rec.op)
-        bob_bit = rec.bob_outcome ^ rec.bob_bit
-        assert (alice_bit != bob_bit) == (rec.forward_flip ^ rec.backward_flip)
+    s = t.signals
+    encode = s.mode == MODES.index("encode")
+    assert encode.any()
+    alice_bit = _flips(s.op, s.basis)
+    bob_bit = s.bob_outcome ^ s.bob_bit
+    assert np.array_equal((alice_bit != bob_bit)[encode], (s.forward_flip ^ s.backward_flip)[encode] == 1)
 
 
 def test_dqkd_independent_line_composition_rate():
@@ -411,16 +436,16 @@ def test_dqkd_determinism():
 
 
 def test_record_counts_match_configured_sizes():
-    t = run_bb84(Bb84Config(n=700, n_test=150, seed=30))
-    assert len(t.records) == 700 + 150
-    assert sum(1 for r in t.records if r.role == "key") == 700
-    assert sum(1 for r in t.records if r.role == "test") == 150
-    t2 = run_dqkd(DqkdConfig(n=600, n_test=140, seed=31))
-    encode = [r for r in t2.records if r.mode == "encode"]
+    role = run_bb84(Bb84Config(n=700, n_test=150, seed=30)).signals.role
+    assert len(role) == 700 + 150
+    assert np.count_nonzero(role == ROLES.index("key")) == 700
+    assert np.count_nonzero(role == ROLES.index("test")) == 150
+    s2 = run_dqkd(DqkdConfig(n=600, n_test=140, seed=31)).signals
+    encode = s2.role[s2.mode == MODES.index("encode")]
     assert len(encode) == 600 + 140
-    assert sum(1 for r in encode if r.role == "key") == 600
-    assert sum(1 for r in encode if r.role == "test") == 140
-    assert all(r.role == "check" for r in t2.records if r.mode == "check")
+    assert np.count_nonzero(encode == ROLES.index("key")) == 600
+    assert np.count_nonzero(encode == ROLES.index("test")) == 140
+    assert np.all(s2.role[s2.mode == MODES.index("check")] == ROLES.index("check"))
 
 
 # --------------------------------------------------------------- integrated
@@ -447,15 +472,16 @@ def test_integrated_variants_noiseless_equivalence():
 
 def test_integrated_2d_message_bit_follows_basis():
     t = run_integrated(IntegratedConfig(variant="2d", n=600, n_test=150, seed=20))
-    code = [rec for rec in t.records if rec.role == "key"]
-    decoded = [rec.m1 if rec.basis == "z" else rec.m2 for rec in code]
+    s = t.signals
+    code = s.role == ROLES.index("key")
+    m1, m2 = s.op[code] & 1, s.op[code] >> 1  # the X and Z flags of X^m1 Z^m2
+    decoded = np.where(s.basis[code] == "zx".index("z"), m1, m2)
     # the delivered secret is the hash of exactly that selected string
     m_sel = BitVector.from_bits(decoded)
     pa_matrix = toeplitz_from_seed(t.pa_seed, t.ledger.n_pa, t.ledger.n)
     assert matvec(pa_matrix, m_sel) == t.m_prime
     # all-z subset decodes by the X-flag, all-x subset by the Z-flag
-    for rec in code:
-        assert decode_key_bit(rec.basis, rec.op) == (rec.m1 if rec.basis == "z" else rec.m2)
+    assert np.array_equal(_flips(s.op[code], s.basis[code]), decoded)
 
 
 def test_integrated_2c_noisy_backward_settles():
@@ -478,12 +504,11 @@ def test_integrated_2d_ledger_matches_dqkd_formula():
     assert not t.abort
     # reconstruct the observed message error rate from the records and check
     # the ledger is exactly the two-way floor/ceil formula at that rate
-    code = [rec for rec in t.records if rec.role == "key"]
-    mism = sum(
-        (rec.m1 if rec.basis == "z" else rec.m2) != (rec.bob_outcome ^ rec.bob_bit)
-        for rec in code
-    )
-    obs_rate = mism / len(code)
+    s = t.signals
+    code = s.role == ROLES.index("key")
+    selected = np.where(s.basis[code] == "zx".index("z"), s.op[code] & 1, s.op[code] >> 1)
+    mism = int(np.count_nonzero(selected != (s.bob_outcome[code] ^ s.bob_bit[code])))
+    obs_rate = mism / int(code.sum())
     ref = key_length(1000, min(obs_rate, 0.5), min(t.estimate.e_p, 0.5))
     assert t.ledger.n_pa == ref.n_pa
     assert t.ledger.n_ec == ref.n_ec
@@ -502,15 +527,83 @@ def test_integrated_2d_per_signal_states_match_quantum_certificates():
 
     t = run_integrated(IntegratedConfig(variant="2d", n=100, n_test=30, seed=24))
     rng = np.random.default_rng(25)
-    code = [rec for rec in t.records if rec.role == "key"][:20]
-    for rec in code:
-        basis, bit = rec.alice_received
-        qubit = PureState.qubit(bit, basis)
+    s = t.signals
+    code = np.flatnonzero(s.role == ROLES.index("key"))[:20]
+    for basis, bit in zip(s.received_basis[code], s.received_bit[code]):
+        qubit = PureState.qubit(int(bit), "zx"[basis])
         chi_amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         chi = PureState(chi_amps / np.linalg.norm(chi_amps), (2,), ("Abar",))
         dz, dx = verify_2c_2d(tensor([qubit, chi]))
         assert dz <= 1e-10
         assert dx <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["2", "2b", "2c", "2d"])
+def test_integrated_abort_ledger_counts_the_spent_test_bits(variant):
+    # a forward line this noisy leaves n_pa <= 0, so the run stops before
+    # any reconciliation; its ledger still counts the test bits it spent
+    t = run_integrated(
+        IntegratedConfig(variant=variant, n=400, n_test=200, forward=ChannelModel.bsc(0.9), seed=3)
+    )
+    assert t.abort
+    assert t.abort_reason == "non-positive key length"
+    ledger = t.ledger
+    assert ledger.n_test == 200
+    assert ledger.n_pa <= 0
+    assert ledger.h_ep == binary_entropy(min(t.estimate.e_p, 0.5))
+    assert ledger.h_eb == binary_entropy(min(t.estimate.e_b, 0.5))
+    assert ledger.n_ec == ledger.preshared_consumed == 0
+    assert ledger.h_roundtrip == 0.0
+    assert ledger.n_key == ledger.n_pa - ledger.n_ec
+    assert ledger.abort
+    assert t.alice_key is None and t.pa_seed is None
+
+
+# --------------------------------------------------------------- physics at scale
+
+# n = 1e6 code signals with n/5 tested: each gate is 3 standard errors of
+# the run's own estimate, about 4e-4 on the round-trip rate
+
+def _dqkd_at_scale(**kwargs):
+    return run_dqkd(DqkdConfig(n=10**6, n_test=2 * 10**5, **kwargs))
+
+
+def test_dqkd_bsc_both_lines_compose_at_scale():
+    e = 0.02
+    est = _dqkd_at_scale(forward=ChannelModel.bsc(e), backward=ChannelModel.bsc(e), seed=40).estimate
+    assert abs(est.e_roundtrip - 2 * e * (1 - e)) <= 3 * est.se_roundtrip
+
+
+def test_dqkd_depolarizing_is_half_p_per_line_at_scale():
+    p = 0.1
+    fwd = _dqkd_at_scale(forward=ChannelModel.depolarizing(p), seed=41).estimate
+    assert abs(fwd.e_x - p / 2) <= 3 * fwd.se_x
+    assert abs(fwd.e_z - p / 2) <= 3 * fwd.se_z
+    assert abs(fwd.e_roundtrip - p / 2) <= 3 * fwd.se_roundtrip
+    bwd = _dqkd_at_scale(backward=ChannelModel.depolarizing(p), seed=42).estimate
+    assert bwd.e_x == bwd.e_z == 0.0  # the check bits never cross the backward line
+    assert abs(bwd.e_roundtrip - p / 2) <= 3 * bwd.se_roundtrip
+
+
+def test_dqkd_forward_intercept_resend_quarter_on_check_bits_and_aborts():
+    t = _dqkd_at_scale(eve=EveModel.intercept_resend("forward"), seed=43)
+    est = t.estimate
+    assert abs(est.e_x - 0.25) <= 3 * est.se_x
+    assert abs(est.e_z - 0.25) <= 3 * est.se_z
+    assert t.abort
+    assert t.abort_reason == "non-positive key length"
+
+
+def test_dqkd_backward_intercept_resend_costs_error_correction_not_secrecy():
+    # the backward line carries only the padded message: Eve there raises the
+    # round-trip rate to 1/4 but learns nothing the check bits would price
+    t = _dqkd_at_scale(eve=EveModel.intercept_resend("backward"), seed=44)
+    est = t.estimate
+    assert abs(est.e_roundtrip - 0.25) <= 3 * est.se_roundtrip
+    assert abs(est.e_p) <= 3 * est.se_p
+    assert not t.abort
+    assert t.ledger.n_key > 0
+    assert t.alice_key == t.bob_key
 
 
 # --------------------------------------------------------------- relay
