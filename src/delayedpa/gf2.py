@@ -37,7 +37,6 @@ __all__ = [
     "BinaryMatrix",
     "RowReduction",
     "matvec",
-    "matmul",
     "toeplitz_from_seed",
     "toeplitz_hash",
     "row_reduce",
@@ -220,9 +219,6 @@ class BinaryMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
 
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def to_text(self) -> str:
         lines = [f"rows={self.rows} cols={self.cols}"]
         lines.extend(self.row(i).to01() for i in range(self.rows))
@@ -277,21 +273,6 @@ def matvec(a: BinaryMatrix, v: BitVector) -> BitVector:
         if _parity(row & v.bits):
             out |= 1 << i
     return BitVector(a.rows, out)
-
-
-def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
-    words = []
-    for ra in a.row_words:
-        acc = 0
-        w = ra
-        while w:
-            lsb = w & -w
-            acc ^= b.row_words[lsb.bit_length() - 1]
-            w ^= lsb
-        words.append(acc)
-    return BinaryMatrix(a.rows, b.cols, tuple(words))
 
 
 def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:

@@ -67,6 +67,7 @@ _BASES = "zx"     # basis code -> name
 _PAULIS = "IXZY"  # Pauli code x | z << 1 -> name
 ROLES = ("none", "key", "test", "check", "discarded")
 MODES = ("none", "encode", "check")  # dqkd's per-signal choice; other runs leave "none"
+MIN_CHECK_PER_BASIS = 8  # dqkd aborts with fewer consistent-basis check bits
 _KEY, _TEST, _CHECK, _DISCARDED = 1, 2, 3, 4
 _ENCODE_MODE, _CHECK_MODE = 1, 2
 
@@ -442,13 +443,18 @@ class DqkdConfig:
     eve: EveModel = EveModel.none()
     seed: int = 0
     pa_seed: BitVector | None = None
-    min_check_per_basis: int = 8
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.n_test < 1:
             raise ValueError("need n >= 1 and n_test >= 1")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must be in (0, 1)")
+
+    @property
+    def n_check(self) -> int:
+        """Check-mode signals: check_fraction of all sent, beside n + n_test code signals."""
+        cf = self.check_fraction
+        return math.ceil((self.n + self.n_test) * cf / (1.0 - cf))
 
 
 @dataclass(frozen=True)
@@ -610,9 +616,7 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     """
     rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol="dqkd", seed=cfg.seed)
-    n_code = cfg.n + cfg.n_test
-    cf = cfg.check_fraction
-    n_check = math.ceil(n_code * cf / (1.0 - cf))
+    n_code, n_check = cfg.n + cfg.n_test, cfg.n_check
     total = n_code + n_check
     s = t.signals = _send(total, cfg.forward, cfg.eve, rng)
     is_check = np.zeros(total, bool)
@@ -627,7 +631,7 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     t.sift_sent = t.sift_retained = n_code  # every encode-mode signal is reconciled
 
     consistent = check[alice_basis == s.basis[check]]
-    est = _estimate(t, consistent, cfg.min_check_per_basis, "insufficient consistent-basis check bits")
+    est = _estimate(t, consistent, MIN_CHECK_PER_BASIS, "insufficient consistent-basis check bits")
     if est is None:
         return t
 

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "ATOL_BUILD",
-    "ATOL_EQUIV",
     "PureState",
     "DensityMatrix",
     "BasisDecomposition",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 ATOL_BUILD = 1e-12
-ATOL_EQUIV = 1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -236,18 +234,6 @@ class BasisDecomposition:
     basis: str
     lambdas: tuple[complex, complex]
     companions: tuple[PureState, PureState]
-
-    def reassemble(self) -> PureState:
-        parts = []
-        for a in (0, 1):
-            parts.append(
-                self.lambdas[a]
-                * np.kron(basis_ket(a, self.basis), self.companions[a].amps)
-            )
-        amps = parts[0] + parts[1]
-        dims = (2,) + self.companions[0].dims
-        labels = ("A",) + self.companions[0].labels
-        return PureState(amps, dims, labels)
 
 
 def build_2c_state(psi: PureState, basis: str) -> DensityMatrix:

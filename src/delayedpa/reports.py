@@ -269,10 +269,14 @@ def build_config(doc: dict):
             pa_seed=pa_seed, quantum_memory=doc.get("quantum_memory", True),
         )
     if protocol == "dqkd":
-        return DqkdConfig(
+        cfg = DqkdConfig(
             n=n, n_test=n_test, check_fraction=doc.get("check_fraction", 0.5),
             forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
         )
+        total = n + n_test + cfg.n_check
+        if total > MAX_SIGNALS:
+            raise ValueError(f"limits exceeded: dqkd would send {total} signals, above {MAX_SIGNALS}")
+        return cfg
     if protocol.startswith("integrated-"):
         return IntegratedConfig(
             variant=protocol.split("-", 1)[1], n=n, n_test=n_test,

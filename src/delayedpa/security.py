@@ -2,8 +2,11 @@
 
 A key K with adversary view E is epsilon-secure when the joint state is
 within trace distance epsilon of an ideal uniform key decoupled from E.
-:func:`classical_epsilon` evaluates the all-classical specialization,
-:func:`cq_epsilon` the classical-quantum one.
+Both metrics take the joint form: :class:`ClassicalJoint` holds p(k, e) and
+:func:`classical_epsilon` sums |.| per entry; :class:`CqJoint` holds
+sigma[k] = p(k) rho_k as a stack of d x d blocks, one per value of the
+classical registers beside E, and :func:`cq_epsilon` sums |eigenvalue| per
+block.
 
 :func:`delayed_pa_epsilons` measures, by exhaustive enumeration over small
 instances, the security of (a) the hashed key f(a) against an adversary view
@@ -16,9 +19,10 @@ and reports the gap rather than assuming it.
 Both sides, classical and quantum, come from one grouping of the weighted
 views w_a (a row p(a) t[a, .] or a matrix p(a) rho_a) by a table of f over
 all 2^n inputs: the key side sums w_a with f(a) = k, the delayed side sums
-w_a with f(a XOR c) = m' for every pad c.  f is looked up at a XOR c rather
-than computed as f(a) XOR f(c), because that identity is the additivity on
-which the equivalence rests; the check must not assume it.
+w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f is
+looked up at a XOR c rather than computed as f(a) XOR f(c), because that
+identity is the additivity on which the equivalence rests; the check must
+not assume it.
 """
 
 from __future__ import annotations
@@ -71,36 +75,30 @@ class ClassicalJoint:
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities do not sum to 1")
 
-    @property
-    def key_space(self) -> int:
-        return self.probs.shape[0]
-
 
 @dataclass(frozen=True)
 class CqJoint:
-    """Classical key with a conditional density matrix per key value."""
+    """Joint classical-quantum state sigma[k] = p(k) rho_k, shape (|K|, ..., d, d).
 
-    p_k: np.ndarray
-    rho_e: tuple[np.ndarray, ...]
+    The middle axes are classical registers the adversary holds: the state
+    given k is block diagonal over them, one d x d block per value.
+    """
+
+    sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p_k, dtype=float)
-        object.__setattr__(self, "p_k", p)
-        rhos = tuple(np.asarray(r, dtype=complex) for r in self.rho_e)
-        object.__setattr__(self, "rho_e", rhos)
-        if not (np.isfinite(p).all() and all(np.isfinite(r).all() for r in rhos)):
-            raise ValueError("non-finite probability or state entry")
-        if abs(p.sum() - 1.0) > 1e-12 or p.min() < -1e-15:
-            raise ValueError("invalid key distribution")
-        if len(rhos) != p.shape[0]:
-            raise ValueError("need one conditional state per key value")
-        for r in rhos:
-            if np.abs(r - r.conj().T).max() > 1e-10:
-                raise ValueError("conditional state not Hermitian")
-            if abs(np.trace(r) - 1.0) > 1e-10:
-                raise ValueError("conditional state trace not 1")
-            if np.linalg.eigvalsh(r).min() < -1e-10:
-                raise ValueError("conditional state not positive semidefinite")
+        s = np.asarray(self.sigma, dtype=complex)
+        object.__setattr__(self, "sigma", s)
+        if s.ndim < 3 or s.shape[-1] != s.shape[-2]:
+            raise ValueError("joint state must have shape (|K|, ..., d, d)")
+        if not np.isfinite(s).all():
+            raise ValueError("non-finite state entry")
+        if np.abs(s - s.conj().swapaxes(-1, -2)).max() > 1e-10:
+            raise ValueError("block not Hermitian")
+        if abs(np.trace(s, axis1=-2, axis2=-1).sum() - 1.0) > 1e-10:
+            raise ValueError("total trace not 1")
+        if np.linalg.eigvalsh(s).min() < -1e-10:
+            raise ValueError("block not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -120,23 +118,19 @@ class SecurityReport:
 def classical_epsilon(joint: ClassicalJoint) -> float:
     """Half the L1 distance between p(k, e) and uniform-key times p(e)."""
     p = joint.probs
-    ideal = p.sum(axis=0, keepdims=True) / joint.key_space
+    ideal = p.sum(axis=0, keepdims=True) / p.shape[0]
     return 0.5 * float(np.abs(p - ideal).sum())
 
 
 def cq_epsilon(joint: CqJoint) -> float:
-    """Half the trace norm of the block-diagonal difference from ideal.
+    """Half the trace norm of sigma minus uniform-key times its k-marginal.
 
-    The trace norm of each Hermitian block is the sum of absolute
-    eigenvalues.
+    The difference is block diagonal, so its trace norm is the sum of the
+    absolute eigenvalues of every block.
     """
-    rho_avg = sum(pk * rho for pk, rho in zip(joint.p_k, joint.rho_e))
-    k = joint.p_k.shape[0]
-    total = 0.0
-    for pk, rho in zip(joint.p_k, joint.rho_e):
-        diff = pk * rho - rho_avg / k
-        total += float(np.abs(np.linalg.eigvalsh(diff)).sum())
-    return 0.5 * total
+    s = joint.sigma
+    ideal = s.sum(axis=0, keepdims=True) / s.shape[0]
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(s - ideal)).sum())
 
 
 # ------------------------------------------------------------------ verifier
@@ -188,6 +182,17 @@ def _normalize_prior(prior, size: int) -> np.ndarray:
     return p
 
 
+def _delayed_pa_joints(matrix: BinaryMatrix, views: np.ndarray, prior, max_n: int):
+    """The (key, msg) joints of the views weighted by the prior on a."""
+    _check_instance(matrix, max_n)
+    size = 1 << matrix.cols
+    if views.shape[:1] != (size,):
+        raise ValueError(f"need {size} views, one per raw key")
+    p_a = _normalize_prior(prior, size)
+    weighted = p_a.reshape((size,) + (1,) * (views.ndim - 1)) * views
+    return _grouped_views(_hash_values(matrix), 1 << matrix.rows, weighted)
+
+
 def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float, float]:
     """Exhaustive (eps_key, eps_msg) for a classical adversary model.
 
@@ -197,51 +202,21 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     against the enlarged view (e, a XOR m) with m uniform over the preimage
     of m'.  Both sides are built directly from their definitions.
     """
-    _check_instance(matrix, MAX_EXHAUSTIVE_N)
-    size = 1 << matrix.cols
-    t = np.asarray(table, dtype=float)
-    if t.shape[0] != size:
-        raise ValueError(f"table must have {size} rows")
-    p_a = _normalize_prior(prior, size)
-    n_keys = 1 << matrix.rows
-    key, msg = _grouped_views(_hash_values(matrix), n_keys, p_a[:, None] * t)
-    eps_key = classical_epsilon(ClassicalJoint(key))
+    key, msg = _delayed_pa_joints(matrix, np.asarray(table, dtype=float), prior, MAX_EXHAUSTIVE_N)
     # p(m', c, e): the view is the pair (c, e)
-    eps_msg = classical_epsilon(ClassicalJoint(msg.reshape(n_keys, -1)))
-    return eps_key, eps_msg
+    msg = msg.reshape(len(msg), -1)
+    return classical_epsilon(ClassicalJoint(key)), classical_epsilon(ClassicalJoint(msg))
 
 
 def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) -> tuple[float, float]:
     """Exhaustive (eps_key, eps_msg) for a quantum adversary.
 
-    ``eve_states[a]`` is the adversary's conditional density matrix given raw
-    key a.  In the delayed scenario the ciphertext register is appended to
-    the adversary system as a classical (diagonal) block index.
+    ``eve_states[a]`` is the adversary's density matrix given raw key a.  In
+    the delayed scenario the ciphertext c is a classical register beside the
+    adversary system, so the msg joint holds one block per pad.
     """
-    _check_instance(matrix, MAX_QUANTUM_N)
-    size = 1 << matrix.cols
-    rhos = np.asarray(eve_states, dtype=complex)
-    if len(rhos) != size:
-        raise ValueError(f"need {size} conditional states")
-    d = rhos.shape[1]
-    p_a = _normalize_prior(prior, size)
-    f_vals = _hash_values(matrix)
-    n_keys = 1 << matrix.rows
-    key, msg = _grouped_views(f_vals, n_keys, p_a[:, None, None] * rhos)
-
-    # normal scenario: conditional states grouped by key value
-    p_key = np.bincount(f_vals, p_a, n_keys)
-    cond = [blk / pk if pk > 0 else np.eye(d, dtype=complex) / d for blk, pk in zip(key, p_key)]
-    eps_key = cq_epsilon(CqJoint(p_key, tuple(cond)))
-
-    # delayed scenario: the view is (ciphertext c, quantum system), block
-    # diagonal over c; each m' has weight 1/n_keys, so scale to trace 1
-    pads = np.arange(size)
-    big = np.zeros((n_keys, size, d, size, d), dtype=complex)
-    big[:, pads, :, pads, :] = (msg * n_keys).swapaxes(0, 1)
-    cond_msg = tuple(big.reshape(n_keys, size * d, size * d))
-    eps_msg = cq_epsilon(CqJoint(np.full(n_keys, 1.0 / n_keys), cond_msg))
-    return eps_key, eps_msg
+    key, msg = _delayed_pa_joints(matrix, np.asarray(eve_states, dtype=complex), prior, MAX_QUANTUM_N)
+    return cq_epsilon(CqJoint(key)), cq_epsilon(CqJoint(msg))
 
 
 # ------------------------------------------------------------------ models
@@ -406,7 +381,6 @@ def sweep_delayed_pa(
     max_n: int,
     max_n_pa: int,
     bank: list[dict] | None = None,
-    prior=None,
 ) -> dict:
     """Exhaustive classical equivalence sweep.
 
@@ -425,7 +399,7 @@ def sweep_delayed_pa(
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
             for matrix in enumerate_pa_matrices(n, n_pa):
                 for name, table in tables:
-                    eps_key, eps_msg = delayed_pa_epsilons(matrix, table, prior)
+                    eps_key, eps_msg = delayed_pa_epsilons(matrix, table)
                     gap = abs(eps_key - eps_msg)
                     cases += 1
                     if gap >= max_gap:  # ties go to the last case

@@ -269,6 +269,9 @@ def test_simulate_rejects_non_object_config(tmp_path, capsys):
         ('{"n": 100.0}', "n must be an integer"),
         ('{"n": true}', "n must be an integer"),
         ('{"n": 100000000000000000000000000000}', "limits exceeded"),
+        # n check signals for every 1 - cf code signals: about 1e16 here, which
+        # used to reach the allocation and end in a traceback
+        ('{"n": 10000000, "check_fraction": 0.999999999}', "limits exceeded: dqkd would send"),
         # a float seed used to run as its integer part, so two seeds aliased
         ('{"n": 100, "seed": 1.7}', "seed must be an integer"),
         ('{"n": 100, "n_test": "50"}', "n_test must be an integer"),
@@ -283,13 +286,14 @@ def test_simulate_rejects_non_object_config(tmp_path, capsys):
     ],
     ids=["channels-list", "param-null", "param-huge", "channel-null", "channels-key-typo",
          "channel-key-typo", "eve-null", "eve-lines-string", "n-overflow", "n-float", "n-bool",
-         "n-huge", "seed-float", "n-test-string", "flag-string", "flag-int",
+         "n-huge", "check-fraction-near-1", "seed-float", "n-test-string", "flag-string", "flag-int",
          "check-fraction-string", "key-typo", "pa-seed-string", "pa-seed-bits-string"],
 )
 def test_simulate_rejects_malformed_config(tmp_path, capsys, text, names):
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    for protocol in ("bb84", "dqkd", "relay"):
+    # a bound that names dqkd is dqkd's own: bb84 and relay would run that probe
+    for protocol in ("dqkd",) if "dqkd" in names else ("bb84", "dqkd", "relay"):
         code, _, out, err = run_cli(["simulate", protocol, "--config", str(path)], capsys)
         _assert_one_line_config_error(code, out, err)
         assert names in err

@@ -425,7 +425,7 @@ def test_dqkd_ledger_matches_key_length_formula():
 
 
 def test_dqkd_insufficient_check_bits_aborts():
-    t = run_dqkd(DqkdConfig(n=20, n_test=2, check_fraction=0.1, seed=17, min_check_per_basis=8))
+    t = run_dqkd(DqkdConfig(n=20, n_test=2, check_fraction=0.1, seed=17))
     assert t.abort
     assert "check bits" in t.abort_reason
 

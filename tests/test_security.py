@@ -95,14 +95,14 @@ def test_epsilon_bounds():
 
 def test_cq_epsilon_identical_conditionals():
     rho = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-    joint = CqJoint(np.array([0.5, 0.5]), (rho, rho))
+    joint = CqJoint(np.stack([0.5 * rho, 0.5 * rho]))
     assert cq_epsilon(joint) <= 1e-15
 
 
 def test_cq_epsilon_orthogonal_conditionals():
     r0 = np.diag([1.0, 0.0]).astype(complex)
     r1 = np.diag([0.0, 1.0]).astype(complex)
-    joint = CqJoint(np.array([0.5, 0.5]), (r0, r1))
+    joint = CqJoint(np.stack([0.5 * r0, 0.5 * r1]))
     got = cq_epsilon(joint)
     assert abs(got - 0.5) <= 1e-12
     # embedded classical case agrees
@@ -113,20 +113,47 @@ def test_cq_epsilon_orthogonal_conditionals():
 def test_cq_epsilon_overlapping_conditionals():
     r0 = np.diag([1.0, 0.0]).astype(complex)
     plus = np.full((2, 2), 0.5, dtype=complex)
-    joint = CqJoint(np.array([0.5, 0.5]), (r0, plus))
+    joint = CqJoint(np.stack([0.5 * r0, 0.5 * plus]))
     assert abs(cq_epsilon(joint) - math.sqrt(2) / 4) <= 1e-12
 
 
 def test_cq_joint_validation():
     good = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError):
-        CqJoint(np.array([0.6, 0.6]), (good, good))
+        CqJoint(np.stack([0.6 * good, 0.6 * good]))
     with pytest.raises(ValueError):
-        CqJoint(np.array([0.5, 0.5]), (np.eye(2, dtype=complex), good))
+        CqJoint(np.stack([0.5 * np.eye(2, dtype=complex), 0.5 * good]))
     with pytest.raises(ValueError, match="non-finite"):
-        CqJoint(np.array([np.nan, 0.5]), (good, good))
+        CqJoint(np.stack([np.nan * good, 0.5 * good]))
     with pytest.raises(ValueError, match="non-finite"):
-        CqJoint(np.array([0.5, 0.5]), (good, np.full((2, 2), np.nan, dtype=complex)))
+        CqJoint(np.stack([0.5 * good, 0.5 * np.full((2, 2), np.nan, dtype=complex)]))
+
+
+def test_cq_joint_rejects_malformed_blocks():
+    good = np.eye(2, dtype=complex) / 4
+    with pytest.raises(ValueError, match="shape"):
+        CqJoint(np.full((2, 2, 3), 1 / 12))  # blocks not square
+    with pytest.raises(ValueError, match="shape"):
+        CqJoint(np.eye(2) / 2)  # ndim < 3: no block axes
+    with pytest.raises(ValueError, match="total trace"):
+        CqJoint(np.stack([good, good, good]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        CqJoint(np.stack([good, good + np.array([[0, 0.1], [0, 0]])]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        CqJoint(np.stack([good, np.diag([0.6, -0.1])]))
+
+
+def test_cq_epsilon_blocks_match_block_diagonal():
+    # sigma[k, b] are the diagonal blocks of the key-k state; the reference
+    # builds each key's block-diagonal matrix and takes its full trace norm
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        n_keys, blocks, d = rng.integers(1, 5), rng.integers(1, 9), rng.integers(1, 5)
+        m = rng.normal(size=(n_keys, blocks, d, d)) + 1j * rng.normal(size=(n_keys, blocks, d, d))
+        sigma = m @ m.conj().swapaxes(-1, -2)
+        sigma /= np.trace(sigma, axis1=-2, axis2=-1).sum()
+        want = ref_cq_epsilon([block_diagonal(sigma[k]) for k in range(n_keys)])
+        assert abs(cq_epsilon(CqJoint(sigma)) - want) <= 1e-12
 
 
 # ------------------------------------------------------------- verifier
@@ -245,7 +272,23 @@ def test_security_report_bounds():
 # ------------------------------------------------------------- loop references
 # The verifier's former implementations, kept as oracles: f(a) by one matvec
 # per raw key, the delayed table by one np.add.at per pad, and the quantum
-# blocks summed one raw key at a time.
+# blocks summed one raw key at a time and scored by the trace norm of each
+# key's full block-diagonal matrix.
+
+def block_diagonal(blocks):
+    """The (b d) x (b d) matrix with the b given d x d blocks on its diagonal."""
+    b, d = len(blocks), blocks[0].shape[0]
+    out = np.zeros((b * d, b * d), dtype=complex)
+    for i, block in enumerate(blocks):
+        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+    return out
+
+
+def ref_cq_epsilon(joint):
+    """Half the trace norm of sigma_k - sum_j sigma_j / |K|, one full matrix per key."""
+    ideal = sum(joint) / len(joint)
+    return 0.5 * sum(float(np.abs(np.linalg.eigvalsh(s - ideal)).sum()) for s in joint)
+
 
 def ref_hash_values(matrix):
     n = matrix.cols
@@ -283,28 +326,22 @@ def ref_delayed_pa_epsilons_quantum(matrix, eve_states, prior=None):
     p_a = np.full(size, 1.0 / size) if prior is None else np.asarray(prior, dtype=float)
     f_vals = ref_hash_values(matrix)
     n_keys = 1 << n_pa
-    p_key = np.zeros(n_keys)
     blocks = [np.zeros((d, d), dtype=complex) for _ in range(n_keys)]
     for a in range(size):
-        p_key[f_vals[a]] += p_a[a]
         blocks[f_vals[a]] += p_a[a] * rhos[a]
-    cond = [
-        blocks[k] / p_key[k] if p_key[k] > 0 else np.eye(d, dtype=complex) / d
-        for k in range(n_keys)
-    ]
-    eps_key = cq_epsilon(CqJoint(p_key, tuple(cond)))
-    big = size * d
-    cond_msg = []
+    eps_key = ref_cq_epsilon(blocks)
+    # the delayed view is (c, E): key m' holds one d x d block per pad c
+    msg = []
     for mp in range(n_keys):
-        block = np.zeros((big, big), dtype=complex)
+        pads = []
         for c in range(size):
             s = np.zeros((d, d), dtype=complex)
             for a in range(size):
                 if f_vals[a ^ c] == mp:
                     s += p_a[a] * rhos[a]
-            block[c * d:(c + 1) * d, c * d:(c + 1) * d] = s / size
-        cond_msg.append(block * n_keys)
-    eps_msg = cq_epsilon(CqJoint(np.full(n_keys, 1.0 / n_keys), tuple(cond_msg)))
+            pads.append(s / size)
+        msg.append(block_diagonal(pads))
+    eps_msg = ref_cq_epsilon(msg)
     return eps_key, eps_msg
 
 
