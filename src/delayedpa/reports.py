@@ -249,11 +249,13 @@ def build_config(doc: dict):
     for key, (accepts, kind) in _SCALARS.items():
         if key in doc and not accepts(doc[key]):
             raise ValueError(f"config {key} must be {kind}, got {doc[key]!r}")
-    for key in ("n", "n_test", "pool"):
-        if doc.get(key, 0) > MAX_SIGNALS:
-            raise ValueError(f"limits exceeded: config {key} above {MAX_SIGNALS}")
     n = doc["n"]
     n_test = doc.get("n_test", 256)
+    # a relay pool left out is 4n, capped so that every allowed n still runs
+    pool = doc.get("pool", min(4 * n, MAX_SIGNALS))
+    for key, value in (("n", n), ("n_test", n_test), ("pool", pool)):
+        if value > MAX_SIGNALS:
+            raise ValueError(f"limits exceeded: config {key} above {MAX_SIGNALS}")
     seed = doc["seed"]
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -283,7 +285,7 @@ def build_config(doc: dict):
             forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
         )
     return RelayConfig(
-        n=n, pool_size=doc.get("pool", 4 * n), n_test=n_test,
+        n=n, pool_size=pool, n_test=n_test,
         channel=forward, seed=seed,
         delayed=doc.get("delayed", True), pa_seed=pa_seed,
     )

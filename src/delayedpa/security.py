@@ -23,10 +23,22 @@ w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f is
 looked up at a XOR c rather than computed as f(a) XOR f(c), because that
 identity is the additivity on which the equivalence rests; the check must
 not assume it.
+
+:func:`sweep_delayed_pa` runs one case per row space, not per matrix.  Two
+matrices with the same row space differ by an invertible A (f' = A f).  That
+only renames the key values k -> A k and the messages m' -> A m' (the
+preimage of A m' under f' is the preimage of m' under f), so each joint's
+rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
+:func:`enumerate_row_spaces` yields one reduced row-echelon representative
+per subspace; the ordered enumeration :func:`enumerate_pa_matrices` stays
+as the oracle the tests check that claim against.  Each row space is grouped
+once for the whole bank: the models' tables sit side by side along the view
+axis, and each model's columns are scored alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,11 +61,12 @@ __all__ = [
     "bank_tables",
     "default_eve_bank_path",
     "enumerate_pa_matrices",
+    "enumerate_row_spaces",
     "sweep_delayed_pa",
     "random_eve_states",
 ]
 
-MAX_EXHAUSTIVE_N = 6
+MAX_EXHAUSTIVE_N = 7
 MAX_QUANTUM_N = 4
 
 
@@ -143,22 +156,33 @@ def _hash_values(matrix: BinaryMatrix) -> np.ndarray:
     return ((inputs @ rows.T) & 1) @ (1 << np.arange(matrix.rows))
 
 
+# entries per scatter-add: its index and weight arrays stay near 256 KiB
+# however many views a bank puts side by side
+_SCATTER_ENTRIES = 1 << 15
+
+
 def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     """(key, msg) for the views w_a = weighted[a], of any trailing shape.
 
     key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a,
-    from one scatter-add that sums every cell over a in increasing order.
+    from scatter-adds over runs of pads c that sum every cell over a in
+    increasing order.
     """
     size = f_vals.shape[0]
     flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
     width = flat.shape[1]
     pads = np.arange(size)
-    # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
-    # not assume the additivity it certifies
-    cell = f_vals[pads[:, None] ^ pads] * size + pads[:, None]  # [c, a] -> m' * 2^n + c
-    cells = np.add.outer(cell * width, np.arange(width))
-    weights = np.broadcast_to(flat, cells.shape)
-    table = np.bincount(cells.ravel(), weights.ravel(), n_keys * size * width)
+    table = np.empty((n_keys, size, width))
+    step = max(1, _SCATTER_ENTRIES // (size * width))
+    for lo in range(0, size, step):
+        run = pads[lo:lo + step, None]
+        # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
+        # not assume the additivity it certifies
+        cell = f_vals[run ^ pads] * len(run) + run - lo  # [c, a] -> m' * len(run) + c - lo
+        cells = np.add.outer(cell * width, np.arange(width))
+        weights = np.broadcast_to(flat, cells.shape)
+        sums = np.bincount(cells.ravel(), weights.ravel(), n_keys * len(run) * width)
+        table[:, lo:lo + step] = sums.reshape(n_keys, len(run), width)
     table = table.view(weighted.dtype).reshape((n_keys, size) + weighted.shape[1:])
     key = table[:, 0].copy()  # pad c = 0 is the undelayed key
     table /= size
@@ -193,6 +217,13 @@ def _delayed_pa_joints(matrix: BinaryMatrix, views: np.ndarray, prior, max_n: in
     return _grouped_views(_hash_values(matrix), 1 << matrix.rows, weighted)
 
 
+def _classical_epsilons(key: np.ndarray, msg: np.ndarray) -> tuple[float, float]:
+    # p(m', c, e): the view is the pair (c, e); reshaping a sliced msg copies
+    # it into the same C layout an unsliced one has
+    msg = msg.reshape(len(msg), -1)
+    return classical_epsilon(ClassicalJoint(key)), classical_epsilon(ClassicalJoint(msg))
+
+
 def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float, float]:
     """Exhaustive (eps_key, eps_msg) for a classical adversary model.
 
@@ -202,10 +233,26 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     against the enlarged view (e, a XOR m) with m uniform over the preimage
     of m'.  Both sides are built directly from their definitions.
     """
-    key, msg = _delayed_pa_joints(matrix, np.asarray(table, dtype=float), prior, MAX_EXHAUSTIVE_N)
-    # p(m', c, e): the view is the pair (c, e)
-    msg = msg.reshape(len(msg), -1)
-    return classical_epsilon(ClassicalJoint(key)), classical_epsilon(ClassicalJoint(msg))
+    return _classical_epsilons(
+        *_delayed_pa_joints(matrix, np.asarray(table, dtype=float), prior, MAX_EXHAUSTIVE_N)
+    )
+
+
+def _bank_epsilons(matrix: BinaryMatrix, views: np.ndarray, widths) -> list[tuple[float, float]]:
+    """(eps_key, eps_msg) under the uniform prior for every model of a bank.
+
+    ``views`` holds the models' tables side by side along the view axis and
+    ``widths`` their column counts.  One grouping serves every model; each
+    model's columns are then copied out contiguously, so it is scored
+    exactly as :func:`delayed_pa_epsilons` scores its table alone.
+    """
+    key, msg = _delayed_pa_joints(matrix, views, None, MAX_EXHAUSTIVE_N)
+    out = []
+    stop = 0
+    for width in widths:
+        start, stop = stop, stop + width
+        out.append(_classical_epsilons(key[:, start:stop].copy(), msg[:, :, start:stop]))
+    return out
 
 
 def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) -> tuple[float, float]:
@@ -363,7 +410,12 @@ def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> list[np.nda
 # ------------------------------------------------------------------ sweep
 
 def enumerate_pa_matrices(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
-    """All n_pa x n matrices with linearly independent rows, in row order."""
+    """All n_pa x n matrices with linearly independent rows, in row order.
+
+    The sweep runs one representative per row space instead
+    (:func:`enumerate_row_spaces`); this ordered enumeration is the oracle
+    the tests hold that reduction to.
+    """
     def extend(rows: tuple[int, ...], span: frozenset[int]) -> Iterator[tuple[int, ...]]:
         if len(rows) == n_pa:
             yield rows
@@ -377,6 +429,24 @@ def enumerate_pa_matrices(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
         yield BinaryMatrix(n_pa, n, rows)
 
 
+def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
+    """One reduced row-echelon matrix per n_pa-dimensional subspace of GF(2)^n.
+
+    The convention is :func:`row_reduce`'s: a row's pivot is its lowest set
+    column.  Every choice of pivot columns p_0 < ... < p_{n_pa-1} and of the
+    bits of row r in the non-pivot columns above p_r gives one subspace, and
+    each subspace arises once, so there are Gaussian-binomial many.
+    """
+    for pivots in itertools.combinations(range(n), n_pa):
+        free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for bits in range(1 << len(free)):
+            rows = [1 << p for p in pivots]
+            for j, (r, col) in enumerate(free):
+                if bits >> j & 1:
+                    rows[r] |= col
+            yield BinaryMatrix(n_pa, n, tuple(rows))
+
+
 def sweep_delayed_pa(
     max_n: int,
     max_n_pa: int,
@@ -384,9 +454,10 @@ def sweep_delayed_pa(
 ) -> dict:
     """Exhaustive classical equivalence sweep.
 
-    Runs every independent-row matrix with 2 <= n <= max_n and
-    1 <= n_pa <= min(max_n_pa, n - 1) against every model in the bank;
-    returns the worst |eps_key - eps_msg| and the case that attains it.
+    Runs every row space with 2 <= n <= max_n and
+    1 <= n_pa <= min(max_n_pa, n - 1), by its row-echelon representative,
+    against every model in the bank; returns the number of (row space,
+    model) cases, the worst |eps_key - eps_msg| and the case that attains it.
     """
     if max_n > MAX_EXHAUSTIVE_N:
         raise ValueError("state space too large for exhaustive mode")
@@ -396,10 +467,14 @@ def sweep_delayed_pa(
     worst = None
     for n in range(2, max_n + 1):
         tables = bank_tables(bank, n)
+        if not tables:
+            continue
+        names = [name for name, _ in tables]
+        views = np.concatenate([table for _, table in tables], axis=1)
+        widths = [table.shape[1] for _, table in tables]
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
-            for matrix in enumerate_pa_matrices(n, n_pa):
-                for name, table in tables:
-                    eps_key, eps_msg = delayed_pa_epsilons(matrix, table)
+            for matrix in enumerate_row_spaces(n, n_pa):
+                for name, (eps_key, eps_msg) in zip(names, _bank_epsilons(matrix, views, widths)):
                     gap = abs(eps_key - eps_msg)
                     cases += 1
                     if gap >= max_gap:  # ties go to the last case

@@ -299,6 +299,16 @@ def test_simulate_rejects_malformed_config(tmp_path, capsys, text, names):
         assert names in err
 
 
+def test_relay_pool_bound_holds_written_or_derived():
+    # the pool a relay run would hold is bounded alike whether the document
+    # names it or it defaults to 4n; build_config only, no run is started
+    base = {"protocol": "relay", "n": reports.MAX_SIGNALS, "seed": 1}
+    assert reports.build_config(base).pool_size == reports.MAX_SIGNALS
+    with pytest.raises(ValueError, match="limits exceeded: config pool"):
+        reports.build_config({**base, "pool": 4 * reports.MAX_SIGNALS})
+    assert reports.build_config({**base, "n": 100}).pool_size == 400
+
+
 def test_simulate_config_flags_merge_after_shape_check(tmp_path, capsys):
     # --noise-fwd writes into channels, which must be an object first
     path = tmp_path / "cfg.json"
@@ -486,6 +496,19 @@ def test_verify_delayed_pa_accepts_zero_quantum_trials(capsys):
     )
     assert code == 0
     assert report["payload"]["quantum"]["trials"] == 0
+
+
+def test_verify_delayed_pa_sweeps_width_seven(tmp_path, capsys):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps([{"name": "blind", "rule": "blind"}, {"name": "parity", "rule": "parity"}]))
+    code, report, _, _ = run_cli(
+        ["verify", "--suite", "delayed-pa", "--n", "7", "--npa", "1", "--quantum-trials", "0",
+         "--eve-bank", str(path), "--seed", "3"],
+        capsys,
+    )
+    assert code == 0
+    # one row space per nonzero row at n_pa = 1, against both models
+    assert report["payload"]["classical"]["cases"] == 2 * sum((1 << n) - 1 for n in range(2, 8))
 
 
 # --------------------------------------------------------------- fuzz

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
+import delayedpa.security
 from delayedpa.security import (
+    _bank_epsilons,
     _grouped_views,
     _hash_values,
     ClassicalJoint,
@@ -17,6 +19,7 @@ from delayedpa.security import (
     delayed_pa_epsilons,
     delayed_pa_epsilons_quantum,
     enumerate_pa_matrices,
+    enumerate_row_spaces,
     eve_table,
     load_eve_bank,
     random_eve_states,
@@ -218,6 +221,103 @@ def test_enumerate_pa_matrices_counts():
     assert sum(1 for _ in enumerate_pa_matrices(4, 2)) == 15 * 14
 
 
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of GF(2)^n."""
+    return math.prod((1 << n) - (1 << i) for i in range(k)) // math.prod(
+        (1 << k) - (1 << i) for i in range(k)
+    )
+
+
+def test_enumerate_row_spaces_counts_and_echelon_form():
+    # 35 at (4, 2), 63 at (6, 5), 11,811 at (7, 3)
+    assert gaussian_binomial(4, 2) == 35
+    assert gaussian_binomial(6, 5) == 63
+    assert gaussian_binomial(7, 3) == 11811
+    for n in range(1, 8):
+        for k in range(0, min(n, 3) + 1):
+            spaces = list(enumerate_row_spaces(n, k))
+            assert len(spaces) == len(set(spaces)) == gaussian_binomial(n, k), (n, k)
+            for matrix in spaces:
+                assert (matrix.rows, matrix.cols) == (k, n)
+                assert row_reduce(matrix).upper == matrix
+
+
+def test_enumerate_row_spaces_is_one_per_ordered_row_space():
+    # the oracle: reduce every ordered independent-row matrix to its row space
+    for n in range(1, 6):
+        for k in range(1, min(n, 3) + 1):
+            spaces = list(enumerate_row_spaces(n, k))
+            want = {row_reduce(m).upper for m in enumerate_pa_matrices(n, k)}
+            assert len(spaces) == len(set(spaces))
+            assert set(spaces) == want, (n, k)
+
+
+def test_ordered_matrices_score_as_their_row_space():
+    # f and A f differ by a bijective relabelling of the key, which moves
+    # neither epsilon
+    bank = load_eve_bank()
+    for n in range(1, 5):
+        tables = [t for _, t in bank_tables(bank, n)]
+        for k in range(1, min(n, 3) + 1):
+            by_space = {
+                m: [delayed_pa_epsilons(m, t) for t in tables] for m in enumerate_row_spaces(n, k)
+            }
+            for matrix in enumerate_pa_matrices(n, k):
+                want = by_space[row_reduce(matrix).upper]
+                for table, (key_r, msg_r) in zip(tables, want):
+                    eps_key, eps_msg = delayed_pa_epsilons(matrix, table)
+                    assert abs(eps_key - key_r) <= 1e-15
+                    assert abs(eps_msg - msg_r) <= 1e-15
+
+
+def test_bank_epsilons_equal_one_model_at_a_time():
+    # one grouping for the whole bank scores each model bit for bit as
+    # delayed_pa_epsilons scores it alone
+    bank = load_eve_bank()
+    for n in range(1, 6):
+        tables = [t for _, t in bank_tables(bank, n)]
+        views = np.concatenate(tables, axis=1)
+        widths = [t.shape[1] for t in tables]
+        for k in range(1, min(n, 2) + 1):
+            for matrix in enumerate_row_spaces(n, k):
+                got = _bank_epsilons(matrix, views, widths)
+                assert got == [delayed_pa_epsilons(matrix, t) for t in tables], (n, k, matrix)
+
+
+def test_row_space_sweep_matches_ordered_sweep():
+    bank = load_eve_bank()
+    max_gap = 0.0
+    for n in range(2, 5):
+        tables = [t for _, t in bank_tables(bank, n)]
+        for n_pa in range(1, min(2, n - 1) + 1):
+            for matrix in enumerate_pa_matrices(n, n_pa):
+                for table in tables:
+                    eps_key, eps_msg = delayed_pa_epsilons(matrix, table)
+                    max_gap = max(max_gap, abs(eps_key - eps_msg))
+    result = sweep_delayed_pa(4, 2, bank)
+    assert result["max_gap"] == max_gap
+    # (3 + 7 + 7 + 15 + 35) row spaces, each against every model
+    assert result["cases"] == 67 * len(bank)
+    worst = result["worst"]
+    rows = BinaryMatrix(worst["n_pa"], worst["n"], tuple(worst["rows"]))
+    assert row_reduce(rows).upper == rows
+    table = dict(bank_tables(bank, worst["n"]))[worst["eve_model"]]
+    assert [s["epsilon"] for s in worst["scenarios"]] == list(delayed_pa_epsilons(rows, table))
+
+
+def test_sweep_hashes_once_per_row_space(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return _hash_values(matrix)
+
+    monkeypatch.setattr(delayedpa.security, "_hash_values", counting)
+    result = sweep_delayed_pa(4, 2)
+    assert len(calls) == 67
+    assert result["cases"] == 67 * len(load_eve_bank())
+
+
 def test_bank_has_at_least_five_models():
     bank = load_eve_bank()
     tables = bank_tables(bank, 3)
@@ -415,3 +515,19 @@ def test_grouped_views_use_no_linearity(trailing, complex_views):
         for c in range(size):
             want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
             assert np.abs(msg[k, c] - want).max() <= 1e-12
+
+
+def test_grouped_views_in_runs_equal_one_scatter(monkeypatch):
+    # views too wide for one scatter-add are grouped a run of pads at a time;
+    # every cell still sums over a in increasing order, so the result is the
+    # one-run result bit for bit
+    rng = np.random.default_rng(15)
+    size, n_keys = 32, 4
+    f_vals = rng.integers(0, n_keys, size)
+    for weighted in (rng.random((size, 100)), rng.random((size, 7, 2, 2)) + 1j * rng.random((size, 7, 2, 2))):
+        runs = _grouped_views(f_vals, n_keys, weighted)
+        with monkeypatch.context() as m:
+            m.setattr(delayedpa.security, "_SCATTER_ENTRIES", size * size * weighted[0].size * 2)
+            whole = _grouped_views(f_vals, n_keys, weighted)
+        for got, want in zip(runs, whole):
+            assert np.array_equal(got, want)
