@@ -12,23 +12,32 @@ i) is the reversed ``format(bits, "0{length}b")``, and its hex string
 (character j is bits 4j .. 4j+3) is the reversed ``format(bits, "0{N}x")``.
 Conversions go through base-2 and base-16 ``int``/``format``, which run in
 linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
-through ``np.packbits``.  :func:`row_reduce` carries each row's operation
-record in the bits above column ``cols``, so one XOR or swap updates the row
-and its record together.
+through ``np.packbits``.
 
-:func:`toeplitz_hash` applies a Toeplitz matrix without building it: the
+:func:`row_reduce` carries each row's operation record in the bits above
+column ``cols``, so one XOR or swap updates the row and its record together.
+It is Gauss-Jordan elimination done by the Method of Four Russians in
+blocks of k = max(8, floor(log2 rows) - 2) columns: a block's pivots are
+found lazily, then one table of the XOR combinations of its pivot rows
+updates every other row with a single lookup and XOR.  The result, swap
+order included, is exactly the column-by-column elimination's.
+
+:func:`toeplitz_hasher` applies a Toeplitz matrix without building it: the
 product is one real FFT convolution of the seed and key bits (numpy),
-reduced mod 2, in O(n log n) time and memory.  Float rounding cannot flip a
-bit unnoticed, because an exactness guard raises if any convolution entry
-lies 0.25 or more from an integer.  The dense :func:`toeplitz_from_seed`
-matrix stays for row reduction and preimage sampling, and as the hash's
-test oracle.
+reduced mod 2, in O(n log n) time and memory.  The seed is transformed once
+per hasher, so a run that hashes several keys with one seed pays for one
+seed transform; :func:`toeplitz_hash` hashes a single key.  Float rounding
+cannot flip a bit unnoticed, because an exactness guard raises if any
+convolution entry lies 0.25 or more from an integer.  The dense
+:func:`toeplitz_from_seed` matrix stays for row reduction and preimage
+sampling, and as the hash's test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,6 +48,7 @@ __all__ = [
     "matvec",
     "toeplitz_from_seed",
     "toeplitz_hash",
+    "toeplitz_hasher",
     "row_reduce",
     "kernel_basis",
     "sample_preimage",
@@ -304,25 +314,39 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     return BinaryMatrix(n_pa, n, words, toeplitz_seed=seed)
 
 
-def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
-    """``matvec(toeplitz_from_seed(seed, n_pa, x.length), x)`` without the matrix.
+def toeplitz_hasher(seed: BitVector, n_pa: int, n: int) -> Callable[[BitVector], BitVector]:
+    """The hash x -> ``matvec(toeplitz_from_seed(seed, n_pa, n), x)``, without the matrix.
 
     Output bit i is sum_j seed[i - j + n - 1] x[j] mod 2, which is entry
-    n - 1 + i of the linear convolution of the seed and key bits.
+    n - 1 + i of the linear convolution of the seed and key bits.  The seed
+    is transformed once, here; each call transforms only its key.
     """
-    n = x.length
     _check_toeplitz_shape(seed, n_pa, n)
     # the smallest power of two >= len(seed): the circular convolution wraps
     # linear entries >= size onto indices below n - 1, which are never read
     size = 1 << (seed.length - 1).bit_length()
-    conv = np.fft.irfft(
-        np.fft.rfft(_unpack(seed), size) * np.fft.rfft(_unpack(x), size), size
-    )[n - 1 : n - 1 + n_pa]
-    counts = np.rint(conv)
-    if np.abs(conv - counts).max() >= 0.25:
-        raise ArithmeticError("FFT convolution is not exact enough to round")
-    out = np.packbits(counts.astype(np.int64) & 1, bitorder="little")
-    return BitVector(n_pa, int.from_bytes(out.tobytes(), "little"))
+    seed_f = np.fft.rfft(_unpack(seed), size)
+
+    def apply(x: BitVector) -> BitVector:
+        if x.length != n:
+            raise ValueError(f"length mismatch: expected {n}, got {x.length}")
+        # multiplied in place: seed_f lives as long as the hasher, so no
+        # third spectrum-sized array is alive at once
+        spectrum = np.fft.rfft(_unpack(x), size)
+        np.multiply(seed_f, spectrum, out=spectrum)
+        conv = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + n_pa]
+        counts = np.rint(conv)
+        if np.abs(conv - counts).max() >= 0.25:
+            raise ArithmeticError("FFT convolution is not exact enough to round")
+        out = np.packbits(counts.astype(np.int64) & 1, bitorder="little")
+        return BitVector(n_pa, int.from_bytes(out.tobytes(), "little"))
+
+    return apply
+
+
+def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
+    """``matvec(toeplitz_from_seed(seed, n_pa, x.length), x)`` without the matrix."""
+    return toeplitz_hasher(seed, n_pa, x.length)(x)
 
 
 def row_reduce(a: BinaryMatrix) -> RowReduction:
@@ -330,34 +354,94 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
 
     Handles any matrix; rank deficiency shows up as zero rows in ``upper``
     and a shorter ``pivot_cols``, never as an error.
+
+    The result is plain Gauss-Jordan elimination's: column by column, the
+    first row at or below the next pivot position with a 1 there is swapped
+    up and cleared from every other row.  It is computed by the Method of
+    Four Russians (Bard, IACR ePrint 2006/251) in blocks of k consecutive
+    columns.  Inside a block only the block's own pivot rows are kept
+    reduced; a lower row is brought up to date against them when the pivot
+    search reads it.  At the end of the block, a table of all XOR
+    combinations of its pivot rows, indexed by a row's bits in the block,
+    updates every other row with one lookup and one XOR.  That is about
+    rows * cols / k row operations where Gauss-Jordan needs rows * rank.
+
+    k = max(8, floor(log2 rows) - 2): the 2**k-entry table then holds at
+    most a quarter as many rows as the matrix, so it costs a fraction of
+    the pass over the rows it serves, and little memory.  A matrix of at
+    most 8 columns is one block, which needs no table when every row is one
+    of its pivots.
+
+    The reduced form is unique, and each row's combination of pivot rows is
+    fixed by its bits at the pivot columns, so every field, the swap order
+    of a rank-deficient input included, equals Gauss-Jordan's exactly.
     """
-    # row i's operation record sits above column a.cols, starting as e_i
-    work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
+    rows, cols = a.rows, a.cols
+    # row i's operation record sits above column cols, starting as e_i
+    work = [w | (1 << (cols + i)) for i, w in enumerate(a.row_words)]
+    k = max(8, rows.bit_length() - 3)
     pivot_cols: list[int] = []
+    free_cols: list[int] = []
     r = 0
-    for c in range(a.cols):
-        if r == a.rows:
+    for c0 in range(0, cols, k):
+        if r == rows:
             break
-        mask = 1 << c
-        pivot = next((i for i in range(r, a.rows) if work[i] & mask), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-        for i in range(a.rows):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivot_cols.append(c)
-        r += 1
-    pivots = set(pivot_cols)
-    free_cols = tuple(c for c in range(a.cols) if c not in pivots)
-    col_mask = (1 << a.cols) - 1
+        r0 = r  # the block's pivot rows are work[r0:r]
+        bits: list[int] = []  # bits[j] marks the pivot column of work[r0 + j]
+        for c in range(c0, min(c0 + k, cols)):
+            bit = 1 << c
+            for i in range(r, rows):
+                w = work[i]
+                for j, b in enumerate(bits, r0):
+                    if w & b:
+                        w ^= work[j]
+                if w & bit:
+                    break
+                work[i] = w
+            else:
+                free_cols.append(c)
+                continue
+            work[i] = work[r]
+            work[r] = w
+            for j in range(r0, r):
+                if work[j] & bit:
+                    work[j] ^= w
+            pivot_cols.append(c)
+            bits.append(bit)
+            r += 1
+            if r == rows:
+                break
+        if 0 < r - r0 < rows:
+            _apply_block(work, r0, r, c0, pivot_cols)
+    # the columns visited are a prefix; once every row is a pivot the rest are free
+    free_cols += range(len(pivot_cols) + len(free_cols), cols)
+    col_mask = (1 << cols) - 1
     return RowReduction(
-        upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
-        row_ops=BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work])),
+        upper=BinaryMatrix(rows, cols, tuple([w & col_mask for w in work])),
+        row_ops=BinaryMatrix(rows, rows, tuple([w >> cols for w in work])),
         pivot_cols=tuple(pivot_cols),
-        free_cols=free_cols,
+        free_cols=tuple(free_cols),
     )
+
+
+def _apply_block(work: list[int], r0: int, r: int, c0: int, pivot_cols: list[int]) -> None:
+    """Clear the pivot rows work[r0:r] of the block at column c0 from every other row.
+
+    table[x] is the XOR of the pivot rows whose column bit is set in x, x
+    being a row's bits from column c0 up; a free column's bit selects
+    nothing, so it doubles the table.
+    """
+    table = [0]
+    top = c0
+    for j in range(r0, r):
+        table *= 1 << (pivot_cols[j] - top)
+        p = work[j]
+        table += [t ^ p for t in table]
+        top = pivot_cols[j] + 1
+    mask = len(table) - 1
+    # in place: a rebuilt list would hold a second copy of the rows at the peak
+    for i in itertools.chain(range(r0), range(r, len(work))):
+        work[i] ^= table[(work[i] >> c0) & mask]
 
 
 def kernel_basis(a: BinaryMatrix) -> list[BitVector]:

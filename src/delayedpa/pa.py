@@ -47,6 +47,8 @@ class AdditivePaFunction:
     reduction: RowReduction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.matrix.rows < 1:
+            raise ValueError("hash needs at least one output bit: need n_pa >= 1")
         if self.matrix.rows >= self.matrix.cols:
             raise ValueError("hash must compress: need n_pa < n")
         red = row_reduce(self.matrix)
@@ -180,12 +182,18 @@ class DelayedPaSession:
         doc = json.loads(text)
         n, n_pa = doc["n"], doc["n_pa"]
         pa_doc = doc["pa"]
+        if (pa_doc["n"], pa_doc["n_pa"]) != (n, n_pa):
+            raise ValueError(
+                f"pa shape {pa_doc['n_pa']} x {pa_doc['n']} does not match session {n_pa} x {n}"
+            )
         if pa_doc["kind"] == "toeplitz":
             seed = BitVector.from_hex(n + n_pa - 1, pa_doc["seed"])
             f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
-        else:
+        elif pa_doc["kind"] == "matrix":
             rows = [BitVector.from_hex(n, h) for h in pa_doc["rows"]]
             f = AdditivePaFunction(BinaryMatrix.from_row_vectors(rows))
+        else:
+            raise ValueError(f"unknown pa kind {pa_doc['kind']!r}")
         return cls(
             f=f,
             a=BitVector.from_hex(n, doc["a"]),

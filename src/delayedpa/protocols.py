@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from delayedpa.gf2 import BitVector, toeplitz_hash
+from delayedpa.gf2 import BitVector, toeplitz_hash, toeplitz_hasher
 
 __all__ = [
     "ChannelModel",
@@ -688,9 +688,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         return _abort(t, "non-positive key length")
     n_pa = ledger.n_pa
     t.pa_seed = _draw_pa_seed(n_pa, n_key, cfg.pa_seed, rng)
-
-    def f(v: BitVector) -> BitVector:
-        return toeplitz_hash(t.pa_seed, n_pa, v)
+    f = toeplitz_hasher(t.pa_seed, n_pa, n_key)
 
     bob_bits = s.bob_bit[code]
     t.raw_key_bob = BitVector.from_bits(bob_bits)
@@ -772,8 +770,9 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
         m = pool.cut(0, n)
         cipher = a ^ m
         bob_m = cipher ^ a  # Bob holds a after ideal EC
-        t.bob_key = toeplitz_hash(qkd.pa_seed, n_pa, bob_m)
-        t.charlie_key = toeplitz_hash(qkd.pa_seed, n_pa, m)  # Charlie gets the hash seed from Bob
+        f = toeplitz_hasher(qkd.pa_seed, n_pa, n)
+        t.bob_key = f(bob_m)
+        t.charlie_key = f(m)  # Charlie gets the hash seed from Bob
         t.pool_consumed = n
     else:
         m_prime = pool.cut(0, n_pa)

@@ -9,12 +9,14 @@ from scipy import stats
 from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
+    RowReduction,
     kernel_basis,
     matvec,
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
     toeplitz_hash,
+    toeplitz_hasher,
 )
 
 
@@ -40,6 +42,37 @@ def ref_matmul(a, b):
     """Naive per-entry XOR/AND reference for A @ B."""
     cols = list(zip(*to_lists(b)))
     return BinaryMatrix.from_rows([ref_matvec(cols, row) for row in to_lists(a)])
+
+
+def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
+    """Plain Gauss-Jordan elimination, one column and one row at a time."""
+    # row i's operation record sits above column a.cols, starting as e_i
+    work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        mask = 1 << c
+        pivot = next((i for i in range(r, a.rows) if work[i] & mask), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+        for i in range(a.rows):
+            if i != r and work[i] & mask:
+                work[i] ^= work[r]
+        pivot_cols.append(c)
+        r += 1
+    pivots = set(pivot_cols)
+    free_cols = tuple(c for c in range(a.cols) if c not in pivots)
+    col_mask = (1 << a.cols) - 1
+    return RowReduction(
+        upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
+        row_ops=BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work])),
+        pivot_cols=tuple(pivot_cols),
+        free_cols=free_cols,
+    )
 
 
 def ref_from_bits(bits):
@@ -320,6 +353,18 @@ def test_toeplitz_hash_guard_rejects_inexact_convolution(monkeypatch):
         toeplitz_hash(BitVector.random(99, rng), 50, BitVector.random(50, rng))
 
 
+def test_toeplitz_hasher_reuses_one_seed():
+    rng = random.Random(8)
+    n, n_pa = 300, 200
+    seed = BitVector.random(n + n_pa - 1, rng)
+    f = toeplitz_hasher(seed, n_pa, n)
+    for _ in range(4):
+        x = BitVector.random(n, rng)
+        assert f(x) == toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+    with pytest.raises(ValueError):
+        f(BitVector.zeros(n + 1))
+
+
 # ---------------------------------------------------------------- reduction
 
 def test_row_reduce_already_echelon():
@@ -379,6 +424,75 @@ def test_row_ops_invertible():
         a = BinaryMatrix.random(rng.randint(1, 8), rng.randint(1, 8), rng)
         red = row_reduce(a)
         assert red.row_ops.rank() == a.rows
+
+
+MATRIX_KINDS = ["dense", "zero", "sparse", "low-rank", "duplicates", "gaps"]
+
+
+def _matrix(kind, rows, cols, rng):
+    """A rows x cols matrix of one structure the blocked elimination must not miss."""
+    def draw():
+        return rng.getrandbits(cols)
+
+    if kind == "dense":
+        words = [draw() for _ in range(rows)]
+    elif kind == "zero":
+        words = [0] * rows
+    elif kind == "sparse":  # each entry is 1 with probability 1/16
+        words = [draw() & draw() & draw() & draw() for _ in range(rows)]
+    elif kind == "low-rank":  # XORs of three rows: rank <= 3, many zero rows
+        base = [draw() for _ in range(3)]
+        words = [base[0] * rng.getrandbits(1) ^ base[1] * rng.getrandbits(1)
+                 ^ base[2] * rng.getrandbits(1) for _ in range(rows)]
+    elif kind == "duplicates":
+        base = [draw() for _ in range(max(1, rows // 3))]
+        words = [rng.choice(base) for _ in range(rows)]
+    elif kind == "gaps":  # no row has a 1 in the middle half of the columns
+        gap = ((1 << (cols // 2)) - 1) << (cols // 4)
+        words = [draw() & ~gap for _ in range(rows)]
+    else:
+        raise ValueError(kind)
+    return BinaryMatrix(rows, cols, tuple(words))
+
+
+# widths 7 .. 11 straddle the block widths of 8, 9 and 10 columns that
+# 300, 2100 and 4100 rows get; 63 / 64 / 65 straddle a machine word
+RR_SHAPES = [
+    (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
+    (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
+    (40, 63), (40, 64), (40, 65), (70, 65), (20, 200),
+    (300, 7), (300, 8), (300, 9), (2100, 8), (2100, 9), (2100, 10),
+    (4100, 9), (4100, 10), (4100, 11),
+]
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("shape", RR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_reduce_matches_gauss_jordan(kind, shape):
+    rng = random.Random(f"{kind}:{shape}")
+    a = _matrix(kind, *shape, rng)
+    assert row_reduce(a) == ref_row_reduce(a)
+
+
+@given(
+    st.sampled_from(MATRIX_KINDS),
+    st.integers(0, 24),
+    st.integers(0, 40),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300)
+def test_row_reduce_matches_gauss_jordan_random(kind, rows, cols, rng):
+    a = _matrix(kind, rows, cols, rng)
+    assert row_reduce(a) == ref_row_reduce(a)
+
+
+def test_row_reduce_matches_gauss_jordan_on_toeplitz():
+    n, n_pa = 1024, 716
+    rng = random.Random(1024)
+    a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert red.rank == n_pa
 
 
 # ---------------------------------------------------------------- kernel

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import delayedpa.pa
 from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
 from delayedpa.pa import (
     AdditivePaFunction,
@@ -17,6 +18,7 @@ from delayedpa.pa import (
     expand_message,
     pa_apply,
 )
+from test_gf2 import ref_row_reduce
 
 
 def enumerate_preimage(f, m_prime):
@@ -59,6 +61,12 @@ def test_pa_apply_length_mismatch():
 def test_construction_rejects_dependent_rows():
     with pytest.raises(ValueError, match="rows not independent"):
         AdditivePaFunction.from_rows([[1, 1, 0], [1, 1, 0]])
+
+
+def test_construction_rejects_empty_hash():
+    # an n_pa = 0 session would write "rows": [], which from_json cannot load
+    with pytest.raises(ValueError):
+        AdditivePaFunction(BinaryMatrix(0, 4, ()))
 
 
 def test_construction_rejects_non_compressing():
@@ -254,3 +262,39 @@ def test_session_rejects_inconsistent_fields():
             selector_seed=0,
             c=BitVector.from01("001"),
         )
+
+
+def _session_doc(seed):
+    rng = random.Random(seed)
+    f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(10, rng), 3, 8)
+    s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
+    return json.loads(s.to_json())
+
+
+@pytest.mark.parametrize("kind", ["toeplitzz", "Matrix", ""])
+def test_session_from_json_rejects_unknown_pa_kind(kind):
+    doc = _session_doc(323)
+    doc["pa"]["kind"] = kind
+    with pytest.raises(ValueError, match="unknown pa kind"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [("n", 9), ("n", 7), ("n_pa", 2), ("n_pa", 4)])
+def test_session_from_json_rejects_pa_shape_mismatch(field, value):
+    doc = _session_doc(324)
+    doc["pa"][field] = value
+    with pytest.raises(ValueError, match="does not match session"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
+    def session_json():
+        rng = random.Random(1024)
+        n, n_pa = 1024, 716
+        f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+        s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
+        return s.to_json()
+
+    blocked = session_json()
+    monkeypatch.setattr(delayedpa.pa, "row_reduce", ref_row_reduce)
+    assert session_json() == blocked
