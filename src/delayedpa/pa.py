@@ -180,25 +180,42 @@ class DelayedPaSession:
     @classmethod
     def from_json(cls, text: str) -> "DelayedPaSession":
         doc = json.loads(text)
-        n, n_pa = doc["n"], doc["n_pa"]
-        pa_doc = doc["pa"]
-        if (pa_doc["n"], pa_doc["n_pa"]) != (n, n_pa):
+        if not isinstance(doc, dict):
+            raise ValueError(f"session document must be a JSON object, got {doc!r}")
+        n, n_pa = _json_field(doc, "n", int), _json_field(doc, "n_pa", int)
+        pa_doc = _json_field(doc, "pa", dict)
+        pa_shape = (_json_field(pa_doc, "n", int, "pa"), _json_field(pa_doc, "n_pa", int, "pa"))
+        if pa_shape != (n, n_pa):
             raise ValueError(
-                f"pa shape {pa_doc['n_pa']} x {pa_doc['n']} does not match session {n_pa} x {n}"
+                f"pa shape {pa_shape[1]} x {pa_shape[0]} does not match session {n_pa} x {n}"
             )
-        if pa_doc["kind"] == "toeplitz":
-            seed = BitVector.from_hex(n + n_pa - 1, pa_doc["seed"])
+        kind = _json_field(pa_doc, "kind", str, "pa")
+        if kind == "toeplitz":
+            seed = BitVector.from_hex(n + n_pa - 1, _json_field(pa_doc, "seed", str, "pa"))
             f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
-        elif pa_doc["kind"] == "matrix":
-            rows = [BitVector.from_hex(n, h) for h in pa_doc["rows"]]
+        elif kind == "matrix":
+            rows = _json_field(pa_doc, "rows", list, "pa")
+            if not all(isinstance(h, str) for h in rows):
+                raise ValueError(f"pa field 'rows' must hold hex strings, got {rows!r}")
+            rows = [BitVector.from_hex(n, h) for h in rows]
             f = AdditivePaFunction(BinaryMatrix.from_row_vectors(rows))
         else:
-            raise ValueError(f"unknown pa kind {pa_doc['kind']!r}")
+            raise ValueError(f"unknown pa kind {kind!r}")
         return cls(
             f=f,
-            a=BitVector.from_hex(n, doc["a"]),
-            m_prime=BitVector.from_hex(n_pa, doc["m_prime"]),
-            m=BitVector.from_hex(n, doc["m"]),
-            selector_seed=doc["selector_seed"],
-            c=BitVector.from_hex(n, doc["c"]),
+            a=BitVector.from_hex(n, _json_field(doc, "a", str)),
+            m_prime=BitVector.from_hex(n_pa, _json_field(doc, "m_prime", str)),
+            m=BitVector.from_hex(n, _json_field(doc, "m", str)),
+            selector_seed=_json_field(doc, "selector_seed", int),
+            c=BitVector.from_hex(n, _json_field(doc, "c", str)),
         )
+
+
+def _json_field(doc: dict, key: str, kind: type, where: str = "session"):
+    """``doc[key]`` if present and of type ``kind`` (a bool is not an int)."""
+    if key not in doc:
+        raise ValueError(f"{where} document has no {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} field {key!r} must be {kind.__name__}, got {value!r}")
+    return value

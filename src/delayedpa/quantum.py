@@ -3,11 +3,18 @@
 Everything here is desk scale (total dimension up to ~128): pure states and
 density matrices carry an ordered list of subsystem labels so partial traces
 are requested by name rather than by position.  On top of the generic pieces
-sit the joint-state constructors for the two backward-line protocol variants
-that carry the encrypted message on the quantum channel -- variant 2c
-(measure, then re-prepare in the same basis) and variant 2d (skip the
-measurement and apply a message-controlled Pauli pair) -- plus the numerical
-certificate that their marginals coincide.
+sit the joint states of the two backward-line protocol variants that carry
+the encrypted message on the quantum channel -- variant 2c (measure, then
+re-prepare in the same basis) and variant 2d (skip the measurement and apply
+a message-controlled Pauli pair) -- plus the numerical certificate that their
+marginals coincide.
+
+Both joint states are block diagonal over their classical message registers,
+so they are built as stacks of blocks, one per message value (shape
+``(2, d, d)`` for 2c and ``(2, 2, d, d)`` for 2d), the form
+``security.CqJoint`` also takes.  Tracing out a message register sums its
+block axis.  One rule, :func:`_check_density_blocks`, validates a stack and a
+:class:`DensityMatrix` alike: a single matrix is a stack of one block.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ _PAULI = {
 }
 _PAULI["Y"] = 1j * _PAULI["X"] @ _PAULI["Z"]
 
+# the 2d encodings U[m1, m2]: X^m1 Z^m2 for "xz", Z^m2 X^m1 for "zx"
+_MESSAGE_PAULIS = {
+    "xz": np.array([[_PAULI["I"], _PAULI["Z"]], [_PAULI["X"], _PAULI["X"] @ _PAULI["Z"]]]),
+    "zx": np.array([[_PAULI["I"], _PAULI["Z"]], [_PAULI["X"], _PAULI["Z"] @ _PAULI["X"]]]),
+}
+
 _KETS = {
     ("z", 0): np.array([1, 0], dtype=complex),
     ("z", 1): np.array([0, 1], dtype=complex),
@@ -53,6 +66,21 @@ _KETS = {
     ("y", 0): np.array([_SQRT_HALF, 1j * _SQRT_HALF], dtype=complex),
     ("y", 1): np.array([_SQRT_HALF, -1j * _SQRT_HALF], dtype=complex),
 }
+
+
+def _check_density_blocks(blocks: np.ndarray) -> None:
+    """Raise unless a stack of d x d blocks, shape (..., d, d), is a state.
+
+    Every block is Hermitian and positive semidefinite, and the traces of
+    all blocks sum to 1.  A density matrix is the stack of one block.
+    """
+    if np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max() > ATOL_BUILD:
+        raise ValueError("matrix is not Hermitian")
+    trace = np.trace(blocks, axis1=-2, axis2=-1).sum()
+    if abs(trace.real - 1.0) > ATOL_BUILD or abs(trace.imag) > ATOL_BUILD:
+        raise ValueError("trace is not 1")
+    if np.linalg.eigvalsh(blocks).min() < -1e-10:
+        raise ValueError("matrix is not positive semidefinite")
 
 
 def pauli(name: str) -> np.ndarray:
@@ -120,12 +148,7 @@ class DensityMatrix:
             raise ValueError("dims and labels must align")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate subsystem labels")
-        if np.abs(mat - mat.conj().T).max() > ATOL_BUILD:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL_BUILD or abs(np.trace(mat).imag) > ATOL_BUILD:
-            raise ValueError("trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise ValueError("matrix is not positive semidefinite")
+        _check_density_blocks(mat)
 
     @property
     def dim(self) -> int:
@@ -183,18 +206,22 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     )
 
 
+def _leading_qubit_block(psi: PureState) -> np.ndarray:
+    """The amplitudes of ``psi`` as a (2, rest) array over the leading qubit."""
+    if len(psi.dims) < 2:
+        raise ValueError("state must have a remainder subsystem")
+    if psi.dims[0] != 2:
+        raise ValueError("leading subsystem must be a qubit")
+    return psi.amps.reshape(2, psi.dim // 2)
+
+
 def _leading_qubit_components(psi: PureState, basis: str):
     """Unnormalized remainder vectors <a_basis| psi for a = 0, 1.
 
     The first subsystem must be a qubit; the remainder keeps its own
     dims/labels.
     """
-    if len(psi.dims) < 2:
-        raise ValueError("state must have a remainder subsystem")
-    if psi.dims[0] != 2:
-        raise ValueError("leading subsystem must be a qubit")
-    rest_dim = psi.dim // 2
-    block = psi.amps.reshape(2, rest_dim)
+    block = _leading_qubit_block(psi)
     return [basis_ket(a, basis).conj() @ block for a in (0, 1)]
 
 
@@ -236,64 +263,74 @@ class BasisDecomposition:
     companions: tuple[PureState, PureState]
 
 
-def build_2c_state(psi: PureState, basis: str) -> DensityMatrix:
-    """Joint state of message register, carried qubit, and remainder for the
-    measure-and-reprepare variant (2c).
+def _blocks_2c(psi: PureState, basis: str) -> np.ndarray:
+    """The 2c joint state as one block per message value, shape (2, d, d).
 
     The leading qubit of ``psi`` is measured in ``basis`` (outcome a), a
     uniform message bit m is XORed on, and |(m^a)_basis> is re-prepared:
 
-        rho = 1/2 sum_{a,m} P( |m>  |(m^a)_basis>  <a_basis|psi> )
+        block[m] = 1/2 sum_a P( |(m^a)_basis>  <a_basis|psi> )
 
-    The remainder components are left unnormalized; their squared norms sum
-    to one, so the result has unit trace.
+    with d = ``psi.dim``.  The remainder components are left unnormalized;
+    their squared norms sum to one, so the blocks' traces sum to one.
     """
-    comps = _leading_qubit_components(psi, basis)
-    rest_dim = psi.dim // 2
-    dim = 2 * 2 * rest_dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for a in (0, 1):
-        for m in (0, 1):
-            vec = np.kron(
-                basis_ket(m, "z"),
-                np.kron(basis_ket(m ^ a, basis), comps[a]),
-            )
-            acc += 0.5 * np.outer(vec, vec.conj())
-    return DensityMatrix(acc, (2,) + psi.dims, ("M",) + psi.labels)
+    comps = np.array(_leading_qubit_components(psi, basis))
+    kets = np.array([basis_ket(b, basis) for b in (0, 1)])
+    # w[m, a] = |(m^a)_basis> (x) <a_basis|psi
+    w = (kets[[[0, 1], [1, 0]], :, None] * comps[:, None, :]).reshape(2, 2, psi.dim)
+    terms = 0.5 * (w[..., :, None] * w.conj()[..., None, :])
+    return terms[:, 0] + terms[:, 1]
+
+
+def _blocks_2d(psi: PureState, op_order: str = "xz") -> np.ndarray:
+    """The 2d joint state as one block per message pair, shape (2, 2, d, d).
+
+    Two uniform message bits (m1, m2) control a Pauli pair on the leading
+    qubit:
+
+        block[m1, m2] = 1/4 U |psi><psi| U+
+
+    with U = X^m1 Z^m2 (``op_order="xz"``) or Z^m2 X^m1 (``"zx"``); the two
+    orders give the same mixture because swapping contributes -1 twice.
+    """
+    if op_order not in _MESSAGE_PAULIS:
+        raise ValueError("op_order must be 'xz' or 'zx'")
+    block = _leading_qubit_block(psi)
+    encoded = (_MESSAGE_PAULIS[op_order] @ block).reshape(2, 2, psi.dim)
+    return 0.25 * (encoded[..., :, None] * encoded.conj()[..., None, :])
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (k d) x (k d) matrix with the k blocks of a stack on its diagonal."""
+    d = blocks.shape[-1]
+    flat = blocks.reshape(-1, d, d)
+    k = len(flat)
+    mat = np.zeros((k, d, k, d), dtype=complex)
+    mat[np.arange(k), :, np.arange(k), :] = flat
+    return mat.reshape(k * d, k * d)
+
+
+def build_2c_state(psi: PureState, basis: str) -> DensityMatrix:
+    """Joint state of message register, carried qubit, and remainder for the
+    measure-and-reprepare variant (2c).
+
+    The block-diagonal form of the stack :func:`_blocks_2c`:
+
+        rho = 1/2 sum_{a,m} P( |m>  |(m^a)_basis>  <a_basis|psi> )
+    """
+    mat = _block_diagonal(_blocks_2c(psi, basis))
+    return DensityMatrix(mat, (2,) + psi.dims, ("M",) + psi.labels)
 
 
 def build_2d_state(psi: PureState, op_order: str = "xz") -> DensityMatrix:
     """Joint state for the no-measurement variant (2d).
 
-    Two uniform message bits (m1, m2) control a Pauli pair on the leading
-    qubit; tracing nothing out this is
+    The block-diagonal form of the stack :func:`_blocks_2d`:
 
         rho = 1/4 sum_{m1,m2} P(|m1 m2>) (x) U |psi><psi| U+
-
-    with U = X^m1 Z^m2 (``op_order="xz"``) or Z^m2 X^m1 (``"zx"``); the two
-    orders give the same mixture because swapping contributes -1 twice.
     """
-    if op_order not in ("xz", "zx"):
-        raise ValueError("op_order must be 'xz' or 'zx'")
-    rest_dim = psi.dim // 2
-    if psi.dims[0] != 2:
-        raise ValueError("leading subsystem must be a qubit")
-    if len(psi.dims) < 2:
-        raise ValueError("state must have a remainder subsystem")
-    block = psi.amps.reshape(2, rest_dim)
-    dim = 4 * psi.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    x, z = _PAULI["X"], _PAULI["Z"]
-    for m1 in (0, 1):
-        for m2 in (0, 1):
-            if op_order == "xz":
-                u = np.linalg.matrix_power(x, m1) @ np.linalg.matrix_power(z, m2)
-            else:
-                u = np.linalg.matrix_power(z, m2) @ np.linalg.matrix_power(x, m1)
-            encoded = (u @ block).reshape(psi.dim)
-            vec = np.kron(basis_ket(m1, "z"), np.kron(basis_ket(m2, "z"), encoded))
-            acc += 0.25 * np.outer(vec, vec.conj())
-    return DensityMatrix(acc, (2, 2) + psi.dims, ("M1", "M2") + psi.labels)
+    mat = _block_diagonal(_blocks_2d(psi, op_order))
+    return DensityMatrix(mat, (2, 2) + psi.dims, ("M1", "M2") + psi.labels)
 
 
 def verify_2c_2d(psi: PureState) -> tuple[float, float]:
@@ -302,14 +339,15 @@ def verify_2c_2d(psi: PureState) -> tuple[float, float]:
     delta_z compares the M2-traced 2d state against the 2c state built in
     basis z (message register M1 standing in for M); delta_x does the same
     with M1 traced and basis x.  Both should vanish for every input state,
-    independent of any preparation basis.
+    independent of any preparation basis.  Tracing a message register out
+    sums the 2d stack over its axis, and the distances are taken over the
+    block stacks: every off-diagonal block is zero on both sides.
     """
-    rho_2d = build_2d_state(psi)
-    keep_rest = list(psi.labels)
-    rho_m1 = partial_trace(rho_2d, ["M1"] + keep_rest)
-    rho_m2 = partial_trace(rho_2d, ["M2"] + keep_rest)
-    delta_z = float(np.linalg.norm(rho_m1.mat - build_2c_state(psi, "z").mat))
-    delta_x = float(np.linalg.norm(rho_m2.mat - build_2c_state(psi, "x").mat))
+    blocks_2d, blocks_z, blocks_x = _blocks_2d(psi), _blocks_2c(psi, "z"), _blocks_2c(psi, "x")
+    for blocks in (blocks_2d, blocks_z, blocks_x):
+        _check_density_blocks(blocks)
+    delta_z = float(np.linalg.norm(blocks_2d.sum(axis=1) - blocks_z))
+    delta_x = float(np.linalg.norm(blocks_2d.sum(axis=0) - blocks_x))
     return delta_z, delta_x
 
 

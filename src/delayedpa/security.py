@@ -68,6 +68,14 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 7
 MAX_QUANTUM_N = 4
+# Adversary dimensions the random quantum trials accept.  A trial's largest
+# array is its msg joint: up to 2^2 keys x 2^MAX_QUANTUM_N pads of dim x dim
+# complex128 blocks, 4 * 16 * 16 * dim^2 = 1024 dim^2 bytes, 64 MiB at 256.
+MAX_QUANTUM_DIM = 256
+# Remainder dimensions the 2c/2d certificates accept.  A trial's largest
+# array is the 2d stack: 4 blocks of (2 abar_dim)^2 complex128 entries,
+# 4 * 4 * 16 * abar_dim^2 = 256 abar_dim^2 bytes, 64 MiB at 512.
+MAX_ABAR_DIM = 512
 
 
 @dataclass(frozen=True)

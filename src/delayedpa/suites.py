@@ -14,8 +14,10 @@ from scipy import stats
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, row_reduce, sample_preimage
 from delayedpa.protocols import decode_key_bit
-from delayedpa.quantum import basis_ket, pauli, random_pure_state, build_2d_state, verify_2c_2d
+from delayedpa.quantum import _blocks_2d, basis_ket, pauli, random_pure_state, verify_2c_2d
 from delayedpa.security import (
+    MAX_ABAR_DIM,
+    MAX_QUANTUM_DIM,
     MAX_QUANTUM_N,
     _hash_values,
     delayed_pa_epsilons_quantum,
@@ -116,21 +118,25 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
     """Random-state certificates for the 2c/2d marginal equality.
 
     Also checks the operator-order-swap identity for the no-measurement
-    construction.
+    construction, block by block over the message pairs.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if abar_dim < 1:
         raise ValueError(f"abar_dim must be at least 1, got {abar_dim}")
+    if abar_dim > MAX_ABAR_DIM:
+        raise ValueError(
+            f"limits exceeded: abar_dim must be at most {MAX_ABAR_DIM}, got {abar_dim}"
+        )
     rng = np.random.default_rng(seed)
     max_dz = max_dx = max_swap = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, abar_dim + 1))
         psi = random_pure_state((2, dim), ("A", "Abar"), rng)
         dz, dx = verify_2c_2d(psi)
-        swap = float(
-            np.abs(build_2d_state(psi, "xz").mat - build_2d_state(psi, "zx").mat).max()
-        )
+        # verify_2c_2d validated the "xz" stack; a "zx" stack within
+        # SWAP_TOL of it needs no validation of its own
+        swap = float(np.abs(_blocks_2d(psi, "xz") - _blocks_2d(psi, "zx")).max())
         max_dz, max_dx, max_swap = max(max_dz, dz), max(max_dx, dx), max(max_swap, swap)
     passed = max(max_dz, max_dx) <= EQUIV_TOL and max_swap <= SWAP_TOL
     payload = {
@@ -171,6 +177,10 @@ def suite_delayed_pa(
         raise ValueError(f"quantum_n must be at least 2, got {quantum_n}")
     if quantum_dim < 1:
         raise ValueError(f"quantum_dim must be at least 1, got {quantum_dim}")
+    if quantum_dim > MAX_QUANTUM_DIM:
+        raise ValueError(
+            f"limits exceeded: quantum_dim must be at most {MAX_QUANTUM_DIM}, got {quantum_dim}"
+        )
     if quantum_trials < 0:
         raise ValueError(f"quantum_trials must be non-negative, got {quantum_trials}")
     bank = load_eve_bank(eve_bank_path)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import delayedpa
 from delayedpa import reports
 from delayedpa.cli import SUITES, main
+from delayedpa.security import MAX_ABAR_DIM, MAX_QUANTUM_DIM
 
 SCHEMA = json.loads(
     (Path(delayedpa.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -476,11 +477,17 @@ def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
         (["verify", "--suite", "preimage-uniformity", "--alpha", "2", "--seed", "1"], "alpha"),
         (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
           "--quantum-trials", "-5", "--seed", "1"], "quantum_trials"),
+        # dimensions whose trial arrays would run to tens of GiB: refused
+        # before the suite allocates anything
+        (["verify", "--suite", "protocol-2c2d", "--abar-dim", "100000", "--trials", "1",
+          "--seed", "1"], "abar_dim"),
+        (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
+          "--quantum-dim", "100000", "--quantum-trials", "1", "--seed", "1"], "quantum_dim"),
     ],
     ids=["abar-dim-0", "quantum-n-1", "quantum-dim-0", "eb-single-above-quarter",
          "preimage-too-few-draws", "delayed-pa-n-1", "delayed-pa-npa-0",
          "protocol-2c2d-negative-trials", "alpha-negative", "alpha-0", "alpha-nan", "alpha-2",
-         "quantum-trials-negative"],
+         "quantum-trials-negative", "abar-dim-huge", "quantum-dim-huge"],
 )
 def test_out_of_range_arguments_exit_3(capsys, argv, names):
     code, _, out, err = run_cli(argv, capsys)
@@ -548,10 +555,10 @@ _BANK = st.one_of(st.lists(_BANK_ENTRY, max_size=3), st.sampled_from([{}, 1, "x"
 # flag: (in-range values, out-of-range values)
 _VERIFY_FLAGS = {
     "--quantum-n": ((2, 3, 4), (1, 5)),
-    "--quantum-dim": ((1, 2, 4), (0,)),
+    "--quantum-dim": ((1, 2, 4), (0, MAX_QUANTUM_DIM + 1)),
     "--quantum-trials": ((0, 1, 3), (-1,)),
     "--trials": ((1, 5), (0, -1)),
-    "--abar-dim": ((1, 4), (0,)),
+    "--abar-dim": ((1, 4), (0, MAX_ABAR_DIM + 1)),
     "--draws": ((200, 2000), (10, 0, -1)),
     "--alpha": (("1e-6", "0.5"), ("-1", "0", "1", "2", "nan", "inf")),
     "--seed": ((0, 7, 104729, 2**32 - 1), (-1,)),

@@ -287,6 +287,66 @@ def test_session_from_json_rejects_pa_shape_mismatch(field, value):
         DelayedPaSession.from_json(json.dumps(doc))
 
 
+def test_session_from_json_rejects_empty_object():
+    with pytest.raises(ValueError, match="no 'n'"):
+        DelayedPaSession.from_json("{}")
+
+
+def test_session_from_json_rejects_string_width():
+    doc = _session_doc(325)
+    doc["n"] = "8"
+    with pytest.raises(ValueError, match="'n' must be int"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_session_from_json_rejects_list():
+    with pytest.raises(ValueError, match="JSON object"):
+        DelayedPaSession.from_json(json.dumps([_session_doc(326)]))
+
+
+def test_session_from_json_rejects_null():
+    with pytest.raises(ValueError, match="JSON object"):
+        DelayedPaSession.from_json("null")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("pa",), None),
+        (("pa", "kind"), 1),
+        (("pa", "seed"), 7),
+        (("pa", "n_pa"), True),
+        (("a",), None),
+        (("selector_seed",), "5"),
+        (("m_prime",), ["0"]),
+    ],
+    ids=["pa-null", "kind-int", "seed-int", "pa-n_pa-bool", "a-null", "selector-seed-string",
+         "m-prime-list"],
+)
+def test_session_from_json_rejects_mistyped_fields(path, value):
+    doc = _session_doc(327)
+    *parents, key = path
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    with pytest.raises(ValueError, match="must be"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_session_from_json_rejects_matrix_rows_not_hex_strings():
+    rng = random.Random(328)
+    f = random_pa_function(rng, 2, 6)
+    s = DelayedPaSession.create(f, BitVector.random(2, rng), BitVector.random(6, rng), rng)
+    doc = json.loads(s.to_json())
+    doc["pa"]["rows"] = [3, 5]
+    with pytest.raises(ValueError, match="hex strings"):
+        DelayedPaSession.from_json(json.dumps(doc))
+    del doc["pa"]["rows"]
+    with pytest.raises(ValueError, match="no 'rows'"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
 def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
     def session_json():
         rng = random.Random(1024)

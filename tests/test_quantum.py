@@ -7,6 +7,7 @@ from delayedpa.quantum import (
     BasisDecomposition,
     DensityMatrix,
     PureState,
+    _check_density_blocks,
     basis_ket,
     build_2c_state,
     build_2d_state,
@@ -40,6 +41,37 @@ def bell_state():
 def product_state(qubit_amps, chi):
     amps = np.kron(np.asarray(qubit_amps, dtype=complex), np.asarray(chi, dtype=complex))
     return PureState(amps, (2, len(chi)), ("A", "Abar"))
+
+
+def kron_2c_state(psi, basis):
+    """Oracle: the 2c joint state summed one Kronecker product at a time."""
+    block = psi.amps.reshape(2, psi.dim // 2)
+    comps = [basis_ket(a, basis).conj() @ block for a in (0, 1)]
+    dim = 2 * psi.dim
+    acc = np.zeros((dim, dim), dtype=complex)
+    for a in (0, 1):
+        for m in (0, 1):
+            vec = np.kron(basis_ket(m, "z"), np.kron(basis_ket(m ^ a, basis), comps[a]))
+            acc += 0.5 * np.outer(vec, vec.conj())
+    return acc
+
+
+def kron_2d_state(psi, op_order="xz"):
+    """Oracle: the 2d joint state summed one Kronecker product at a time."""
+    block = psi.amps.reshape(2, psi.dim // 2)
+    dim = 4 * psi.dim
+    acc = np.zeros((dim, dim), dtype=complex)
+    x, z = pauli("X"), pauli("Z")
+    for m1 in (0, 1):
+        for m2 in (0, 1):
+            if op_order == "xz":
+                u = np.linalg.matrix_power(x, m1) @ np.linalg.matrix_power(z, m2)
+            else:
+                u = np.linalg.matrix_power(z, m2) @ np.linalg.matrix_power(x, m1)
+            encoded = (u @ block).reshape(psi.dim)
+            vec = np.kron(basis_ket(m1, "z"), np.kron(basis_ket(m2, "z"), encoded))
+            acc += 0.25 * np.outer(vec, vec.conj())
+    return acc
 
 
 # ---------------------------------------------------------------- paulis
@@ -125,6 +157,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]), (2,), ("A",))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2), (2,), ("A",))  # trace 2
+    # the same rule on block stacks, the form of the 2c/2d states
+    valid = np.stack([np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]).astype(complex)
+    _check_density_blocks(valid)
+    not_hermitian = valid.copy()
+    not_hermitian[1, 0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        _check_density_blocks(not_hermitian)
+    with pytest.raises(ValueError, match="trace"):
+        _check_density_blocks(2 * valid)  # total trace 2
+    negative = valid.copy()
+    negative[1] = np.diag([0.5 + 2e-10, -2e-10])  # trace kept, one eigenvalue below -1e-10
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        _check_density_blocks(negative)
 
 
 # ---------------------------------------------------------------- decompose
@@ -237,6 +282,24 @@ def test_build_2d_operator_order_swap():
         assert d <= 1e-12
 
 
+def test_block_states_match_kron_oracle():
+    rng = np.random.default_rng(11)
+    for dim in range(1, 9):
+        for _ in range(3):
+            psi = random_pure_state((2, dim), ("A", "Abar"), rng)
+            for basis in ("z", "x"):
+                assert np.array_equal(build_2c_state(psi, basis).mat, kron_2c_state(psi, basis))
+            for order in ("xz", "zx"):
+                assert np.array_equal(build_2d_state(psi, order).mat, kron_2d_state(psi, order))
+
+
+def test_block_states_reject_bad_input():
+    with pytest.raises(ValueError):
+        build_2d_state(bell_state(), "xy")
+    with pytest.raises(ValueError):
+        build_2c_state(PureState.qubit(0, "z"), "z")  # no remainder subsystem
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_product_state_exact():
@@ -278,6 +341,24 @@ def test_verify_random_states():
         dz, dx = verify_2c_2d(psi)
         worst = max(worst, dz, dx)
     assert worst <= 1e-10
+
+
+def test_verify_matches_partial_trace_oracle():
+    # generic partial_trace by label on the kron-loop matrices, then the norm
+    rng = np.random.default_rng(13)
+    for dim in range(1, 9):
+        psi = random_pure_state((2, dim), ("A", "Abar"), rng)
+        rho_2d = DensityMatrix(kron_2d_state(psi), (2, 2) + psi.dims, ("M1", "M2") + psi.labels)
+        rest = list(psi.labels)
+        m1 = partial_trace(rho_2d, ["M1"] + rest).mat
+        m2 = partial_trace(rho_2d, ["M2"] + rest).mat
+        oracle = (
+            np.linalg.norm(m1 - kron_2c_state(psi, "z")),
+            np.linalg.norm(m2 - kron_2c_state(psi, "x")),
+        )
+        dz, dx = verify_2c_2d(psi)
+        assert abs(dz - oracle[0]) <= 1e-15
+        assert abs(dx - oracle[1]) <= 1e-15
 
 
 def test_verify_ignores_preparation_basis():
