@@ -31,6 +31,12 @@ cannot flip a bit unnoticed, because an exactness guard raises if any
 convolution entry lies 0.25 or more from an integer.  The dense
 :func:`toeplitz_from_seed` matrix stays for row reduction and preimage
 sampling, and as the hash's test oracle.
+
+:func:`preimage_sampler` draws uniform preimages {x : Ax = y} the same way:
+the row reduction, the rank check and z = row_ops y are done once per
+(matrix, y), and each draw sets the free columns from one
+``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
+:func:`sample_preimage` is its one-draw form.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "toeplitz_hasher",
     "row_reduce",
     "kernel_basis",
+    "preimage_sampler",
     "sample_preimage",
 ]
 
@@ -457,6 +464,65 @@ def kernel_basis(a: BinaryMatrix) -> list[BitVector]:
     return basis
 
 
+def preimage_sampler(
+    a: BinaryMatrix,
+    y: BitVector,
+    *,
+    reduction: RowReduction | None = None,
+) -> Callable[[object], BitVector]:
+    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
+
+    Row-reduces once (or reuses a caller-cached ``reduction`` of ``a``) and
+    computes z = row_ops y once, here.  Each call of the returned
+    ``draw(rng)`` takes the free-column bits from one
+    ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
+    back-substitutes the pivot columns from z; every preimage element comes
+    out with probability 2**-(cols - rows).
+    """
+    if y.length != a.rows:
+        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
+    if reduction is None:
+        red = row_reduce(a)
+    elif (reduction.upper.rows, reduction.upper.cols) != (a.rows, a.cols):
+        raise ValueError(
+            f"reduction of a {reduction.upper.rows}x{reduction.upper.cols} matrix "
+            f"does not fit a {a.rows}x{a.cols} matrix"
+        )
+    else:
+        red = reduction
+    if red.rank < a.rows:
+        raise ValueError("rows not independent")
+    z = matvec(red.row_ops, y).bits
+    n_free = len(red.free_cols)
+    # draw bit i goes to free column free_cols[i]; a run of consecutive free
+    # columns takes its slice of the draw with one mask and one shift
+    runs: list[tuple[int, int]] = []
+    for i, fc in enumerate(red.free_cols):
+        if runs and runs[-1][1] == fc - i:
+            runs[-1] = (runs[-1][0] | 1 << i, fc - i)
+        else:
+            runs.append((1 << i, fc - i))
+    # Reduced echelon form: each pivot row touches its pivot plus free
+    # columns only, so its pivot bit is z[r] plus its parity on the free bits
+    pivots = [
+        (red.upper.row_words[r], 1 << pc, (z >> r) & 1) for r, pc in enumerate(red.pivot_cols)
+    ]
+    cols = a.cols
+
+    def draw(rng) -> BitVector:
+        bits = rng.getrandbits(n_free) if n_free else 0
+        free = 0
+        for mask, shift in runs:
+            free |= (bits & mask) << shift
+        x = free
+        for row, bit, z_r in pivots:
+            if (row & free).bit_count() & 1 != z_r:
+                x |= bit
+        return BitVector(cols, x)
+
+    return draw
+
+
 def sample_preimage(
     a: BinaryMatrix,
     y: BitVector,
@@ -464,29 +530,5 @@ def sample_preimage(
     *,
     reduction: RowReduction | None = None,
 ) -> BitVector:
-    """Uniform sample from {x : Ax = y} for a matrix with independent rows.
-
-    Row-reduces once (or reuses a caller-cached ``reduction``), draws the
-    free-column bits uniformly from ``rng``, and back-substitutes the pivot
-    columns; every preimage element comes out with probability
-    2**-(cols - rows).
-    """
-    if y.length != a.rows:
-        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
-    red = reduction if reduction is not None else row_reduce(a)
-    if red.rank < a.rows:
-        raise ValueError("rows not independent")
-    z = matvec(red.row_ops, y)
-    x = 0
-    n_free = len(red.free_cols)
-    if n_free:
-        draw = rng.getrandbits(n_free)
-        for idx, fc in enumerate(red.free_cols):
-            if (draw >> idx) & 1:
-                x |= 1 << fc
-    # Reduced echelon form: each pivot row touches its pivot plus free
-    # columns only, so substitution needs no particular order.
-    for r, pc in enumerate(red.pivot_cols):
-        if z[r] ^ _parity(red.upper.row_words[r] & x):
-            x |= 1 << pc
-    return BitVector(a.cols, x)
+    """One uniform draw from {x : Ax = y}: :func:`preimage_sampler`'s one-draw form."""
+    return preimage_sampler(a, y, reduction=reduction)(rng)

@@ -182,14 +182,16 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     pads = np.arange(size)
     table = np.empty((n_keys, size, width))
     step = max(1, _SCATTER_ENTRIES // (size * width))
+    # every pad of a run weighs its cells by the same views, so the weights of
+    # the longest run are built once; a shorter last run takes a prefix
+    weights = np.tile(flat.ravel(), min(step, size))
     for lo in range(0, size, step):
         run = pads[lo:lo + step, None]
         # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
         # not assume the additivity it certifies
         cell = f_vals[run ^ pads] * len(run) + run - lo  # [c, a] -> m' * len(run) + c - lo
         cells = np.add.outer(cell * width, np.arange(width))
-        weights = np.broadcast_to(flat, cells.shape)
-        sums = np.bincount(cells.ravel(), weights.ravel(), n_keys * len(run) * width)
+        sums = np.bincount(cells.ravel(), weights[:cells.size], n_keys * len(run) * width)
         table[:, lo:lo + step] = sums.reshape(n_keys, len(run), width)
     table = table.view(weighted.dtype).reshape((n_keys, size) + weighted.shape[1:])
     key = table[:, 0].copy()  # pad c = 0 is the undelayed key

@@ -12,7 +12,7 @@ import random
 import numpy as np
 from scipy import stats
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, row_reduce, sample_preimage
+from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
 from delayedpa.protocols import decode_key_bit
 from delayedpa.quantum import _blocks_2d, basis_ket, pauli, random_pure_state, verify_2c_2d
 from delayedpa.security import (
@@ -37,6 +37,9 @@ CLASSICAL_GAP_TOL = 1e-12
 QUANTUM_GAP_TOL = 1e-9
 EQUIV_TOL = 1e-10
 SWAP_TOL = 1e-12
+
+# draws counted per histogram update, so memory does not grow with --draws
+_DRAW_CHUNK = 1 << 13
 
 
 def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
@@ -89,17 +92,15 @@ def suite_preimage_uniformity(
     rng = random.Random(seed)
     matrix = _full_rank_matrix(n_pa, n, rng)
     y = BitVector.random(n_pa, rng)
-    preimage = np.flatnonzero(_hash_values(matrix) == y.bits).tolist()
-    reduction = row_reduce(matrix)
-    counts = dict.fromkeys(preimage, 0)
-    stray = 0
-    for _ in range(draws):
-        x = sample_preimage(matrix, y, rng, reduction=reduction).bits
-        if x in counts:
-            counts[x] += 1
-        else:
-            stray += 1
-    result = stats.chisquare([counts[v] for v in preimage])
+    preimage = np.flatnonzero(_hash_values(matrix) == y.bits)
+    draw = preimage_sampler(matrix, y)
+    hist = np.zeros(1 << n, dtype=np.int64)
+    for lo in range(0, draws, _DRAW_CHUNK):
+        chunk = [draw(rng).bits for _ in range(min(_DRAW_CHUNK, draws - lo))]
+        hist += np.bincount(chunk, minlength=1 << n)
+    counts = hist[preimage]
+    stray = draws - int(counts.sum())
+    result = stats.chisquare(counts)
     passed = bool(stray == 0 and result.pvalue >= alpha)
     payload = {
         "n": n,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import delayedpa.suites
 from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
     RowReduction,
+    _parity,
     kernel_basis,
     matvec,
+    preimage_sampler,
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
@@ -110,6 +114,41 @@ def ref_kernel(a):
 
 def ref_preimage(a, y):
     return {v.bits for v in enumerate_vectors(a.cols) if matvec(a, v) == y}
+
+
+def ref_sample_preimage(
+    a: BinaryMatrix,
+    y: BitVector,
+    rng,
+    *,
+    reduction: RowReduction | None = None,
+) -> BitVector:
+    """Uniform sample from {x : Ax = y} for a matrix with independent rows.
+
+    Row-reduces once (or reuses a caller-cached ``reduction``), draws the
+    free-column bits uniformly from ``rng``, and back-substitutes the pivot
+    columns; every preimage element comes out with probability
+    2**-(cols - rows).
+    """
+    if y.length != a.rows:
+        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
+    red = reduction if reduction is not None else row_reduce(a)
+    if red.rank < a.rows:
+        raise ValueError("rows not independent")
+    z = matvec(red.row_ops, y)
+    x = 0
+    n_free = len(red.free_cols)
+    if n_free:
+        draw = rng.getrandbits(n_free)
+        for idx, fc in enumerate(red.free_cols):
+            if (draw >> idx) & 1:
+                x |= 1 << fc
+    # Reduced echelon form: each pivot row touches its pivot plus free
+    # columns only, so substitution needs no particular order.
+    for r, pc in enumerate(red.pivot_cols):
+        if z[r] ^ _parity(red.upper.row_words[r] & x):
+            x |= 1 << pc
+    return BitVector(a.cols, x)
 
 
 class FixedBits:
@@ -604,6 +643,99 @@ def test_preimage_always_consistent(seed):
     y = BitVector.random(rows, rng)
     x = sample_preimage(a, y, rng)
     assert matvec(a, x) == y
+
+
+def assert_sampler_matches_oracle(a, seed, draws):
+    rng = random.Random(seed)
+    y = BitVector.random(a.rows, rng)
+    red = row_reduce(a)
+    draw = preimage_sampler(a, y, reduction=red)
+    ours, oracle, one_draw = random.Random(seed), random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        x = draw(ours)
+        assert x == ref_sample_preimage(a, y, oracle, reduction=red)
+        assert x == sample_preimage(a, y, one_draw)
+        assert matvec(a, x) == y
+    # the same stream: one getrandbits(n_free) per draw on every side
+    assert ours.getstate() == oracle.getstate() == one_draw.getstate()
+
+
+def _full_rank_toeplitz(rng, n_pa, n):
+    while True:
+        a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+        if row_reduce(a).rank == n_pa:
+            return a
+
+
+SAMPLER_CASES = {
+    "identity": lambda rng: BinaryMatrix.identity(5),  # n_free = 0, no draw
+    "1x2": lambda rng: full_rank_matrix(rng, 1, 2),
+    "2x4": lambda rng: full_rank_matrix(rng, 2, 4),
+    "3x8": lambda rng: full_rank_matrix(rng, 3, 8),
+    # pivots at columns 1, 2 and 4: free columns 0, 3, 5 and 6 in three runs
+    "zero-leading-column": lambda rng: BinaryMatrix.from_rows(
+        [[0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0]]
+    ),
+    "32x96": lambda rng: full_rank_matrix(rng, 32, 96),
+    "toeplitz-358x512": lambda rng: _full_rank_toeplitz(rng, 358, 512),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_preimage_sampler_matches_oracle(case):
+    rng = random.Random(case)
+    a = SAMPLER_CASES[case](rng)
+    assert_sampler_matches_oracle(a, rng.getrandbits(32), 20 if a.cols > 100 else 200)
+
+
+def test_preimage_sampler_zero_leading_column_pivots():
+    a = SAMPLER_CASES["zero-leading-column"](None)
+    red = row_reduce(a)
+    assert red.pivot_cols == (1, 2, 4) and red.free_cols == (0, 3, 5, 6)
+
+
+@given(st.integers(1, 10), st.integers(0, 14), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
+    a = full_rank_matrix(random.Random(seed), rows, rows + extra)
+    assert_sampler_matches_oracle(a, seed, 8)
+
+
+def test_preimage_sampler_rejects_reduction_of_another_shape():
+    rng = random.Random(3)
+    a = full_rank_matrix(rng, 3, 8)
+    b = full_rank_matrix(rng, 3, 6)
+    y = BitVector.random(3, rng)
+    for other in (b, full_rank_matrix(rng, 2, 8), BinaryMatrix.identity(3)):
+        with pytest.raises(ValueError, match="does not fit"):
+            preimage_sampler(a, y, reduction=row_reduce(other))
+        with pytest.raises(ValueError, match="does not fit"):
+            sample_preimage(a, y, rng, reduction=row_reduce(other))
+
+
+def oracle_preimage_sampler(a, y, *, reduction=None):
+    red = reduction if reduction is not None else row_reduce(a)
+    return lambda rng: ref_sample_preimage(a, y, rng, reduction=red)
+
+
+@pytest.mark.parametrize("seed", [1002, 104729])
+def test_uniformity_suite_unchanged_by_preimage_sampler(monkeypatch, seed):
+    ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
+    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", oracle_preimage_sampler)
+    assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
+
+
+def test_uniformity_suite_memory_does_not_grow_with_draws():
+    # one list holding every draw of 200,000 would take 1.6 MB in pointers
+    # alone; the suite counts bounded chunks into a 2**n histogram instead
+    tracemalloc.start()
+    try:
+        payload, passed = delayedpa.suites.suite_preimage_uniformity(draws=200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["draws"] == 200_000 and payload["samples_outside_preimage"] == 0
+    assert peak < 512 * 1024
 
 
 def test_preimage_uniformity_chi_square():

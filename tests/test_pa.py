@@ -18,7 +18,7 @@ from delayedpa.pa import (
     expand_message,
     pa_apply,
 )
-from test_gf2 import ref_row_reduce
+from test_gf2 import ref_row_reduce, ref_sample_preimage
 
 
 def enumerate_preimage(f, m_prime):
@@ -358,3 +358,16 @@ def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
     blocked = session_json()
     monkeypatch.setattr(delayedpa.pa, "row_reduce", ref_row_reduce)
     assert session_json() == blocked
+
+
+def test_session_json_unchanged_by_preimage_sampler(monkeypatch):
+    def session_json():
+        rng = random.Random(1024)
+        n, n_pa = 1024, 716
+        f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+        s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
+        return s.to_json()
+
+    sampled = session_json()
+    monkeypatch.setattr(delayedpa.pa, "sample_preimage", ref_sample_preimage)
+    assert session_json() == sampled

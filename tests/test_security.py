@@ -531,3 +531,20 @@ def test_grouped_views_in_runs_equal_one_scatter(monkeypatch):
             whole = _grouped_views(f_vals, n_keys, weighted)
         for got, want in zip(runs, whole):
             assert np.array_equal(got, want)
+
+
+def test_grouped_views_short_last_run_match_sums(monkeypatch):
+    # 16 pads in runs of 3 leave a last run of one pad, whose weights are a
+    # prefix of the full runs' weights
+    rng = np.random.default_rng(16)
+    size, n_keys = 16, 4
+    f_vals = rng.integers(0, n_keys, size)
+    weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
+    monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", 3 * size * weighted[0].size * 2)
+    key, msg = _grouped_views(f_vals, n_keys, weighted)
+    for k in range(n_keys):
+        want = sum(weighted[a] for a in range(size) if f_vals[a] == k)
+        assert np.abs(key[k] - want).max() <= 1e-12
+        for c in range(size):
+            want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
+            assert np.abs(msg[k, c] - want).max() <= 1e-12
