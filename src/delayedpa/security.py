@@ -22,7 +22,11 @@ all 2^n inputs: the key side sums w_a with f(a) = k, the delayed side sums
 w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f is
 looked up at a XOR c rather than computed as f(a) XOR f(c), because that
 identity is the additivity on which the equivalence rests; the check must
-not assume it.
+not assume it.  The grouping is a gather over fibers: for each pad the
+inputs are sorted stably by f(a XOR c), so each fiber {a : f(a XOR c) = m'}
+lists its a in increasing order, and the fiber's views are summed one
+position at a time.  Every cell is therefore summed over a in increasing
+order, as one scatter-add would sum it.
 
 :func:`sweep_delayed_pa` runs one case per row space, not per matrix.  Two
 matrices with the same row space differ by an invertible A (f' = A f).  That
@@ -31,9 +35,16 @@ preimage of A m' under f' is the preimage of m' under f), so each joint's
 rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 :func:`enumerate_row_spaces` yields one reduced row-echelon representative
 per subspace; the ordered enumeration :func:`enumerate_pa_matrices` stays
-as the oracle the tests check that claim against.  Each row space is grouped
-once for the whole bank: the models' tables sit side by side along the view
-axis, and each model's columns are scored alone.
+as the oracle the tests check that claim against.  The sweep works one
+width at a time, on chunks of row spaces: one integer product hashes the
+chunk, one count checks its ranks (a linear f has independent rows exactly
+when every key value has 2^(n - n_pa) preimages), one grouping serves
+every row space and bank model (the models' tables sit side by side along
+the view axis), and array operations score every (row space, model) pair.
+Each model's columns are copied out and scored in the order
+:func:`classical_epsilon` scores one joint, so every eps is the one-joint
+value bit for bit.  The single-matrix entry points run the same kernel on
+a chunk of one.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix, row_reduce
+from delayedpa.gf2 import BinaryMatrix
 
 __all__ = [
     "ClassicalJoint",
@@ -89,12 +100,7 @@ class ClassicalJoint:
         object.__setattr__(self, "probs", p)
         if p.ndim != 2:
             raise ValueError("joint table must be 2-D")
-        if not np.isfinite(p).all():
-            raise ValueError("non-finite probability")
-        if p.min() < -1e-15:
-            raise ValueError("negative probability")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities do not sum to 1")
+        _check_joints(p[None])
 
 
 @dataclass(frozen=True)
@@ -156,54 +162,81 @@ def cq_epsilon(joint: CqJoint) -> float:
 
 # ------------------------------------------------------------------ verifier
 
-def _hash_values(matrix: BinaryMatrix) -> np.ndarray:
-    """f(a) as an integer for every a in {0, ..., 2^n - 1}, by one product."""
-    shifts = np.arange(matrix.cols)
-    inputs = (np.arange(1 << matrix.cols)[:, None] >> shifts) & 1
-    rows = (np.array(matrix.row_words)[:, None] >> shifts) & 1
-    return ((inputs @ rows.T) & 1) @ (1 << np.arange(matrix.rows))
+def _hash_values(matrices) -> np.ndarray:
+    """f(a) as an integer for every a in {0, ..., 2^n - 1}, by one product.
+
+    One matrix gives shape (2^n,); a sequence of matrices of one shape gives
+    (R, 2^n), one row per matrix.
+    """
+    single = isinstance(matrices, BinaryMatrix)
+    stack = [matrices] if single else list(matrices)
+    rows, cols = stack[0].rows, stack[0].cols
+    shifts = np.arange(cols)
+    inputs = (np.arange(1 << cols)[:, None] >> shifts) & 1
+    bits = (np.array([m.row_words for m in stack]).reshape(-1, 1) >> shifts) & 1
+    f_bits = ((bits @ inputs.T) & 1).reshape(len(stack), rows, 1 << cols)
+    f_vals = (1 << np.arange(rows)) @ f_bits
+    return f_vals[0] if single else f_vals
 
 
-# entries per scatter-add: its index and weight arrays stay near 256 KiB
-# however many views a bank puts side by side
+# entries per chunk: the joint table of one sweep call and the views gathered
+# for one fiber position stay near 256 KiB however many views a bank puts
+# side by side, so the sweep's peak RSS stays near a one-matrix verifier's
 _SCATTER_ENTRIES = 1 << 15
 
 
 def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     """(key, msg) for the views w_a = weighted[a], of any trailing shape.
 
-    key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a,
-    from scatter-adds over runs of pads c that sum every cell over a in
-    increasing order.
+    key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a.
+    ``f_vals`` is one table of f, shape (2^n,), or a stack of R tables,
+    shape (R, 2^n), which gives key and msg a leading R axis.  Each cell
+    sums its fiber {a : f(a ^ c) = m'} one position at a time, in
+    increasing a; a short fiber is padded with a zero view.
     """
-    size = f_vals.shape[0]
+    stack = np.atleast_2d(f_vals)
+    n_rows, size = stack.shape
     flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
     width = flat.shape[1]
+    # a -> a ^ c permutes the inputs, so every pad's fibers have pad 0's lengths
+    fiber = np.bincount((stack + n_keys * np.arange(n_rows)[:, None]).ravel()).max()
+    padded = fiber * n_keys != size  # fibers of unequal length
+    if padded:
+        flat = np.concatenate((flat, np.zeros((1, width))))  # row `size`: the padding view
     pads = np.arange(size)
-    table = np.empty((n_keys, size, width))
-    step = max(1, _SCATTER_ENTRIES // (size * width))
-    # every pad of a run weighs its cells by the same views, so the weights of
-    # the longest run are built once; a shorter last run takes a prefix
-    weights = np.tile(flat.ravel(), min(step, size))
-    for lo in range(0, size, step):
-        run = pads[lo:lo + step, None]
-        # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
-        # not assume the additivity it certifies
-        cell = f_vals[run ^ pads] * len(run) + run - lo  # [c, a] -> m' * len(run) + c - lo
-        cells = np.add.outer(cell * width, np.arange(width))
-        sums = np.bincount(cells.ravel(), weights[:cells.size], n_keys * len(run) * width)
-        table[:, lo:lo + step] = sums.reshape(n_keys, len(run), width)
-    table = table.view(weighted.dtype).reshape((n_keys, size) + weighted.shape[1:])
-    key = table[:, 0].copy()  # pad c = 0 is the undelayed key
+    table = np.zeros((n_rows, n_keys, size, width))
+    per_chunk = max(1, _SCATTER_ENTRIES // (n_keys * width))  # (row space, pad) pairs
+    pad_step = min(size, per_chunk)
+    row_step = max(1, per_chunk // size)
+    for r0 in range(0, n_rows, row_step):
+        for c0 in range(0, size, pad_step):
+            run = pads[c0:c0 + pad_step]
+            # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check
+            # must not assume the additivity it certifies
+            keyed = stack[r0:r0 + row_step, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
+            # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key
+            fibers = np.sort(keyed * size + pads, axis=-1)
+            order = fibers % size
+            if not padded:
+                idx = order.reshape(keyed.shape[:2] + (n_keys, fiber))
+            else:
+                sorted_keys = fibers // size
+                first = np.ones(keyed.shape, dtype=bool)
+                np.not_equal(sorted_keys[..., 1:], sorted_keys[..., :-1], out=first[..., 1:])
+                pos = pads - np.maximum.accumulate(np.where(first, pads, 0), axis=-1)
+                idx = np.full(keyed.shape[:2] + (n_keys, fiber), size)
+                r, c = np.indices(keyed.shape[:2] + (1,), sparse=True)[:2]
+                idx[r, c, sorted_keys, pos] = order
+            idx = idx.transpose(0, 2, 1, 3)  # [r, m', c, position]
+            sums = table[r0:r0 + row_step, :, c0:c0 + pad_step]
+            for j in range(fiber):
+                sums += flat.take(idx[..., j], axis=0)
+    table = table.view(weighted.dtype).reshape((n_rows, n_keys, size) + weighted.shape[1:])
+    key = table[:, :, 0].copy()  # pad c = 0 is the undelayed key
     table /= size
+    if np.ndim(f_vals) == 1:
+        return key[0], table[0]
     return key, table
-
-
-def _check_instance(matrix: BinaryMatrix, max_n: int) -> None:
-    if matrix.cols > max_n:
-        raise ValueError("state space too large for exhaustive mode")
-    if row_reduce(matrix).rank < matrix.rows:
-        raise ValueError("rows not independent")
 
 
 def _normalize_prior(prior, size: int) -> np.ndarray:
@@ -216,22 +249,74 @@ def _normalize_prior(prior, size: int) -> np.ndarray:
     return p
 
 
-def _delayed_pa_joints(matrix: BinaryMatrix, views: np.ndarray, prior, max_n: int):
-    """The (key, msg) joints of the views weighted by the prior on a."""
-    _check_instance(matrix, max_n)
-    size = 1 << matrix.cols
+def _delayed_pa_joints(matrices, views: np.ndarray, prior, max_n: int):
+    """The (key, msg) joints of the views weighted by the prior on a, one per matrix.
+
+    ``matrices`` is a sequence of matrices of one shape; key and msg carry a
+    leading axis over them.
+    """
+    rows, cols = matrices[0].rows, matrices[0].cols
+    if cols > max_n:
+        raise ValueError("state space too large for exhaustive mode")
+    size, n_keys = 1 << cols, 1 << rows
+    f_vals = _hash_values(matrices)
+    # f is linear, so its rows are independent exactly when every key value
+    # has 2^(n - n_pa) preimages
+    offsets = n_keys * np.arange(len(f_vals))[:, None]
+    counts = np.bincount((f_vals + offsets).ravel(), minlength=offsets.size * n_keys)
+    if (counts != size >> rows).any():
+        raise ValueError("rows not independent")
     if views.shape[:1] != (size,):
         raise ValueError(f"need {size} views, one per raw key")
     p_a = _normalize_prior(prior, size)
     weighted = p_a.reshape((size,) + (1,) * (views.ndim - 1)) * views
-    return _grouped_views(_hash_values(matrix), 1 << matrix.rows, weighted)
+    return _grouped_views(f_vals, n_keys, weighted)
 
 
-def _classical_epsilons(key: np.ndarray, msg: np.ndarray) -> tuple[float, float]:
-    # p(m', c, e): the view is the pair (c, e); reshaping a sliced msg copies
-    # it into the same C layout an unsliced one has
-    msg = msg.reshape(len(msg), -1)
-    return classical_epsilon(ClassicalJoint(key)), classical_epsilon(ClassicalJoint(msg))
+def _check_joints(p: np.ndarray) -> None:
+    """:class:`ClassicalJoint`'s checks on each joint p[r] of a stack."""
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite probability")
+    if p.min() < -1e-15:
+        raise ValueError("negative probability")
+    if (np.abs(p.reshape(len(p), -1).sum(axis=1) - 1.0) > 1e-12).any():
+        raise ValueError("probabilities do not sum to 1")
+
+
+def _joint_epsilons(p: np.ndarray) -> np.ndarray:
+    """:func:`classical_epsilon` of each C-contiguous joint p[r], shape (|K|, |E|).
+
+    Summing axis 1 of the stack and then each contiguous row of |p - ideal|
+    runs numpy's reductions in the order they run on one joint, so every
+    value equals classical_epsilon's.  p is overwritten with |p - ideal|.
+    """
+    p -= p.sum(axis=1, keepdims=True) / p.shape[1]
+    np.abs(p, out=p)
+    return 0.5 * p.reshape(len(p), -1).sum(axis=1)
+
+
+def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
+    """(eps_key, eps_msg), each of shape (R, models), for every matrix and model of a bank.
+
+    ``views`` holds the models' tables side by side along the view axis and
+    ``widths`` their column counts.  One grouping serves every matrix and
+    model; each model's columns are then copied out contiguously, so each
+    joint is checked and scored exactly as :class:`ClassicalJoint` and
+    :func:`classical_epsilon` take it alone.  Scoring overwrites the joints,
+    which nothing reads again.
+    """
+    key, msg = _delayed_pa_joints(matrices, views, prior, MAX_EXHAUSTIVE_N)
+    n_rows, n_keys = key.shape[:2]
+    eps = np.empty((2, n_rows, len(widths)))
+    stop = 0
+    for i, width in enumerate(widths):
+        start, stop = stop, stop + width
+        # p(m', c, e): the msg view is the pair (c, e)
+        for side, joint in enumerate((key[..., start:stop], msg[..., start:stop])):
+            joint = np.ascontiguousarray(joint).reshape(n_rows, n_keys, -1)
+            _check_joints(joint)
+            eps[side, :, i] = _joint_epsilons(joint)
+    return eps[0], eps[1]
 
 
 def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float, float]:
@@ -243,26 +328,11 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     against the enlarged view (e, a XOR m) with m uniform over the preimage
     of m'.  Both sides are built directly from their definitions.
     """
-    return _classical_epsilons(
-        *_delayed_pa_joints(matrix, np.asarray(table, dtype=float), prior, MAX_EXHAUSTIVE_N)
-    )
-
-
-def _bank_epsilons(matrix: BinaryMatrix, views: np.ndarray, widths) -> list[tuple[float, float]]:
-    """(eps_key, eps_msg) under the uniform prior for every model of a bank.
-
-    ``views`` holds the models' tables side by side along the view axis and
-    ``widths`` their column counts.  One grouping serves every model; each
-    model's columns are then copied out contiguously, so it is scored
-    exactly as :func:`delayed_pa_epsilons` scores its table alone.
-    """
-    key, msg = _delayed_pa_joints(matrix, views, None, MAX_EXHAUSTIVE_N)
-    out = []
-    stop = 0
-    for width in widths:
-        start, stop = stop, stop + width
-        out.append(_classical_epsilons(key[:, start:stop].copy(), msg[:, :, start:stop]))
-    return out
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2:
+        raise ValueError("joint table must be 2-D")
+    eps_key, eps_msg = _bank_epsilons([matrix], table, table.shape[1:], prior)
+    return float(eps_key[0, 0]), float(eps_msg[0, 0])
 
 
 def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) -> tuple[float, float]:
@@ -272,8 +342,9 @@ def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) ->
     the delayed scenario the ciphertext c is a classical register beside the
     adversary system, so the msg joint holds one block per pad.
     """
-    key, msg = _delayed_pa_joints(matrix, np.asarray(eve_states, dtype=complex), prior, MAX_QUANTUM_N)
-    return cq_epsilon(CqJoint(key)), cq_epsilon(CqJoint(msg))
+    states = np.asarray(eve_states, dtype=complex)
+    key, msg = _delayed_pa_joints([matrix], states, prior, MAX_QUANTUM_N)
+    return cq_epsilon(CqJoint(key[0])), cq_epsilon(CqJoint(msg[0]))
 
 
 # ------------------------------------------------------------------ models
@@ -442,10 +513,11 @@ def enumerate_pa_matrices(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
 def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
     """One reduced row-echelon matrix per n_pa-dimensional subspace of GF(2)^n.
 
-    The convention is :func:`row_reduce`'s: a row's pivot is its lowest set
-    column.  Every choice of pivot columns p_0 < ... < p_{n_pa-1} and of the
-    bits of row r in the non-pivot columns above p_r gives one subspace, and
-    each subspace arises once, so there are Gaussian-binomial many.
+    The convention is :func:`delayedpa.gf2.row_reduce`'s: a row's pivot is
+    its lowest set column.  Every choice of pivot columns p_0 < ... < p_{n_pa-1}
+    and of the bits of row r in the non-pivot columns above p_r gives one
+    subspace, and each subspace arises once, so there are Gaussian-binomial
+    many.
     """
     for pivots in itertools.combinations(range(n), n_pa):
         free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
@@ -483,13 +555,20 @@ def sweep_delayed_pa(
         views = np.concatenate([table for _, table in tables], axis=1)
         widths = [table.shape[1] for _, table in tables]
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
-            for matrix in enumerate_row_spaces(n, n_pa):
-                for name, (eps_key, eps_msg) in zip(names, _bank_epsilons(matrix, views, widths)):
-                    gap = abs(eps_key - eps_msg)
-                    cases += 1
-                    if gap >= max_gap:  # ties go to the last case
-                        max_gap = gap
-                        worst = (n, n_pa, tuple(matrix.row_words), name, eps_key, eps_msg)
+            spaces = list(enumerate_row_spaces(n, n_pa))
+            # row spaces per call, so one call's joint table stays within the bound
+            step = max(1, _SCATTER_ENTRIES // ((1 << n_pa) * (1 << n) * views.shape[1]))
+            for lo in range(0, len(spaces), step):
+                chunk = spaces[lo:lo + step]
+                eps_key, eps_msg = _bank_epsilons(chunk, views, widths)
+                gaps = np.abs(eps_key - eps_msg).ravel()  # cases by row space, then model
+                cases += gaps.size
+                last = gaps.size - 1 - int(np.argmax(gaps[::-1]))
+                if gaps[last] >= max_gap:  # ties go to the last case
+                    max_gap = float(gaps[last])
+                    r, m = divmod(last, len(names))
+                    rows = tuple(chunk[r].row_words)
+                    worst = (n, n_pa, rows, names[m], float(eps_key[r, m]), float(eps_msg[r, m]))
     if worst is not None:
         n, n_pa, rows, name, eps_key, eps_msg = worst
         worst = {

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from delayedpa.security import (
     _bank_epsilons,
     _grouped_views,
     _hash_values,
+    MAX_QUANTUM_N,
     ClassicalJoint,
     CqJoint,
     SecurityReport,
@@ -279,8 +282,10 @@ def test_bank_epsilons_equal_one_model_at_a_time():
         views = np.concatenate(tables, axis=1)
         widths = [t.shape[1] for t in tables]
         for k in range(1, min(n, 2) + 1):
-            for matrix in enumerate_row_spaces(n, k):
-                got = _bank_epsilons(matrix, views, widths)
+            spaces = list(enumerate_row_spaces(n, k))
+            eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+            for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
+                got = list(zip(keys, msgs))
                 assert got == [delayed_pa_epsilons(matrix, t) for t in tables], (n, k, matrix)
 
 
@@ -308,13 +313,17 @@ def test_row_space_sweep_matches_ordered_sweep():
 def test_sweep_hashes_once_per_row_space(monkeypatch):
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return _hash_values(matrix)
+    def counting(matrices):
+        calls.extend(matrices)
+        return _hash_values(matrices)
 
     monkeypatch.setattr(delayedpa.security, "_hash_values", counting)
     result = sweep_delayed_pa(4, 2)
     assert len(calls) == 67
+    spaces = {
+        m for n in range(2, 5) for k in range(1, min(2, n - 1) + 1) for m in enumerate_row_spaces(n, k)
+    }
+    assert set(calls) == spaces
     assert result["cases"] == 67 * len(load_eve_bank())
 
 
@@ -548,3 +557,225 @@ def test_grouped_views_short_last_run_match_sums(monkeypatch):
         for c in range(size):
             want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
             assert np.abs(msg[k, c] - want).max() <= 1e-12
+
+
+# ------------------------------------------------------------- batched kernel
+# The one-matrix scatter-add grouping the batched kernel replaced, verbatim,
+# as its oracle: np.bincount sums every cell over a in increasing order, so
+# the gather over fibers must match it bit for bit.
+
+# the oracle's own scatter-run bound, fixed here so that patching the
+# kernel's bound leaves the oracle alone
+_SCATTER_ENTRIES = 1 << 15
+
+
+def ref_grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
+    """(key, msg) for the views w_a = weighted[a], of any trailing shape.
+
+    key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a,
+    from scatter-adds over runs of pads c that sum every cell over a in
+    increasing order.
+    """
+    size = f_vals.shape[0]
+    flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
+    width = flat.shape[1]
+    pads = np.arange(size)
+    table = np.empty((n_keys, size, width))
+    step = max(1, _SCATTER_ENTRIES // (size * width))
+    # every pad of a run weighs its cells by the same views, so the weights of
+    # the longest run are built once; a shorter last run takes a prefix
+    weights = np.tile(flat.ravel(), min(step, size))
+    for lo in range(0, size, step):
+        run = pads[lo:lo + step, None]
+        # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check must
+        # not assume the additivity it certifies
+        cell = f_vals[run ^ pads] * len(run) + run - lo  # [c, a] -> m' * len(run) + c - lo
+        cells = np.add.outer(cell * width, np.arange(width))
+        sums = np.bincount(cells.ravel(), weights[:cells.size], n_keys * len(run) * width)
+        table[:, lo:lo + step] = sums.reshape(n_keys, len(run), width)
+    table = table.view(weighted.dtype).reshape((n_keys, size) + weighted.shape[1:])
+    key = table[:, 0].copy()  # pad c = 0 is the undelayed key
+    table /= size
+    return key, table
+
+
+def ref_bank_epsilons(matrix, views, widths):
+    """One matrix grouped by the oracle, each model's columns scored as one ClassicalJoint."""
+    size = 1 << matrix.cols
+    weighted = np.full(size, 1.0 / size)[:, None] * views
+    key, msg = ref_grouped_views(ref_hash_values(matrix), 1 << matrix.rows, weighted)
+    out = []
+    stop = 0
+    for width in widths:
+        start, stop = stop, stop + width
+        out.append((
+            classical_epsilon(ClassicalJoint(key[:, start:stop].copy())),
+            classical_epsilon(ClassicalJoint(msg[:, :, start:stop].reshape(len(msg), -1))),
+        ))
+    return out
+
+
+def _bank_views(n):
+    tables = [t for _, t in bank_tables(load_eve_bank(), n)]
+    return np.concatenate(tables, axis=1), [t.shape[1] for t in tables]
+
+
+def test_grouped_views_match_scatter_oracle_on_every_small_row_space():
+    for n in range(1, 6):
+        views, _ = _bank_views(n)
+        weighted = views / (1 << n)
+        for k in range(1, n + 1):
+            spaces = list(enumerate_row_spaces(n, k))
+            key, msg = _grouped_views(_hash_values(spaces), 1 << k, weighted)
+            assert key.shape == (len(spaces), 1 << k, views.shape[1])
+            for i, matrix in enumerate(spaces):
+                want_key, want_msg = ref_grouped_views(ref_hash_values(matrix), 1 << k, weighted)
+                assert np.array_equal(key[i], want_key), (n, k, matrix)
+                assert np.array_equal(msg[i], want_msg), (n, k, matrix)
+
+
+@pytest.mark.parametrize("n_keys", [4, 5])
+@pytest.mark.parametrize("trailing, complex_views", [((), False), ((3,), False), ((2, 2), True)])
+def test_grouped_views_match_scatter_oracle_on_unbalanced_f(n_keys, trailing, complex_views):
+    # random tables of f have fibers of unequal length, and with 5 keys over
+    # 32 inputs (the last row never takes key 4) some fibers are empty
+    rng = np.random.default_rng(17)
+    size, rows = 32, 4
+    f_vals = rng.integers(0, n_keys, (rows, size))
+    f_vals[-1] = rng.integers(0, 4, size)
+    assert any(len(set(np.bincount(f, minlength=n_keys))) > 1 for f in f_vals)
+    weighted = rng.random((size,) + trailing)
+    if complex_views:
+        weighted = weighted + 1j * rng.random((size,) + trailing)
+    key, msg = _grouped_views(f_vals, n_keys, weighted)
+    for i in range(rows):
+        want_key, want_msg = ref_grouped_views(f_vals[i], n_keys, weighted)
+        one_key, one_msg = _grouped_views(f_vals[i], n_keys, weighted)
+        for got_key, got_msg in ((key[i], msg[i]), (one_key, one_msg)):
+            assert np.array_equal(got_key, want_key)
+            assert np.array_equal(got_msg, want_msg)
+
+
+def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
+    # chunks of 3 (row space, pad) pairs leave a last chunk of one pad
+    # (16 = 5 * 3 + 1); chunks of 3 whole row spaces leave one of one row
+    # space (7 = 2 * 3 + 1)
+    rng = np.random.default_rng(18)
+    size, n_keys, rows = 16, 4, 7
+    weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
+    width = weighted[0].size * 2
+    linear = _hash_values(list(enumerate_row_spaces(4, 2))[:rows])
+    for f_vals in (linear, rng.integers(0, n_keys, (rows, size))):
+        whole = _grouped_views(f_vals, n_keys, weighted)
+        for pairs in (3, 3 * size):
+            with monkeypatch.context() as m:
+                m.setattr(delayedpa.security, "_SCATTER_ENTRIES", pairs * n_keys * width)
+                key, msg = _grouped_views(f_vals, n_keys, weighted)
+            assert np.array_equal(key, whole[0]) and np.array_equal(msg, whole[1])
+            for i in range(rows):
+                want_key, want_msg = ref_grouped_views(f_vals[i], n_keys, weighted)
+                assert np.array_equal(key[i], want_key)
+                assert np.array_equal(msg[i], want_msg)
+
+
+def test_bank_epsilons_equal_scatter_oracle_on_every_small_row_space():
+    # every (row space, model) pair with n <= 5, including n_pa = n, where the
+    # one-column blind model's key joint has up to 32 rows
+    for n in range(1, 6):
+        views, widths = _bank_views(n)
+        for k in range(1, n + 1):
+            spaces = list(enumerate_row_spaces(n, k))
+            eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+            for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
+                want = ref_bank_epsilons(matrix, views, widths)
+                assert list(zip(keys, msgs)) == want, (n, k, matrix)
+
+
+# ------------------------------------------------------------- closed forms
+# Values derived by hand, sharing no code with the verifier.
+
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.25, 0.5])
+def test_noisy_copy_epsilons_match_closed_form(q):
+    # the parity of the bits S of a, seen through a copy of a with each bit
+    # flipped with probability q, is biased by (1 - 2q)^|S| given the copy:
+    # eps = |1 - 2q|^|S| / 2, on both sides
+    for n in range(1, 6):
+        table = eve_table("noisy-copy", n, flip_prob=q)
+        for row in range(1, 1 << n):
+            want = 0.5 * abs(1 - 2 * q) ** bin(row).count("1")
+            eps_key, eps_msg = delayed_pa_epsilons(BinaryMatrix(1, n, (row,)), table)
+            assert abs(eps_key - want) <= 1e-15, (n, row)
+            assert abs(eps_msg - want) <= 1e-15, (n, row)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.6, 0.95])
+def test_product_state_epsilons_match_closed_form(overlap):
+    # sigma_a is the product of one pure qubit state per bit of a, the two at
+    # trace distance delta; the parity of the bits S gives
+    # rho_0 - rho_1 = 2^(1 - |S|) (sigma_0 - sigma_1)^(x |S|) beside a common
+    # factor, so eps = delta^|S| / 2, on both sides
+    kets = [np.array([1.0, 0.0]), np.array([overlap, math.sqrt(1 - overlap ** 2)])]
+    qubit = [np.outer(v, v).astype(complex) for v in kets]
+    delta = math.sqrt(1 - overlap ** 2)
+    for n in range(1, MAX_QUANTUM_N + 1):
+        states = []
+        for a in range(1 << n):
+            rho = np.ones((1, 1), dtype=complex)
+            for i in range(n):
+                rho = np.kron(rho, qubit[(a >> i) & 1])
+            states.append(rho)
+        for row in range(1, 1 << n):
+            want = 0.5 * delta ** bin(row).count("1")
+            eps_key, eps_msg = delayed_pa_epsilons_quantum(BinaryMatrix(1, n, (row,)), states)
+            assert abs(eps_key - want) <= 1e-15, (n, row)
+            assert abs(eps_msg - want) <= 1e-15, (n, row)
+
+
+# ------------------------------------------------------------- rank check
+
+def test_stack_with_one_dependent_matrix_is_rejected():
+    views, widths = _bank_views(3)
+    spaces = list(enumerate_row_spaces(3, 2))
+    dependent = BinaryMatrix.from_rows([[1, 1, 0], [1, 1, 0]])
+    _bank_epsilons(spaces, views, widths)
+    with pytest.raises(ValueError, match="rows not independent"):
+        _bank_epsilons(spaces[:3] + [dependent] + spaces[3:], views, widths)
+
+
+def test_quantum_verifier_rejects_dependent_rows():
+    m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # row 3 = row 1 + row 2
+    with pytest.raises(ValueError, match="rows not independent"):
+        delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 8)
+
+
+def test_fiber_count_rank_check_agrees_with_row_reduce():
+    # every matrix of up to 3 rows and 3 columns, dependent and zero rows included
+    for cols in range(1, 4):
+        table = eve_table("blind", cols)
+        for rows in range(1, 4):
+            for words in itertools.product(range(1 << cols), repeat=rows):
+                matrix = BinaryMatrix(rows, cols, words)
+                if row_reduce(matrix).rank == rows:
+                    assert delayed_pa_epsilons(matrix, table) == (0.0, 0.0)
+                else:
+                    with pytest.raises(ValueError, match="rows not independent"):
+                        delayed_pa_epsilons(matrix, table)
+
+
+# ------------------------------------------------------------- memory
+
+def test_one_wide_row_space_stays_within_memory_bound():
+    # one n = 7, n_pa = 6 row space against the default bank: the joint table
+    # is 64 keys x 128 pads x 265 views (16.6 MiB), and scoring copies out one
+    # model's block (at most 8 MiB) at a time and overwrites it.  The batched
+    # kernel peaks at 25.7 MiB under tracemalloc; the one-matrix scatter-add
+    # verifier it replaced peaked at 40.9 MiB.
+    views, widths = _bank_views(7)
+    matrix = next(enumerate_row_spaces(7, 6))
+    tracemalloc.start()
+    try:
+        _bank_epsilons([matrix], views, widths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 << 20
