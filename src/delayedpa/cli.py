@@ -1,13 +1,19 @@
 """Command-line front end: key-rate accounting, protocol runs, verification.
 
-Exit codes: 0 success, 2 protocol abort, 3 config error, 4 verification
-failure.  Every report carries the seed actually used, so any run can be
-replayed byte-identically (timing aside) by passing ``--seed`` back in.
+Exit codes: 0 success, 2 protocol abort, 3 config error (an ``--out``
+path that cannot be written included), 4 verification failure.  Every
+report carries the seed actually used, so any run can be replayed
+byte-identically (timing aside) by passing ``--seed`` back in.
+
+``main(argv)`` may be called any number of times in one process: it builds
+the argument parser on its first call and reuses it, since parsing leaves
+no state on the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -43,6 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _fresh_seed() -> int:
     return random.SystemRandom().randrange(2**32)
+
+
+def _error(command: str, message) -> int:
+    print(f"delayedpa {command}: error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -112,12 +123,14 @@ def _cmd_keyrate(args) -> int:
         if args.eb_single is not None:
             single = two_way_rate_single_line(args.eb_single, args.ep)
     except ValueError as exc:
-        print(f"delayedpa keyrate: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("keyrate", exc)
     report = reports.keyrate_report(
         args.n, args.eb_roundtrip, args.ep, ledger, single, time.perf_counter() - start
     )
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        return _error("keyrate", exc)
     return EXIT_ABORT if ledger.abort else EXIT_OK
 
 
@@ -128,8 +141,7 @@ def _cmd_simulate(args) -> int:
             doc["seed"] = _fresh_seed()
         cfg = reports.build_config(doc)
     except (ValueError, OSError, KeyError) as exc:
-        print(f"delayedpa simulate: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("simulate", exc)
     start = time.perf_counter()
     try:
         if isinstance(cfg, Bb84Config):
@@ -141,21 +153,22 @@ def _cmd_simulate(args) -> int:
         else:
             result = run_relay(cfg)
     except ValueError as exc:
-        print(f"delayedpa simulate: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("simulate", exc)
     seconds = time.perf_counter() - start
     if isinstance(cfg, RelayConfig):
         report = reports.relay_report(result, doc, seconds)
     else:
         report = reports.transcript_report(result, doc, seconds)
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        return _error("simulate", exc)
     return EXIT_ABORT if report["abort"] else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
-        print(f"delayedpa verify: error: seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("verify", f"seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else _fresh_seed()
     # suites pulls in scipy (about a second), which only verify needs
     from delayedpa.suites import (
@@ -188,15 +201,24 @@ def _cmd_verify(args) -> int:
                 quantum_dim=args.quantum_dim, seed=seed,
             )
     except (ValueError, OSError) as exc:
-        print(f"delayedpa verify: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("verify", exc)
     report = reports.verify_report(args.suite, seed, passed, payload, time.perf_counter() - start)
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        return _error("verify", exc)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # one parser per process: parse_args returns a fresh Namespace each call,
+    # and no action keeps state (no append actions, no mutable defaults)
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "keyrate":
         return _cmd_keyrate(args)
     if args.command == "simulate":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 from delayedpa.gf2 import BitVector
 from delayedpa.protocols import (
@@ -54,12 +54,17 @@ def key_digest(v: BitVector | None) -> str | None:
     return h.hexdigest()
 
 
+def _fields_doc(obj) -> dict:
+    # every field is a flat scalar, so this equals asdict() without its deep copies
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def estimate_doc(est: ErrorEstimate | None) -> dict | None:
-    return None if est is None else asdict(est)
+    return None if est is None else _fields_doc(est)
 
 
 def ledger_doc(ledger: KeyLedger | None) -> dict | None:
-    return None if ledger is None else asdict(ledger)
+    return None if ledger is None else _fields_doc(ledger)
 
 
 def transcript_report(t: ProtocolTranscript, config_doc: dict, seconds: float) -> dict:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayedpa
-from delayedpa import reports
-from delayedpa.cli import SUITES, main
+from delayedpa import cli, reports
+from delayedpa.cli import SUITES, build_parser, main
+from delayedpa.protocols import Bb84Config, DqkdConfig, key_length, run_bb84, run_dqkd
 from delayedpa.security import MAX_ABAR_DIM, MAX_QUANTUM_DIM
 
 SCHEMA = json.loads(
@@ -516,6 +518,100 @@ def test_verify_delayed_pa_sweeps_width_seven(tmp_path, capsys):
     assert code == 0
     # one row space per nonzero row at n_pa = 1, against both models
     assert report["payload"]["classical"]["cases"] == 2 * sum((1 << n) - 1 for n in range(2, 8))
+
+
+# --------------------------------------------------------------- reports
+
+def test_report_dicts_equal_asdict():
+    without_roundtrip = run_bb84(Bb84Config(n=300, n_test=80, seed=3)).estimate
+    with_roundtrip = run_dqkd(DqkdConfig(n=300, n_test=80, seed=3)).estimate
+    assert without_roundtrip.e_roundtrip is None
+    assert with_roundtrip.e_roundtrip is not None
+    for est in (without_roundtrip, with_roundtrip):
+        assert reports.estimate_doc(est) == asdict(est)
+    ledger = key_length(1000, 0.25, 0.25)
+    assert ledger.abort
+    assert reports.ledger_doc(ledger) == asdict(ledger)
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--n", "100", "--eb-roundtrip", "0", "--ep", "0"],
+    ["simulate", "bb84", "--n", "100", "--seed", "1"],
+    ["verify", "--suite", "table1", "--seed", "1"],
+], ids=["keyrate", "simulate", "verify"])
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    code, _, out, err = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.json")], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"delayedpa {argv[0]}: error: ")
+
+
+# --------------------------------------------------------------- parser reuse
+
+def test_parser_reuse_keeps_no_flag_state(capsys):
+    bb84 = ["simulate", "bb84", "--n", "300", "--seed", "3"]
+    code, report, _, _ = run_cli([*bb84, "--no-quantum-memory"], capsys)
+    assert code == 0 and report["config"]["quantum_memory"] is False
+    code, report, _, _ = run_cli(bb84, capsys)
+    assert code == 0 and "quantum_memory" not in report["config"]
+    assert report["sift"]["retained"] == report["sift"]["sent"]
+
+
+def test_parser_reuse_restores_defaults(capsys):
+    suite = ["verify", "--suite", "protocol-2c2d", "--abar-dim", "2", "--seed", "3"]
+    code, report, _, _ = run_cli([*suite, "--trials", "3"], capsys)
+    assert code == 0 and report["payload"]["trials"] == 3
+    code, report, _, _ = run_cli(suite, capsys)
+    assert code == 0 and report["payload"]["trials"] == 100
+
+
+def test_parser_reuse_after_usage_error(capsys):
+    code, _, _, _ = run_cli(["keyrate", "--n", "10", "--bogus", "1"], capsys)
+    assert code == 3
+    code, report, _, _ = run_cli(["keyrate", "--n", "10", "--eb-roundtrip", "0", "--ep", "0"], capsys)
+    assert code == 0 and report["key_ledger"]["n_key"] == 10
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_reused_parser_help_matches_fresh_parser(capsys):
+    run_cli(["keyrate", "--n", "10", "--eb-roundtrip", "0", "--ep", "0"], capsys)
+    assert _help(main, ["--help"], capsys) == build_parser().format_help()
+    for command in ("keyrate", "simulate", "verify"):
+        fresh = _help(build_parser().parse_args, [command, "--help"], capsys)
+        assert _help(main, [command, "--help"], capsys) == fresh
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for n in range(1, 21):
+            run_cli(["keyrate", "--n", str(n), "--eb-roundtrip", "0", "--ep", "0"], capsys)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_main_reads_sys_argv_at_call_time(monkeypatch, capsys):
+    for n in (10, 20):
+        monkeypatch.setattr(sys, "argv", ["delayedpa", "keyrate", "--n", str(n),
+                                          "--eb-roundtrip", "0", "--ep", "0"])
+        code, report, _, _ = run_cli(None, capsys)
+        assert code == 0 and report["key_ledger"]["n"] == n
 
 
 # --------------------------------------------------------------- fuzz
