@@ -1,9 +1,10 @@
 """Command-line front end: key-rate accounting, protocol runs, verification.
 
 Exit codes: 0 success, 2 protocol abort, 3 config error (an ``--out``
-path that cannot be written included), 4 verification failure.  Every
-report carries the seed actually used, so any run can be replayed
-byte-identically (timing aside) by passing ``--seed`` back in.
+path that cannot be written included, found before any work is done), 4
+verification failure.  Every report carries the seed actually used, so any
+run can be replayed byte-identically (timing aside) by passing ``--seed``
+back in.
 
 ``main(argv)`` may be called any number of times in one process: it builds
 the argument parser on its first call and reuses it, since parsing leaves
@@ -13,7 +14,9 @@ no state on the parser.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import random
 import sys
 import time
@@ -54,6 +57,24 @@ def _fresh_seed() -> int:
 def _error(command: str, message) -> int:
     print(f"delayedpa {command}: error: {message}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _check_out(out_path: str | None) -> None:
+    """Raise the OSError that writing ``--out`` would raise, without writing.
+
+    Run before any work, so an unwritable path costs nothing; nothing is
+    created or truncated, so a run that then stops on a config error leaves
+    the path as it was.
+    """
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
+    if not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out_path)
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -219,6 +240,10 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        _check_out(args.out)
+    except OSError as exc:
+        return _error(args.command, exc)
     if args.command == "keyrate":
         return _cmd_keyrate(args)
     if args.command == "simulate":

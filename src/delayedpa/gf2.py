@@ -2,10 +2,10 @@
 
 Vectors and matrix rows are stored as arbitrary-precision Python integers
 with LSB-first packing: bit i lives at word i // 64, slot i % 64 when the
-integer is viewed as 64-bit words.  XOR of equal-length vectors, AND plus
-popcount dot products, and whole-row eliminations are then single big-int
-operations, which keeps desk-scale exhaustive checks and 10^4-bit protocol
-keys fast without any native extension.
+integer is viewed as 64-bit words.  XOR of equal-length vectors and AND
+plus popcount dot products are then single big-int operations, which keeps
+desk-scale exhaustive checks and 10^4-bit protocol keys fast without any
+native extension.
 
 Text forms share the same order: a vector's 0/1 string (character i is bit
 i) is the reversed ``format(bits, "0{length}b")``, and its hex string
@@ -16,11 +16,13 @@ through ``np.packbits``.
 
 :func:`row_reduce` carries each row's operation record in the bits above
 column ``cols``, so one XOR or swap updates the row and its record together.
-It is Gauss-Jordan elimination done by the Method of Four Russians in
-blocks of k = max(8, floor(log2 rows) - 2) columns: a block's pivots are
-found lazily, then one table of the XOR combinations of its pivot rows
-updates every other row with a single lookup and XOR.  The result, swap
-order included, is exactly the column-by-column elimination's.
+It is Gauss-Jordan elimination done by the Method of Four Russians on one
+C-contiguous ``(rows, words)`` array of little-endian uint64 words, in
+blocks of 8 columns, so a block is one byte column of the array's ``uint8``
+view.  A block's pivots are found on that byte column alone, then one table
+of the XOR combinations of its pivot rows updates every row by a gather and
+an in-place XOR, 256 rows per call.  The result, swap order included, is
+exactly the column-by-column elimination's.
 
 :func:`toeplitz_hasher` applies a Toeplitz matrix without building it: the
 product is one real FFT convolution of the seed and key bits (numpy),
@@ -41,7 +43,6 @@ the row reduction, the rank check and z = row_ops y are done once per
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -356,6 +357,11 @@ def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
     return toeplitz_hasher(seed, n_pa, x.length)(x)
 
 
+_OCTETS = np.arange(256, dtype=np.uint8)
+_INDICES = np.arange(256, dtype=np.intp)
+_GATHER_ROWS = 256
+
+
 def row_reduce(a: BinaryMatrix) -> RowReduction:
     """Reduced row-echelon form with the row-operation product recorded.
 
@@ -365,90 +371,120 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     The result is plain Gauss-Jordan elimination's: column by column, the
     first row at or below the next pivot position with a 1 there is swapped
     up and cleared from every other row.  It is computed by the Method of
-    Four Russians (Bard, IACR ePrint 2006/251) in blocks of k consecutive
-    columns.  Inside a block only the block's own pivot rows are kept
-    reduced; a lower row is brought up to date against them when the pivot
-    search reads it.  At the end of the block, a table of all XOR
-    combinations of its pivot rows, indexed by a row's bits in the block,
-    updates every other row with one lookup and one XOR.  That is about
-    rows * cols / k row operations where Gauss-Jordan needs rows * rank.
+    Four Russians (Bard, IACR ePrint 2006/251) on one C-contiguous
+    ``(rows, words)`` array of little-endian uint64 words, each row followed
+    by its operation record.  Blocks are 8 columns wide, so block b is byte
+    column b of the array's ``uint8`` view.  For each block:
 
-    k = max(8, floor(log2 rows) - 2): the 2**k-entry table then holds at
-    most a quarter as many rows as the matrix, so it costs a fraction of
-    the pass over the rows it serves, and little memory.  A matrix of at
-    most 8 columns is one block, which needs no table when every row is one
-    of its pivots.
+    - the byte column of the rows from the next pivot position down is read
+      into a list once, and the pivot search runs on those small ints: a
+      lower row is brought up to date against the block's pivots so far
+      when the search reads it, and a pivot row is swapped up;
+    - the swapped full rows move in one indexed assignment;
+    - a table of all 2**p XOR combinations of the block's p pivot rows, as
+      they stand before the block, is built by p doublings;
+    - a 256-entry lookup maps every row's byte to the one table index that
+      clears the pivot columns, which for a pivot row is corrected to the
+      combination leaving only its own pivot bit (the block's Gauss-Jordan);
+    - a gather of the table by those indices and an in-place XOR update
+      every row, 256 rows per call so the gathered copy stays small.
 
-    The reduced form is unique, and each row's combination of pivot rows is
-    fixed by its bits at the pivot columns, so every field, the swap order
-    of a rank-deficient input included, equals Gauss-Jordan's exactly.
+    That is about rows * cols / 8 row operations, done in numpy, where
+    Gauss-Jordan needs rows * rank.  The reduced form is unique, and each
+    row's combination of pivot rows is fixed by its bits at the pivot
+    columns, so every field, the swap order of a rank-deficient input
+    included, equals Gauss-Jordan's exactly.
     """
     rows, cols = a.rows, a.cols
-    # row i's operation record sits above column cols, starting as e_i
-    work = [w | (1 << (cols + i)) for i, w in enumerate(a.row_words)]
-    k = max(8, rows.bit_length() - 3)
+    # each row is written into the array's buffer directly, with no joined copy
+    row_bytes = (cols + rows + 63) >> 6 << 3
+    col_bytes = (cols + 7) >> 3
+    buf = bytearray(rows * row_bytes)
+    for i, w in enumerate(a.row_words):
+        start = i * row_bytes
+        buf[start : start + col_bytes] = w.to_bytes(col_bytes, "little")
+        # row i's operation record sits above column cols, starting as e_i
+        buf[start + ((cols + i) >> 3)] |= 1 << ((cols + i) & 7)
+    work = np.frombuffer(buf, dtype="<u8").reshape(rows, row_bytes >> 3)
+    octets = work.view(np.uint8)
+    table = np.zeros((256, work.shape[1]), dtype="<u8")
+    table_octets = table.view(np.uint8)
+    index_of = np.empty(256, dtype=np.intp)
     pivot_cols: list[int] = []
     free_cols: list[int] = []
     r = 0
-    for c0 in range(0, cols, k):
+    for c0 in range(0, cols, 8):
         if r == rows:
             break
-        r0 = r  # the block's pivot rows are work[r0:r]
-        bits: list[int] = []  # bits[j] marks the pivot column of work[r0 + j]
-        for c in range(c0, min(c0 + k, cols)):
-            bit = 1 << c
-            for i in range(r, rows):
-                w = work[i]
-                for j, b in enumerate(bits, r0):
-                    if w & b:
-                        w ^= work[j]
-                if w & bit:
+        r0 = r  # the block's pivot rows end up at r0 .. r - 1
+        byte = c0 >> 3
+        col = octets[r0:, byte].tolist()  # col[i] is row r0 + i's byte
+        bits: list[int] = []  # bits[j] marks the pivot column of row r0 + j
+        moved: dict[int, int] = {}  # position -> the position its row came from
+        for c in range(c0, min(c0 + 8, cols)):
+            bit = 1 << (c - c0)
+            for i in range(r - r0, rows - r0):
+                v = col[i]
+                for j, b in enumerate(bits):
+                    if v & b:
+                        v ^= col[j]
+                if v & bit:
                     break
-                work[i] = w
+                col[i] = v
             else:
                 free_cols.append(c)
                 continue
-            work[i] = work[r]
-            work[r] = w
-            for j in range(r0, r):
-                if work[j] & bit:
-                    work[j] ^= w
+            p = r - r0
+            if i != p:
+                col[i] = col[p]
+                moved[r0 + i], moved[r] = moved.get(r, r), moved.get(r0 + i, r0 + i)
+            col[p] = v
+            for j in range(p):
+                if col[j] & bit:
+                    col[j] ^= v
             pivot_cols.append(c)
             bits.append(bit)
             r += 1
             if r == rows:
                 break
-        if 0 < r - r0 < rows:
-            _apply_block(work, r0, r, c0, pivot_cols)
+        if r == r0:
+            continue
+        if moved:
+            work[list(moved)] = work[list(moved.values())]
+        # table[x] is the XOR of the block's pivot rows, as they stand
+        # before it, whose bit is set in x
+        for j in range(r - r0):
+            np.bitwise_xor(table[: 1 << j], work[r0 + j : r0 + j + 1], table[1 << j : 2 << j])
+        # the pivot rows are independent on the pivot columns, so each
+        # pattern k of bits there is met by exactly one entry, index_of[k];
+        # every pattern is rewritten here, and only patterns are read
+        size = 1 << (r - r0)
+        pivot_mask = np.uint8(sum(bits))
+        index_of[table_octets[:size, byte] & pivot_mask] = _INDICES[:size]
+        idx = index_of[_OCTETS & pivot_mask].take(octets[:, byte])
+        # a pivot row's byte selects the row itself; its reduced form is the
+        # combination that leaves only its own pivot bit
+        idx[r0:r] ^= index_of[bits]
+        # in chunks of rows: a whole-array gather would be a second copy of
+        # the work array, which the allocator then keeps resident
+        for s0 in range(0, rows, _GATHER_ROWS):
+            work[s0 : s0 + _GATHER_ROWS] ^= table.take(idx[s0 : s0 + _GATHER_ROWS], axis=0)
     # the columns visited are a prefix; once every row is a pivot the rest are free
     free_cols += range(len(pivot_cols) + len(free_cols), cols)
     col_mask = (1 << cols) - 1
+    upper: list[int] = []
+    row_ops: list[int] = []
+    view = memoryview(buf)
+    for i in range(rows):
+        w = int.from_bytes(view[i * row_bytes : (i + 1) * row_bytes], "little")
+        upper.append(w & col_mask)
+        row_ops.append(w >> cols)
     return RowReduction(
-        upper=BinaryMatrix(rows, cols, tuple([w & col_mask for w in work])),
-        row_ops=BinaryMatrix(rows, rows, tuple([w >> cols for w in work])),
+        upper=BinaryMatrix(rows, cols, tuple(upper)),
+        row_ops=BinaryMatrix(rows, rows, tuple(row_ops)),
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(free_cols),
     )
-
-
-def _apply_block(work: list[int], r0: int, r: int, c0: int, pivot_cols: list[int]) -> None:
-    """Clear the pivot rows work[r0:r] of the block at column c0 from every other row.
-
-    table[x] is the XOR of the pivot rows whose column bit is set in x, x
-    being a row's bits from column c0 up; a free column's bit selects
-    nothing, so it doubles the table.
-    """
-    table = [0]
-    top = c0
-    for j in range(r0, r):
-        table *= 1 << (pivot_cols[j] - top)
-        p = work[j]
-        table += [t ^ p for t in table]
-        top = pivot_cols[j] + 1
-    mask = len(table) - 1
-    # in place: a rebuilt list would hold a second copy of the rows at the peak
-    for i in itertools.chain(range(r0), range(r, len(work))):
-        work[i] ^= table[(work[i] >> c0) & mask]
 
 
 def kernel_basis(a: BinaryMatrix) -> list[BitVector]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayedpa
+import delayedpa.suites
 from delayedpa import cli, reports
 from delayedpa.cli import SUITES, build_parser, main
 from delayedpa.protocols import Bb84Config, DqkdConfig, key_length, run_bb84, run_dqkd
@@ -545,6 +546,48 @@ def test_unwritable_out_exits_3(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"delayedpa {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory", "writable"])
+@pytest.mark.parametrize("module, worker, argv", [
+    (cli, "key_length", ["keyrate", "--n", "100", "--eb-roundtrip", "0", "--ep", "0"]),
+    (cli, "run_bb84", ["simulate", "bb84", "--n", "100", "--seed", "1"]),
+    (delayedpa.suites, "suite_table1", ["verify", "--suite", "table1", "--seed", "1"]),
+], ids=["keyrate", "simulate", "verify"])
+def test_unwritable_out_is_found_before_any_work(tmp_path, capsys, monkeypatch, module, worker, argv, where):
+    calls = []
+    real = getattr(module, worker)
+
+    def counted(*args, **kwargs):
+        calls.append(worker)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, worker, counted)
+    out = {
+        "directory": tmp_path,
+        "missing-directory": tmp_path / "missing" / "x.json",
+        "writable": tmp_path / "x.json",
+    }[where]
+    code, _, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+    if where == "writable":
+        assert code == 0 and calls == [worker]
+        check_schema(json.loads(out.read_text()))
+    else:
+        _assert_one_line_config_error(code, stdout, err)
+        assert calls == []
+
+
+def test_config_error_leaves_out_path_untouched(tmp_path, capsys):
+    existing = tmp_path / "kept.json"
+    existing.write_text("kept")
+    absent = tmp_path / "absent.json"
+    for out in (existing, absent):
+        code, _, stdout, err = run_cli(
+            ["simulate", "bb84", "--n", "100", "--seed", "-1", "--out", str(out)], capsys
+        )
+        _assert_one_line_config_error(code, stdout, err)
+    assert existing.read_text() == "kept"
+    assert not absent.exists()
 
 
 # --------------------------------------------------------------- parser reuse

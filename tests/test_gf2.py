@@ -494,14 +494,19 @@ def _matrix(kind, rows, cols, rng):
     return BinaryMatrix(rows, cols, tuple(words))
 
 
-# widths 7 .. 11 straddle the block widths of 8, 9 and 10 columns that
-# 300, 2100 and 4100 rows get; 63 / 64 / 65 straddle a machine word
+# widths 7 .. 11, and 1 .. 7 mod 8 under more than 256 rows, straddle the
+# 8-column blocks; 63 / 64 / 65 straddle a machine word, and so do
+# cols + rows = 63 .. 65 and 127 .. 129, where the operation record above
+# the columns crosses one
 RR_SHAPES = [
     (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
     (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
     (40, 63), (40, 64), (40, 65), (70, 65), (20, 200),
     (300, 7), (300, 8), (300, 9), (2100, 8), (2100, 9), (2100, 10),
     (4100, 9), (4100, 10), (4100, 11),
+    (31, 32), (31, 33), (32, 32), (33, 32),
+    (63, 64), (64, 64), (63, 65), (65, 64),
+    (257, 17), (260, 26), (300, 35), (270, 44), (280, 53), (290, 62), (300, 71),
 ]
 
 
@@ -532,6 +537,18 @@ def test_row_reduce_matches_gauss_jordan_on_toeplitz():
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert red.rank == n_pa
+
+
+@pytest.mark.parametrize("pattern, max_rank", [("1", 1), ("1101001", 7)], ids=["ones", "period-7"])
+def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max_rank):
+    # a periodic seed makes every row a shift of one period, so the session
+    # matrix has rank at most the period, and most columns are free
+    n, n_pa = 1024, 716
+    seed = BitVector.from01((pattern * (n + n_pa))[: n + n_pa - 1])
+    a = toeplitz_from_seed(seed, n_pa, n)
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert 1 <= red.rank <= max_rank
 
 
 # ---------------------------------------------------------------- kernel
@@ -736,6 +753,24 @@ def test_uniformity_suite_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert payload["draws"] == 200_000 and payload["samples_outside_preimage"] == 0
     assert peak < 512 * 1024
+
+
+def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
+    # the n = 2048 session's 1433 x 2048 Toeplitz matrix: the work array of
+    # rows with their operation records is 627 KiB, the table 113 KiB, and
+    # the result's ints, converted one row at a time while the array is
+    # alive, about 700 KiB.  The byte-column kernel peaks at 1.58 MiB under
+    # tracemalloc; the big-int row list it replaced peaked at 1.50 MiB.
+    n, n_pa = 2048, 1433
+    a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, random.Random(2048)), n_pa, n)
+    tracemalloc.start()
+    try:
+        red = row_reduce(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert red.rank == n_pa
+    assert peak <= 1792 << 10
 
 
 def test_preimage_uniformity_chi_square():
