@@ -5,9 +5,10 @@ Each report entry runs one ``delayedpa`` command line in-process and hashes
 its report bytes with the ``timing`` field removed; each session entry
 hashes ``DelayedPaSession.to_json()`` for the README example at one raw-key
 length.  ``tests/test_golden.py`` recomputes every digest, so an RNG stream
-or a report field that changes by accident fails tier-1.  Quantum payloads
-are left out (their epsilons move in the last bits between LAPACK builds),
-so the delayed-pa suite runs with ``--quantum-trials 0``.
+or a report field that changes by accident fails tier-1.  The delayed-pa
+quantum epsilons are left out (eigenvalues move in the last bits between
+LAPACK builds), so that suite runs with ``--quantum-trials 0``; the
+protocol-2c2d distances pass through no eigensolver and are kept.
 
 Rewrite the file only for a change that alters a stream or a report on
 purpose, and say so in CHANGES.md:
@@ -63,6 +64,10 @@ COMMANDS = {
     "verify preimage-uniformity": (
         "verify", "--suite", "preimage-uniformity", "--n", "6", "--npa", "2",
         "--draws", "2000", "--seed", "5"),
+    # 20,000 draws cross the 8,192-draw chunk and end on a short one
+    "verify preimage-uniformity chunks": (
+        "verify", "--suite", "preimage-uniformity", "--draws", "20000", "--seed", "5"),
+    "verify protocol-2c2d": ("verify", "--suite", "protocol-2c2d", "--trials", "30", "--seed", "5"),
     "verify delayed-pa": (
         "verify", "--suite", "delayed-pa", "--n", "3", "--npa", "2",
         "--quantum-trials", "0", "--seed", "5"),

@@ -38,7 +38,14 @@ sampling, and as the hash's test oracle.
 the row reduction, the rank check and z = row_ops y are done once per
 (matrix, y), and each draw sets the free columns from one
 ``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
-:func:`sample_preimage` is its one-draw form.
+Its batch form makes ``count`` draws at once, as an int64 array of codes,
+for matrices of at most 63 columns.  It reads the same ``random.Random``
+stream as ``count`` one-draw calls: ``getrandbits(k)`` is one 32-bit word
+shifted right by 32 - k for k <= 32, and two words, the second shifted
+right by 64 - k, for 32 < k <= 64; ``getrandbits(32 * words * count)``
+returns those same words, first word lowest.  The free bits are scattered by the same runs of free columns, and
+each pivot bit comes from a byte-parity lookup of ``row & x``.
+:func:`sample_preimage` is the one-draw form of a fresh sampler.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ __all__ = [
     "toeplitz_hasher",
     "row_reduce",
     "kernel_basis",
+    "PreimageSampler",
     "preimage_sampler",
     "sample_preimage",
 ]
@@ -377,9 +385,10 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     column b of the array's ``uint8`` view.  For each block:
 
     - the byte column of the rows from the next pivot position down is read
-      into a list once, and the pivot search runs on those small ints: a
-      lower row is brought up to date against the block's pivots so far
-      when the search reads it, and a pivot row is swapped up;
+      into a list once; if it is all zero, the block's columns are free and
+      the block is done.  Otherwise the pivot search runs on those small
+      ints: a lower row is brought up to date against the block's pivots so
+      far when the search reads it, and a pivot row is swapped up;
     - the swapped full rows move in one indexed assignment;
     - a table of all 2**p XOR combinations of the block's p pivot rows, as
       they stand before the block, is built by p doublings;
@@ -419,6 +428,10 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
         r0 = r  # the block's pivot rows end up at r0 .. r - 1
         byte = c0 >> 3
         col = octets[r0:, byte].tolist()  # col[i] is row r0 + i's byte
+        if not any(col):
+            # no row from r0 down has a 1 in the block: all its columns are free
+            free_cols += range(c0, min(c0 + 8, cols))
+            continue
         bits: list[int] = []  # bits[j] marks the pivot column of row r0 + j
         moved: dict[int, int] = {}  # position -> the position its row came from
         for c in range(c0, min(c0 + 8, cols)):
@@ -500,12 +513,93 @@ def kernel_basis(a: BinaryMatrix) -> list[BitVector]:
     return basis
 
 
+# _PARITY8[b] is the parity of the byte b
+_PARITY8 = np.unpackbits(_OCTETS[:, None], axis=1).sum(axis=1, dtype=np.int64) & 1
+
+
+@dataclass(frozen=True)
+class PreimageSampler:
+    """Uniform draws from {x : Ax = y}, set up once by :func:`preimage_sampler`.
+
+    Draw bit i goes to free column ``free_cols[i]``: each of ``runs`` is a
+    (mask, shift) pair that moves one run of consecutive free columns with
+    one mask and one shift.  Each of ``pivots`` is (row, pivot column, z[r])
+    for a row of the reduced echelon form, which touches its pivot plus
+    free columns only, so the pivot bit is z[r] plus its parity on the
+    free bits, and ``row & x`` reads those bits whichever other pivot bits
+    ``x`` already has.
+    """
+
+    cols: int
+    n_free: int
+    runs: tuple[tuple[int, int], ...]
+    pivots: tuple[tuple[int, int, int], ...]
+
+    def __call__(self, rng) -> BitVector:
+        """One draw; takes one ``rng.getrandbits(n_free)`` (none if n_free is 0)."""
+        bits = rng.getrandbits(self.n_free) if self.n_free else 0
+        x = 0
+        for mask, shift in self.runs:
+            x |= (bits & mask) << shift
+        for row, pc, z_r in self.pivots:
+            if (row & x).bit_count() & 1 != z_r:
+                x |= 1 << pc
+        return BitVector(self.cols, x)
+
+    def batch(self, rng, count: int) -> np.ndarray:
+        """``count`` draws as an int64 array of codes, for at most 63 columns.
+
+        Element i equals ``self(rng).bits`` for the i-th of ``count`` calls,
+        and ``rng`` ends in the same state: ``getrandbits(k)`` for k <= 32
+        is one 32-bit word shifted right by 32 - k, for 32 < k <= 64 two
+        words, the second shifted right by 64 - k, and
+        ``getrandbits(32 * w * count)`` returns the same words, first word
+        lowest, so one call gives every draw's free bits.
+        """
+        if self.cols > 63:
+            raise ValueError(f"batch draws need at most 63 columns, got {self.cols}")
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        k = self.n_free
+        if k == 0 or count == 0:
+            bits = np.zeros(count, dtype=np.int64)
+        else:
+            words = 1 if k <= 32 else 2
+            raw = rng.getrandbits(32 * words * count).to_bytes(4 * words * count, "little")
+            bits = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+            del raw
+            if words == 1:
+                bits >>= 32 - k
+            else:
+                high = bits[1::2] >> (64 - k)
+                high <<= 32
+                bits = bits[0::2] | high
+        x = np.zeros(count, dtype=np.int64)
+        for mask, shift in self.runs:
+            part = bits & mask
+            part <<= shift
+            x |= part
+        del bits
+        # the parity of a word is its xor folded down to one byte, looked up
+        folds = [s for s in (32, 16, 8) if self.cols > s]
+        for row, pc, z_r in self.pivots:
+            v = x & row
+            for s in folds:
+                v ^= v >> s
+            v &= 0xFF
+            parity = _PARITY8.take(v)
+            parity ^= z_r
+            parity <<= pc
+            x |= parity
+        return x
+
+
 def preimage_sampler(
     a: BinaryMatrix,
     y: BitVector,
     *,
     reduction: RowReduction | None = None,
-) -> Callable[[object], BitVector]:
+) -> PreimageSampler:
     """Uniform draws from {x : Ax = y} for a matrix with independent rows.
 
     Row-reduces once (or reuses a caller-cached ``reduction`` of ``a``) and
@@ -513,7 +607,8 @@ def preimage_sampler(
     ``draw(rng)`` takes the free-column bits from one
     ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
     back-substitutes the pivot columns from z; every preimage element comes
-    out with probability 2**-(cols - rows).
+    out with probability 2**-(cols - rows).  ``draw.batch(rng, count)``
+    makes ``count`` such draws at once from the same stream.
     """
     if y.length != a.rows:
         raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
@@ -529,34 +624,16 @@ def preimage_sampler(
     if red.rank < a.rows:
         raise ValueError("rows not independent")
     z = matvec(red.row_ops, y).bits
-    n_free = len(red.free_cols)
-    # draw bit i goes to free column free_cols[i]; a run of consecutive free
-    # columns takes its slice of the draw with one mask and one shift
     runs: list[tuple[int, int]] = []
     for i, fc in enumerate(red.free_cols):
         if runs and runs[-1][1] == fc - i:
             runs[-1] = (runs[-1][0] | 1 << i, fc - i)
         else:
             runs.append((1 << i, fc - i))
-    # Reduced echelon form: each pivot row touches its pivot plus free
-    # columns only, so its pivot bit is z[r] plus its parity on the free bits
-    pivots = [
-        (red.upper.row_words[r], 1 << pc, (z >> r) & 1) for r, pc in enumerate(red.pivot_cols)
-    ]
-    cols = a.cols
-
-    def draw(rng) -> BitVector:
-        bits = rng.getrandbits(n_free) if n_free else 0
-        free = 0
-        for mask, shift in runs:
-            free |= (bits & mask) << shift
-        x = free
-        for row, bit, z_r in pivots:
-            if (row & free).bit_count() & 1 != z_r:
-                x |= bit
-        return BitVector(cols, x)
-
-    return draw
+    pivots = tuple(
+        (red.upper.row_words[r], pc, (z >> r) & 1) for r, pc in enumerate(red.pivot_cols)
+    )
+    return PreimageSampler(a.cols, len(red.free_cols), tuple(runs), pivots)
 
 
 def sample_preimage(

@@ -14,7 +14,7 @@ from scipy import stats
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
 from delayedpa.protocols import decode_key_bit
-from delayedpa.quantum import _blocks_2d, basis_ket, pauli, random_pure_state, verify_2c_2d
+from delayedpa.quantum import _blocks_2d, basis_ket, pauli, random_pure_state, verify_2c_2d_stack
 from delayedpa.security import (
     MAX_ABAR_DIM,
     MAX_QUANTUM_DIM,
@@ -40,6 +40,13 @@ SWAP_TOL = 1e-12
 
 # draws counted per histogram update, so memory does not grow with --draws
 _DRAW_CHUNK = 1 << 13
+# 2c/2d trials drawn before they are grouped by dimension; their amplitudes
+# take at most 32 * MAX_ABAR_DIM bytes each
+_TRIAL_CHUNK = 256
+# the 2d blocks of one stack of 2c/2d trials take at most this, unless one
+# trial alone takes more, so a run peaks within a few stacks' worth of what
+# certifying its largest trial alone takes
+_STACK_BYTES = 1 << 22
 
 
 def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
@@ -96,7 +103,7 @@ def suite_preimage_uniformity(
     draw = preimage_sampler(matrix, y)
     hist = np.zeros(1 << n, dtype=np.int64)
     for lo in range(0, draws, _DRAW_CHUNK):
-        chunk = [draw(rng).bits for _ in range(min(_DRAW_CHUNK, draws - lo))]
+        chunk = draw.batch(rng, min(_DRAW_CHUNK, draws - lo))
         hist += np.bincount(chunk, minlength=1 << n)
     counts = hist[preimage]
     stray = draws - int(counts.sum())
@@ -131,14 +138,24 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
         )
     rng = np.random.default_rng(seed)
     max_dz = max_dx = max_swap = 0.0
-    for _ in range(trials):
-        dim = int(rng.integers(1, abar_dim + 1))
-        psi = random_pure_state((2, dim), ("A", "Abar"), rng)
-        dz, dx = verify_2c_2d(psi)
-        # verify_2c_2d validated the "xz" stack; a "zx" stack within
-        # SWAP_TOL of it needs no validation of its own
-        swap = float(np.abs(_blocks_2d(psi, "xz") - _blocks_2d(psi, "zx")).max())
-        max_dz, max_dx, max_swap = max(max_dz, dz), max(max_dx, dx), max(max_swap, swap)
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        # the states are drawn in trial order, then certified a dimension at a time
+        by_dim: dict[int, list[np.ndarray]] = {}
+        for _ in range(min(_TRIAL_CHUNK, trials - lo)):
+            dim = int(rng.integers(1, abar_dim + 1))
+            psi = random_pure_state((2, dim), ("A", "Abar"), rng)
+            by_dim.setdefault(dim, []).append(psi.amps.reshape(2, dim))
+        for dim, states in by_dim.items():
+            # a trial's 2d stack is 256 dim^2 bytes
+            step = max(1, _STACK_BYTES // (256 * dim * dim))
+            for s0 in range(0, len(states), step):
+                amps = np.stack(states[s0 : s0 + step])
+                dz, dx = verify_2c_2d_stack(amps)
+                # verify_2c_2d_stack validated the "xz" stacks; "zx" stacks
+                # within SWAP_TOL of them need no validation of their own
+                swap = float(np.abs(_blocks_2d(amps, "xz") - _blocks_2d(amps, "zx")).max())
+                max_dz, max_dx = max(max_dz, float(dz.max())), max(max_dx, float(dx.max()))
+                max_swap = max(max_swap, swap)
     passed = max(max_dz, max_dx) <= EQUIV_TOL and max_swap <= SWAP_TOL
     payload = {
         "trials": trials,

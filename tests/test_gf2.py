@@ -465,7 +465,7 @@ def test_row_ops_invertible():
         assert red.row_ops.rank() == a.rows
 
 
-MATRIX_KINDS = ["dense", "zero", "sparse", "low-rank", "duplicates", "gaps"]
+MATRIX_KINDS = ["dense", "zero", "sparse", "rank-1", "low-rank", "duplicates", "gaps"]
 
 
 def _matrix(kind, rows, cols, rng):
@@ -479,6 +479,9 @@ def _matrix(kind, rows, cols, rng):
         words = [0] * rows
     elif kind == "sparse":  # each entry is 1 with probability 1/16
         words = [draw() & draw() & draw() & draw() for _ in range(rows)]
+    elif kind == "rank-1":  # one row or zero: after the first pivot every block is zero below
+        base = draw()
+        words = [base * rng.getrandbits(1) for _ in range(rows)]
     elif kind == "low-rank":  # XORs of three rows: rank <= 3, many zero rows
         base = [draw() for _ in range(3)]
         words = [base[0] * rng.getrandbits(1) ^ base[1] * rng.getrandbits(1)
@@ -549,6 +552,26 @@ def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert 1 <= red.rank <= max_rank
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@pytest.mark.parametrize("shape", [(716, 1024), (300, 70), (40, 300)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_reduce_matches_gauss_jordan_on_low_rank(rank, shape):
+    # rows are XORs of `rank` random rows, so every block past the last
+    # pivot is zero from the next pivot position down and is skipped whole
+    rows, cols = shape
+    rng = random.Random(f"{rank}:{shape}")
+    base = [rng.getrandbits(cols) for _ in range(rank)]
+    words = []
+    for _ in range(rows):
+        w = 0
+        for b in base:
+            w ^= b * rng.getrandbits(1)
+        words.append(w)
+    a = BinaryMatrix(rows, cols, tuple(words))
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert red.rank <= rank
 
 
 # ---------------------------------------------------------------- kernel
@@ -718,6 +741,54 @@ def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
     assert_sampler_matches_oracle(a, seed, 8)
 
 
+def assert_batch_matches_one_draw_calls(a, seed, counts):
+    rng = random.Random(seed)
+    y = BitVector.random(a.rows, rng)
+    draw = preimage_sampler(a, y)
+    batched, one_draw = random.Random(seed), random.Random(seed)
+    for count in counts:
+        codes = draw.batch(batched, count)
+        assert codes.dtype == np.int64 and codes.shape == (count,)
+        assert codes.tolist() == [ref_sample_preimage(a, y, one_draw).bits for _ in range(count)]
+        # the same stream: count draws consume what count calls consume
+        assert batched.getstate() == one_draw.getstate()
+    assert all(matvec(a, BitVector(a.cols, int(x))) == y for x in codes)
+
+
+# 31 / 32 / 33 straddle the one-word draw; 63 free columns of a matrix with
+# no rows is the widest two-word draw a batch takes
+@pytest.mark.parametrize("n_free", [0, 1, 5, 31, 32, 33, 62, 63])
+def test_preimage_batch_matches_one_draw_calls(n_free):
+    rng = random.Random(n_free)
+    rows = min(3, 63 - n_free)
+    a = full_rank_matrix(rng, rows, rows + n_free)
+    assert len(row_reduce(a).free_cols) == n_free
+    assert_batch_matches_one_draw_calls(a, rng.getrandbits(32), [0, 1, 7, 300])
+
+
+def test_preimage_batch_matches_one_draw_calls_with_scattered_free_columns():
+    a = SAMPLER_CASES["zero-leading-column"](None)
+    assert_batch_matches_one_draw_calls(a, 5, [1, 64, 1000])
+
+
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_preimage_batch_matches_one_draw_calls_random(rows, extra, count, seed):
+    extra = min(extra, 63 - rows)
+    a = full_rank_matrix(random.Random(seed), rows, rows + extra)
+    assert_batch_matches_one_draw_calls(a, seed, [count, 3])
+
+
+def test_preimage_batch_rejects_wide_matrices_and_negative_counts():
+    rng = random.Random(4)
+    wide = preimage_sampler(full_rank_matrix(rng, 2, 64), BitVector(2, 1))
+    with pytest.raises(ValueError, match="at most 63 columns"):
+        wide.batch(rng, 1)
+    draw = preimage_sampler(full_rank_matrix(rng, 2, 8), BitVector(2, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw.batch(rng, -1)
+
+
 def test_preimage_sampler_rejects_reduction_of_another_shape():
     rng = random.Random(3)
     a = full_rank_matrix(rng, 3, 8)
@@ -730,9 +801,22 @@ def test_preimage_sampler_rejects_reduction_of_another_shape():
             sample_preimage(a, y, rng, reduction=row_reduce(other))
 
 
+class OracleSampler:
+    """``preimage_sampler``'s interface with every draw made by ``ref_sample_preimage``."""
+
+    def __init__(self, a, y, *, reduction=None):
+        self.a, self.y = a, y
+        self.red = reduction if reduction is not None else row_reduce(a)
+
+    def __call__(self, rng):
+        return ref_sample_preimage(self.a, self.y, rng, reduction=self.red)
+
+    def batch(self, rng, count):
+        return np.array([self(rng).bits for _ in range(count)], dtype=np.int64)
+
+
 def oracle_preimage_sampler(a, y, *, reduction=None):
-    red = reduction if reduction is not None else row_reduce(a)
-    return lambda rng: ref_sample_preimage(a, y, rng, reduction=red)
+    return OracleSampler(a, y, reduction=reduction)
 
 
 @pytest.mark.parametrize("seed", [1002, 104729])

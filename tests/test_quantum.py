@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import delayedpa.suites
 from delayedpa.quantum import (
     BasisDecomposition,
     DensityMatrix,
     PureState,
+    _blocks_2c,
+    _blocks_2d,
     _check_density_blocks,
     basis_ket,
     build_2c_state,
@@ -18,7 +21,9 @@ from delayedpa.quantum import (
     random_pure_state,
     tensor,
     verify_2c_2d,
+    verify_2c_2d_stack,
 )
+from delayedpa.suites import EQUIV_TOL, SWAP_TOL, suite_protocol_2c2d
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -377,3 +382,129 @@ def test_reassembly_type():
     d = decompose(bell_state(), "x")
     assert isinstance(d, BasisDecomposition)
     assert d.basis == "x"
+
+
+# ---------------------------------------------------------------- stacks
+
+def ref_blocks_2c(psi, basis):
+    """The one-state 2c block stack, built as before states were stacked."""
+    block = psi.amps.reshape(2, psi.dim // 2)
+    comps = np.array([basis_ket(a, basis).conj() @ block for a in (0, 1)])
+    kets = np.array([basis_ket(b, basis) for b in (0, 1)])
+    w = (kets[[[0, 1], [1, 0]], :, None] * comps[:, None, :]).reshape(2, 2, psi.dim)
+    terms = 0.5 * (w[..., :, None] * w.conj()[..., None, :])
+    return terms[:, 0] + terms[:, 1]
+
+
+def ref_blocks_2d(psi, op_order="xz"):
+    """The one-state 2d block stack, built as before states were stacked."""
+    paulis = {"xz": pauli("X") @ pauli("Z"), "zx": pauli("Z") @ pauli("X")}[op_order]
+    message_paulis = np.array([[pauli("I"), pauli("Z")], [pauli("X"), paulis]])
+    block = psi.amps.reshape(2, psi.dim // 2)
+    encoded = (message_paulis @ block).reshape(2, 2, psi.dim)
+    return 0.25 * (encoded[..., :, None] * encoded.conj()[..., None, :])
+
+
+def ref_verify_2c_2d(psi):
+    blocks_2d, blocks_z, blocks_x = ref_blocks_2d(psi), ref_blocks_2c(psi, "z"), ref_blocks_2c(psi, "x")
+    for blocks in (blocks_2d, blocks_z, blocks_x):
+        _check_density_blocks(blocks)
+    delta_z = float(np.linalg.norm(blocks_2d.sum(axis=1) - blocks_z))
+    delta_x = float(np.linalg.norm(blocks_2d.sum(axis=0) - blocks_x))
+    return delta_z, delta_x
+
+
+def ref_suite_protocol_2c2d(trials=100, abar_dim=8, seed=0):
+    """The 2c/2d suite as one certificate per trial, in trial order."""
+    rng = np.random.default_rng(seed)
+    max_dz = max_dx = max_swap = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(1, abar_dim + 1))
+        psi = random_pure_state((2, dim), ("A", "Abar"), rng)
+        dz, dx = ref_verify_2c_2d(psi)
+        swap = float(np.abs(ref_blocks_2d(psi, "xz") - ref_blocks_2d(psi, "zx")).max())
+        max_dz, max_dx, max_swap = max(max_dz, dz), max(max_dx, dx), max(max_swap, swap)
+    passed = max(max_dz, max_dx) <= EQUIV_TOL and max_swap <= SWAP_TOL
+    payload = {
+        "trials": trials,
+        "abar_dim": abar_dim,
+        "max_delta_z": max_dz,
+        "max_delta_x": max_dx,
+        "max_order_swap": max_swap,
+        "tolerance": EQUIV_TOL,
+        "swap_tolerance": SWAP_TOL,
+    }
+    return payload, passed
+
+
+def test_block_stacks_match_one_state_builds_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for dim in range(1, 17):
+        psis = [random_pure_state((2, dim), ("A", "Abar"), rng) for _ in range(5)]
+        amps = np.stack([psi.amps.reshape(2, dim) for psi in psis])
+        stacks = {
+            "2c z": (_blocks_2c(amps, "z"), lambda p: ref_blocks_2c(p, "z")),
+            "2c x": (_blocks_2c(amps, "x"), lambda p: ref_blocks_2c(p, "x")),
+            "2d xz": (_blocks_2d(amps, "xz"), lambda p: ref_blocks_2d(p, "xz")),
+            "2d zx": (_blocks_2d(amps, "zx"), lambda p: ref_blocks_2d(p, "zx")),
+        }
+        for name, (stack, ref) in stacks.items():
+            for state, psi in zip(stack, psis):
+                assert np.array_equal(state, ref(psi)), (name, dim)
+
+
+def test_verify_stack_equals_each_state_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for dim in (1, 2, 3, 8, 16, 40):
+        psis = [random_pure_state((2, dim), ("A", "Abar"), rng) for _ in range(7)]
+        dz, dx = verify_2c_2d_stack(np.stack([psi.amps.reshape(2, dim) for psi in psis]))
+        assert dz.shape == dx.shape == (7,)
+        for i, psi in enumerate(psis):
+            assert (dz[i], dx[i]) == verify_2c_2d(psi) == ref_verify_2c_2d(psi)
+
+
+def test_check_density_blocks_validates_each_state_of_a_stack():
+    one = np.stack([np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]).astype(complex)
+    _check_density_blocks(np.stack([one, one]), states=1)
+    # two half-trace states sum to one as a single state, but neither is one
+    half = one / 2
+    _check_density_blocks(np.stack([half, half]))
+    with pytest.raises(ValueError, match="trace"):
+        _check_density_blocks(np.stack([half, half]), states=1)
+    bad = np.stack([one, one])
+    bad[1, 0, 0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        _check_density_blocks(bad, states=1)
+    negative = np.stack([one, one])
+    negative[1, 1] = np.diag([0.5 + 2e-10, -2e-10])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        _check_density_blocks(negative, states=1)
+
+
+@pytest.mark.parametrize("abar_dim", [1, 2, 8, 16])
+@pytest.mark.parametrize("seed", range(20))
+def test_protocol_2c2d_suite_matches_trial_loop(seed, abar_dim):
+    assert suite_protocol_2c2d(abar_dim=abar_dim, seed=seed) == ref_suite_protocol_2c2d(
+        abar_dim=abar_dim, seed=seed
+    )
+
+
+def test_protocol_2c2d_suite_keeps_every_stack_within_its_byte_budget(monkeypatch):
+    # with the budget lowered to one trial at dim 16, dimensions above 8 fit
+    # one trial per stack and smaller ones several, so 300 trials split
+    # unevenly into stacks
+    monkeypatch.setattr(delayedpa.suites, "_STACK_BYTES", 256 * 16**2)
+    shapes = []
+
+    def recording_stack(amps):
+        shapes.append(amps.shape)
+        return verify_2c_2d_stack(amps)
+
+    monkeypatch.setattr(delayedpa.suites, "verify_2c_2d_stack", recording_stack)
+    payload, passed = suite_protocol_2c2d(trials=300, abar_dim=16, seed=3)
+    assert passed
+    assert sum(count for count, _, _ in shapes) == 300
+    assert all(count * 256 * dim**2 <= 256 * 16**2 for count, _, dim in shapes)
+    assert any(count == 1 and dim > 8 for count, _, dim in shapes)
+    assert max(count for count, _, _ in shapes) > 1
+    assert payload == ref_suite_protocol_2c2d(trials=300, abar_dim=16, seed=3)[0]
