@@ -107,7 +107,11 @@ def build_parser() -> _Parser:
     sim.add_argument("--noise-bwd", dest="noise_bwd", help="backward channel")
     sim.add_argument("--eve", help="none or intercept-resend[:forward,backward]")
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--pa-seed", dest="pa_seed", help="fixed hash seed as BITS:HEX")
+    sim.add_argument(
+        "--pa-seed", dest="pa_seed",
+        help="fixed hash seed as BITS:HEX; the modified Toeplitz hash of an n-bit raw key "
+        "needs n - 1 bits",
+    )
     sim.add_argument("--check-fraction", type=float, dest="check_fraction")
     sim.add_argument("--pool", type=int, help="relay: pre-shared pool size")
     sim.add_argument("--normal-scheme", action="store_true", dest="normal_scheme",

@@ -24,15 +24,21 @@ of the XOR combinations of its pivot rows updates every row by a gather and
 an in-place XOR, 256 rows per call.  The result, swap order included, is
 exactly the column-by-column elimination's.
 
-:func:`toeplitz_hasher` applies a Toeplitz matrix without building it: the
-product is one real FFT convolution of the seed and key bits (numpy),
-reduced mod 2, in O(n log n) time and memory.  The seed is transformed once
-per hasher, so a run that hashes several keys with one seed pays for one
-seed transform; :func:`toeplitz_hash` hashes a single key.  Float rounding
-cannot flip a bit unnoticed, because an exactness guard raises if any
-convolution entry lies 0.25 or more from an integer.  The dense
+Protocol keys are hashed by the modified Toeplitz family of Hayashi and
+Tsurumaru (arXiv:1311.5322): an n-bit key x = (x1, x2), split after n_pa
+bits, maps to x1 XOR T x2, where T is the n_pa x (n - n_pa) Toeplitz matrix
+of an (n - 1)-bit seed.  The family is universal_2, and its rows are
+independent by construction, so the delayed-PA proof applies to it as it is.
+:func:`modified_toeplitz_hash` computes T x2 without building T: one real
+FFT convolution (numpy) of the seed and the n - n_pa high key bits, at the
+power of two >= n - 1, reduced mod 2, in O(n log n) time and memory.  It
+takes all of a run's keys in one call, transforms the seed once, and packs
+two keys into each transform.  Float rounding cannot flip a bit unnoticed,
+because an exactness guard raises if any convolution entry lies 0.25 or
+more from an integer (a NaN or inf entry included).  The dense
 :func:`toeplitz_from_seed` matrix stays for row reduction and preimage
-sampling, and as the hash's test oracle.
+sampling, and ``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the
+hash's test oracle.
 
 :func:`preimage_sampler` draws uniform preimages {x : Ax = y} the same way:
 the row reduction, the rank check and z = row_ops y are done once per
@@ -51,7 +57,7 @@ each pivot bit comes from a byte-parity lookup of ``row & x``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,8 +67,7 @@ __all__ = [
     "RowReduction",
     "matvec",
     "toeplitz_from_seed",
-    "toeplitz_hash",
-    "toeplitz_hasher",
+    "modified_toeplitz_hash",
     "row_reduce",
     "kernel_basis",
     "PreimageSampler",
@@ -330,39 +335,68 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     return BinaryMatrix(n_pa, n, words, toeplitz_seed=seed)
 
 
-def toeplitz_hasher(seed: BitVector, n_pa: int, n: int) -> Callable[[BitVector], BitVector]:
-    """The hash x -> ``matvec(toeplitz_from_seed(seed, n_pa, n), x)``, without the matrix.
+# Two keys x2, x2' share one transform as x2 + 2**s x2', s = w.bit_length(),
+# while 2 s <= _PAIR_MAX_BITS: every count is <= w < 2**s, so the packed
+# entries stay below 2**(2 s + 1) and rint recovers both counts.  A float64
+# entry near 2**(2 s + 1) is only exact to about 2**(2 s - 52), so the error
+# grows 4x per bit of s.  With all-ones seeds and keys, the largest entries,
+# the worst error measured was 1.2e-4 at s = 20 (n = 10**6) and 0.0039 at
+# s = 22, but 0.0625 at s = 24 (n = 10**7, which runs allow), too close to
+# the guard's 0.25; wider keys take one transform each (error 4e-9 there).
+_PAIR_MAX_BITS = 44
 
-    Output bit i is sum_j seed[i - j + n - 1] x[j] mod 2, which is entry
-    n - 1 + i of the linear convolution of the seed and key bits.  The seed
-    is transformed once, here; each call transforms only its key.
+
+def modified_toeplitz_hash(
+    seed: BitVector, n_pa: int, keys: Sequence[BitVector]
+) -> list[BitVector]:
+    """Each n-bit key x hashed to x[:n_pa] XOR T x[n_pa:], with n = seed.length + 1.
+
+    T = ``toeplitz_from_seed(seed, n_pa, n - n_pa)``, so the dense
+    ``[I | T]`` is the exact oracle.  Output bit i of T x2 is entry
+    w - 1 + i of the linear convolution of the seed and the w = n - n_pa
+    high key bits.  The seed is transformed once per call and consecutive
+    keys are packed in pairs (see ``_PAIR_MAX_BITS``).
+
+    At n_pa = n, T has no columns and the hash is the identity, with no
+    transform at all.  That is the family's own limit, not a special case:
+    noiseless runs, whose ledger has no finite-size term yet, get n_pa = n
+    and keep their raw keys.
     """
-    _check_toeplitz_shape(seed, n_pa, n)
-    # the smallest power of two >= len(seed): the circular convolution wraps
-    # linear entries >= size onto indices below n - 1, which are never read
-    size = 1 << (seed.length - 1).bit_length()
-    seed_f = np.fft.rfft(_unpack(seed), size)
-
-    def apply(x: BitVector) -> BitVector:
+    n = seed.length + 1
+    if not 1 <= n_pa <= n:
+        raise ValueError(f"n_pa must be in [1, {n}] for a {seed.length}-bit seed, got {n_pa}")
+    for x in keys:
         if x.length != n:
-            raise ValueError(f"length mismatch: expected {n}, got {x.length}")
-        # multiplied in place: seed_f lives as long as the hasher, so no
-        # third spectrum-sized array is alive at once
-        spectrum = np.fft.rfft(_unpack(x), size)
+            raise ValueError(f"key length {x.length} does not match seed length + 1 = {n}")
+    w = n - n_pa
+    if w == 0:
+        return [x.cut(0, n_pa) for x in keys]
+    # the circular convolution at size >= n - 1 wraps linear entries onto
+    # indices below w - 1, which are never read
+    size = 1 << (n - 2).bit_length()
+    seed_f = np.fft.rfft(_unpack(seed), size)
+    s = w.bit_length()
+    step = 2 if 2 * s <= _PAIR_MAX_BITS else 1
+    out = []
+    for i in range(0, len(keys), step):
+        group = keys[i : i + step]
+        # float64 throughout: scaling the uint8 bits by ldexp would give float16
+        packed = np.zeros(w, dtype=np.float64)
+        for j, x in enumerate(group):
+            packed += _unpack(x)[n_pa:] * float(1 << (s * j))
+        # multiplied in place: seed_f lives for the whole call, so no third
+        # spectrum-sized array is alive at once
+        spectrum = np.fft.rfft(packed, size)
         np.multiply(seed_f, spectrum, out=spectrum)
-        conv = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + n_pa]
+        conv = np.fft.irfft(spectrum, size)[w - 1 : n - 1]
         counts = np.rint(conv)
-        if np.abs(conv - counts).max() >= 0.25:
+        # written so that a NaN error fails it
+        if not np.abs(conv - counts).max() < 0.25:
             raise ArithmeticError("FFT convolution is not exact enough to round")
-        out = np.packbits(counts.astype(np.int64) & 1, bitorder="little")
-        return BitVector(n_pa, int.from_bytes(out.tobytes(), "little"))
-
-    return apply
-
-
-def toeplitz_hash(seed: BitVector, n_pa: int, x: BitVector) -> BitVector:
-    """``matvec(toeplitz_from_seed(seed, n_pa, x.length), x)`` without the matrix."""
-    return toeplitz_hasher(seed, n_pa, x.length)(x)
+        counts = counts.astype(np.int64)
+        for j, x in enumerate(group):
+            out.append(x.cut(0, n_pa) ^ BitVector.from_bits((counts >> (s * j)) & 1))
+    return out
 
 
 _OCTETS = np.arange(256, dtype=np.uint8)

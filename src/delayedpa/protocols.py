@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from delayedpa.gf2 import BitVector, toeplitz_hash, toeplitz_hasher
+from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 
 __all__ = [
     "ChannelModel",
@@ -510,12 +510,13 @@ def _random_vector(rng, n: int) -> BitVector:
     return BitVector.from_bits(_bits(rng, n))
 
 
-def _draw_pa_seed(n_pa: int, n: int, pa_seed: BitVector | None, rng) -> BitVector:
+def _draw_pa_seed(n: int, pa_seed: BitVector | None, rng) -> BitVector:
+    """The (n - 1)-bit seed of the modified Toeplitz hash of n-bit keys."""
     if pa_seed is None:
-        return _random_vector(rng, n + n_pa - 1)
-    if pa_seed.length != n + n_pa - 1:
+        return _random_vector(rng, n - 1)
+    if pa_seed.length != n - 1:
         raise ValueError(
-            f"pa_seed length {pa_seed.length} does not match required {n + n_pa - 1}"
+            f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}"
         )
     return pa_seed
 
@@ -597,10 +598,10 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
 
     a = t.raw_key_alice = BitVector.from_bits(s.alice_bit[key])
     t.raw_key_bob = BitVector.from_bits(s.bob_bit[key])
-    t.pa_seed = _draw_pa_seed(ledger.n_pa, ledger.n, cfg.pa_seed, rng)
+    t.pa_seed = _draw_pa_seed(ledger.n, cfg.pa_seed, rng)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
-    t.alice_key = t.bob_key = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
+    t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
     return t
 
 
@@ -653,8 +654,8 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     key = s.role == _KEY
     a = t.raw_key_alice = BitVector.from_bits(alice_bits[key])
     t.raw_key_bob = BitVector.from_bits(bob_bits[key])
-    t.pa_seed = _draw_pa_seed(ledger.n_pa, cfg.n, cfg.pa_seed, rng)
-    t.alice_key = t.bob_key = toeplitz_hash(t.pa_seed, ledger.n_pa, a)
+    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, rng)
+    t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
     return t
 
 
@@ -662,7 +663,10 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     """Forward distillation run glued to one backward variant (2/2b/2c/2d).
 
     All variants deliver the hashed message f(m) of length N_PA on both
-    sides; 2b, 2c, and 2d exercise the delayed-hash recovery routes.
+    sides; 2b, 2c, and 2d exercise the delayed-hash recovery routes.  Each
+    variant hashes all its keys in one call, after the backward phase of
+    2c; hashing draws nothing from the stream, so its place does not change
+    the transcript.
     """
     rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol=f"integrated-{cfg.variant}", seed=cfg.seed)
@@ -687,8 +691,10 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.ledger = ledger
         return _abort(t, "non-positive key length")
     n_pa = ledger.n_pa
-    t.pa_seed = _draw_pa_seed(n_pa, n_key, cfg.pa_seed, rng)
-    f = toeplitz_hasher(t.pa_seed, n_pa, n_key)
+    t.pa_seed = _draw_pa_seed(n_key, cfg.pa_seed, rng)
+
+    def f(*keys):
+        return modified_toeplitz_hash(t.pa_seed, n_pa, keys)
 
     bob_bits = s.bob_bit[code]
     t.raw_key_bob = BitVector.from_bits(bob_bits)
@@ -701,28 +707,27 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         a = t.raw_key_alice = BitVector.from_bits(a_bits)
         # ideal EC on the forward raw keys before the backward phase
         forward_ec = math.ceil(n_key * binary_entropy(e_b))
-        k = f(a)
         m_bits = _bits(rng, n_key)
         m = BitVector.from_bits(m_bits)
 
     if cfg.variant == "2":
-        t.m_prime = t.alice_key = f(m)
+        k, t.m_prime = f(a, m)
+        t.alice_key = t.m_prime
         cipher = t.m_prime ^ k
         t.recovered_via_key = t.bob_key = cipher ^ k
     elif cfg.variant == "2b":
         cipher = a ^ m
-        t.m_prime = t.alice_key = f(m)
-        t.recovered_via_key = t.bob_key = f(cipher) ^ k
-        t.recovered_via_rawkey = f(cipher ^ a)
+        k, t.m_prime, f_cipher, t.recovered_via_rawkey = f(a, m, cipher, cipher ^ a)
+        t.alice_key = t.m_prime
+        t.recovered_via_key = t.bob_key = f_cipher ^ k
     elif cfg.variant == "2c":
         basis = s.basis[code]
         s.backward_flip[code], s.bob_outcome[code] = _backward(
             basis, basis, m_bits ^ a_bits, cfg.backward, cfg.eve, rng
         )
         y = BitVector.from_bits(s.bob_outcome[code])
-        t.m_prime = f(m)
-        t.recovered_via_key = f(y) ^ k
-        t.recovered_via_rawkey = f(y ^ a)
+        k, t.m_prime, f_y, t.recovered_via_rawkey = f(a, m, y, y ^ a)
+        t.recovered_via_key = f_y ^ k
         msg_error_rate = (y ^ a ^ m).weight() / n_key
         # ideal EC on the message settles both sides on f(m)
         t.alice_key = t.bob_key = t.m_prime
@@ -731,8 +736,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         # the announced basis selects which flag (m1 for z, m2 for x) carries each bit
         m = BitVector.from_bits(_flips(s.op[code], s.basis[code]))
         m_hat = BitVector.from_bits(s.bob_outcome[code] ^ bob_bits)
-        t.m_prime = f(m)
-        t.recovered_via_rawkey = f(m_hat)
+        t.m_prime, t.recovered_via_rawkey = f(m, m_hat)
         msg_error_rate = (m_hat ^ m).weight() / n_key
         t.alice_key = t.bob_key = t.m_prime
 
@@ -770,9 +774,8 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
         m = pool.cut(0, n)
         cipher = a ^ m
         bob_m = cipher ^ a  # Bob holds a after ideal EC
-        f = toeplitz_hasher(qkd.pa_seed, n_pa, n)
-        t.bob_key = f(bob_m)
-        t.charlie_key = f(m)  # Charlie gets the hash seed from Bob
+        # Charlie gets the hash seed from Bob
+        t.bob_key, t.charlie_key = modified_toeplitz_hash(qkd.pa_seed, n_pa, [bob_m, m])
         t.pool_consumed = n
     else:
         m_prime = pool.cut(0, n_pa)

@@ -246,6 +246,22 @@ def test_simulate_rejects_negative_seed_in_config(tmp_path, capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("protocol", ["bb84", "dqkd", "integrated-2b", "relay"])
+def test_simulate_pa_seed_needs_n_minus_1_bits(capsys, protocol):
+    argv = ["simulate", protocol, "--n", "300", "--noise-fwd", "bsc:0.02", "--seed", "3"]
+    code, report, _, _ = run_cli(argv, capsys)
+    ledger = report["key_ledger"]
+    assert code == 0 and ledger["n"] == 300 and ledger["n_pa"] < 300
+    # the plain Toeplitz family's n + n_pa - 1 bits are refused in one line
+    old = 300 + ledger["n_pa"] - 1
+    code, _, out, err = run_cli([*argv, "--pa-seed", f"{old}:" + "0" * ((old + 3) // 4)], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "does not match required n - 1 = 299" in err
+    code, report, _, _ = run_cli([*argv, "--pa-seed", "299:" + "f" * 74 + "7"], capsys)
+    assert code == 0
+    assert report["pa_seed"] == {"bits": 299, "hex": "f" * 74 + "7"}
+
+
 def test_simulate_rejects_non_object_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps([{"protocol": "dqkd", "n": 100}]))

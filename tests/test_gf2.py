@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import delayedpa.gf2
 import delayedpa.suites
 from delayedpa.gf2 import (
     BinaryMatrix,
@@ -15,12 +16,11 @@ from delayedpa.gf2 import (
     _parity,
     kernel_basis,
     matvec,
+    modified_toeplitz_hash,
     preimage_sampler,
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
-    toeplitz_hash,
-    toeplitz_hasher,
 )
 
 
@@ -341,7 +341,16 @@ def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
 
 
 def _dense_hash(seed, n_pa, x):
-    return matvec(toeplitz_from_seed(seed, n_pa, x.length), x)
+    """The dense oracle [I | toeplitz_from_seed(seed, n_pa, w)] applied to x."""
+    w = x.length - n_pa
+    low = x.cut(0, n_pa)
+    if w == 0:  # T has no columns
+        return low
+    return low ^ matvec(toeplitz_from_seed(seed, n_pa, w), x.cut(n_pa, x.length))
+
+
+def _hash_one(seed, n_pa, x):
+    return modified_toeplitz_hash(seed, n_pa, [x])[0]
 
 
 @given(
@@ -352,28 +361,28 @@ def _dense_hash(seed, n_pa, x):
 @example((200, 200), random.Random(0))
 @example((5, 4), random.Random(0))
 @example((9, 8), random.Random(0))
-@example((16, 1), random.Random(0))
+@example((17, 1), random.Random(0))
 @settings(max_examples=60)
 def test_toeplitz_hash_matches_dense(shape, rng):
-    # n_pa == n is the square hash of noiseless protocol runs; a seed whose
-    # length is a power of two (5 + 4 - 1, 9 + 8 - 1, 16 + 1 - 1) wraps the
-    # most entries of the circular convolution
+    # n_pa == n is the identity of noiseless protocol runs; a seed whose
+    # length is a power of two (5 - 1, 9 - 1, 17 - 1) wraps the most entries
+    # of the circular convolution
     n, n_pa = shape
-    seed = BitVector.random(n + n_pa - 1, rng)
+    seed = BitVector.random(n - 1, rng)
     x = BitVector.random(n, rng)
-    assert toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+    assert _hash_one(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
 
 
 def test_toeplitz_hash_matches_dense_at_protocol_size():
     n, n_pa = 30_000, 21_000
     rng = random.Random(5)
-    seed = BitVector.random(n + n_pa - 1, rng)
-    x = BitVector.random(n, rng)
-    assert toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+    seed = BitVector.random(n - 1, rng)
+    keys = [BitVector.random(n, rng) for _ in range(3)]
+    assert modified_toeplitz_hash(seed, n_pa, keys) == [_dense_hash(seed, n_pa, x) for x in keys]
     # all ones: the largest convolution entries, so the largest rounding error
-    ones_seed = BitVector(n + n_pa - 1, (1 << (n + n_pa - 1)) - 1)
+    ones_seed = BitVector(n - 1, (1 << (n - 1)) - 1)
     ones = BitVector(n, (1 << n) - 1)
-    assert toeplitz_hash(ones_seed, n_pa, ones) == _dense_hash(ones_seed, n_pa, ones)
+    assert modified_toeplitz_hash(ones_seed, n_pa, [ones, ones]) == [_dense_hash(ones_seed, n_pa, ones)] * 2
 
 
 @pytest.mark.parametrize(
@@ -381,7 +390,7 @@ def test_toeplitz_hash_matches_dense_at_protocol_size():
 )
 def test_toeplitz_hash_rejects_bad_shapes(seed_len, n_pa, n):
     with pytest.raises(ValueError):
-        toeplitz_hash(BitVector.zeros(seed_len), n_pa, BitVector.zeros(n))
+        modified_toeplitz_hash(BitVector.zeros(seed_len), n_pa, [BitVector.zeros(n)])
 
 
 def test_toeplitz_hash_guard_rejects_inexact_convolution(monkeypatch):
@@ -389,19 +398,74 @@ def test_toeplitz_hash_guard_rejects_inexact_convolution(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.4)
     rng = random.Random(6)
     with pytest.raises(ArithmeticError):
-        toeplitz_hash(BitVector.random(99, rng), 50, BitVector.random(50, rng))
+        _hash_one(BitVector.random(99, rng), 50, BitVector.random(100, rng))
 
 
-def test_toeplitz_hasher_reuses_one_seed():
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_toeplitz_hash_guard_rejects_nonfinite_convolution(monkeypatch, bad):
+    # NaN compares false both ways, so a guard written as err >= 0.25 lets it through
+    irfft = np.fft.irfft
+
+    def poisoned(*args, **kw):
+        conv = irfft(*args, **kw)
+        conv[conv.size // 2] = bad
+        return conv
+
+    monkeypatch.setattr(np.fft, "irfft", poisoned)
+    rng = random.Random(6)
+    with pytest.raises(ArithmeticError):
+        _hash_one(BitVector.random(99, rng), 50, BitVector.random(100, rng))
+
+
+def test_toeplitz_hasher_reuses_one_seed(monkeypatch):
     rng = random.Random(8)
     n, n_pa = 300, 200
-    seed = BitVector.random(n + n_pa - 1, rng)
-    f = toeplitz_hasher(seed, n_pa, n)
-    for _ in range(4):
-        x = BitVector.random(n, rng)
-        assert f(x) == toeplitz_hash(seed, n_pa, x) == _dense_hash(seed, n_pa, x)
+    seed = BitVector.random(n - 1, rng)
+    keys = [BitVector.random(n, rng) for _ in range(5)]
+    singles = [_hash_one(seed, n_pa, x) for x in keys]
+    assert singles == [_dense_hash(seed, n_pa, x) for x in keys]
+    # one seed transform and one per pair of keys, the odd key out alone
+    rfft, sizes = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda a, size: sizes.append(size) or rfft(a, size))
+    assert modified_toeplitz_hash(seed, n_pa, keys) == singles
+    assert sizes == [512] * 4  # the power of two >= n - 1
+    assert modified_toeplitz_hash(seed, n_pa, []) == []
     with pytest.raises(ValueError):
-        f(BitVector.zeros(n + 1))
+        modified_toeplitz_hash(seed, n_pa, [keys[0], BitVector.zeros(n + 1)])
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_modified_toeplitz_hash_edges_match_dense(n):
+    # n_pa = 1, n - 1 and n, each at an odd and an even w = n - n_pa
+    rng = random.Random(n)
+    seed = BitVector.random(n - 1, rng)
+    keys = [BitVector.random(n, rng) for _ in range(3)]
+    for n_pa in (1, 2, n - 2, n - 1, n):
+        assert modified_toeplitz_hash(seed, n_pa, keys) == [_dense_hash(seed, n_pa, x) for x in keys]
+
+
+def test_modified_toeplitz_hash_single_transform_path(monkeypatch):
+    rng = random.Random(12)
+    n, n_pa = 1000, 613
+    seed = BitVector.random(n - 1, rng)
+    keys = [BitVector.random(n, rng) for _ in range(4)]
+    paired = modified_toeplitz_hash(seed, n_pa, keys)
+    monkeypatch.setattr(delayedpa.gf2, "_PAIR_MAX_BITS", 0)
+    assert modified_toeplitz_hash(seed, n_pa, keys) == paired
+    assert paired == [_dense_hash(seed, n_pa, x) for x in keys]
+
+
+def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
+    # T of all ones adds w ones to each bit, so every output bit is
+    # 1 XOR (w mod 2); all ones are the largest entries a pair packs
+    n = 10**6
+    ones_seed = BitVector(n - 1, (1 << (n - 1)) - 1)
+    ones = BitVector(n, (1 << n) - 1)
+    for n_pa in (860_000, 860_001):
+        w = n - n_pa
+        assert 2 * w.bit_length() <= delayedpa.gf2._PAIR_MAX_BITS  # the pair path
+        expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
+        assert modified_toeplitz_hash(ones_seed, n_pa, [ones, ones]) == [expect, expect]
 
 
 # ---------------------------------------------------------------- reduction

@@ -343,11 +343,21 @@ def test_bb84_determinism():
     assert c != a
 
 
+def _modified_toeplitz_oracle(seed, n_pa, x):
+    """x[:n_pa] XOR T x[n_pa:] with the dense T = toeplitz_from_seed(seed, n_pa, n - n_pa)."""
+    t = toeplitz_from_seed(seed, n_pa, x.length - n_pa)
+    return x.cut(0, n_pa) ^ matvec(t, x.cut(n_pa, x.length))
+
+
 def test_bb84_fixed_pa_seed_roundtrip():
-    seed_vec = BitVector.random(999 + 1000, random.Random(10))
-    t = run_bb84(Bb84Config(n=1000, n_test=200, seed=11, pa_seed=seed_vec))
+    # a noisy channel gives n_pa < n, so the hash is not the identity
+    seed_vec = BitVector.random(999, random.Random(10))
+    t = run_bb84(Bb84Config(n=1000, n_test=200, channel=ChannelModel.bsc(0.02), seed=11, pa_seed=seed_vec))
     assert t.pa_seed == seed_vec
-    assert t.alice_key == matvec(toeplitz_from_seed(seed_vec, 1000, 1000), t.raw_key_alice)
+    assert 0 < t.ledger.n_pa < t.ledger.n == 1000
+    assert t.alice_key == _modified_toeplitz_oracle(seed_vec, t.ledger.n_pa, t.raw_key_alice)
+    with pytest.raises(ValueError, match="n - 1 = 999"):
+        run_bb84(Bb84Config(n=1000, n_test=200, seed=11, pa_seed=BitVector.random(1999, random.Random(10))))
 
 
 # --------------------------------------------------------------- dqkd
@@ -471,15 +481,19 @@ def test_integrated_variants_noiseless_equivalence():
 
 
 def test_integrated_2d_message_bit_follows_basis():
-    t = run_integrated(IntegratedConfig(variant="2d", n=600, n_test=150, seed=20))
+    # noisy lines give n_pa < n, so the hash is not the identity
+    noisy = ChannelModel.bsc(0.01)
+    t = run_integrated(
+        IntegratedConfig(variant="2d", n=600, n_test=150, forward=noisy, backward=noisy, seed=20)
+    )
+    assert not t.abort and t.ledger.n_pa < t.ledger.n
     s = t.signals
     code = s.role == ROLES.index("key")
     m1, m2 = s.op[code] & 1, s.op[code] >> 1  # the X and Z flags of X^m1 Z^m2
     decoded = np.where(s.basis[code] == "zx".index("z"), m1, m2)
     # the delivered secret is the hash of exactly that selected string
     m_sel = BitVector.from_bits(decoded)
-    pa_matrix = toeplitz_from_seed(t.pa_seed, t.ledger.n_pa, t.ledger.n)
-    assert matvec(pa_matrix, m_sel) == t.m_prime
+    assert _modified_toeplitz_oracle(t.pa_seed, t.ledger.n_pa, m_sel) == t.m_prime
     # all-z subset decodes by the X-flag, all-x subset by the Z-flag
     assert np.array_equal(_flips(s.op[code], s.basis[code]), decoded)
 

@@ -1,8 +1,11 @@
 """Smoke runs of the example scripts at a tiny size."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,3 +31,46 @@ def test_scripts_run_at_tiny_size(tmp_path):
     assert lines[2] == f"wrote 2 rows to {out}"
     assert lines[3].startswith("correlated-lines reference rate at e=0.05: ")
     assert len(out.read_text().splitlines()) == 3
+
+
+def _bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", SCRIPTS / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_compare_verdict_arithmetic():
+    verdict = _bench_compare().verdict
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    # quartiles 12.25 and 16.75 by linear interpolation, so the IQR is 4.5
+    head = [b + 5 for b in base]
+    v = verdict(base, head, "higher")
+    assert v["base"] == {"median": 14.5, "iqr": 4.5}
+    assert v["head"]["median"] == 19.5 and v["head_wins"] == 10 and v["pairs"] == 10
+    assert v["ratio"] == 19.5 / 14.5 and v["gain_holds"]
+    # a gap of 4 is under the base IQR, though every pair is won
+    assert not verdict(base, [b + 4 for b in base], "higher")["gain_holds"]
+    # 9 of 10 wins is enough (median gap 5), 8 are not
+    nine = [b + 6 for b in base[:9]] + [base[9] - 1]
+    assert verdict(base, nine, "higher")["head_wins"] == 9
+    assert verdict(base, nine, "higher")["gain_holds"]
+    eight = [b + 6 for b in base[:8]] + [base[8] - 1, base[9] - 1]
+    assert not verdict(base, eight, "higher")["gain_holds"]
+    # for a time, lower is better and ties are not wins
+    lower = verdict(head, base, "lower")
+    assert lower["head_wins"] == 10 and lower["gain_holds"]
+    assert verdict(base, base, "lower")["head_wins"] == 0
+    # fewer than ten pairs never make a claim
+    assert not verdict(base[:9], head[:9], "higher")["gain_holds"]
+    with pytest.raises(ValueError):
+        verdict(base, head[:9], "higher")
+
+
+def test_bench_compare_requires_seed_104729(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_compare.py"), "--base", "HEAD", "--head", "HEAD",
+         "--workload", "sim-large", "--seeds", "1,2", "--label", "x"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "--seeds must include 104729" in proc.stderr
