@@ -10,10 +10,18 @@ pairs and the head first in odd ones, so a drift of the host's speed hits
 both alike.  The seed list must include 104729.  The file holds the argv,
 both revisions, every run's metrics, and per metric the medians, the IQRs
 (the spread between the first and third quartiles, linearly interpolated)
-and the pairs the head won.  The verdict printed for each metric is the one
-a claimed gain is held to: at least ten pairs, the head wins at least 9 of
-10 of them and the gap between the medians is larger than the base's IQR.
-It is reported, not enforced.
+and the pairs the head won.  Runs are untraced (``--trace 0``), and every
+end-to-end metric of BENCHMARK.json gets two verdicts, both reported and
+not enforced:
+
+- ``gain_holds``, the rule a claimed gain is held to: at least ten pairs,
+  the head wins at least 9 of 10 of them and the gap between the medians
+  is larger than the base's IQR.
+- ``bound_status``, the no-regression check against the metric's bound:
+  "worse" when the head's median is worse than the base's by more than
+  the bound (a fraction of the base median), else "unresolved" when either
+  side's IQR exceeds the bound times its median and the head did not beat
+  every base run, else "within".
 
 Usage:
     python scripts/bench_compare.py --base 904c7a0 --head HEAD --workload sim-large \\
@@ -33,6 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build"
 REQUIRED_SEED = 104729
 MIN_PAIRS = 10
+CLAIM = "work_per_s"  # the metric whose gain the verdict line reports
 
 
 def iqr(values: list[float]) -> float:
@@ -40,13 +49,15 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def verdict(base: list[float], head: list[float], better: str) -> dict:
-    """Pair wins, medians, the base's IQR and whether a gain claim holds.
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> dict:
+    """Pair wins, medians, IQRs, whether a gain claim holds and the bound check.
 
     ``base[i]`` and ``head[i]`` are pair i; ``better`` is "higher" or
-    "lower".  The claim holds when there are at least ten pairs, the head
-    wins at least 9 of 10 of them (ties count for neither side), and its
-    median is better than the base's by more than the base's IQR.
+    "lower"; ``bound`` is the metric's allowed relative worsening.  The
+    claim holds when there are at least ten pairs, the head wins at least 9
+    of 10 of them (ties count for neither side), and its median is better
+    than the base's by more than the base's IQR.  The bound check is
+    described in the module docstring.
     """
     if len(base) != len(head) or len(base) < 2:
         raise ValueError("need two equal-length lists of at least two runs")
@@ -54,15 +65,25 @@ def verdict(base: list[float], head: list[float], better: str) -> dict:
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     base_median, head_median = statistics.median(base), statistics.median(head)
     gap = sign * (head_median - base_median)
-    base_iqr = iqr(base)
+    base_iqr, head_iqr = iqr(base), iqr(head)
+    wide = base_iqr > bound * abs(base_median) or head_iqr > bound * abs(head_median)
+    head_beats_all = min(head) > max(base) if better == "higher" else max(head) < min(base)
+    if -gap > bound * abs(base_median):
+        status = "worse"
+    elif wide and not head_beats_all:
+        status = "unresolved"
+    else:
+        status = "within"
     return {
         "better": better,
         "base": {"median": base_median, "iqr": base_iqr},
-        "head": {"median": head_median, "iqr": iqr(head)},
+        "head": {"median": head_median, "iqr": head_iqr},
         "head_wins": wins,
         "pairs": len(base),
         "ratio": head_median / base_median if base_median else None,
         "gain_holds": len(base) >= MIN_PAIRS and 10 * wins >= 9 * len(base) and gap > base_iqr,
+        "bound": bound,
+        "bound_status": status,
     }
 
 
@@ -86,10 +107,10 @@ def _checkout(rev: str, made: list[Path]) -> tuple[Path, dict]:
     return tree, {"rev": rev, "commit": commit, "src_tree": _git("rev-parse", f"{commit}:src")}
 
 
-def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -110,15 +131,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help=f"comma-separated, including {REQUIRED_SEED}")
     parser.add_argument("--seconds", type=float, default=16)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    parser.add_argument("--claim", default="work_per_s", help="the metric whose gain is claimed")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     if REQUIRED_SEED not in seeds:
         parser.error(f"--seeds must include {REQUIRED_SEED}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end" if args.trace == 0 else "per_layer"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
     made: list[Path] = []
     try:
@@ -130,30 +149,29 @@ def main(argv: list[str] | None = None) -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"pair": i, "seed": seed, "order": list(order)}
             for side in order:
-                pair[side] = _bench(trees[side], args.workload, seed, args.seconds, args.trace)
-                print(f"pair {i} seed {seed} {side}: {args.claim} = "
-                      f"{pair[side]['metrics'].get(args.claim)}", flush=True)
+                pair[side] = _bench(trees[side], args.workload, seed, args.seconds)
+                print(f"pair {i} seed {seed} {side}: {CLAIM} = "
+                      f"{pair[side]['metrics'][CLAIM]}", flush=True)
             runs.append(pair)
     finally:
         for tree in made:
             _git("worktree", "remove", "--force", str(tree))
 
     metrics = {}
-    for name in runs[0]["base"]["metrics"]:
+    for name, m in end_to_end.items():
         base = [r["base"]["metrics"][name] for r in runs]
         head = [r["head"]["metrics"][name] for r in runs]
-        metrics[name] = verdict(base, head, better.get(name, "lower"))
+        metrics[name] = verdict(base, head, m["better"], m["bound"])
     doc = {
         "label": args.label,
         "argv": sys.argv if argv is None else ["scripts/bench_compare.py", *argv],
         "workload": args.workload,
         "seconds": args.seconds,
-        "trace": args.trace,
         "base": revisions["base"],
         "head": revisions["head"],
         "runs": runs,
         "metrics": metrics,
-        "claim": {"metric": args.claim, **metrics[args.claim]},
+        "claim": {"metric": CLAIM, **metrics[CLAIM]},
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
@@ -161,12 +179,13 @@ def main(argv: list[str] | None = None) -> int:
     for name, v in metrics.items():
         print(f"{name:12s} base {v['base']['median']:.6g} (IQR {v['base']['iqr']:.3g})  "
               f"head {v['head']['median']:.6g} (IQR {v['head']['iqr']:.3g})  "
-              f"head wins {v['head_wins']}/{v['pairs']}  ratio {v['ratio'] or float('nan'):.3f}")
+              f"head wins {v['head_wins']}/{v['pairs']}  ratio {v['ratio'] or float('nan'):.3f}  "
+              f"bound {v['bound']}: {v['bound_status']}")
     failed = sum(not r[side]["correct"] for r in runs for side in ("base", "head"))
     if failed:
         print(f"warning: {failed} runs had failed ops; see runs[].*.failed")
-    claim = metrics[args.claim]
-    print(f"verdict: {args.claim} gain {'holds' if claim['gain_holds'] else 'does not hold'} "
+    claim = metrics[CLAIM]
+    print(f"verdict: {CLAIM} gain {'holds' if claim['gain_holds'] else 'does not hold'} "
           f"(needs >= {MIN_PAIRS} pairs, >= 9/10 pair wins and a median gap above the base IQR)")
     print(f"wrote {out}")
     return 0

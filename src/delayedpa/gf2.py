@@ -380,10 +380,11 @@ def modified_toeplitz_hash(
     out = []
     for i in range(0, len(keys), step):
         group = keys[i : i + step]
-        # float64 throughout: scaling the uint8 bits by ldexp would give float16
+        # the bits are cast to float64 before scaling: on numpy 1.x, uint8
+        # times a Python float (or ldexp) gives float16, which overflows at 2**16
         packed = np.zeros(w, dtype=np.float64)
         for j, x in enumerate(group):
-            packed += _unpack(x)[n_pa:] * float(1 << (s * j))
+            packed += _unpack(x)[n_pa:].astype(np.float64) * 2.0 ** (s * j)
         # multiplied in place: seed_f lives for the whole call, so no third
         # spectrum-sized array is alive at once
         spectrum = np.fft.rfft(packed, size)
