@@ -23,6 +23,10 @@ not enforced:
   side's IQR exceeds the bound times its median and the head did not beat
   every base run, else "within".
 
+``noise`` flags a gap between the medians smaller than the metric's noise
+floor, as a fraction of the base median.  Only ``setup_s`` has one, 15%:
+alternating runs of identical set-up code have read that far apart.
+
 Usage:
     python scripts/bench_compare.py --base 904c7a0 --head HEAD --workload sim-large \\
         --seeds 104729,1,2,3,4,5,6,7,8,9 --seconds 16 --label modified_toeplitz
@@ -42,6 +46,7 @@ BUILD = ROOT / ".bench_build"
 REQUIRED_SEED = 104729
 MIN_PAIRS = 10
 CLAIM = "work_per_s"  # the metric whose gain the verdict line reports
+NOISE = {"setup_s": 0.15}
 
 
 def iqr(values: list[float]) -> float:
@@ -49,15 +54,18 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def verdict(base: list[float], head: list[float], better: str, bound: float) -> dict:
+def verdict(
+    base: list[float], head: list[float], better: str, bound: float, noise: float = 0.0
+) -> dict:
     """Pair wins, medians, IQRs, whether a gain claim holds and the bound check.
 
     ``base[i]`` and ``head[i]`` are pair i; ``better`` is "higher" or
-    "lower"; ``bound`` is the metric's allowed relative worsening.  The
-    claim holds when there are at least ten pairs, the head wins at least 9
-    of 10 of them (ties count for neither side), and its median is better
-    than the base's by more than the base's IQR.  The bound check is
-    described in the module docstring.
+    "lower"; ``bound`` is the metric's allowed relative worsening and
+    ``noise`` its noise floor.  The claim holds when there are at least ten
+    pairs, the head wins at least 9 of 10 of them (ties count for neither
+    side), and its median is better than the base's by more than the base's
+    IQR.  The bound check and the noise flag are described in the module
+    docstring.
     """
     if len(base) != len(head) or len(base) < 2:
         raise ValueError("need two equal-length lists of at least two runs")
@@ -84,6 +92,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
         "gain_holds": len(base) >= MIN_PAIRS and 10 * wins >= 9 * len(base) and gap > base_iqr,
         "bound": bound,
         "bound_status": status,
+        "noise": abs(gap) < noise * abs(base_median),
     }
 
 
@@ -161,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in end_to_end.items():
         base = [r["base"]["metrics"][name] for r in runs]
         head = [r["head"]["metrics"][name] for r in runs]
-        metrics[name] = verdict(base, head, m["better"], m["bound"])
+        metrics[name] = verdict(base, head, m["better"], m["bound"], NOISE.get(name, 0.0))
     doc = {
         "label": args.label,
         "argv": sys.argv if argv is None else ["scripts/bench_compare.py", *argv],
@@ -177,10 +186,11 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(doc, indent=2) + "\n")
 
     for name, v in metrics.items():
+        flag = f"  (gap under {NOISE[name]:.0%}: noise)" if v["noise"] else ""
         print(f"{name:12s} base {v['base']['median']:.6g} (IQR {v['base']['iqr']:.3g})  "
               f"head {v['head']['median']:.6g} (IQR {v['head']['iqr']:.3g})  "
               f"head wins {v['head_wins']}/{v['pairs']}  ratio {v['ratio'] or float('nan'):.3f}  "
-              f"bound {v['bound']}: {v['bound_status']}")
+              f"bound {v['bound']}: {v['bound_status']}{flag}")
     failed = sum(not r[side]["correct"] for r in runs for side in ("base", "head"))
     if failed:
         print(f"warning: {failed} runs had failed ops; see runs[].*.failed")

@@ -38,7 +38,9 @@ because an exactness guard raises if any convolution entry lies 0.25 or
 more from an integer (a NaN or inf entry included).  The dense
 :func:`toeplitz_from_seed` matrix stays for row reduction and preimage
 sampling, and ``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the
-hash's test oracle.
+hash's test oracle.  :func:`toeplitz_rows_independent` decides whether a
+Toeplitz matrix has independent rows from its seed alone, by the extended
+Euclidean algorithm in O(n**2) bit operations, without row reduction.
 
 :func:`preimage_sampler` draws uniform preimages {x : Ax = y} the same way:
 the row reduction, the rank check and z = row_ops y are done once per
@@ -67,6 +69,7 @@ __all__ = [
     "RowReduction",
     "matvec",
     "toeplitz_from_seed",
+    "toeplitz_rows_independent",
     "modified_toeplitz_hash",
     "row_reduce",
     "kernel_basis",
@@ -199,8 +202,9 @@ class BinaryMatrix:
     """Dense GF(2) matrix, one packed integer per row.
 
     Bit j of ``row_words[i]`` is entry (i, j).  ``toeplitz_seed`` is kept for
-    serialization when the matrix was built by :func:`toeplitz_from_seed`; it
-    does not take part in equality.
+    serialization and for :func:`toeplitz_rows_independent` when the matrix
+    was built by :func:`toeplitz_from_seed`; it must be rows + cols - 1 bits
+    whose windows are the rows, and it does not take part in equality.
     """
 
     rows: int
@@ -216,6 +220,9 @@ class BinaryMatrix:
         for w in self.row_words:
             if w < 0 or w.bit_length() > self.cols:
                 raise ValueError("row has set bits beyond cols")
+        seed = self.toeplitz_seed
+        if seed is not None and self.row_words != _toeplitz_words(seed, self.rows, self.cols):
+            raise ValueError("rows are not the windows of toeplitz_seed")
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
@@ -326,13 +333,39 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
     constant along every diagonal and fully determined by n + n_pa - 1 bits.
     """
+    return BinaryMatrix(n_pa, n, _toeplitz_words(seed, n_pa, n), toeplitz_seed=seed)
+
+
+def _toeplitz_words(seed: BitVector, n_pa: int, n: int) -> tuple[int, ...]:
     _check_toeplitz_shape(seed, n_pa, n)
     # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
     # seed, so each row is a single shift+mask window.
     rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
-    words = tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa))
-    return BinaryMatrix(n_pa, n, words, toeplitz_seed=seed)
+    return tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa))
+
+
+def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
+    """Whether ``toeplitz_from_seed(seed, n_pa, n)`` has independent rows.
+
+    Rows c with sum_i c_i seed[i + t] = 0 for all t < n are exactly the
+    nonzero polynomials c~ (c reversed) of degree <= n_pa - 1 with
+    deg(c~ s mod x**N) <= n_pa - 2, where s is the seed read as a polynomial
+    and N = n + n_pa - 1.  Since (n_pa - 1) + (n_pa - 2) < N, the extended
+    Euclidean algorithm on (x**N, s), stopped at the first remainder of
+    degree <= n_pa - 2, yields the cofactor t of least degree among them
+    (rational reconstruction; Brent, Gustavson and Yun, J. Algorithms 1,
+    259 (1980)), so the rows are independent exactly when deg t >= n_pa.
+    O(N**2) bit operations on Python ints, against cubic elimination.
+    """
+    _check_toeplitz_shape(seed, n_pa, n)
+    r0, r1, t0, t1 = 1 << seed.length, seed.bits, 0, 1
+    while r1.bit_length() >= n_pa:
+        while (shift := r0.bit_length() - r1.bit_length()) >= 0:
+            r0 ^= r1 << shift
+            t0 ^= t1 << shift
+        r0, r1, t0, t1 = r1, r0, t1, t0
+    return t1.bit_length() > n_pa
 
 
 # Two keys x2, x2' share one transform as x2 + 2**s x2', s = w.bit_length(),

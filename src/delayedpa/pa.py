@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from delayedpa.gf2 import (
     BinaryMatrix,
@@ -21,6 +22,7 @@ from delayedpa.gf2 import (
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
+    toeplitz_rows_independent,
 )
 
 __all__ = [
@@ -39,22 +41,36 @@ __all__ = [
 class AdditivePaFunction:
     """A compressing GF(2)-linear hash with independent rows.
 
-    Independence is checked once at construction and the row reduction is
-    cached so repeated preimage draws only pay for back-substitution.
+    Independence is checked once, at construction.  A Toeplitz matrix (one
+    that carries its ``toeplitz_seed``) is checked from the seed by
+    :func:`toeplitz_rows_independent`, the extended Euclidean algorithm, in
+    quadratic time; any other matrix by :func:`row_reduce`, whose result is
+    kept.  ``reduction`` is computed on the first preimage draw if it is
+    not kept already, and cached, so repeated draws only pay for
+    back-substitution, and a hash that is only applied never row-reduces.
     """
 
     matrix: BinaryMatrix
-    reduction: RowReduction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.matrix.rows < 1:
             raise ValueError("hash needs at least one output bit: need n_pa >= 1")
         if self.matrix.rows >= self.matrix.cols:
             raise ValueError("hash must compress: need n_pa < n")
-        red = row_reduce(self.matrix)
-        if red.rank < self.matrix.rows:
+        seed = self.matrix.toeplitz_seed
+        if seed is not None:
+            independent = toeplitz_rows_independent(seed, self.n_pa, self.n)
+        else:
+            red = row_reduce(self.matrix)
+            object.__setattr__(self, "reduction", red)  # fills the cached property
+            independent = red.rank == self.matrix.rows
+        if not independent:
             raise ValueError("rows not independent")
-        object.__setattr__(self, "reduction", red)
+
+    @cached_property
+    def reduction(self) -> RowReduction:
+        """The matrix's row reduction, computed on first use."""
+        return row_reduce(self.matrix)
 
     @classmethod
     def from_rows(cls, rows) -> "AdditivePaFunction":

@@ -21,6 +21,7 @@ from delayedpa.gf2 import (
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
+    toeplitz_rows_independent,
 )
 
 
@@ -315,6 +316,24 @@ def test_toeplitz_all_ones():
 def test_toeplitz_wrong_seed_length():
     with pytest.raises(ValueError):
         toeplitz_from_seed(BitVector.zeros(5), n_pa=2, n=3)
+    with pytest.raises(ValueError):
+        toeplitz_rows_independent(BitVector.zeros(5), n_pa=2, n=3)
+
+
+def test_toeplitz_seed_must_be_the_rows_windows():
+    # to_json and the rank check read the seed instead of the rows, so a
+    # matrix whose seed disagrees with its rows must not be built
+    seed = BitVector.from01("1011")
+    a = toeplitz_from_seed(seed, n_pa=2, n=3)
+    assert BinaryMatrix(2, 3, a.row_words, toeplitz_seed=seed) == a
+    with pytest.raises(ValueError, match="seed length"):
+        BinaryMatrix(2, 3, a.row_words, toeplitz_seed=BitVector.from01("10110"))
+    with pytest.raises(ValueError, match="windows of toeplitz_seed"):
+        BinaryMatrix(2, 3, a.row_words[::-1], toeplitz_seed=seed)
+    # dependent rows under a seed whose own matrix has independent rows
+    assert toeplitz_rows_independent(seed, 2, 3)
+    with pytest.raises(ValueError, match="windows of toeplitz_seed"):
+        BinaryMatrix(2, 3, (a.row_words[0],) * 2, toeplitz_seed=seed)
 
 
 @given(st.integers(1, 6), st.integers(1, 8), st.randoms(use_true_random=False))
@@ -338,6 +357,48 @@ def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
     assert all(
         a.entry(i, j) == seed[i - j + n - 1] for i in range(n_pa) for j in range(n)
     )
+
+
+def _rows_independent(seed, n_pa, n):
+    return row_reduce(toeplitz_from_seed(seed, n_pa, n)).rank == n_pa
+
+
+def test_toeplitz_rows_independent_matches_row_reduce_exhaustively():
+    # n_pa = n + 1 has more rows than columns, so its rows never are
+    for n in range(1, 7):
+        for n_pa in range(1, n + 2):
+            length = n + n_pa - 1
+            for bits in range(1 << length):
+                seed = BitVector(length, bits)
+                assert toeplitz_rows_independent(seed, n_pa, n) == _rows_independent(
+                    seed, n_pa, n
+                ), (seed.to01(), n_pa, n)
+
+
+@pytest.mark.parametrize("density", [0.02, 0.5, 0.98])
+def test_toeplitz_rows_independent_matches_row_reduce_on_random_shapes(density):
+    rng = random.Random(f"toeplitz rank {density}")
+    for _ in range(150):
+        n = rng.randint(2, 64)
+        n_pa = rng.randint(1, n - 1)
+        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n + n_pa - 1))
+        assert toeplitz_rows_independent(seed, n_pa, n) == _rows_independent(seed, n_pa, n), (
+            seed.to01(), n_pa, n
+        )
+
+
+@pytest.mark.parametrize(
+    "pattern, independent",
+    [("0", False), ("1", False), ("1101001", False), ("0" * 63 + "1" + "0" * 39, True)],
+    ids=["zero", "ones", "period-7", "identity"],
+)
+def test_toeplitz_rows_independent_on_structured_seeds(pattern, independent):
+    # a periodic seed gives rank at most its period; a single 1 at bit
+    # n - 1 gives [I | 0]
+    n, n_pa = 64, 40
+    seed = BitVector.from01((pattern * (n + n_pa))[: n + n_pa - 1])
+    assert toeplitz_rows_independent(seed, n_pa, n) is independent
+    assert _rows_independent(seed, n_pa, n) is independent
 
 
 def _dense_hash(seed, n_pa, x):
@@ -604,6 +665,7 @@ def test_row_reduce_matches_gauss_jordan_on_toeplitz():
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert red.rank == n_pa
+    assert toeplitz_rows_independent(a.toeplitz_seed, n_pa, n)
 
 
 @pytest.mark.parametrize("pattern, max_rank", [("1", 1), ("1101001", 7)], ids=["ones", "period-7"])
@@ -616,6 +678,7 @@ def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert 1 <= red.rank <= max_rank
+    assert not toeplitz_rows_independent(seed, n_pa, n)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 5])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import delayedpa.pa
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
+from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce, toeplitz_from_seed
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
@@ -345,6 +345,44 @@ def test_session_from_json_rejects_matrix_rows_not_hex_strings():
     del doc["pa"]["rows"]
     with pytest.raises(ValueError, match="no 'rows'"):
         DelayedPaSession.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pattern", ["0", "10"], ids=["zero", "period-2"])
+def test_dependent_toeplitz_seed_is_rejected(pattern):
+    # the rank check reads the seed, not a reduction: a stored seed whose
+    # rows are dependent must still fail to load
+    seed = BitVector.from01((pattern * 10)[:10])
+    assert row_reduce(toeplitz_from_seed(seed, 3, 8)).rank < 3
+    with pytest.raises(ValueError, match="rows not independent"):
+        AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
+    doc = _session_doc(329)
+    doc["pa"]["seed"] = seed.to_hex()
+    with pytest.raises(ValueError, match="rows not independent"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_session_row_reduces_once(monkeypatch):
+    calls = []
+
+    def counting_row_reduce(a):
+        calls.append((a.rows, a.cols))
+        return row_reduce(a)
+
+    monkeypatch.setattr(delayedpa.pa, "row_reduce", counting_row_reduce)
+    rng = random.Random(330)
+    n, n_pa = 64, 40
+    f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+    assert calls == []
+    s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
+    assert calls == [(n_pa, n)]
+    m_prime = BitVector.random(n_pa, rng)
+    assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
+    assert DelayedPaSession.from_json(s.to_json()) == s
+    assert calls == [(n_pa, n)]
+    # a matrix without a seed is checked by its reduction, which draws reuse
+    g = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    expand_message(g, BitVector.from01("10"), rng)
+    assert calls == [(n_pa, n), (2, 3)]
 
 
 def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):

@@ -82,6 +82,19 @@ def test_bench_compare_bound_status():
     assert verdict(base, [b + 3 for b in base], "lower", 0.4)["bound_status"] == "within"
 
 
+def test_bench_compare_flags_setup_noise():
+    module = _bench_compare()
+    verdict, floor = module.verdict, module.NOISE["setup_s"]
+    assert floor == 0.15
+    base = [0.20] * 10
+    # a 10% gap either way is noise for setup_s, 20% is not
+    assert verdict(base, [0.22] * 10, "lower", 0.25, floor)["noise"]
+    assert verdict(base, [0.18] * 10, "lower", 0.25, floor)["noise"]
+    assert not verdict(base, [0.24] * 10, "lower", 0.25, floor)["noise"]
+    # metrics without a noise floor are never flagged
+    assert not verdict(base, [0.22] * 10, "lower", 0.25)["noise"]
+
+
 def test_bench_compare_requires_seed_104729(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_compare.py"), "--base", "HEAD", "--head", "HEAD",
