@@ -348,8 +348,8 @@ def _toeplitz_words(seed: BitVector, n_pa: int, n: int) -> tuple[int, ...]:
 def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
     """Whether ``toeplitz_from_seed(seed, n_pa, n)`` has independent rows.
 
-    Rows c with sum_i c_i seed[i + t] = 0 for all t < n are exactly the
-    nonzero polynomials c~ (c reversed) of degree <= n_pa - 1 with
+    A row dependency c != 0, sum_i c_i seed[i + t] = 0 for all t < n, is
+    exactly a nonzero polynomial c~ (c reversed) of degree <= n_pa - 1 with
     deg(c~ s mod x**N) <= n_pa - 2, where s is the seed read as a polynomial
     and N = n + n_pa - 1.  Since (n_pa - 1) + (n_pa - 2) < N, the extended
     Euclidean algorithm on (x**N, s), stopped at the first remainder of
