@@ -14,15 +14,13 @@ Conversions go through base-2 and base-16 ``int``/``format``, which run in
 linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
 through ``np.packbits``.
 
-:func:`row_reduce` carries each row's operation record in the bits above
-column ``cols``, so one XOR or swap updates the row and its record together.
-It is Gauss-Jordan elimination done by the Method of Four Russians on one
-C-contiguous ``(rows, words)`` array of little-endian uint64 words, in
-blocks of 8 columns, so a block is one byte column of the array's ``uint8``
-view.  A block's pivots are found on that byte column alone, then one table
-of the XOR combinations of its pivot rows updates every row by a gather and
-an in-place XOR, 256 rows per call.  The result, swap order included, is
-exactly the column-by-column elimination's.
+:func:`row_reduce` is Gauss-Jordan elimination done by the Method of Four
+Russians on one C-contiguous ``(rows, words)`` array of little-endian uint64
+words, in blocks of 8 columns, so a block is one byte column of the array's
+``uint8`` view.  A block's pivots are found on that byte column alone, then
+one table of the XOR combinations of its pivot rows updates every row by a
+gather and an in-place XOR, 256 rows per call.  The result, swap order
+included, is exactly the column-by-column elimination's.
 
 Protocol keys are hashed by the modified Toeplitz family of Hayashi and
 Tsurumaru (arXiv:1311.5322): an n-bit key x = (x1, x2), split after n_pa
@@ -42,17 +40,18 @@ hash's test oracle.  :func:`toeplitz_rows_independent` decides whether a
 Toeplitz matrix has independent rows from its seed alone, by the extended
 Euclidean algorithm in O(n**2) bit operations, without row reduction.
 
-:func:`preimage_sampler` draws uniform preimages {x : Ax = y} the same way:
-the row reduction, the rank check and z = row_ops y are done once per
-(matrix, y), and each draw sets the free columns from one
+:func:`preimage_sampler` draws uniform preimages {x : Ax = y}.  It
+row-reduces [A | y] once per (matrix, y) and reads z, the reduced y, from
+the last column; each draw sets the free columns from one
 ``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
 Its batch form makes ``count`` draws at once, as an int64 array of codes,
 for matrices of at most 63 columns.  It reads the same ``random.Random``
 stream as ``count`` one-draw calls: ``getrandbits(k)`` is one 32-bit word
 shifted right by 32 - k for k <= 32, and two words, the second shifted
 right by 64 - k, for 32 < k <= 64; ``getrandbits(32 * words * count)``
-returns those same words, first word lowest.  The free bits are scattered by the same runs of free columns, and
-each pivot bit comes from a byte-parity lookup of ``row & x``.
+returns those same words, first word lowest.  The free bits are scattered
+by the same runs of free columns, and each pivot bit comes from a
+byte-parity lookup of ``row & x``.
 :func:`sample_preimage` is the one-draw form of a fresh sampler.
 """
 
@@ -279,21 +278,15 @@ class BinaryMatrix:
             words.append(BitVector.from01(ln).bits)
         return cls(rows, cols, tuple(words))
 
-    def rank(self) -> int:
-        return len(row_reduce(self).pivot_cols)
-
 
 @dataclass(frozen=True)
 class RowReduction:
-    """Result of Gaussian elimination: ``row_ops @ original == upper``.
+    """Result of Gauss-Jordan elimination.
 
-    ``upper`` is in reduced row-echelon form with pivots at ``pivot_cols``;
-    ``row_ops`` is the invertible product of the elementary row operations
-    (XORs and swaps) applied in order.
+    ``upper`` is the reduced row-echelon form, with pivots at ``pivot_cols``.
     """
 
     upper: BinaryMatrix
-    row_ops: BinaryMatrix
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
 
@@ -333,7 +326,11 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
     constant along every diagonal and fully determined by n + n_pa - 1 bits.
     """
-    return BinaryMatrix(n_pa, n, _toeplitz_words(seed, n_pa, n), toeplitz_seed=seed)
+    matrix = BinaryMatrix(n_pa, n, _toeplitz_words(seed, n_pa, n))
+    # the rows are the seed's windows by construction, so they are not
+    # rebuilt to check them as a hand-built matrix's are
+    object.__setattr__(matrix, "toeplitz_seed", seed)
+    return matrix
 
 
 def _toeplitz_words(seed: BitVector, n_pa: int, n: int) -> tuple[int, ...]:
@@ -439,7 +436,7 @@ _GATHER_ROWS = 256
 
 
 def row_reduce(a: BinaryMatrix) -> RowReduction:
-    """Reduced row-echelon form with the row-operation product recorded.
+    """Reduced row-echelon form, pivot columns and free columns.
 
     Handles any matrix; rank deficiency shows up as zero rows in ``upper``
     and a shorter ``pivot_cols``, never as an error.
@@ -448,9 +445,9 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     first row at or below the next pivot position with a 1 there is swapped
     up and cleared from every other row.  It is computed by the Method of
     Four Russians (Bard, IACR ePrint 2006/251) on one C-contiguous
-    ``(rows, words)`` array of little-endian uint64 words, each row followed
-    by its operation record.  Blocks are 8 columns wide, so block b is byte
-    column b of the array's ``uint8`` view.  For each block:
+    ``(rows, words)`` array of little-endian uint64 words.  Blocks are 8
+    columns wide, so block b is byte column b of the array's ``uint8``
+    view.  For each block:
 
     - the byte column of the rows from the next pivot position down is read
       into a list once; if it is all zero, the block's columns are free and
@@ -474,14 +471,11 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     """
     rows, cols = a.rows, a.cols
     # each row is written into the array's buffer directly, with no joined copy
-    row_bytes = (cols + rows + 63) >> 6 << 3
+    row_bytes = (cols + 63) >> 6 << 3
     col_bytes = (cols + 7) >> 3
     buf = bytearray(rows * row_bytes)
     for i, w in enumerate(a.row_words):
-        start = i * row_bytes
-        buf[start : start + col_bytes] = w.to_bytes(col_bytes, "little")
-        # row i's operation record sits above column cols, starting as e_i
-        buf[start + ((cols + i) >> 3)] |= 1 << ((cols + i) & 7)
+        buf[i * row_bytes : i * row_bytes + col_bytes] = w.to_bytes(col_bytes, "little")
     work = np.frombuffer(buf, dtype="<u8").reshape(rows, row_bytes >> 3)
     octets = work.view(np.uint8)
     table = np.zeros((256, work.shape[1]), dtype="<u8")
@@ -552,17 +546,12 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
             work[s0 : s0 + _GATHER_ROWS] ^= table.take(idx[s0 : s0 + _GATHER_ROWS], axis=0)
     # the columns visited are a prefix; once every row is a pivot the rest are free
     free_cols += range(len(pivot_cols) + len(free_cols), cols)
-    col_mask = (1 << cols) - 1
-    upper: list[int] = []
-    row_ops: list[int] = []
     view = memoryview(buf)
-    for i in range(rows):
-        w = int.from_bytes(view[i * row_bytes : (i + 1) * row_bytes], "little")
-        upper.append(w & col_mask)
-        row_ops.append(w >> cols)
+    upper = [
+        int.from_bytes(view[i * row_bytes : (i + 1) * row_bytes], "little") for i in range(rows)
+    ]
     return RowReduction(
         upper=BinaryMatrix(rows, cols, tuple(upper)),
-        row_ops=BinaryMatrix(rows, rows, tuple(row_ops)),
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(free_cols),
     )
@@ -662,16 +651,13 @@ class PreimageSampler:
         return x
 
 
-def preimage_sampler(
-    a: BinaryMatrix,
-    y: BitVector,
-    *,
-    reduction: RowReduction | None = None,
-) -> PreimageSampler:
+def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
     """Uniform draws from {x : Ax = y} for a matrix with independent rows.
 
-    Row-reduces once (or reuses a caller-cached ``reduction`` of ``a``) and
-    computes z = row_ops y once, here.  Each call of the returned
+    Row-reduces [A | y], y as one more column, once, here.  Gauss-Jordan
+    treats the columns in order, and when A's rows are independent each
+    gets its pivot before y's column, so the A part is A's own reduction
+    and the last column is z, the reduced y.  Each call of the returned
     ``draw(rng)`` takes the free-column bits from one
     ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
     back-substitutes the pivot columns from z; every preimage element comes
@@ -680,36 +666,27 @@ def preimage_sampler(
     """
     if y.length != a.rows:
         raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
-    if reduction is None:
-        red = row_reduce(a)
-    elif (reduction.upper.rows, reduction.upper.cols) != (a.rows, a.cols):
-        raise ValueError(
-            f"reduction of a {reduction.upper.rows}x{reduction.upper.cols} matrix "
-            f"does not fit a {a.rows}x{a.cols} matrix"
-        )
-    else:
-        red = reduction
-    if red.rank < a.rows:
+    cols = a.cols
+    augmented = tuple(w | ((y.bits >> i) & 1) << cols for i, w in enumerate(a.row_words))
+    red = row_reduce(BinaryMatrix(a.rows, cols + 1, augmented))
+    # a pivot in y's column leaves a zero row in A's part: its rows are dependent
+    if red.rank < a.rows or cols in red.pivot_cols:
         raise ValueError("rows not independent")
-    z = matvec(red.row_ops, y).bits
     runs: list[tuple[int, int]] = []
-    for i, fc in enumerate(red.free_cols):
+    # y's column is the last free column
+    for i, fc in enumerate(red.free_cols[:-1]):
         if runs and runs[-1][1] == fc - i:
             runs[-1] = (runs[-1][0] | 1 << i, fc - i)
         else:
             runs.append((1 << i, fc - i))
+    # each row is masked to A's columns: batch codes have no bit 63 to spare
+    col_mask = (1 << cols) - 1
     pivots = tuple(
-        (red.upper.row_words[r], pc, (z >> r) & 1) for r, pc in enumerate(red.pivot_cols)
+        (w & col_mask, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols)
     )
-    return PreimageSampler(a.cols, len(red.free_cols), tuple(runs), pivots)
+    return PreimageSampler(cols, len(red.free_cols) - 1, tuple(runs), pivots)
 
 
-def sample_preimage(
-    a: BinaryMatrix,
-    y: BitVector,
-    rng,
-    *,
-    reduction: RowReduction | None = None,
-) -> BitVector:
+def sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
     """One uniform draw from {x : Ax = y}: :func:`preimage_sampler`'s one-draw form."""
-    return preimage_sampler(a, y, reduction=reduction)(rng)
+    return preimage_sampler(a, y)(rng)

@@ -12,12 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
-    RowReduction,
     matvec,
     row_reduce,
     sample_preimage,
@@ -44,10 +42,9 @@ class AdditivePaFunction:
     Independence is checked once, at construction.  A Toeplitz matrix (one
     that carries its ``toeplitz_seed``) is checked from the seed by
     :func:`toeplitz_rows_independent`, the extended Euclidean algorithm, in
-    quadratic time; any other matrix by :func:`row_reduce`, whose result is
-    kept.  ``reduction`` is computed on the first preimage draw if it is
-    not kept already, and cached, so repeated draws only pay for
-    back-substitution, and a hash that is only applied never row-reduces.
+    quadratic time; any other matrix by :func:`row_reduce`.  Nothing is
+    kept: each preimage draw row-reduces [A | m'] afresh, and a hash that
+    is only applied never row-reduces.
     """
 
     matrix: BinaryMatrix
@@ -61,16 +58,9 @@ class AdditivePaFunction:
         if seed is not None:
             independent = toeplitz_rows_independent(seed, self.n_pa, self.n)
         else:
-            red = row_reduce(self.matrix)
-            object.__setattr__(self, "reduction", red)  # fills the cached property
-            independent = red.rank == self.matrix.rows
+            independent = row_reduce(self.matrix).rank == self.n_pa
         if not independent:
             raise ValueError("rows not independent")
-
-    @cached_property
-    def reduction(self) -> RowReduction:
-        """The matrix's row reduction, computed on first use."""
-        return row_reduce(self.matrix)
 
     @classmethod
     def from_rows(cls, rows) -> "AdditivePaFunction":
@@ -103,7 +93,7 @@ def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
     """Uniform draw from the preimage {m : f(m) = m_prime}."""
     if m_prime.length != f.n_pa:
         raise ValueError(f"length mismatch: expected {f.n_pa}, got {m_prime.length}")
-    return sample_preimage(f.matrix, m_prime, rng, reduction=f.reduction)
+    return sample_preimage(f.matrix, m_prime, rng)
 
 
 def expand_imperfect_key(

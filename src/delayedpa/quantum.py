@@ -82,15 +82,18 @@ def _check_density_blocks(blocks: np.ndarray, states: int = 0) -> None:
     Every block is Hermitian and positive semidefinite, and the traces of
     all blocks sum to 1.  A density matrix is the stack of one block.  With
     ``states`` > 0 the leading ``states`` axes index separate states, and
-    the blocks of each must sum to trace 1.
+    the blocks of each must sum to trace 1.  Each test is written so that
+    a NaN fails it, and any inf entry fails the Hermitian test.
     """
-    if np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max() > ATOL_BUILD:
+    if not np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max() <= ATOL_BUILD:
         raise ValueError("matrix is not Hermitian")
     traces = np.trace(blocks, axis1=-2, axis2=-1)
     trace = traces.reshape(traces.shape[:states] + (-1,)).sum(axis=-1)
-    if np.any(np.abs(trace.real - 1.0) > ATOL_BUILD) or np.any(np.abs(trace.imag) > ATOL_BUILD):
+    if not (
+        np.all(np.abs(trace.real - 1.0) <= ATOL_BUILD) and np.all(np.abs(trace.imag) <= ATOL_BUILD)
+    ):
         raise ValueError("trace is not 1")
-    if np.linalg.eigvalsh(blocks).min() < -1e-10:
+    if not np.linalg.eigvalsh(blocks).min() >= -1e-10:
         raise ValueError("matrix is not positive semidefinite")
 
 
@@ -129,7 +132,8 @@ class PureState:
             raise ValueError("dims and labels must align")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate subsystem labels")
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL_BUILD:
+        # written so that a NaN norm fails it
+        if not abs(np.linalg.norm(amps) - 1.0) <= ATOL_BUILD:
             raise ValueError("state is not normalized")
 
     @property

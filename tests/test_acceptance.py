@@ -84,10 +84,9 @@ def test_criterion_1_additive_pa_properties():
             cols = rng.randint(4, 96)
             rows = rng.randint(1, min(cols - 1, 32))
             a = full_rank_matrix(rng, rows, cols)
-            red = row_reduce(a)
             for _ in range(20):
                 y = BitVector.random(rows, rng)
-                x = sample_preimage(a, y, rng, reduction=red)
+                x = sample_preimage(a, y, rng)
                 assert matvec(a, x) == y
         # uniformity: chi-square at alpha = 0.001, n = 8, n_pa = 3, 32000 draws
         payload, passed = suite_preimage_uniformity(n=8, n_pa=3, draws=32000, alpha=0.001, seed=1002)

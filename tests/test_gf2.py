@@ -49,8 +49,13 @@ def ref_matmul(a, b):
     return BinaryMatrix.from_rows([ref_matvec(cols, row) for row in to_lists(a)])
 
 
-def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
-    """Plain Gauss-Jordan elimination, one column and one row at a time."""
+def ref_row_reduce_with_ops(a: BinaryMatrix) -> tuple[RowReduction, BinaryMatrix]:
+    """Plain Gauss-Jordan elimination, one column and one row at a time.
+
+    Returns the reduction and ``row_ops``, the invertible product of the
+    row operations (XORs and swaps) applied in order: ``row_ops @ a`` is
+    the reduced form.
+    """
     # row i's operation record sits above column a.cols, starting as e_i
     work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
     pivot_cols: list[int] = []
@@ -72,12 +77,16 @@ def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
     pivots = set(pivot_cols)
     free_cols = tuple(c for c in range(a.cols) if c not in pivots)
     col_mask = (1 << a.cols) - 1
-    return RowReduction(
+    red = RowReduction(
         upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
-        row_ops=BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work])),
         pivot_cols=tuple(pivot_cols),
         free_cols=free_cols,
     )
+    return red, BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work]))
+
+
+def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
+    return ref_row_reduce_with_ops(a)[0]
 
 
 def ref_from_bits(bits):
@@ -117,39 +126,42 @@ def ref_preimage(a, y):
     return {v.bits for v in enumerate_vectors(a.cols) if matvec(a, v) == y}
 
 
-def ref_sample_preimage(
-    a: BinaryMatrix,
-    y: BitVector,
-    rng,
-    *,
-    reduction: RowReduction | None = None,
-) -> BitVector:
-    """Uniform sample from {x : Ax = y} for a matrix with independent rows.
+def ref_preimage_sampler(a: BinaryMatrix, y: BitVector):
+    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
 
-    Row-reduces once (or reuses a caller-cached ``reduction``), draws the
-    free-column bits uniformly from ``rng``, and back-substitutes the pivot
-    columns; every preimage element comes out with probability
-    2**-(cols - rows).
+    Row-reduces once and takes z = row_ops y from the oracle's own record.
+    Each draw takes the free-column bits from one ``rng.getrandbits(n_free)``
+    and back-substitutes the pivot columns; every preimage element comes
+    out with probability 2**-(cols - rows).
     """
     if y.length != a.rows:
         raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
-    red = reduction if reduction is not None else row_reduce(a)
+    red, row_ops = ref_row_reduce_with_ops(a)
     if red.rank < a.rows:
         raise ValueError("rows not independent")
-    z = matvec(red.row_ops, y)
-    x = 0
-    n_free = len(red.free_cols)
-    if n_free:
-        draw = rng.getrandbits(n_free)
-        for idx, fc in enumerate(red.free_cols):
-            if (draw >> idx) & 1:
-                x |= 1 << fc
-    # Reduced echelon form: each pivot row touches its pivot plus free
-    # columns only, so substitution needs no particular order.
-    for r, pc in enumerate(red.pivot_cols):
-        if z[r] ^ _parity(red.upper.row_words[r] & x):
-            x |= 1 << pc
-    return BitVector(a.cols, x)
+    z = matvec(row_ops, y)
+
+    def draw(rng) -> BitVector:
+        x = 0
+        n_free = len(red.free_cols)
+        if n_free:
+            bits = rng.getrandbits(n_free)
+            for idx, fc in enumerate(red.free_cols):
+                if (bits >> idx) & 1:
+                    x |= 1 << fc
+        # Reduced echelon form: each pivot row touches its pivot plus free
+        # columns only, so substitution needs no particular order.
+        for r, pc in enumerate(red.pivot_cols):
+            if z[r] ^ _parity(red.upper.row_words[r] & x):
+                x |= 1 << pc
+        return BitVector(a.cols, x)
+
+    return draw
+
+
+def ref_sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
+    """One uniform draw from {x : Ax = y}, by a fresh :func:`ref_preimage_sampler`."""
+    return ref_preimage_sampler(a, y)(rng)
 
 
 class FixedBits:
@@ -533,7 +545,7 @@ def test_row_reduce_already_echelon():
     a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     red = row_reduce(a)
     assert red.upper == a
-    assert red.row_ops == BinaryMatrix.identity(2)
+    assert ref_row_reduce_with_ops(a)[1] == BinaryMatrix.identity(2)
     assert red.pivot_cols == (0, 1)
     assert red.free_cols == (2,)
 
@@ -542,8 +554,9 @@ def test_row_reduce_records_swap():
     a = BinaryMatrix.from_rows([[0, 1], [1, 0]])
     red = row_reduce(a)
     assert red.upper == BinaryMatrix.identity(2)
-    assert red.row_ops == BinaryMatrix.from_rows([[0, 1], [1, 0]])
-    assert ref_matmul(red.row_ops, a) == red.upper
+    row_ops = ref_row_reduce_with_ops(a)[1]
+    assert row_ops == BinaryMatrix.from_rows([[0, 1], [1, 0]])
+    assert ref_matmul(row_ops, a) == red.upper
 
 
 def test_row_reduce_rank_deficient():
@@ -552,7 +565,7 @@ def test_row_reduce_rank_deficient():
     assert red.rank == 1
     assert red.free_cols == (1,)
     assert red.upper.row_words[1] == 0
-    assert ref_matmul(red.row_ops, a) == red.upper
+    assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == red.upper
 
 
 @given(st.randoms(use_true_random=False))
@@ -561,7 +574,7 @@ def test_row_ops_times_original_is_upper(rng):
     cols = rng.randint(1, 14)
     a = BinaryMatrix.random(rows, cols, rng)
     red = row_reduce(a)
-    assert ref_matmul(red.row_ops, a) == red.upper
+    assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == red.upper
     # echelon shape: pivots strictly increase and are the leading entries
     prev = -1
     for r, pc in enumerate(red.pivot_cols):
@@ -576,16 +589,14 @@ def test_row_ops_product_large_random():
     rng = random.Random(7)
     for _ in range(10):
         a = BinaryMatrix.random(64, 128, rng)
-        red = row_reduce(a)
-        assert ref_matmul(red.row_ops, a) == red.upper
+        assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == row_reduce(a).upper
 
 
 def test_row_ops_invertible():
     rng = random.Random(11)
     for _ in range(20):
         a = BinaryMatrix.random(rng.randint(1, 8), rng.randint(1, 8), rng)
-        red = row_reduce(a)
-        assert red.row_ops.rank() == a.rows
+        assert row_reduce(ref_row_reduce_with_ops(a)[1]).rank == a.rows
 
 
 MATRIX_KINDS = ["dense", "zero", "sparse", "rank-1", "low-rank", "duplicates", "gaps"]
@@ -621,9 +632,8 @@ def _matrix(kind, rows, cols, rng):
 
 
 # widths 7 .. 11, and 1 .. 7 mod 8 under more than 256 rows, straddle the
-# 8-column blocks; 63 / 64 / 65 straddle a machine word, and so do
-# cols + rows = 63 .. 65 and 127 .. 129, where the operation record above
-# the columns crosses one
+# 8-column blocks; 31 .. 33 and 63 .. 65 straddle a machine word, for a
+# matrix and for the [A | y] one column wider that a preimage sampler reduces
 RR_SHAPES = [
     (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
     (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
@@ -791,10 +801,9 @@ def test_preimage_selector_enumeration_is_bijective():
     # driving the free bits through every value enumerates the preimage once
     a = BinaryMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0]])
     y = BitVector.from01("10")
-    red = row_reduce(a)
     outs = {
-        sample_preimage(a, y, FixedBits(v), reduction=red).bits
-        for v in range(1 << len(red.free_cols))
+        sample_preimage(a, y, FixedBits(v)).bits
+        for v in range(1 << len(row_reduce(a).free_cols))
     }
     assert outs == ref_preimage(a, y)
 
@@ -813,12 +822,11 @@ def test_preimage_always_consistent(seed):
 def assert_sampler_matches_oracle(a, seed, draws):
     rng = random.Random(seed)
     y = BitVector.random(a.rows, rng)
-    red = row_reduce(a)
-    draw = preimage_sampler(a, y, reduction=red)
+    draw, ref_draw = preimage_sampler(a, y), ref_preimage_sampler(a, y)
     ours, oracle, one_draw = random.Random(seed), random.Random(seed), random.Random(seed)
     for _ in range(draws):
         x = draw(ours)
-        assert x == ref_sample_preimage(a, y, oracle, reduction=red)
+        assert x == ref_draw(oracle)
         assert x == sample_preimage(a, y, one_draw)
         assert matvec(a, x) == y
     # the same stream: one getrandbits(n_free) per draw on every side
@@ -869,12 +877,12 @@ def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
 def assert_batch_matches_one_draw_calls(a, seed, counts):
     rng = random.Random(seed)
     y = BitVector.random(a.rows, rng)
-    draw = preimage_sampler(a, y)
+    draw, ref_draw = preimage_sampler(a, y), ref_preimage_sampler(a, y)
     batched, one_draw = random.Random(seed), random.Random(seed)
     for count in counts:
         codes = draw.batch(batched, count)
         assert codes.dtype == np.int64 and codes.shape == (count,)
-        assert codes.tolist() == [ref_sample_preimage(a, y, one_draw).bits for _ in range(count)]
+        assert codes.tolist() == [ref_draw(one_draw).bits for _ in range(count)]
         # the same stream: count draws consume what count calls consume
         assert batched.getstate() == one_draw.getstate()
     assert all(matvec(a, BitVector(a.cols, int(x))) == y for x in codes)
@@ -914,40 +922,41 @@ def test_preimage_batch_rejects_wide_matrices_and_negative_counts():
         draw.batch(rng, -1)
 
 
-def test_preimage_sampler_rejects_reduction_of_another_shape():
-    rng = random.Random(3)
-    a = full_rank_matrix(rng, 3, 8)
-    b = full_rank_matrix(rng, 3, 6)
-    y = BitVector.random(3, rng)
-    for other in (b, full_rank_matrix(rng, 2, 8), BinaryMatrix.identity(3)):
-        with pytest.raises(ValueError, match="does not fit"):
-            preimage_sampler(a, y, reduction=row_reduce(other))
-        with pytest.raises(ValueError, match="does not fit"):
-            sample_preimage(a, y, rng, reduction=row_reduce(other))
+@pytest.mark.parametrize("a_rows, y", [
+    ([[1, 1, 0], [1, 1, 0]], "10"),  # [A | y] has independent rows
+    ([[1, 1, 0], [1, 1, 0]], "11"),  # y is in A's image
+    ([[1, 0, 1], [0, 0, 0]], "01"),  # a zero row against a set y bit
+    ([[0, 0, 0]], "1"),
+], ids=["inconsistent", "consistent", "zero-row", "zero-matrix"])
+def test_preimage_sampler_rejects_dependent_rows_whatever_y(a_rows, y):
+    # [A | y]'s rank is rows when y is outside A's image, so a pivot in y's
+    # column must fail the check as a short rank does
+    a, y = BinaryMatrix.from_rows(a_rows), BitVector.from01(y)
+    with pytest.raises(ValueError, match="rows not independent"):
+        preimage_sampler(a, y)
+    with pytest.raises(ValueError, match="rows not independent"):
+        sample_preimage(a, y, random.Random(0))
+    with pytest.raises(ValueError, match="rows not independent"):
+        ref_preimage_sampler(a, y)
 
 
 class OracleSampler:
-    """``preimage_sampler``'s interface with every draw made by ``ref_sample_preimage``."""
+    """``preimage_sampler``'s interface with every draw made by ``ref_preimage_sampler``."""
 
-    def __init__(self, a, y, *, reduction=None):
-        self.a, self.y = a, y
-        self.red = reduction if reduction is not None else row_reduce(a)
+    def __init__(self, a, y):
+        self.draw = ref_preimage_sampler(a, y)
 
     def __call__(self, rng):
-        return ref_sample_preimage(self.a, self.y, rng, reduction=self.red)
+        return self.draw(rng)
 
     def batch(self, rng, count):
-        return np.array([self(rng).bits for _ in range(count)], dtype=np.int64)
-
-
-def oracle_preimage_sampler(a, y, *, reduction=None):
-    return OracleSampler(a, y, reduction=reduction)
+        return np.array([self.draw(rng).bits for _ in range(count)], dtype=np.int64)
 
 
 @pytest.mark.parametrize("seed", [1002, 104729])
 def test_uniformity_suite_unchanged_by_preimage_sampler(monkeypatch, seed):
     ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
-    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", oracle_preimage_sampler)
+    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", OracleSampler)
     assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
 
 
@@ -965,11 +974,10 @@ def test_uniformity_suite_memory_does_not_grow_with_draws():
 
 
 def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
-    # the n = 2048 session's 1433 x 2048 Toeplitz matrix: the work array of
-    # rows with their operation records is 627 KiB, the table 113 KiB, and
-    # the result's ints, converted one row at a time while the array is
-    # alive, about 700 KiB.  The byte-column kernel peaks at 1.58 MiB under
-    # tracemalloc; the big-int row list it replaced peaked at 1.50 MiB.
+    # the n = 2048 session's 1433 x 2048 Toeplitz matrix: the work array is
+    # 358 KiB, the table 64 KiB, and the result's ints, converted one row at
+    # a time while the array is alive, about 380 KiB.  The byte-column
+    # kernel peaks at 0.95 MiB under tracemalloc.
     n, n_pa = 2048, 1433
     a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, random.Random(2048)), n_pa, n)
     tracemalloc.start()
@@ -979,7 +987,7 @@ def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
     finally:
         tracemalloc.stop()
     assert red.rank == n_pa
-    assert peak <= 1792 << 10
+    assert peak <= 1280 << 10
 
 
 def test_preimage_uniformity_chi_square():
@@ -988,10 +996,10 @@ def test_preimage_uniformity_chi_square():
     y = BitVector.random(3, rng)
     expected = sorted(ref_preimage(a, y))
     assert len(expected) == 1 << 5
-    red = row_reduce(a)
+    draw = preimage_sampler(a, y)
     counts = dict.fromkeys(expected, 0)
     for _ in range(32000):
-        counts[sample_preimage(a, y, rng, reduction=red).bits] += 1
+        counts[draw(rng).bits] += 1
     result = stats.chisquare([counts[k] for k in expected])
     assert result.pvalue >= 0.001
 

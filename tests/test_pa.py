@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import delayedpa.gf2
 import delayedpa.pa
 from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce, toeplitz_from_seed
 from delayedpa.pa import (
@@ -368,21 +369,25 @@ def test_session_row_reduces_once(monkeypatch):
         calls.append((a.rows, a.cols))
         return row_reduce(a)
 
+    # the rank check of a matrix without a seed is made in pa, draws in gf2
     monkeypatch.setattr(delayedpa.pa, "row_reduce", counting_row_reduce)
+    monkeypatch.setattr(delayedpa.gf2, "row_reduce", counting_row_reduce)
     rng = random.Random(330)
     n, n_pa = 64, 40
     f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
     assert calls == []
+    # each draw reduces [A | m'], one column wider than the hash
     s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
-    assert calls == [(n_pa, n)]
+    assert calls == [(n_pa, n + 1)]
     m_prime = BitVector.random(n_pa, rng)
     assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
     assert DelayedPaSession.from_json(s.to_json()) == s
-    assert calls == [(n_pa, n)]
-    # a matrix without a seed is checked by its reduction, which draws reuse
+    assert calls == [(n_pa, n + 1)] * 2
+    # a matrix without a seed is checked by its reduction at construction
     g = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert calls[2:] == [(2, 3)]
     expand_message(g, BitVector.from01("10"), rng)
-    assert calls == [(n_pa, n), (2, 3)]
+    assert calls[2:] == [(2, 3), (2, 4)]
 
 
 def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
@@ -394,7 +399,7 @@ def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
         return s.to_json()
 
     blocked = session_json()
-    monkeypatch.setattr(delayedpa.pa, "row_reduce", ref_row_reduce)
+    monkeypatch.setattr(delayedpa.gf2, "row_reduce", ref_row_reduce)
     assert session_json() == blocked
 
 

@@ -481,6 +481,67 @@ def test_check_density_blocks_validates_each_state_of_a_stack():
         _check_density_blocks(negative, states=1)
 
 
+# Non-finite entries every comparison against a tolerance lets through: a
+# NaN anywhere, or infs whose Hermitian difference inf - inf is NaN while
+# the trace stays finite or NaN.  Each is rejected by the Hermitian test.
+NONFINITE_ENTRIES = {
+    "nan-diagonal": {(0, 0): np.nan},
+    "nan-off-diagonal": {(0, 1): np.nan, (1, 0): np.nan},
+    "inf-off-diagonal": {(0, 1): np.inf, (1, 0): np.inf},
+    "inf-minus-inf-diagonal": {(0, 0): np.inf, (1, 1): -np.inf},
+}
+
+
+def _with_entries(mat, entries):
+    mat = mat.copy()
+    for index, value in entries.items():
+        mat[index] = value
+    return mat
+
+
+@pytest.mark.parametrize("case", NONFINITE_ENTRIES)
+def test_density_matrix_rejects_nonfinite_entries(case):
+    mat = _with_entries(np.diag([0.5, 0.5]).astype(complex), NONFINITE_ENTRIES[case])
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(mat, (2,), ("A",))
+
+
+@pytest.mark.parametrize("case", NONFINITE_ENTRIES)
+def test_check_density_blocks_rejects_one_nonfinite_state_of_a_stack(case):
+    one = np.stack([np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]).astype(complex)
+    stack = np.stack([one, one, one])
+    stack[1, 0] = _with_entries(stack[1, 0], NONFINITE_ENTRIES[case])
+    with pytest.raises(ValueError, match="Hermitian"):
+        _check_density_blocks(stack, states=1)
+
+
+# an inf amplitude alone has an inf norm, which the norm test always caught
+NONFINITE_AMPLITUDES = {
+    "nan": np.nan,
+    "nan-imaginary": complex(0.0, np.nan),
+    "inf-nan": complex(np.inf, np.nan),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_AMPLITUDES)
+def test_pure_state_rejects_nonfinite_amplitudes(case):
+    amps = np.array([NONFINITE_AMPLITUDES[case], 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(amps, (2, 2), ("A", "Abar"))
+
+
+@pytest.mark.parametrize("case", NONFINITE_AMPLITUDES)
+def test_verify_2c_2d_rejects_nonfinite_states(case):
+    amps = np.array([NONFINITE_AMPLITUDES[case], 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="not normalized"):
+        verify_2c_2d(PureState(amps, (2, 2), ("A", "Abar")))
+    # the stack form takes raw amplitudes, so its density checks must catch it
+    good = np.array([1, 0, 0, 0], dtype=complex)
+    stack = np.stack([good, amps, good]).reshape(3, 2, 2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        verify_2c_2d_stack(stack)
+
+
 @pytest.mark.parametrize("abar_dim", [1, 2, 8, 16])
 @pytest.mark.parametrize("seed", range(20))
 def test_protocol_2c2d_suite_matches_trial_loop(seed, abar_dim):
