@@ -19,9 +19,15 @@ block axis.  One rule, :func:`_check_density_blocks`, validates a stack and a
 The certificates take stacks of states as well: the block builders accept
 any number of leading state axes, and :func:`verify_2c_2d_stack` certifies
 many states of one dimension with one batched build, one batched
-eigensolver call per stack and one Frobenius norm per state, each distance
-bit for bit what the state alone gives.  :func:`verify_2c_2d` is its stack
-of one.
+positive-semidefiniteness check per stack and one Frobenius norm per state,
+each distance bit for bit what the state alone gives.  :func:`verify_2c_2d`
+is its stack of one.
+
+The positive-semidefiniteness rule, :func:`_is_psd`, which
+``security.CqJoint`` shares, factors the stack shifted by the tolerance in
+one batched Cholesky call and runs the eigensolver only on a stack that
+fails it.  The blocks here are PSD by construction, so the factorization
+alone passes a valid stack.
 """
 
 from __future__ import annotations
@@ -93,8 +99,26 @@ def _check_density_blocks(blocks: np.ndarray, states: int = 0) -> None:
         np.all(np.abs(trace.real - 1.0) <= ATOL_BUILD) and np.all(np.abs(trace.imag) <= ATOL_BUILD)
     ):
         raise ValueError("trace is not 1")
-    if not np.linalg.eigvalsh(blocks).min() >= -1e-10:
+    if not _is_psd(blocks, 1e-10):
         raise ValueError("matrix is not positive semidefinite")
+
+
+def _is_psd(blocks: np.ndarray, tol: float) -> bool:
+    """Whether no block of a stack, shape (..., d, d), has an eigenvalue below -tol.
+
+    The blocks are taken as Hermitian from their lower triangles, as
+    ``eigvalsh`` takes them.  One batched Cholesky factorization of a copy
+    shifted by tol I decides it when it succeeds: it does exactly when every
+    shifted block is positive definite, up to rounding.  Only when it fails
+    (a zero or negative pivot, or a NaN) does the smallest eigenvalue decide,
+    so a block within rounding of -tol may get the other verdict than
+    ``eigvalsh`` alone would give it.
+    """
+    try:
+        np.linalg.cholesky(blocks + tol * np.eye(blocks.shape[-1]))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(blocks).min() >= -tol)
 
 
 def pauli(name: str) -> np.ndarray:
@@ -372,10 +396,13 @@ def verify_2c_2d_stack(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_leading_qubit_block` gives them.  Returns the arrays of every
     state's delta_z and delta_x.  Tracing a message register out sums the
     2d stack over its axis, and the distances are taken over the block
-    stacks: every off-diagonal block is zero on both sides.  Every stack is
+    stacks: every off-diagonal block is zero on both sides.  Non-finite
+    amplitudes are rejected before any stack is built, every stack is
     validated per state, and each distance is the norm of that state's own
     slice, so it equals the one-state value bit for bit.
     """
+    if not np.isfinite(amps).all():
+        raise ValueError("non-finite amplitude: matrix is not Hermitian")
     blocks_2d, blocks_z, blocks_x = _blocks_2d(amps), _blocks_2c(amps, "z"), _blocks_2c(amps, "x")
     for blocks in (blocks_2d, blocks_z, blocks_x):
         _check_density_blocks(blocks, states=1)

@@ -41,10 +41,10 @@ chunk, one count checks its ranks (a linear f has independent rows exactly
 when every key value has 2^(n - n_pa) preimages), one grouping serves
 every row space and bank model (the models' tables sit side by side along
 the view axis), and array operations score every (row space, model) pair.
-Each model's columns are copied out and scored in the order
-:func:`classical_epsilon` scores one joint, so every eps is the one-joint
-value bit for bit.  The single-matrix entry points run the same kernel on
-a chunk of one.
+The models of one width are copied out together, every joint into its own
+contiguous slab, and scored in the order :func:`classical_epsilon` scores
+one joint, so every eps is the one-joint value bit for bit.  The
+single-matrix entry points run the same kernel on a chunk of one.
 """
 
 from __future__ import annotations
@@ -124,7 +124,11 @@ class CqJoint:
             raise ValueError("block not Hermitian")
         if abs(np.trace(s, axis1=-2, axis2=-1).sum() - 1.0) > 1e-10:
             raise ValueError("total trace not 1")
-        if np.linalg.eigvalsh(s).min() < -1e-10:
+        # quantum owns the one PSD rule; importing it here keeps loading this
+        # module from loading another
+        from delayedpa.quantum import _is_psd
+
+        if not _is_psd(s, 1e-10):
             raise ValueError("block not positive semidefinite")
 
 
@@ -299,23 +303,41 @@ def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
     """(eps_key, eps_msg), each of shape (R, models), for every matrix and model of a bank.
 
     ``views`` holds the models' tables side by side along the view axis and
-    ``widths`` their column counts.  One grouping serves every matrix and
-    model; each model's columns are then copied out contiguously, so each
-    joint is checked and scored exactly as :class:`ClassicalJoint` and
-    :func:`classical_epsilon` take it alone.  Scoring overwrites the joints,
-    which nothing reads again.
+    ``widths`` their column counts.  The columns are first reordered so that
+    models of equal width sit side by side; one grouping then serves every
+    matrix and model, and each width's models are scored together: one copy
+    per side gives every (matrix, model) joint its own C-contiguous slab,
+    shape (|K|, views), so each joint is checked and scored exactly as
+    :class:`ClassicalJoint` and :func:`classical_epsilon` take it alone.  A
+    width whose joints would take more than ``_SCATTER_ENTRIES`` entries is
+    copied a few models at a time, one at a time if need be.  Scoring
+    overwrites the joints, which nothing reads again.
     """
-    key, msg = _delayed_pa_joints(matrices, views, prior, MAX_EXHAUSTIVE_N)
+    widths = list(widths)
+    starts = list(itertools.accumulate(widths, initial=0))
+    order = sorted(range(len(widths)), key=widths.__getitem__)  # stable: bank order within a width
+    columns = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
+    key, msg = _delayed_pa_joints(matrices, views[:, columns], prior, MAX_EXHAUSTIVE_N)
     n_rows, n_keys = key.shape[:2]
     eps = np.empty((2, n_rows, len(widths)))
     stop = 0
-    for i, width in enumerate(widths):
-        start, stop = stop, stop + width
-        # p(m', c, e): the msg view is the pair (c, e)
-        for side, joint in enumerate((key[..., start:stop], msg[..., start:stop])):
-            joint = np.ascontiguousarray(joint).reshape(n_rows, n_keys, -1)
-            _check_joints(joint)
-            eps[side, :, i] = _joint_epsilons(joint)
+    for width, same in itertools.groupby(order, key=widths.__getitem__):
+        same = list(same)
+        # models per copy: a copy stays within the grouping's entry bound
+        # unless one model's joints alone exceed it
+        step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * msg.shape[2] * width))
+        for lo in range(0, len(same), step):
+            group = same[lo:lo + step]
+            start, stop = stop, stop + width * len(group)
+            # p(m', c, e): the msg view is the pair (c, e)
+            for side, joint in enumerate((key[..., start:stop], msg[..., start:stop])):
+                # [r, k, ..., (model, e)] -> [(r, model), k, ..., e], one slab per joint
+                joint = joint.reshape(joint.shape[:-1] + (len(group), width))
+                last = joint.ndim - 1
+                joint = joint.transpose(0, last - 1, *range(1, last - 1), last)
+                joint = np.ascontiguousarray(joint).reshape(n_rows * len(group), n_keys, -1)
+                _check_joints(joint)
+                eps[side][:, group] = _joint_epsilons(joint).reshape(n_rows, len(group))
     return eps[0], eps[1]
 
 
@@ -376,6 +398,7 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
     if unknown:
         raise ValueError(f"unknown params key {unknown[0]!r} for rule {rule!r}")
     size = 1 << n
+    a = np.arange(size)
     if rule == "blind":
         return np.ones((size, 1))
     if rule == "bit":
@@ -383,33 +406,27 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
         if not isinstance(index, int) or isinstance(index, bool):
             raise ValueError(f"index must be an integer, got {index!r}")
         index %= n
-        t = np.zeros((size, 2))
-        for a in range(size):
-            t[a, (a >> index) & 1] = 1.0
-        return t
+        return np.eye(2)[(a >> index) & 1]
     if rule == "parity":
-        t = np.zeros((size, 2))
-        for a in range(size):
-            t[a, bin(a).count("1") & 1] = 1.0
-        return t
+        return np.eye(2)[_popcount(a, n) & 1]
     if rule == "copy":
         return np.eye(size)
     if rule == "noisy-copy":
         q = _flip_prob(params, 0.25)
-        t = np.empty((size, size))
-        for a in range(size):
-            for e in range(size):
-                dist = bin(a ^ e).count("1")
-                t[a, e] = (q ** dist) * ((1 - q) ** (n - dist))
-        return t
+        # the factors as Python floats, the values the per-entry formula gives
+        by_distance = np.array([(q ** d) * ((1 - q) ** (n - d)) for d in range(n + 1)])
+        return by_distance[_popcount(a[:, None] ^ a, n)]
     if rule == "noisy-parity":
         q = _flip_prob(params, 0.1)
-        t = np.empty((size, 2))
-        for a in range(size):
-            par = bin(a).count("1") & 1
-            t[a, par] = 1 - q
-            t[a, 1 - par] = q
-        return t
+        return np.array([[1 - q, q], [q, 1 - q]])[_popcount(a, n) & 1]
+
+
+def _popcount(x: np.ndarray, n: int) -> np.ndarray:
+    """The number of set bits of each entry of x, for entries below 2^n."""
+    count = np.zeros_like(x)
+    for i in range(n):
+        count += (x >> i) & 1
+    return count
 
 
 def default_eve_bank_path() -> Path:
@@ -478,14 +495,16 @@ def bank_tables(bank: list[dict], n: int) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One random density matrix of the given dimension per raw-key value."""
-    states = []
-    for _ in range(1 << n):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = m @ m.conj().T
-        states.append(rho / np.trace(rho))
-    return states
+def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One random density matrix of the given dimension per raw-key value, shape (2^n, dim, dim).
+
+    State a is m m+ / tr(m m+) for m = re + i im, where re and im are the
+    a-th pair of dim x dim standard normal draws, by one draw for all states.
+    """
+    normal = rng.normal(size=(1 << n, 2, dim, dim))
+    m = normal[:, 0] + 1j * normal[:, 1]
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
 
 
 # ------------------------------------------------------------------ sweep

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import delayedpa.quantum
 import delayedpa.suites
 from delayedpa.quantum import (
     BasisDecomposition,
@@ -481,6 +483,55 @@ def test_check_density_blocks_validates_each_state_of_a_stack():
         _check_density_blocks(negative, states=1)
 
 
+# The PSD rule's boundary: a smallest eigenvalue at or above -1e-10 passes.
+# Shifted by 1e-10 I, the first block is positive definite and Cholesky
+# decides it; the second has an exactly zero pivot and the third a negative
+# one, so the smallest eigenvalue decides them.
+PSD_BOUNDARY = {-0.5e-10: (True, 0), -1e-10: (True, 1), -2e-10: (False, 1)}
+
+
+def counting_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record each call; returns the record."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("low", PSD_BOUNDARY)
+def test_density_matrix_psd_boundary(low, monkeypatch):
+    accepted, fallbacks = PSD_BOUNDARY[low]
+    calls = counting_eigvalsh(monkeypatch)
+    mat = np.diag([1.0 - low, low]).astype(complex)
+    if accepted:
+        DensityMatrix(mat, (2,), ("A",))
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityMatrix(mat, (2,), ("A",))
+    assert len(calls) == fallbacks
+
+
+@pytest.mark.parametrize("low", PSD_BOUNDARY)
+def test_check_density_blocks_psd_boundary_in_a_stack_of_states(low, monkeypatch):
+    accepted, fallbacks = PSD_BOUNDARY[low]
+    calls = counting_eigvalsh(monkeypatch)
+    one = np.stack([np.diag([0.25, 0.25]), np.diag([0.5, 0.0])]).astype(complex)
+    stack = np.stack([one, one, one])
+    stack[1, 1] = np.diag([0.5 - low, low])
+    if accepted:
+        _check_density_blocks(stack, states=1)
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _check_density_blocks(stack, states=1)
+    # the fallback sees the whole stack, as one eigvalsh call did before
+    assert calls == [stack.shape] * fallbacks
+
+
 # Non-finite entries every comparison against a tolerance lets through: a
 # NaN anywhere, or infs whose Hermitian difference inf - inf is NaN while
 # the trace stays finite or NaN.  Each is rejected by the Hermitian test.
@@ -540,6 +591,21 @@ def test_verify_2c_2d_rejects_nonfinite_states(case):
     stack = np.stack([good, amps, good]).reshape(3, 2, 2)
     with pytest.raises(ValueError, match="Hermitian"):
         verify_2c_2d_stack(stack)
+
+
+@pytest.mark.parametrize("case", NONFINITE_AMPLITUDES)
+def test_verify_2c_2d_stack_rejects_nonfinite_states_before_any_build(case, monkeypatch):
+    built = []
+    monkeypatch.setattr(delayedpa.quantum, "_blocks_2c", lambda *args: built.append("2c"))
+    monkeypatch.setattr(delayedpa.quantum, "_blocks_2d", lambda *args: built.append("2d"))
+    good = np.array([1, 0, 0, 0], dtype=complex)
+    bad = np.array([NONFINITE_AMPLITUDES[case], 0, 0, 0], dtype=complex)
+    stack = np.stack([good, bad, good]).reshape(3, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarnings fail the test
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            verify_2c_2d_stack(stack)
+    assert built == []
 
 
 @pytest.mark.parametrize("abar_dim", [1, 2, 8, 16])

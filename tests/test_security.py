@@ -149,6 +149,25 @@ def test_cq_joint_rejects_malformed_blocks():
         CqJoint(np.stack([good, np.diag([0.6, -0.1])]))
 
 
+# smallest eigenvalue: (accepted, eigvalsh fallbacks); see test_quantum.py
+PSD_BOUNDARY = {-0.5e-10: (True, 0), -1e-10: (True, 1), -2e-10: (False, 1)}
+
+
+@pytest.mark.parametrize("low", PSD_BOUNDARY)
+def test_cq_joint_psd_boundary(low, monkeypatch):
+    accepted, fallbacks = PSD_BOUNDARY[low]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    sigma = np.stack([np.diag([0.5, 0.0]), np.diag([0.5 - low, low])]).astype(complex)
+    if accepted:
+        CqJoint(sigma)
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CqJoint(sigma)
+    assert calls == [sigma.shape] * fallbacks
+
+
 def test_cq_epsilon_blocks_match_block_diagonal():
     # sigma[k, b] are the diagonal blocks of the key-k state; the reference
     # builds each key's block-diagonal matrix and takes its full trace norm
@@ -325,6 +344,86 @@ def test_sweep_hashes_once_per_row_space(monkeypatch):
     }
     assert set(calls) == spaces
     assert result["cases"] == 67 * len(load_eve_bank())
+
+
+# eve_table's and random_eve_states's former loops, verbatim, as their oracles
+
+def ref_eve_table(rule: str, n: int, **params) -> np.ndarray:
+    size = 1 << n
+    if rule == "blind":
+        return np.ones((size, 1))
+    if rule == "bit":
+        index = params.get("index", 0)
+        index %= n
+        t = np.zeros((size, 2))
+        for a in range(size):
+            t[a, (a >> index) & 1] = 1.0
+        return t
+    if rule == "parity":
+        t = np.zeros((size, 2))
+        for a in range(size):
+            t[a, bin(a).count("1") & 1] = 1.0
+        return t
+    if rule == "copy":
+        return np.eye(size)
+    if rule == "noisy-copy":
+        q = params.get("flip_prob", 0.25)
+        t = np.empty((size, size))
+        for a in range(size):
+            for e in range(size):
+                dist = bin(a ^ e).count("1")
+                t[a, e] = (q ** dist) * ((1 - q) ** (n - dist))
+        return t
+    if rule == "noisy-parity":
+        q = params.get("flip_prob", 0.1)
+        t = np.empty((size, 2))
+        for a in range(size):
+            par = bin(a).count("1") & 1
+            t[a, par] = 1 - q
+            t[a, 1 - par] = q
+        return t
+
+
+def ref_random_eve_states(n, dim, rng):
+    states = []
+    for _ in range(1 << n):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = m @ m.conj().T
+        states.append(rho / np.trace(rho))
+    return states
+
+
+EVE_RULES = [
+    ("blind", {}),
+    ("bit", {}),
+    ("bit", {"index": -1}),
+    ("bit", {"index": 9}),
+    ("parity", {}),
+    ("copy", {}),
+    ("noisy-copy", {}),
+    ("noisy-copy", {"flip_prob": 0.1}),
+    ("noisy-copy", {"flip_prob": 1 / 3}),
+    ("noisy-copy", {"flip_prob": 1}),
+    ("noisy-parity", {}),
+    ("noisy-parity", {"flip_prob": 0.3}),
+]
+
+
+@pytest.mark.parametrize("rule, params", EVE_RULES)
+def test_eve_table_matches_loop_oracle(rule, params):
+    for n in range(1, 8):
+        got = eve_table(rule, n, **params)
+        want = ref_eve_table(rule, n, **params)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (rule, params, n)
+
+
+def test_random_eve_states_match_per_state_oracle():
+    for n, dim in [(1, 1), (2, 1), (3, 4), (4, 4), (4, 8), (2, 9), (1, 32)]:
+        got = random_eve_states(n, dim, np.random.default_rng(n * 100 + dim))
+        want = ref_random_eve_states(n, dim, np.random.default_rng(n * 100 + dim))
+        assert len(got) == len(want) == 1 << n
+        for a, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), (n, dim, a)
 
 
 def test_bank_has_at_least_five_models():
@@ -689,6 +788,38 @@ def test_bank_epsilons_equal_scatter_oracle_on_every_small_row_space():
             for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
                 want = ref_bank_epsilons(matrix, views, widths)
                 assert list(zip(keys, msgs)) == want, (n, k, matrix)
+
+
+# equal widths apart in bank order: width 8 (copy, noisy-copy), width 2
+# (first-bit, the table entry, parity, noisy-parity) and width 1 (blind)
+INTERLEAVED_BANK = [
+    {"name": "copy", "rule": "copy"},
+    {"name": "first-bit", "rule": "bit", "params": {"index": 0}},
+    {"name": "blind", "rule": "blind"},
+    {"name": "table", "rule": "table", "n": 3,
+     "table": [[0.5 + 0.05 * a, 0.5 - 0.05 * a] for a in range(8)]},
+    {"name": "noisy-copy", "rule": "noisy-copy", "params": {"flip_prob": 0.2}},
+    {"name": "parity", "rule": "parity"},
+    {"name": "noisy-parity", "rule": "noisy-parity", "params": {"flip_prob": 0.3}},
+]
+
+
+@pytest.mark.parametrize("entries", [None, 1 << 9])
+def test_width_grouped_bank_epsilons_equal_each_model_alone(entries, monkeypatch):
+    # models of one width are scored together, a few at a time under a
+    # small entry bound; each eps must still be classical_epsilon's of its
+    # own ClassicalJoint, in bank order
+    if entries is not None:
+        monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", entries)
+    tables = [t for _, t in bank_tables(INTERLEAVED_BANK, 3)]
+    assert [t.shape[1] for t in tables] == [8, 2, 1, 2, 8, 2, 2]
+    views = np.concatenate(tables, axis=1)
+    widths = [t.shape[1] for t in tables]
+    for k in range(1, 4):
+        spaces = list(enumerate_row_spaces(3, k))
+        eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+        for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
+            assert list(zip(keys, msgs)) == ref_bank_epsilons(matrix, views, widths), (k, matrix)
 
 
 # ------------------------------------------------------------- closed forms
