@@ -413,7 +413,8 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
         return np.eye(size)
     if rule == "noisy-copy":
         q = _flip_prob(params, 0.25)
-        # the factors as Python floats, the values the per-entry formula gives
+        # powers of Python floats, as the per-entry formula took them:
+        # np.power can differ from them in the last bit
         by_distance = np.array([(q ** d) * ((1 - q) ** (n - d)) for d in range(n + 1)])
         return by_distance[_popcount(a[:, None] ^ a, n)]
     if rule == "noisy-parity":

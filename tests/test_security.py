@@ -419,11 +419,14 @@ def test_eve_table_matches_loop_oracle(rule, params):
 
 def test_random_eve_states_match_per_state_oracle():
     for n, dim in [(1, 1), (2, 1), (3, 4), (4, 4), (4, 8), (2, 9), (1, 32)]:
-        got = random_eve_states(n, dim, np.random.default_rng(n * 100 + dim))
-        want = ref_random_eve_states(n, dim, np.random.default_rng(n * 100 + dim))
+        rng, ref_rng = np.random.default_rng(n * 100 + dim), np.random.default_rng(n * 100 + dim)
+        got = random_eve_states(n, dim, rng)
+        want = ref_random_eve_states(n, dim, ref_rng)
         assert len(got) == len(want) == 1 << n
         for a, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g, w), (n, dim, a)
+        # the next trial's draws continue the same stream
+        assert rng.normal() == ref_rng.normal()
 
 
 def test_bank_has_at_least_five_models():
