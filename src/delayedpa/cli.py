@@ -109,8 +109,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=int)
     sim.add_argument(
         "--pa-seed", dest="pa_seed",
-        help="fixed hash seed as BITS:HEX; the modified Toeplitz hash of an n-bit raw key "
-        "needs n - 1 bits",
+        help="fixed hash seed as BITS:HEX of n - 1 bits, n as configured; bb84 without "
+        "quantum memory hashes with its first (sifted count) - 1 bits",
     )
     sim.add_argument("--check-fraction", type=float, dest="check_fraction")
     sim.add_argument("--pool", type=int, help="relay: pre-shared pool size")

@@ -420,9 +420,11 @@ def modified_toeplitz_hash(
         spectrum = np.fft.rfft(packed, size)
         np.multiply(seed_f, spectrum, out=spectrum)
         conv = np.fft.irfft(spectrum, size)[w - 1 : n - 1]
+        # checked first, so that no NaN or inf enters the rounding error
+        if not np.isfinite(conv).all():
+            raise ArithmeticError("FFT convolution is not finite")
         counts = np.rint(conv)
-        # written so that a NaN error fails it
-        if not np.abs(conv - counts).max() < 0.25:
+        if np.abs(conv - counts).max() >= 0.25:
             raise ArithmeticError("FFT convolution is not exact enough to round")
         counts = counts.astype(np.int64)
         for j, x in enumerate(group):

@@ -598,7 +598,12 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
 
     a = t.raw_key_alice = BitVector.from_bits(s.alice_bit[key])
     t.raw_key_bob = BitVector.from_bits(s.bob_bit[key])
-    t.pa_seed = _draw_pa_seed(ledger.n, cfg.pa_seed, rng)
+    if cfg.pa_seed is None:
+        t.pa_seed = _draw_pa_seed(ledger.n, None, rng)
+    else:
+        # a supplied seed is sized by the configured n, as the sifted count is
+        # random; its first ledger.n - 1 bits are a uniform seed of the family
+        t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, rng).cut(0, ledger.n - 1)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
     t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]

@@ -88,9 +88,11 @@ def _check_density_blocks(blocks: np.ndarray, states: int = 0) -> None:
     Every block is Hermitian and positive semidefinite, and the traces of
     all blocks sum to 1.  A density matrix is the stack of one block.  With
     ``states`` > 0 the leading ``states`` axes index separate states, and
-    the blocks of each must sum to trace 1.  Each test is written so that
-    a NaN fails it, and any inf entry fails the Hermitian test.
+    the blocks of each must sum to trace 1.  A NaN or inf entry fails the
+    Hermitian test before any arithmetic touches it.
     """
+    if not np.isfinite(blocks).all():
+        raise ValueError("non-finite entry: matrix is not Hermitian")
     if not np.abs(blocks - blocks.conj().swapaxes(-1, -2)).max() <= ATOL_BUILD:
         raise ValueError("matrix is not Hermitian")
     traces = np.trace(blocks, axis1=-2, axis2=-1)

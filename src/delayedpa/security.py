@@ -22,11 +22,11 @@ all 2^n inputs: the key side sums w_a with f(a) = k, the delayed side sums
 w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f is
 looked up at a XOR c rather than computed as f(a) XOR f(c), because that
 identity is the additivity on which the equivalence rests; the check must
-not assume it.  The grouping is a gather over fibers: for each pad the
-inputs are sorted stably by f(a XOR c), so each fiber {a : f(a XOR c) = m'}
-lists its a in increasing order, and the fiber's views are summed one
-position at a time.  Every cell is therefore summed over a in increasing
-order, as one scatter-add would sum it.
+not assume it.  f must be balanced (2^(n - n_pa) preimages per value, as
+for an additive f with independent rows): only then has a uniform preimage
+m of m' P(m) = 2^-n, as the delayed side takes it.  The grouping gathers
+these equal fibers: per pad the inputs are sorted stably by f(a XOR c), and
+each fiber's views are summed in increasing a, as a scatter-add sums them.
 
 :func:`sweep_delayed_pa` runs one case per row space, not per matrix.  Two
 matrices with the same row space differ by an invertible A (f' = A f).  That
@@ -37,10 +37,10 @@ rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 per subspace; the ordered enumeration :func:`enumerate_pa_matrices` stays
 as the oracle the tests check that claim against.  The sweep works one
 width at a time, on chunks of row spaces: one integer product hashes the
-chunk, one count checks its ranks (a linear f has independent rows exactly
-when every key value has 2^(n - n_pa) preimages), one grouping serves
-every row space and bank model (the models' tables sit side by side along
-the view axis), and array operations score every (row space, model) pair.
+chunk, one count checks its ranks (a linear f is balanced exactly when its
+rows are independent), one grouping serves every row space and bank model
+(the models' tables sit side by side along the view axis), and array
+operations score every (row space, model) pair.
 The models of one width are copied out together, every joint into its own
 contiguous slab, and scored in the order :func:`classical_epsilon` scores
 one joint, so every eps is the one-joint value bit for bit.  The
@@ -169,18 +169,15 @@ def cq_epsilon(joint: CqJoint) -> float:
 def _hash_values(matrices) -> np.ndarray:
     """f(a) as an integer for every a in {0, ..., 2^n - 1}, by one product.
 
-    One matrix gives shape (2^n,); a sequence of matrices of one shape gives
-    (R, 2^n), one row per matrix.
+    ``matrices`` is a sequence of R matrices of one shape; the table has
+    shape (R, 2^n), one row per matrix.
     """
-    single = isinstance(matrices, BinaryMatrix)
-    stack = [matrices] if single else list(matrices)
-    rows, cols = stack[0].rows, stack[0].cols
+    rows, cols = matrices[0].rows, matrices[0].cols
     shifts = np.arange(cols)
     inputs = (np.arange(1 << cols)[:, None] >> shifts) & 1
-    bits = (np.array([m.row_words for m in stack]).reshape(-1, 1) >> shifts) & 1
-    f_bits = ((bits @ inputs.T) & 1).reshape(len(stack), rows, 1 << cols)
-    f_vals = (1 << np.arange(rows)) @ f_bits
-    return f_vals[0] if single else f_vals
+    bits = (np.array([m.row_words for m in matrices]).reshape(-1, 1) >> shifts) & 1
+    f_bits = ((bits @ inputs.T) & 1).reshape(len(matrices), rows, 1 << cols)
+    return (1 << np.arange(rows)) @ f_bits
 
 
 # entries per chunk: the joint table of one sweep call and the views gathered
@@ -192,21 +189,16 @@ _SCATTER_ENTRIES = 1 << 15
 def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     """(key, msg) for the views w_a = weighted[a], of any trailing shape.
 
-    key[k] = sum_a [f(a) = k] w_a and msg[m', c] = 2^-n sum_a [f(a ^ c) = m'] w_a.
-    ``f_vals`` is one table of f, shape (2^n,), or a stack of R tables,
-    shape (R, 2^n), which gives key and msg a leading R axis.  Each cell
-    sums its fiber {a : f(a ^ c) = m'} one position at a time, in
-    increasing a; a short fiber is padded with a zero view.
+    key[r, k] = sum_a [f_r(a) = k] w_a and msg[r, m', c] =
+    2^-n sum_a [f_r(a ^ c) = m'] w_a for R tables f_vals, shape (R, 2^n).
+    Every table must be balanced, 2^n / n_keys preimages per value, since
+    msg is the delayed-PA joint only when P(m) = 2^-n; the one gate is
+    :func:`_delayed_pa_joints`.  Each cell sums its fiber in increasing a.
     """
-    stack = np.atleast_2d(f_vals)
-    n_rows, size = stack.shape
+    n_rows, size = f_vals.shape
+    fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
     flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
     width = flat.shape[1]
-    # a -> a ^ c permutes the inputs, so every pad's fibers have pad 0's lengths
-    fiber = np.bincount((stack + n_keys * np.arange(n_rows)[:, None]).ravel()).max()
-    padded = fiber * n_keys != size  # fibers of unequal length
-    if padded:
-        flat = np.concatenate((flat, np.zeros((1, width))))  # row `size`: the padding view
     pads = np.arange(size)
     table = np.zeros((n_rows, n_keys, size, width))
     per_chunk = max(1, _SCATTER_ENTRIES // (n_keys * width))  # (row space, pad) pairs
@@ -217,29 +209,17 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
             run = pads[c0:c0 + pad_step]
             # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check
             # must not assume the additivity it certifies
-            keyed = stack[r0:r0 + row_step, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
-            # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key
-            fibers = np.sort(keyed * size + pads, axis=-1)
-            order = fibers % size
-            if not padded:
-                idx = order.reshape(keyed.shape[:2] + (n_keys, fiber))
-            else:
-                sorted_keys = fibers // size
-                first = np.ones(keyed.shape, dtype=bool)
-                np.not_equal(sorted_keys[..., 1:], sorted_keys[..., :-1], out=first[..., 1:])
-                pos = pads - np.maximum.accumulate(np.where(first, pads, 0), axis=-1)
-                idx = np.full(keyed.shape[:2] + (n_keys, fiber), size)
-                r, c = np.indices(keyed.shape[:2] + (1,), sparse=True)[:2]
-                idx[r, c, sorted_keys, pos] = order
-            idx = idx.transpose(0, 2, 1, 3)  # [r, m', c, position]
+            keyed = f_vals[r0:r0 + row_step, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
+            # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key;
+            # it cuts into the fibers, [r, c, m', j] -> [r, m', c, j]
+            order = np.sort(keyed * size + pads, axis=-1) % size
+            idx = order.reshape(keyed.shape[:2] + (n_keys, fiber)).transpose(0, 2, 1, 3)
             sums = table[r0:r0 + row_step, :, c0:c0 + pad_step]
             for j in range(fiber):
                 sums += flat.take(idx[..., j], axis=0)
     table = table.view(weighted.dtype).reshape((n_rows, n_keys, size) + weighted.shape[1:])
     key = table[:, :, 0].copy()  # pad c = 0 is the undelayed key
     table /= size
-    if np.ndim(f_vals) == 1:
-        return key[0], table[0]
     return key, table
 
 
@@ -265,7 +245,7 @@ def _delayed_pa_joints(matrices, views: np.ndarray, prior, max_n: int):
     size, n_keys = 1 << cols, 1 << rows
     f_vals = _hash_values(matrices)
     # f is linear, so its rows are independent exactly when every key value
-    # has 2^(n - n_pa) preimages
+    # has 2^(n - n_pa) preimages: the one gate of the grouping's balance
     offsets = n_keys * np.arange(len(f_vals))[:, None]
     counts = np.bincount((f_vals + offsets).ravel(), minlength=offsets.size * n_keys)
     if (counts != size >> rows).any():

@@ -99,7 +99,7 @@ def suite_preimage_uniformity(
     rng = random.Random(seed)
     matrix = _full_rank_matrix(n_pa, n, rng)
     y = BitVector.random(n_pa, rng)
-    preimage = np.flatnonzero(_hash_values(matrix) == y.bits)
+    preimage = np.flatnonzero(_hash_values([matrix])[0] == y.bits)
     draw = preimage_sampler(matrix, y)
     hist = np.zeros(1 << n, dtype=np.int64)
     for lo in range(0, draws, _DRAW_CHUNK):

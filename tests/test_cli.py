@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -16,7 +17,8 @@ import delayedpa
 import delayedpa.suites
 from delayedpa import cli, reports
 from delayedpa.cli import SUITES, build_parser, main
-from delayedpa.protocols import Bb84Config, DqkdConfig, key_length, run_bb84, run_dqkd
+from delayedpa.gf2 import BitVector, matvec, toeplitz_from_seed
+from delayedpa.protocols import Bb84Config, ChannelModel, DqkdConfig, key_length, run_bb84, run_dqkd
 from delayedpa.security import MAX_ABAR_DIM, MAX_QUANTUM_DIM
 
 SCHEMA = json.loads(
@@ -260,6 +262,32 @@ def test_simulate_pa_seed_needs_n_minus_1_bits(capsys, protocol):
     code, report, _, _ = run_cli([*argv, "--pa-seed", "299:" + "f" * 74 + "7"], capsys)
     assert code == 0
     assert report["pa_seed"] == {"bits": 299, "hex": "f" * 74 + "7"}
+
+
+def test_simulate_bb84_without_quantum_memory_hashes_with_a_seed_prefix(capsys):
+    # the sifted key length is random, so a supplied seed has the configured
+    # n - 1 bits and the hash takes its first (sifted n) - 1
+    argv = ["simulate", "bb84", "--no-quantum-memory", "--n", "300", "--noise-fwd", "bsc:0.02",
+            "--seed", "3"]
+    code, report, _, _ = run_cli(argv, capsys)
+    n_key, n_pa = report["key_ledger"]["n"], report["key_ledger"]["n_pa"]
+    assert code == 0 and 0 < n_pa < n_key < 300
+    assert report["pa_seed"]["bits"] == n_key - 1  # a drawn seed keeps the sifted length
+    sifted = f"{n_key - 1}:" + "0" * ((n_key + 2) // 4)
+    code, _, out, err = run_cli([*argv, "--pa-seed", sifted], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "does not match required n - 1 = 299" in err
+    seed = BitVector.random(299, random.Random(4))
+    code, report, _, _ = run_cli([*argv, "--pa-seed", f"299:{seed.to_hex()}"], capsys)
+    assert code == 0
+    prefix = seed.cut(0, n_key - 1)
+    assert report["pa_seed"] == {"bits": n_key - 1, "hex": prefix.to_hex()}
+    cfg = Bb84Config(n=300, channel=ChannelModel.bsc(0.02), seed=3, quantum_memory=False)
+    raw = run_bb84(cfg).raw_key_alice
+    # the [I | T] oracle with T the dense Toeplitz matrix of the prefix
+    t = toeplitz_from_seed(prefix, n_pa, n_key - n_pa)
+    key = raw.cut(0, n_pa) ^ matvec(t, raw.cut(n_pa, n_key))
+    assert report["key_digest"] == reports.key_digest(key)
 
 
 def test_simulate_rejects_non_object_config(tmp_path, capsys):

@@ -566,7 +566,7 @@ def test_hash_values_match_matvec_reference():
     for n in range(1, 13):
         for rows in range(1, n + 1):
             matrix = BinaryMatrix.random(rows, n, rng)
-            assert _hash_values(matrix).tolist() == ref_hash_values(matrix).tolist()
+            assert _hash_values([matrix])[0].tolist() == ref_hash_values(matrix).tolist()
 
 
 def test_verifier_matches_loop_reference_on_every_small_matrix():
@@ -608,33 +608,45 @@ def test_quantum_verifier_matches_loop_reference():
         assert abs(got[1] - want[1]) <= 1e-12
 
 
+def _balanced_tables(rng, rows: int, size: int, n_keys: int) -> np.ndarray:
+    """A stack of random hash tables, each value taken by size / n_keys inputs."""
+    return np.stack([rng.permuted(np.arange(size) % n_keys) for _ in range(rows)])
+
+
+def _assert_grouped_views_are_sums(f_vals, n_keys, weighted, key, msg):
+    size = len(weighted)
+    for f, f_key, f_msg in zip(f_vals, key, msg):
+        for k in range(n_keys):
+            want = sum(weighted[a] for a in range(size) if f[a] == k)
+            assert np.abs(f_key[k] - want).max() <= 1e-12
+            for c in range(size):
+                want = sum(weighted[a] for a in range(size) if f[a ^ c] == k) / size
+                assert np.abs(f_msg[k, c] - want).max() <= 1e-12
+
+
 @pytest.mark.parametrize("trailing, complex_views", [((3,), False), ((2, 2), True)])
 def test_grouped_views_use_no_linearity(trailing, complex_views):
-    # a random hash table is not additive: f(a ^ c) != f(a) ^ f(c) for most
-    # pairs, so a helper that assumed additivity would miss these sums
+    # a random balanced hash table is not additive: f(a ^ c) != f(a) ^ f(c)
+    # for most pairs, so a helper that assumed additivity would miss these sums
     rng = np.random.default_rng(14)
     size, n_keys = 16, 4
-    f_vals = rng.integers(0, n_keys, size)
-    assert any(f_vals[a ^ c] != f_vals[a] ^ f_vals[c] for a in range(size) for c in range(size))
+    f_vals = _balanced_tables(rng, 3, size, n_keys)
+    for f in f_vals:
+        assert any(f[a ^ c] != f[a] ^ f[c] for a in range(size) for c in range(size))
     weighted = rng.random((size,) + trailing)
     if complex_views:
         weighted = weighted + 1j * rng.random((size,) + trailing)
     key, msg = _grouped_views(f_vals, n_keys, weighted)
-    for k in range(n_keys):
-        want = sum(weighted[a] for a in range(size) if f_vals[a] == k)
-        assert np.abs(key[k] - want).max() <= 1e-12
-        for c in range(size):
-            want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
-            assert np.abs(msg[k, c] - want).max() <= 1e-12
+    _assert_grouped_views_are_sums(f_vals, n_keys, weighted, key, msg)
 
 
 def test_grouped_views_in_runs_equal_one_scatter(monkeypatch):
-    # views too wide for one scatter-add are grouped a run of pads at a time;
-    # every cell still sums over a in increasing order, so the result is the
-    # one-run result bit for bit
+    # five tables of views too wide for one chunk are grouped two or four
+    # tables at a time; every cell still sums over a in increasing order, so
+    # the result is the one-run result bit for bit
     rng = np.random.default_rng(15)
     size, n_keys = 32, 4
-    f_vals = rng.integers(0, n_keys, size)
+    f_vals = _balanced_tables(rng, 5, size, n_keys)
     for weighted in (rng.random((size, 100)), rng.random((size, 7, 2, 2)) + 1j * rng.random((size, 7, 2, 2))):
         runs = _grouped_views(f_vals, n_keys, weighted)
         with monkeypatch.context() as m:
@@ -649,16 +661,11 @@ def test_grouped_views_short_last_run_match_sums(monkeypatch):
     # prefix of the full runs' weights
     rng = np.random.default_rng(16)
     size, n_keys = 16, 4
-    f_vals = rng.integers(0, n_keys, size)
+    f_vals = _balanced_tables(rng, 2, size, n_keys)
     weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
     monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", 3 * size * weighted[0].size * 2)
     key, msg = _grouped_views(f_vals, n_keys, weighted)
-    for k in range(n_keys):
-        want = sum(weighted[a] for a in range(size) if f_vals[a] == k)
-        assert np.abs(key[k] - want).max() <= 1e-12
-        for c in range(size):
-            want = sum(weighted[a] for a in range(size) if f_vals[a ^ c] == k) / size
-            assert np.abs(msg[k, c] - want).max() <= 1e-12
+    _assert_grouped_views_are_sums(f_vals, n_keys, weighted, key, msg)
 
 
 # ------------------------------------------------------------- batched kernel
@@ -736,28 +743,6 @@ def test_grouped_views_match_scatter_oracle_on_every_small_row_space():
                 assert np.array_equal(msg[i], want_msg), (n, k, matrix)
 
 
-@pytest.mark.parametrize("n_keys", [4, 5])
-@pytest.mark.parametrize("trailing, complex_views", [((), False), ((3,), False), ((2, 2), True)])
-def test_grouped_views_match_scatter_oracle_on_unbalanced_f(n_keys, trailing, complex_views):
-    # random tables of f have fibers of unequal length, and with 5 keys over
-    # 32 inputs (the last row never takes key 4) some fibers are empty
-    rng = np.random.default_rng(17)
-    size, rows = 32, 4
-    f_vals = rng.integers(0, n_keys, (rows, size))
-    f_vals[-1] = rng.integers(0, 4, size)
-    assert any(len(set(np.bincount(f, minlength=n_keys))) > 1 for f in f_vals)
-    weighted = rng.random((size,) + trailing)
-    if complex_views:
-        weighted = weighted + 1j * rng.random((size,) + trailing)
-    key, msg = _grouped_views(f_vals, n_keys, weighted)
-    for i in range(rows):
-        want_key, want_msg = ref_grouped_views(f_vals[i], n_keys, weighted)
-        one_key, one_msg = _grouped_views(f_vals[i], n_keys, weighted)
-        for got_key, got_msg in ((key[i], msg[i]), (one_key, one_msg)):
-            assert np.array_equal(got_key, want_key)
-            assert np.array_equal(got_msg, want_msg)
-
-
 def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
     # chunks of 3 (row space, pad) pairs leave a last chunk of one pad
     # (16 = 5 * 3 + 1); chunks of 3 whole row spaces leave one of one row
@@ -767,7 +752,7 @@ def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
     weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
     width = weighted[0].size * 2
     linear = _hash_values(list(enumerate_row_spaces(4, 2))[:rows])
-    for f_vals in (linear, rng.integers(0, n_keys, (rows, size))):
+    for f_vals in (linear, _balanced_tables(rng, rows, size, n_keys)):
         whole = _grouped_views(f_vals, n_keys, weighted)
         for pairs in (3, 3 * size):
             with monkeypatch.context() as m:
@@ -778,6 +763,35 @@ def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
                 want_key, want_msg = ref_grouped_views(f_vals[i], n_keys, weighted)
                 assert np.array_equal(key[i], want_key)
                 assert np.array_equal(msg[i], want_msg)
+
+
+def _model_gaps(f, prior, n):
+    """|eps_key - eps_msg| of each default bank model for one hash table f."""
+    views, widths = _bank_views(n)
+    key, msg = _grouped_views(f[None], 2, prior[:, None] * views)
+    starts = list(itertools.accumulate(widths, initial=0))
+    gaps = []
+    for lo, hi in zip(starts, starts[1:]):
+        eps_key = classical_epsilon(ClassicalJoint(key[0][:, lo:hi].copy()))
+        eps_msg = classical_epsilon(ClassicalJoint(msg[0][:, :, lo:hi].reshape(2, -1)))
+        gaps.append(abs(eps_key - eps_msg))
+    return gaps
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_balanced_non_additive_f_is_caught_only_by_a_biased_prior(n):
+    # f(a) = a0 ^ a1 a2 is balanced but not additive.  Under the uniform
+    # prior every default model scores it like a linear hash, so the sweep
+    # at its defaults cannot tell the two apart; i.i.d. bits with P(1) = 0.3
+    # can, while a linear f still scores a zero gap under that prior
+    a = np.arange(1 << n)
+    bent = (a & 1) ^ ((a >> 1) & (a >> 2) & 1)
+    linear = _hash_values([BinaryMatrix(1, n, (0b11,))])[0]  # a0 ^ a1
+    ones = np.array([bin(x).count("1") for x in a])
+    uniform, biased = np.full(1 << n, 1.0 / (1 << n)), 0.3 ** ones * 0.7 ** (n - ones)
+    assert max(_model_gaps(bent, uniform, n)) <= 1e-12
+    assert max(_model_gaps(bent, biased, n)) > 1e-3
+    assert max(_model_gaps(linear, biased, n)) <= 1e-12
 
 
 def test_bank_epsilons_equal_scatter_oracle_on_every_small_row_space():
