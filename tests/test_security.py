@@ -657,13 +657,13 @@ def test_grouped_views_in_runs_equal_one_scatter(monkeypatch):
 
 
 def test_grouped_views_short_last_run_match_sums(monkeypatch):
-    # 16 pads in runs of 3 leave a last run of one pad, whose weights are a
-    # prefix of the full runs' weights
+    # a chunk of 3 (table, pad) pairs of n_keys x 10 entries each: 16 pads
+    # in runs of 3 leave a last run of one pad per table
     rng = np.random.default_rng(16)
     size, n_keys = 16, 4
     f_vals = _balanced_tables(rng, 2, size, n_keys)
     weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
-    monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", 3 * size * weighted[0].size * 2)
+    monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", 3 * n_keys * weighted[0].size * 2)
     key, msg = _grouped_views(f_vals, n_keys, weighted)
     _assert_grouped_views_are_sums(f_vals, n_keys, weighted, key, msg)
 
