@@ -34,11 +34,31 @@ takes all of a run's keys in one call, transforms the seed once, and packs
 two keys into each transform.  Float rounding cannot flip a bit unnoticed,
 because an exactness guard raises if any convolution entry lies 0.25 or
 more from an integer (a NaN or inf entry included).  The dense
-:func:`toeplitz_from_seed` matrix stays for row reduction and preimage
-sampling, and ``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the
-hash's test oracle.  :func:`toeplitz_rows_independent` decides whether a
-Toeplitz matrix has independent rows from its seed alone, by the extended
+:func:`toeplitz_from_seed` matrix stays for hashes built from rows, and
+``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the hash's test
+oracle.  :func:`toeplitz_rows_independent` decides whether a Toeplitz
+matrix has independent rows from its seed alone, by the extended
 Euclidean algorithm in O(n**2) bit operations, without row reduction.
+
+:func:`sample_toeplitz_preimage` draws a uniform preimage of a seed's
+n_pa x n Toeplitz matrix A without elimination either.  With its columns
+reversed, A is the top of the n x n Hankel matrix of a_k = seed[k], which
+is nonsingular exactly when a_0 .. a_(2n-2) have linear complexity n.
+Berlekamp-Massey (Massey, IEEE Trans. IT 15, 122 (1969)) runs over the
+seed; extending it to 2 n - 1 bits with discrepancy 1 at k = n - 1 + L
+only is one length change, to n, which exists exactly when A's rows are
+independent, so the extension's n x n Toeplitz A' is then nonsingular with
+A as its top rows.  The extension's bits are never computed.  A'^-1 is
+the Bezoutian of the last two cofactors P, Q of Euclid on (x**(2n-1), a),
+stopped as in the rank check (Brent, Gustavson and Yun, J. Algorithms 1,
+259 (1980); Heinig and Rost): A'^-1 v = P u1 + (Q mod x**n) u2 mod x**n,
+u1 and u2 the coefficients n - 1 .. 2n - 2 of v (Q >> 1) and v (P >> 1),
+four carry-less FFT products under the hash's guard.  Euclid is not run:
+P and Q lie in the plane {t : deg t <= n, no x**n .. x**(2n-2) terms in
+t a}, spanned by Berlekamp-Massey's last c and x**(n - L_b) b, as the t
+whose (t's x**n, t a's x**(n-1)) bits are (0, 1) and (1, 0).  A draw is
+x = A'^-1 (y + x**n_pa g) for g = ``rng.getrandbits(n - n_pa)``; g -> x
+is a bijection onto {x : Ax = y}, so x is exactly uniform.
 
 :func:`preimage_sampler` draws uniform preimages {x : Ax = y}.  It
 row-reduces [A | y] once per (matrix, y) and reads z, the reduced y, from
@@ -75,6 +95,7 @@ __all__ = [
     "PreimageSampler",
     "preimage_sampler",
     "sample_preimage",
+    "sample_toeplitz_preimage",
 ]
 
 
@@ -419,17 +440,65 @@ def modified_toeplitz_hash(
         # spectrum-sized array is alive at once
         spectrum = np.fft.rfft(packed, size)
         np.multiply(seed_f, spectrum, out=spectrum)
-        conv = np.fft.irfft(spectrum, size)[w - 1 : n - 1]
-        # checked first, so that no NaN or inf enters the rounding error
-        if not np.isfinite(conv).all():
-            raise ArithmeticError("FFT convolution is not finite")
-        counts = np.rint(conv)
-        if np.abs(conv - counts).max() >= 0.25:
-            raise ArithmeticError("FFT convolution is not exact enough to round")
-        counts = counts.astype(np.int64)
+        counts = _exact_counts(np.fft.irfft(spectrum, size)[w - 1 : n - 1])
         for j, x in enumerate(group):
             out.append(x.cut(0, n_pa) ^ BitVector.from_bits((counts >> (s * j)) & 1))
     return out
+
+
+def _exact_counts(conv: np.ndarray) -> np.ndarray:
+    """An FFT convolution's entries as int64 counts, or ArithmeticError if
+    any entry is not finite or lies 0.25 or more from an integer."""
+    # checked first, so that no NaN or inf enters the rounding error
+    if not np.isfinite(conv).all():
+        raise ArithmeticError("FFT convolution is not finite")
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() >= 0.25:
+        raise ArithmeticError("FFT convolution is not exact enough to round")
+    return counts.astype(np.int64)
+
+
+def _clmul(a: int, b: int, n: int) -> int:
+    """Carry-less product of two polynomials of degree < n: one FFT convolution mod 2."""
+    size = 1 << (2 * n - 2).bit_length()  # >= 2 n - 1 entries, so nothing wraps
+    spectrum = np.fft.rfft(_unpack(BitVector(n, a)), size)
+    spectrum *= np.fft.rfft(_unpack(BitVector(n, b)), size)
+    return BitVector.from_bits(_exact_counts(np.fft.irfft(spectrum, size)) & 1).bits
+
+
+def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
+    """Uniform draw from {x : Ax = y}, A = ``toeplitz_from_seed(seed, n_pa, n)``.
+
+    No elimination: one O(n**2) Berlekamp-Massey pass plus four FFT
+    products (see the module docstring).  Takes one
+    ``rng.getrandbits(n - n_pa)``, as :func:`preimage_sampler`'s draw does.
+    Raises ValueError if A's rows are dependent.
+    """
+    _check_toeplitz_shape(seed, n_pa, n)
+    if y.length != n_pa:
+        raise ValueError(f"dimension mismatch: matrix rows {n_pa}, vector length {y.length}")
+    # Berlekamp-Massey: connection polynomial c of length L; b is c before
+    # its last length change, made at step m
+    big_n, rev = seed.length, int(seed.to01(), 2)  # rev >> (N - 1 - k): bit i is seed[k - i]
+    c, b, L, m = 1, 1, 0, -1
+    for k in range(big_n):
+        if (c & rev >> (big_n - 1 - k)).bit_count() & 1:
+            if 2 * L <= k:
+                c, b, L, m = c ^ b << (k - m), c, k + 1 - L, k
+            else:
+                c ^= b << (k - m)
+    # the extension to 2 n - 1 bits: discrepancy 1 at k = n - 1 + L only
+    if n_pa <= L < n:
+        c, b, L, m = c ^ b << (n - 1 + L - m), c, n, n - 1 + L
+    if L != n or n_pa > n:  # more rows than columns are never independent
+        raise ValueError("rows not independent")
+    # P and Q in the plane of c and d = x**(n - L_b) b, L_b = m + 1 - n (module docstring)
+    d, head = b << (2 * n - 1 - m), rev >> (big_n - n)  # head bit i is a_(n-1-i)
+    (ac, bc), (ad, bd) = ((t >> n & 1, (t & head).bit_count() & 1) for t in (c, d))
+    p, q = c * ad ^ d * ac, c * bd ^ d * bc
+    v, low = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa, (1 << n) - 1
+    u1, u2 = _clmul(v, q >> 1, n) >> (n - 1), _clmul(v, p >> 1, n) >> (n - 1)
+    return BitVector(n, (_clmul(p, u1, n) ^ _clmul(q & low, u2, n)) & low)
 
 
 _OCTETS = np.arange(256, dtype=np.uint8)

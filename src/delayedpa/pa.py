@@ -19,6 +19,7 @@ from delayedpa.gf2 import (
     matvec,
     row_reduce,
     sample_preimage,
+    sample_toeplitz_preimage,
     toeplitz_from_seed,
     toeplitz_rows_independent,
 )
@@ -42,9 +43,9 @@ class AdditivePaFunction:
     Independence is checked once, at construction.  A Toeplitz matrix (one
     that carries its ``toeplitz_seed``) is checked from the seed by
     :func:`toeplitz_rows_independent`, the extended Euclidean algorithm, in
-    quadratic time; any other matrix by :func:`row_reduce`.  Nothing is
-    kept: each preimage draw row-reduces [A | m'] afresh, and a hash that
-    is only applied never row-reduces.
+    quadratic time, and never row-reduced: :func:`sample_toeplitz_preimage`
+    draws its preimages from the seed.  Any other matrix is checked by
+    :func:`row_reduce`, and each of its draws row-reduces [A | m'] afresh.
     """
 
     matrix: BinaryMatrix
@@ -93,6 +94,9 @@ def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
     """Uniform draw from the preimage {m : f(m) = m_prime}."""
     if m_prime.length != f.n_pa:
         raise ValueError(f"length mismatch: expected {f.n_pa}, got {m_prime.length}")
+    seed = f.matrix.toeplitz_seed
+    if seed is not None:
+        return sample_toeplitz_preimage(seed, f.n_pa, f.n, m_prime, rng)
     return sample_preimage(f.matrix, m_prime, rng)
 
 

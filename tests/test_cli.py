@@ -264,6 +264,21 @@ def test_simulate_pa_seed_needs_n_minus_1_bits(capsys, protocol):
     assert report["pa_seed"] == {"bits": 299, "hex": "f" * 74 + "7"}
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_wrong_length_pa_seed_exits_3_before_the_run(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(cli, "run_dqkd", lambda cfg: pytest.fail("run_dqkd was called"))
+    argv = ["simulate", "dqkd", "--n", "1000000", "--seed", "7"]
+    if source == "flag":
+        argv += ["--pa-seed", "5:00"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pa": {"seed": {"bits": 5, "hex": "00"}}}))
+        argv += ["--config", str(path)]
+    code, _, out, err = run_cli(argv, capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "pa_seed length 5 does not match required n - 1 = 999999" in err
+
+
 def test_simulate_bb84_without_quantum_memory_hashes_with_a_seed_prefix(capsys):
     # the sifted key length is random, so a supplied seed has the configured
     # n - 1 bits and the hash takes its first (sifted n) - 1

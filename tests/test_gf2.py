@@ -20,6 +20,7 @@ from delayedpa.gf2 import (
     preimage_sampler,
     row_reduce,
     sample_preimage,
+    sample_toeplitz_preimage,
     toeplitz_from_seed,
     toeplitz_rows_independent,
 )
@@ -537,6 +538,174 @@ def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
         assert 2 * w.bit_length() <= delayedpa.gf2._PAIR_MAX_BITS  # the pair path
         expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
         assert modified_toeplitz_hash(ones_seed, n_pa, [ones, ones]) == [expect, expect]
+
+
+# ---------------------------------------------------------- toeplitz preimage
+
+def ref_clmul(a, b, n):
+    """Carry-less product, one shifted XOR per set bit of b."""
+    out = 0
+    for j in range(n):
+        if (b >> j) & 1:
+            out ^= a << j
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 1000])
+def test_clmul_matches_bitwise_oracle(n):
+    # all ones gives the largest convolution entries, n at the middle
+    rng = random.Random(n)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)] + [((1 << n) - 1,) * 2]
+    for a, b in pairs:
+        assert delayedpa.gf2._clmul(a, b, n) == ref_clmul(a, b, n)
+
+
+def test_toeplitz_preimage_exhaustive_up_to_n5():
+    # every seed, every n_pa <= n, every y and every drawn value g: a full
+    # rank seed maps g to a preimage of y, one g per preimage; a dependent
+    # seed raises whatever y is
+    for n in range(1, 6):
+        for n_pa in range(1, n + 1):
+            length, w = n + n_pa - 1, n - n_pa
+            for bits in range(1 << length):
+                seed = BitVector(length, bits)
+                a = toeplitz_from_seed(seed, n_pa, n)
+                if not toeplitz_rows_independent(seed, n_pa, n):
+                    with pytest.raises(ValueError, match="rows not independent"):
+                        sample_toeplitz_preimage(seed, n_pa, n, BitVector.zeros(n_pa), FixedBits(0))
+                    continue
+                for y in enumerate_vectors(n_pa):
+                    xs = {sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)) for g in range(1 << w)}
+                    assert len(xs) == 1 << w, (seed.to01(), n_pa, n, y)
+                    assert all(matvec(a, x) == y for x in xs), (seed.to01(), n_pa, n, y)
+
+
+def test_toeplitz_preimage_completion_nonsingular_up_to_n8(monkeypatch):
+    # the draw raises unless the completed n x n matrix is nonsingular; the
+    # products go through the bit-by-bit oracle, so that the completion and
+    # the Bezoutian are checked apart from the FFT product
+    monkeypatch.setattr(delayedpa.gf2, "_clmul", ref_clmul)
+    rng = random.Random("completion")
+    full_rank = 0
+    for n in range(2, 9):
+        for n_pa in range(1, n):
+            length = n + n_pa - 1
+            for bits in range(1 << length):
+                seed = BitVector(length, bits)
+                if not toeplitz_rows_independent(seed, n_pa, n):
+                    continue
+                full_rank += 1
+                y = BitVector.random(n_pa, rng)
+                x = sample_toeplitz_preimage(seed, n_pa, n, y, rng)
+                assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
+    assert full_rank == 35_901
+
+
+@pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
+def test_toeplitz_preimage_matches_dense_on_random_shapes(density):
+    rng = random.Random(f"toeplitz preimage {density}")
+    for _ in range(60):
+        n = rng.randint(2, 200)
+        n_pa = rng.randint(1, n - 1)
+        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n + n_pa - 1))
+        y = BitVector.random(n_pa, rng)
+        if not toeplitz_rows_independent(seed, n_pa, n):
+            with pytest.raises(ValueError, match="rows not independent"):
+                sample_toeplitz_preimage(seed, n_pa, n, y, rng)
+            continue
+        x = sample_toeplitz_preimage(seed, n_pa, n, y, rng)
+        assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
+
+
+def _top_bit(n, n_pa):
+    return BitVector(n + n_pa - 1, 1 << (n + n_pa - 2))
+
+
+STRUCTURED_SEEDS = {
+    # a single 1 at bit n_pa - 1 gives [0 | I]: the leading n_pa x n_pa block is zero
+    "zero-leading-block": (lambda n: (n * 7 // 10), lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n_pa - 1))),
+    # 0101...: two independent rows, no more
+    "period-2": (lambda n: 2, lambda n, n_pa: BitVector.from01(("01" * n)[: n + n_pa - 1])),
+    # one row whose only 1 is its last bit: linear complexity n before any
+    # completion, so no discrepancy is forced
+    "top-bit": (lambda n: 1, _top_bit),
+}
+
+
+@pytest.mark.parametrize("n", [64, 257, 1024, 4096])
+@pytest.mark.parametrize("case", STRUCTURED_SEEDS)
+def test_toeplitz_preimage_structured_seeds_match_dense(case, n):
+    shape, make = STRUCTURED_SEEDS[case]
+    n_pa = shape(n)
+    seed = make(n, n_pa)
+    a = toeplitz_from_seed(seed, n_pa, n)
+    assert row_reduce(a).rank == n_pa
+    rng = random.Random(n)
+    for _ in range(3):
+        y = BitVector.random(n_pa, rng)
+        assert matvec(a, sample_toeplitz_preimage(seed, n_pa, n, y, rng)) == y
+    # the same patterns at a wider n_pa have dependent rows
+    if case != "zero-leading-block":
+        wide = n * 7 // 10
+        with pytest.raises(ValueError, match="rows not independent"):
+            sample_toeplitz_preimage(make(n, wide), wide, n, BitVector.zeros(wide), rng)
+
+
+class RecordingRandom(random.Random):
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n, n_pa", [(12, 4), (300, 210), (2048, 1433)])
+def test_toeplitz_preimage_takes_one_draw_as_the_dense_path(n, n_pa):
+    rng = random.Random(n)
+    a = _full_rank_toeplitz(rng, n_pa, n)
+    y = BitVector.random(n_pa, rng)
+    ours, dense = RecordingRandom(n), RecordingRandom(n)
+    ours.calls, dense.calls = [], []
+    x = sample_toeplitz_preimage(a.toeplitz_seed, n_pa, n, y, ours)
+    assert matvec(a, x) == y
+    assert matvec(a, sample_preimage(a, y, dense)) == y
+    assert ours.calls == dense.calls == [n - n_pa]
+    assert ours.getstate() == dense.getstate()
+
+
+def test_toeplitz_preimage_square_takes_no_draw():
+    seed = BitVector.from01("0001000")  # the 4 x 4 identity
+    y = BitVector.from01("1011")
+    assert sample_toeplitz_preimage(seed, 4, 4, y, None) == y
+
+
+@pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
+def test_toeplitz_preimage_products_pass_the_hash_guard(monkeypatch, bad):
+    irfft = np.fft.irfft
+
+    def poisoned(*args, **kw):
+        conv = irfft(*args, **kw)
+        if bad == 0.4:
+            return conv + bad
+        conv[conv.size // 2] = bad
+        return conv
+
+    rng = random.Random(7)
+    a = _full_rank_toeplitz(rng, 70, 100)
+    y = BitVector.random(70, rng)
+    monkeypatch.setattr(np.fft, "irfft", poisoned)
+    with pytest.raises(ArithmeticError):
+        sample_toeplitz_preimage(a.toeplitz_seed, 70, 100, y, rng)
+
+
+def test_toeplitz_preimage_rejects_bad_shapes():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sample_toeplitz_preimage(BitVector.zeros(10), 3, 8, BitVector.zeros(4), rng)
+    # more rows than columns are never independent, though the seed 11 has
+    # linear complexity 1 = n
+    with pytest.raises(ValueError, match="rows not independent"):
+        sample_toeplitz_preimage(BitVector.from01("11"), 2, 1, BitVector.zeros(2), rng)
+    with pytest.raises(ValueError, match="seed length"):
+        sample_toeplitz_preimage(BitVector.zeros(9), 3, 8, BitVector.zeros(3), rng)
 
 
 # ---------------------------------------------------------------- reduction

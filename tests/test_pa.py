@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,7 +11,14 @@ from hypothesis import strategies as st
 
 import delayedpa.gf2
 import delayedpa.pa
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce, toeplitz_from_seed
+from delayedpa.gf2 import (
+    BinaryMatrix,
+    BitVector,
+    matvec,
+    preimage_sampler,
+    row_reduce,
+    toeplitz_from_seed,
+)
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
@@ -363,54 +373,82 @@ def test_dependent_toeplitz_seed_is_rejected(pattern):
 
 
 def test_session_row_reduces_once(monkeypatch):
-    calls = []
+    calls, samplers = [], []
 
     def counting_row_reduce(a):
         calls.append((a.rows, a.cols))
         return row_reduce(a)
 
+    def counting_preimage_sampler(a, y):
+        samplers.append((a.rows, a.cols))
+        return preimage_sampler(a, y)
+
     # the rank check of a matrix without a seed is made in pa, draws in gf2
     monkeypatch.setattr(delayedpa.pa, "row_reduce", counting_row_reduce)
     monkeypatch.setattr(delayedpa.gf2, "row_reduce", counting_row_reduce)
+    monkeypatch.setattr(delayedpa.gf2, "preimage_sampler", counting_preimage_sampler)
     rng = random.Random(330)
     n, n_pa = 64, 40
+    # a Toeplitz hash is checked and expanded from its seed alone
     f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
-    assert calls == []
-    # each draw reduces [A | m'], one column wider than the hash
     s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
-    assert calls == [(n_pa, n + 1)]
     m_prime = BitVector.random(n_pa, rng)
     assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
     assert DelayedPaSession.from_json(s.to_json()) == s
-    assert calls == [(n_pa, n + 1)] * 2
-    # a matrix without a seed is checked by its reduction at construction
+    assert calls == [] and samplers == []
+    # a matrix without a seed is checked by its reduction at construction,
+    # and each draw reduces [A | m'], one column wider than the hash
     g = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert calls[2:] == [(2, 3)]
+    assert calls == [(2, 3)]
     expand_message(g, BitVector.from01("10"), rng)
-    assert calls[2:] == [(2, 3), (2, 4)]
+    assert calls == [(2, 3), (2, 4)]
+    assert samplers == [(2, 3)]
+
+
+def _matrix_session_json():
+    # [A | m'] is 97 columns wide: 13 blocks of the blocked reduction
+    rng = random.Random(1024)
+    n, n_pa = 96, 67
+    f = random_pa_function(rng, n_pa, n)
+    s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
+    assert json.loads(s.to_json())["pa"]["kind"] == "matrix"
+    return s.to_json()
 
 
 def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
-    def session_json():
-        rng = random.Random(1024)
-        n, n_pa = 1024, 716
-        f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
-        s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
-        return s.to_json()
-
-    blocked = session_json()
-    monkeypatch.setattr(delayedpa.gf2, "row_reduce", ref_row_reduce)
-    assert session_json() == blocked
+    blocked = _matrix_session_json()
+    calls = []
+    monkeypatch.setattr(
+        delayedpa.gf2, "row_reduce", lambda a: calls.append(a.cols) or ref_row_reduce(a)
+    )
+    assert _matrix_session_json() == blocked
+    assert calls == [97]
 
 
 def test_session_json_unchanged_by_preimage_sampler(monkeypatch):
-    def session_json():
-        rng = random.Random(1024)
-        n, n_pa = 1024, 716
-        f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
-        s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
-        return s.to_json()
+    sampled = _matrix_session_json()
+    calls = []
 
-    sampled = session_json()
-    monkeypatch.setattr(delayedpa.pa, "sample_preimage", ref_sample_preimage)
-    assert session_json() == sampled
+    def counting_ref_sample_preimage(a, y, rng):
+        calls.append(a.cols)
+        return ref_sample_preimage(a, y, rng)
+
+    monkeypatch.setattr(delayedpa.pa, "sample_preimage", counting_ref_sample_preimage)
+    assert _matrix_session_json() == sampled
+    assert calls == [96]
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "## Library example", asserts included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "assert session.recover_via_key() == m_prime" in block
+    assert "assert session.recover_via_rawkey() == m_prime" in block
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue()
+    session = DelayedPaSession.from_json(printed)
+    assert session.to_json() + "\n" == printed
+    assert json.loads(printed)["pa"]["kind"] == "toeplitz"
+    assert session.recover_via_rawkey() == session.m_prime
