@@ -617,18 +617,16 @@ def test_toeplitz_preimage_matches_dense_on_random_shapes(density):
         assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
 
 
-def _top_bit(n, n_pa):
-    return BitVector(n + n_pa - 1, 1 << (n + n_pa - 2))
-
-
 STRUCTURED_SEEDS = {
     # a single 1 at bit n_pa - 1 gives [0 | I]: the leading n_pa x n_pa block is zero
-    "zero-leading-block": (lambda n: (n * 7 // 10), lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n_pa - 1))),
+    "zero-leading-block": (
+        lambda n: n * 7 // 10, lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n_pa - 1))
+    ),
     # 0101...: two independent rows, no more
     "period-2": (lambda n: 2, lambda n, n_pa: BitVector.from01(("01" * n)[: n + n_pa - 1])),
     # one row whose only 1 is its last bit: linear complexity n before any
-    # completion, so no discrepancy is forced
-    "top-bit": (lambda n: 1, _top_bit),
+    # completion, so no length change is forced
+    "top-bit": (lambda n: 1, lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n + n_pa - 2))),
 }
 
 
