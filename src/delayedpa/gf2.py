@@ -14,13 +14,9 @@ Conversions go through base-2 and base-16 ``int``/``format``, which run in
 linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
 through ``np.packbits``.
 
-:func:`row_reduce` is Gauss-Jordan elimination done by the Method of Four
-Russians on one C-contiguous ``(rows, words)`` array of little-endian uint64
-words, in blocks of 8 columns, so a block is one byte column of the array's
-``uint8`` view.  A block's pivots are found on that byte column alone, then
-one table of the XOR combinations of its pivot rows updates every row by a
-gather and an in-place XOR, 256 rows per call.  The result, swap order
-included, is exactly the column-by-column elimination's.
+:func:`row_reduce` is plain column-by-column Gauss-Jordan elimination on the
+packed rows.  No command reduces more than 13 columns; a wide hash built
+from rows pays about rows * rank big-int XORs per reduction.
 
 Protocol keys are hashed by the modified Toeplitz family of Hayashi and
 Tsurumaru (arXiv:1311.5322): an n-bit key x = (x1, x2), split after n_pa
@@ -501,128 +497,35 @@ def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, r
     return BitVector(n, (_clmul(p, u1, n) ^ _clmul(q & low, u2, n)) & low)
 
 
-_OCTETS = np.arange(256, dtype=np.uint8)
-_INDICES = np.arange(256, dtype=np.intp)
-_GATHER_ROWS = 256
-
-
 def row_reduce(a: BinaryMatrix) -> RowReduction:
     """Reduced row-echelon form, pivot columns and free columns.
 
     Handles any matrix; rank deficiency shows up as zero rows in ``upper``
-    and a shorter ``pivot_cols``, never as an error.
-
-    The result is plain Gauss-Jordan elimination's: column by column, the
-    first row at or below the next pivot position with a 1 there is swapped
-    up and cleared from every other row.  It is computed by the Method of
-    Four Russians (Bard, IACR ePrint 2006/251) on one C-contiguous
-    ``(rows, words)`` array of little-endian uint64 words.  Blocks are 8
-    columns wide, so block b is byte column b of the array's ``uint8``
-    view.  For each block:
-
-    - the byte column of the rows from the next pivot position down is read
-      into a list once; if it is all zero, the block's columns are free and
-      the block is done.  Otherwise the pivot search runs on those small
-      ints: a lower row is brought up to date against the block's pivots so
-      far when the search reads it, and a pivot row is swapped up;
-    - the swapped full rows move in one indexed assignment;
-    - a table of all 2**p XOR combinations of the block's p pivot rows, as
-      they stand before the block, is built by p doublings;
-    - a 256-entry lookup maps every row's byte to the one table index that
-      clears the pivot columns, which for a pivot row is corrected to the
-      combination leaving only its own pivot bit (the block's Gauss-Jordan);
-    - a gather of the table by those indices and an in-place XOR update
-      every row, 256 rows per call so the gathered copy stays small.
-
-    That is about rows * cols / 8 row operations, done in numpy, where
-    Gauss-Jordan needs rows * rank.  The reduced form is unique, and each
-    row's combination of pivot rows is fixed by its bits at the pivot
-    columns, so every field, the swap order of a rank-deficient input
-    included, equals Gauss-Jordan's exactly.
+    and a shorter ``pivot_cols``, never as an error.  Plain Gauss-Jordan
+    elimination on the packed rows: column by column, the first row at or
+    below the next pivot position with a 1 there is swapped up and XORed
+    into every other row with a 1 in that column.  A column with no such
+    row, every column after the last pivot included, is free.
     """
-    rows, cols = a.rows, a.cols
-    # each row is written into the array's buffer directly, with no joined copy
-    row_bytes = (cols + 63) >> 6 << 3
-    col_bytes = (cols + 7) >> 3
-    buf = bytearray(rows * row_bytes)
-    for i, w in enumerate(a.row_words):
-        buf[i * row_bytes : i * row_bytes + col_bytes] = w.to_bytes(col_bytes, "little")
-    work = np.frombuffer(buf, dtype="<u8").reshape(rows, row_bytes >> 3)
-    octets = work.view(np.uint8)
-    table = np.zeros((256, work.shape[1]), dtype="<u8")
-    table_octets = table.view(np.uint8)
-    index_of = np.empty(256, dtype=np.intp)
+    work = list(a.row_words)
     pivot_cols: list[int] = []
     free_cols: list[int] = []
-    r = 0
-    for c0 in range(0, cols, 8):
-        if r == rows:
-            break
-        r0 = r  # the block's pivot rows end up at r0 .. r - 1
-        byte = c0 >> 3
-        col = octets[r0:, byte].tolist()  # col[i] is row r0 + i's byte
-        if not any(col):
-            # no row from r0 down has a 1 in the block: all its columns are free
-            free_cols += range(c0, min(c0 + 8, cols))
-            continue
-        bits: list[int] = []  # bits[j] marks the pivot column of row r0 + j
-        moved: dict[int, int] = {}  # position -> the position its row came from
-        for c in range(c0, min(c0 + 8, cols)):
-            bit = 1 << (c - c0)
-            for i in range(r - r0, rows - r0):
-                v = col[i]
-                for j, b in enumerate(bits):
-                    if v & b:
-                        v ^= col[j]
-                if v & bit:
-                    break
-                col[i] = v
-            else:
-                free_cols.append(c)
-                continue
-            p = r - r0
-            if i != p:
-                col[i] = col[p]
-                moved[r0 + i], moved[r] = moved.get(r, r), moved.get(r0 + i, r0 + i)
-            col[p] = v
-            for j in range(p):
-                if col[j] & bit:
-                    col[j] ^= v
-            pivot_cols.append(c)
-            bits.append(bit)
-            r += 1
-            if r == rows:
+    for c in range(a.cols):
+        bit, r = 1 << c, len(pivot_cols)
+        for i in range(r, a.rows):
+            if work[i] & bit:
                 break
-        if r == r0:
+        else:
+            free_cols.append(c)
             continue
-        if moved:
-            work[list(moved)] = work[list(moved.values())]
-        # table[x] is the XOR of the block's pivot rows, as they stand
-        # before it, whose bit is set in x
-        for j in range(r - r0):
-            np.bitwise_xor(table[: 1 << j], work[r0 + j : r0 + j + 1], table[1 << j : 2 << j])
-        # the pivot rows are independent on the pivot columns, so each
-        # pattern k of bits there is met by exactly one entry, index_of[k];
-        # every pattern is rewritten here, and only patterns are read
-        size = 1 << (r - r0)
-        pivot_mask = np.uint8(sum(bits))
-        index_of[table_octets[:size, byte] & pivot_mask] = _INDICES[:size]
-        idx = index_of[_OCTETS & pivot_mask].take(octets[:, byte])
-        # a pivot row's byte selects the row itself; its reduced form is the
-        # combination that leaves only its own pivot bit
-        idx[r0:r] ^= index_of[bits]
-        # in chunks of rows: a whole-array gather would be a second copy of
-        # the work array, which the allocator then keeps resident
-        for s0 in range(0, rows, _GATHER_ROWS):
-            work[s0 : s0 + _GATHER_ROWS] ^= table.take(idx[s0 : s0 + _GATHER_ROWS], axis=0)
-    # the columns visited are a prefix; once every row is a pivot the rest are free
-    free_cols += range(len(pivot_cols) + len(free_cols), cols)
-    view = memoryview(buf)
-    upper = [
-        int.from_bytes(view[i * row_bytes : (i + 1) * row_bytes], "little") for i in range(rows)
-    ]
+        pivot = work[i]
+        work[i], work[r] = work[r], pivot
+        for j, w in enumerate(work):
+            if w & bit and j != r:
+                work[j] = w ^ pivot
+        pivot_cols.append(c)
     return RowReduction(
-        upper=BinaryMatrix(rows, cols, tuple(upper)),
+        upper=BinaryMatrix(a.rows, a.cols, tuple(work)),
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(free_cols),
     )
@@ -642,7 +545,7 @@ def kernel_basis(a: BinaryMatrix) -> list[BitVector]:
 
 
 # _PARITY8[b] is the parity of the byte b
-_PARITY8 = np.unpackbits(_OCTETS[:, None], axis=1).sum(axis=1, dtype=np.int64) & 1
+_PARITY8 = np.array([b.bit_count() & 1 for b in range(256)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,10 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     """
     n_rows, size = f_vals.shape
     fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
-    flat = weighted.reshape(size, -1).view(np.float64)  # complex as (re, im) pairs
-    width = flat.shape[1]
+    # each take gathers whole rows of a C-contiguous copy: from an F-ordered
+    # stack such as views[:, columns], every gather is strided and about 7x slower
+    flat = np.asanyarray(weighted, order="C").reshape(size, -1).view(np.float64)
+    width = flat.shape[1]  # complex views as (re, im) pairs
     pads = np.arange(size)
     table = np.zeros((n_rows, n_keys, size, width))
     per_chunk = max(1, _SCATTER_ENTRIES // (n_keys * width))  # (row space, pad) pairs

@@ -770,7 +770,7 @@ MATRIX_KINDS = ["dense", "zero", "sparse", "rank-1", "low-rank", "duplicates", "
 
 
 def _matrix(kind, rows, cols, rng):
-    """A rows x cols matrix of one structure the blocked elimination must not miss."""
+    """A rows x cols matrix of one structure: dense, empty, rank-deficient or gapped."""
     def draw():
         return rng.getrandbits(cols)
 
@@ -780,7 +780,7 @@ def _matrix(kind, rows, cols, rng):
         words = [0] * rows
     elif kind == "sparse":  # each entry is 1 with probability 1/16
         words = [draw() & draw() & draw() & draw() for _ in range(rows)]
-    elif kind == "rank-1":  # one row or zero: after the first pivot every block is zero below
+    elif kind == "rank-1":  # one row or zero: after the first pivot every column is free
         base = draw()
         words = [base * rng.getrandbits(1) for _ in range(rows)]
     elif kind == "low-rank":  # XORs of three rows: rank <= 3, many zero rows
@@ -798,9 +798,11 @@ def _matrix(kind, rows, cols, rng):
     return BinaryMatrix(rows, cols, tuple(words))
 
 
-# widths 7 .. 11, and 1 .. 7 mod 8 under more than 256 rows, straddle the
-# 8-column blocks; 31 .. 33 and 63 .. 65 straddle a machine word, for a
-# matrix and for the [A | y] one column wider that a preimage sampler reduces
+# empty, one-row and one-column edges; narrow matrices of up to 4100 rows,
+# where nearly every row is cleared to zero; and widths 31 .. 33 and
+# 63 .. 65, around the batched preimage draw's 32-bit words and 63-column
+# limit, for a matrix and for the [A | y] one column wider that a preimage
+# sampler reduces
 RR_SHAPES = [
     (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
     (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
@@ -833,6 +835,56 @@ def test_row_reduce_matches_gauss_jordan_random(kind, rows, cols, rng):
     assert row_reduce(a) == ref_row_reduce(a)
 
 
+def _span(words):
+    """Every XOR of a subset of ``words``."""
+    span = {0}
+    for w in words:
+        if w not in span:
+            span |= {s ^ w for s in span}
+    return span
+
+
+def check_reduction_by_span(a, red):
+    """``red`` is the reduced echelon form of ``a``, judged by the enumerated row span.
+
+    Independent of any elimination: the span is built by brute force, and
+    the reduced row-echelon form of a row space is unique.
+    """
+    span = _span(a.row_words)
+    assert len(span) == 1 << red.rank
+    words = red.upper.row_words
+    assert _span(words) == span
+    assert list(red.pivot_cols) == sorted(set(red.pivot_cols))  # strictly increasing
+    for r, pc in enumerate(red.pivot_cols):
+        # a unit column, whose 1 leads its row
+        assert [w >> pc & 1 for w in words] == [int(j == r) for j in range(a.rows)]
+        assert words[r] & ((1 << pc) - 1) == 0
+    assert all(words[: red.rank]) and not any(words[red.rank :])
+    assert red.free_cols == tuple(c for c in range(a.cols) if c not in red.pivot_cols)
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize(
+    "shape", [s for s in RR_SHAPES if s[1] <= 10], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_row_reduce_is_the_echelon_form_of_the_row_span(kind, shape):
+    rng = random.Random(f"span:{kind}:{shape}")
+    a = _matrix(kind, *shape, rng)
+    check_reduction_by_span(a, row_reduce(a))
+
+
+@given(
+    st.sampled_from(MATRIX_KINDS),
+    st.integers(0, 24),
+    st.integers(0, 10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300)
+def test_row_reduce_is_the_echelon_form_of_the_row_span_random(kind, rows, cols, rng):
+    a = _matrix(kind, rows, cols, rng)
+    check_reduction_by_span(a, row_reduce(a))
+
+
 def test_row_reduce_matches_gauss_jordan_on_toeplitz():
     n, n_pa = 1024, 716
     rng = random.Random(1024)
@@ -859,8 +911,8 @@ def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max
 @pytest.mark.parametrize("rank", [1, 2, 5])
 @pytest.mark.parametrize("shape", [(716, 1024), (300, 70), (40, 300)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_row_reduce_matches_gauss_jordan_on_low_rank(rank, shape):
-    # rows are XORs of `rank` random rows, so every block past the last
-    # pivot is zero from the next pivot position down and is skipped whole
+    # rows are XORs of `rank` random rows, so every column past the last
+    # pivot is zero from the next pivot position down and is free
     rows, cols = shape
     rng = random.Random(f"{rank}:{shape}")
     base = [rng.getrandbits(cols) for _ in range(rank)]
@@ -1141,10 +1193,10 @@ def test_uniformity_suite_memory_does_not_grow_with_draws():
 
 
 def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
-    # the n = 2048 session's 1433 x 2048 Toeplitz matrix: the work array is
-    # 358 KiB, the table 64 KiB, and the result's ints, converted one row at
-    # a time while the array is alive, about 380 KiB.  The byte-column
-    # kernel peaks at 0.95 MiB under tracemalloc.
+    # a 1433 x 2048 Toeplitz matrix, an n = 2048 session's shape: the work
+    # list holds one 2048-bit int per row, about 400 KiB, and each XOR
+    # frees the int it replaces, so the reduction stays near one copy of
+    # the rows.  Tracing every int allocation makes this test slow.
     n, n_pa = 2048, 1433
     a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, random.Random(2048)), n_pa, n)
     tracemalloc.start()

@@ -406,7 +406,8 @@ def test_session_row_reduces_once(monkeypatch):
 
 
 def _matrix_session_json():
-    # [A | m'] is 97 columns wide: 13 blocks of the blocked reduction
+    # a session hash built from rows: [A | m'] is 97 columns wide, wider
+    # than any reduction a command runs
     rng = random.Random(1024)
     n, n_pa = 96, 67
     f = random_pa_function(rng, n_pa, n)
@@ -416,12 +417,12 @@ def _matrix_session_json():
 
 
 def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
-    blocked = _matrix_session_json()
+    reduced = _matrix_session_json()
     calls = []
     monkeypatch.setattr(
         delayedpa.gf2, "row_reduce", lambda a: calls.append(a.cols) or ref_row_reduce(a)
     )
-    assert _matrix_session_json() == blocked
+    assert _matrix_session_json() == reduced
     assert calls == [97]
 
 

@@ -765,6 +765,36 @@ def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
                 assert np.array_equal(msg[i], want_msg)
 
 
+class _TakeSpy(np.ndarray):
+    """An array that records, for each ``take``, whether it reads a C-contiguous array."""
+
+    receivers: list[bool] = []
+
+    def take(self, *args, **kwargs):
+        _TakeSpy.receivers.append(self.flags.c_contiguous)
+        return self.view(np.ndarray).take(*args, **kwargs)
+
+
+def test_grouped_views_gather_from_a_c_contiguous_copy_of_an_f_ordered_stack(monkeypatch):
+    # _bank_epsilons hands the grouping views[:, columns]; advanced indexing
+    # after a slice returns it F-ordered, and gathering whole rows from that
+    # layout made every take strided
+    n, k = 5, 2
+    views, _ = _bank_views(n)
+    columns = np.arange(views.shape[1])[::-1].copy()
+    stack = views[:, columns] / (1 << n)
+    assert stack.flags.f_contiguous and not stack.flags.c_contiguous
+    spaces = list(enumerate_row_spaces(n, k))
+    receivers = []
+    monkeypatch.setattr(_TakeSpy, "receivers", receivers)
+    key, msg = _grouped_views(_hash_values(spaces), 1 << k, stack.view(_TakeSpy))
+    assert receivers and all(receivers)
+    for i, matrix in enumerate(spaces):
+        want_key, want_msg = ref_grouped_views(ref_hash_values(matrix), 1 << k, stack)
+        assert np.array_equal(key[i], want_key), matrix
+        assert np.array_equal(msg[i], want_msg), matrix
+
+
 def _model_gaps(f, prior, n):
     """|eps_key - eps_msg| of each default bank model for one hash table f."""
     views, widths = _bank_views(n)
