@@ -198,7 +198,8 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     n_rows, size = f_vals.shape
     fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
     # each take gathers whole rows of a C-contiguous copy: from an F-ordered
-    # stack such as views[:, columns], every gather is strided and about 7x slower
+    # stack such as views[:, columns], every gather is strided and about 7x
+    # slower (asanyarray keeps an ndarray subclass, so a test can spy on take)
     flat = np.asanyarray(weighted, order="C").reshape(size, -1).view(np.float64)
     width = flat.shape[1]  # complex views as (re, im) pairs
     pads = np.arange(size)
