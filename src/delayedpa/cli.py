@@ -195,7 +195,8 @@ def _cmd_verify(args) -> int:
     if args.seed is not None and args.seed < 0:
         return _error("verify", f"seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else _fresh_seed()
-    # suites pulls in scipy (about a second), which only verify needs
+    # suites pulls in quantum and security (about 20 ms to import), which
+    # only verify needs
     from delayedpa.suites import (
         suite_delayed_pa,
         suite_preimage_uniformity,

@@ -167,18 +167,6 @@ class BitVector:
             return ""
         return format(self.bits, f"0{self.length}b")[::-1]
 
-    def to_text(self) -> str:
-        return f"bits={self.length}\n{self.to_hex()}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitVector":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("bits="):
-            raise ValueError("missing bits= header")
-        length = int(lines[0][len("bits="):])
-        digits = lines[1].strip() if len(lines) > 1 else ""
-        return cls.from_hex(length, digits)
-
     def to_bytes(self) -> bytes:
         return self.bits.to_bytes((self.length + 7) // 8, "little")
 
@@ -272,28 +260,6 @@ class BinaryMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
-
-    def to_text(self) -> str:
-        lines = [f"rows={self.rows} cols={self.cols}"]
-        lines.extend(self.row(i).to01() for i in range(self.rows))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split()
-        if len(header) != 2 or not header[0].startswith("rows=") or not header[1].startswith("cols="):
-            raise ValueError("bad matrix header")
-        rows = int(header[0][len("rows="):])
-        cols = int(header[1][len("cols="):])
-        if len(lines) != rows + 1:
-            raise ValueError("row count does not match header")
-        words = []
-        for ln in lines[1:]:
-            if len(ln) != cols:
-                raise ValueError("row width does not match header")
-            words.append(BitVector.from01(ln).bits)
-        return cls(rows, cols, tuple(words))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ tolerances.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
-from scipy import stats
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
 from delayedpa.protocols import decode_key_bit
@@ -47,14 +47,38 @@ _TRIAL_CHUNK = 256
 # trial alone takes more, so a run peaks within a few stacks' worth of what
 # certifying its largest trial alone takes
 _STACK_BYTES = 1 << 22
+# a random matrix with at most as many rows as columns has independent rows
+# with probability > 0.28, so a correct row_reduce exhausts this many draws
+# with probability < 1e-28; one that under-reports rank fails instead of hanging
+_FULL_RANK_ATTEMPTS = 200
 
 
 def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
     """Draw random rows x cols matrices until one has independent rows."""
-    while True:
+    for _ in range(_FULL_RANK_ATTEMPTS):
         matrix = BinaryMatrix.random(rows, cols, rng)
         if row_reduce(matrix).rank == rows:
             return matrix
+    raise RuntimeError(
+        f"no {rows} x {cols} matrix with independent rows in {_FULL_RANK_ATTEMPTS} draws"
+    )
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """P(chi-square with k degrees of freedom >= x), for odd k.
+
+    The uniformity suite's k = 2^(n - n_pa) - 1 is always odd, and for odd
+    k the tail is erfc(sqrt(x/2)) plus a finite sum (Abramowitz & Stegun
+    26.4.4).  Each term is formed in logs, so none overflows at k = 2047.
+    """
+    if x <= 0:
+        return 1.0
+    half = x / 2
+    log_half = math.log(half)
+    return math.erfc(math.sqrt(half)) + sum(
+        math.exp((j - 0.5) * log_half - half - math.lgamma(j + 0.5))
+        for j in range(1, (k - 1) // 2 + 1)
+    )
 
 
 def suite_table1() -> tuple[dict, bool]:
@@ -82,7 +106,11 @@ def suite_table1() -> tuple[dict, bool]:
 def suite_preimage_uniformity(
     n: int = 8, n_pa: int = 3, draws: int = 32000, alpha: float = 0.001, seed: int = 0
 ) -> tuple[dict, bool]:
-    """Chi-square goodness of fit of the preimage sampler against uniform."""
+    """Chi-square goodness of fit of the preimage sampler against uniform.
+
+    The p-value is the chi-square tail in closed form for the odd degrees
+    of freedom 2^(n - n_pa) - 1 (``_chi2_sf``, Abramowitz & Stegun 26.4.4).
+    """
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:
@@ -107,15 +135,17 @@ def suite_preimage_uniformity(
         hist += np.bincount(chunk, minlength=1 << n)
     counts = hist[preimage]
     stray = draws - int(counts.sum())
-    result = stats.chisquare(counts)
-    passed = bool(stray == 0 and result.pvalue >= alpha)
+    mean = counts.mean()
+    chi2 = float(((counts - mean) ** 2 / mean).sum())
+    p_value = _chi2_sf(chi2, len(counts) - 1)
+    passed = bool(stray == 0 and p_value >= alpha)
     payload = {
         "n": n,
         "n_pa": n_pa,
         "draws": draws,
         "cells": len(preimage),
-        "chi2": float(result.statistic),
-        "p_value": float(result.pvalue),
+        "chi2": chi2,
+        "p_value": p_value,
         "alpha": alpha,
         "samples_outside_preimage": stray,
     }

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 from mpmath import mp, mpf
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce, sample_preimage
+from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, sample_preimage
 from delayedpa.protocols import (
     Bb84Config,
     DqkdConfig,
@@ -39,7 +39,7 @@ from delayedpa.security import (
     load_eve_bank,
     random_eve_states,
 )
-from delayedpa.suites import suite_preimage_uniformity, suite_table1
+from delayedpa.suites import _full_rank_matrix, suite_preimage_uniformity, suite_table1
 
 mp.dps = 40
 
@@ -62,10 +62,7 @@ def criterion(num, name):
 
 
 def full_rank_matrix(rng, rows, cols):
-    while True:
-        m = BinaryMatrix.random(rows, cols, rng)
-        if row_reduce(m).rank == rows:
-            return m
+    return _full_rank_matrix(rows, cols, rng)
 
 
 def test_criterion_1_additive_pa_properties():

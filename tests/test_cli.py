@@ -906,18 +906,28 @@ def test_subprocess_replay_byte_identical():
     assert strip(first.stdout) == strip(second.stdout)
 
 
-def test_scipy_is_loaded_only_by_verify():
+def test_every_command_runs_without_scipy():
+    # scipy is only the tests' oracle: with its import blocked, every command
+    # and every verify suite still runs and exits with its documented code
     script = "\n".join([
         "import contextlib, io, sys",
-        "import delayedpa.cli as cli",
-        "assert 'scipy' not in sys.modules, 'import'",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert cli.main(['simulate', 'dqkd', '--n', '200', '--seed', '1']) in (0, 2)",
-        "assert 'scipy' not in sys.modules, 'simulate'",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert cli.main(['verify', '--suite', 'preimage-uniformity',",
-        "                     '--draws', '2000', '--seed', '1']) == 0",
-        "assert 'scipy' in sys.modules",
+        "sys.modules['scipy'] = None",
+        "from delayedpa import cli",
+        "runs = [",
+        "    (['keyrate', '--n', '1000', '--eb-roundtrip', '0.05', '--ep', '0.05'], 0),",
+        "    (['keyrate', '--n', '1000', '--eb-roundtrip', '0.25', '--ep', '0.25'], 2),",
+        "    (['simulate', 'dqkd', '--n', '2000', '--seed', '1'], 0),",
+        "    (['verify', '--suite', 'table1'], 0),",
+        "    (['verify', '--suite', 'preimage-uniformity', '--draws', '2000', '--seed', '1'], 0),",
+        "    (['verify', '--suite', 'protocol-2c2d', '--trials', '5', '--seed', '1'], 0),",
+        "    (['verify', '--suite', 'delayed-pa', '--n', '3', '--npa', '2',",
+        "      '--quantum-trials', '2', '--seed', '1'], 0),",
+        "]",
+        "for argv, expected in runs:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = cli.main(argv)",
+        "    assert code == expected, (argv, code)",
+        "assert sys.modules['scipy'] is None",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
+import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from scipy import stats
 
 import delayedpa.gf2
@@ -24,6 +27,7 @@ from delayedpa.gf2 import (
     toeplitz_from_seed,
     toeplitz_rows_independent,
 )
+from delayedpa.suites import _FULL_RANK_ATTEMPTS, _full_rank_matrix
 
 
 # ---------------------------------------------------------------- oracles
@@ -214,12 +218,6 @@ def test_hex_format_lsb_first_nibbles():
     v = BitVector.from01("10101")
     assert v.to_hex() == "51"
     assert BitVector.from_hex(5, "51") == v
-
-
-def test_text_roundtrip():
-    v = BitVector.from01("1100100011")
-    assert BitVector.from_text(v.to_text()) == v
-    assert v.to_text().startswith("bits=10\n")
 
 
 @given(st.integers(min_value=0, max_value=200), st.randoms(use_true_random=False))
@@ -980,10 +978,7 @@ def test_kernel_size_matches_enumeration(rng):
 # ---------------------------------------------------------------- preimage
 
 def full_rank_matrix(rng, rows, cols):
-    while True:
-        a = BinaryMatrix.random(rows, cols, rng)
-        if row_reduce(a).rank == rows:
-            return a
+    return _full_rank_matrix(rows, cols, rng)
 
 
 def test_preimage_example_enumeration():
@@ -1053,10 +1048,11 @@ def assert_sampler_matches_oracle(a, seed, draws):
 
 
 def _full_rank_toeplitz(rng, n_pa, n):
-    while True:
+    for _ in range(_FULL_RANK_ATTEMPTS):
         a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
         if row_reduce(a).rank == n_pa:
             return a
+    raise RuntimeError(f"no full-rank Toeplitz matrix in {_FULL_RANK_ATTEMPTS} draws")
 
 
 SAMPLER_CASES = {
@@ -1223,15 +1219,66 @@ def test_preimage_uniformity_chi_square():
     assert result.pvalue >= 0.001
 
 
-# ---------------------------------------------------------------- formats
+@pytest.mark.parametrize("e", range(1, 12))
+def test_chi2_sf_matches_scipy_and_mpmath(e):
+    # every k the uniformity suite can reach, 2^(n - n_pa) - 1 at n <= 12
+    k = (1 << e) - 1
+    spread = math.sqrt(2 * k)
+    xs = [0.0, 1e-300, 1e-9, k / 2, k - spread, float(k), k + spread, k + 8 * spread,
+          float(stats.chi2.isf(1e-200, k)), float(stats.chi2.isf(1e-295, k)), 4 * k + 600.0]
+    assert delayedpa.suites._chi2_sf(-1.0, k) == 1.0
+    for x in (x for x in xs if x >= 0):
+        got = delayedpa.suites._chi2_sf(x, k)
+        with mp.workdps(30):
+            exact = float(mp.gammainc(mpf(k) / 2, mpf(x) / 2, mp.inf, regularized=True))
+        oracle = float(stats.chi2.sf(x, k))
+        if exact >= 1e-300:
+            assert abs(got - exact) <= 1e-10 * exact, (k, x)
+            assert abs(got - oracle) <= 1e-10 * exact, (k, x)
+        else:
+            assert got <= 1e-300 and oracle <= 1e-300, (k, x)
 
-def test_matrix_text_roundtrip():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    text = a.to_text()
-    assert text.splitlines()[0] == "rows=2 cols=3"
-    assert BinaryMatrix.from_text(text) == a
+
+class RecordingSampler:
+    """``preimage_sampler``'s interface, keeping every batch it draws."""
+
+    def __init__(self, a, y):
+        self.draw = preimage_sampler(a, y)
+        self.preimage = sorted(ref_preimage(a, y))
+        self.batches = []
+
+    def batch(self, rng, count):
+        out = self.draw.batch(rng, count)
+        self.batches.append(out)
+        return out
 
 
-def test_matrix_text_rejects_bad_width():
-    with pytest.raises(ValueError):
-        BinaryMatrix.from_text("rows=1 cols=3\n10\n")
+@pytest.mark.parametrize("seed", [1, 5, 1002, 104729])
+def test_uniformity_suite_statistic_matches_scipy(monkeypatch, seed):
+    samplers = []
+
+    def recording(a, y):
+        samplers.append(RecordingSampler(a, y))
+        return samplers[-1]
+
+    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", recording)
+    payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
+    (sampler,) = samplers
+    hist = np.bincount(np.concatenate(sampler.batches), minlength=1 << payload["n"])
+    counts = hist[sampler.preimage]
+    assert len(counts) == payload["cells"] and counts.sum() == payload["draws"]
+    result = stats.chisquare(counts)
+    assert payload["chi2"] == result.statistic
+    assert abs(payload["p_value"] - result.pvalue) <= 1e-12 * result.pvalue
+    assert passed == (result.pvalue >= payload["alpha"])
+
+
+def test_full_rank_draws_give_up_when_rank_is_under_reported(monkeypatch):
+    # a row_reduce that never reports full rank must fail the draw, not hang it
+    monkeypatch.setattr(
+        delayedpa.suites, "row_reduce", lambda a: SimpleNamespace(rank=a.rows - 1)
+    )
+    with pytest.raises(RuntimeError, match=f"in {_FULL_RANK_ATTEMPTS} draws"):
+        _full_rank_matrix(3, 8, random.Random(0))
+    with pytest.raises(RuntimeError, match=f"in {_FULL_RANK_ATTEMPTS} draws"):
+        delayedpa.suites.suite_preimage_uniformity(seed=1)

@@ -29,6 +29,7 @@ from delayedpa.pa import (
     expand_message,
     pa_apply,
 )
+from delayedpa.suites import _full_rank_matrix
 from test_gf2 import ref_row_reduce, ref_sample_preimage
 
 
@@ -40,10 +41,7 @@ def enumerate_preimage(f, m_prime):
 
 
 def random_pa_function(rng, n_pa, n):
-    while True:
-        m = BinaryMatrix.random(n_pa, n, rng)
-        if row_reduce(m).rank == n_pa:
-            return AdditivePaFunction(m)
+    return AdditivePaFunction(_full_rank_matrix(n_pa, n, rng))
 
 
 # ---------------------------------------------------------------- pa_apply

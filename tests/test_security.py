@@ -28,6 +28,7 @@ from delayedpa.security import (
     random_eve_states,
     sweep_delayed_pa,
 )
+from delayedpa.suites import _full_rank_matrix
 
 
 # ------------------------------------------------------------- classical
@@ -596,10 +597,7 @@ def test_quantum_verifier_matches_loop_reference():
     for i in range(32):
         n = pyrng.randint(1, 4)
         rows = pyrng.randint(1, n)
-        while True:
-            matrix = BinaryMatrix.random(rows, n, pyrng)
-            if row_reduce(matrix).rank == rows:
-                break
+        matrix = _full_rank_matrix(rows, n, pyrng)
         states = random_eve_states(n, pyrng.randint(1, 4), rng)
         prior = _random_prior(rng, 1 << n) if i % 2 else None
         got = delayed_pa_epsilons_quantum(matrix, states, prior)
