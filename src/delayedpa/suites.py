@@ -52,6 +52,12 @@ _STACK_BYTES = 1 << 22
 # with probability < 1e-28; one that under-reports rank fails instead of hanging
 _FULL_RANK_ATTEMPTS = 200
 
+# one freed 1 MiB block that malloc had mapped raises glibc's mmap threshold
+# to 1 MiB and its heap trim threshold to 2 MiB; at the 128 KiB defaults the
+# heap top is handed back after each suite and faulted in again by the next,
+# which made in-process verify ops 10-25% slower; elsewhere it does nothing
+np.empty(1 << 17)
+
 
 def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
     """Draw random rows x cols matrices until one has independent rows."""
@@ -106,11 +112,7 @@ def suite_table1() -> tuple[dict, bool]:
 def suite_preimage_uniformity(
     n: int = 8, n_pa: int = 3, draws: int = 32000, alpha: float = 0.001, seed: int = 0
 ) -> tuple[dict, bool]:
-    """Chi-square goodness of fit of the preimage sampler against uniform.
-
-    The p-value is the chi-square tail in closed form for the odd degrees
-    of freedom 2^(n - n_pa) - 1 (``_chi2_sf``, Abramowitz & Stegun 26.4.4).
-    """
+    """Chi-square fit of the preimage sampler to uniform; its tail by A&S 26.4.4."""
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:

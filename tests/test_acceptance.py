@@ -61,10 +61,6 @@ def criterion(num, name):
     print(f"ACCEPTANCE {num} ({name}): PASS")
 
 
-def full_rank_matrix(rng, rows, cols):
-    return _full_rank_matrix(rows, cols, rng)
-
-
 def test_criterion_1_additive_pa_properties():
     with criterion(1, "additive PA property suite"):
         rng = random.Random(1001)
@@ -80,7 +76,7 @@ def test_criterion_1_additive_pa_properties():
         for _ in range(50):
             cols = rng.randint(4, 96)
             rows = rng.randint(1, min(cols - 1, 32))
-            a = full_rank_matrix(rng, rows, cols)
+            a = _full_rank_matrix(rows, cols, rng)
             for _ in range(20):
                 y = BitVector.random(rows, rng)
                 x = sample_preimage(a, y, rng)
@@ -113,7 +109,7 @@ def test_criterion_2_security_equivalence():
         for _ in range(50):
             n = pyrng.randint(2, 3)
             n_pa = pyrng.randint(1, n - 1)
-            matrix = full_rank_matrix(pyrng, n_pa, n)
+            matrix = _full_rank_matrix(n_pa, n, pyrng)
             states = random_eve_states(n, 4, nprng)
             eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
             assert abs(eps_key - eps_msg) <= 1e-9

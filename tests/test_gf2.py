@@ -977,10 +977,6 @@ def test_kernel_size_matches_enumeration(rng):
 
 # ---------------------------------------------------------------- preimage
 
-def full_rank_matrix(rng, rows, cols):
-    return _full_rank_matrix(rows, cols, rng)
-
-
 def test_preimage_example_enumeration():
     a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     y = BitVector.from01("10")
@@ -1027,7 +1023,7 @@ def test_preimage_always_consistent(seed):
     rng = random.Random(seed)
     rows = rng.randint(1, 5)
     cols = rng.randint(rows, 12)
-    a = full_rank_matrix(rng, rows, cols)
+    a = _full_rank_matrix(rows, cols, rng)
     y = BitVector.random(rows, rng)
     x = sample_preimage(a, y, rng)
     assert matvec(a, x) == y
@@ -1057,14 +1053,14 @@ def _full_rank_toeplitz(rng, n_pa, n):
 
 SAMPLER_CASES = {
     "identity": lambda rng: BinaryMatrix.identity(5),  # n_free = 0, no draw
-    "1x2": lambda rng: full_rank_matrix(rng, 1, 2),
-    "2x4": lambda rng: full_rank_matrix(rng, 2, 4),
-    "3x8": lambda rng: full_rank_matrix(rng, 3, 8),
+    "1x2": lambda rng: _full_rank_matrix(1, 2, rng),
+    "2x4": lambda rng: _full_rank_matrix(2, 4, rng),
+    "3x8": lambda rng: _full_rank_matrix(3, 8, rng),
     # pivots at columns 1, 2 and 4: free columns 0, 3, 5 and 6 in three runs
     "zero-leading-column": lambda rng: BinaryMatrix.from_rows(
         [[0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0]]
     ),
-    "32x96": lambda rng: full_rank_matrix(rng, 32, 96),
+    "32x96": lambda rng: _full_rank_matrix(32, 96, rng),
     "toeplitz-358x512": lambda rng: _full_rank_toeplitz(rng, 358, 512),
 }
 
@@ -1085,7 +1081,7 @@ def test_preimage_sampler_zero_leading_column_pivots():
 @given(st.integers(1, 10), st.integers(0, 14), st.integers(0, 2**32 - 1))
 @settings(max_examples=200)
 def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
-    a = full_rank_matrix(random.Random(seed), rows, rows + extra)
+    a = _full_rank_matrix(rows, rows + extra, random.Random(seed))
     assert_sampler_matches_oracle(a, seed, 8)
 
 
@@ -1109,7 +1105,7 @@ def assert_batch_matches_one_draw_calls(a, seed, counts):
 def test_preimage_batch_matches_one_draw_calls(n_free):
     rng = random.Random(n_free)
     rows = min(3, 63 - n_free)
-    a = full_rank_matrix(rng, rows, rows + n_free)
+    a = _full_rank_matrix(rows, rows + n_free, rng)
     assert len(row_reduce(a).free_cols) == n_free
     assert_batch_matches_one_draw_calls(a, rng.getrandbits(32), [0, 1, 7, 300])
 
@@ -1123,16 +1119,16 @@ def test_preimage_batch_matches_one_draw_calls_with_scattered_free_columns():
 @settings(max_examples=200)
 def test_preimage_batch_matches_one_draw_calls_random(rows, extra, count, seed):
     extra = min(extra, 63 - rows)
-    a = full_rank_matrix(random.Random(seed), rows, rows + extra)
+    a = _full_rank_matrix(rows, rows + extra, random.Random(seed))
     assert_batch_matches_one_draw_calls(a, seed, [count, 3])
 
 
 def test_preimage_batch_rejects_wide_matrices_and_negative_counts():
     rng = random.Random(4)
-    wide = preimage_sampler(full_rank_matrix(rng, 2, 64), BitVector(2, 1))
+    wide = preimage_sampler(_full_rank_matrix(2, 64, rng), BitVector(2, 1))
     with pytest.raises(ValueError, match="at most 63 columns"):
         wide.batch(rng, 1)
-    draw = preimage_sampler(full_rank_matrix(rng, 2, 8), BitVector(2, 1))
+    draw = preimage_sampler(_full_rank_matrix(2, 8, rng), BitVector(2, 1))
     with pytest.raises(ValueError, match="non-negative"):
         draw.batch(rng, -1)
 
@@ -1207,7 +1203,7 @@ def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
 
 def test_preimage_uniformity_chi_square():
     rng = random.Random(1234)
-    a = full_rank_matrix(rng, 3, 8)
+    a = _full_rank_matrix(3, 8, rng)
     y = BitVector.random(3, rng)
     expected = sorted(ref_preimage(a, y))
     assert len(expected) == 1 << 5
