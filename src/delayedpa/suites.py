@@ -112,7 +112,7 @@ def suite_table1() -> tuple[dict, bool]:
 def suite_preimage_uniformity(
     n: int = 8, n_pa: int = 3, draws: int = 32000, alpha: float = 0.001, seed: int = 0
 ) -> tuple[dict, bool]:
-    """Chi-square fit of the preimage sampler to uniform; its tail by A&S 26.4.4."""
+    """Chi-square fit of the sampler to uniform; the tail is Abramowitz & Stegun 26.4.4."""
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:
