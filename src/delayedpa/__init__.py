@@ -11,7 +11,6 @@ from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
     RowReduction,
-    kernel_basis,
     matvec,
     row_reduce,
     sample_preimage,
@@ -46,7 +45,6 @@ __all__ = [
     "BinaryMatrix",
     "BitVector",
     "RowReduction",
-    "kernel_basis",
     "matvec",
     "row_reduce",
     "sample_preimage",

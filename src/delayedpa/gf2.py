@@ -29,10 +29,12 @@ power of two >= n - 1, reduced mod 2, in O(n log n) time and memory.  It
 takes all of a run's keys in one call, transforms the seed once, and packs
 two keys into each transform.  Float rounding cannot flip a bit unnoticed,
 because an exactness guard raises if any convolution entry lies 0.25 or
-more from an integer (a NaN or inf entry included).  The dense
-:func:`toeplitz_from_seed` matrix stays for hashes built from rows, and
-``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the hash's test
-oracle.  :func:`toeplitz_rows_independent` decides whether a Toeplitz
+more from an integer (a NaN or inf entry included).  A plain Toeplitz
+product A x, A = ``toeplitz_from_seed(seed, n_pa, m)``, is the same seed's
+hash of the (m + n_pa)-bit key x << n_pa, whose low n_pa bits are zero.
+So the dense :func:`toeplitz_from_seed` matrix is the test oracle of both
+products, and ``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the
+hash's.  :func:`toeplitz_rows_independent` decides whether a Toeplitz
 matrix has independent rows from its seed alone, by the extended
 Euclidean algorithm in O(n**2) bit operations, without row reduction.
 
@@ -73,7 +75,7 @@ byte-parity lookup of ``row & x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,7 +89,6 @@ __all__ = [
     "toeplitz_rows_independent",
     "modified_toeplitz_hash",
     "row_reduce",
-    "kernel_basis",
     "PreimageSampler",
     "preimage_sampler",
     "sample_preimage",
@@ -205,16 +206,12 @@ class BitVector:
 class BinaryMatrix:
     """Dense GF(2) matrix, one packed integer per row.
 
-    Bit j of ``row_words[i]`` is entry (i, j).  ``toeplitz_seed`` is kept for
-    serialization and for :func:`toeplitz_rows_independent` when the matrix
-    was built by :func:`toeplitz_from_seed`; it must be rows + cols - 1 bits
-    whose windows are the rows, and it does not take part in equality.
+    Bit j of ``row_words[i]`` is entry (i, j).
     """
 
     rows: int
     cols: int
     row_words: tuple[int, ...]
-    toeplitz_seed: BitVector | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -224,9 +221,6 @@ class BinaryMatrix:
         for w in self.row_words:
             if w < 0 or w.bit_length() > self.cols:
                 raise ValueError("row has set bits beyond cols")
-        seed = self.toeplitz_seed
-        if seed is not None and self.row_words != _toeplitz_words(seed, self.rows, self.cols):
-            raise ValueError("rows are not the windows of toeplitz_seed")
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
@@ -309,20 +303,12 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
     constant along every diagonal and fully determined by n + n_pa - 1 bits.
     """
-    matrix = BinaryMatrix(n_pa, n, _toeplitz_words(seed, n_pa, n))
-    # the rows are the seed's windows by construction, so they are not
-    # rebuilt to check them as a hand-built matrix's are
-    object.__setattr__(matrix, "toeplitz_seed", seed)
-    return matrix
-
-
-def _toeplitz_words(seed: BitVector, n_pa: int, n: int) -> tuple[int, ...]:
     _check_toeplitz_shape(seed, n_pa, n)
     # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
     # seed, so each row is a single shift+mask window.
     rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
-    return tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa))
+    return BinaryMatrix(n_pa, n, tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa)))
 
 
 def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
@@ -495,19 +481,6 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
         pivot_cols=tuple(pivot_cols),
         free_cols=tuple(free_cols),
     )
-
-
-def kernel_basis(a: BinaryMatrix) -> list[BitVector]:
-    """Basis of {x : Ax = 0}; kernel size is 2**(cols - rank)."""
-    red = row_reduce(a)
-    basis = []
-    for fc in red.free_cols:
-        bits = 1 << fc
-        for r, pc in enumerate(red.pivot_cols):
-            if (red.upper.row_words[r] >> fc) & 1:
-                bits |= 1 << pc
-        basis.append(BitVector(a.cols, bits))
-    return basis
 
 
 # _PARITY8[b] is the parity of the byte b

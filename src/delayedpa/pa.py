@@ -17,10 +17,10 @@ from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
     matvec,
+    modified_toeplitz_hash,
     row_reduce,
     sample_preimage,
     sample_toeplitz_preimage,
-    toeplitz_from_seed,
     toeplitz_rows_independent,
 )
 
@@ -40,24 +40,29 @@ __all__ = [
 class AdditivePaFunction:
     """A compressing GF(2)-linear hash with independent rows.
 
-    Independence is checked once, at construction.  A Toeplitz matrix (one
-    that carries its ``toeplitz_seed``) is checked from the seed by
-    :func:`toeplitz_rows_independent`, the extended Euclidean algorithm, in
-    quadratic time, and never row-reduced: :func:`sample_toeplitz_preimage`
-    draws its preimages from the seed.  Any other matrix is checked by
-    :func:`row_reduce`, and each of its draws row-reduces [A | m'] afresh.
+    It holds exactly one of two forms: a dense ``matrix`` (a hash built
+    from rows), or ``toeplitz``, the (seed, n_pa, n) of the n_pa x n
+    Toeplitz matrix ``toeplitz_from_seed(seed, n_pa, n)``, whose rows are
+    never built.  Equality compares the form held.  Independence is checked
+    once, at construction: from the seed by :func:`toeplitz_rows_independent`,
+    the extended Euclidean algorithm, in quadratic time, or by
+    :func:`row_reduce` for a matrix.  A seed's preimages are drawn by
+    :func:`sample_toeplitz_preimage`; each draw for a matrix row-reduces
+    [A | m'] afresh.
     """
 
-    matrix: BinaryMatrix
+    matrix: BinaryMatrix | None = None
+    toeplitz: tuple[BitVector, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.matrix.rows < 1:
+        if (self.matrix is None) == (self.toeplitz is None):
+            raise ValueError("hash needs exactly one of a matrix and a Toeplitz seed")
+        if self.n_pa < 1:
             raise ValueError("hash needs at least one output bit: need n_pa >= 1")
-        if self.matrix.rows >= self.matrix.cols:
+        if self.n_pa >= self.n:
             raise ValueError("hash must compress: need n_pa < n")
-        seed = self.matrix.toeplitz_seed
-        if seed is not None:
-            independent = toeplitz_rows_independent(seed, self.n_pa, self.n)
+        if self.toeplitz is not None:
+            independent = toeplitz_rows_independent(*self.toeplitz)
         else:
             independent = row_reduce(self.matrix).rank == self.n_pa
         if not independent:
@@ -69,35 +74,40 @@ class AdditivePaFunction:
 
     @classmethod
     def from_toeplitz_seed(cls, seed: BitVector, n_pa: int, n: int) -> "AdditivePaFunction":
-        return cls(toeplitz_from_seed(seed, n_pa, n))
+        return cls(toeplitz=(seed, n_pa, n))
 
     @property
     def n(self) -> int:
-        return self.matrix.cols
+        return self.matrix.cols if self.toeplitz is None else self.toeplitz[2]
 
     @property
     def n_pa(self) -> int:
-        return self.matrix.rows
+        return self.matrix.rows if self.toeplitz is None else self.toeplitz[1]
 
     def __call__(self, a: BitVector) -> BitVector:
         return pa_apply(self, a)
 
 
 def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
-    """Hash an n-bit input down to n_pa bits."""
+    """Hash an n-bit input down to n_pa bits.
+
+    A seed's A x is the same seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is A.
+    """
     if a.length != f.n:
         raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")
-    return matvec(f.matrix, a)
+    if f.toeplitz is None:
+        return matvec(f.matrix, a)
+    seed, n_pa, n = f.toeplitz
+    return modified_toeplitz_hash(seed, n_pa, [BitVector(n + n_pa, a.bits << n_pa)])[0]
 
 
 def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
     """Uniform draw from the preimage {m : f(m) = m_prime}."""
     if m_prime.length != f.n_pa:
         raise ValueError(f"length mismatch: expected {f.n_pa}, got {m_prime.length}")
-    seed = f.matrix.toeplitz_seed
-    if seed is not None:
-        return sample_toeplitz_preimage(seed, f.n_pa, f.n, m_prime, rng)
-    return sample_preimage(f.matrix, m_prime, rng)
+    if f.toeplitz is None:
+        return sample_preimage(f.matrix, m_prime, rng)
+    return sample_toeplitz_preimage(*f.toeplitz, m_prime, rng)
 
 
 def expand_imperfect_key(
@@ -165,8 +175,8 @@ class DelayedPaSession:
         return dpa_recover_via_rawkey(self.f, self.c, self.a)
 
     def to_json(self) -> str:
-        seed = self.f.matrix.toeplitz_seed
-        if seed is not None:
+        if self.f.toeplitz is not None:
+            seed = self.f.toeplitz[0]
             pa_doc = {"kind": "toeplitz", "seed": seed.to_hex(), "n_pa": self.f.n_pa, "n": self.f.n}
         else:
             pa_doc = {

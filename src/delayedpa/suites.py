@@ -14,7 +14,7 @@ import numpy as np
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
 from delayedpa.protocols import decode_key_bit
-from delayedpa.quantum import _blocks_2d, basis_ket, pauli, random_pure_state, verify_2c_2d_stack
+from delayedpa.quantum import _blocks_2d, basis_ket, pauli, verify_2c_2d_stack
 from delayedpa.security import (
     MAX_ABAR_DIM,
     MAX_QUANTUM_DIM,
@@ -175,8 +175,10 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
         by_dim: dict[int, list[np.ndarray]] = {}
         for _ in range(min(_TRIAL_CHUNK, trials - lo)):
             dim = int(rng.integers(1, abar_dim + 1))
-            psi = random_pure_state((2, dim), ("A", "Abar"), rng)
-            by_dim.setdefault(dim, []).append(psi.amps.reshape(2, dim))
+            # random_pure_state's draws, without building a PureState
+            amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+            amps /= np.linalg.norm(amps)
+            by_dim.setdefault(dim, []).append(amps.reshape(2, dim))
         for dim, states in by_dim.items():
             # a trial's 2d stack is 256 dim^2 bytes
             step = max(1, _STACK_BYTES // (256 * dim * dim))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -882,13 +883,22 @@ def test_simulate_fuzz_exits_cleanly(tmp_path_factory, case):
 
 # --------------------------------------------------------------- subprocess
 
+def _child_env():
+    """This environment with the tested package's parent directory first on
+    PYTHONPATH, so a child process imports it without an install."""
+    env = dict(os.environ)
+    src = str(Path(delayedpa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "delayedpa", "keyrate", "--n", "100",
          "--eb-roundtrip", "0", "--ep", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["key_ledger"]["n_key"] == 100
     check_schema(report)
@@ -897,9 +907,9 @@ def test_module_entry_point():
 def test_subprocess_replay_byte_identical():
     args = [sys.executable, "-m", "delayedpa", "simulate", "relay",
             "--n", "256", "--n-test", "64", "--seed", "17"]
-    first = subprocess.run(args, capture_output=True, text=True)
-    second = subprocess.run(args, capture_output=True, text=True)
-    assert first.returncode == second.returncode == 0
+    first = subprocess.run(args, capture_output=True, text=True, env=_child_env())
+    second = subprocess.run(args, capture_output=True, text=True, env=_child_env())
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     strip = lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != "timing"}, sort_keys=True
     )
@@ -929,5 +939,7 @@ def test_every_command_runs_without_scipy():
         "    assert code == expected, (argv, code)",
         "assert sys.modules['scipy'] is None",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from delayedpa.pa import (
     pa_apply,
 )
 from delayedpa.suites import _full_rank_matrix
-from test_gf2 import ref_row_reduce, ref_sample_preimage
+from test_gf2 import _full_rank_toeplitz, ref_row_reduce, ref_sample_preimage
 
 
 def enumerate_preimage(f, m_prime):
@@ -65,6 +67,81 @@ def test_pa_apply_length_mismatch():
     f = AdditivePaFunction.from_rows([[1, 0, 1]])
     with pytest.raises(ValueError):
         pa_apply(f, BitVector.from01("10"))
+
+
+@pytest.mark.parametrize(
+    "n, n_pa", [(2, 1), (3, 2), (12, 4), (512, 358), (1024, 716), (2048, 1433)]
+)
+def test_toeplitz_pa_apply_matches_dense_matvec(n, n_pa):
+    rng = random.Random(f"toeplitz pa_apply {n}")
+    a, seed = _full_rank_toeplitz(rng, n_pa, n)
+    f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
+    ones = BitVector(n, (1 << n) - 1)
+    for x in [BitVector.random(n, rng) for _ in range(3)] + [ones, BitVector.zeros(n)]:
+        assert pa_apply(f, x) == matvec(a, x)
+
+
+def test_toeplitz_pa_apply_all_ones_matches_dense_matvec():
+    # an all-ones seed has rank 1, so one row; its key of all ones gives
+    # the largest convolution entries, so the largest rounding error
+    n = 2048
+    ones_seed, ones = BitVector(n, (1 << n) - 1), BitVector(n, (1 << n) - 1)
+    f = AdditivePaFunction.from_toeplitz_seed(ones_seed, 1, n)
+    assert pa_apply(f, ones) == matvec(toeplitz_from_seed(ones_seed, 1, n), ones)
+    assert pa_apply(f, ones).bits == 0  # 2048 ones
+    with pytest.raises(ValueError, match="rows not independent"):
+        AdditivePaFunction.from_toeplitz_seed(BitVector(n + 1, (1 << (n + 1)) - 1), 2, n)
+
+
+@given(
+    st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.integers(0, 2**32 - 1),
+)
+def test_toeplitz_pa_apply_matches_dense_matvec_random(shape, draw_seed):
+    # a shrunk st.randoms() draws all-zero seeds, which are never independent
+    n, n_pa = shape
+    rng = random.Random(draw_seed)
+    a, seed = _full_rank_toeplitz(rng, n_pa, n)
+    f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
+    x = BitVector.random(n, rng)
+    assert pa_apply(f, x) == matvec(a, x)
+
+
+def test_toeplitz_hash_holds_its_seed_alone():
+    seed = BitVector.random(10, random.Random(331))
+    f = AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
+    assert f.toeplitz == (seed, 3, 8) and f.matrix is None
+    assert (f.n, f.n_pa) == (8, 3)
+    held = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
+    assert not any(isinstance(v, BinaryMatrix) for v in held)
+    assert [fl.name for fl in dataclasses.fields(BinaryMatrix)] == ["rows", "cols", "row_words"]
+    # equality compares the form held: the same rows built densely are another hash
+    dense = AdditivePaFunction(toeplitz_from_seed(seed, 3, 8))
+    assert dense != f and dense.toeplitz is None
+    assert AdditivePaFunction.from_toeplitz_seed(seed, 3, 8) == f
+    with pytest.raises(ValueError, match="exactly one"):
+        AdditivePaFunction()
+    with pytest.raises(ValueError, match="exactly one"):
+        AdditivePaFunction(dense.matrix, toeplitz=f.toeplitz)
+
+
+@pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
+def test_toeplitz_pa_apply_passes_the_hash_guard(monkeypatch, bad):
+    irfft = np.fft.irfft
+
+    def poisoned(*args, **kw):
+        conv = irfft(*args, **kw)
+        if bad == 0.4:
+            return conv + bad
+        conv[conv.size // 2] = bad
+        return conv
+
+    rng = random.Random(332)
+    f = AdditivePaFunction.from_toeplitz_seed(_full_rank_toeplitz(rng, 70, 100)[1], 70, 100)
+    x = BitVector.random(100, rng)
+    monkeypatch.setattr(np.fft, "irfft", poisoned)
+    with pytest.raises(ArithmeticError):
+        pa_apply(f, x)
 
 
 def test_construction_rejects_dependent_rows():
@@ -381,7 +458,7 @@ def test_session_row_reduces_once(monkeypatch):
         samplers.append((a.rows, a.cols))
         return preimage_sampler(a, y)
 
-    # the rank check of a matrix without a seed is made in pa, draws in gf2
+    # the rank check of a hash built from rows is made in pa, draws in gf2
     monkeypatch.setattr(delayedpa.pa, "row_reduce", counting_row_reduce)
     monkeypatch.setattr(delayedpa.gf2, "row_reduce", counting_row_reduce)
     monkeypatch.setattr(delayedpa.gf2, "preimage_sampler", counting_preimage_sampler)
@@ -394,7 +471,7 @@ def test_session_row_reduces_once(monkeypatch):
     assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
     assert DelayedPaSession.from_json(s.to_json()) == s
     assert calls == [] and samplers == []
-    # a matrix without a seed is checked by its reduction at construction,
+    # a hash built from rows is checked by its reduction at construction,
     # and each draw reduces [A | m'], one column wider than the hash
     g = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
     assert calls == [(2, 3)]
