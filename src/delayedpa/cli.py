@@ -129,8 +129,16 @@ def build_parser() -> _Parser:
         help="protocol-2c2d: max Abar dimension (default 8, at most 512); one trial "
         "at 512 took 0.7-3.9 s on a 2-vCPU host, so 100 trials run for minutes",
     )
-    ver.add_argument("--draws", type=int, default=32000)
-    ver.add_argument("--alpha", type=float, default=0.001)
+    ver.add_argument(
+        "--draws", type=int, default=32000,
+        help="preimage-uniformity: draws in the chi-square fit, which runs beside the "
+        "exact gate (default 32000, at least 5 per preimage element)",
+    )
+    ver.add_argument(
+        "--alpha", type=float, default=0.001,
+        help="preimage-uniformity: the chi-square fit fails below this p-value "
+        "(default 0.001, in (0, 1)); the exact gate takes no level",
+    )
     ver.add_argument("--quantum-trials", type=int, default=50, dest="quantum_trials")
     ver.add_argument("--quantum-n", type=int, default=3, dest="quantum_n")
     ver.add_argument("--quantum-dim", type=int, default=4, dest="quantum_dim")

@@ -62,14 +62,6 @@ is a bijection onto {x : Ax = y}, so x is exactly uniform.
 row-reduces [A | y] once per (matrix, y) and reads z, the reduced y, from
 the last column; each draw sets the free columns from one
 ``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
-Its batch form makes ``count`` draws at once, as an int64 array of codes,
-for matrices of at most 63 columns.  It reads the same ``random.Random``
-stream as ``count`` one-draw calls: ``getrandbits(k)`` is one 32-bit word
-shifted right by 32 - k for k <= 32, and two words, the second shifted
-right by 64 - k, for 32 < k <= 64; ``getrandbits(32 * words * count)``
-returns those same words, first word lowest.  The free bits are scattered
-by the same runs of free columns, and each pivot bit comes from a
-byte-parity lookup of ``row & x``.
 :func:`sample_preimage` is the one-draw form of a fresh sampler.
 """
 
@@ -483,10 +475,6 @@ def row_reduce(a: BinaryMatrix) -> RowReduction:
     )
 
 
-# _PARITY8[b] is the parity of the byte b
-_PARITY8 = np.array([b.bit_count() & 1 for b in range(256)], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class PreimageSampler:
     """Uniform draws from {x : Ax = y}, set up once by :func:`preimage_sampler`.
@@ -516,53 +504,6 @@ class PreimageSampler:
                 x |= 1 << pc
         return BitVector(self.cols, x)
 
-    def batch(self, rng, count: int) -> np.ndarray:
-        """``count`` draws as an int64 array of codes, for at most 63 columns.
-
-        Element i equals ``self(rng).bits`` for the i-th of ``count`` calls,
-        and ``rng`` ends in the same state: ``getrandbits(k)`` for k <= 32
-        is one 32-bit word shifted right by 32 - k, for 32 < k <= 64 two
-        words, the second shifted right by 64 - k, and
-        ``getrandbits(32 * w * count)`` returns the same words, first word
-        lowest, so one call gives every draw's free bits.
-        """
-        if self.cols > 63:
-            raise ValueError(f"batch draws need at most 63 columns, got {self.cols}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        k = self.n_free
-        if k == 0 or count == 0:
-            bits = np.zeros(count, dtype=np.int64)
-        else:
-            words = 1 if k <= 32 else 2
-            raw = rng.getrandbits(32 * words * count).to_bytes(4 * words * count, "little")
-            bits = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-            del raw
-            if words == 1:
-                bits >>= 32 - k
-            else:
-                high = bits[1::2] >> (64 - k)
-                high <<= 32
-                bits = bits[0::2] | high
-        x = np.zeros(count, dtype=np.int64)
-        for mask, shift in self.runs:
-            part = bits & mask
-            part <<= shift
-            x |= part
-        del bits
-        # the parity of a word is its xor folded down to one byte, looked up
-        folds = [s for s in (32, 16, 8) if self.cols > s]
-        for row, pc, z_r in self.pivots:
-            v = x & row
-            for s in folds:
-                v ^= v >> s
-            v &= 0xFF
-            parity = _PARITY8.take(v)
-            parity ^= z_r
-            parity <<= pc
-            x |= parity
-        return x
-
 
 def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
     """Uniform draws from {x : Ax = y} for a matrix with independent rows.
@@ -574,8 +515,7 @@ def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
     ``draw(rng)`` takes the free-column bits from one
     ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
     back-substitutes the pivot columns from z; every preimage element comes
-    out with probability 2**-(cols - rows).  ``draw.batch(rng, count)``
-    makes ``count`` such draws at once from the same stream.
+    out with probability 2**-(cols - rows).
     """
     if y.length != a.rows:
         raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
@@ -592,11 +532,8 @@ def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
             runs[-1] = (runs[-1][0] | 1 << i, fc - i)
         else:
             runs.append((1 << i, fc - i))
-    # each row is masked to A's columns: batch codes have no bit 63 to spare
-    col_mask = (1 << cols) - 1
-    pivots = tuple(
-        (w & col_mask, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols)
-    )
+    # a row's bit in y's column meets no bit of x, so the row stays whole
+    pivots = tuple((w, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols))
     return PreimageSampler(cols, len(red.free_cols) - 1, tuple(runs), pivots)
 
 

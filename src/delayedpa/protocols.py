@@ -25,6 +25,11 @@ Error correction is settled by an ideal authenticated oracle: the receiving
 side's string is overwritten with the sender's, and the ledger is charged
 ceil(N * h(e)) pre-shared bits for the measured (or observed) error rate e.
 This isolates the key accounting from any particular reconciliation code.
+
+Privacy amplification: each run draws an (n - 1)-bit hash seed and hashes
+all its keys and messages with one ``gf2.modified_toeplitz_hash`` call:
+bb84 and dqkd one key, integrated-2 (a, m), 2b (a, m, c, c XOR a), 2c
+(a, m, y, y XOR a) and 2d (m, m^), and relay's delayed scheme its two keys.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ Both joint states are block diagonal over their classical message registers,
 so they are built as stacks of blocks, one per message value (shape
 ``(2, d, d)`` for 2c and ``(2, 2, d, d)`` for 2d), the form
 ``security.CqJoint`` also takes.  Tracing out a message register sums its
-block axis.  One rule, :func:`_check_density_blocks`, validates a stack and a
-:class:`DensityMatrix` alike: a single matrix is a stack of one block.
+block axis.  One rule, :func:`_check_density_blocks`, validates a stack, a
+:class:`DensityMatrix` and a ``security.CqJoint`` alike: a single matrix is
+a stack of one block.
 
 The certificates take stacks of states as well: the block builders accept
 any number of leading state axes, and :func:`verify_2c_2d_stack` certifies
@@ -23,11 +24,10 @@ positive-semidefiniteness check per stack and one Frobenius norm per state,
 each distance bit for bit what the state alone gives.  :func:`verify_2c_2d`
 is its stack of one.
 
-The positive-semidefiniteness rule, :func:`_is_psd`, which
-``security.CqJoint`` shares, factors the stack shifted by the tolerance in
-one batched Cholesky call and runs the eigensolver only on a stack that
-fails it.  The blocks here are PSD by construction, so the factorization
-alone passes a valid stack.
+That rule's positive-semidefiniteness test, :func:`_is_psd`, factors the
+stack shifted by the tolerance in one batched Cholesky call and runs the
+eigensolver only on a stack that fails it.  The blocks here are PSD by
+construction, so the factorization alone passes a valid stack.
 """
 
 from __future__ import annotations

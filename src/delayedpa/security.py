@@ -58,6 +58,7 @@ from typing import Iterator
 import numpy as np
 
 from delayedpa.gf2 import BinaryMatrix
+from delayedpa.quantum import _check_density_blocks
 
 __all__ = [
     "ClassicalJoint",
@@ -118,18 +119,7 @@ class CqJoint:
         object.__setattr__(self, "sigma", s)
         if s.ndim < 3 or s.shape[-1] != s.shape[-2]:
             raise ValueError("joint state must have shape (|K|, ..., d, d)")
-        if not np.isfinite(s).all():
-            raise ValueError("non-finite state entry")
-        if np.abs(s - s.conj().swapaxes(-1, -2)).max() > 1e-10:
-            raise ValueError("block not Hermitian")
-        if abs(np.trace(s, axis1=-2, axis2=-1).sum() - 1.0) > 1e-10:
-            raise ValueError("total trace not 1")
-        # quantum owns the one PSD rule; importing it here keeps loading this
-        # module from loading another
-        from delayedpa.quantum import _is_psd
-
-        if not _is_psd(s, 1e-10):
-            raise ValueError("block not positive semidefinite")
+        _check_density_blocks(s)
 
 
 @dataclass(frozen=True)

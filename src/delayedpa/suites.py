@@ -109,10 +109,28 @@ def suite_table1() -> tuple[dict, bool]:
     return {"cases": cases, "passed_cases": sum(c["pass"] for c in cases), "total_cases": 8}, passed
 
 
+class _StubRng:
+    """An rng whose ``getrandbits`` returns ``g`` and records each call's width."""
+
+    def __init__(self, g: int) -> None:
+        self.g, self.calls = g, []
+
+    def getrandbits(self, k: int) -> int:
+        self.calls.append(k)
+        return self.g
+
+
 def suite_preimage_uniformity(
     n: int = 8, n_pa: int = 3, draws: int = 32000, alpha: float = 0.001, seed: int = 0
 ) -> tuple[dict, bool]:
-    """Chi-square fit of the sampler to uniform; the tail is Abramowitz & Stegun 26.4.4."""
+    """Exact gate on ``preimage_sampler``, beside a chi-square fit to uniform.
+
+    The gate runs the sampler's draw for every g in [0, 2^k), k = ``draw.n_free``,
+    with a stub rng that returns g: ``bijective`` holds when each draw makes
+    one ``getrandbits(k)`` call and the images are the preimage, each once, so
+    a uniform g gives an exactly uniform draw.  Each fitted draw is the image
+    of the g that one draw would read; the tail is Abramowitz & Stegun 26.4.4.
+    """
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
     if not 1 <= n_pa < n:
@@ -131,21 +149,31 @@ def suite_preimage_uniformity(
     y = BitVector.random(n_pa, rng)
     preimage = np.flatnonzero(_hash_values([matrix])[0] == y.bits)
     draw = preimage_sampler(matrix, y)
+    k = draw.n_free
+    stubs = [_StubRng(g) for g in range(1 << k)]
+    images = np.array([draw(stub).bits for stub in stubs], dtype=np.int64)
+    one_call = all(stub.calls == [k] for stub in stubs)
+    bijective = bool(one_call and np.array_equal(np.sort(images), preimage))
     hist = np.zeros(1 << n, dtype=np.int64)
     for lo in range(0, draws, _DRAW_CHUNK):
-        chunk = draw.batch(rng, min(_DRAW_CHUNK, draws - lo))
-        hist += np.bincount(chunk, minlength=1 << n)
+        count = min(_DRAW_CHUNK, draws - lo)
+        # getrandbits(k), k <= 32, is one 32-bit word shifted right by 32 - k,
+        # and getrandbits(32 * count) returns count such words, first word lowest
+        raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        hist += np.bincount(images[np.frombuffer(raw, dtype="<u4") >> (32 - k)], minlength=1 << n)
     counts = hist[preimage]
     stray = draws - int(counts.sum())
-    mean = counts.mean()
+    # counts.mean() unless draws stray, and not 0 when every draw does
+    mean = draws / len(counts)
     chi2 = float(((counts - mean) ** 2 / mean).sum())
     p_value = _chi2_sf(chi2, len(counts) - 1)
-    passed = bool(stray == 0 and p_value >= alpha)
+    passed = bool(bijective and stray == 0 and p_value >= alpha)
     payload = {
         "n": n,
         "n_pa": n_pa,
         "draws": draws,
         "cells": len(preimage),
+        "bijective": bijective,
         "chi2": chi2,
         "p_value": p_value,
         "alpha": alpha,

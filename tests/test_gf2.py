@@ -784,9 +784,8 @@ def _matrix(kind, rows, cols, rng):
 
 # empty, one-row and one-column edges; narrow matrices of up to 4100 rows,
 # where nearly every row is cleared to zero; and widths 31 .. 33 and
-# 63 .. 65, around the batched preimage draw's 32-bit words and 63-column
-# limit, for a matrix and for the [A | y] one column wider that a preimage
-# sampler reduces
+# 63 .. 65, on either side of 32- and 64-bit word edges, for a matrix and
+# for the [A | y] one column wider that a preimage sampler reduces
 RR_SHAPES = [
     (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
     (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
@@ -1060,54 +1059,6 @@ def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
     assert_sampler_matches_oracle(a, seed, 8)
 
 
-def assert_batch_matches_one_draw_calls(a, seed, counts):
-    rng = random.Random(seed)
-    y = BitVector.random(a.rows, rng)
-    draw, ref_draw = preimage_sampler(a, y), ref_preimage_sampler(a, y)
-    batched, one_draw = random.Random(seed), random.Random(seed)
-    for count in counts:
-        codes = draw.batch(batched, count)
-        assert codes.dtype == np.int64 and codes.shape == (count,)
-        assert codes.tolist() == [ref_draw(one_draw).bits for _ in range(count)]
-        # the same stream: count draws consume what count calls consume
-        assert batched.getstate() == one_draw.getstate()
-    assert all(matvec(a, BitVector(a.cols, int(x))) == y for x in codes)
-
-
-# 31 / 32 / 33 straddle the one-word draw; 63 free columns of a matrix with
-# no rows is the widest two-word draw a batch takes
-@pytest.mark.parametrize("n_free", [0, 1, 5, 31, 32, 33, 62, 63])
-def test_preimage_batch_matches_one_draw_calls(n_free):
-    rng = random.Random(n_free)
-    rows = min(3, 63 - n_free)
-    a = _full_rank_matrix(rows, rows + n_free, rng)
-    assert len(row_reduce(a).free_cols) == n_free
-    assert_batch_matches_one_draw_calls(a, rng.getrandbits(32), [0, 1, 7, 300])
-
-
-def test_preimage_batch_matches_one_draw_calls_with_scattered_free_columns():
-    a = SAMPLER_CASES["zero-leading-column"](None)
-    assert_batch_matches_one_draw_calls(a, 5, [1, 64, 1000])
-
-
-@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 60), st.integers(0, 2**32 - 1))
-@settings(max_examples=200)
-def test_preimage_batch_matches_one_draw_calls_random(rows, extra, count, seed):
-    extra = min(extra, 63 - rows)
-    a = _full_rank_matrix(rows, rows + extra, random.Random(seed))
-    assert_batch_matches_one_draw_calls(a, seed, [count, 3])
-
-
-def test_preimage_batch_rejects_wide_matrices_and_negative_counts():
-    rng = random.Random(4)
-    wide = preimage_sampler(_full_rank_matrix(2, 64, rng), BitVector(2, 1))
-    with pytest.raises(ValueError, match="at most 63 columns"):
-        wide.batch(rng, 1)
-    draw = preimage_sampler(_full_rank_matrix(2, 8, rng), BitVector(2, 1))
-    with pytest.raises(ValueError, match="non-negative"):
-        draw.batch(rng, -1)
-
-
 @pytest.mark.parametrize("a_rows, y", [
     ([[1, 1, 0], [1, 1, 0]], "10"),  # [A | y] has independent rows
     ([[1, 1, 0], [1, 1, 0]], "11"),  # y is in A's image
@@ -1131,19 +1082,60 @@ class OracleSampler:
 
     def __init__(self, a, y):
         self.draw = ref_preimage_sampler(a, y)
+        self.n_free = a.cols - a.rows
 
     def __call__(self, rng):
         return self.draw(rng)
-
-    def batch(self, rng, count):
-        return np.array([self.draw(rng).bits for _ in range(count)], dtype=np.int64)
 
 
 @pytest.mark.parametrize("seed", [1002, 104729])
 def test_uniformity_suite_unchanged_by_preimage_sampler(monkeypatch, seed):
     ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
+    assert ours[0]["bijective"] is True and ours[1]
     monkeypatch.setattr(delayedpa.suites, "preimage_sampler", OracleSampler)
     assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
+
+
+class FixedBits:
+    """An rng whose ``getrandbits`` returns ``g``, whatever the width asked."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def getrandbits(self, k):
+        return self.g
+
+
+class MutantSampler:
+    """``preimage_sampler`` with one fault, each of which the exact gate must catch."""
+
+    def __init__(self, a, y, fault):
+        self.draw, self.fault = preimage_sampler(a, y), fault
+        self.n_free = self.draw.n_free
+        # a column of A with a 1 in row 0: flipping its bit moves x off the preimage
+        self.off = 1 << (a.row_words[0] & -a.row_words[0]).bit_length() - 1
+
+    def __call__(self, rng):
+        if self.fault == "drops-top-bit":  # g and g + 2^(k-1) give one x: not injective
+            return self.draw(FixedBits(rng.getrandbits(self.n_free) >> 1))
+        x = self.draw(rng)
+        if self.fault == "second-call":  # right images, wrong stream
+            rng.getrandbits(1)
+            return x
+        return BitVector(x.length, x.bits ^ self.off)  # "flipped-bit"
+
+
+@pytest.mark.parametrize("seed", [1, 5, 104729])
+@pytest.mark.parametrize("fault", ["drops-top-bit", "second-call", "flipped-bit"])
+def test_uniformity_gate_fails_every_mutant(monkeypatch, fault, seed):
+    monkeypatch.setattr(
+        delayedpa.suites, "preimage_sampler", lambda a, y: MutantSampler(a, y, fault)
+    )
+    payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
+    assert payload["bijective"] is False and not passed
+    assert math.isfinite(payload["chi2"])
+    if fault == "flipped-bit":
+        assert payload["samples_outside_preimage"] == payload["draws"]
 
 
 def test_uniformity_suite_memory_does_not_grow_with_draws():
@@ -1210,33 +1202,16 @@ def test_chi2_sf_matches_scipy_and_mpmath(e):
             assert got <= 1e-300 and oracle <= 1e-300, (k, x)
 
 
-class RecordingSampler:
-    """``preimage_sampler``'s interface, keeping every batch it draws."""
-
-    def __init__(self, a, y):
-        self.draw = preimage_sampler(a, y)
-        self.preimage = sorted(ref_preimage(a, y))
-        self.batches = []
-
-    def batch(self, rng, count):
-        out = self.draw.batch(rng, count)
-        self.batches.append(out)
-        return out
-
-
 @pytest.mark.parametrize("seed", [1, 5, 1002, 104729])
-def test_uniformity_suite_statistic_matches_scipy(monkeypatch, seed):
-    samplers = []
-
-    def recording(a, y):
-        samplers.append(RecordingSampler(a, y))
-        return samplers[-1]
-
-    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", recording)
+def test_uniformity_suite_statistic_matches_scipy(seed):
     payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
-    (sampler,) = samplers
-    hist = np.bincount(np.concatenate(sampler.batches), minlength=1 << payload["n"])
-    counts = hist[sampler.preimage]
+    # the suite's stream, replayed with one real draw per sample
+    rng = random.Random(seed)
+    a = _full_rank_matrix(payload["n_pa"], payload["n"], rng)
+    y = BitVector.random(a.rows, rng)
+    draw = preimage_sampler(a, y)
+    hist = np.bincount([draw(rng).bits for _ in range(payload["draws"])], minlength=1 << a.cols)
+    counts = hist[sorted(ref_preimage(a, y))]
     assert len(counts) == payload["cells"] and counts.sum() == payload["draws"]
     result = stats.chisquare(counts)
     assert payload["chi2"] == result.statistic

@@ -142,7 +142,7 @@ def test_cq_joint_rejects_malformed_blocks():
         CqJoint(np.full((2, 2, 3), 1 / 12))  # blocks not square
     with pytest.raises(ValueError, match="shape"):
         CqJoint(np.eye(2) / 2)  # ndim < 3: no block axes
-    with pytest.raises(ValueError, match="total trace"):
+    with pytest.raises(ValueError, match="trace is not 1"):
         CqJoint(np.stack([good, good, good]))
     with pytest.raises(ValueError, match="Hermitian"):
         CqJoint(np.stack([good, good + np.array([[0, 0.1], [0, 0]])]))
