@@ -1117,7 +1117,8 @@ class MutantSampler:
 
     def __call__(self, rng):
         if self.fault == "drops-top-bit":  # g and g + 2^(k-1) give one x: not injective
-            return self.draw(FixedBits(rng.getrandbits(self.n_free) >> 1))
+            top = 1 << self.n_free - 1
+            return self.draw(FixedBits(rng.getrandbits(self.n_free) & ~top))
         x = self.draw(rng)
         if self.fault == "second-call":  # right images, wrong stream
             rng.getrandbits(1)
