@@ -11,10 +11,7 @@ from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
     RowReduction,
-    matvec,
     row_reduce,
-    sample_preimage,
-    toeplitz_from_seed,
 )
 from delayedpa.pa import (
     AdditivePaFunction,
@@ -22,7 +19,6 @@ from delayedpa.pa import (
     dpa_encrypt,
     dpa_recover_via_key,
     dpa_recover_via_rawkey,
-    expand_imperfect_key,
     expand_message,
     pa_apply,
 )
@@ -45,16 +41,12 @@ __all__ = [
     "BinaryMatrix",
     "BitVector",
     "RowReduction",
-    "matvec",
     "row_reduce",
-    "sample_preimage",
-    "toeplitz_from_seed",
     "AdditivePaFunction",
     "DelayedPaSession",
     "dpa_encrypt",
     "dpa_recover_via_key",
     "dpa_recover_via_rawkey",
-    "expand_imperfect_key",
     "expand_message",
     "pa_apply",
     "Bb84Config",

@@ -15,14 +15,15 @@ linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
 through ``np.packbits``.
 
 :func:`row_reduce` is plain column-by-column Gauss-Jordan elimination on the
-packed rows.  No command reduces more than 13 columns; a wide hash built
-from rows pays about rows * rank big-int XORs per reduction.
+packed rows.  Only the verify suites run it, on at most 13 columns.
 
 Protocol keys are hashed by the modified Toeplitz family of Hayashi and
 Tsurumaru (arXiv:1311.5322): an n-bit key x = (x1, x2), split after n_pa
 bits, maps to x1 XOR T x2, where T is the n_pa x (n - n_pa) Toeplitz matrix
-of an (n - 1)-bit seed.  The family is universal_2, and its rows are
-independent by construction, so the delayed-PA proof applies to it as it is.
+of an (n - 1)-bit seed; the n_pa x m Toeplitz matrix of an
+(m + n_pa - 1)-bit seed has entry (i, j) = seed[i - j + m - 1].  The family
+is universal_2, and its rows are independent by construction, so the
+delayed-PA proof applies to it as it is.
 :func:`modified_toeplitz_hash` computes T x2 without building T: one real
 FFT convolution (numpy) of the seed and the n - n_pa high key bits, at the
 power of two >= n - 1, reduced mod 2, in O(n log n) time and memory.  It
@@ -30,13 +31,11 @@ takes all of a run's keys in one call, transforms the seed once, and packs
 two keys into each transform.  Float rounding cannot flip a bit unnoticed,
 because an exactness guard raises if any convolution entry lies 0.25 or
 more from an integer (a NaN or inf entry included).  A plain Toeplitz
-product A x, A = ``toeplitz_from_seed(seed, n_pa, m)``, is the same seed's
+product A x, A the seed's n_pa x m Toeplitz matrix, is the same seed's
 hash of the (m + n_pa)-bit key x << n_pa, whose low n_pa bits are zero.
-So the dense :func:`toeplitz_from_seed` matrix is the test oracle of both
-products, and ``[I | toeplitz_from_seed(seed, n_pa, n - n_pa)]`` is the
-hash's.  :func:`toeplitz_rows_independent` decides whether a Toeplitz
-matrix has independent rows from its seed alone, by the extended
-Euclidean algorithm in O(n**2) bit operations, without row reduction.
+:func:`toeplitz_rows_independent` decides whether a Toeplitz matrix has
+independent rows from its seed alone, by the extended Euclidean algorithm
+in O(n**2) bit operations, without row reduction.
 
 :func:`sample_toeplitz_preimage` draws a uniform preimage of a seed's
 n_pa x n Toeplitz matrix A without elimination either.  With its columns
@@ -62,7 +61,6 @@ is a bijection onto {x : Ax = y}, so x is exactly uniform.
 row-reduces [A | y] once per (matrix, y) and reads z, the reduced y, from
 the last column; each draw sets the free columns from one
 ``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
-:func:`sample_preimage` is the one-draw form of a fresh sampler.
 """
 
 from __future__ import annotations
@@ -76,20 +74,13 @@ __all__ = [
     "BitVector",
     "BinaryMatrix",
     "RowReduction",
-    "matvec",
-    "toeplitz_from_seed",
     "toeplitz_rows_independent",
     "modified_toeplitz_hash",
     "row_reduce",
     "PreimageSampler",
     "preimage_sampler",
-    "sample_preimage",
     "sample_toeplitz_preimage",
 ]
-
-
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -244,9 +235,6 @@ class BinaryMatrix:
             raise IndexError("entry index out of range")
         return (self.row_words[i] >> j) & 1
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_words[i])
-
 
 @dataclass(frozen=True)
 class RowReduction:
@@ -264,17 +252,6 @@ class RowReduction:
         return len(self.pivot_cols)
 
 
-def matvec(a: BinaryMatrix, v: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2): result[i] = XOR_j a[i][j] AND v[j]."""
-    if v.length != a.cols:
-        raise ValueError(f"dimension mismatch: matrix cols {a.cols}, vector length {v.length}")
-    out = 0
-    for i, row in enumerate(a.row_words):
-        if _parity(row & v.bits):
-            out |= 1 << i
-    return BitVector(a.rows, out)
-
-
 def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
     if n_pa < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -288,23 +265,8 @@ def _unpack(v: BitVector) -> np.ndarray:
     return np.unpackbits(np.frombuffer(v.to_bytes(), dtype=np.uint8), bitorder="little")[: v.length]
 
 
-def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
-    """Toeplitz matrix with entry (i, j) = seed[i - j + n - 1].
-
-    The first row is seed[n-1] .. seed[0] laid out over columns 0 .. n-1 and
-    the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
-    constant along every diagonal and fully determined by n + n_pa - 1 bits.
-    """
-    _check_toeplitz_shape(seed, n_pa, n)
-    # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
-    # seed, so each row is a single shift+mask window.
-    rev = int(seed.to01(), 2)
-    mask = (1 << n) - 1
-    return BinaryMatrix(n_pa, n, tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa)))
-
-
 def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
-    """Whether ``toeplitz_from_seed(seed, n_pa, n)`` has independent rows.
+    """Whether the seed's n_pa x n Toeplitz matrix has independent rows.
 
     A row dependency c != 0, sum_i c_i seed[i + t] = 0 for all t < n, is
     exactly a nonzero polynomial c~ (c reversed) of degree <= n_pa - 1 with
@@ -342,10 +304,9 @@ def modified_toeplitz_hash(
 ) -> list[BitVector]:
     """Each n-bit key x hashed to x[:n_pa] XOR T x[n_pa:], with n = seed.length + 1.
 
-    T = ``toeplitz_from_seed(seed, n_pa, n - n_pa)``, so the dense
-    ``[I | T]`` is the exact oracle.  Output bit i of T x2 is entry
-    w - 1 + i of the linear convolution of the seed and the w = n - n_pa
-    high key bits.  The seed is transformed once per call and consecutive
+    T is the seed's n_pa x (n - n_pa) Toeplitz matrix (module docstring).
+    Output bit i of T x2 is entry w - 1 + i of the linear convolution of
+    the seed and the w = n - n_pa high key bits.  The seed is transformed once per call and consecutive
     keys are packed in pairs (see ``_PAIR_MAX_BITS``).
 
     At n_pa = n, T has no columns and the hash is the identity, with no
@@ -407,7 +368,7 @@ def _clmul(a: int, b: int, n: int) -> int:
 
 
 def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
-    """Uniform draw from {x : Ax = y}, A = ``toeplitz_from_seed(seed, n_pa, n)``.
+    """Uniform draw from {x : Ax = y}, A the seed's n_pa x n Toeplitz matrix.
 
     No elimination: one O(n**2) Berlekamp-Massey pass plus four FFT
     products (see the module docstring).  Takes one
@@ -535,8 +496,3 @@ def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
     # a row's bit in y's column meets no bit of x, so the row stays whole
     pivots = tuple((w, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols))
     return PreimageSampler(cols, len(red.free_cols) - 1, tuple(runs), pivots)
-
-
-def sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
-    """One uniform draw from {x : Ax = y}: :func:`preimage_sampler`'s one-draw form."""
-    return preimage_sampler(a, y)(rng)

@@ -14,12 +14,8 @@ import random
 from dataclasses import dataclass
 
 from delayedpa.gf2 import (
-    BinaryMatrix,
     BitVector,
-    matvec,
     modified_toeplitz_hash,
-    row_reduce,
-    sample_preimage,
     sample_toeplitz_preimage,
     toeplitz_rows_independent,
 )
@@ -29,7 +25,6 @@ __all__ = [
     "DelayedPaSession",
     "pa_apply",
     "expand_message",
-    "expand_imperfect_key",
     "dpa_encrypt",
     "dpa_recover_via_key",
     "dpa_recover_via_rawkey",
@@ -38,51 +33,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdditivePaFunction:
-    """A compressing GF(2)-linear hash with independent rows.
+    """A compressing GF(2)-linear hash with independent rows, held by its seed.
 
-    It holds exactly one of two forms: a dense ``matrix`` (a hash built
-    from rows), or ``toeplitz``, the (seed, n_pa, n) of the n_pa x n
-    Toeplitz matrix ``toeplitz_from_seed(seed, n_pa, n)``, whose rows are
-    never built.  Equality compares the form held.  Independence is checked
-    once, at construction: from the seed by :func:`toeplitz_rows_independent`,
-    the extended Euclidean algorithm, in quadratic time, or by
-    :func:`row_reduce` for a matrix.  A seed's preimages are drawn by
-    :func:`sample_toeplitz_preimage`; each draw for a matrix row-reduces
-    [A | m'] afresh.
+    The hash is the n_pa x n Toeplitz matrix A with entry (i, j) =
+    seed[i - j + n - 1] of an (n + n_pa - 1)-bit seed; its rows are never
+    built.  Independence is checked once, at construction, from the seed
+    by :func:`toeplitz_rows_independent`, the extended Euclidean algorithm,
+    in quadratic time.  A x is one :func:`modified_toeplitz_hash` call, and
+    preimages are drawn by :func:`sample_toeplitz_preimage`.
     """
 
-    matrix: BinaryMatrix | None = None
-    toeplitz: tuple[BitVector, int, int] | None = None
+    seed: BitVector
+    n_pa: int
+    n: int
 
     def __post_init__(self) -> None:
-        if (self.matrix is None) == (self.toeplitz is None):
-            raise ValueError("hash needs exactly one of a matrix and a Toeplitz seed")
         if self.n_pa < 1:
             raise ValueError("hash needs at least one output bit: need n_pa >= 1")
         if self.n_pa >= self.n:
             raise ValueError("hash must compress: need n_pa < n")
-        if self.toeplitz is not None:
-            independent = toeplitz_rows_independent(*self.toeplitz)
-        else:
-            independent = row_reduce(self.matrix).rank == self.n_pa
-        if not independent:
+        if not toeplitz_rows_independent(self.seed, self.n_pa, self.n):
             raise ValueError("rows not independent")
 
     @classmethod
-    def from_rows(cls, rows) -> "AdditivePaFunction":
-        return cls(BinaryMatrix.from_rows(rows))
-
-    @classmethod
     def from_toeplitz_seed(cls, seed: BitVector, n_pa: int, n: int) -> "AdditivePaFunction":
-        return cls(toeplitz=(seed, n_pa, n))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.cols if self.toeplitz is None else self.toeplitz[2]
-
-    @property
-    def n_pa(self) -> int:
-        return self.matrix.rows if self.toeplitz is None else self.toeplitz[1]
+        return cls(seed, n_pa, n)
 
     def __call__(self, a: BitVector) -> BitVector:
         return pa_apply(self, a)
@@ -91,32 +66,18 @@ class AdditivePaFunction:
 def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
     """Hash an n-bit input down to n_pa bits.
 
-    A seed's A x is the same seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is A.
+    A x is the seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is A.
     """
     if a.length != f.n:
         raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")
-    if f.toeplitz is None:
-        return matvec(f.matrix, a)
-    seed, n_pa, n = f.toeplitz
-    return modified_toeplitz_hash(seed, n_pa, [BitVector(n + n_pa, a.bits << n_pa)])[0]
+    return modified_toeplitz_hash(f.seed, f.n_pa, [BitVector(f.n + f.n_pa, a.bits << f.n_pa)])[0]
 
 
 def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
     """Uniform draw from the preimage {m : f(m) = m_prime}."""
     if m_prime.length != f.n_pa:
         raise ValueError(f"length mismatch: expected {f.n_pa}, got {m_prime.length}")
-    if f.toeplitz is None:
-        return sample_preimage(f.matrix, m_prime, rng)
-    return sample_toeplitz_preimage(*f.toeplitz, m_prime, rng)
-
-
-def expand_imperfect_key(
-    f: AdditivePaFunction, g: AdditivePaFunction, a_prime: BitVector, rng
-) -> BitVector:
-    """Uniform m with f(m) = g(a_prime), for using an imperfect key as message."""
-    if g.n_pa != f.n_pa:
-        raise ValueError("output lengths of the two hashes must match")
-    return expand_message(f, pa_apply(g, a_prime), rng)
+    return sample_toeplitz_preimage(f.seed, f.n_pa, f.n, m_prime, rng)
 
 
 def dpa_encrypt(a: BitVector, m: BitVector) -> BitVector:
@@ -175,20 +136,11 @@ class DelayedPaSession:
         return dpa_recover_via_rawkey(self.f, self.c, self.a)
 
     def to_json(self) -> str:
-        if self.f.toeplitz is not None:
-            seed = self.f.toeplitz[0]
-            pa_doc = {"kind": "toeplitz", "seed": seed.to_hex(), "n_pa": self.f.n_pa, "n": self.f.n}
-        else:
-            pa_doc = {
-                "kind": "matrix",
-                "n_pa": self.f.n_pa,
-                "n": self.f.n,
-                "rows": [self.f.matrix.row(i).to_hex() for i in range(self.f.n_pa)],
-            }
+        f = self.f
         doc = {
-            "n": self.f.n,
-            "n_pa": self.f.n_pa,
-            "pa": pa_doc,
+            "n": f.n,
+            "n_pa": f.n_pa,
+            "pa": {"kind": "toeplitz", "seed": f.seed.to_hex(), "n_pa": f.n_pa, "n": f.n},
             "a": self.a.to_hex(),
             "m_prime": self.m_prime.to_hex(),
             "m": self.m.to_hex(),
@@ -210,17 +162,10 @@ class DelayedPaSession:
                 f"pa shape {pa_shape[1]} x {pa_shape[0]} does not match session {n_pa} x {n}"
             )
         kind = _json_field(pa_doc, "kind", str, "pa")
-        if kind == "toeplitz":
-            seed = BitVector.from_hex(n + n_pa - 1, _json_field(pa_doc, "seed", str, "pa"))
-            f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
-        elif kind == "matrix":
-            rows = _json_field(pa_doc, "rows", list, "pa")
-            if not all(isinstance(h, str) for h in rows):
-                raise ValueError(f"pa field 'rows' must hold hex strings, got {rows!r}")
-            rows = [BitVector.from_hex(n, h) for h in rows]
-            f = AdditivePaFunction(BinaryMatrix.from_row_vectors(rows))
-        else:
-            raise ValueError(f"unknown pa kind {kind!r}")
+        if kind != "toeplitz":
+            raise ValueError(f"unknown pa kind {kind!r}; supported: 'toeplitz'")
+        seed = BitVector.from_hex(n + n_pa - 1, _json_field(pa_doc, "seed", str, "pa"))
+        f = AdditivePaFunction(seed, n_pa, n)
         return cls(
             f=f,
             a=BitVector.from_hex(n, _json_field(doc, "a", str)),

@@ -6,8 +6,8 @@ frame, the pair (basis, bit) naming the BB84 eigenstate it is in.  That is
 exact for this gate set: every state a run prepares is a BB84 eigenstate,
 and every encoding, channel and eavesdropper action is a Pauli or a
 measurement in x or z.  This is the one-qubit case of stabilizer simulation
-(Aaronson-Gottesman, quant-ph/0406196); ``delayedpa.quantum`` holds the
-dense amplitudes and serves as its oracle in the tests.
+(Aaronson-Gottesman, quant-ph/0406196); dense state vectors serve as its
+oracle in the tests.
 
 Codes: a basis is 0 = z, 1 = x, and a Pauli is x | z << 1 (I 0, X 1, Z 2,
 Y 3).  A Pauli maps an eigenstate to an eigenstate of the same basis, up to
@@ -59,8 +59,6 @@ __all__ = [
     "key_length",
     "two_way_rate_single_line",
     "decode_key_bit",
-    "op_for_bit",
-    "single_signal_roundtrip",
     "estimate_errors",
     "run_bb84",
     "run_dqkd",
@@ -73,8 +71,8 @@ _PAULIS = "IXZY"  # Pauli code x | z << 1 -> name
 ROLES = ("none", "key", "test", "check", "discarded")
 MODES = ("none", "encode", "check")  # dqkd's per-signal choice; other runs leave "none"
 MIN_CHECK_PER_BASIS = 8  # dqkd aborts with fewer consistent-basis check bits
-_KEY, _TEST, _CHECK, _DISCARDED = 1, 2, 3, 4
-_ENCODE_MODE, _CHECK_MODE = 1, 2
+_KEY, _TEST, _CHECK, _DISCARDED = (ROLES.index(r) for r in ("key", "test", "check", "discarded"))
+_ENCODE_MODE, _CHECK_MODE = MODES.index("encode"), MODES.index("check")
 
 
 def _flips(op, basis):
@@ -96,19 +94,6 @@ def _measure(basis, bit, in_basis, rng) -> np.ndarray:
 def decode_key_bit(basis: str, op: str) -> int:
     """Key bit encoded by the given operation when the basis is announced."""
     return _flips(_PAULIS.index(op), _BASES.index(basis))
-
-
-def op_for_bit(basis: str, bit: int, rng) -> str:
-    """Uniform choice between the two operations encoding ``bit`` in ``basis``."""
-    b = _BASES.index(basis)
-    return _PAULIS[bit << b | rng.getrandbits(1) << (1 - b)]
-
-
-def single_signal_roundtrip(basis: str, bob_bit: int, op: str) -> int:
-    """Noiseless one-signal round trip: prepare, encode, measure in the
-    prepared basis (which reads the frame's bit), decode."""
-    returned = bob_bit ^ _flips(_PAULIS.index(op), _BASES.index(basis))
-    return returned ^ bob_bit
 
 
 # ------------------------------------------------------------------ models

@@ -2,15 +2,15 @@
 
 A key K with adversary view E is epsilon-secure when the joint state is
 within trace distance epsilon of an ideal uniform key decoupled from E.
-Both metrics take the joint form: :class:`ClassicalJoint` holds p(k, e) and
-:func:`classical_epsilon` sums |.| per entry; :class:`CqJoint` holds
-sigma[k] = p(k) rho_k as a stack of d x d blocks, one per value of the
-classical registers beside E, and :func:`cq_epsilon` sums |eigenvalue| per
-block.
+Both metrics take the joint form: a classical joint p(k, e) is scored by
+summing |.| per entry (:func:`_joint_epsilons`, for a stack of joints);
+:class:`CqJoint` holds sigma[k] = p(k) rho_k as a stack of d x d blocks,
+one per value of the classical registers beside E, and :func:`cq_epsilon`
+sums |eigenvalue| per block.
 
-:func:`delayed_pa_epsilons` measures, by exhaustive enumeration over small
-instances, the security of (a) the hashed key f(a) against an adversary view
-E and (b) the short message m' against the enlarged view (E, a XOR m) seen
+The verifier measures, by exhaustive enumeration over small instances, the
+security of (a) the hashed key f(a) against an adversary view E and (b)
+the short message m' against the enlarged view (E, a XOR m) seen
 in the delayed scheme, where m is a uniform preimage of m'.  The two are
 expected to coincide for every additive f with independent rows, every view
 model, and every prior on a; the verifier computes both sides independently
@@ -34,17 +34,16 @@ only renames the key values k -> A k and the messages m' -> A m' (the
 preimage of A m' under f' is the preimage of m' under f), so each joint's
 rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 :func:`enumerate_row_spaces` yields one reduced row-echelon representative
-per subspace; the ordered enumeration :func:`enumerate_pa_matrices` stays
-as the oracle the tests check that claim against.  The sweep works one
-width at a time, on chunks of row spaces: one integer product hashes the
+per subspace; the tests check that claim against the ordered enumeration
+of every matrix.  The sweep works one width at a time, on chunks of row spaces: one integer product hashes the
 chunk, one count checks its ranks (a linear f is balanced exactly when its
 rows are independent), one grouping serves every row space and bank model
 (the models' tables sit side by side along the view axis), and array
 operations score every (row space, model) pair.
 The models of one width are copied out together, every joint into its own
-contiguous slab, and scored in the order :func:`classical_epsilon` scores
-one joint, so every eps is the one-joint value bit for bit.  The
-single-matrix entry points run the same kernel on a chunk of one.
+contiguous slab, and scored in the order numpy scores one joint alone, so
+every eps is the one-joint value bit for bit.
+:func:`delayed_pa_epsilons_quantum` runs the same grouping on a chunk of one.
 """
 
 from __future__ import annotations
@@ -61,18 +60,14 @@ from delayedpa.gf2 import BinaryMatrix
 from delayedpa.quantum import _check_density_blocks
 
 __all__ = [
-    "ClassicalJoint",
     "CqJoint",
     "SecurityReport",
-    "classical_epsilon",
     "cq_epsilon",
-    "delayed_pa_epsilons",
     "delayed_pa_epsilons_quantum",
     "eve_table",
     "load_eve_bank",
     "bank_tables",
     "default_eve_bank_path",
-    "enumerate_pa_matrices",
     "enumerate_row_spaces",
     "sweep_delayed_pa",
     "random_eve_states",
@@ -88,20 +83,6 @@ MAX_QUANTUM_DIM = 256
 # array is the 2d stack: 4 blocks of (2 abar_dim)^2 complex128 entries,
 # 4 * 4 * 16 * abar_dim^2 = 256 abar_dim^2 bytes, 64 MiB at 512.
 MAX_ABAR_DIM = 512
-
-
-@dataclass(frozen=True)
-class ClassicalJoint:
-    """Joint distribution p(k, e) over key values and adversary outcomes."""
-
-    probs: np.ndarray  # shape (|K|, |E|)
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 2:
-            raise ValueError("joint table must be 2-D")
-        _check_joints(p[None])
 
 
 @dataclass(frozen=True)
@@ -134,13 +115,6 @@ class SecurityReport:
     def __post_init__(self) -> None:
         if not -1e-12 <= self.epsilon <= 1.0 + 1e-12:
             raise ValueError("epsilon outside [0, 1]")
-
-
-def classical_epsilon(joint: ClassicalJoint) -> float:
-    """Half the L1 distance between p(k, e) and uniform-key times p(e)."""
-    p = joint.probs
-    ideal = p.sum(axis=0, keepdims=True) / p.shape[0]
-    return 0.5 * float(np.abs(p - ideal).sum())
 
 
 def cq_epsilon(joint: CqJoint) -> float:
@@ -251,7 +225,7 @@ def _delayed_pa_joints(matrices, views: np.ndarray, prior, max_n: int):
 
 
 def _check_joints(p: np.ndarray) -> None:
-    """:class:`ClassicalJoint`'s checks on each joint p[r] of a stack."""
+    """Raise unless each joint p[r] of a stack is finite, nonnegative and sums to 1."""
     if not np.isfinite(p).all():
         raise ValueError("non-finite probability")
     if p.min() < -1e-15:
@@ -261,11 +235,12 @@ def _check_joints(p: np.ndarray) -> None:
 
 
 def _joint_epsilons(p: np.ndarray) -> np.ndarray:
-    """:func:`classical_epsilon` of each C-contiguous joint p[r], shape (|K|, |E|).
+    """Half the L1 distance of each C-contiguous joint p[r], shape (|K|, |E|),
+    from a uniform key times its e-marginal.
 
     Summing axis 1 of the stack and then each contiguous row of |p - ideal|
     runs numpy's reductions in the order they run on one joint, so every
-    value equals classical_epsilon's.  p is overwritten with |p - ideal|.
+    value is the one-joint value.  p is overwritten with |p - ideal|.
     """
     p -= p.sum(axis=1, keepdims=True) / p.shape[1]
     np.abs(p, out=p)
@@ -280,10 +255,10 @@ def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
     models of equal width sit side by side; one grouping then serves every
     matrix and model, and each width's models are scored together: one copy
     per side gives every (matrix, model) joint its own C-contiguous slab,
-    shape (|K|, views), so each joint is checked and scored exactly as
-    :class:`ClassicalJoint` and :func:`classical_epsilon` take it alone.  A
-    width whose joints would take more than ``_SCATTER_ENTRIES`` entries is
-    copied a few models at a time, one at a time if need be.  Scoring
+    shape (|K|, views), so each joint is checked and scored exactly as it
+    would be alone.  A width whose joints would take more than
+    ``_SCATTER_ENTRIES`` entries is copied a few models at a time, one at a
+    time if need be.  Scoring
     overwrites the joints, which nothing reads again.
     """
     widths = list(widths)
@@ -312,22 +287,6 @@ def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
                 _check_joints(joint)
                 eps[side][:, group] = _joint_epsilons(joint).reshape(n_rows, len(group))
     return eps[0], eps[1]
-
-
-def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float, float]:
-    """Exhaustive (eps_key, eps_msg) for a classical adversary model.
-
-    ``table[a][e]`` is the probability of view e given raw key a; ``prior``
-    is the distribution of a (uniform by default).  eps_key scores the hashed
-    key f(a) against view e; eps_msg scores a uniform short message m'
-    against the enlarged view (e, a XOR m) with m uniform over the preimage
-    of m'.  Both sides are built directly from their definitions.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2:
-        raise ValueError("joint table must be 2-D")
-    eps_key, eps_msg = _bank_epsilons([matrix], table, table.shape[1:], prior)
-    return float(eps_key[0, 0]), float(eps_msg[0, 0])
 
 
 def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) -> tuple[float, float]:
@@ -482,26 +441,6 @@ def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ sweep
-
-def enumerate_pa_matrices(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
-    """All n_pa x n matrices with linearly independent rows, in row order.
-
-    The sweep runs one representative per row space instead
-    (:func:`enumerate_row_spaces`); this ordered enumeration is the oracle
-    the tests hold that reduction to.
-    """
-    def extend(rows: tuple[int, ...], span: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        if len(rows) == n_pa:
-            yield rows
-            return
-        for cand in range(1, 1 << n):
-            if cand in span:
-                continue
-            yield from extend(rows + (cand,), span | frozenset(s ^ cand for s in span))
-
-    for rows in extend((), frozenset({0})):
-        yield BinaryMatrix(n_pa, n, rows)
-
 
 def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
     """One reduced row-echelon matrix per n_pa-dimensional subspace of GF(2)^n.

@@ -203,7 +203,7 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
         by_dim: dict[int, list[np.ndarray]] = {}
         for _ in range(min(_TRIAL_CHUNK, trials - lo)):
             dim = int(rng.integers(1, abar_dim + 1))
-            # random_pure_state's draws, without building a PureState
+            # normalized complex Gaussian amplitudes: the real parts are drawn first
             amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
             amps /= np.linalg.norm(amps)
             by_dim.setdefault(dim, []).append(amps.reshape(2, dim))

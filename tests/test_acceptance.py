@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 from mpmath import mp, mpf
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, sample_preimage
+from delayedpa.gf2 import BinaryMatrix, BitVector
 from delayedpa.protocols import (
     Bb84Config,
     DqkdConfig,
@@ -27,19 +27,25 @@ from delayedpa.protocols import (
     run_dqkd,
     run_integrated,
     run_relay,
-    single_signal_roundtrip,
     two_way_rate_single_line,
 )
-from delayedpa.quantum import build_2d_state, random_pure_state, verify_2c_2d
 from delayedpa.security import (
     bank_tables,
-    delayed_pa_epsilons,
     delayed_pa_epsilons_quantum,
-    enumerate_pa_matrices,
     load_eve_bank,
     random_eve_states,
 )
 from delayedpa.suites import _full_rank_matrix, suite_preimage_uniformity, suite_table1
+from oracles import (
+    build_2d_state,
+    delayed_pa_epsilons,
+    enumerate_pa_matrices,
+    matvec,
+    random_pure_state,
+    sample_preimage,
+    single_signal_roundtrip,
+    verify_2c_2d,
+)
 
 mp.dps = 40
 

@@ -18,9 +18,10 @@ import delayedpa
 import delayedpa.suites
 from delayedpa import cli, reports
 from delayedpa.cli import SUITES, build_parser, main
-from delayedpa.gf2 import BitVector, matvec, toeplitz_from_seed
+from delayedpa.gf2 import BitVector
 from delayedpa.protocols import Bb84Config, ChannelModel, DqkdConfig, key_length, run_bb84, run_dqkd
 from delayedpa.security import MAX_ABAR_DIM, MAX_QUANTUM_DIM
+from oracles import matvec, toeplitz_from_seed
 
 SCHEMA = json.loads(
     (Path(delayedpa.__file__).parent / "schemas" / "report.schema.json").read_text()

@@ -15,18 +15,22 @@ import delayedpa.suites
 from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
-    RowReduction,
-    _parity,
-    matvec,
     modified_toeplitz_hash,
     preimage_sampler,
     row_reduce,
-    sample_preimage,
     sample_toeplitz_preimage,
-    toeplitz_from_seed,
     toeplitz_rows_independent,
 )
 from delayedpa.suites import _FULL_RANK_ATTEMPTS, _full_rank_matrix
+from oracles import (
+    _full_rank_toeplitz,
+    matvec,
+    ref_preimage_sampler,
+    ref_row_reduce,
+    ref_row_reduce_with_ops,
+    sample_preimage,
+    toeplitz_from_seed,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -51,46 +55,6 @@ def ref_matmul(a, b):
     """Naive per-entry XOR/AND reference for A @ B."""
     cols = list(zip(*to_lists(b)))
     return BinaryMatrix.from_rows([ref_matvec(cols, row) for row in to_lists(a)])
-
-
-def ref_row_reduce_with_ops(a: BinaryMatrix) -> tuple[RowReduction, BinaryMatrix]:
-    """Plain Gauss-Jordan elimination, one column and one row at a time.
-
-    Returns the reduction and ``row_ops``, the invertible product of the
-    row operations (XORs and swaps) applied in order: ``row_ops @ a`` is
-    the reduced form.
-    """
-    # row i's operation record sits above column a.cols, starting as e_i
-    work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        if r == a.rows:
-            break
-        mask = 1 << c
-        pivot = next((i for i in range(r, a.rows) if work[i] & mask), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-        for i in range(a.rows):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivot_cols.append(c)
-        r += 1
-    pivots = set(pivot_cols)
-    free_cols = tuple(c for c in range(a.cols) if c not in pivots)
-    col_mask = (1 << a.cols) - 1
-    red = RowReduction(
-        upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
-        pivot_cols=tuple(pivot_cols),
-        free_cols=free_cols,
-    )
-    return red, BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work]))
-
-
-def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
-    return ref_row_reduce_with_ops(a)[0]
 
 
 def ref_from_bits(bits):
@@ -128,44 +92,6 @@ def ref_kernel(a):
 
 def ref_preimage(a, y):
     return {v.bits for v in enumerate_vectors(a.cols) if matvec(a, v) == y}
-
-
-def ref_preimage_sampler(a: BinaryMatrix, y: BitVector):
-    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
-
-    Row-reduces once and takes z = row_ops y from the oracle's own record.
-    Each draw takes the free-column bits from one ``rng.getrandbits(n_free)``
-    and back-substitutes the pivot columns; every preimage element comes
-    out with probability 2**-(cols - rows).
-    """
-    if y.length != a.rows:
-        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
-    red, row_ops = ref_row_reduce_with_ops(a)
-    if red.rank < a.rows:
-        raise ValueError("rows not independent")
-    z = matvec(row_ops, y)
-
-    def draw(rng) -> BitVector:
-        x = 0
-        n_free = len(red.free_cols)
-        if n_free:
-            bits = rng.getrandbits(n_free)
-            for idx, fc in enumerate(red.free_cols):
-                if (bits >> idx) & 1:
-                    x |= 1 << fc
-        # Reduced echelon form: each pivot row touches its pivot plus free
-        # columns only, so substitution needs no particular order.
-        for r, pc in enumerate(red.pivot_cols):
-            if z[r] ^ _parity(red.upper.row_words[r] & x):
-                x |= 1 << pc
-        return BitVector(a.cols, x)
-
-    return draw
-
-
-def ref_sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
-    """One uniform draw from {x : Ax = y}, by a fresh :func:`ref_preimage_sampler`."""
-    return ref_preimage_sampler(a, y)(rng)
 
 
 class FixedBits:
@@ -1013,16 +939,6 @@ def assert_sampler_matches_oracle(a, seed, draws):
         assert matvec(a, x) == y
     # the same stream: one getrandbits(n_free) per draw on every side
     assert ours.getstate() == oracle.getstate() == one_draw.getstate()
-
-
-def _full_rank_toeplitz(rng, n_pa, n):
-    """A full-rank Toeplitz matrix and the seed it was built from."""
-    for _ in range(_FULL_RANK_ATTEMPTS):
-        seed = BitVector.random(n + n_pa - 1, rng)
-        a = toeplitz_from_seed(seed, n_pa, n)
-        if row_reduce(a).rank == n_pa:
-            return a, seed
-    raise RuntimeError(f"no full-rank Toeplitz matrix in {_FULL_RANK_ATTEMPTS} draws")
 
 
 SAMPLER_CASES = {

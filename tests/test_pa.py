@@ -12,59 +12,64 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import delayedpa.gf2
-import delayedpa.pa
-from delayedpa.gf2 import (
-    BinaryMatrix,
-    BitVector,
-    matvec,
-    preimage_sampler,
-    row_reduce,
-    toeplitz_from_seed,
-)
+from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
     dpa_encrypt,
     dpa_recover_via_key,
     dpa_recover_via_rawkey,
-    expand_imperfect_key,
     expand_message,
     pa_apply,
 )
-from delayedpa.suites import _full_rank_matrix
-from test_gf2 import _full_rank_toeplitz, ref_row_reduce, ref_sample_preimage
+from oracles import _full_rank_toeplitz, expand_imperfect_key, matvec, toeplitz_from_seed
 
 
-def enumerate_preimage(f, m_prime):
+def seeded(seed01, rows):
+    """The hash of a 0/1 seed string and its Toeplitz matrix, written out as ``rows``."""
+    a = BinaryMatrix.from_rows(rows)
+    seed = BitVector.from01(seed01)
+    assert toeplitz_from_seed(seed, a.rows, a.cols) == a
+    return AdditivePaFunction.from_toeplitz_seed(seed, a.rows, a.cols), a
+
+
+# [[1, 1, 0], [0, 1, 1]] is the 2 x 3 hash of the tests below: its kernel is
+# {000, 111}, and "10" has the preimage {100, 011}
+KERNEL_111 = ("0110", [[1, 1, 0], [0, 1, 1]])
+
+
+def enumerate_preimage(a, m_prime):
     return {
-        v for v in range(1 << f.n)
-        if matvec(f.matrix, BitVector(f.n, v)) == m_prime
+        v for v in range(1 << a.cols)
+        if matvec(a, BitVector(a.cols, v)) == m_prime
     }
 
 
 def random_pa_function(rng, n_pa, n):
-    return AdditivePaFunction(_full_rank_matrix(n_pa, n, rng))
+    return AdditivePaFunction.from_toeplitz_seed(_full_rank_toeplitz(rng, n_pa, n)[1], n_pa, n)
 
 
 # ---------------------------------------------------------------- pa_apply
 
 def test_pa_apply_identity_truncation():
-    f = AdditivePaFunction.from_rows([[1, 0, 0], [0, 1, 0]])
+    f, _ = seeded("0010", [[1, 0, 0], [0, 1, 0]])
     assert pa_apply(f, BitVector.from01("101")).to01() == "10"
 
 
 def test_pa_apply_zero_input():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    f, _ = seeded(*KERNEL_111)
     assert pa_apply(f, BitVector.zeros(3)).to01() == "00"
 
 
 def test_pa_apply_example():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert pa_apply(f, BitVector.from01("111")).to01() == "00"
+    f, a = seeded(*KERNEL_111)
+    x = BitVector.from01("111")
+    assert pa_apply(f, x) == matvec(a, x)
+    assert pa_apply(f, x).to01() == "00"
 
 
 def test_pa_apply_length_mismatch():
-    f = AdditivePaFunction.from_rows([[1, 0, 1]])
+    f, _ = seeded("101", [[1, 0, 1]])
     with pytest.raises(ValueError):
         pa_apply(f, BitVector.from01("10"))
 
@@ -110,19 +115,12 @@ def test_toeplitz_pa_apply_matches_dense_matvec_random(shape, draw_seed):
 def test_toeplitz_hash_holds_its_seed_alone():
     seed = BitVector.random(10, random.Random(331))
     f = AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
-    assert f.toeplitz == (seed, 3, 8) and f.matrix is None
-    assert (f.n, f.n_pa) == (8, 3)
+    assert [fl.name for fl in dataclasses.fields(f)] == ["seed", "n_pa", "n"]
+    assert (f.seed, f.n_pa, f.n) == (seed, 3, 8)
     held = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
     assert not any(isinstance(v, BinaryMatrix) for v in held)
     assert [fl.name for fl in dataclasses.fields(BinaryMatrix)] == ["rows", "cols", "row_words"]
-    # equality compares the form held: the same rows built densely are another hash
-    dense = AdditivePaFunction(toeplitz_from_seed(seed, 3, 8))
-    assert dense != f and dense.toeplitz is None
     assert AdditivePaFunction.from_toeplitz_seed(seed, 3, 8) == f
-    with pytest.raises(ValueError, match="exactly one"):
-        AdditivePaFunction()
-    with pytest.raises(ValueError, match="exactly one"):
-        AdditivePaFunction(dense.matrix, toeplitz=f.toeplitz)
 
 
 @pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
@@ -145,27 +143,31 @@ def test_toeplitz_pa_apply_passes_the_hash_guard(monkeypatch, bad):
 
 
 def test_construction_rejects_dependent_rows():
+    seed = BitVector.from01("1111")
+    assert toeplitz_from_seed(seed, 2, 3) == BinaryMatrix.from_rows([[1, 1, 1], [1, 1, 1]])
     with pytest.raises(ValueError, match="rows not independent"):
-        AdditivePaFunction.from_rows([[1, 1, 0], [1, 1, 0]])
+        AdditivePaFunction.from_toeplitz_seed(seed, 2, 3)
 
 
 def test_construction_rejects_empty_hash():
-    # an n_pa = 0 session would write "rows": [], which from_json cannot load
-    with pytest.raises(ValueError):
-        AdditivePaFunction(BinaryMatrix(0, 4, ()))
+    # an n_pa = 0 hash has no output bit to recover a message into
+    with pytest.raises(ValueError, match="at least one output bit"):
+        AdditivePaFunction(BitVector.zeros(3), 0, 4)
 
 
 def test_construction_rejects_non_compressing():
+    seed = BitVector.from01("010")
+    assert toeplitz_from_seed(seed, 2, 2) == BinaryMatrix.identity(2)
     with pytest.raises(ValueError):
-        AdditivePaFunction.from_rows([[1, 0], [0, 1]])
+        AdditivePaFunction.from_toeplitz_seed(seed, 2, 2)
 
 
 # ---------------------------------------------------------------- expansion
 
 def test_expand_message_uniform_over_preimage():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    f, a = seeded(*KERNEL_111)
     m_prime = BitVector.from01("10")
-    expect = enumerate_preimage(f, m_prime)
+    expect = enumerate_preimage(a, m_prime)
     assert expect == {0b001, 0b110}  # 100 and 011 in index order
     rng = random.Random(5)
     counts = Counter(expand_message(f, m_prime, rng).bits for _ in range(400))
@@ -195,7 +197,8 @@ def test_random_message_special_case_joint_law():
 
     rng = random.Random(7)
     for n, n_pa in [(4, 2), (5, 2), (6, 3)]:
-        f = random_pa_function(rng, n_pa, n)
+        a, seed = _full_rank_toeplitz(rng, n_pa, n)
+        f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
         n_free = n - n_pa
         expanded = Counter()
         for mp in range(1 << n_pa):
@@ -206,7 +209,7 @@ def test_random_message_special_case_joint_law():
         # uniform (m_prime, selector) -> each pair has weight 1
         direct = Counter()
         for m_val in range(1 << n):
-            mp = matvec(f.matrix, BitVector(n, m_val)).bits
+            mp = matvec(a, BitVector(n, m_val)).bits
             direct[(mp, m_val)] += 1
         assert expanded == direct
 
@@ -220,8 +223,8 @@ def test_expand_imperfect_key_consistency():
 
 
 def test_expand_imperfect_key_enumeration():
-    f = AdditivePaFunction.from_rows([[1, 1]])
-    g = AdditivePaFunction.from_rows([[1, 0]])
+    f, _ = seeded("11", [[1, 1]])
+    g, _ = seeded("01", [[1, 0]])
     a_prime = BitVector.from01("10")  # g(a') = 1
     rng = random.Random(9)
     seen = {expand_imperfect_key(f, g, a_prime, rng).bits for _ in range(64)}
@@ -229,8 +232,8 @@ def test_expand_imperfect_key_enumeration():
 
 
 def test_expand_imperfect_key_zero_target_gives_kernel():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
-    g = AdditivePaFunction.from_rows([[1, 0, 0], [0, 1, 0]])
+    f, _ = seeded(*KERNEL_111)
+    g, _ = seeded("0010", [[1, 0, 0], [0, 1, 0]])
     rng = random.Random(10)
     seen = {
         expand_imperfect_key(f, g, BitVector.zeros(3), rng).bits for _ in range(64)
@@ -239,8 +242,8 @@ def test_expand_imperfect_key_zero_target_gives_kernel():
 
 
 def test_expand_imperfect_key_dimension_mismatch():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
-    g = AdditivePaFunction.from_rows([[1, 0]])
+    f, _ = seeded(*KERNEL_111)
+    g, _ = seeded("01", [[1, 0]])
     with pytest.raises(ValueError):
         expand_imperfect_key(f, g, BitVector.from01("10"), random.Random(0))
 
@@ -255,21 +258,23 @@ def test_dpa_encrypt_examples():
 
 
 def test_recovery_example_end_to_end():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    f, hash_matrix = seeded(*KERNEL_111)
     a = BitVector.from01("110")
     m = BitVector.from01("100")
     m_prime = pa_apply(f, m)
+    assert m_prime == matvec(hash_matrix, m)
     assert m_prime.to01() == "10"
     c = dpa_encrypt(a, m)
     assert c.to01() == "010"
     k = pa_apply(f, a)
-    assert k.to01() == "11"
+    assert k == matvec(hash_matrix, a)
+    assert k.to01() == "01"
     assert dpa_recover_via_key(f, c, k) == m_prime
     assert dpa_recover_via_rawkey(f, c, a) == m_prime
 
 
 def test_recovery_trivial_cases():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    f, _ = seeded(*KERNEL_111)
     a = BitVector.from01("101")
     k = pa_apply(f, a)
     # zero message: both routes give the all-zero short string
@@ -329,16 +334,8 @@ def test_session_json_roundtrip_toeplitz():
     assert json.loads(doc)["pa"]["kind"] == "toeplitz"
 
 
-def test_session_json_roundtrip_generic_matrix():
-    rng = random.Random(322)
-    f = random_pa_function(rng, 2, 6)
-    s = DelayedPaSession.create(f, BitVector.random(2, rng), BitVector.random(6, rng), rng)
-    restored = DelayedPaSession.from_json(s.to_json())
-    assert restored == s
-
-
 def test_session_rejects_inconsistent_fields():
-    f = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
+    f, _ = seeded(*KERNEL_111)
     with pytest.raises(ValueError):
         DelayedPaSession(
             f=f,
@@ -420,16 +417,11 @@ def test_session_from_json_rejects_mistyped_fields(path, value):
         DelayedPaSession.from_json(json.dumps(doc))
 
 
-def test_session_from_json_rejects_matrix_rows_not_hex_strings():
-    rng = random.Random(328)
-    f = random_pa_function(rng, 2, 6)
-    s = DelayedPaSession.create(f, BitVector.random(2, rng), BitVector.random(6, rng), rng)
-    doc = json.loads(s.to_json())
-    doc["pa"]["rows"] = [3, 5]
-    with pytest.raises(ValueError, match="hex strings"):
-        DelayedPaSession.from_json(json.dumps(doc))
-    del doc["pa"]["rows"]
-    with pytest.raises(ValueError, match="no 'rows'"):
+def test_session_from_json_rejects_matrix_kind():
+    # a hash given by its rows is not a session hash: only seeds load
+    doc = _session_doc(328)
+    doc["pa"] = {"kind": "matrix", "n_pa": 3, "n": 8, "rows": ["d3", "a5", "0f"]}
+    with pytest.raises(ValueError, match=r"^unknown pa kind 'matrix'; supported: 'toeplitz'$"):
         DelayedPaSession.from_json(json.dumps(doc))
 
 
@@ -458,8 +450,6 @@ def test_session_row_reduces_once(monkeypatch):
         samplers.append((a.rows, a.cols))
         return preimage_sampler(a, y)
 
-    # the rank check of a hash built from rows is made in pa, draws in gf2
-    monkeypatch.setattr(delayedpa.pa, "row_reduce", counting_row_reduce)
     monkeypatch.setattr(delayedpa.gf2, "row_reduce", counting_row_reduce)
     monkeypatch.setattr(delayedpa.gf2, "preimage_sampler", counting_preimage_sampler)
     rng = random.Random(330)
@@ -471,47 +461,6 @@ def test_session_row_reduces_once(monkeypatch):
     assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
     assert DelayedPaSession.from_json(s.to_json()) == s
     assert calls == [] and samplers == []
-    # a hash built from rows is checked by its reduction at construction,
-    # and each draw reduces [A | m'], one column wider than the hash
-    g = AdditivePaFunction.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert calls == [(2, 3)]
-    expand_message(g, BitVector.from01("10"), rng)
-    assert calls == [(2, 3), (2, 4)]
-    assert samplers == [(2, 3)]
-
-
-def _matrix_session_json():
-    # a session hash built from rows: [A | m'] is 97 columns wide, wider
-    # than any reduction a command runs
-    rng = random.Random(1024)
-    n, n_pa = 96, 67
-    f = random_pa_function(rng, n_pa, n)
-    s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
-    assert json.loads(s.to_json())["pa"]["kind"] == "matrix"
-    return s.to_json()
-
-
-def test_session_json_unchanged_by_blocked_row_reduction(monkeypatch):
-    reduced = _matrix_session_json()
-    calls = []
-    monkeypatch.setattr(
-        delayedpa.gf2, "row_reduce", lambda a: calls.append(a.cols) or ref_row_reduce(a)
-    )
-    assert _matrix_session_json() == reduced
-    assert calls == [97]
-
-
-def test_session_json_unchanged_by_preimage_sampler(monkeypatch):
-    sampled = _matrix_session_json()
-    calls = []
-
-    def counting_ref_sample_preimage(a, y, rng):
-        calls.append(a.cols)
-        return ref_sample_preimage(a, y, rng)
-
-    monkeypatch.setattr(delayedpa.pa, "sample_preimage", counting_ref_sample_preimage)
-    assert _matrix_session_json() == sampled
-    assert calls == [96]
 
 
 def test_readme_library_example_runs():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from delayedpa.gf2 import BitVector, matvec, toeplitz_from_seed
+from delayedpa.gf2 import BitVector
 from delayedpa.protocols import (
     Bb84Config,
     ChannelModel,
@@ -21,16 +21,15 @@ from delayedpa.protocols import (
     decode_key_bit,
     estimate_errors,
     key_length,
-    op_for_bit,
     run_bb84,
     run_dqkd,
     run_integrated,
     run_relay,
-    single_signal_roundtrip,
     two_way_rate_single_line,
     _flips,
 )
 from delayedpa.quantum import basis_ket, pauli
+from oracles import matvec, op_for_bit, single_signal_roundtrip, toeplitz_from_seed
 
 mp.dps = 40
 
@@ -537,7 +536,7 @@ def test_integrated_determinism():
 
 
 def test_integrated_2d_per_signal_states_match_quantum_certificates():
-    from delayedpa.quantum import PureState, tensor, verify_2c_2d
+    from oracles import PureState, tensor, verify_2c_2d
 
     t = run_integrated(IntegratedConfig(variant="2d", n=100, n_test=30, seed=24))
     rng = np.random.default_rng(25)

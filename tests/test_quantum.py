@@ -7,25 +7,27 @@ import pytest
 import delayedpa.quantum
 import delayedpa.suites
 from delayedpa.quantum import (
-    BasisDecomposition,
-    DensityMatrix,
-    PureState,
     _blocks_2c,
     _blocks_2d,
     _check_density_blocks,
     basis_ket,
+    pauli,
+    verify_2c_2d_stack,
+)
+from delayedpa.suites import EQUIV_TOL, SWAP_TOL, suite_protocol_2c2d
+from oracles import (
+    BasisDecomposition,
+    DensityMatrix,
+    PureState,
     build_2c_state,
     build_2d_state,
     decompose,
     partial_trace,
-    pauli,
     projector,
     random_pure_state,
     tensor,
     verify_2c_2d,
-    verify_2c_2d_stack,
 )
-from delayedpa.suites import EQUIV_TOL, SWAP_TOL, suite_protocol_2c2d
 
 S = 1.0 / math.sqrt(2.0)
 

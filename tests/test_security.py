@@ -6,22 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, matvec, row_reduce
+from delayedpa.gf2 import BinaryMatrix, BitVector, row_reduce
 import delayedpa.security
 from delayedpa.security import (
     _bank_epsilons,
     _grouped_views,
     _hash_values,
     MAX_QUANTUM_N,
-    ClassicalJoint,
     CqJoint,
     SecurityReport,
     bank_tables,
-    classical_epsilon,
     cq_epsilon,
-    delayed_pa_epsilons,
     delayed_pa_epsilons_quantum,
-    enumerate_pa_matrices,
     enumerate_row_spaces,
     eve_table,
     load_eve_bank,
@@ -29,6 +25,13 @@ from delayedpa.security import (
     sweep_delayed_pa,
 )
 from delayedpa.suites import _full_rank_matrix
+from oracles import (
+    ClassicalJoint,
+    classical_epsilon,
+    delayed_pa_epsilons,
+    enumerate_pa_matrices,
+    matvec,
+)
 
 
 # ------------------------------------------------------------- classical
