@@ -7,12 +7,7 @@ protocol-equivalence certificates, seeded protocol simulations, and the
 ``delayedpa`` command-line front end.
 """
 
-from delayedpa.gf2 import (
-    BinaryMatrix,
-    BitVector,
-    RowReduction,
-    row_reduce,
-)
+from delayedpa.gf2 import BinaryMatrix, BitVector
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
@@ -40,8 +35,6 @@ from delayedpa.protocols import (
 __all__ = [
     "BinaryMatrix",
     "BitVector",
-    "RowReduction",
-    "row_reduce",
     "AdditivePaFunction",
     "DelayedPaSession",
     "dpa_encrypt",

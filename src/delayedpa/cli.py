@@ -132,12 +132,12 @@ def build_parser() -> _Parser:
     ver.add_argument(
         "--draws", type=int, default=32000,
         help="preimage-uniformity: draws in the chi-square fit, which runs beside the "
-        "exact gate (default 32000, at least 5 per preimage element)",
+        "exact gate on expand_message (default 32000, at least 5 per preimage element)",
     )
     ver.add_argument(
         "--alpha", type=float, default=0.001,
         help="preimage-uniformity: the chi-square fit fails below this p-value "
-        "(default 0.001, in (0, 1)); the exact gate takes no level",
+        "(default 0.001, in (0, 1)); the exact gate on expand_message takes no level",
     )
     ver.add_argument("--quantum-trials", type=int, default=50, dest="quantum_trials")
     ver.add_argument("--quantum-n", type=int, default=3, dest="quantum_n")

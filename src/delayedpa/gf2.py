@@ -14,9 +14,6 @@ Conversions go through base-2 and base-16 ``int``/``format``, which run in
 linear time and are exempt from ``int_max_str_digits``; a bit sequence packs
 through ``np.packbits``.
 
-:func:`row_reduce` is plain column-by-column Gauss-Jordan elimination on the
-packed rows.  Only the verify suites run it, on at most 13 columns.
-
 Protocol keys are hashed by the modified Toeplitz family of Hayashi and
 Tsurumaru (arXiv:1311.5322): an n-bit key x = (x1, x2), split after n_pa
 bits, maps to x1 XOR T x2, where T is the n_pa x (n - n_pa) Toeplitz matrix
@@ -49,18 +46,18 @@ A as its top rows.  The extension's bits are never computed.  A'^-1 is
 the Bezoutian of the last two cofactors P, Q of Euclid on (x**(2n-1), a),
 stopped as in the rank check (Brent, Gustavson and Yun, J. Algorithms 1,
 259 (1980); Heinig and Rost): A'^-1 v = P u1 + (Q mod x**n) u2 mod x**n,
-u1 and u2 the coefficients n - 1 .. 2n - 2 of v (Q >> 1) and v (P >> 1),
-four carry-less FFT products under the hash's guard.  Euclid is not run:
-P and Q lie in the plane {t : deg t <= n, no x**n .. x**(2n-2) terms in
-t a}, spanned by Berlekamp-Massey's last c and x**(n - L_b) b, as the t
-whose (t's x**n, t a's x**(n-1)) bits are (0, 1) and (1, 0).  A draw is
-x = A'^-1 (y + x**n_pa g) for g = ``rng.getrandbits(n - n_pa)``; g -> x
-is a bijection onto {x : Ax = y}, so x is exactly uniform.
-
-:func:`preimage_sampler` draws uniform preimages {x : Ax = y}.  It
-row-reduces [A | y] once per (matrix, y) and reads z, the reduced y, from
-the last column; each draw sets the free columns from one
-``rng.getrandbits(n_free)`` and back-substitutes the pivot columns from z.
+u1 and u2 the coefficients n - 1 .. 2n - 2 of v (Q >> 1) and v (P >> 1).
+Euclid is not run: P and Q lie in the plane {t : deg t <= n, no
+x**n .. x**(2n-2) terms in t a}, spanned by Berlekamp-Massey's last c and
+x**(n - L_b) b, as the t whose (t's x**n, t a's x**(n-1)) bits are (0, 1)
+and (1, 0).  A draw is x = A'^-1 (y + x**n_pa g) for
+g = ``rng.getrandbits(n - n_pa)``; g -> x is a bijection onto
+{x : Ax = y}, so x is exactly uniform.  Its four carry-less products take
+two FFT rounds under the hash's guard: one stacked real transform of v,
+Q >> 1, P >> 1, P and Q mod x**n, then one stacked inverse of v's two
+products, gives u1 and u2 mod 2; one transform of (u1, u2), multiplied by
+P's and Q's spectra and summed in frequency, then one inverse, gives x
+mod 2.
 """
 
 from __future__ import annotations
@@ -73,12 +70,8 @@ import numpy as np
 __all__ = [
     "BitVector",
     "BinaryMatrix",
-    "RowReduction",
     "toeplitz_rows_independent",
     "modified_toeplitz_hash",
-    "row_reduce",
-    "PreimageSampler",
-    "preimage_sampler",
     "sample_toeplitz_preimage",
 ]
 
@@ -223,33 +216,10 @@ class BinaryMatrix:
             raise ValueError("ragged rows")
         return cls(len(rows), cols, tuple(r.bits for r in rows))
 
-    @classmethod
-    def random(cls, rows: int, cols: int, rng) -> "BinaryMatrix":
-        return cls(
-            rows, cols,
-            tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)),
-        )
-
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry index out of range")
         return (self.row_words[i] >> j) & 1
-
-
-@dataclass(frozen=True)
-class RowReduction:
-    """Result of Gauss-Jordan elimination.
-
-    ``upper`` is the reduced row-echelon form, with pivots at ``pivot_cols``.
-    """
-
-    upper: BinaryMatrix
-    pivot_cols: tuple[int, ...]
-    free_cols: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
 
 
 def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
@@ -261,8 +231,11 @@ def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
         )
 
 
-def _unpack(v: BitVector) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(v.to_bytes(), dtype=np.uint8), bitorder="little")[: v.length]
+def _unpack(length: int, *values: int) -> np.ndarray:
+    """The low ``length`` bits of each value, LSB first, one uint8 row per value."""
+    width = (length + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), width), axis=1, bitorder="little")[:, :length]
 
 
 def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
@@ -326,7 +299,7 @@ def modified_toeplitz_hash(
     # the circular convolution at size >= n - 1 wraps linear entries onto
     # indices below w - 1, which are never read
     size = 1 << (n - 2).bit_length()
-    seed_f = np.fft.rfft(_unpack(seed), size)
+    seed_f = np.fft.rfft(_unpack(seed.length, seed.bits)[0], size)
     s = w.bit_length()
     step = 2 if 2 * s <= _PAIR_MAX_BITS else 1
     out = []
@@ -336,7 +309,7 @@ def modified_toeplitz_hash(
         # times a Python float (or ldexp) gives float16, which overflows at 2**16
         packed = np.zeros(w, dtype=np.float64)
         for j, x in enumerate(group):
-            packed += _unpack(x)[n_pa:].astype(np.float64) * 2.0 ** (s * j)
+            packed += _unpack(n, x.bits)[0, n_pa:].astype(np.float64) * 2.0 ** (s * j)
         # multiplied in place: seed_f lives for the whole call, so no third
         # spectrum-sized array is alive at once
         spectrum = np.fft.rfft(packed, size)
@@ -359,21 +332,13 @@ def _exact_counts(conv: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _clmul(a: int, b: int, n: int) -> int:
-    """Carry-less product of two polynomials of degree < n: one FFT convolution mod 2."""
-    size = 1 << (2 * n - 2).bit_length()  # >= 2 n - 1 entries, so nothing wraps
-    spectrum = np.fft.rfft(_unpack(BitVector(n, a)), size)
-    spectrum *= np.fft.rfft(_unpack(BitVector(n, b)), size)
-    return BitVector.from_bits(_exact_counts(np.fft.irfft(spectrum, size)) & 1).bits
-
-
 def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
     """Uniform draw from {x : Ax = y}, A the seed's n_pa x n Toeplitz matrix.
 
-    No elimination: one O(n**2) Berlekamp-Massey pass plus four FFT
-    products (see the module docstring).  Takes one
-    ``rng.getrandbits(n - n_pa)``, as :func:`preimage_sampler`'s draw does.
-    Raises ValueError if A's rows are dependent.
+    No elimination: one O(n**2) Berlekamp-Massey pass plus two rounds of
+    stacked FFT products (see the module docstring).  Takes one
+    ``rng.getrandbits(n - n_pa)``, none when n_pa = n.  Raises ValueError
+    if A's rows are dependent.
     """
     _check_toeplitz_shape(seed, n_pa, n)
     if y.length != n_pa:
@@ -397,102 +362,11 @@ def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, r
     d, head = b << (2 * n - 1 - m), rev >> (big_n - n)  # head bit i is a_(n-1-i)
     (ac, bc), (ad, bd) = ((t >> n & 1, (t & head).bit_count() & 1) for t in (c, d))
     p, q = c * ad ^ d * ac, c * bd ^ d * bc
-    v, low = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa, (1 << n) - 1
-    u1, u2 = _clmul(v, q >> 1, n) >> (n - 1), _clmul(v, p >> 1, n) >> (n - 1)
-    return BitVector(n, (_clmul(p, u1, n) ^ _clmul(q & low, u2, n)) & low)
+    v = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa
+    size = 1 << (2 * n - 2).bit_length()  # >= 2 n - 1 entries, so no product wraps
+    spectra = np.fft.rfft(_unpack(n, v, q >> 1, p >> 1, p, q & ((1 << n) - 1)), size)
+    u = _exact_counts(np.fft.irfft(spectra[0] * spectra[1:3], size)[:, n - 1 : 2 * n - 1]) & 1
+    u_f = np.fft.rfft(u, size)
+    x = _exact_counts(np.fft.irfft(spectra[3] * u_f[0] + spectra[4] * u_f[1], size)[:n]) & 1
+    return BitVector.from_bits(x)
 
-
-def row_reduce(a: BinaryMatrix) -> RowReduction:
-    """Reduced row-echelon form, pivot columns and free columns.
-
-    Handles any matrix; rank deficiency shows up as zero rows in ``upper``
-    and a shorter ``pivot_cols``, never as an error.  Plain Gauss-Jordan
-    elimination on the packed rows: column by column, the first row at or
-    below the next pivot position with a 1 there is swapped up and XORed
-    into every other row with a 1 in that column.  A column with no such
-    row, every column after the last pivot included, is free.
-    """
-    work = list(a.row_words)
-    pivot_cols: list[int] = []
-    free_cols: list[int] = []
-    for c in range(a.cols):
-        bit, r = 1 << c, len(pivot_cols)
-        for i in range(r, a.rows):
-            if work[i] & bit:
-                break
-        else:
-            free_cols.append(c)
-            continue
-        pivot = work[i]
-        work[i], work[r] = work[r], pivot
-        for j, w in enumerate(work):
-            if w & bit and j != r:
-                work[j] = w ^ pivot
-        pivot_cols.append(c)
-    return RowReduction(
-        upper=BinaryMatrix(a.rows, a.cols, tuple(work)),
-        pivot_cols=tuple(pivot_cols),
-        free_cols=tuple(free_cols),
-    )
-
-
-@dataclass(frozen=True)
-class PreimageSampler:
-    """Uniform draws from {x : Ax = y}, set up once by :func:`preimage_sampler`.
-
-    Draw bit i goes to free column ``free_cols[i]``: each of ``runs`` is a
-    (mask, shift) pair that moves one run of consecutive free columns with
-    one mask and one shift.  Each of ``pivots`` is (row, pivot column, z[r])
-    for a row of the reduced echelon form, which touches its pivot plus
-    free columns only, so the pivot bit is z[r] plus its parity on the
-    free bits, and ``row & x`` reads those bits whichever other pivot bits
-    ``x`` already has.
-    """
-
-    cols: int
-    n_free: int
-    runs: tuple[tuple[int, int], ...]
-    pivots: tuple[tuple[int, int, int], ...]
-
-    def __call__(self, rng) -> BitVector:
-        """One draw; takes one ``rng.getrandbits(n_free)`` (none if n_free is 0)."""
-        bits = rng.getrandbits(self.n_free) if self.n_free else 0
-        x = 0
-        for mask, shift in self.runs:
-            x |= (bits & mask) << shift
-        for row, pc, z_r in self.pivots:
-            if (row & x).bit_count() & 1 != z_r:
-                x |= 1 << pc
-        return BitVector(self.cols, x)
-
-
-def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
-    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
-
-    Row-reduces [A | y], y as one more column, once, here.  Gauss-Jordan
-    treats the columns in order, and when A's rows are independent each
-    gets its pivot before y's column, so the A part is A's own reduction
-    and the last column is z, the reduced y.  Each call of the returned
-    ``draw(rng)`` takes the free-column bits from one
-    ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
-    back-substitutes the pivot columns from z; every preimage element comes
-    out with probability 2**-(cols - rows).
-    """
-    if y.length != a.rows:
-        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
-    cols = a.cols
-    augmented = tuple(w | ((y.bits >> i) & 1) << cols for i, w in enumerate(a.row_words))
-    red = row_reduce(BinaryMatrix(a.rows, cols + 1, augmented))
-    # a pivot in y's column leaves a zero row in A's part: its rows are dependent
-    if red.rank < a.rows or cols in red.pivot_cols:
-        raise ValueError("rows not independent")
-    runs: list[tuple[int, int]] = []
-    # y's column is the last free column
-    for i, fc in enumerate(red.free_cols[:-1]):
-        if runs and runs[-1][1] == fc - i:
-            runs[-1] = (runs[-1][0] | 1 << i, fc - i)
-        else:
-            runs.append((1 << i, fc - i))
-    # a row's bit in y's column meets no bit of x, so the row stays whole
-    pivots = tuple((w, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols))
-    return PreimageSampler(cols, len(red.free_cols) - 1, tuple(runs), pivots)

@@ -445,11 +445,12 @@ def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
     """One reduced row-echelon matrix per n_pa-dimensional subspace of GF(2)^n.
 
-    The convention is :func:`delayedpa.gf2.row_reduce`'s: a row's pivot is
-    its lowest set column.  Every choice of pivot columns p_0 < ... < p_{n_pa-1}
-    and of the bits of row r in the non-pivot columns above p_r gives one
-    subspace, and each subspace arises once, so there are Gaussian-binomial
-    many.
+    Pivots are read from bit 0, as column-by-column Gauss-Jordan elimination
+    leaves them: a row's pivot is its lowest set column, the pivots increase
+    with the row, and no other row has a 1 in a pivot column.  Every choice
+    of pivot columns p_0 < ... < p_{n_pa-1} and of the bits of row r in the
+    non-pivot columns above p_r gives one subspace, and each subspace arises
+    once, so there are Gaussian-binomial many.
     """
     for pivots in itertools.combinations(range(n), n_pa):
         free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]

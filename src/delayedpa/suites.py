@@ -2,7 +2,8 @@
 
 Each suite returns ``(payload, passed)``: a JSON-ready payload of the
 measured deviations plus the overall pass flag at the suite's pinned
-tolerances.
+tolerances.  The preimage-uniformity gate runs on ``pa.expand_message``,
+the draw that sessions run, for every value of its one random word.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ import random
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
+from delayedpa.gf2 import BitVector, modified_toeplitz_hash, toeplitz_rows_independent
+from delayedpa.pa import AdditivePaFunction, expand_message
 from delayedpa.protocols import decode_key_bit
 from delayedpa.quantum import _blocks_2d, basis_ket, pauli, verify_2c_2d_stack
 from delayedpa.security import (
     MAX_ABAR_DIM,
     MAX_QUANTUM_DIM,
     MAX_QUANTUM_N,
-    _hash_values,
     delayed_pa_epsilons_quantum,
+    enumerate_row_spaces,
     load_eve_bank,
     random_eve_states,
     sweep_delayed_pa,
@@ -47,9 +49,10 @@ _TRIAL_CHUNK = 256
 # trial alone takes more, so a run peaks within a few stacks' worth of what
 # certifying its largest trial alone takes
 _STACK_BYTES = 1 << 22
-# a random matrix with at most as many rows as columns has independent rows
-# with probability > 0.28, so a correct row_reduce exhausts this many draws
-# with probability < 1e-28; one that under-reports rank fails instead of hanging
+# an n_pa x n Toeplitz seed, n_pa < n, has independent rows with probability
+# >= 3/4 (counted over every seed of up to 16 bits), so a correct rank check
+# refuses this many seeds with probability < 1e-120; one that refuses every
+# seed fails instead of hanging
 _FULL_RANK_ATTEMPTS = 200
 
 # one freed 1 MiB block that malloc had mapped raises glibc's mmap threshold
@@ -57,17 +60,6 @@ _FULL_RANK_ATTEMPTS = 200
 # heap top is handed back after each suite and faulted in again by the next,
 # which made in-process verify ops 10-25% slower; elsewhere it does nothing
 np.empty(1 << 17)
-
-
-def _full_rank_matrix(rows: int, cols: int, rng: random.Random) -> BinaryMatrix:
-    """Draw random rows x cols matrices until one has independent rows."""
-    for _ in range(_FULL_RANK_ATTEMPTS):
-        matrix = BinaryMatrix.random(rows, cols, rng)
-        if row_reduce(matrix).rank == rows:
-            return matrix
-    raise RuntimeError(
-        f"no {rows} x {cols} matrix with independent rows in {_FULL_RANK_ATTEMPTS} draws"
-    )
 
 
 def _chi2_sf(x: float, k: int) -> float:
@@ -123,13 +115,16 @@ class _StubRng:
 def suite_preimage_uniformity(
     n: int = 8, n_pa: int = 3, draws: int = 32000, alpha: float = 0.001, seed: int = 0
 ) -> tuple[dict, bool]:
-    """Exact gate on ``preimage_sampler``, beside a chi-square fit to uniform.
+    """Exact gate on ``expand_message``, beside a chi-square fit to uniform.
 
-    The gate runs the sampler's draw for every g in [0, 2^k), k = ``draw.n_free``,
-    with a stub rng that returns g: ``bijective`` holds when each draw makes
-    one ``getrandbits(k)`` call and the images are the preimage, each once, so
-    a uniform g gives an exactly uniform draw.  Each fitted draw is the image
-    of the g that one draw would read; the tail is Abramowitz & Stegun 26.4.4.
+    Draws a Toeplitz hash with independent rows and a y, then runs
+    ``expand_message`` for every g in [0, 2^k), k = n - n_pa, with a stub
+    rng that returns g: ``bijective`` holds when each draw makes one
+    ``getrandbits(k)`` call and the images are distinct and each hash to y,
+    so the images are the preimage, each once, and a uniform g gives an
+    exactly uniform draw.  The fit counts the g that each of ``draws``
+    draws would read, per g, and sums in g order, so every bijective draw
+    gives the same payload; the tail is Abramowitz & Stegun 26.4.4.
     """
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
@@ -138,41 +133,51 @@ def suite_preimage_uniformity(
     # alpha 0 or below passes any p-value, and 1 or above fails nearly all
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    cells = 1 << (n - n_pa)
+    k = n - n_pa
+    cells = 1 << k
     # below 5 expected draws per cell the chi-square p-value is meaningless
     if draws < 5 * cells:
         raise ValueError(
             f"draws must be at least 5 per preimage cell: {draws} draws over {cells} cells"
         )
     rng = random.Random(seed)
-    matrix = _full_rank_matrix(n_pa, n, rng)
+    for _ in range(_FULL_RANK_ATTEMPTS):
+        pa_seed = BitVector.random(n + n_pa - 1, rng)
+        if toeplitz_rows_independent(pa_seed, n_pa, n):
+            break
+    else:
+        raise RuntimeError(
+            f"no {n_pa} x {n} Toeplitz seed with independent rows in {_FULL_RANK_ATTEMPTS} draws"
+        )
+    f = AdditivePaFunction(pa_seed, n_pa, n)
     y = BitVector.random(n_pa, rng)
-    preimage = np.flatnonzero(_hash_values([matrix])[0] == y.bits)
-    draw = preimage_sampler(matrix, y)
-    k = draw.n_free
-    stubs = [_StubRng(g) for g in range(1 << k)]
-    images = np.array([draw(stub).bits for stub in stubs], dtype=np.int64)
+    stubs = [_StubRng(g) for g in range(cells)]
+    images = [expand_message(f, y, stub) for stub in stubs]
+    # A x is the hash of x << n_pa, as in pa_apply, for all images in one call
+    keys = [BitVector(n + n_pa, x.bits << n_pa) for x in images]
+    in_preimage = np.array([h == y for h in modified_toeplitz_hash(pa_seed, n_pa, keys)])
     one_call = all(stub.calls == [k] for stub in stubs)
-    bijective = bool(one_call and np.array_equal(np.sort(images), preimage))
-    hist = np.zeros(1 << n, dtype=np.int64)
+    distinct = len({x.bits for x in images}) == cells
+    bijective = bool(one_call and distinct and in_preimage.all())
+    per_g = np.zeros(cells, dtype=np.int64)
     for lo in range(0, draws, _DRAW_CHUNK):
         count = min(_DRAW_CHUNK, draws - lo)
         # getrandbits(k), k <= 32, is one 32-bit word shifted right by 32 - k,
         # and getrandbits(32 * count) returns count such words, first word lowest
         raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-        hist += np.bincount(images[np.frombuffer(raw, dtype="<u4") >> (32 - k)], minlength=1 << n)
-    counts = hist[preimage]
+        per_g += np.bincount(np.frombuffer(raw, dtype="<u4") >> (32 - k), minlength=cells)
+    counts = np.where(in_preimage, per_g, 0)
     stray = draws - int(counts.sum())
     # counts.mean() unless draws stray, and not 0 when every draw does
-    mean = draws / len(counts)
+    mean = draws / cells
     chi2 = float(((counts - mean) ** 2 / mean).sum())
-    p_value = _chi2_sf(chi2, len(counts) - 1)
+    p_value = _chi2_sf(chi2, cells - 1)
     passed = bool(bijective and stray == 0 and p_value >= alpha)
     payload = {
         "n": n,
         "n_pa": n_pa,
         "draws": draws,
-        "cells": len(preimage),
+        "cells": cells,
         "bijective": bijective,
         "chi2": chi2,
         "p_value": p_value,
@@ -269,10 +274,14 @@ def suite_delayed_pa(
         raise ValueError(f"the eve bank has no model for any width from 2 to {n}")
 
     rng = np.random.default_rng(seed)
-    pyrng = random.Random(seed)
+    # a uniform row space has the law of a uniform matrix with independent rows
+    spaces = {}
     q_max = 0.0
     for _ in range(quantum_trials):
-        matrix = _full_rank_matrix(pyrng.randint(1, min(2, quantum_n - 1)), quantum_n, pyrng)
+        rows = int(rng.integers(1, min(2, quantum_n - 1), endpoint=True))
+        if rows not in spaces:
+            spaces[rows] = list(enumerate_row_spaces(quantum_n, rows))
+        matrix = spaces[rows][rng.integers(len(spaces[rows]))]
         states = random_eve_states(quantum_n, quantum_dim, rng)
         eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
         q_max = max(q_max, abs(eps_key - eps_msg))

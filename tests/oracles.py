@@ -8,6 +8,13 @@ a second, plainer route to a result the package computes another way:
   tables of the verifier and every preimage draw.
 - ``toeplitz_from_seed``: a seed's Toeplitz matrix, built row by row;
   checks the seed-only hash, rank check and preimage draw.
+- ``random_matrix``: a matrix of uniform random rows.
+- ``RowReduction`` and ``row_reduce``: Gauss-Jordan elimination on the
+  packed rows; the rank and row-space oracle of the rank check, the
+  verifier's row spaces and the draws.
+- ``PreimageSampler`` and ``preimage_sampler``: uniform preimages of any
+  matrix with independent rows, from [A | y] reduced once; the dense
+  draw that the Toeplitz draw is held to.
 - ``sample_preimage``: one draw of a fresh ``preimage_sampler``; checks
   that a sampler set up once draws what a fresh one draws.
 - ``ref_row_reduce_with_ops`` and ``ref_row_reduce``: Gauss-Jordan
@@ -15,8 +22,12 @@ a second, plainer route to a result the package computes another way:
   ``row_reduce``.
 - ``ref_preimage_sampler`` and ``ref_sample_preimage``: back-substitution
   from that record; check ``preimage_sampler`` draw for draw.
-- ``_full_rank_toeplitz``: a random seed whose dense Toeplitz matrix has
-  full rank; gives the hash and draw tests their Toeplitz cases.
+- ``_full_rank_matrix`` and ``_full_rank_toeplitz``: random matrices, and
+  random seeds whose dense Toeplitz matrix has full rank, redrawn until
+  their rows are independent; the draw and sweep tests' cases.
+- ``ref_clmul`` and ``ref_sample_toeplitz_preimage``: the Toeplitz draw
+  with its four carry-less products made one shifted XOR at a time;
+  checks ``sample_toeplitz_preimage`` draw for draw, apart from the FFT.
 - ``expand_imperfect_key``: a uniform m with f(m) = g(a'); checks that
   ``expand_message`` expands a second hash's output.
 - ``op_for_bit`` and ``single_signal_roundtrip``: the encoding table one
@@ -51,14 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import (
-    BinaryMatrix,
-    BitVector,
-    RowReduction,
-    _check_toeplitz_shape,
-    preimage_sampler,
-    row_reduce,
-)
+from delayedpa.gf2 import BinaryMatrix, BitVector, _check_toeplitz_shape
 from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply
 from delayedpa.protocols import _BASES, _PAULIS, _flips
 from delayedpa.quantum import (
@@ -103,6 +107,125 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
     return BinaryMatrix(n_pa, n, tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa)))
+
+
+def random_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
+    return BinaryMatrix(
+        rows, cols,
+        tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)),
+    )
+
+
+@dataclass(frozen=True)
+class RowReduction:
+    """Result of Gauss-Jordan elimination.
+
+    ``upper`` is the reduced row-echelon form, with pivots at ``pivot_cols``.
+    """
+
+    upper: BinaryMatrix
+    pivot_cols: tuple[int, ...]
+    free_cols: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+
+def row_reduce(a: BinaryMatrix) -> RowReduction:
+    """Reduced row-echelon form, pivot columns and free columns.
+
+    Handles any matrix; rank deficiency shows up as zero rows in ``upper``
+    and a shorter ``pivot_cols``, never as an error.  Plain Gauss-Jordan
+    elimination on the packed rows: column by column, the first row at or
+    below the next pivot position with a 1 there is swapped up and XORed
+    into every other row with a 1 in that column.  A column with no such
+    row, every column after the last pivot included, is free.
+    """
+    work = list(a.row_words)
+    pivot_cols: list[int] = []
+    free_cols: list[int] = []
+    for c in range(a.cols):
+        bit, r = 1 << c, len(pivot_cols)
+        for i in range(r, a.rows):
+            if work[i] & bit:
+                break
+        else:
+            free_cols.append(c)
+            continue
+        pivot = work[i]
+        work[i], work[r] = work[r], pivot
+        for j, w in enumerate(work):
+            if w & bit and j != r:
+                work[j] = w ^ pivot
+        pivot_cols.append(c)
+    return RowReduction(
+        upper=BinaryMatrix(a.rows, a.cols, tuple(work)),
+        pivot_cols=tuple(pivot_cols),
+        free_cols=tuple(free_cols),
+    )
+
+
+@dataclass(frozen=True)
+class PreimageSampler:
+    """Uniform draws from {x : Ax = y}, set up once by :func:`preimage_sampler`.
+
+    Draw bit i goes to free column ``free_cols[i]``: each of ``runs`` is a
+    (mask, shift) pair that moves one run of consecutive free columns with
+    one mask and one shift.  Each of ``pivots`` is (row, pivot column, z[r])
+    for a row of the reduced echelon form, which touches its pivot plus
+    free columns only, so the pivot bit is z[r] plus its parity on the
+    free bits, and ``row & x`` reads those bits whichever other pivot bits
+    ``x`` already has.
+    """
+
+    cols: int
+    n_free: int
+    runs: tuple[tuple[int, int], ...]
+    pivots: tuple[tuple[int, int, int], ...]
+
+    def __call__(self, rng) -> BitVector:
+        """One draw; takes one ``rng.getrandbits(n_free)`` (none if n_free is 0)."""
+        bits = rng.getrandbits(self.n_free) if self.n_free else 0
+        x = 0
+        for mask, shift in self.runs:
+            x |= (bits & mask) << shift
+        for row, pc, z_r in self.pivots:
+            if (row & x).bit_count() & 1 != z_r:
+                x |= 1 << pc
+        return BitVector(self.cols, x)
+
+
+def preimage_sampler(a: BinaryMatrix, y: BitVector) -> PreimageSampler:
+    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
+
+    Row-reduces [A | y], y as one more column, once, here.  Gauss-Jordan
+    treats the columns in order, and when A's rows are independent each
+    gets its pivot before y's column, so the A part is A's own reduction
+    and the last column is z, the reduced y.  Each call of the returned
+    ``draw(rng)`` takes the free-column bits from one
+    ``rng.getrandbits(n_free)`` (no call when every column is a pivot) and
+    back-substitutes the pivot columns from z; every preimage element comes
+    out with probability 2**-(cols - rows).
+    """
+    if y.length != a.rows:
+        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
+    cols = a.cols
+    augmented = tuple(w | ((y.bits >> i) & 1) << cols for i, w in enumerate(a.row_words))
+    red = row_reduce(BinaryMatrix(a.rows, cols + 1, augmented))
+    # a pivot in y's column leaves a zero row in A's part: its rows are dependent
+    if red.rank < a.rows or cols in red.pivot_cols:
+        raise ValueError("rows not independent")
+    runs: list[tuple[int, int]] = []
+    # y's column is the last free column
+    for i, fc in enumerate(red.free_cols[:-1]):
+        if runs and runs[-1][1] == fc - i:
+            runs[-1] = (runs[-1][0] | 1 << i, fc - i)
+        else:
+            runs.append((1 << i, fc - i))
+    # a row's bit in y's column meets no bit of x, so the row stays whole
+    pivots = tuple((w, pc, w >> cols) for w, pc in zip(red.upper.row_words, red.pivot_cols))
+    return PreimageSampler(cols, len(red.free_cols) - 1, tuple(runs), pivots)
 
 
 def sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
@@ -190,6 +313,17 @@ def ref_sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
     return ref_preimage_sampler(a, y)(rng)
 
 
+def _full_rank_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
+    """Draw random rows x cols matrices until one has independent rows."""
+    for _ in range(_FULL_RANK_ATTEMPTS):
+        matrix = random_matrix(rows, cols, rng)
+        if row_reduce(matrix).rank == rows:
+            return matrix
+    raise RuntimeError(
+        f"no {rows} x {cols} matrix with independent rows in {_FULL_RANK_ATTEMPTS} draws"
+    )
+
+
 def _full_rank_toeplitz(rng, n_pa, n):
     """A full-rank Toeplitz matrix and the seed it was built from."""
     for _ in range(_FULL_RANK_ATTEMPTS):
@@ -198,6 +332,44 @@ def _full_rank_toeplitz(rng, n_pa, n):
         if row_reduce(a).rank == n_pa:
             return a, seed
     raise RuntimeError(f"no full-rank Toeplitz matrix in {_FULL_RANK_ATTEMPTS} draws")
+
+
+def ref_clmul(a: int, b: int, n: int) -> int:
+    """Carry-less product of two polynomials of degree < n, one shifted XOR per set bit of b."""
+    out = 0
+    for j in range(n):
+        if (b >> j) & 1:
+            out ^= a << j
+    return out
+
+
+def ref_sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
+    """``sample_toeplitz_preimage`` with its four products made by :func:`ref_clmul`.
+
+    The same Berlekamp-Massey completion and Bezoutian (see the gf2 module
+    docstring), with no FFT; takes the same one ``rng.getrandbits(n - n_pa)``.
+    """
+    _check_toeplitz_shape(seed, n_pa, n)
+    if y.length != n_pa:
+        raise ValueError(f"dimension mismatch: matrix rows {n_pa}, vector length {y.length}")
+    big_n, rev = seed.length, int(seed.to01(), 2)
+    c, b, L, m = 1, 1, 0, -1
+    for k in range(big_n):
+        if (c & rev >> (big_n - 1 - k)).bit_count() & 1:
+            if 2 * L <= k:
+                c, b, L, m = c ^ b << (k - m), c, k + 1 - L, k
+            else:
+                c ^= b << (k - m)
+    if n_pa <= L < n:
+        c, b, L, m = c ^ b << (n - 1 + L - m), c, n, n - 1 + L
+    if L != n or n_pa > n:
+        raise ValueError("rows not independent")
+    d, head = b << (2 * n - 1 - m), rev >> (big_n - n)
+    (ac, bc), (ad, bd) = ((t >> n & 1, (t & head).bit_count() & 1) for t in (c, d))
+    p, q = c * ad ^ d * ac, c * bd ^ d * bc
+    v, low = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa, (1 << n) - 1
+    u1, u2 = ref_clmul(v, q >> 1, n) >> (n - 1), ref_clmul(v, p >> 1, n) >> (n - 1)
+    return BitVector(n, (ref_clmul(p, u1, n) ^ ref_clmul(q & low, u2, n)) & low)
 
 
 # ---------------------------------------------------------------- pa

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 from mpmath import mp, mpf
 
-from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.gf2 import BitVector
 from delayedpa.protocols import (
     Bb84Config,
     DqkdConfig,
@@ -35,12 +35,14 @@ from delayedpa.security import (
     load_eve_bank,
     random_eve_states,
 )
-from delayedpa.suites import _full_rank_matrix, suite_preimage_uniformity, suite_table1
+from delayedpa.suites import suite_preimage_uniformity, suite_table1
 from oracles import (
+    _full_rank_matrix,
     build_2d_state,
     delayed_pa_epsilons,
     enumerate_pa_matrices,
     matvec,
+    random_matrix,
     random_pure_state,
     sample_preimage,
     single_signal_roundtrip,
@@ -74,7 +76,7 @@ def test_criterion_1_additive_pa_properties():
         for _ in range(1000):
             cols = rng.randint(2, 256)
             rows = rng.randint(1, min(cols - 1, 128))
-            a = BinaryMatrix.random(rows, cols, rng)
+            a = random_matrix(rows, cols, rng)
             u = BitVector.random(cols, rng)
             v = BitVector.random(cols, rng)
             assert matvec(a, u ^ v) == matvec(a, u) ^ matvec(a, v)

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,23 +12,30 @@ from mpmath import mp, mpf
 from scipy import stats
 
 import delayedpa.gf2
+import delayedpa.pa
 import delayedpa.suites
+import oracles
 from delayedpa.gf2 import (
     BinaryMatrix,
     BitVector,
     modified_toeplitz_hash,
-    preimage_sampler,
-    row_reduce,
     sample_toeplitz_preimage,
     toeplitz_rows_independent,
 )
-from delayedpa.suites import _FULL_RANK_ATTEMPTS, _full_rank_matrix
+from delayedpa.pa import expand_message
+from delayedpa.suites import _FULL_RANK_ATTEMPTS
 from oracles import (
+    _full_rank_matrix,
     _full_rank_toeplitz,
     matvec,
+    preimage_sampler,
+    random_matrix,
+    ref_clmul,
     ref_preimage_sampler,
     ref_row_reduce,
     ref_row_reduce_with_ops,
+    ref_sample_toeplitz_preimage,
+    row_reduce,
     sample_preimage,
     toeplitz_from_seed,
 )
@@ -107,7 +115,7 @@ class FixedBits:
 def random_matrix_and_vectors(rng, max_rows=8, max_cols=12):
     rows = rng.randint(1, max_rows)
     cols = rng.randint(rows, max_cols)
-    return BinaryMatrix.random(rows, cols, rng)
+    return random_matrix(rows, cols, rng)
 
 
 # ---------------------------------------------------------------- BitVector
@@ -452,22 +460,16 @@ def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
 
 # ---------------------------------------------------------- toeplitz preimage
 
-def ref_clmul(a, b, n):
-    """Carry-less product, one shifted XOR per set bit of b."""
-    out = 0
-    for j in range(n):
-        if (b >> j) & 1:
-            out ^= a << j
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 1000])
 def test_clmul_matches_bitwise_oracle(n):
-    # all ones gives the largest convolution entries, n at the middle
+    # the reference draw's shift-and-XOR product against an integer
+    # convolution of the bit sequences, mod 2; all ones at the end
     rng = random.Random(n)
     pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)] + [((1 << n) - 1,) * 2]
     for a, b in pairs:
-        assert delayedpa.gf2._clmul(a, b, n) == ref_clmul(a, b, n)
+        bits = [[(t >> j) & 1 for j in range(n)] for t in (a, b)]
+        conv = np.convolve(*bits) & 1
+        assert ref_clmul(a, b, n) == BitVector.from_bits(conv).bits
 
 
 def test_toeplitz_preimage_exhaustive_up_to_n5():
@@ -490,11 +492,10 @@ def test_toeplitz_preimage_exhaustive_up_to_n5():
                     assert all(matvec(a, x) == y for x in xs), (seed.to01(), n_pa, n, y)
 
 
-def test_toeplitz_preimage_completion_nonsingular_up_to_n8(monkeypatch):
+def test_toeplitz_preimage_completion_nonsingular_up_to_n8():
     # the draw raises unless the completed n x n matrix is nonsingular; the
-    # products go through the bit-by-bit oracle, so that the completion and
-    # the Bezoutian are checked apart from the FFT product
-    monkeypatch.setattr(delayedpa.gf2, "_clmul", ref_clmul)
+    # reference draw makes its products bit by bit, so that the completion
+    # and the Bezoutian are checked apart from the FFT products
     rng = random.Random("completion")
     full_rank = 0
     for n in range(2, 9):
@@ -506,9 +507,40 @@ def test_toeplitz_preimage_completion_nonsingular_up_to_n8(monkeypatch):
                     continue
                 full_rank += 1
                 y = BitVector.random(n_pa, rng)
-                x = sample_toeplitz_preimage(seed, n_pa, n, y, rng)
+                x = ref_sample_toeplitz_preimage(seed, n_pa, n, y, rng)
                 assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
     assert full_rank == 35_901
+
+
+def test_toeplitz_preimage_matches_reference_draw_up_to_n16():
+    # draw for draw: every shape with n <= 16, n_pa = n included, three
+    # seeds with independent rows each, four y and g values per seed
+    rng = random.Random("reference draw")
+    for n in range(1, 17):
+        for n_pa in range(1, n + 1):
+            for _ in range(3):
+                seed = BitVector.random(n + n_pa - 1, rng)
+                while not toeplitz_rows_independent(seed, n_pa, n):
+                    seed = BitVector.random(n + n_pa - 1, rng)
+                for _ in range(4):
+                    y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
+                    x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
+                    assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)), (
+                        seed.to01(), n_pa, n, g
+                    )
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_toeplitz_preimage_matches_reference_draw_at_session_sizes(n):
+    n_pa = n * 7 // 10
+    rng = random.Random(n)
+    seed = BitVector.random(n + n_pa - 1, rng)
+    while not toeplitz_rows_independent(seed, n_pa, n):
+        seed = BitVector.random(n + n_pa - 1, rng)
+    for _ in range(3):
+        y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
+        x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
+        assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
 
 
 @pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
@@ -587,21 +619,28 @@ def test_toeplitz_preimage_square_takes_no_draw():
 
 @pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
 def test_toeplitz_preimage_products_pass_the_hash_guard(monkeypatch, bad):
+    # each of the two rounds' inverse transforms is poisoned in turn, at
+    # entry n - 1, which both rounds read
     irfft = np.fft.irfft
-
-    def poisoned(*args, **kw):
-        conv = irfft(*args, **kw)
-        if bad == 0.4:
-            return conv + bad
-        conv[conv.size // 2] = bad
-        return conv
-
     rng = random.Random(7)
     _, seed = _full_rank_toeplitz(rng, 70, 100)
     y = BitVector.random(70, rng)
-    monkeypatch.setattr(np.fft, "irfft", poisoned)
-    with pytest.raises(ArithmeticError):
-        sample_toeplitz_preimage(seed, 70, 100, y, rng)
+    for poisoned_call in (0, 1):
+        calls = []
+
+        def poisoned(*args, **kw):
+            conv = irfft(*args, **kw)
+            calls.append(conv.shape)
+            if len(calls) - 1 == poisoned_call:
+                if bad == 0.4:
+                    return conv + bad
+                conv[..., 99] = bad
+            return conv
+
+        monkeypatch.setattr(np.fft, "irfft", poisoned)
+        with pytest.raises(ArithmeticError):
+            sample_toeplitz_preimage(seed, 70, 100, y, rng)
+        assert len(calls) == poisoned_call + 1
 
 
 def test_toeplitz_preimage_rejects_bad_shapes():
@@ -649,7 +688,7 @@ def test_row_reduce_rank_deficient():
 def test_row_ops_times_original_is_upper(rng):
     rows = rng.randint(1, 10)
     cols = rng.randint(1, 14)
-    a = BinaryMatrix.random(rows, cols, rng)
+    a = random_matrix(rows, cols, rng)
     red = row_reduce(a)
     assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == red.upper
     # echelon shape: pivots strictly increase and are the leading entries
@@ -665,14 +704,14 @@ def test_row_ops_times_original_is_upper(rng):
 def test_row_ops_product_large_random():
     rng = random.Random(7)
     for _ in range(10):
-        a = BinaryMatrix.random(64, 128, rng)
+        a = random_matrix(64, 128, rng)
         assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == row_reduce(a).upper
 
 
 def test_row_ops_invertible():
     rng = random.Random(11)
     for _ in range(20):
-        a = BinaryMatrix.random(rng.randint(1, 8), rng.randint(1, 8), rng)
+        a = random_matrix(rng.randint(1, 8), rng.randint(1, 8), rng)
         assert row_reduce(ref_row_reduce_with_ops(a)[1]).rank == a.rows
 
 
@@ -858,7 +897,7 @@ def test_kernel_size_exact_up_to_twelve_cols():
     rng = random.Random(21)
     for cols in range(1, 13):
         rows = rng.randint(1, min(cols, 6))
-        a = BinaryMatrix.random(rows, cols, rng)
+        a = random_matrix(rows, cols, rng)
         red = row_reduce(a)
         assert len(ref_kernel(a)) == 1 << (cols - red.rank)
 
@@ -868,7 +907,7 @@ def test_kernel_size_exact_up_to_twelve_cols():
 def test_kernel_size_matches_enumeration(rng):
     rows = rng.randint(1, 6)
     cols = rng.randint(1, 10)
-    a = BinaryMatrix.random(rows, cols, rng)
+    a = random_matrix(rows, cols, rng)
     red = row_reduce(a)
     assert len(ref_kernel(a)) == 1 << (cols - red.rank)
 
@@ -993,61 +1032,36 @@ def test_preimage_sampler_rejects_dependent_rows_whatever_y(a_rows, y):
         ref_preimage_sampler(a, y)
 
 
-class OracleSampler:
-    """``preimage_sampler``'s interface with every draw made by ``ref_preimage_sampler``."""
-
-    def __init__(self, a, y):
-        self.draw = ref_preimage_sampler(a, y)
-        self.n_free = a.cols - a.rows
-
-    def __call__(self, rng):
-        return self.draw(rng)
-
-
 @pytest.mark.parametrize("seed", [1002, 104729])
-def test_uniformity_suite_unchanged_by_preimage_sampler(monkeypatch, seed):
+def test_uniformity_suite_unchanged_by_reference_draw(monkeypatch, seed):
     ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
     assert ours[0]["bijective"] is True and ours[1]
-    monkeypatch.setattr(delayedpa.suites, "preimage_sampler", OracleSampler)
+    monkeypatch.setattr(delayedpa.pa, "sample_toeplitz_preimage", ref_sample_toeplitz_preimage)
     assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
 
 
-class FixedBits:
-    """An rng whose ``getrandbits`` returns ``g``, whatever the width asked."""
+def mutant_expand(fault):
+    """``expand_message`` with one fault, each of which the exact gate must catch."""
 
-    def __init__(self, g):
-        self.g = g
-
-    def getrandbits(self, k):
-        return self.g
-
-
-class MutantSampler:
-    """``preimage_sampler`` with one fault, each of which the exact gate must catch."""
-
-    def __init__(self, a, y, fault):
-        self.draw, self.fault = preimage_sampler(a, y), fault
-        self.n_free = self.draw.n_free
-        # a column of A with a 1 in row 0: flipping its bit moves x off the preimage
-        self.off = 1 << (a.row_words[0] & -a.row_words[0]).bit_length() - 1
-
-    def __call__(self, rng):
-        if self.fault == "drops-top-bit":  # g and g + 2^(k-1) give one x: not injective
-            top = 1 << self.n_free - 1
-            return self.draw(FixedBits(rng.getrandbits(self.n_free) & ~top))
-        x = self.draw(rng)
-        if self.fault == "second-call":  # right images, wrong stream
+    def expand(f, y, rng):
+        k = f.n - f.n_pa
+        if fault == "drops-top-bit":  # g and g + 2^(k-1) give one x: not injective
+            return expand_message(f, y, FixedBits(rng.getrandbits(k) & ~(1 << k - 1)))
+        x = expand_message(f, y, rng)
+        if fault == "second-call":  # right images, wrong stream
             rng.getrandbits(1)
             return x
-        return BitVector(x.length, x.bits ^ self.off)  # "flipped-bit"
+        # "flipped-bit": a column of A with a 1 in row 0, so x leaves the preimage
+        row = toeplitz_from_seed(f.seed, f.n_pa, f.n).row_words[0]
+        return BitVector(x.length, x.bits ^ (row & -row))
+
+    return expand
 
 
 @pytest.mark.parametrize("seed", [1, 5, 104729])
 @pytest.mark.parametrize("fault", ["drops-top-bit", "second-call", "flipped-bit"])
 def test_uniformity_gate_fails_every_mutant(monkeypatch, fault, seed):
-    monkeypatch.setattr(
-        delayedpa.suites, "preimage_sampler", lambda a, y: MutantSampler(a, y, fault)
-    )
+    monkeypatch.setattr(delayedpa.suites, "expand_message", mutant_expand(fault))
     payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
     assert payload["bijective"] is False and not passed
     assert math.isfinite(payload["chi2"])
@@ -1066,23 +1080,6 @@ def test_uniformity_suite_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert payload["draws"] == 200_000 and payload["samples_outside_preimage"] == 0
     assert peak < 512 * 1024
-
-
-def test_row_reduce_of_a_session_matrix_stays_within_memory_bound():
-    # a 1433 x 2048 Toeplitz matrix, an n = 2048 session's shape: the work
-    # list holds one 2048-bit int per row, about 400 KiB, and each XOR
-    # frees the int it replaces, so the reduction stays near one copy of
-    # the rows.  Tracing every int allocation makes this test slow.
-    n, n_pa = 2048, 1433
-    a = toeplitz_from_seed(BitVector.random(n + n_pa - 1, random.Random(2048)), n_pa, n)
-    tracemalloc.start()
-    try:
-        red = row_reduce(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert red.rank == n_pa
-    assert peak <= 1280 << 10
 
 
 def test_preimage_uniformity_chi_square():
@@ -1122,14 +1119,21 @@ def test_chi2_sf_matches_scipy_and_mpmath(e):
 @pytest.mark.parametrize("seed", [1, 5, 1002, 104729])
 def test_uniformity_suite_statistic_matches_scipy(seed):
     payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
-    # the suite's stream, replayed with one real draw per sample
+    n, n_pa = payload["n"], payload["n_pa"]
+    k = n - n_pa
+    # the suite's stream, replayed: seeds until one has independent rows, y,
+    # then one getrandbits(k) per fitted draw, looked up in the images of
+    # every g instead of drawn again
     rng = random.Random(seed)
-    a = _full_rank_matrix(payload["n_pa"], payload["n"], rng)
-    y = BitVector.random(a.rows, rng)
-    draw = preimage_sampler(a, y)
-    hist = np.bincount([draw(rng).bits for _ in range(payload["draws"])], minlength=1 << a.cols)
-    counts = hist[sorted(ref_preimage(a, y))]
-    assert len(counts) == payload["cells"] and counts.sum() == payload["draws"]
+    pa_seed = BitVector.random(n + n_pa - 1, rng)
+    while not toeplitz_rows_independent(pa_seed, n_pa, n):
+        pa_seed = BitVector.random(n + n_pa - 1, rng)
+    y = BitVector.random(n_pa, rng)
+    images = [sample_toeplitz_preimage(pa_seed, n_pa, n, y, FixedBits(g)).bits for g in range(1 << k)]
+    assert sorted(images) == sorted(ref_preimage(toeplitz_from_seed(pa_seed, n_pa, n), y))
+    hist = Counter(images[rng.getrandbits(k)] for _ in range(payload["draws"]))
+    counts = [hist[x] for x in images]  # in g order, as the suite sums
+    assert len(counts) == payload["cells"] and sum(counts) == payload["draws"]
     result = stats.chisquare(counts)
     assert payload["chi2"] == result.statistic
     assert abs(payload["p_value"] - result.pvalue) <= 1e-12 * result.pvalue
@@ -1137,11 +1141,12 @@ def test_uniformity_suite_statistic_matches_scipy(seed):
 
 
 def test_full_rank_draws_give_up_when_rank_is_under_reported(monkeypatch):
-    # a row_reduce that never reports full rank must fail the draw, not hang it
-    monkeypatch.setattr(
-        delayedpa.suites, "row_reduce", lambda a: SimpleNamespace(rank=a.rows - 1)
-    )
-    with pytest.raises(RuntimeError, match=f"in {_FULL_RANK_ATTEMPTS} draws"):
-        _full_rank_matrix(3, 8, random.Random(0))
-    with pytest.raises(RuntimeError, match=f"in {_FULL_RANK_ATTEMPTS} draws"):
+    # a rank check that refuses every seed, or a row_reduce that never
+    # reports full rank, must fail the draw, not hang it
+    assert _FULL_RANK_ATTEMPTS == 200
+    monkeypatch.setattr(delayedpa.suites, "toeplitz_rows_independent", lambda seed, n_pa, n: False)
+    with pytest.raises(RuntimeError, match="with independent rows in 200 draws"):
         delayedpa.suites.suite_preimage_uniformity(seed=1)
+    monkeypatch.setattr(oracles, "row_reduce", lambda a: SimpleNamespace(rank=a.rows - 1))
+    with pytest.raises(RuntimeError, match="with independent rows in 200 draws"):
+        _full_rank_matrix(3, 8, random.Random(0))

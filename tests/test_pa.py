@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import delayedpa.gf2
-from delayedpa.gf2 import BinaryMatrix, BitVector, preimage_sampler, row_reduce
+import delayedpa.pa
+from delayedpa.gf2 import BinaryMatrix, BitVector, sample_toeplitz_preimage, toeplitz_rows_independent
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
@@ -22,7 +23,7 @@ from delayedpa.pa import (
     expand_message,
     pa_apply,
 )
-from oracles import _full_rank_toeplitz, expand_imperfect_key, matvec, toeplitz_from_seed
+from oracles import _full_rank_toeplitz, expand_imperfect_key, matvec, row_reduce, toeplitz_from_seed
 
 
 def seeded(seed01, rows):
@@ -440,27 +441,30 @@ def test_dependent_toeplitz_seed_is_rejected(pattern):
 
 
 def test_session_row_reduces_once(monkeypatch):
-    calls, samplers = [], []
+    # no elimination is left in the package: a hash checks its rank from
+    # the seed once, when it is built, and each expansion is one seed draw
+    assert not hasattr(delayedpa.gf2, "row_reduce") and not hasattr(delayedpa.gf2, "preimage_sampler")
+    ranks, draws = [], []
 
-    def counting_row_reduce(a):
-        calls.append((a.rows, a.cols))
-        return row_reduce(a)
+    def counting_rank(seed, n_pa, n):
+        ranks.append((n_pa, n))
+        return toeplitz_rows_independent(seed, n_pa, n)
 
-    def counting_preimage_sampler(a, y):
-        samplers.append((a.rows, a.cols))
-        return preimage_sampler(a, y)
+    def counting_draw(seed, n_pa, n, y, rng):
+        draws.append((n_pa, n))
+        return sample_toeplitz_preimage(seed, n_pa, n, y, rng)
 
-    monkeypatch.setattr(delayedpa.gf2, "row_reduce", counting_row_reduce)
-    monkeypatch.setattr(delayedpa.gf2, "preimage_sampler", counting_preimage_sampler)
+    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", counting_rank)
+    monkeypatch.setattr(delayedpa.pa, "sample_toeplitz_preimage", counting_draw)
     rng = random.Random(330)
     n, n_pa = 64, 40
-    # a Toeplitz hash is checked and expanded from its seed alone
     f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
     s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
     m_prime = BitVector.random(n_pa, rng)
     assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
     assert DelayedPaSession.from_json(s.to_json()) == s
-    assert calls == [] and samplers == []
+    # from_json builds the hash again, from its stored seed
+    assert ranks == [(n_pa, n)] * 2 and draws == [(n_pa, n)] * 2
 
 
 def test_readme_library_example_runs():

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, row_reduce
+from delayedpa.gf2 import BinaryMatrix, BitVector
 import delayedpa.security
+import delayedpa.suites
 from delayedpa.security import (
     _bank_epsilons,
     _grouped_views,
@@ -24,13 +25,15 @@ from delayedpa.security import (
     random_eve_states,
     sweep_delayed_pa,
 )
-from delayedpa.suites import _full_rank_matrix
 from oracles import (
     ClassicalJoint,
+    _full_rank_matrix,
     classical_epsilon,
     delayed_pa_epsilons,
     enumerate_pa_matrices,
     matvec,
+    random_matrix,
+    row_reduce,
 )
 
 
@@ -569,7 +572,7 @@ def test_hash_values_match_matvec_reference():
     rng = random.Random(11)
     for n in range(1, 13):
         for rows in range(1, n + 1):
-            matrix = BinaryMatrix.random(rows, n, rng)
+            matrix = random_matrix(rows, n, rng)
             assert _hash_values([matrix])[0].tolist() == ref_hash_values(matrix).tolist()
 
 
@@ -925,6 +928,23 @@ def test_quantum_verifier_rejects_dependent_rows():
     m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # row 3 = row 1 + row 2
     with pytest.raises(ValueError, match="rows not independent"):
         delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 8)
+
+
+def test_delayed_pa_suite_quantum_trials_draw_uniform_row_spaces(monkeypatch):
+    # each trial draws its row count, then one row space, from the suite's
+    # numpy stream: at n = 3 every one of the 7 + 7 spaces turns up, each
+    # in its reduced form, and no other matrix does
+    seen = []
+    score = delayedpa.suites.delayed_pa_epsilons_quantum
+    monkeypatch.setattr(
+        delayedpa.suites, "delayed_pa_epsilons_quantum", lambda m, states: seen.append(m) or score(m, states)
+    )
+    payload, passed = delayedpa.suites.suite_delayed_pa(
+        n=2, n_pa=1, quantum_trials=300, quantum_n=3, quantum_dim=1, seed=3
+    )
+    assert passed and payload["quantum"]["trials"] == len(seen) == 300
+    spaces = [*enumerate_row_spaces(3, 1), *enumerate_row_spaces(3, 2)]
+    assert set(seen) == set(spaces) and len(spaces) == 14
 
 
 def test_fiber_count_rank_check_agrees_with_row_reduce():
