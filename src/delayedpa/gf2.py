@@ -25,9 +25,10 @@ delayed-PA proof applies to it as it is.
 FFT convolution (numpy) of the seed and the n - n_pa high key bits, at the
 power of two >= n - 1, reduced mod 2, in O(n log n) time and memory.  It
 takes all of a run's keys in one call, transforms the seed once, and packs
-two keys into each transform.  Float rounding cannot flip a bit unnoticed,
-because an exactness guard raises if any convolution entry lies 0.25 or
-more from an integer (a NaN or inf entry included).  A plain Toeplitz
+as many keys into each transform as 44 bits of float64 hold exactly (two
+at n = 10**6, eleven at n - n_pa = 8).  Float rounding cannot flip a bit
+unnoticed, because an exactness guard raises if any convolution entry lies
+0.25 or more from an integer (a NaN or inf entry included).  A plain Toeplitz
 product A x, A the seed's n_pa x m Toeplitz matrix, is the same seed's
 hash of the (m + n_pa)-bit key x << n_pa, whose low n_pa bits are zero.
 :func:`toeplitz_rows_independent` decides whether a Toeplitz matrix has
@@ -198,29 +199,6 @@ class BinaryMatrix:
             if w < 0 or w.bit_length() > self.cols:
                 raise ValueError("row has set bits beyond cols")
 
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        return cls.from_row_vectors(BitVector.from_bits(r) for r in rows)
-
-    @classmethod
-    def from_row_vectors(cls, rows: Iterable[BitVector]) -> "BinaryMatrix":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        cols = rows[0].length
-        if any(r.length != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(r.bits for r in rows))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry index out of range")
-        return (self.row_words[i] >> j) & 1
-
 
 def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
     if n_pa < 1 or n < 1:
@@ -261,15 +239,16 @@ def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
     return t1.bit_length() > n_pa
 
 
-# Two keys x2, x2' share one transform as x2 + 2**s x2', s = w.bit_length(),
-# while 2 s <= _PAIR_MAX_BITS: every count is <= w < 2**s, so the packed
-# entries stay below 2**(2 s + 1) and rint recovers both counts.  A float64
-# entry near 2**(2 s + 1) is only exact to about 2**(2 s - 52), so the error
-# grows 4x per bit of s.  With all-ones seeds and keys, the largest entries,
-# the worst error measured was 1.2e-4 at s = 20 (n = 10**6) and 0.0039 at
-# s = 22, but 0.0625 at s = 24 (n = 10**7, which runs allow), too close to
-# the guard's 0.25; wider keys take one transform each (error 4e-9 there).
-_PAIR_MAX_BITS = 44
+# Keys x2, x2', ... share one transform as x2 + 2**s x2' + ..., s =
+# w.bit_length(), while their count times s is <= _PACK_MAX_BITS: every count
+# is <= w < 2**s, so the packed entries stay below 2**_PACK_MAX_BITS and rint
+# recovers each count.  A float64 entry near 2**b is only exact to about
+# 2**(b - 53), so the error grows 2x per packed bit.  With all-ones seeds and
+# keys, the largest entries, the worst error measured for a pair was 1.2e-4 at
+# s = 20 (n = 10**6) and 0.0039 at s = 22, but 0.0625 at s = 24 (n = 10**7,
+# which runs allow), too close to the guard's 0.25; wider keys take one
+# transform each (error 4e-9 there).
+_PACK_MAX_BITS = 44
 
 
 def modified_toeplitz_hash(
@@ -279,8 +258,9 @@ def modified_toeplitz_hash(
 
     T is the seed's n_pa x (n - n_pa) Toeplitz matrix (module docstring).
     Output bit i of T x2 is entry w - 1 + i of the linear convolution of
-    the seed and the w = n - n_pa high key bits.  The seed is transformed once per call and consecutive
-    keys are packed in pairs (see ``_PAIR_MAX_BITS``).
+    the seed and the w = n - n_pa high key bits.  The seed is transformed
+    once per call, and consecutive keys are packed several to a transform
+    (see ``_PACK_MAX_BITS``).
 
     At n_pa = n, T has no columns and the hash is the identity, with no
     transform at all.  That is the family's own limit, not a special case:
@@ -301,22 +281,25 @@ def modified_toeplitz_hash(
     size = 1 << (n - 2).bit_length()
     seed_f = np.fft.rfft(_unpack(seed.length, seed.bits)[0], size)
     s = w.bit_length()
-    step = 2 if 2 * s <= _PAIR_MAX_BITS else 1
+    step = max(1, _PACK_MAX_BITS // s)
+    mask = (1 << n_pa) - 1
     out = []
     for i in range(0, len(keys), step):
         group = keys[i : i + step]
         # the bits are cast to float64 before scaling: on numpy 1.x, uint8
         # times a Python float (or ldexp) gives float16, which overflows at 2**16
         packed = np.zeros(w, dtype=np.float64)
-        for j, x in enumerate(group):
-            packed += _unpack(n, x.bits)[0, n_pa:].astype(np.float64) * 2.0 ** (s * j)
+        for j, bits in enumerate(_unpack(n, *(x.bits for x in group))[:, n_pa:]):
+            packed += bits.astype(np.float64) * 2.0 ** (s * j)
         # multiplied in place: seed_f lives for the whole call, so no third
         # spectrum-sized array is alive at once
         spectrum = np.fft.rfft(packed, size)
         np.multiply(seed_f, spectrum, out=spectrum)
         counts = _exact_counts(np.fft.irfft(spectrum, size)[w - 1 : n - 1])
-        for j, x in enumerate(group):
-            out.append(x.cut(0, n_pa) ^ BitVector.from_bits((counts >> (s * j)) & 1))
+        shifts = s * np.arange(len(group))[:, None]
+        rows = np.packbits(((counts >> shifts) & 1).astype(np.uint8), axis=1, bitorder="little")
+        for x, row in zip(group, rows):
+            out.append(BitVector(n_pa, (x.bits & mask) ^ int.from_bytes(row.tobytes(), "little")))
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from delayedpa.gf2 import (
     BitVector,
@@ -24,6 +25,7 @@ __all__ = [
     "AdditivePaFunction",
     "DelayedPaSession",
     "pa_apply",
+    "pa_apply_many",
     "expand_message",
     "dpa_encrypt",
     "dpa_recover_via_key",
@@ -39,8 +41,9 @@ class AdditivePaFunction:
     seed[i - j + n - 1] of an (n + n_pa - 1)-bit seed; its rows are never
     built.  Independence is checked once, at construction, from the seed
     by :func:`toeplitz_rows_independent`, the extended Euclidean algorithm,
-    in quadratic time.  A x is one :func:`modified_toeplitz_hash` call, and
-    preimages are drawn by :func:`sample_toeplitz_preimage`.
+    in quadratic time.  A x is one :func:`modified_toeplitz_hash` call (see
+    :func:`pa_apply_many`), and preimages are drawn by
+    :func:`sample_toeplitz_preimage`.
     """
 
     seed: BitVector
@@ -64,13 +67,21 @@ class AdditivePaFunction:
 
 
 def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
-    """Hash an n-bit input down to n_pa bits.
+    """Hash an n-bit input down to n_pa bits."""
+    return pa_apply_many(f, [a])[0]
 
-    A x is the seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is A.
+
+def pa_apply_many(f: AdditivePaFunction, inputs: Sequence[BitVector]) -> list[BitVector]:
+    """Hash n-bit inputs down to n_pa bits each, in one call.
+
+    A x is the seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is
+    A; that hash packs several short inputs into one transform.
     """
-    if a.length != f.n:
-        raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")
-    return modified_toeplitz_hash(f.seed, f.n_pa, [BitVector(f.n + f.n_pa, a.bits << f.n_pa)])[0]
+    for a in inputs:
+        if a.length != f.n:
+            raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")
+    keys = [BitVector(f.n + f.n_pa, a.bits << f.n_pa) for a in inputs]
+    return modified_toeplitz_hash(f.seed, f.n_pa, keys)
 
 
 def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:

@@ -13,8 +13,8 @@ import random
 
 import numpy as np
 
-from delayedpa.gf2 import BitVector, modified_toeplitz_hash, toeplitz_rows_independent
-from delayedpa.pa import AdditivePaFunction, expand_message
+from delayedpa.gf2 import BitVector
+from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply_many
 from delayedpa.protocols import decode_key_bit
 from delayedpa.quantum import _blocks_2d, basis_ket, pauli, verify_2c_2d_stack
 from delayedpa.security import (
@@ -143,19 +143,19 @@ def suite_preimage_uniformity(
     rng = random.Random(seed)
     for _ in range(_FULL_RANK_ATTEMPTS):
         pa_seed = BitVector.random(n + n_pa - 1, rng)
-        if toeplitz_rows_independent(pa_seed, n_pa, n):
+        try:
+            f = AdditivePaFunction(pa_seed, n_pa, n)
             break
+        except ValueError:  # rows not independent: the shape was checked above
+            continue
     else:
         raise RuntimeError(
             f"no {n_pa} x {n} Toeplitz seed with independent rows in {_FULL_RANK_ATTEMPTS} draws"
         )
-    f = AdditivePaFunction(pa_seed, n_pa, n)
     y = BitVector.random(n_pa, rng)
     stubs = [_StubRng(g) for g in range(cells)]
     images = [expand_message(f, y, stub) for stub in stubs]
-    # A x is the hash of x << n_pa, as in pa_apply, for all images in one call
-    keys = [BitVector(n + n_pa, x.bits << n_pa) for x in images]
-    in_preimage = np.array([h == y for h in modified_toeplitz_hash(pa_seed, n_pa, keys)])
+    in_preimage = np.array([h == y for h in pa_apply_many(f, images)])
     one_call = all(stub.calls == [k] for stub in stubs)
     distinct = len({x.bits for x in images}) == cells
     bijective = bool(one_call and distinct and in_preimage.all())

@@ -109,6 +109,27 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     return BinaryMatrix(n_pa, n, tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa)))
 
 
+def identity_matrix(n: int) -> BinaryMatrix:
+    return BinaryMatrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def matrix_from_rows(rows) -> BinaryMatrix:
+    """The matrix of 0/1 rows; row i's element j is entry (i, j)."""
+    rows = [BitVector.from_bits(r) for r in rows]
+    if not rows:
+        raise ValueError("matrix needs at least one row")
+    cols = rows[0].length
+    if any(r.length != cols for r in rows):
+        raise ValueError("ragged rows")
+    return BinaryMatrix(len(rows), cols, tuple(r.bits for r in rows))
+
+
+def entry(a: BinaryMatrix, i: int, j: int) -> int:
+    if not (0 <= i < a.rows and 0 <= j < a.cols):
+        raise IndexError("entry index out of range")
+    return (a.row_words[i] >> j) & 1
+
+
 def random_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
     return BinaryMatrix(
         rows, cols,

@@ -27,6 +27,9 @@ from delayedpa.suites import _FULL_RANK_ATTEMPTS
 from oracles import (
     _full_rank_matrix,
     _full_rank_toeplitz,
+    entry,
+    identity_matrix,
+    matrix_from_rows,
     matvec,
     preimage_sampler,
     random_matrix,
@@ -56,13 +59,13 @@ def ref_matvec(rows, vec):
 
 def to_lists(a):
     """The matrix as a list of rows of 0/1 entries."""
-    return [[a.entry(i, j) for j in range(a.cols)] for i in range(a.rows)]
+    return [[entry(a, i, j) for j in range(a.cols)] for i in range(a.rows)]
 
 
 def ref_matmul(a, b):
     """Naive per-entry XOR/AND reference for A @ B."""
     cols = list(zip(*to_lists(b)))
-    return BinaryMatrix.from_rows([ref_matvec(cols, row) for row in to_lists(a)])
+    return matrix_from_rows([ref_matvec(cols, row) for row in to_lists(a)])
 
 
 def ref_from_bits(bits):
@@ -200,11 +203,11 @@ def test_cut_and_bytes():
 
 def test_matvec_identity():
     v = BitVector.from01("101")
-    assert matvec(BinaryMatrix.identity(3), v) == v
+    assert matvec(identity_matrix(3), v) == v
 
 
 def test_matvec_reference_example():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     v = BitVector.from01("110")
     expect = ref_matvec(to_lists(a), [v[i] for i in range(3)])
     assert expect == [1, 1]
@@ -212,12 +215,12 @@ def test_matvec_reference_example():
 
 
 def test_matvec_zero_vector():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     assert matvec(a, BitVector.zeros(3)).to01() == "00"
 
 
 def test_matvec_dimension_mismatch():
-    a = BinaryMatrix.from_rows([[1, 0, 1]])
+    a = matrix_from_rows([[1, 0, 1]])
     with pytest.raises(ValueError):
         matvec(a, BitVector.from01("10"))
 
@@ -269,9 +272,9 @@ def test_toeplitz_constant_diagonals(n_pa, n, rng):
     a = toeplitz_from_seed(seed, n_pa, n)
     for i in range(n_pa):
         for j in range(n):
-            assert a.entry(i, j) == seed[i - j + n - 1]
+            assert entry(a, i, j) == seed[i - j + n - 1]
             if i + 1 < n_pa and j + 1 < n:
-                assert a.entry(i, j) == a.entry(i + 1, j + 1)
+                assert entry(a, i, j) == entry(a, i + 1, j + 1)
 
 
 @given(st.integers(1, 100), st.integers(1, 100), st.randoms(use_true_random=False))
@@ -282,7 +285,7 @@ def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
     seed = BitVector.random(n + n_pa - 1, rng)
     a = toeplitz_from_seed(seed, n_pa, n)
     assert all(
-        a.entry(i, j) == seed[i - j + n - 1] for i in range(n_pa) for j in range(n)
+        entry(a, i, j) == seed[i - j + n - 1] for i in range(n_pa) for j in range(n)
     )
 
 
@@ -414,11 +417,17 @@ def test_toeplitz_hasher_reuses_one_seed(monkeypatch):
     keys = [BitVector.random(n, rng) for _ in range(5)]
     singles = [_hash_one(seed, n_pa, x) for x in keys]
     assert singles == [_dense_hash(seed, n_pa, x) for x in keys]
-    # one seed transform and one per pair of keys, the odd key out alone
+    # one seed transform and one per group of _PACK_MAX_BITS // s keys, s = 7
+    # at w = 100: all five keys share one, and at 14 bits they go in pairs,
+    # the odd key out alone
     rfft, sizes = np.fft.rfft, []
     monkeypatch.setattr(np.fft, "rfft", lambda a, size: sizes.append(size) or rfft(a, size))
     assert modified_toeplitz_hash(seed, n_pa, keys) == singles
-    assert sizes == [512] * 4  # the power of two >= n - 1
+    assert sizes == [512] * 2  # the power of two >= n - 1
+    sizes.clear()
+    monkeypatch.setattr(delayedpa.gf2, "_PACK_MAX_BITS", 14)
+    assert modified_toeplitz_hash(seed, n_pa, keys) == singles
+    assert sizes == [512] * 4
     assert modified_toeplitz_hash(seed, n_pa, []) == []
     with pytest.raises(ValueError):
         modified_toeplitz_hash(seed, n_pa, [keys[0], BitVector.zeros(n + 1)])
@@ -440,9 +449,25 @@ def test_modified_toeplitz_hash_single_transform_path(monkeypatch):
     seed = BitVector.random(n - 1, rng)
     keys = [BitVector.random(n, rng) for _ in range(4)]
     paired = modified_toeplitz_hash(seed, n_pa, keys)
-    monkeypatch.setattr(delayedpa.gf2, "_PAIR_MAX_BITS", 0)
+    monkeypatch.setattr(delayedpa.gf2, "_PACK_MAX_BITS", 0)
     assert modified_toeplitz_hash(seed, n_pa, keys) == paired
     assert paired == [_dense_hash(seed, n_pa, x) for x in keys]
+
+
+@pytest.mark.parametrize("w", [1, 2, 15, 16, 2047])
+def test_modified_toeplitz_hash_full_groups_match_dense(w):
+    # _PACK_MAX_BITS // s keys to a transform, s = w.bit_length(): 44, 22,
+    # 11, 8 and 4 of them; all-ones seeds and keys give the largest packed
+    # entries, whose closed form is 1 XOR (w mod 2) in every output bit
+    n_pa = 3
+    n = n_pa + w
+    rng = random.Random(w)
+    seed = BitVector.random(n - 1, rng)
+    keys = [BitVector.random(n, rng) for _ in range(60)]
+    assert modified_toeplitz_hash(seed, n_pa, keys) == [_dense_hash(seed, n_pa, x) for x in keys]
+    ones_seed, ones = BitVector(n - 1, (1 << (n - 1)) - 1), BitVector(n, (1 << n) - 1)
+    expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
+    assert modified_toeplitz_hash(ones_seed, n_pa, [ones] * 60) == [expect] * 60
 
 
 def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
@@ -453,7 +478,7 @@ def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
     ones = BitVector(n, (1 << n) - 1)
     for n_pa in (860_000, 860_001):
         w = n - n_pa
-        assert 2 * w.bit_length() <= delayedpa.gf2._PAIR_MAX_BITS  # the pair path
+        assert 2 * w.bit_length() <= delayedpa.gf2._PACK_MAX_BITS  # the pair path
         expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
         assert modified_toeplitz_hash(ones_seed, n_pa, [ones, ones]) == [expect, expect]
 
@@ -493,8 +518,9 @@ def test_toeplitz_preimage_exhaustive_up_to_n5():
 
 
 def test_toeplitz_preimage_completion_nonsingular_up_to_n8():
-    # the draw raises unless the completed n x n matrix is nonsingular; the
-    # reference draw makes its products bit by bit, so that the completion
+    # the draw raises unless the completed n x n matrix is nonsingular; on
+    # every full-rank seed the package draw is a preimage and equals the
+    # reference draw, whose products are bit by bit, so that the completion
     # and the Bezoutian are checked apart from the FFT products
     rng = random.Random("completion")
     full_rank = 0
@@ -506,9 +532,12 @@ def test_toeplitz_preimage_completion_nonsingular_up_to_n8():
                 if not toeplitz_rows_independent(seed, n_pa, n):
                     continue
                 full_rank += 1
-                y = BitVector.random(n_pa, rng)
-                x = ref_sample_toeplitz_preimage(seed, n_pa, n, y, rng)
+                y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
+                x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
                 assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
+                assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)), (
+                    seed.to01(), n_pa, n, g
+                )
     assert full_rank == 35_901
 
 
@@ -658,25 +687,25 @@ def test_toeplitz_preimage_rejects_bad_shapes():
 # ---------------------------------------------------------------- reduction
 
 def test_row_reduce_already_echelon():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     red = row_reduce(a)
     assert red.upper == a
-    assert ref_row_reduce_with_ops(a)[1] == BinaryMatrix.identity(2)
+    assert ref_row_reduce_with_ops(a)[1] == identity_matrix(2)
     assert red.pivot_cols == (0, 1)
     assert red.free_cols == (2,)
 
 
 def test_row_reduce_records_swap():
-    a = BinaryMatrix.from_rows([[0, 1], [1, 0]])
+    a = matrix_from_rows([[0, 1], [1, 0]])
     red = row_reduce(a)
-    assert red.upper == BinaryMatrix.identity(2)
+    assert red.upper == identity_matrix(2)
     row_ops = ref_row_reduce_with_ops(a)[1]
-    assert row_ops == BinaryMatrix.from_rows([[0, 1], [1, 0]])
+    assert row_ops == matrix_from_rows([[0, 1], [1, 0]])
     assert ref_matmul(row_ops, a) == red.upper
 
 
 def test_row_reduce_rank_deficient():
-    a = BinaryMatrix.from_rows([[1, 1], [1, 1]])
+    a = matrix_from_rows([[1, 1], [1, 1]])
     red = row_reduce(a)
     assert red.rank == 1
     assert red.free_cols == (1,)
@@ -696,9 +725,9 @@ def test_row_ops_times_original_is_upper(rng):
     for r, pc in enumerate(red.pivot_cols):
         assert pc > prev
         prev = pc
-        assert red.upper.entry(r, pc) == 1
+        assert entry(red.upper, r, pc) == 1
         for j in range(pc):
-            assert red.upper.entry(r, j) == 0
+            assert entry(red.upper, r, j) == 0
 
 
 def test_row_ops_product_large_random():
@@ -880,16 +909,16 @@ def test_row_reduce_matches_gauss_jordan_on_low_rank(rank, shape):
 # ---------------------------------------------------------------- kernel
 
 def test_kernel_single_parity_row():
-    a = BinaryMatrix.from_rows([[1, 1]])
+    a = matrix_from_rows([[1, 1]])
     assert ref_kernel(a) == {0b00, 0b11}
 
 
 def test_kernel_full_rank_square():
-    assert ref_kernel(BinaryMatrix.identity(3)) == {0}
+    assert ref_kernel(identity_matrix(3)) == {0}
 
 
 def test_kernel_example_2x3():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     assert ref_kernel(a) == {0, 0b111}
 
 
@@ -915,7 +944,7 @@ def test_kernel_size_matches_enumeration(rng):
 # ---------------------------------------------------------------- preimage
 
 def test_preimage_example_enumeration():
-    a = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     y = BitVector.from01("10")
     assert ref_preimage(a, y) == {BitVector.from01("100").bits, BitVector.from01("011").bits}
     rng = random.Random(0)
@@ -927,11 +956,11 @@ def test_preimage_unique_for_identity():
     y = BitVector.from01("01")
     rng = random.Random(1)
     for _ in range(4):
-        assert sample_preimage(BinaryMatrix.identity(2), y, rng) == y
+        assert sample_preimage(identity_matrix(2), y, rng) == y
 
 
 def test_preimage_parity_row():
-    a = BinaryMatrix.from_rows([[1, 1]])
+    a = matrix_from_rows([[1, 1]])
     y = BitVector(1, 0)
     rng = random.Random(2)
     seen = {sample_preimage(a, y, rng).bits for _ in range(32)}
@@ -939,14 +968,14 @@ def test_preimage_parity_row():
 
 
 def test_preimage_rank_deficient_rejected():
-    a = BinaryMatrix.from_rows([[1, 1], [1, 1]])
+    a = matrix_from_rows([[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="rows not independent"):
         sample_preimage(a, BitVector.from01("00"), random.Random(0))
 
 
 def test_preimage_selector_enumeration_is_bijective():
     # driving the free bits through every value enumerates the preimage once
-    a = BinaryMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0]])
+    a = matrix_from_rows([[1, 0, 1, 1], [0, 1, 1, 0]])
     y = BitVector.from01("10")
     outs = {
         sample_preimage(a, y, FixedBits(v)).bits
@@ -981,12 +1010,12 @@ def assert_sampler_matches_oracle(a, seed, draws):
 
 
 SAMPLER_CASES = {
-    "identity": lambda rng: BinaryMatrix.identity(5),  # n_free = 0, no draw
+    "identity": lambda rng: identity_matrix(5),  # n_free = 0, no draw
     "1x2": lambda rng: _full_rank_matrix(1, 2, rng),
     "2x4": lambda rng: _full_rank_matrix(2, 4, rng),
     "3x8": lambda rng: _full_rank_matrix(3, 8, rng),
     # pivots at columns 1, 2 and 4: free columns 0, 3, 5 and 6 in three runs
-    "zero-leading-column": lambda rng: BinaryMatrix.from_rows(
+    "zero-leading-column": lambda rng: matrix_from_rows(
         [[0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0]]
     ),
     "32x96": lambda rng: _full_rank_matrix(32, 96, rng),
@@ -1023,7 +1052,7 @@ def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
 def test_preimage_sampler_rejects_dependent_rows_whatever_y(a_rows, y):
     # [A | y]'s rank is rows when y is outside A's image, so a pivot in y's
     # column must fail the check as a short rank does
-    a, y = BinaryMatrix.from_rows(a_rows), BitVector.from01(y)
+    a, y = matrix_from_rows(a_rows), BitVector.from01(y)
     with pytest.raises(ValueError, match="rows not independent"):
         preimage_sampler(a, y)
     with pytest.raises(ValueError, match="rows not independent"):
@@ -1144,7 +1173,8 @@ def test_full_rank_draws_give_up_when_rank_is_under_reported(monkeypatch):
     # a rank check that refuses every seed, or a row_reduce that never
     # reports full rank, must fail the draw, not hang it
     assert _FULL_RANK_ATTEMPTS == 200
-    monkeypatch.setattr(delayedpa.suites, "toeplitz_rows_independent", lambda seed, n_pa, n: False)
+    # the suite's AdditivePaFunction runs the rank check that pa imports
+    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", lambda seed, n_pa, n: False)
     with pytest.raises(RuntimeError, match="with independent rows in 200 draws"):
         delayedpa.suites.suite_preimage_uniformity(seed=1)
     monkeypatch.setattr(oracles, "row_reduce", lambda a: SimpleNamespace(rank=a.rows - 1))

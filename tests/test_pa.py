@@ -22,13 +22,22 @@ from delayedpa.pa import (
     dpa_recover_via_rawkey,
     expand_message,
     pa_apply,
+    pa_apply_many,
 )
-from oracles import _full_rank_toeplitz, expand_imperfect_key, matvec, row_reduce, toeplitz_from_seed
+from oracles import (
+    _full_rank_toeplitz,
+    expand_imperfect_key,
+    identity_matrix,
+    matrix_from_rows,
+    matvec,
+    row_reduce,
+    toeplitz_from_seed,
+)
 
 
 def seeded(seed01, rows):
     """The hash of a 0/1 seed string and its Toeplitz matrix, written out as ``rows``."""
-    a = BinaryMatrix.from_rows(rows)
+    a = matrix_from_rows(rows)
     seed = BitVector.from01(seed01)
     assert toeplitz_from_seed(seed, a.rows, a.cols) == a
     return AdditivePaFunction.from_toeplitz_seed(seed, a.rows, a.cols), a
@@ -85,6 +94,20 @@ def test_toeplitz_pa_apply_matches_dense_matvec(n, n_pa):
     ones = BitVector(n, (1 << n) - 1)
     for x in [BitVector.random(n, rng) for _ in range(3)] + [ones, BitVector.zeros(n)]:
         assert pa_apply(f, x) == matvec(a, x)
+
+
+@pytest.mark.parametrize("n, n_pa", [(8, 3), (12, 1), (40, 37), (2048, 1433)])
+def test_pa_apply_many_matches_dense_matvec(n, n_pa):
+    # short inputs share transforms (44 // w.bit_length() of them), so 50
+    # inputs fill several groups and leave a part-filled last one
+    rng = random.Random(f"pa_apply_many {n}")
+    a, seed = _full_rank_toeplitz(rng, n_pa, n)
+    f = AdditivePaFunction(seed, n_pa, n)
+    xs = [BitVector.random(n, rng) for _ in range(48)] + [BitVector(n, (1 << n) - 1), BitVector.zeros(n)]
+    assert pa_apply_many(f, xs) == [matvec(a, x) for x in xs]
+    assert pa_apply_many(f, []) == []
+    with pytest.raises(ValueError, match="length mismatch"):
+        pa_apply_many(f, [xs[0], BitVector.zeros(n + 1)])
 
 
 def test_toeplitz_pa_apply_all_ones_matches_dense_matvec():
@@ -145,7 +168,7 @@ def test_toeplitz_pa_apply_passes_the_hash_guard(monkeypatch, bad):
 
 def test_construction_rejects_dependent_rows():
     seed = BitVector.from01("1111")
-    assert toeplitz_from_seed(seed, 2, 3) == BinaryMatrix.from_rows([[1, 1, 1], [1, 1, 1]])
+    assert toeplitz_from_seed(seed, 2, 3) == matrix_from_rows([[1, 1, 1], [1, 1, 1]])
     with pytest.raises(ValueError, match="rows not independent"):
         AdditivePaFunction.from_toeplitz_seed(seed, 2, 3)
 
@@ -158,7 +181,7 @@ def test_construction_rejects_empty_hash():
 
 def test_construction_rejects_non_compressing():
     seed = BitVector.from01("010")
-    assert toeplitz_from_seed(seed, 2, 2) == BinaryMatrix.identity(2)
+    assert toeplitz_from_seed(seed, 2, 2) == identity_matrix(2)
     with pytest.raises(ValueError):
         AdditivePaFunction.from_toeplitz_seed(seed, 2, 2)
 

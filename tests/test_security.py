@@ -31,6 +31,7 @@ from oracles import (
     classical_epsilon,
     delayed_pa_epsilons,
     enumerate_pa_matrices,
+    matrix_from_rows,
     matvec,
     random_matrix,
     row_reduce,
@@ -191,41 +192,41 @@ def test_cq_epsilon_blocks_match_block_diagonal():
 # ------------------------------------------------------------- verifier
 
 def test_blind_adversary_gives_zero():
-    m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    m = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
     eps_key, eps_msg = delayed_pa_epsilons(m, eve_table("blind", 3))
     assert eps_key <= 1e-15
     assert eps_msg <= 1e-15
 
 
 def test_parity_hash_hides_first_bit_view():
-    m = BinaryMatrix.from_rows([[1, 1]])
+    m = matrix_from_rows([[1, 1]])
     eps_key, eps_msg = delayed_pa_epsilons(m, eve_table("bit", 2, index=0))
     assert eps_key <= 1e-15
     assert eps_msg <= 1e-15
 
 
 def test_first_bit_hash_leaks_against_first_bit_view():
-    m = BinaryMatrix.from_rows([[1, 0]])
+    m = matrix_from_rows([[1, 0]])
     eps_key, eps_msg = delayed_pa_epsilons(m, eve_table("bit", 2, index=0))
     assert abs(eps_key - 0.5) <= 1e-12
     assert abs(eps_msg - 0.5) <= 1e-12
 
 
 def test_verifier_rejects_dependent_rows():
-    m = BinaryMatrix.from_rows([[1, 1], [1, 1]])
+    m = matrix_from_rows([[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="rows not independent"):
         delayed_pa_epsilons(m, eve_table("blind", 2))
 
 
 def test_verifier_rejects_large_instance():
-    m = BinaryMatrix.from_rows([[1] + [0] * 7])
+    m = matrix_from_rows([[1] + [0] * 7])
     with pytest.raises(ValueError, match="too large"):
         delayed_pa_epsilons(m, np.ones((256, 1)))
 
 
 def test_equivalence_with_nonuniform_prior():
     rng = np.random.default_rng(4)
-    m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    m = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     prior = rng.random(8)
     prior /= prior.sum()
     for rule in ("bit", "parity", "copy"):
@@ -447,7 +448,7 @@ def test_bank_has_at_least_five_models():
 # ------------------------------------------------------------- quantum side
 
 def test_quantum_identical_states_give_zero():
-    m = BinaryMatrix.from_rows([[1, 1]])
+    m = matrix_from_rows([[1, 1]])
     rho = np.eye(2, dtype=complex) / 2
     eps_key, eps_msg = delayed_pa_epsilons_quantum(m, [rho] * 4)
     assert eps_key <= 1e-12
@@ -455,7 +456,7 @@ def test_quantum_identical_states_give_zero():
 
 
 def test_quantum_matches_classical_embedding():
-    m = BinaryMatrix.from_rows([[1, 0]])
+    m = matrix_from_rows([[1, 0]])
     table = eve_table("bit", 2, index=0)
     states = [np.diag(table[a]).astype(complex) for a in range(4)]
     c_key, c_msg = delayed_pa_epsilons(m, table)
@@ -466,7 +467,7 @@ def test_quantum_matches_classical_embedding():
 
 def test_quantum_equivalence_random_models():
     rng = np.random.default_rng(5)
-    m = BinaryMatrix.from_rows([[1, 0, 1]])
+    m = matrix_from_rows([[1, 0, 1]])
     for _ in range(10):
         states = random_eve_states(3, 4, rng)
         eps_key, eps_msg = delayed_pa_epsilons_quantum(m, states)
@@ -475,7 +476,7 @@ def test_quantum_equivalence_random_models():
 
 
 def test_quantum_rejects_large_instance():
-    m = BinaryMatrix.from_rows([[1, 0, 0, 0, 1]])
+    m = matrix_from_rows([[1, 0, 0, 0, 1]])
     with pytest.raises(ValueError, match="too large"):
         delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 32)
 
@@ -918,14 +919,14 @@ def test_product_state_epsilons_match_closed_form(overlap):
 def test_stack_with_one_dependent_matrix_is_rejected():
     views, widths = _bank_views(3)
     spaces = list(enumerate_row_spaces(3, 2))
-    dependent = BinaryMatrix.from_rows([[1, 1, 0], [1, 1, 0]])
+    dependent = matrix_from_rows([[1, 1, 0], [1, 1, 0]])
     _bank_epsilons(spaces, views, widths)
     with pytest.raises(ValueError, match="rows not independent"):
         _bank_epsilons(spaces[:3] + [dependent] + spaces[3:], views, widths)
 
 
 def test_quantum_verifier_rejects_dependent_rows():
-    m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # row 3 = row 1 + row 2
+    m = matrix_from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # row 3 = row 1 + row 2
     with pytest.raises(ValueError, match="rows not independent"):
         delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 8)
 
