@@ -119,30 +119,32 @@ def build_parser() -> _Parser:
     sim.add_argument("--no-quantum-memory", action="store_true", dest="no_quantum_memory")
     sim.add_argument("--out")
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    ver = sub.add_parser("verify", help="run a verification suite",
+                         description="A flag left out takes the suite's own default.")
     ver.add_argument("--suite", choices=SUITES, required=True)
-    ver.add_argument("--n", type=int, help="delayed-pa: max input width (default 4); preimage-uniformity: input width (default 8)")
-    ver.add_argument("--npa", type=int, help="delayed-pa: max output width (default 2); preimage-uniformity: output width (default 3)")
-    ver.add_argument("--trials", type=int, default=100)
+    ver.add_argument("--n", type=int, help="delayed-pa: max input width; preimage-uniformity: input width")
+    ver.add_argument("--npa", type=int, dest="n_pa", metavar="NPA",
+                     help="delayed-pa: max output width; preimage-uniformity: output width")
+    ver.add_argument("--trials", type=int)
     ver.add_argument(
-        "--abar-dim", type=int, default=8, dest="abar_dim",
-        help="protocol-2c2d: max Abar dimension (default 8, at most 512); one trial "
-        "at 512 took 0.7-3.9 s on a 2-vCPU host, so 100 trials run for minutes",
+        "--abar-dim", type=int,
+        help="protocol-2c2d: max Abar dimension (at most 512); one trial at 512 took "
+        "0.17-0.74 s of suite time on a 2-vCPU host, so the default trials take tens of seconds",
     )
     ver.add_argument(
-        "--draws", type=int, default=32000,
+        "--draws", type=int,
         help="preimage-uniformity: draws in the chi-square fit, which runs beside the "
-        "exact gate on expand_message (default 32000, at least 5 per preimage element)",
+        "exact gate on expand_message (at least 5 per preimage element)",
     )
     ver.add_argument(
-        "--alpha", type=float, default=0.001,
+        "--alpha", type=float,
         help="preimage-uniformity: the chi-square fit fails below this p-value "
-        "(default 0.001, in (0, 1)); the exact gate on expand_message takes no level",
+        "(in (0, 1)); the exact gate on expand_message takes no level",
     )
-    ver.add_argument("--quantum-trials", type=int, default=50, dest="quantum_trials")
-    ver.add_argument("--quantum-n", type=int, default=3, dest="quantum_n")
-    ver.add_argument("--quantum-dim", type=int, default=4, dest="quantum_dim")
-    ver.add_argument("--eve-bank", dest="eve_bank")
+    ver.add_argument("--quantum-trials", type=int)
+    ver.add_argument("--quantum-n", type=int)
+    ver.add_argument("--quantum-dim", type=int)
+    ver.add_argument("--eve-bank", dest="eve_bank_path", metavar="EVE_BANK")
     ver.add_argument("--seed", type=int)
     ver.add_argument("--out")
     return parser
@@ -175,23 +177,20 @@ def _cmd_simulate(args) -> int:
         cfg = reports.build_config(doc)
     except (ValueError, OSError, KeyError) as exc:
         return _error("simulate", exc)
+    # looked up per call, so a function rebound on its module (as a tracer
+    # does) is the one called
+    run, build_report = {
+        Bb84Config: (run_bb84, reports.transcript_report),
+        DqkdConfig: (run_dqkd, reports.transcript_report),
+        IntegratedConfig: (run_integrated, reports.transcript_report),
+        RelayConfig: (run_relay, reports.relay_report),
+    }[type(cfg)]
     start = time.perf_counter()
     try:
-        if isinstance(cfg, Bb84Config):
-            result = run_bb84(cfg)
-        elif isinstance(cfg, DqkdConfig):
-            result = run_dqkd(cfg)
-        elif isinstance(cfg, IntegratedConfig):
-            result = run_integrated(cfg)
-        else:
-            result = run_relay(cfg)
+        result = run(cfg)
     except ValueError as exc:
         return _error("simulate", exc)
-    seconds = time.perf_counter() - start
-    if isinstance(cfg, RelayConfig):
-        report = reports.relay_report(result, doc, seconds)
-    else:
-        report = reports.transcript_report(result, doc, seconds)
+    report = build_report(result, doc, time.perf_counter() - start)
     try:
         _emit(report, args.out)
     except OSError as exc:
@@ -205,35 +204,23 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     # suites pulls in quantum and security (about 20 ms to import), which
     # only verify needs
-    from delayedpa.suites import (
-        suite_delayed_pa,
-        suite_preimage_uniformity,
-        suite_protocol_2c2d,
-        suite_table1,
-    )
+    from delayedpa import suites
 
+    # each suite with its parameters: a flag's dest names the parameter it
+    # sets, and a flag left unset leaves the suite's own default
+    suite, params = {
+        "table1": (suites.suite_table1, ()),
+        "preimage-uniformity": (suites.suite_preimage_uniformity, ("n", "n_pa", "draws", "alpha", "seed")),
+        "protocol-2c2d": (suites.suite_protocol_2c2d, ("trials", "abar_dim", "seed")),
+        "delayed-pa": (suites.suite_delayed_pa, (
+            "n", "n_pa", "eve_bank_path", "quantum_trials", "quantum_n", "quantum_dim", "seed",
+        )),
+    }[args.suite]
+    flags = {**vars(args), "seed": seed}
+    kwargs = {name: flags[name] for name in params if flags[name] is not None}
     start = time.perf_counter()
     try:
-        if args.suite == "table1":
-            payload, passed = suite_table1()
-        elif args.suite == "preimage-uniformity":
-            payload, passed = suite_preimage_uniformity(
-                n=args.n if args.n is not None else 8,
-                n_pa=args.npa if args.npa is not None else 3,
-                draws=args.draws, alpha=args.alpha, seed=seed,
-            )
-        elif args.suite == "protocol-2c2d":
-            payload, passed = suite_protocol_2c2d(
-                trials=args.trials, abar_dim=args.abar_dim, seed=seed
-            )
-        else:
-            payload, passed = suite_delayed_pa(
-                n=args.n if args.n is not None else 4,
-                n_pa=args.npa if args.npa is not None else 2,
-                eve_bank_path=args.eve_bank,
-                quantum_trials=args.quantum_trials, quantum_n=args.quantum_n,
-                quantum_dim=args.quantum_dim, seed=seed,
-            )
+        payload, passed = suite(**kwargs)
     except (ValueError, OSError) as exc:
         return _error("verify", exc)
     report = reports.verify_report(args.suite, seed, passed, payload, time.perf_counter() - start)

@@ -139,11 +139,6 @@ class ChannelModel:
             raise ValueError(f"channel spec {text!r} needs kind:param")
         return cls(kind, float(param))
 
-    def spec(self) -> str:
-        if self.kind == "noiseless":
-            return "noiseless"
-        return f"{self.kind}:{self.param}"
-
     def paulis(self, basis: np.ndarray, rng) -> np.ndarray:
         """One sampled Pauli code per signal; ``basis`` holds each signal's
         own basis, whose eigenstates ``bsc`` flips."""
@@ -193,11 +188,6 @@ class EveModel:
         if not sep:
             return cls.intercept_resend()
         return cls.intercept_resend(*lines.split(","))
-
-    def spec(self) -> str:
-        if self.kind == "none":
-            return "none"
-        return f"{self.kind}:{','.join(self.lines)}"
 
     def tap(self, basis: np.ndarray, bit: np.ndarray, line: str, rng):
         """The (basis, bit) frames that leave ``line``."""
@@ -373,7 +363,6 @@ class ProtocolTranscript:
     abort_reason: str | None = None
     pa_seed: BitVector | None = None
     raw_key_alice: BitVector | None = None
-    raw_key_bob: BitVector | None = None
     alice_key: BitVector | None = None
     bob_key: BitVector | None = None
     m_prime: BitVector | None = None
@@ -587,7 +576,6 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
         return _abort(t, "non-positive key length")
 
     a = t.raw_key_alice = BitVector.from_bits(s.alice_bit[key])
-    t.raw_key_bob = BitVector.from_bits(s.bob_bit[key])
     if cfg.pa_seed is None:
         t.pa_seed = _draw_pa_seed(ledger.n, None, rng)
     else:
@@ -648,7 +636,6 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
 
     key = s.role == _KEY
     a = t.raw_key_alice = BitVector.from_bits(alice_bits[key])
-    t.raw_key_bob = BitVector.from_bits(bob_bits[key])
     t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, rng)
     t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
     return t
@@ -691,8 +678,6 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     def f(*keys):
         return modified_toeplitz_hash(t.pa_seed, n_pa, keys)
 
-    bob_bits = s.bob_bit[code]
-    t.raw_key_bob = BitVector.from_bits(bob_bits)
     forward_ec, msg_error_rate = 0, 0.0
     if cfg.variant in ("2", "2b", "2c"):
         # the encoder measures her code qubits in the announced bases
@@ -730,7 +715,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         _encode_and_return(s, code, cfg.backward, cfg.eve, rng)
         # the announced basis selects which flag (m1 for z, m2 for x) carries each bit
         m = BitVector.from_bits(_flips(s.op[code], s.basis[code]))
-        m_hat = BitVector.from_bits(s.bob_outcome[code] ^ bob_bits)
+        m_hat = BitVector.from_bits(s.bob_outcome[code] ^ s.bob_bit[code])
         t.m_prime, t.recovered_via_rawkey = f(m, m_hat)
         msg_error_rate = (m_hat ^ m).weight() / n_key
         t.alice_key = t.bob_key = t.m_prime

@@ -64,8 +64,6 @@ _KETS = {
     ("z", 1): np.array([0, 1], dtype=complex),
     ("x", 0): np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex),
     ("x", 1): np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex),
-    ("y", 0): np.array([_SQRT_HALF, 1j * _SQRT_HALF], dtype=complex),
-    ("y", 1): np.array([_SQRT_HALF, -1j * _SQRT_HALF], dtype=complex),
 }
 
 
@@ -119,7 +117,7 @@ def pauli(name: str) -> np.ndarray:
 
 
 def basis_ket(bit: int, basis: str) -> np.ndarray:
-    """Eigenstate |bit_basis> for basis in {x, y, z}."""
+    """Eigenstate |bit_basis> for basis in {x, z}."""
     try:
         return _KETS[(basis, bit)].copy()
     except KeyError:
@@ -167,7 +165,7 @@ def _blocks_2d(amps: np.ndarray, op_order: str = "xz") -> np.ndarray:
     return 0.25 * (encoded[..., :, None] * encoded.conj()[..., None, :])
 
 
-def verify_2c_2d_stack(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def verify_2c_2d_stack(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frobenius distances certifying that the 2d marginals match 2c, per state.
 
     ``amps`` has shape (states, 2, d/2): each state's amplitudes over its
@@ -175,13 +173,16 @@ def verify_2c_2d_stack(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state against the 2c state built in basis z (message register M1
     standing in for M); delta_x does the same with M1 traced and basis x.
     Both should vanish for every input state, independent of any
-    preparation basis.  Returns the arrays of every state's delta_z and
-    delta_x.  Tracing a message register out sums the
-    2d stack over its axis, and the distances are taken over the block
-    stacks: every off-diagonal block is zero on both sides.  Non-finite
-    amplitudes are rejected before any stack is built, every stack is
-    validated per state, and each distance is the norm of that state's own
-    slice, so it equals the one-state value bit for bit.
+    preparation basis.  Returns the arrays of every state's delta_z,
+    delta_x and order-swap distance, the largest entry of |xz - zx| between
+    its 2d stacks built in the two operator orders.  Tracing a message
+    register out sums the 2d stack over its axis, and the distances are
+    taken over the block stacks: every off-diagonal block is zero on both
+    sides.  Non-finite amplitudes are rejected before any stack is built,
+    the "xz" and 2c stacks are validated per state (a "zx" stack within
+    the swap tolerance of its "xz" one needs no check of its own), and
+    each distance is the norm of that state's own slice, so it equals the
+    one-state value bit for bit.
     """
     if not np.isfinite(amps).all():
         raise ValueError("non-finite amplitude: matrix is not Hermitian")
@@ -190,4 +191,5 @@ def verify_2c_2d_stack(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _check_density_blocks(blocks, states=1)
     delta_z = np.array([np.linalg.norm(d) for d in blocks_2d.sum(axis=-3) - blocks_z])
     delta_x = np.array([np.linalg.norm(d) for d in blocks_2d.sum(axis=-4) - blocks_x])
-    return delta_z, delta_x
+    swap = np.abs(blocks_2d - _blocks_2d(amps, "zx")).reshape(len(amps), -1).max(axis=1)
+    return delta_z, delta_x, swap

@@ -161,6 +161,8 @@ _SCALARS = {
     **dict.fromkeys(("delayed", "quantum_memory"), (lambda v: isinstance(v, bool), "true or false")),
 }
 _CONFIG_KEYS = ("protocol", "channels", "eve", "pa", *_SCALARS)
+# integrated-2/2b/2c/2d take IntegratedConfig
+_CONFIG_TYPES = {"bb84": Bb84Config, "dqkd": DqkdConfig, "relay": RelayConfig}
 # a desk-scale bound: a run holds a few dozen bytes per signal at once
 MAX_SIGNALS = 10**7
 
@@ -255,11 +257,10 @@ def build_config(doc: dict):
         if key in doc and not accepts(doc[key]):
             raise ValueError(f"config {key} must be {kind}, got {doc[key]!r}")
     n = doc["n"]
-    n_test = doc.get("n_test", 256)
     # a relay pool left out is 4n, capped so that every allowed n still runs
     pool = doc.get("pool", min(4 * n, MAX_SIGNALS))
-    for key, value in (("n", n), ("n_test", n_test), ("pool", pool)):
-        if value > MAX_SIGNALS:
+    for key in ("n", "n_test", "pool"):
+        if doc.get(key, 0) > MAX_SIGNALS:
             raise ValueError(f"limits exceeded: config {key} above {MAX_SIGNALS}")
     seed = doc["seed"]
     if seed < 0:
@@ -274,30 +275,20 @@ def build_config(doc: dict):
     if pa_seed is not None and pa_seed.length != n - 1:
         raise ValueError(f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}")
 
-    if protocol == "bb84":
-        return Bb84Config(
-            n=n, n_test=n_test, channel=forward, eve=eve, seed=seed,
-            pa_seed=pa_seed, quantum_memory=doc.get("quantum_memory", True),
-        )
+    # each config takes the values its fields name; a key the document
+    # leaves out keeps the field's default
+    values = {
+        "variant": protocol.partition("-")[2], "n": n, "pool_size": pool, "seed": seed,
+        "channel": forward, "forward": forward, "backward": backward, "eve": eve, "pa_seed": pa_seed,
+        **{key: doc[key] for key in ("n_test", "check_fraction", "quantum_memory", "delayed") if key in doc},
+    }
+    config_type = _CONFIG_TYPES.get(protocol, IntegratedConfig)
+    cfg = config_type(**{f.name: values[f.name] for f in fields(config_type) if f.name in values})
     if protocol == "dqkd":
-        cfg = DqkdConfig(
-            n=n, n_test=n_test, check_fraction=doc.get("check_fraction", 0.5),
-            forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
-        )
-        total = n + n_test + cfg.n_check
+        total = n + cfg.n_test + cfg.n_check
         if total > MAX_SIGNALS:
             raise ValueError(f"limits exceeded: dqkd would send {total} signals, above {MAX_SIGNALS}")
-        return cfg
-    if protocol.startswith("integrated-"):
-        return IntegratedConfig(
-            variant=protocol.split("-", 1)[1], n=n, n_test=n_test,
-            forward=forward, backward=backward, eve=eve, seed=seed, pa_seed=pa_seed,
-        )
-    return RelayConfig(
-        n=n, pool_size=pool, n_test=n_test,
-        channel=forward, seed=seed,
-        delayed=doc.get("delayed", True), pa_seed=pa_seed,
-    )
+    return cfg
 
 
 # ------------------------------------------------------------------ sweeps

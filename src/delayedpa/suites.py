@@ -16,7 +16,7 @@ import numpy as np
 from delayedpa.gf2 import BitVector
 from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply_many
 from delayedpa.protocols import decode_key_bit
-from delayedpa.quantum import _blocks_2d, basis_ket, pauli, verify_2c_2d_stack
+from delayedpa.quantum import basis_ket, pauli, verify_2c_2d_stack
 from delayedpa.security import (
     MAX_ABAR_DIM,
     MAX_QUANTUM_DIM,
@@ -217,12 +217,9 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
             step = max(1, _STACK_BYTES // (256 * dim * dim))
             for s0 in range(0, len(states), step):
                 amps = np.stack(states[s0 : s0 + step])
-                dz, dx = verify_2c_2d_stack(amps)
-                # verify_2c_2d_stack validated the "xz" stacks; "zx" stacks
-                # within SWAP_TOL of them need no validation of their own
-                swap = float(np.abs(_blocks_2d(amps, "xz") - _blocks_2d(amps, "zx")).max())
+                dz, dx, swap = verify_2c_2d_stack(amps)
                 max_dz, max_dx = max(max_dz, float(dz.max())), max(max_dx, float(dx.max()))
-                max_swap = max(max_swap, swap)
+                max_swap = max(max_swap, float(swap.max()))
     passed = max(max_dz, max_dx) <= EQUIV_TOL and max_swap <= SWAP_TOL
     payload = {
         "trials": trials,

@@ -628,7 +628,7 @@ def verify_2c_2d(psi: PureState) -> tuple[float, float]:
     independent of any preparation basis.  This is
     :func:`verify_2c_2d_stack` on the stack of one state.
     """
-    delta_z, delta_x = verify_2c_2d_stack(_leading_qubit_block(psi)[None])
+    delta_z, delta_x, _ = verify_2c_2d_stack(_leading_qubit_block(psi)[None])
     return float(delta_z[0]), float(delta_x[0])
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,7 +20,16 @@ import delayedpa.suites
 from delayedpa import cli, reports
 from delayedpa.cli import SUITES, build_parser, main
 from delayedpa.gf2 import BitVector
-from delayedpa.protocols import Bb84Config, ChannelModel, DqkdConfig, key_length, run_bb84, run_dqkd
+from delayedpa.protocols import (
+    Bb84Config,
+    ChannelModel,
+    DqkdConfig,
+    IntegratedConfig,
+    RelayConfig,
+    key_length,
+    run_bb84,
+    run_dqkd,
+)
 from delayedpa.security import MAX_ABAR_DIM, MAX_QUANTUM_DIM
 from oracles import matvec, toeplitz_from_seed
 
@@ -374,6 +384,18 @@ def test_relay_pool_bound_holds_written_or_derived():
     assert reports.build_config({**base, "n": 100}).pool_size == 400
 
 
+@pytest.mark.parametrize("protocol", reports.PROTOCOLS)
+def test_build_config_leaves_unset_fields_at_the_config_defaults(protocol):
+    # only n, seed and, for relay, the derived pool are written without a key
+    doc = {"protocol": protocol, "n": 100, "seed": 5}
+    config_type, extra = {
+        "bb84": (Bb84Config, {}),
+        "dqkd": (DqkdConfig, {}),
+        "relay": (RelayConfig, {"pool_size": 400}),
+    }.get(protocol, (IntegratedConfig, {"variant": protocol.partition("-")[2]}))
+    assert reports.build_config(doc) == config_type(n=100, seed=5, **extra)
+
+
 def test_simulate_config_flags_merge_after_shape_check(tmp_path, capsys):
     # --noise-fwd writes into channels, which must be an object first
     path = tmp_path / "cfg.json"
@@ -392,6 +414,41 @@ def test_verify_rejects_negative_seed(capsys):
     _assert_one_line_config_error(code, out, err)
     assert "seed" in err
 
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_unset_flags_take_the_suite_defaults(suite, monkeypatch, capsys):
+    name = "suite_" + suite.replace("-", "_")
+    fn = getattr(delayedpa.suites, name)
+    seeded = {} if suite == "table1" else {"seed": 11}
+    calls = []
+    monkeypatch.setattr(delayedpa.suites, name, lambda **kwargs: calls.append(kwargs) or fn(**kwargs))
+    code, report, _, _ = run_cli(["verify", "--suite", suite, "--seed", "11"], capsys)
+    assert calls == [seeded]
+    payload, passed = fn(**seeded)
+    assert code == 0 and passed
+    # compared as JSON, which holds tuples as lists
+    assert report["payload"] == json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_passes_each_set_flag_its_suite_takes(suite, tmp_path, monkeypatch, capsys):
+    bank = tmp_path / "bank.json"
+    flags = {
+        "n": 3, "n_pa": 1, "trials": 2, "abar_dim": 2, "draws": 100, "alpha": 0.5,
+        "quantum_trials": 1, "quantum_n": 2, "quantum_dim": 1, "eve_bank_path": str(bank), "seed": 4,
+    }
+    argv = ["verify", "--suite", suite, "--npa", "1", "--eve-bank", str(bank)]
+    for name, value in flags.items():
+        if name not in ("n_pa", "eve_bank_path"):
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    name = "suite_" + suite.replace("-", "_")
+    params = inspect.signature(getattr(delayedpa.suites, name)).parameters
+    calls = []
+    monkeypatch.setattr(delayedpa.suites, name, lambda **kwargs: calls.append(kwargs) or ({}, True))
+    code, _, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert calls == [{key: flags[key] for key in params}]
 
 
 def test_verify_table1(capsys):

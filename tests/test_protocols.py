@@ -217,8 +217,11 @@ def test_single_line_rate_special_case():
 # --------------------------------------------------------------- channels
 
 def test_channel_parse_roundtrip():
-    for spec in ("noiseless", "bsc:0.05", "depolarizing:0.1"):
-        assert ChannelModel.parse(spec).spec() == spec
+    for spec, kind, param in (
+        ("noiseless", "noiseless", 0.0), ("bsc:0.05", "bsc", 0.05), ("depolarizing:0.1", "depolarizing", 0.1)
+    ):
+        channel = ChannelModel.parse(spec)
+        assert (channel.kind, channel.param) == (kind, param)
 
 
 def test_channel_validation():

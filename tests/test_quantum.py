@@ -461,10 +461,30 @@ def test_verify_stack_equals_each_state_bit_for_bit():
     rng = np.random.default_rng(22)
     for dim in (1, 2, 3, 8, 16, 40):
         psis = [random_pure_state((2, dim), ("A", "Abar"), rng) for _ in range(7)]
-        dz, dx = verify_2c_2d_stack(np.stack([psi.amps.reshape(2, dim) for psi in psis]))
-        assert dz.shape == dx.shape == (7,)
+        dz, dx, swap = verify_2c_2d_stack(np.stack([psi.amps.reshape(2, dim) for psi in psis]))
+        assert dz.shape == dx.shape == swap.shape == (7,)
         for i, psi in enumerate(psis):
             assert (dz[i], dx[i]) == verify_2c_2d(psi) == ref_verify_2c_2d(psi)
+            assert swap[i] == np.abs(ref_blocks_2d(psi, "xz") - ref_blocks_2d(psi, "zx")).max()
+
+
+# |0>, |1>, |+> and |+i> with a one-dimensional remainder, shape (4, 2, 1)
+QUBIT_SPANNING_STATES = np.array([[1, 0], [0, 1], [S, S], [S, 1j * S]], dtype=complex)[:, :, None]
+
+
+@pytest.mark.parametrize("swap_2c_basis", [False, True], ids=["blocks", "2c-basis-swapped"])
+def test_four_qubit_states_certify_every_state(swap_2c_basis, monkeypatch):
+    # both builders act on rho = psi psi+ as (a map on the leading qubit) (x)
+    # id on the remainder, and the projectors on these four states span every
+    # 2x2 operator, so equality on them certifies every state of every
+    # dimension; the certificate alone must reject a 2c build in the wrong basis
+    if swap_2c_basis:
+        blocks_2c = delayedpa.quantum._blocks_2c
+        monkeypatch.setattr(
+            delayedpa.quantum, "_blocks_2c", lambda amps, basis: blocks_2c(amps, {"z": "x", "x": "z"}[basis])
+        )
+    dz, dx, _ = verify_2c_2d_stack(QUBIT_SPANNING_STATES)
+    assert (max(dz.max(), dx.max()) <= EQUIV_TOL) is not swap_2c_basis
 
 
 def test_check_density_blocks_validates_each_state_of_a_stack():
