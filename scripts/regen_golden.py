@@ -95,7 +95,7 @@ def session_digest(n: int) -> str:
     """Digest of the README session's JSON at raw-key length n, n_pa = 0.7 n."""
     rng = random.Random(SESSION_SEED)
     n_pa = (7 * n) // 10
-    f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa=n_pa, n=n)
+    f = AdditivePaFunction.draw(n_pa=n_pa, n=n, rng=rng)
     m_prime = BitVector.random(n_pa, rng)
     raw_key = BitVector.random(n, rng)
     return _sha256(DelayedPaSession.create(f, m_prime, raw_key, rng).to_json())

@@ -9,6 +9,7 @@ to a uniformly random element of the hash preimage, which is what
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from dataclasses import dataclass
@@ -33,6 +34,13 @@ __all__ = [
 ]
 
 
+# an n_pa x n Toeplitz seed, n_pa < n, has independent rows with probability
+# >= 3/4 (counted over every seed of up to 16 bits), so a correct rank check
+# refuses this many seeds with probability < 1e-120; one that refuses every
+# seed fails instead of hanging
+_FULL_RANK_ATTEMPTS = 200
+
+
 @dataclass(frozen=True)
 class AdditivePaFunction:
     """A compressing GF(2)-linear hash with independent rows, held by its seed.
@@ -43,7 +51,8 @@ class AdditivePaFunction:
     by :func:`toeplitz_rows_independent`, the extended Euclidean algorithm,
     in quadratic time.  A x is one :func:`modified_toeplitz_hash` call (see
     :func:`pa_apply_many`), and preimages are drawn by
-    :func:`sample_toeplitz_preimage`.
+    :func:`sample_toeplitz_preimage`.  :meth:`draw` draws a hash from an
+    rng; only this class sizes, draws or parses the seed.
     """
 
     seed: BitVector
@@ -51,16 +60,49 @@ class AdditivePaFunction:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n_pa < 1:
-            raise ValueError("hash needs at least one output bit: need n_pa >= 1")
-        if self.n_pa >= self.n:
-            raise ValueError("hash must compress: need n_pa < n")
+        self._check_shape(self.n_pa, self.n)
         if not toeplitz_rows_independent(self.seed, self.n_pa, self.n):
             raise ValueError("rows not independent")
 
+    @staticmethod
+    def _check_shape(n_pa: int, n: int) -> None:
+        if n_pa < 1:
+            raise ValueError("hash needs at least one output bit: need n_pa >= 1")
+        if n_pa >= n:
+            raise ValueError("hash must compress: need n_pa < n")
+
+    @classmethod
+    def draw(cls, n_pa: int, n: int, rng) -> "AdditivePaFunction":
+        """The hash of the first seed ``BitVector.random(n + n_pa - 1, rng)``
+        with independent rows; a bad shape raises before any draw."""
+        cls._check_shape(n_pa, n)
+        for _ in range(_FULL_RANK_ATTEMPTS):
+            with contextlib.suppress(ValueError):  # rows not independent: the shape is checked
+                return cls(BitVector.random(n + n_pa - 1, rng), n_pa, n)
+        raise RuntimeError(
+            f"no {n_pa} x {n} Toeplitz seed with independent rows in {_FULL_RANK_ATTEMPTS} draws"
+        )
+
     @classmethod
     def from_toeplitz_seed(cls, seed: BitVector, n_pa: int, n: int) -> "AdditivePaFunction":
+        """The hash of a given seed; the benchmark's session op builds its hash here."""
         return cls(seed, n_pa, n)
+
+    def _json_doc(self) -> dict:
+        return {"kind": "toeplitz", "seed": self.seed.to_hex(), "n_pa": self.n_pa, "n": self.n}
+
+    @classmethod
+    def _from_json_doc(cls, doc: dict, n_pa: int, n: int) -> "AdditivePaFunction":
+        """The hash that :meth:`_json_doc` wrote, once its shape is n_pa x n."""
+        shape = (_json_field(doc, "n", int, "pa"), _json_field(doc, "n_pa", int, "pa"))
+        if shape != (n, n_pa):
+            raise ValueError(
+                f"pa shape {shape[1]} x {shape[0]} does not match session {n_pa} x {n}"
+            )
+        kind = _json_field(doc, "kind", str, "pa")
+        if kind != "toeplitz":
+            raise ValueError(f"unknown pa kind {kind!r}; supported: 'toeplitz'")
+        return cls(BitVector.from_hex(n + n_pa - 1, _json_field(doc, "seed", str, "pa")), n_pa, n)
 
     def __call__(self, a: BitVector) -> BitVector:
         return pa_apply(self, a)
@@ -147,11 +189,10 @@ class DelayedPaSession:
         return dpa_recover_via_rawkey(self.f, self.c, self.a)
 
     def to_json(self) -> str:
-        f = self.f
         doc = {
-            "n": f.n,
-            "n_pa": f.n_pa,
-            "pa": {"kind": "toeplitz", "seed": f.seed.to_hex(), "n_pa": f.n_pa, "n": f.n},
+            "n": self.f.n,
+            "n_pa": self.f.n_pa,
+            "pa": self.f._json_doc(),
             "a": self.a.to_hex(),
             "m_prime": self.m_prime.to_hex(),
             "m": self.m.to_hex(),
@@ -166,19 +207,8 @@ class DelayedPaSession:
         if not isinstance(doc, dict):
             raise ValueError(f"session document must be a JSON object, got {doc!r}")
         n, n_pa = _json_field(doc, "n", int), _json_field(doc, "n_pa", int)
-        pa_doc = _json_field(doc, "pa", dict)
-        pa_shape = (_json_field(pa_doc, "n", int, "pa"), _json_field(pa_doc, "n_pa", int, "pa"))
-        if pa_shape != (n, n_pa):
-            raise ValueError(
-                f"pa shape {pa_shape[1]} x {pa_shape[0]} does not match session {n_pa} x {n}"
-            )
-        kind = _json_field(pa_doc, "kind", str, "pa")
-        if kind != "toeplitz":
-            raise ValueError(f"unknown pa kind {kind!r}; supported: 'toeplitz'")
-        seed = BitVector.from_hex(n + n_pa - 1, _json_field(pa_doc, "seed", str, "pa"))
-        f = AdditivePaFunction(seed, n_pa, n)
         return cls(
-            f=f,
+            f=AdditivePaFunction._from_json_doc(_json_field(doc, "pa", dict), n_pa, n),
             a=BitVector.from_hex(n, _json_field(doc, "a", str)),
             m_prime=BitVector.from_hex(n_pa, _json_field(doc, "m_prime", str)),
             m=BitVector.from_hex(n, _json_field(doc, "m", str)),

@@ -161,6 +161,9 @@ _SCALARS = {
     **dict.fromkeys(("delayed", "quantum_memory"), (lambda v: isinstance(v, bool), "true or false")),
 }
 _CONFIG_KEYS = ("protocol", "channels", "eve", "pa", *_SCALARS)
+# keys that set a field only some protocols' configs have, and that field
+_OPTIONAL_FIELDS = {"pool": "pool_size", "channels.backward": "backward",
+                    **{key: key for key in ("check_fraction", "eve", "delayed", "quantum_memory")}}
 # integrated-2/2b/2c/2d take IntegratedConfig
 _CONFIG_TYPES = {"bb84": Bb84Config, "dqkd": DqkdConfig, "relay": RelayConfig}
 # a desk-scale bound: a run holds a few dozen bytes per signal at once
@@ -244,8 +247,8 @@ def build_config(doc: dict):
 
     This is the one check of a document's shape: unknown keys, integers
     that are not ``int`` (bools and floats included), flags that are not
-    ``bool``, and ``channels``/``eve``/``pa`` that are not objects are all
-    rejected with a ``ValueError``.
+    ``bool``, ``channels``/``eve``/``pa`` that are not objects and, last, keys
+    the protocol's config has no field for are all rejected with a ``ValueError``.
     """
     _object(doc, "config", _CONFIG_KEYS)
     protocol = doc.get("protocol")
@@ -283,7 +286,13 @@ def build_config(doc: dict):
         **{key: doc[key] for key in ("n_test", "check_fraction", "quantum_memory", "delayed") if key in doc},
     }
     config_type = _CONFIG_TYPES.get(protocol, IntegratedConfig)
-    cfg = config_type(**{f.name: values[f.name] for f in fields(config_type) if f.name in values})
+    names = {f.name for f in fields(config_type)}
+    # a key that sets no field would run unused, yet the report would echo it
+    given = {*doc, *(f"channels.{line}" for line in channels)}
+    for key, name in _OPTIONAL_FIELDS.items():
+        if key in given and name not in names:
+            raise ValueError(f"{protocol} takes no config key {key!r}")
+    cfg = config_type(**{name: values[name] for name in names if name in values})
     if protocol == "dqkd":
         total = n + cfg.n_test + cfg.n_check
         if total > MAX_SIGNALS:

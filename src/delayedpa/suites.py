@@ -49,11 +49,6 @@ _TRIAL_CHUNK = 256
 # trial alone takes more, so a run peaks within a few stacks' worth of what
 # certifying its largest trial alone takes
 _STACK_BYTES = 1 << 22
-# an n_pa x n Toeplitz seed, n_pa < n, has independent rows with probability
-# >= 3/4 (counted over every seed of up to 16 bits), so a correct rank check
-# refuses this many seeds with probability < 1e-120; one that refuses every
-# seed fails instead of hanging
-_FULL_RANK_ATTEMPTS = 200
 
 # one freed 1 MiB block that malloc had mapped raises glibc's mmap threshold
 # to 1 MiB and its heap trim threshold to 2 MiB; at the 128 KiB defaults the
@@ -128,29 +123,17 @@ def suite_preimage_uniformity(
     """
     if n > 12:
         raise ValueError("limits exceeded: uniformity suite enumerates up to n = 12")
-    if not 1 <= n_pa < n:
-        raise ValueError("need 1 <= n_pa < n")
     # alpha 0 or below passes any p-value, and 1 or above fails nearly all
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    rng = random.Random(seed)
+    f = AdditivePaFunction.draw(n_pa, n, rng)  # refuses a shape without 1 <= n_pa < n
     k = n - n_pa
     cells = 1 << k
     # below 5 expected draws per cell the chi-square p-value is meaningless
     if draws < 5 * cells:
         raise ValueError(
             f"draws must be at least 5 per preimage cell: {draws} draws over {cells} cells"
-        )
-    rng = random.Random(seed)
-    for _ in range(_FULL_RANK_ATTEMPTS):
-        pa_seed = BitVector.random(n + n_pa - 1, rng)
-        try:
-            f = AdditivePaFunction(pa_seed, n_pa, n)
-            break
-        except ValueError:  # rows not independent: the shape was checked above
-            continue
-    else:
-        raise RuntimeError(
-            f"no {n_pa} x {n} Toeplitz seed with independent rows in {_FULL_RANK_ATTEMPTS} draws"
         )
     y = BitVector.random(n_pa, rng)
     stubs = [_StubRng(g) for g in range(cells)]

@@ -63,7 +63,7 @@ from typing import Iterator
 import numpy as np
 
 from delayedpa.gf2 import BinaryMatrix, BitVector, _check_toeplitz_shape
-from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply
+from delayedpa.pa import _FULL_RANK_ATTEMPTS, AdditivePaFunction, expand_message, pa_apply
 from delayedpa.protocols import _BASES, _PAULIS, _flips
 from delayedpa.quantum import (
     ATOL_BUILD,
@@ -74,7 +74,6 @@ from delayedpa.quantum import (
     verify_2c_2d_stack,
 )
 from delayedpa.security import _bank_epsilons, _check_joints
-from delayedpa.suites import _FULL_RANK_ATTEMPTS
 
 
 # ---------------------------------------------------------------- gf2

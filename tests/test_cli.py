@@ -374,6 +374,25 @@ def test_simulate_rejects_malformed_config(tmp_path, capsys, text, names):
         assert names in err
 
 
+@pytest.mark.parametrize(
+    "protocol, flags, key",
+    [
+        ("relay", ["--eve", "intercept-resend"], "eve"),
+        ("relay", ["--no-quantum-memory"], "quantum_memory"),
+        ("bb84", ["--pool", "500"], "pool"),
+        ("bb84", ["--check-fraction", "0.9"], "check_fraction"),
+        ("bb84", ["--noise-bwd", "bsc:0.1"], "channels.backward"),
+        ("bb84", ["--normal-scheme"], "delayed"),
+        ("integrated-2c", ["--check-fraction", "0.5"], "check_fraction"),
+    ],
+)
+def test_simulate_refuses_a_key_the_protocol_does_not_take(capsys, protocol, flags, key):
+    # such a key used to run unused, yet the report echoed it in its config
+    code, _, out, err = run_cli(["simulate", protocol, "--n", "300", "--seed", "1", *flags], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert f"{protocol} takes no config key {key!r}" in err
+
+
 def test_relay_pool_bound_holds_written_or_derived():
     # the pool a relay run would hold is bounded alike whether the document
     # names it or it defaults to 4n; build_config only, no run is started

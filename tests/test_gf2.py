@@ -22,8 +22,7 @@ from delayedpa.gf2 import (
     sample_toeplitz_preimage,
     toeplitz_rows_independent,
 )
-from delayedpa.pa import expand_message
-from delayedpa.suites import _FULL_RANK_ATTEMPTS
+from delayedpa.pa import _FULL_RANK_ATTEMPTS, expand_message
 from oracles import (
     _full_rank_matrix,
     _full_rank_toeplitz,

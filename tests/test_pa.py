@@ -186,6 +186,61 @@ def test_construction_rejects_non_compressing():
         AdditivePaFunction.from_toeplitz_seed(seed, 2, 2)
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n_pa, n", [(3, 8), (4, 12), (1, 2)])
+@pytest.mark.parametrize("seed", [1, 5, 1002, 104729])
+def test_draw_takes_the_first_seed_with_independent_rows(monkeypatch, seed, n_pa, n):
+    # the loop callers wrote before draw: (n + n_pa - 1)-bit seeds until one
+    # has independent rows; draw returns its seed and leaves the rng where
+    # the loop leaves it, with one rank check per drawn seed
+    loop = random.Random(seed)
+    pa_seed = BitVector.random(n + n_pa - 1, loop)
+    seeds = 1
+    while not toeplitz_rows_independent(pa_seed, n_pa, n):
+        pa_seed, seeds = BitVector.random(n + n_pa - 1, loop), seeds + 1
+    ranks = []
+
+    def counting_rank(*args):
+        ranks.append(args)
+        return toeplitz_rows_independent(*args)
+
+    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", counting_rank)
+    rng = CountingRandom(seed)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
+    assert (f.seed, f.n_pa, f.n) == (pa_seed, n_pa, n)
+    assert rng.calls == len(ranks) == seeds
+    assert rng.getrandbits(64) == loop.getrandbits(64)
+
+
+def test_draw_redraws_a_seed_with_dependent_rows():
+    # a 1 x 2 hash's rows are dependent only for the zero seed, which is
+    # seed 1's first 2-bit draw; the second draw is 01
+    rng = CountingRandom(1)
+    assert AdditivePaFunction.draw(1, 2, rng).seed == BitVector.from01("01")
+    assert rng.calls == 2
+
+
+@pytest.mark.parametrize(
+    "n_pa, n, match",
+    [(0, 4, "at least one output bit"), (-2, 4, "at least one output bit"),
+     (4, 4, "must compress"), (9, 4, "must compress")],
+)
+def test_draw_refuses_a_bad_shape_before_any_draw(n_pa, n, match):
+    rng = CountingRandom(0)
+    with pytest.raises(ValueError, match=match):
+        AdditivePaFunction.draw(n_pa, n, rng)
+    assert rng.calls == 0
+
+
 # ---------------------------------------------------------------- expansion
 
 def test_expand_message_uniform_over_preimage():
