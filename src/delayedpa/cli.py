@@ -208,15 +208,21 @@ def _cmd_verify(args) -> int:
 
     # each suite with its parameters: a flag's dest names the parameter it
     # sets, and a flag left unset leaves the suite's own default
-    suite, params = {
+    table = {
         "table1": (suites.suite_table1, ()),
         "preimage-uniformity": (suites.suite_preimage_uniformity, ("n", "n_pa", "draws", "alpha", "seed")),
         "protocol-2c2d": (suites.suite_protocol_2c2d, ("trials", "abar_dim", "seed")),
         "delayed-pa": (suites.suite_delayed_pa, (
             "n", "n_pa", "eve_bank_path", "quantum_trials", "quantum_n", "quantum_dim", "seed",
         )),
-    }[args.suite]
+    }
+    suite, params = table[args.suite]
     flags = {**vars(args), "seed": seed}
+    # a flag that only other suites take would run unused; --seed is every suite's
+    for name in dict.fromkeys(p for _, names in table.values() for p in names):
+        if name not in (*params, "seed") and flags[name] is not None:
+            option = {"n_pa": "npa", "eve_bank_path": "eve-bank"}.get(name, name.replace("_", "-"))
+            return _error("verify", f"{args.suite} takes no flag --{option}")
     kwargs = {name: flags[name] for name in params if flags[name] is not None}
     start = time.perf_counter()
     try:

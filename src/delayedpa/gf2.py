@@ -28,37 +28,8 @@ takes all of a run's keys in one call, transforms the seed once, and packs
 as many keys into each transform as 44 bits of float64 hold exactly (two
 at n = 10**6, eleven at n - n_pa = 8).  Float rounding cannot flip a bit
 unnoticed, because an exactness guard raises if any convolution entry lies
-0.25 or more from an integer (a NaN or inf entry included).  A plain Toeplitz
-product A x, A the seed's n_pa x m Toeplitz matrix, is the same seed's
-hash of the (m + n_pa)-bit key x << n_pa, whose low n_pa bits are zero.
-:func:`toeplitz_rows_independent` decides whether a Toeplitz matrix has
-independent rows from its seed alone, by the extended Euclidean algorithm
-in O(n**2) bit operations, without row reduction.
-
-:func:`sample_toeplitz_preimage` draws a uniform preimage of a seed's
-n_pa x n Toeplitz matrix A without elimination either.  With its columns
-reversed, A is the top of the n x n Hankel matrix of a_k = seed[k], which
-is nonsingular exactly when a_0 .. a_(2n-2) have linear complexity n.
-Berlekamp-Massey (Massey, IEEE Trans. IT 15, 122 (1969)) runs over the
-seed; extending it to 2 n - 1 bits with discrepancy 1 at k = n - 1 + L
-only is one length change, to n, which exists exactly when A's rows are
-independent, so the extension's n x n Toeplitz A' is then nonsingular with
-A as its top rows.  The extension's bits are never computed.  A'^-1 is
-the Bezoutian of the last two cofactors P, Q of Euclid on (x**(2n-1), a),
-stopped as in the rank check (Brent, Gustavson and Yun, J. Algorithms 1,
-259 (1980); Heinig and Rost): A'^-1 v = P u1 + (Q mod x**n) u2 mod x**n,
-u1 and u2 the coefficients n - 1 .. 2n - 2 of v (Q >> 1) and v (P >> 1).
-Euclid is not run: P and Q lie in the plane {t : deg t <= n, no
-x**n .. x**(2n-2) terms in t a}, spanned by Berlekamp-Massey's last c and
-x**(n - L_b) b, as the t whose (t's x**n, t a's x**(n-1)) bits are (0, 1)
-and (1, 0).  A draw is x = A'^-1 (y + x**n_pa g) for
-g = ``rng.getrandbits(n - n_pa)``; g -> x is a bijection onto
-{x : Ax = y}, so x is exactly uniform.  Its four carry-less products take
-two FFT rounds under the hash's guard: one stacked real transform of v,
-Q >> 1, P >> 1, P and Q mod x**n, then one stacked inverse of v's two
-products, gives u1 and u2 mod 2; one transform of (u1, u2), multiplied by
-P's and Q's spectra and summed in frequency, then one inverse, gives x
-mod 2.
+0.25 or more from an integer (a NaN or inf entry included).  T x2 alone
+is the hash of the key x2 << n_pa, whose low n_pa bits are zero.
 """
 
 from __future__ import annotations
@@ -71,9 +42,7 @@ import numpy as np
 __all__ = [
     "BitVector",
     "BinaryMatrix",
-    "toeplitz_rows_independent",
     "modified_toeplitz_hash",
-    "sample_toeplitz_preimage",
 ]
 
 
@@ -200,43 +169,11 @@ class BinaryMatrix:
                 raise ValueError("row has set bits beyond cols")
 
 
-def _check_toeplitz_shape(seed: BitVector, n_pa: int, n: int) -> None:
-    if n_pa < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    if seed.length != n + n_pa - 1:
-        raise ValueError(
-            f"seed length {seed.length} does not match n + n_pa - 1 = {n + n_pa - 1}"
-        )
-
-
 def _unpack(length: int, *values: int) -> np.ndarray:
     """The low ``length`` bits of each value, LSB first, one uint8 row per value."""
     width = (length + 7) // 8
     raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(values), width), axis=1, bitorder="little")[:, :length]
-
-
-def toeplitz_rows_independent(seed: BitVector, n_pa: int, n: int) -> bool:
-    """Whether the seed's n_pa x n Toeplitz matrix has independent rows.
-
-    A row dependency c != 0, sum_i c_i seed[i + t] = 0 for all t < n, is
-    exactly a nonzero polynomial c~ (c reversed) of degree <= n_pa - 1 with
-    deg(c~ s mod x**N) <= n_pa - 2, where s is the seed read as a polynomial
-    and N = n + n_pa - 1.  Since (n_pa - 1) + (n_pa - 2) < N, the extended
-    Euclidean algorithm on (x**N, s), stopped at the first remainder of
-    degree <= n_pa - 2, yields the cofactor t of least degree among them
-    (rational reconstruction; Brent, Gustavson and Yun, J. Algorithms 1,
-    259 (1980)), so the rows are independent exactly when deg t >= n_pa.
-    O(N**2) bit operations on Python ints, against cubic elimination.
-    """
-    _check_toeplitz_shape(seed, n_pa, n)
-    r0, r1, t0, t1 = 1 << seed.length, seed.bits, 0, 1
-    while r1.bit_length() >= n_pa:
-        while (shift := r0.bit_length() - r1.bit_length()) >= 0:
-            r0 ^= r1 << shift
-            t0 ^= t1 << shift
-        r0, r1, t0, t1 = r1, r0, t1, t0
-    return t1.bit_length() > n_pa
 
 
 # Keys x2, x2', ... share one transform as x2 + 2**s x2' + ..., s =
@@ -313,43 +250,3 @@ def _exact_counts(conv: np.ndarray) -> np.ndarray:
     if np.abs(conv - counts).max() >= 0.25:
         raise ArithmeticError("FFT convolution is not exact enough to round")
     return counts.astype(np.int64)
-
-
-def sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
-    """Uniform draw from {x : Ax = y}, A the seed's n_pa x n Toeplitz matrix.
-
-    No elimination: one O(n**2) Berlekamp-Massey pass plus two rounds of
-    stacked FFT products (see the module docstring).  Takes one
-    ``rng.getrandbits(n - n_pa)``, none when n_pa = n.  Raises ValueError
-    if A's rows are dependent.
-    """
-    _check_toeplitz_shape(seed, n_pa, n)
-    if y.length != n_pa:
-        raise ValueError(f"dimension mismatch: matrix rows {n_pa}, vector length {y.length}")
-    # Berlekamp-Massey: connection polynomial c of length L; b is c before
-    # its last length change, made at step m
-    big_n, rev = seed.length, int(seed.to01(), 2)  # rev >> (N - 1 - k): bit i is seed[k - i]
-    c, b, L, m = 1, 1, 0, -1
-    for k in range(big_n):
-        if (c & rev >> (big_n - 1 - k)).bit_count() & 1:
-            if 2 * L <= k:
-                c, b, L, m = c ^ b << (k - m), c, k + 1 - L, k
-            else:
-                c ^= b << (k - m)
-    # the extension to 2 n - 1 bits: discrepancy 1 at k = n - 1 + L only
-    if n_pa <= L < n:
-        c, b, L, m = c ^ b << (n - 1 + L - m), c, n, n - 1 + L
-    if L != n or n_pa > n:  # more rows than columns are never independent
-        raise ValueError("rows not independent")
-    # P and Q in the plane of c and d = x**(n - L_b) b, L_b = m + 1 - n (module docstring)
-    d, head = b << (2 * n - 1 - m), rev >> (big_n - n)  # head bit i is a_(n-1-i)
-    (ac, bc), (ad, bd) = ((t >> n & 1, (t & head).bit_count() & 1) for t in (c, d))
-    p, q = c * ad ^ d * ac, c * bd ^ d * bc
-    v = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa
-    size = 1 << (2 * n - 2).bit_length()  # >= 2 n - 1 entries, so no product wraps
-    spectra = np.fft.rfft(_unpack(n, v, q >> 1, p >> 1, p, q & ((1 << n) - 1)), size)
-    u = _exact_counts(np.fft.irfft(spectra[0] * spectra[1:3], size)[:, n - 1 : 2 * n - 1]) & 1
-    u_f = np.fft.rfft(u, size)
-    x = _exact_counts(np.fft.irfft(spectra[3] * u_f[0] + spectra[4] * u_f[1], size)[:n]) & 1
-    return BitVector.from_bits(x)
-

@@ -9,18 +9,12 @@ to a uniformly random element of the hash preimage, which is what
 
 from __future__ import annotations
 
-import contextlib
 import json
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from delayedpa.gf2 import (
-    BitVector,
-    modified_toeplitz_hash,
-    sample_toeplitz_preimage,
-    toeplitz_rows_independent,
-)
+from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 
 __all__ = [
     "AdditivePaFunction",
@@ -34,25 +28,16 @@ __all__ = [
 ]
 
 
-# an n_pa x n Toeplitz seed, n_pa < n, has independent rows with probability
-# >= 3/4 (counted over every seed of up to 16 bits), so a correct rank check
-# refuses this many seeds with probability < 1e-120; one that refuses every
-# seed fails instead of hanging
-_FULL_RANK_ATTEMPTS = 200
-
-
 @dataclass(frozen=True)
 class AdditivePaFunction:
     """A compressing GF(2)-linear hash with independent rows, held by its seed.
 
-    The hash is the n_pa x n Toeplitz matrix A with entry (i, j) =
-    seed[i - j + n - 1] of an (n + n_pa - 1)-bit seed; its rows are never
-    built.  Independence is checked once, at construction, from the seed
-    by :func:`toeplitz_rows_independent`, the extended Euclidean algorithm,
-    in quadratic time.  A x is one :func:`modified_toeplitz_hash` call (see
-    :func:`pa_apply_many`), and preimages are drawn by
-    :func:`sample_toeplitz_preimage`.  :meth:`draw` draws a hash from an
-    rng; only this class sizes, draws or parses the seed.
+    The hash is the modified Toeplitz family [I | T] (see :mod:`delayedpa.gf2`):
+    an n-bit x = (x1, x2), split after n_pa bits, maps to x1 XOR T x2, T the
+    n_pa x (n - n_pa) Toeplitz matrix of an (n - 1)-bit seed.  Its rows are
+    independent by construction, so every seed gives a hash, and its rows
+    are never built.  :meth:`draw` draws a hash from an rng; only this class
+    sizes, draws or parses the seed.
     """
 
     seed: BitVector
@@ -61,8 +46,8 @@ class AdditivePaFunction:
 
     def __post_init__(self) -> None:
         self._check_shape(self.n_pa, self.n)
-        if not toeplitz_rows_independent(self.seed, self.n_pa, self.n):
-            raise ValueError("rows not independent")
+        if self.seed.length != self.n - 1:
+            raise ValueError(f"seed length {self.seed.length} does not match n - 1 = {self.n - 1}")
 
     @staticmethod
     def _check_shape(n_pa: int, n: int) -> None:
@@ -73,23 +58,29 @@ class AdditivePaFunction:
 
     @classmethod
     def draw(cls, n_pa: int, n: int, rng) -> "AdditivePaFunction":
-        """The hash of the first seed ``BitVector.random(n + n_pa - 1, rng)``
-        with independent rows; a bad shape raises before any draw."""
+        """The hash of the seed ``BitVector.random(n - 1, rng)``; a bad shape
+        raises before the draw."""
         cls._check_shape(n_pa, n)
-        for _ in range(_FULL_RANK_ATTEMPTS):
-            with contextlib.suppress(ValueError):  # rows not independent: the shape is checked
-                return cls(BitVector.random(n + n_pa - 1, rng), n_pa, n)
-        raise RuntimeError(
-            f"no {n_pa} x {n} Toeplitz seed with independent rows in {_FULL_RANK_ATTEMPTS} draws"
-        )
+        return cls(BitVector.random(n - 1, rng), n_pa, n)
 
     @classmethod
     def from_toeplitz_seed(cls, seed: BitVector, n_pa: int, n: int) -> "AdditivePaFunction":
-        """The hash of a given seed; the benchmark's session op builds its hash here."""
-        return cls(seed, n_pa, n)
+        """The hash of the first n - 1 bits of an (n + n_pa - 1)-bit seed.
+
+        Only the benchmark's session op builds its hash here, from a seed of
+        the length the plain Toeplitz family took; this goes once that op
+        draws its hash with :meth:`draw`.
+        """
+        if seed.length != n + n_pa - 1:
+            raise ValueError(
+                f"seed length {seed.length} does not match n + n_pa - 1 = {n + n_pa - 1}"
+            )
+        return cls(seed.cut(0, n - 1), n_pa, n)
 
     def _json_doc(self) -> dict:
-        return {"kind": "toeplitz", "seed": self.seed.to_hex(), "n_pa": self.n_pa, "n": self.n}
+        return {
+            "kind": "modified-toeplitz", "seed": self.seed.to_hex(), "n_pa": self.n_pa, "n": self.n,
+        }
 
     @classmethod
     def _from_json_doc(cls, doc: dict, n_pa: int, n: int) -> "AdditivePaFunction":
@@ -100,9 +91,9 @@ class AdditivePaFunction:
                 f"pa shape {shape[1]} x {shape[0]} does not match session {n_pa} x {n}"
             )
         kind = _json_field(doc, "kind", str, "pa")
-        if kind != "toeplitz":
-            raise ValueError(f"unknown pa kind {kind!r}; supported: 'toeplitz'")
-        return cls(BitVector.from_hex(n + n_pa - 1, _json_field(doc, "seed", str, "pa")), n_pa, n)
+        if kind != "modified-toeplitz":
+            raise ValueError(f"unknown pa kind {kind!r}; supported: 'modified-toeplitz'")
+        return cls(BitVector.from_hex(n - 1, _json_field(doc, "seed", str, "pa")), n_pa, n)
 
     def __call__(self, a: BitVector) -> BitVector:
         return pa_apply(self, a)
@@ -114,23 +105,27 @@ def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
 
 
 def pa_apply_many(f: AdditivePaFunction, inputs: Sequence[BitVector]) -> list[BitVector]:
-    """Hash n-bit inputs down to n_pa bits each, in one call.
-
-    A x is the seed's ``modified_toeplitz_hash`` of x << n_pa, whose T is
-    A; that hash packs several short inputs into one transform.
-    """
+    """Hash n-bit inputs down to n_pa bits each, in one
+    ``modified_toeplitz_hash`` call, which packs short inputs into shared
+    transforms."""
     for a in inputs:
         if a.length != f.n:
             raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")
-    keys = [BitVector(f.n + f.n_pa, a.bits << f.n_pa) for a in inputs]
-    return modified_toeplitz_hash(f.seed, f.n_pa, keys)
+    return modified_toeplitz_hash(f.seed, f.n_pa, inputs)
 
 
 def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
-    """Uniform draw from the preimage {m : f(m) = m_prime}."""
+    """Uniform draw from the preimage {m : f(m) = m_prime}.
+
+    One ``rng.getrandbits(n - n_pa)`` gives r, and m = (m_prime XOR T r, r).
+    r -> m is a bijection onto the preimage, so m is exactly uniform.  T r
+    is the hash of r << n_pa, whose low n_pa bits are zero.
+    """
     if m_prime.length != f.n_pa:
         raise ValueError(f"length mismatch: expected {f.n_pa}, got {m_prime.length}")
-    return sample_toeplitz_preimage(f.seed, f.n_pa, f.n, m_prime, rng)
+    r = rng.getrandbits(f.n - f.n_pa) << f.n_pa
+    t_r = modified_toeplitz_hash(f.seed, f.n_pa, [BitVector(f.n, r)])[0]
+    return BitVector(f.n, (m_prime.bits ^ t_r.bits) | r)
 
 
 def dpa_encrypt(a: BitVector, m: BitVector) -> BitVector:

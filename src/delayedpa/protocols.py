@@ -464,6 +464,12 @@ class IntegratedConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n < 1 or self.n_test < 2:
             raise ValueError("need n >= 1 and n_test >= 2")
+        # the run would ignore a noisy classical line, yet the report would echo it
+        if self.variant in ("2", "2b") and self.backward.kind != "noiseless":
+            raise ValueError(
+                f"integrated-{self.variant} has a classical backward line, which is noiseless: "
+                f"got backward channel {self.backward.kind}"
+            )
 
 
 @dataclass(frozen=True)

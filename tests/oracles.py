@@ -7,7 +7,8 @@ a second, plainer route to a result the package computes another way:
   per bit; checks ``modified_toeplitz_hash``, ``pa_apply``, the hash
   tables of the verifier and every preimage draw.
 - ``toeplitz_from_seed``: a seed's Toeplitz matrix, built row by row;
-  checks the seed-only hash, rank check and preimage draw.
+  ``modified_toeplitz_matrix``: the dense [I | T] of an (n - 1)-bit seed.
+  They check the seed-only hash and the preimage draw.
 - ``random_matrix``: a matrix of uniform random rows.
 - ``RowReduction`` and ``row_reduce``: Gauss-Jordan elimination on the
   packed rows; the rank and row-space oracle of the rank check, the
@@ -25,9 +26,9 @@ a second, plainer route to a result the package computes another way:
 - ``_full_rank_matrix`` and ``_full_rank_toeplitz``: random matrices, and
   random seeds whose dense Toeplitz matrix has full rank, redrawn until
   their rows are independent; the draw and sweep tests' cases.
-- ``ref_clmul`` and ``ref_sample_toeplitz_preimage``: the Toeplitz draw
-  with its four carry-less products made one shifted XOR at a time;
-  checks ``sample_toeplitz_preimage`` draw for draw, apart from the FFT.
+- ``ref_clmul`` and ``ref_expand_message``: the [I | T] draw with its
+  product T r made one shifted XOR at a time; checks ``expand_message``
+  draw for draw, apart from the FFT.
 - ``expand_imperfect_key``: a uniform m with f(m) = g(a'); checks that
   ``expand_message`` expands a second hash's output.
 - ``op_for_bit`` and ``single_signal_roundtrip``: the encoding table one
@@ -62,8 +63,8 @@ from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix, BitVector, _check_toeplitz_shape
-from delayedpa.pa import _FULL_RANK_ATTEMPTS, AdditivePaFunction, expand_message, pa_apply
+from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply
 from delayedpa.protocols import _BASES, _PAULIS, _flips
 from delayedpa.quantum import (
     ATOL_BUILD,
@@ -100,12 +101,21 @@ def toeplitz_from_seed(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
     the first column walks seed[n-1] .. seed[n+n_pa-2], so the matrix is
     constant along every diagonal and fully determined by n + n_pa - 1 bits.
     """
-    _check_toeplitz_shape(seed, n_pa, n)
+    if n_pa < 1 or n < 1:
+        raise ValueError("dimensions must be positive")
+    if seed.length != n + n_pa - 1:
+        raise ValueError(f"seed length {seed.length} does not match n + n_pa - 1 = {n + n_pa - 1}")
     # Entry (i, j) = rev[(n_pa - 1 - i) + j] where rev is the bit-reversed
     # seed, so each row is a single shift+mask window.
     rev = int(seed.to01(), 2)
     mask = (1 << n) - 1
     return BinaryMatrix(n_pa, n, tuple(((rev >> (n_pa - 1 - i)) & mask) for i in range(n_pa)))
+
+
+def modified_toeplitz_matrix(seed: BitVector, n_pa: int, n: int) -> BinaryMatrix:
+    """The n_pa x n matrix [I | T], T the (n - 1)-bit seed's n_pa x (n - n_pa) Toeplitz matrix."""
+    t = toeplitz_from_seed(seed, n_pa, n - n_pa)
+    return BinaryMatrix(n_pa, n, tuple(1 << i | row << n_pa for i, row in enumerate(t.row_words)))
 
 
 def identity_matrix(n: int) -> BinaryMatrix:
@@ -333,6 +343,12 @@ def ref_sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
     return ref_preimage_sampler(a, y)(rng)
 
 
+# a draw has independent rows with probability > 1/4 (more columns than
+# rows), so a correct row_reduce refuses this many draws with probability
+# < 1e-24; one that refuses every draw fails instead of hanging
+_FULL_RANK_ATTEMPTS = 200
+
+
 def _full_rank_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
     """Draw random rows x cols matrices until one has independent rows."""
     for _ in range(_FULL_RANK_ATTEMPTS):
@@ -363,33 +379,16 @@ def ref_clmul(a: int, b: int, n: int) -> int:
     return out
 
 
-def ref_sample_toeplitz_preimage(seed: BitVector, n_pa: int, n: int, y: BitVector, rng) -> BitVector:
-    """``sample_toeplitz_preimage`` with its four products made by :func:`ref_clmul`.
-
-    The same Berlekamp-Massey completion and Bezoutian (see the gf2 module
-    docstring), with no FFT; takes the same one ``rng.getrandbits(n - n_pa)``.
-    """
-    _check_toeplitz_shape(seed, n_pa, n)
-    if y.length != n_pa:
-        raise ValueError(f"dimension mismatch: matrix rows {n_pa}, vector length {y.length}")
-    big_n, rev = seed.length, int(seed.to01(), 2)
-    c, b, L, m = 1, 1, 0, -1
-    for k in range(big_n):
-        if (c & rev >> (big_n - 1 - k)).bit_count() & 1:
-            if 2 * L <= k:
-                c, b, L, m = c ^ b << (k - m), c, k + 1 - L, k
-            else:
-                c ^= b << (k - m)
-    if n_pa <= L < n:
-        c, b, L, m = c ^ b << (n - 1 + L - m), c, n, n - 1 + L
-    if L != n or n_pa > n:
-        raise ValueError("rows not independent")
-    d, head = b << (2 * n - 1 - m), rev >> (big_n - n)
-    (ac, bc), (ad, bd) = ((t >> n & 1, (t & head).bit_count() & 1) for t in (c, d))
-    p, q = c * ad ^ d * ac, c * bd ^ d * bc
-    v, low = y.bits | (rng.getrandbits(n - n_pa) if n > n_pa else 0) << n_pa, (1 << n) - 1
-    u1, u2 = ref_clmul(v, q >> 1, n) >> (n - 1), ref_clmul(v, p >> 1, n) >> (n - 1)
-    return BitVector(n, (ref_clmul(p, u1, n) ^ ref_clmul(q & low, u2, n)) & low)
+def ref_expand_message(f: AdditivePaFunction, y: BitVector, rng) -> BitVector:
+    """``expand_message`` with T r made by :func:`ref_clmul`: bit i of T r is
+    coefficient w - 1 + i of seed(x) r(x), w = n - n_pa; takes the same one
+    ``rng.getrandbits(w)``."""
+    if y.length != f.n_pa:
+        raise ValueError(f"length mismatch: expected {f.n_pa}, got {y.length}")
+    w = f.n - f.n_pa
+    r = rng.getrandbits(w)
+    t_r = (ref_clmul(f.seed.bits, r, w) >> (w - 1)) & ((1 << f.n_pa) - 1)
+    return BitVector(f.n, y.bits ^ t_r | r << f.n_pa)
 
 
 # ---------------------------------------------------------------- pa

@@ -393,6 +393,17 @@ def test_simulate_refuses_a_key_the_protocol_does_not_take(capsys, protocol, fla
     assert f"{protocol} takes no config key {key!r}" in err
 
 
+@pytest.mark.parametrize("protocol", ["integrated-2", "integrated-2b"])
+@pytest.mark.parametrize("channel", ["bsc:0.3", "depolarizing:0.1"])
+def test_classical_backward_line_refuses_a_noisy_channel(capsys, protocol, channel):
+    # the run never read the channel, yet the report echoed it
+    argv = ["simulate", protocol, "--n", "300", "--seed", "1"]
+    code, _, out, err = run_cli(argv + ["--noise-bwd", channel], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert f"{protocol} has a classical backward line" in err
+    assert run_cli(argv + ["--noise-bwd", "noiseless"], capsys)[0] == 0
+
+
 def test_relay_pool_bound_holds_written_or_derived():
     # the pool a relay run would hold is bounded alike whether the document
     # names it or it defaults to 4n; build_config only, no run is started
@@ -450,24 +461,46 @@ def test_verify_unset_flags_take_the_suite_defaults(suite, monkeypatch, capsys):
     assert report["payload"] == json.loads(json.dumps(payload))
 
 
+# each flag verify takes, by the suite parameter it sets, with a value in range
+_SUITE_FLAG_VALUES = {
+    "n": ("--n", 3), "n_pa": ("--npa", 1), "trials": ("--trials", 2), "abar_dim": ("--abar-dim", 2),
+    "draws": ("--draws", 100), "alpha": ("--alpha", 0.5), "quantum_trials": ("--quantum-trials", 1),
+    "quantum_n": ("--quantum-n", 2), "quantum_dim": ("--quantum-dim", 1),
+    "eve_bank_path": ("--eve-bank", "bank.json"),
+}
+
+
+def _suite_params(suite):
+    return inspect.signature(getattr(delayedpa.suites, "suite_" + suite.replace("-", "_"))).parameters
+
+
 @pytest.mark.parametrize("suite", SUITES)
-def test_verify_passes_each_set_flag_its_suite_takes(suite, tmp_path, monkeypatch, capsys):
-    bank = tmp_path / "bank.json"
-    flags = {
-        "n": 3, "n_pa": 1, "trials": 2, "abar_dim": 2, "draws": 100, "alpha": 0.5,
-        "quantum_trials": 1, "quantum_n": 2, "quantum_dim": 1, "eve_bank_path": str(bank), "seed": 4,
-    }
-    argv = ["verify", "--suite", suite, "--npa", "1", "--eve-bank", str(bank)]
-    for name, value in flags.items():
-        if name not in ("n_pa", "eve_bank_path"):
-            argv += ["--" + name.replace("_", "-"), str(value)]
+def test_verify_passes_each_set_flag_its_suite_takes(suite, monkeypatch, capsys):
+    params = _suite_params(suite)
+    flags = {name: value for name, (_, value) in _SUITE_FLAG_VALUES.items() if name in params}
+    flags["seed"] = 4
+    argv = ["verify", "--suite", suite, "--seed", "4"]
+    for name, (option, value) in _SUITE_FLAG_VALUES.items():
+        if name in params:
+            argv += [option, str(value)]
     name = "suite_" + suite.replace("-", "_")
-    params = inspect.signature(getattr(delayedpa.suites, name)).parameters
     calls = []
     monkeypatch.setattr(delayedpa.suites, name, lambda **kwargs: calls.append(kwargs) or ({}, True))
     code, _, _, _ = run_cli(argv, capsys)
     assert code == 0
     assert calls == [{key: flags[key] for key in params}]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_refuses_each_flag_its_suite_does_not_take(suite, capsys):
+    # such a flag used to run unused; --seed is every suite's, table1's too
+    params = _suite_params(suite)
+    others = [(option, value) for name, (option, value) in _SUITE_FLAG_VALUES.items() if name not in params]
+    assert others
+    for option, value in others:
+        code, _, out, err = run_cli(["verify", "--suite", suite, option, str(value), "--seed", "1"], capsys)
+        _assert_one_line_config_error(code, out, err)
+        assert f"{suite} takes no flag {option}" in err
 
 
 def test_verify_table1(capsys):
@@ -843,6 +876,9 @@ _VERIFY_FLAGS = {
 
 @st.composite
 def _verify_argv(draw, suite):
+    # only flags the suite takes: any other is refused before the suite runs
+    params = _suite_params(suite)
+    takes = {option for name, (option, _) in _SUITE_FLAG_VALUES.items() if name in params}
     argv = ["verify", "--suite", suite]
     n_pa = draw(st.none() | st.integers(-1, 3))
     # keep each case fast: n <= 4 once n_pa >= 2 (delayed-pa's default is 2),
@@ -855,12 +891,13 @@ def _verify_argv(draw, suite):
     else:
         n = draw(st.none() | st.integers(-1, 4))
     for flag, value in (("--n", n), ("--npa", n_pa)):
-        if value is not None:
+        if value is not None and flag in takes:
             argv += [flag, str(value)]
     # at most one flag out of range, so most cases reach the bank and the suite
     broken = draw(st.sampled_from((None,) * len(_VERIFY_FLAGS) + tuple(_VERIFY_FLAGS)))
     for flag, (good, bad) in _VERIFY_FLAGS.items():
-        argv += [flag, str(draw(st.sampled_from(bad if flag == broken else good)))]
+        if flag in takes or flag == "--seed":
+            argv += [flag, str(draw(st.sampled_from(bad if flag == broken else good)))]
     return argv
 
 

@@ -12,17 +12,10 @@ from mpmath import mp, mpf
 from scipy import stats
 
 import delayedpa.gf2
-import delayedpa.pa
 import delayedpa.suites
 import oracles
-from delayedpa.gf2 import (
-    BinaryMatrix,
-    BitVector,
-    modified_toeplitz_hash,
-    sample_toeplitz_preimage,
-    toeplitz_rows_independent,
-)
-from delayedpa.pa import _FULL_RANK_ATTEMPTS, expand_message
+from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
+from delayedpa.pa import AdditivePaFunction, expand_message
 from oracles import (
     _full_rank_matrix,
     _full_rank_toeplitz,
@@ -30,13 +23,14 @@ from oracles import (
     identity_matrix,
     matrix_from_rows,
     matvec,
+    modified_toeplitz_matrix,
     preimage_sampler,
     random_matrix,
     ref_clmul,
+    ref_expand_message,
     ref_preimage_sampler,
     ref_row_reduce,
     ref_row_reduce_with_ops,
-    ref_sample_toeplitz_preimage,
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
@@ -262,7 +256,7 @@ def test_toeplitz_wrong_seed_length():
     with pytest.raises(ValueError):
         toeplitz_from_seed(BitVector.zeros(5), n_pa=2, n=3)
     with pytest.raises(ValueError):
-        toeplitz_rows_independent(BitVector.zeros(5), n_pa=2, n=3)
+        modified_toeplitz_matrix(BitVector.zeros(5), n_pa=2, n=3)
 
 
 @given(st.integers(1, 6), st.integers(1, 8), st.randoms(use_true_random=False))
@@ -288,22 +282,18 @@ def test_toeplitz_entries_across_digit_boundaries(n_pa, n, rng):
     )
 
 
-def _rows_independent(seed, n_pa, n):
-    return row_reduce(toeplitz_from_seed(seed, n_pa, n)).rank == n_pa
+def _rank(seed, n_pa, n):
+    return row_reduce(modified_toeplitz_matrix(seed, n_pa, n)).rank
 
 
 def test_toeplitz_rows_independent_matches_row_reduce_exhaustively():
-    # n_pa = n + 1 has more rows than columns, so its rows never are
-    for n in range(1, 7):
-        for n_pa in range(1, n + 2):
-            length = n + n_pa - 1
-            for bits in range(1 << length):
-                seed = BitVector(length, bits)
-                assert toeplitz_rows_independent(seed, n_pa, n) == _rows_independent(
-                    seed, n_pa, n
-                ), (seed.to01(), n_pa, n)
-    # the rows 101 and 110 of test_toeplitz_indexing_convention
-    assert toeplitz_rows_independent(BitVector.from01("1011"), 2, 3)
+    # [I | T] needs no rank check: every seed of every shape up to n = 8
+    # builds a hash, and row_reduce finds its n_pa rows independent
+    for n in range(2, 9):
+        for n_pa in range(1, n):
+            for bits in range(1 << (n - 1)):
+                f = AdditivePaFunction(BitVector(n - 1, bits), n_pa, n)
+                assert _rank(f.seed, n_pa, n) == n_pa, (f.seed.to01(), n_pa, n)
 
 
 @pytest.mark.parametrize("density", [0.02, 0.5, 0.98])
@@ -312,24 +302,26 @@ def test_toeplitz_rows_independent_matches_row_reduce_on_random_shapes(density):
     for _ in range(150):
         n = rng.randint(2, 64)
         n_pa = rng.randint(1, n - 1)
-        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n + n_pa - 1))
-        assert toeplitz_rows_independent(seed, n_pa, n) == _rows_independent(seed, n_pa, n), (
-            seed.to01(), n_pa, n
-        )
+        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n - 1))
+        assert _rank(seed, n_pa, n) == n_pa, (seed.to01(), n_pa, n)
 
 
 @pytest.mark.parametrize(
-    "pattern, independent",
+    "pattern, plain_independent",
     [("0", False), ("1", False), ("1101001", False), ("0" * 63 + "1" + "0" * 39, True)],
     ids=["zero", "ones", "period-7", "identity"],
 )
-def test_toeplitz_rows_independent_on_structured_seeds(pattern, independent):
-    # a periodic seed gives rank at most its period; a single 1 at bit
-    # n - 1 gives [I | 0]
+def test_toeplitz_rows_independent_on_structured_seeds(pattern, plain_independent):
+    # a periodic seed gives the plain n_pa x n Toeplitz matrix rank at most
+    # its period, and a single 1 at bit n - 1 gives it [I | 0]; the [I | T]
+    # hash that from_toeplitz_seed builds from the same bits has n_pa
+    # independent rows whatever they are
     n, n_pa = 64, 40
-    seed = BitVector.from01((pattern * (n + n_pa))[: n + n_pa - 1])
-    assert toeplitz_rows_independent(seed, n_pa, n) is independent
-    assert _rows_independent(seed, n_pa, n) is independent
+    plain = BitVector.from01((pattern * (n + n_pa))[: n + n_pa - 1])
+    assert (row_reduce(toeplitz_from_seed(plain, n_pa, n)).rank == n_pa) is plain_independent
+    f = AdditivePaFunction.from_toeplitz_seed(plain, n_pa, n)
+    assert f.seed == plain.cut(0, n - 1)
+    assert _rank(f.seed, n_pa, n) == n_pa
 
 
 def _dense_hash(seed, n_pa, x):
@@ -497,78 +489,69 @@ def test_clmul_matches_bitwise_oracle(n):
 
 
 def test_toeplitz_preimage_exhaustive_up_to_n5():
-    # every seed, every n_pa <= n, every y and every drawn value g: a full
-    # rank seed maps g to a preimage of y, one g per preimage; a dependent
-    # seed raises whatever y is
-    for n in range(1, 6):
-        for n_pa in range(1, n + 1):
-            length, w = n + n_pa - 1, n - n_pa
-            for bits in range(1 << length):
-                seed = BitVector(length, bits)
-                a = toeplitz_from_seed(seed, n_pa, n)
-                if not toeplitz_rows_independent(seed, n_pa, n):
-                    with pytest.raises(ValueError, match="rows not independent"):
-                        sample_toeplitz_preimage(seed, n_pa, n, BitVector.zeros(n_pa), FixedBits(0))
-                    continue
+    # every seed, every n_pa < n, every y and every drawn value g: the 2^w
+    # values of g give the 2^w preimages of y, each once, so a uniform g
+    # draws uniformly from the preimage
+    for n in range(2, 6):
+        for n_pa in range(1, n):
+            w = n - n_pa
+            for bits in range(1 << (n - 1)):
+                f = AdditivePaFunction(BitVector(n - 1, bits), n_pa, n)
+                a = modified_toeplitz_matrix(f.seed, n_pa, n)
                 for y in enumerate_vectors(n_pa):
-                    xs = {sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)) for g in range(1 << w)}
-                    assert len(xs) == 1 << w, (seed.to01(), n_pa, n, y)
-                    assert all(matvec(a, x) == y for x in xs), (seed.to01(), n_pa, n, y)
+                    preimage = ref_preimage(a, y)
+                    assert len(preimage) == 1 << w
+                    xs = [expand_message(f, y, FixedBits(g)).bits for g in range(1 << w)]
+                    assert sorted(xs) == sorted(preimage), (f.seed.to01(), n_pa, n, y)
 
 
 def test_toeplitz_preimage_completion_nonsingular_up_to_n8():
-    # the draw raises unless the completed n x n matrix is nonsingular; on
-    # every full-rank seed the package draw is a preimage and equals the
-    # reference draw, whose products are bit by bit, so that the completion
-    # and the Bezoutian are checked apart from the FFT products
+    # [I | T] over [0 | I] is an n x n matrix with a unit diagonal, and the
+    # draw inverts it: the draw of g from the preimage of y is the x it maps
+    # to (y, g).  On every seed: the completion has full rank, the draw
+    # solves it, and it equals the reference draw, whose product is bit by
+    # bit, so the draw is checked apart from the FFT
     rng = random.Random("completion")
-    full_rank = 0
+    cases = 0
     for n in range(2, 9):
         for n_pa in range(1, n):
-            length = n + n_pa - 1
-            for bits in range(1 << length):
-                seed = BitVector(length, bits)
-                if not toeplitz_rows_independent(seed, n_pa, n):
-                    continue
-                full_rank += 1
-                y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
-                x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
-                assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
-                assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)), (
-                    seed.to01(), n_pa, n, g
-                )
-    assert full_rank == 35_901
+            w = n - n_pa
+            for bits in range(1 << (n - 1)):
+                f = AdditivePaFunction(BitVector(n - 1, bits), n_pa, n)
+                top = modified_toeplitz_matrix(f.seed, n_pa, n).row_words
+                square = BinaryMatrix(n, n, top + tuple(1 << (n_pa + j) for j in range(w)))
+                assert row_reduce(square).rank == n
+                y, g = BitVector.random(n_pa, rng), rng.getrandbits(w)
+                x = expand_message(f, y, FixedBits(g))
+                assert matvec(square, x) == BitVector(n, y.bits | g << n_pa), (f.seed.to01(), n_pa)
+                assert x == ref_expand_message(f, y, FixedBits(g)), (f.seed.to01(), n_pa, g)
+                cases += 1
+    assert cases == 1538
 
 
 def test_toeplitz_preimage_matches_reference_draw_up_to_n16():
-    # draw for draw: every shape with n <= 16, n_pa = n included, three
-    # seeds with independent rows each, four y and g values per seed
+    # draw for draw: every shape with n <= 16, three drawn hashes each, four
+    # y and g values per hash
     rng = random.Random("reference draw")
-    for n in range(1, 17):
-        for n_pa in range(1, n + 1):
+    for n in range(2, 17):
+        for n_pa in range(1, n):
             for _ in range(3):
-                seed = BitVector.random(n + n_pa - 1, rng)
-                while not toeplitz_rows_independent(seed, n_pa, n):
-                    seed = BitVector.random(n + n_pa - 1, rng)
+                f = AdditivePaFunction.draw(n_pa, n, rng)
                 for _ in range(4):
                     y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
-                    x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
-                    assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g)), (
-                        seed.to01(), n_pa, n, g
-                    )
+                    x = expand_message(f, y, FixedBits(g))
+                    assert x == ref_expand_message(f, y, FixedBits(g)), (f.seed.to01(), n_pa, n, g)
 
 
 @pytest.mark.parametrize("n", [512, 2048])
 def test_toeplitz_preimage_matches_reference_draw_at_session_sizes(n):
     n_pa = n * 7 // 10
     rng = random.Random(n)
-    seed = BitVector.random(n + n_pa - 1, rng)
-    while not toeplitz_rows_independent(seed, n_pa, n):
-        seed = BitVector.random(n + n_pa - 1, rng)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
     for _ in range(3):
         y, g = BitVector.random(n_pa, rng), rng.getrandbits(n - n_pa)
-        x = sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
-        assert x == ref_sample_toeplitz_preimage(seed, n_pa, n, y, FixedBits(g))
+        x = expand_message(f, y, FixedBits(g))
+        assert x == ref_expand_message(f, y, FixedBits(g))
 
 
 @pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
@@ -577,26 +560,21 @@ def test_toeplitz_preimage_matches_dense_on_random_shapes(density):
     for _ in range(60):
         n = rng.randint(2, 200)
         n_pa = rng.randint(1, n - 1)
-        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n + n_pa - 1))
+        seed = BitVector.from_bits(int(rng.random() < density) for _ in range(n - 1))
+        f = AdditivePaFunction(seed, n_pa, n)
         y = BitVector.random(n_pa, rng)
-        if not toeplitz_rows_independent(seed, n_pa, n):
-            with pytest.raises(ValueError, match="rows not independent"):
-                sample_toeplitz_preimage(seed, n_pa, n, y, rng)
-            continue
-        x = sample_toeplitz_preimage(seed, n_pa, n, y, rng)
-        assert matvec(toeplitz_from_seed(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
+        x = expand_message(f, y, rng)
+        assert matvec(modified_toeplitz_matrix(seed, n_pa, n), x) == y, (seed.to01(), n_pa, n)
 
 
 STRUCTURED_SEEDS = {
-    # a single 1 at bit n_pa - 1 gives [0 | I]: the leading n_pa x n_pa block is zero
-    "zero-leading-block": (
-        lambda n: n * 7 // 10, lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n_pa - 1))
-    ),
-    # 0101...: two independent rows, no more
-    "period-2": (lambda n: 2, lambda n, n_pa: BitVector.from01(("01" * n)[: n + n_pa - 1])),
-    # one row whose only 1 is its last bit: linear complexity n before any
-    # completion, so no length change is forced
-    "top-bit": (lambda n: 1, lambda n, n_pa: BitVector(n + n_pa - 1, 1 << (n + n_pa - 2))),
+    # a single 1 at bit n_pa - 1 gives T = [0 ; I] at n_pa = 0.7 n: its
+    # leading n_pa - w rows are zero
+    "zero-leading-block": (lambda n: n * 7 // 10, lambda n: BitVector(n - 1, 1 << (n * 7 // 10 - 1))),
+    # 0101...: the plain family's matrix of these bits has rank 2
+    "period-2": (lambda n: 2, lambda n: BitVector.from01(("01" * n)[: n - 1])),
+    # a single 1 at the top bit: T's only 1 is in its last row, first column
+    "top-bit": (lambda n: 1, lambda n: BitVector(n - 1, 1 << (n - 2))),
 }
 
 
@@ -604,19 +582,14 @@ STRUCTURED_SEEDS = {
 @pytest.mark.parametrize("case", STRUCTURED_SEEDS)
 def test_toeplitz_preimage_structured_seeds_match_dense(case, n):
     shape, make = STRUCTURED_SEEDS[case]
-    n_pa = shape(n)
-    seed = make(n, n_pa)
-    a = toeplitz_from_seed(seed, n_pa, n)
-    assert row_reduce(a).rank == n_pa
     rng = random.Random(n)
-    for _ in range(3):
-        y = BitVector.random(n_pa, rng)
-        assert matvec(a, sample_toeplitz_preimage(seed, n_pa, n, y, rng)) == y
-    # the same patterns at a wider n_pa have dependent rows
-    if case != "zero-leading-block":
-        wide = n * 7 // 10
-        with pytest.raises(ValueError, match="rows not independent"):
-            sample_toeplitz_preimage(make(n, wide), wide, n, BitVector.zeros(wide), rng)
+    # each seed at its own width and at the session's n_pa = 0.7 n
+    for n_pa in (shape(n), n * 7 // 10):
+        f = AdditivePaFunction(make(n), n_pa, n)
+        a = modified_toeplitz_matrix(f.seed, n_pa, n)
+        for _ in range(3):
+            y = BitVector.random(n_pa, rng)
+            assert matvec(a, expand_message(f, y, rng)) == y
 
 
 class RecordingRandom(random.Random):
@@ -627,60 +600,56 @@ class RecordingRandom(random.Random):
 
 @pytest.mark.parametrize("n, n_pa", [(12, 4), (300, 210), (2048, 1433)])
 def test_toeplitz_preimage_takes_one_draw_as_the_dense_path(n, n_pa):
+    # the dense sampler gives [I | T]'s free columns, the last n - n_pa,
+    # the drawn bits in order, so the two draws agree bit for bit
     rng = random.Random(n)
-    a, seed = _full_rank_toeplitz(rng, n_pa, n)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
+    a = modified_toeplitz_matrix(f.seed, n_pa, n)
     y = BitVector.random(n_pa, rng)
     ours, dense = RecordingRandom(n), RecordingRandom(n)
     ours.calls, dense.calls = [], []
-    x = sample_toeplitz_preimage(seed, n_pa, n, y, ours)
+    x = expand_message(f, y, ours)
     assert matvec(a, x) == y
-    assert matvec(a, sample_preimage(a, y, dense)) == y
+    assert x == sample_preimage(a, y, dense)
     assert ours.calls == dense.calls == [n - n_pa]
     assert ours.getstate() == dense.getstate()
 
 
-def test_toeplitz_preimage_square_takes_no_draw():
-    seed = BitVector.from01("0001000")  # the 4 x 4 identity
-    y = BitVector.from01("1011")
-    assert sample_toeplitz_preimage(seed, 4, 4, y, None) == y
-
-
 @pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
 def test_toeplitz_preimage_products_pass_the_hash_guard(monkeypatch, bad):
-    # each of the two rounds' inverse transforms is poisoned in turn, at
-    # entry n - 1, which both rounds read
+    # the draw's one product T r runs under the hash's guard: its inverse
+    # transform is poisoned at entry n - 2, which the hash reads
     irfft = np.fft.irfft
     rng = random.Random(7)
-    _, seed = _full_rank_toeplitz(rng, 70, 100)
+    f = AdditivePaFunction.draw(70, 100, rng)
     y = BitVector.random(70, rng)
-    for poisoned_call in (0, 1):
-        calls = []
+    calls = []
 
-        def poisoned(*args, **kw):
-            conv = irfft(*args, **kw)
-            calls.append(conv.shape)
-            if len(calls) - 1 == poisoned_call:
-                if bad == 0.4:
-                    return conv + bad
-                conv[..., 99] = bad
-            return conv
+    def poisoned(*args, **kw):
+        conv = irfft(*args, **kw)
+        calls.append(conv.shape)
+        if bad == 0.4:
+            return conv + bad
+        conv[..., 98] = bad
+        return conv
 
-        monkeypatch.setattr(np.fft, "irfft", poisoned)
-        with pytest.raises(ArithmeticError):
-            sample_toeplitz_preimage(seed, 70, 100, y, rng)
-        assert len(calls) == poisoned_call + 1
+    monkeypatch.setattr(np.fft, "irfft", poisoned)
+    with pytest.raises(ArithmeticError):
+        expand_message(f, y, rng)
+    assert len(calls) == 1
 
 
 def test_toeplitz_preimage_rejects_bad_shapes():
-    rng = random.Random(0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        sample_toeplitz_preimage(BitVector.zeros(10), 3, 8, BitVector.zeros(4), rng)
-    # more rows than columns are never independent, though the seed 11 has
-    # linear complexity 1 = n
-    with pytest.raises(ValueError, match="rows not independent"):
-        sample_toeplitz_preimage(BitVector.from01("11"), 2, 1, BitVector.zeros(2), rng)
+    rng = RecordingRandom(0)
+    rng.calls = []
+    with pytest.raises(ValueError, match="length mismatch"):
+        expand_message(AdditivePaFunction(BitVector.zeros(7), 3, 8), BitVector.zeros(4), rng)
+    assert rng.calls == []
+    # a hash takes an (n - 1)-bit seed and must compress
     with pytest.raises(ValueError, match="seed length"):
-        sample_toeplitz_preimage(BitVector.zeros(9), 3, 8, BitVector.zeros(3), rng)
+        AdditivePaFunction(BitVector.zeros(10), 3, 8)
+    with pytest.raises(ValueError, match="must compress"):
+        AdditivePaFunction(BitVector.from01("1"), 2, 2)
 
 
 # ---------------------------------------------------------------- reduction
@@ -869,7 +838,6 @@ def test_row_reduce_matches_gauss_jordan_on_toeplitz():
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert red.rank == n_pa
-    assert toeplitz_rows_independent(seed, n_pa, n)
 
 
 @pytest.mark.parametrize("pattern, max_rank", [("1", 1), ("1101001", 7)], ids=["ones", "period-7"])
@@ -882,7 +850,6 @@ def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max
     red = row_reduce(a)
     assert red == ref_row_reduce(a)
     assert 1 <= red.rank <= max_rank
-    assert not toeplitz_rows_independent(seed, n_pa, n)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 5])
@@ -1064,7 +1031,7 @@ def test_preimage_sampler_rejects_dependent_rows_whatever_y(a_rows, y):
 def test_uniformity_suite_unchanged_by_reference_draw(monkeypatch, seed):
     ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
     assert ours[0]["bijective"] is True and ours[1]
-    monkeypatch.setattr(delayedpa.pa, "sample_toeplitz_preimage", ref_sample_toeplitz_preimage)
+    monkeypatch.setattr(delayedpa.suites, "expand_message", ref_expand_message)
     assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
 
 
@@ -1079,9 +1046,8 @@ def mutant_expand(fault):
         if fault == "second-call":  # right images, wrong stream
             rng.getrandbits(1)
             return x
-        # "flipped-bit": a column of A with a 1 in row 0, so x leaves the preimage
-        row = toeplitz_from_seed(f.seed, f.n_pa, f.n).row_words[0]
-        return BitVector(x.length, x.bits ^ (row & -row))
+        # "flipped-bit": column 0 of [I | T] is e_0, so x leaves the preimage
+        return BitVector(x.length, x.bits ^ 1)
 
     return expand
 
@@ -1149,16 +1115,14 @@ def test_uniformity_suite_statistic_matches_scipy(seed):
     payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
     n, n_pa = payload["n"], payload["n_pa"]
     k = n - n_pa
-    # the suite's stream, replayed: seeds until one has independent rows, y,
-    # then one getrandbits(k) per fitted draw, looked up in the images of
-    # every g instead of drawn again
+    # the suite's stream, replayed: one (n - 1)-bit seed, y, then one
+    # getrandbits(k) per fitted draw, looked up in the images of every g
+    # instead of drawn again
     rng = random.Random(seed)
-    pa_seed = BitVector.random(n + n_pa - 1, rng)
-    while not toeplitz_rows_independent(pa_seed, n_pa, n):
-        pa_seed = BitVector.random(n + n_pa - 1, rng)
+    f = AdditivePaFunction(BitVector.random(n - 1, rng), n_pa, n)
     y = BitVector.random(n_pa, rng)
-    images = [sample_toeplitz_preimage(pa_seed, n_pa, n, y, FixedBits(g)).bits for g in range(1 << k)]
-    assert sorted(images) == sorted(ref_preimage(toeplitz_from_seed(pa_seed, n_pa, n), y))
+    images = [ref_expand_message(f, y, FixedBits(g)).bits for g in range(1 << k)]
+    assert sorted(images) == sorted(ref_preimage(modified_toeplitz_matrix(f.seed, n_pa, n), y))
     hist = Counter(images[rng.getrandbits(k)] for _ in range(payload["draws"]))
     counts = [hist[x] for x in images]  # in g order, as the suite sums
     assert len(counts) == payload["cells"] and sum(counts) == payload["draws"]
@@ -1169,13 +1133,9 @@ def test_uniformity_suite_statistic_matches_scipy(seed):
 
 
 def test_full_rank_draws_give_up_when_rank_is_under_reported(monkeypatch):
-    # a rank check that refuses every seed, or a row_reduce that never
-    # reports full rank, must fail the draw, not hang it
-    assert _FULL_RANK_ATTEMPTS == 200
-    # the suite's AdditivePaFunction runs the rank check that pa imports
-    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", lambda seed, n_pa, n: False)
-    with pytest.raises(RuntimeError, match="with independent rows in 200 draws"):
-        delayedpa.suites.suite_preimage_uniformity(seed=1)
+    # a row_reduce that never reports full rank must fail the oracle's
+    # draw, not hang it
+    assert oracles._FULL_RANK_ATTEMPTS == 200
     monkeypatch.setattr(oracles, "row_reduce", lambda a: SimpleNamespace(rank=a.rows - 1))
     with pytest.raises(RuntimeError, match="with independent rows in 200 draws"):
         _full_rank_matrix(3, 8, random.Random(0))

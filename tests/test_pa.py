@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import delayedpa.gf2
 import delayedpa.pa
-from delayedpa.gf2 import BinaryMatrix, BitVector, sample_toeplitz_preimage, toeplitz_rows_independent
+from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
 from delayedpa.pa import (
     AdditivePaFunction,
     DelayedPaSession,
@@ -25,27 +25,26 @@ from delayedpa.pa import (
     pa_apply_many,
 )
 from oracles import (
-    _full_rank_toeplitz,
     expand_imperfect_key,
-    identity_matrix,
     matrix_from_rows,
     matvec,
+    modified_toeplitz_matrix,
     row_reduce,
     toeplitz_from_seed,
 )
 
 
 def seeded(seed01, rows):
-    """The hash of a 0/1 seed string and its Toeplitz matrix, written out as ``rows``."""
+    """The hash of a 0/1 seed string and its [I | T] matrix, written out as ``rows``."""
     a = matrix_from_rows(rows)
     seed = BitVector.from01(seed01)
-    assert toeplitz_from_seed(seed, a.rows, a.cols) == a
-    return AdditivePaFunction.from_toeplitz_seed(seed, a.rows, a.cols), a
+    assert modified_toeplitz_matrix(seed, a.rows, a.cols) == a
+    return AdditivePaFunction(seed, a.rows, a.cols), a
 
 
-# [[1, 1, 0], [0, 1, 1]] is the 2 x 3 hash of the tests below: its kernel is
+# [[1, 0, 1], [0, 1, 1]] is the 2 x 3 hash of the tests below: its kernel is
 # {000, 111}, and "10" has the preimage {100, 011}
-KERNEL_111 = ("0110", [[1, 1, 0], [0, 1, 1]])
+KERNEL_111 = ("11", [[1, 0, 1], [0, 1, 1]])
 
 
 def enumerate_preimage(a, m_prime):
@@ -56,13 +55,13 @@ def enumerate_preimage(a, m_prime):
 
 
 def random_pa_function(rng, n_pa, n):
-    return AdditivePaFunction.from_toeplitz_seed(_full_rank_toeplitz(rng, n_pa, n)[1], n_pa, n)
+    return AdditivePaFunction.draw(n_pa, n, rng)
 
 
 # ---------------------------------------------------------------- pa_apply
 
 def test_pa_apply_identity_truncation():
-    f, _ = seeded("0010", [[1, 0, 0], [0, 1, 0]])
+    f, _ = seeded("00", [[1, 0, 0], [0, 1, 0]])
     assert pa_apply(f, BitVector.from01("101")).to01() == "10"
 
 
@@ -79,7 +78,7 @@ def test_pa_apply_example():
 
 
 def test_pa_apply_length_mismatch():
-    f, _ = seeded("101", [[1, 0, 1]])
+    f, _ = seeded("10", [[1, 0, 1]])
     with pytest.raises(ValueError):
         pa_apply(f, BitVector.from01("10"))
 
@@ -89,8 +88,8 @@ def test_pa_apply_length_mismatch():
 )
 def test_toeplitz_pa_apply_matches_dense_matvec(n, n_pa):
     rng = random.Random(f"toeplitz pa_apply {n}")
-    a, seed = _full_rank_toeplitz(rng, n_pa, n)
-    f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
+    a = modified_toeplitz_matrix(f.seed, n_pa, n)
     ones = BitVector(n, (1 << n) - 1)
     for x in [BitVector.random(n, rng) for _ in range(3)] + [ones, BitVector.zeros(n)]:
         assert pa_apply(f, x) == matvec(a, x)
@@ -101,8 +100,8 @@ def test_pa_apply_many_matches_dense_matvec(n, n_pa):
     # short inputs share transforms (44 // w.bit_length() of them), so 50
     # inputs fill several groups and leave a part-filled last one
     rng = random.Random(f"pa_apply_many {n}")
-    a, seed = _full_rank_toeplitz(rng, n_pa, n)
-    f = AdditivePaFunction(seed, n_pa, n)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
+    a = modified_toeplitz_matrix(f.seed, n_pa, n)
     xs = [BitVector.random(n, rng) for _ in range(48)] + [BitVector(n, (1 << n) - 1), BitVector.zeros(n)]
     assert pa_apply_many(f, xs) == [matvec(a, x) for x in xs]
     assert pa_apply_many(f, []) == []
@@ -111,15 +110,17 @@ def test_pa_apply_many_matches_dense_matvec(n, n_pa):
 
 
 def test_toeplitz_pa_apply_all_ones_matches_dense_matvec():
-    # an all-ones seed has rank 1, so one row; its key of all ones gives
-    # the largest convolution entries, so the largest rounding error
+    # an all-ones seed and key give the largest convolution entries, so the
+    # largest rounding error; the plain Toeplitz matrix of all ones has rank
+    # 1, but every [I | T] has independent rows, so two rows build too
     n = 2048
-    ones_seed, ones = BitVector(n, (1 << n) - 1), BitVector(n, (1 << n) - 1)
-    f = AdditivePaFunction.from_toeplitz_seed(ones_seed, 1, n)
-    assert pa_apply(f, ones) == matvec(toeplitz_from_seed(ones_seed, 1, n), ones)
+    ones_seed, ones = BitVector(n - 1, (1 << (n - 1)) - 1), BitVector(n, (1 << n) - 1)
+    f = AdditivePaFunction(ones_seed, 1, n)
+    assert pa_apply(f, ones) == matvec(modified_toeplitz_matrix(ones_seed, 1, n), ones)
     assert pa_apply(f, ones).bits == 0  # 2048 ones
-    with pytest.raises(ValueError, match="rows not independent"):
-        AdditivePaFunction.from_toeplitz_seed(BitVector(n + 1, (1 << (n + 1)) - 1), 2, n)
+    g = AdditivePaFunction(ones_seed, 2, n)
+    assert pa_apply(g, ones) == matvec(modified_toeplitz_matrix(ones_seed, 2, n), ones)
+    assert pa_apply(g, ones).bits == 0b11  # 2047 ones in each row
 
 
 @given(
@@ -127,24 +128,23 @@ def test_toeplitz_pa_apply_all_ones_matches_dense_matvec():
     st.integers(0, 2**32 - 1),
 )
 def test_toeplitz_pa_apply_matches_dense_matvec_random(shape, draw_seed):
-    # a shrunk st.randoms() draws all-zero seeds, which are never independent
     n, n_pa = shape
     rng = random.Random(draw_seed)
-    a, seed = _full_rank_toeplitz(rng, n_pa, n)
-    f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
+    a = modified_toeplitz_matrix(f.seed, n_pa, n)
     x = BitVector.random(n, rng)
     assert pa_apply(f, x) == matvec(a, x)
 
 
 def test_toeplitz_hash_holds_its_seed_alone():
-    seed = BitVector.random(10, random.Random(331))
-    f = AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
+    seed = BitVector.random(7, random.Random(331))
+    f = AdditivePaFunction(seed, 3, 8)
     assert [fl.name for fl in dataclasses.fields(f)] == ["seed", "n_pa", "n"]
     assert (f.seed, f.n_pa, f.n) == (seed, 3, 8)
     held = [getattr(f, fl.name) for fl in dataclasses.fields(f)]
     assert not any(isinstance(v, BinaryMatrix) for v in held)
     assert [fl.name for fl in dataclasses.fields(BinaryMatrix)] == ["rows", "cols", "row_words"]
-    assert AdditivePaFunction.from_toeplitz_seed(seed, 3, 8) == f
+    assert AdditivePaFunction(seed, 3, 8) == f
 
 
 @pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
@@ -159,18 +159,11 @@ def test_toeplitz_pa_apply_passes_the_hash_guard(monkeypatch, bad):
         return conv
 
     rng = random.Random(332)
-    f = AdditivePaFunction.from_toeplitz_seed(_full_rank_toeplitz(rng, 70, 100)[1], 70, 100)
+    f = AdditivePaFunction.draw(70, 100, rng)
     x = BitVector.random(100, rng)
     monkeypatch.setattr(np.fft, "irfft", poisoned)
     with pytest.raises(ArithmeticError):
         pa_apply(f, x)
-
-
-def test_construction_rejects_dependent_rows():
-    seed = BitVector.from01("1111")
-    assert toeplitz_from_seed(seed, 2, 3) == matrix_from_rows([[1, 1, 1], [1, 1, 1]])
-    with pytest.raises(ValueError, match="rows not independent"):
-        AdditivePaFunction.from_toeplitz_seed(seed, 2, 3)
 
 
 def test_construction_rejects_empty_hash():
@@ -180,10 +173,21 @@ def test_construction_rejects_empty_hash():
 
 
 def test_construction_rejects_non_compressing():
-    seed = BitVector.from01("010")
-    assert toeplitz_from_seed(seed, 2, 2) == identity_matrix(2)
-    with pytest.raises(ValueError):
-        AdditivePaFunction.from_toeplitz_seed(seed, 2, 2)
+    # at n_pa = n, T has no columns and the family's hash is the identity
+    seed, x = BitVector.from01("1"), BitVector.from01("01")
+    assert modified_toeplitz_hash(seed, 2, [x]) == [x]
+    with pytest.raises(ValueError, match="must compress"):
+        AdditivePaFunction(seed, 2, 2)
+    with pytest.raises(ValueError, match="must compress"):
+        AdditivePaFunction.from_toeplitz_seed(BitVector.from01("111"), 2, 2)
+
+
+def test_construction_rejects_a_seed_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^seed length 10 does not match n - 1 = 7$"):
+        AdditivePaFunction(BitVector.zeros(10), 3, 8)
+    # from_toeplitz_seed takes the plain family's n + n_pa - 1 bits, and no other length
+    with pytest.raises(ValueError, match=r"^seed length 7 does not match n \+ n_pa - 1 = 10$"):
+        AdditivePaFunction.from_toeplitz_seed(BitVector.zeros(7), 3, 8)
 
 
 class CountingRandom(random.Random):
@@ -198,35 +202,23 @@ class CountingRandom(random.Random):
 
 @pytest.mark.parametrize("n_pa, n", [(3, 8), (4, 12), (1, 2)])
 @pytest.mark.parametrize("seed", [1, 5, 1002, 104729])
-def test_draw_takes_the_first_seed_with_independent_rows(monkeypatch, seed, n_pa, n):
-    # the loop callers wrote before draw: (n + n_pa - 1)-bit seeds until one
-    # has independent rows; draw returns its seed and leaves the rng where
-    # the loop leaves it, with one rank check per drawn seed
+def test_draw_takes_the_first_seed_with_independent_rows(seed, n_pa, n):
+    # every seed's rows are independent, so draw takes the rng's first
+    # (n - 1)-bit seed, in one getrandbits call, and leaves the rng there
     loop = random.Random(seed)
-    pa_seed = BitVector.random(n + n_pa - 1, loop)
-    seeds = 1
-    while not toeplitz_rows_independent(pa_seed, n_pa, n):
-        pa_seed, seeds = BitVector.random(n + n_pa - 1, loop), seeds + 1
-    ranks = []
-
-    def counting_rank(*args):
-        ranks.append(args)
-        return toeplitz_rows_independent(*args)
-
-    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", counting_rank)
+    pa_seed = BitVector.random(n - 1, loop)
     rng = CountingRandom(seed)
     f = AdditivePaFunction.draw(n_pa, n, rng)
     assert (f.seed, f.n_pa, f.n) == (pa_seed, n_pa, n)
-    assert rng.calls == len(ranks) == seeds
+    assert rng.calls == 1
     assert rng.getrandbits(64) == loop.getrandbits(64)
 
 
-def test_draw_redraws_a_seed_with_dependent_rows():
-    # a 1 x 2 hash's rows are dependent only for the zero seed, which is
-    # seed 1's first 2-bit draw; the second draw is 01
-    rng = CountingRandom(1)
-    assert AdditivePaFunction.draw(1, 2, rng).seed == BitVector.from01("01")
-    assert rng.calls == 2
+def test_from_toeplitz_seed_hashes_with_the_first_n_minus_1_bits():
+    rng = random.Random(334)
+    plain = BitVector.random(8 + 3 - 1, rng)
+    f = AdditivePaFunction.from_toeplitz_seed(plain, 3, 8)
+    assert f == AdditivePaFunction(plain.cut(0, 7), 3, 8)
 
 
 @pytest.mark.parametrize(
@@ -276,8 +268,8 @@ def test_random_message_special_case_joint_law():
 
     rng = random.Random(7)
     for n, n_pa in [(4, 2), (5, 2), (6, 3)]:
-        a, seed = _full_rank_toeplitz(rng, n_pa, n)
-        f = AdditivePaFunction.from_toeplitz_seed(seed, n_pa, n)
+        f = AdditivePaFunction.draw(n_pa, n, rng)
+        a = modified_toeplitz_matrix(f.seed, n_pa, n)
         n_free = n - n_pa
         expanded = Counter()
         for mp in range(1 << n_pa):
@@ -302,8 +294,8 @@ def test_expand_imperfect_key_consistency():
 
 
 def test_expand_imperfect_key_enumeration():
-    f, _ = seeded("11", [[1, 1]])
-    g, _ = seeded("01", [[1, 0]])
+    f, _ = seeded("1", [[1, 1]])
+    g, _ = seeded("0", [[1, 0]])
     a_prime = BitVector.from01("10")  # g(a') = 1
     rng = random.Random(9)
     seen = {expand_imperfect_key(f, g, a_prime, rng).bits for _ in range(64)}
@@ -312,7 +304,7 @@ def test_expand_imperfect_key_enumeration():
 
 def test_expand_imperfect_key_zero_target_gives_kernel():
     f, _ = seeded(*KERNEL_111)
-    g, _ = seeded("0010", [[1, 0, 0], [0, 1, 0]])
+    g, _ = seeded("00", [[1, 0, 0], [0, 1, 0]])
     rng = random.Random(10)
     seen = {
         expand_imperfect_key(f, g, BitVector.zeros(3), rng).bits for _ in range(64)
@@ -322,7 +314,7 @@ def test_expand_imperfect_key_zero_target_gives_kernel():
 
 def test_expand_imperfect_key_dimension_mismatch():
     f, _ = seeded(*KERNEL_111)
-    g, _ = seeded("01", [[1, 0]])
+    g, _ = seeded("0", [[1, 0]])
     with pytest.raises(ValueError):
         expand_imperfect_key(f, g, BitVector.from01("10"), random.Random(0))
 
@@ -347,7 +339,7 @@ def test_recovery_example_end_to_end():
     assert c.to01() == "010"
     k = pa_apply(f, a)
     assert k == matvec(hash_matrix, a)
-    assert k.to01() == "01"
+    assert k.to01() == "11"
     assert dpa_recover_via_key(f, c, k) == m_prime
     assert dpa_recover_via_rawkey(f, c, a) == m_prime
 
@@ -403,14 +395,13 @@ def test_session_replay_from_selector_seed():
 
 def test_session_json_roundtrip_toeplitz():
     rng = random.Random(321)
-    seed = BitVector.random(10, rng)
-    f = AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
+    f = AdditivePaFunction.draw(3, 8, rng)
     s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
     doc = s.to_json()
     restored = DelayedPaSession.from_json(doc)
     assert restored == s
     assert restored.recover_via_key() == s.m_prime
-    assert json.loads(doc)["pa"]["kind"] == "toeplitz"
+    assert json.loads(doc)["pa"]["kind"] == "modified-toeplitz"
 
 
 def test_session_rejects_inconsistent_fields():
@@ -428,7 +419,7 @@ def test_session_rejects_inconsistent_fields():
 
 def _session_doc(seed):
     rng = random.Random(seed)
-    f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(10, rng), 3, 8)
+    f = AdditivePaFunction.draw(3, 8, rng)
     s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
     return json.loads(s.to_json())
 
@@ -500,49 +491,58 @@ def test_session_from_json_rejects_matrix_kind():
     # a hash given by its rows is not a session hash: only seeds load
     doc = _session_doc(328)
     doc["pa"] = {"kind": "matrix", "n_pa": 3, "n": 8, "rows": ["d3", "a5", "0f"]}
-    with pytest.raises(ValueError, match=r"^unknown pa kind 'matrix'; supported: 'toeplitz'$"):
+    with pytest.raises(ValueError, match=r"^unknown pa kind 'matrix'; supported: 'modified-toeplitz'$"):
         DelayedPaSession.from_json(json.dumps(doc))
+
+
+# what the README example printed while sessions hashed with the plain
+# Toeplitz family, whose seed took n + n_pa - 1 bits
+PLAIN_TOEPLITZ_SESSION = (
+    '{"a": "962", "c": "b93", "m": "2f1", "m_prime": "f", "n": 12, "n_pa": 4, "pa": '
+    '{"kind": "toeplitz", "n": 12, "n_pa": 4, "seed": "3792"}, "selector_seed": 12007621696699967246}'
+)
+
+
+def test_session_from_json_refuses_a_plain_toeplitz_document():
+    with pytest.raises(ValueError, match=r"^unknown pa kind 'toeplitz'; supported: 'modified-toeplitz'$"):
+        DelayedPaSession.from_json(PLAIN_TOEPLITZ_SESSION)
 
 
 @pytest.mark.parametrize("pattern", ["0", "10"], ids=["zero", "period-2"])
 def test_dependent_toeplitz_seed_is_rejected(pattern):
-    # the rank check reads the seed, not a reduction: a stored seed whose
-    # rows are dependent must still fail to load
+    # a plain Toeplitz document is refused by its kind, before its seed is
+    # read, so also one whose seed has dependent rows in that family
     seed = BitVector.from01((pattern * 10)[:10])
     assert row_reduce(toeplitz_from_seed(seed, 3, 8)).rank < 3
-    with pytest.raises(ValueError, match="rows not independent"):
-        AdditivePaFunction.from_toeplitz_seed(seed, 3, 8)
     doc = _session_doc(329)
-    doc["pa"]["seed"] = seed.to_hex()
-    with pytest.raises(ValueError, match="rows not independent"):
+    doc["pa"].update(kind="toeplitz", seed=seed.to_hex())
+    with pytest.raises(ValueError, match=r"^unknown pa kind 'toeplitz'; supported: 'modified-toeplitz'$"):
         DelayedPaSession.from_json(json.dumps(doc))
 
 
 def test_session_row_reduces_once(monkeypatch):
-    # no elimination is left in the package: a hash checks its rank from
-    # the seed once, when it is built, and each expansion is one seed draw
-    assert not hasattr(delayedpa.gf2, "row_reduce") and not hasattr(delayedpa.gf2, "preimage_sampler")
-    ranks, draws = [], []
+    # no elimination and no rank check is left in the package: a hash is
+    # its seed alone, and each expansion, like each hash, is one hash call
+    gone = ("row_reduce", "preimage_sampler", "toeplitz_rows_independent", "sample_toeplitz_preimage")
+    assert not any(hasattr(delayedpa.gf2, name) for name in gone)
+    hashes = []
 
-    def counting_rank(seed, n_pa, n):
-        ranks.append((n_pa, n))
-        return toeplitz_rows_independent(seed, n_pa, n)
+    def counting_hash(seed, n_pa, keys):
+        hashes.append(len(keys))
+        return modified_toeplitz_hash(seed, n_pa, keys)
 
-    def counting_draw(seed, n_pa, n, y, rng):
-        draws.append((n_pa, n))
-        return sample_toeplitz_preimage(seed, n_pa, n, y, rng)
-
-    monkeypatch.setattr(delayedpa.pa, "toeplitz_rows_independent", counting_rank)
-    monkeypatch.setattr(delayedpa.pa, "sample_toeplitz_preimage", counting_draw)
+    monkeypatch.setattr(delayedpa.pa, "modified_toeplitz_hash", counting_hash)
     rng = random.Random(330)
     n, n_pa = 64, 40
-    f = AdditivePaFunction.from_toeplitz_seed(BitVector.random(n + n_pa - 1, rng), n_pa, n)
-    s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
+    f = AdditivePaFunction.draw(n_pa, n, rng)
     m_prime = BitVector.random(n_pa, rng)
-    assert pa_apply(f, expand_message(f, m_prime, rng)) == m_prime
+    m = expand_message(f, m_prime, rng)
+    assert hashes == [1]
+    assert pa_apply(f, m) == m_prime
+    s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
     assert DelayedPaSession.from_json(s.to_json()) == s
-    # from_json builds the hash again, from its stored seed
-    assert ranks == [(n_pa, n)] * 2 and draws == [(n_pa, n)] * 2
+    # create expands and checks f(m) = m'; from_json checks it again
+    assert hashes == [1] * 5
 
 
 def test_readme_library_example_runs():
@@ -557,5 +557,5 @@ def test_readme_library_example_runs():
     printed = out.getvalue()
     session = DelayedPaSession.from_json(printed)
     assert session.to_json() + "\n" == printed
-    assert json.loads(printed)["pa"]["kind"] == "toeplitz"
+    assert json.loads(printed)["pa"]["kind"] == "modified-toeplitz"
     assert session.recover_via_rawkey() == session.m_prime
