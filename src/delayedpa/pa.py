@@ -93,6 +93,7 @@ class AdditivePaFunction:
         kind = _json_field(doc, "kind", str, "pa")
         if kind != "modified-toeplitz":
             raise ValueError(f"unknown pa kind {kind!r}; supported: 'modified-toeplitz'")
+        cls._check_shape(n_pa, n)  # before the seed's length n - 1 is read
         return cls(BitVector.from_hex(n - 1, _json_field(doc, "seed", str, "pa")), n_pa, n)
 
     def __call__(self, a: BitVector) -> BitVector:
@@ -105,9 +106,11 @@ def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
 
 
 def pa_apply_many(f: AdditivePaFunction, inputs: Sequence[BitVector]) -> list[BitVector]:
-    """Hash n-bit inputs down to n_pa bits each, in one
-    ``modified_toeplitz_hash`` call, which packs short inputs into shared
-    transforms."""
+    """Hash n-bit inputs down to n_pa bits each, in one call.
+
+    That call, ``modified_toeplitz_hash``, packs several short inputs into
+    one transform.
+    """
     for a in inputs:
         if a.length != f.n:
             raise ValueError(f"length mismatch: expected {f.n}, got {a.length}")

@@ -112,11 +112,12 @@ def suite_preimage_uniformity(
 ) -> tuple[dict, bool]:
     """Exact gate on ``expand_message``, beside a chi-square fit to uniform.
 
-    Draws an [I | T] hash and a y, then runs ``expand_message`` for every
-    g in [0, 2^k), k = n - n_pa, with a stub rng that returns g:
-    ``bijective`` holds when each draw makes one ``getrandbits(k)`` call
-    and the images are distinct and each hash to y, so the images are the
-    preimage, each once, and a uniform g gives an exactly uniform draw.  The fit counts the g that each of ``draws``
+    Draws an [I | T] hash and a y, then runs
+    ``expand_message`` for every g in [0, 2^k), k = n - n_pa, with a stub
+    rng that returns g: ``bijective`` holds when each draw makes one
+    ``getrandbits(k)`` call and the images are distinct and each hash to y,
+    so the images are the preimage, each once, and a uniform g gives an
+    exactly uniform draw.  The fit counts the g that each of ``draws``
     draws would read, per g, and sums in g order, so every bijective draw
     gives the same payload; the tail is Abramowitz & Stegun 26.4.4.
     """

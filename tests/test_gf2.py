@@ -325,12 +325,10 @@ def test_toeplitz_rows_independent_on_structured_seeds(pattern, plain_independen
 
 
 def _dense_hash(seed, n_pa, x):
-    """The dense oracle [I | toeplitz_from_seed(seed, n_pa, w)] applied to x."""
-    w = x.length - n_pa
-    low = x.cut(0, n_pa)
-    if w == 0:  # T has no columns
-        return low
-    return low ^ matvec(toeplitz_from_seed(seed, n_pa, w), x.cut(n_pa, x.length))
+    """The dense oracle [I | T] applied to x."""
+    if n_pa == x.length:  # T has no columns
+        return x
+    return matvec(modified_toeplitz_matrix(seed, n_pa, x.length), x)
 
 
 def _hash_one(seed, n_pa, x):

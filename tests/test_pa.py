@@ -440,6 +440,14 @@ def test_session_from_json_rejects_pa_shape_mismatch(field, value):
         DelayedPaSession.from_json(json.dumps(doc))
 
 
+def test_session_from_json_checks_the_hash_shape_before_its_seed():
+    # the seed's length n - 1 means nothing until 1 <= n_pa < n holds
+    doc = _session_doc(324)
+    doc["n"] = doc["n_pa"] = doc["pa"]["n"] = doc["pa"]["n_pa"] = 0
+    with pytest.raises(ValueError, match="at least one output bit"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
 def test_session_from_json_rejects_empty_object():
     with pytest.raises(ValueError, match="no 'n'"):
         DelayedPaSession.from_json("{}")
