@@ -8,15 +8,7 @@ protocol-equivalence certificates, seeded protocol simulations, and the
 """
 
 from delayedpa.gf2 import BinaryMatrix, BitVector
-from delayedpa.pa import (
-    AdditivePaFunction,
-    DelayedPaSession,
-    dpa_encrypt,
-    dpa_recover_via_key,
-    dpa_recover_via_rawkey,
-    expand_message,
-    pa_apply,
-)
+from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message
 from delayedpa.protocols import (
     Bb84Config,
     ChannelModel,
@@ -37,11 +29,7 @@ __all__ = [
     "BitVector",
     "AdditivePaFunction",
     "DelayedPaSession",
-    "dpa_encrypt",
-    "dpa_recover_via_key",
-    "dpa_recover_via_rawkey",
     "expand_message",
-    "pa_apply",
     "Bb84Config",
     "ChannelModel",
     "DqkdConfig",

@@ -5,13 +5,18 @@ as a one-time pad.  The delayed order encrypts with the raw key directly and
 applies the hash afterwards; for that the receiver needs the message expanded
 to a uniformly random element of the hash preimage, which is what
 :func:`expand_message` produces.
+
+An :class:`AdditivePaFunction` f hashes one input as ``f(a)`` and many in
+one call with :func:`pa_apply_many`.  A :class:`DelayedPaSession` is one
+exchange: the pad c = a XOR m, and m' recovered as f(c) XOR f(a) or as
+f(c XOR a), all from one hash call.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from delayedpa.gf2 import BitVector, modified_toeplitz_hash
@@ -19,12 +24,8 @@ from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 __all__ = [
     "AdditivePaFunction",
     "DelayedPaSession",
-    "pa_apply",
     "pa_apply_many",
     "expand_message",
-    "dpa_encrypt",
-    "dpa_recover_via_key",
-    "dpa_recover_via_rawkey",
 ]
 
 
@@ -36,8 +37,10 @@ class AdditivePaFunction:
     an n-bit x = (x1, x2), split after n_pa bits, maps to x1 XOR T x2, T the
     n_pa x (n - n_pa) Toeplitz matrix of an (n - 1)-bit seed.  Its rows are
     independent by construction, so every seed gives a hash, and its rows
-    are never built.  :meth:`draw` draws a hash from an rng; only this class
-    sizes, draws or parses the seed.
+    are never built.  :meth:`draw` draws a session's hash from an rng, and
+    only this class sizes or parses a session's seed; runs hash with
+    ``modified_toeplitz_hash`` directly, on seeds that ``protocols`` draws
+    and ``reports`` parses and sizes.
     """
 
     seed: BitVector
@@ -97,12 +100,8 @@ class AdditivePaFunction:
         return cls(BitVector.from_hex(n - 1, _json_field(doc, "seed", str, "pa")), n_pa, n)
 
     def __call__(self, a: BitVector) -> BitVector:
-        return pa_apply(self, a)
-
-
-def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
-    """Hash an n-bit input down to n_pa bits."""
-    return pa_apply_many(f, [a])[0]
+        """Hash an n-bit input down to n_pa bits."""
+        return pa_apply_many(self, [a])[0]
 
 
 def pa_apply_many(f: AdditivePaFunction, inputs: Sequence[BitVector]) -> list[BitVector]:
@@ -131,30 +130,16 @@ def expand_message(f: AdditivePaFunction, m_prime: BitVector, rng) -> BitVector:
     return BitVector(f.n, (m_prime.bits ^ t_r.bits) | r)
 
 
-def dpa_encrypt(a: BitVector, m: BitVector) -> BitVector:
-    """XOR the expanded message with the raw (pre-hash) key."""
-    return a ^ m
-
-
-def dpa_recover_via_key(f: AdditivePaFunction, c: BitVector, k: BitVector) -> BitVector:
-    """Recover the short message as f(c) XOR k; equals m' when c = a^m, k = f(a)."""
-    if k.length != f.n_pa:
-        raise ValueError(f"length mismatch: expected {f.n_pa}, got {k.length}")
-    return pa_apply(f, c) ^ k
-
-
-def dpa_recover_via_rawkey(f: AdditivePaFunction, c: BitVector, a: BitVector) -> BitVector:
-    """Recover the short message as f(c XOR a); the other decoding route."""
-    return pa_apply(f, c ^ a)
-
-
 @dataclass(frozen=True)
 class DelayedPaSession:
     """One delayed-PA exchange, immutable once built.
 
     ``create`` fixes ``m_prime`` and draws the expansion from
     ``selector_seed`` before the raw key is touched, so the message is
-    independent of the key by construction.
+    independent of the key by construction.  Construction hashes m, a, c
+    and c XOR a in one call: f(m) checks the expansion, and the key f(a)
+    and the receiver's two decodings of m', f(c) XOR f(a) and f(c XOR a),
+    are kept.
     """
 
     f: AdditivePaFunction
@@ -163,28 +148,36 @@ class DelayedPaSession:
     m: BitVector
     selector_seed: int
     c: BitVector
+    key: BitVector = field(init=False, repr=False, compare=False)
+    _via_key: BitVector = field(init=False, repr=False, compare=False)
+    _via_rawkey: BitVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if pa_apply(self.f, self.m) != self.m_prime:
+        f_m, f_a, f_c, f_ca = pa_apply_many(self.f, [self.m, self.a, self.c, self.c ^ self.a])
+        if f_m != self.m_prime:
             raise ValueError("expanded message does not hash to m_prime")
         if self.c != self.a ^ self.m:
             raise ValueError("ciphertext is not a XOR m")
+        # create draws getrandbits(64)
+        if not 0 <= self.selector_seed < 1 << 64:
+            raise ValueError(f"selector_seed must be in [0, 2**64), got {self.selector_seed}")
+        object.__setattr__(self, "key", f_a)
+        object.__setattr__(self, "_via_key", f_c ^ f_a)
+        object.__setattr__(self, "_via_rawkey", f_ca)
 
     @classmethod
     def create(cls, f: AdditivePaFunction, m_prime: BitVector, a: BitVector, rng) -> "DelayedPaSession":
         selector_seed = rng.getrandbits(64)
         m = expand_message(f, m_prime, random.Random(selector_seed))
-        return cls(f=f, a=a, m_prime=m_prime, m=m, selector_seed=selector_seed, c=dpa_encrypt(a, m))
-
-    @property
-    def key(self) -> BitVector:
-        return pa_apply(self.f, self.a)
+        return cls(f=f, a=a, m_prime=m_prime, m=m, selector_seed=selector_seed, c=a ^ m)
 
     def recover_via_key(self) -> BitVector:
-        return dpa_recover_via_key(self.f, self.c, self.key)
+        """m' as f(c) XOR k, k = f(a) the hashed key."""
+        return self._via_key
 
     def recover_via_rawkey(self) -> BitVector:
-        return dpa_recover_via_rawkey(self.f, self.c, self.a)
+        """m' as f(c XOR a), from the raw key."""
+        return self._via_rawkey
 
     def to_json(self) -> str:
         doc = {

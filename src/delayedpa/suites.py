@@ -126,6 +126,9 @@ def suite_preimage_uniformity(
     # alpha 0 or below passes any p-value, and 1 or above fails nearly all
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    # random.Random would seed with abs(seed), so -5 would replay seed 5
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     f = AdditivePaFunction.draw(n_pa, n, rng)  # refuses a shape without 1 <= n_pa < n
     k = n - n_pa

@@ -4,7 +4,7 @@ None of these runs in a command, a script or the documented API; each is
 a second, plainer route to a result the package computes another way:
 
 - ``matvec`` and its ``_parity``: the dense GF(2) product, one row parity
-  per bit; checks ``modified_toeplitz_hash``, ``pa_apply``, the hash
+  per bit; checks ``modified_toeplitz_hash``, ``pa_apply_many``, the hash
   tables of the verifier and every preimage draw.
 - ``toeplitz_from_seed``: a seed's Toeplitz matrix, built row by row;
   ``modified_toeplitz_matrix``: the dense [I | T] of an (n - 1)-bit seed.
@@ -31,6 +31,10 @@ a second, plainer route to a result the package computes another way:
   draw for draw, apart from the FFT.
 - ``expand_imperfect_key``: a uniform m with f(m) = g(a'); checks that
   ``expand_message`` expands a second hash's output.
+- ``pa_apply``, ``dpa_encrypt``, ``dpa_recover_via_key`` and
+  ``dpa_recover_via_rawkey``: one hash per input, and the pad and the
+  receiver's two decoding routes one step at a time; check the values that
+  ``DelayedPaSession`` takes from its one batched hash call.
 - ``op_for_bit`` and ``single_signal_roundtrip``: the encoding table one
   signal at a time; check the protocol runs' Pauli-frame rule.
 - ``PureState``, ``DensityMatrix``, ``projector``, ``tensor``,
@@ -64,7 +68,7 @@ from typing import Iterator
 import numpy as np
 
 from delayedpa.gf2 import BinaryMatrix, BitVector
-from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply
+from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply_many
 from delayedpa.protocols import _BASES, _PAULIS, _flips
 from delayedpa.quantum import (
     ATOL_BUILD,
@@ -392,6 +396,28 @@ def ref_expand_message(f: AdditivePaFunction, y: BitVector, rng) -> BitVector:
 
 
 # ---------------------------------------------------------------- pa
+
+def pa_apply(f: AdditivePaFunction, a: BitVector) -> BitVector:
+    """Hash an n-bit input down to n_pa bits."""
+    return pa_apply_many(f, [a])[0]
+
+
+def dpa_encrypt(a: BitVector, m: BitVector) -> BitVector:
+    """XOR the expanded message with the raw (pre-hash) key."""
+    return a ^ m
+
+
+def dpa_recover_via_key(f: AdditivePaFunction, c: BitVector, k: BitVector) -> BitVector:
+    """Recover the short message as f(c) XOR k; equals m' when c = a^m, k = f(a)."""
+    if k.length != f.n_pa:
+        raise ValueError(f"length mismatch: expected {f.n_pa}, got {k.length}")
+    return pa_apply(f, c) ^ k
+
+
+def dpa_recover_via_rawkey(f: AdditivePaFunction, c: BitVector, a: BitVector) -> BitVector:
+    """Recover the short message as f(c XOR a); the other decoding route."""
+    return pa_apply(f, c ^ a)
+
 
 def expand_imperfect_key(
     f: AdditivePaFunction, g: AdditivePaFunction, a_prime: BitVector, rng

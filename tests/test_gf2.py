@@ -1033,6 +1033,13 @@ def test_uniformity_suite_unchanged_by_reference_draw(monkeypatch, seed):
     assert delayedpa.suites.suite_preimage_uniformity(seed=seed) == ours
 
 
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_uniformity_suite_refuses_a_negative_seed(seed):
+    # random.Random seeds with abs(seed), so -5 would replay seed 5's payload
+    with pytest.raises(ValueError, match=rf"^seed must be non-negative, got {seed}$"):
+        delayedpa.suites.suite_preimage_uniformity(seed=seed)
+
+
 def mutant_expand(fault):
     """``expand_message`` with one fault, each of which the exact gate must catch."""
 

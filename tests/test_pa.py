@@ -14,21 +14,16 @@ from hypothesis import strategies as st
 import delayedpa.gf2
 import delayedpa.pa
 from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
-from delayedpa.pa import (
-    AdditivePaFunction,
-    DelayedPaSession,
+from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message, pa_apply_many
+from oracles import (
     dpa_encrypt,
     dpa_recover_via_key,
     dpa_recover_via_rawkey,
-    expand_message,
-    pa_apply,
-    pa_apply_many,
-)
-from oracles import (
     expand_imperfect_key,
     matrix_from_rows,
     matvec,
     modified_toeplitz_matrix,
+    pa_apply,
     row_reduce,
     toeplitz_from_seed,
 )
@@ -371,6 +366,11 @@ def test_session_recovery_paths_agree(seed):
     assert s.recover_via_key() == m_prime
     assert s.recover_via_rawkey() == m_prime
     assert len(s.recover_via_key()) == f.n_pa
+    # the values kept from the one batched hash call, against one hash per input
+    assert s.key == pa_apply(f, a)
+    assert s.recover_via_key() == dpa_recover_via_key(f, s.c, pa_apply(f, a))
+    assert s.recover_via_rawkey() == dpa_recover_via_rawkey(f, s.c, a)
+    assert s.c == dpa_encrypt(a, s.m)
 
 
 def test_session_recovery_thousand_random():
@@ -415,6 +415,35 @@ def test_session_rejects_inconsistent_fields():
             selector_seed=0,
             c=BitVector.from01("001"),
         )
+
+
+@pytest.mark.parametrize("selector_seed", [-3, -1, 2**64, 2**70])
+def test_session_refuses_a_selector_seed_create_cannot_draw(selector_seed):
+    # create draws getrandbits(64), so a built and a parsed session alike
+    # hold a selector seed in [0, 2**64)
+    rng = random.Random(331)
+    f = AdditivePaFunction.draw(3, 8, rng)
+    s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
+    with pytest.raises(ValueError, match=r"^selector_seed must be in \[0, 2\*\*64\)"):
+        dataclasses.replace(s, selector_seed=selector_seed)
+    doc = json.loads(s.to_json())
+    doc["selector_seed"] = selector_seed
+    with pytest.raises(ValueError, match=r"^selector_seed must be in \[0, 2\*\*64\)"):
+        DelayedPaSession.from_json(json.dumps(doc))
+    # the existing checks still come first
+    doc["m"] = doc["c"]
+    with pytest.raises(ValueError, match="^expanded message does not hash to m_prime$"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("selector_seed", [0, 2**64 - 1])
+def test_session_takes_every_selector_seed_create_can_draw(selector_seed):
+    rng = random.Random(332)
+    f = AdditivePaFunction.draw(3, 8, rng)
+    s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
+    doc = json.loads(s.to_json())
+    doc["selector_seed"] = selector_seed
+    assert DelayedPaSession.from_json(json.dumps(doc)).selector_seed == selector_seed
 
 
 def _session_doc(seed):
@@ -549,8 +578,13 @@ def test_session_row_reduces_once(monkeypatch):
     assert pa_apply(f, m) == m_prime
     s = DelayedPaSession.create(f, BitVector.random(n_pa, rng), BitVector.random(n, rng), rng)
     assert DelayedPaSession.from_json(s.to_json()) == s
-    # create expands and checks f(m) = m'; from_json checks it again
-    assert hashes == [1] * 5
+    # create expands, then hashes m, a, c and c XOR a in one call; from_json
+    # makes that one call again
+    assert hashes == [1, 1, 1, 4, 4]
+    # the key and both recoveries were kept from that call
+    assert s.recover_via_key() == s.recover_via_rawkey() == s.m_prime
+    assert s.key.length == n_pa
+    assert hashes == [1, 1, 1, 4, 4]
 
 
 def test_readme_library_example_runs():
