@@ -1,25 +1,27 @@
 """Seeded Monte-Carlo protocol runs and key-length accounting.
 
-A run carries its signals as :class:`Signals`: equal-length ``uint8`` numpy
-columns in which position i is signal i.  Each signal is held as its Pauli
-frame, the pair (basis, bit) naming the BB84 eigenstate it is in.  That is
-exact for this gate set: every state a run prepares is a BB84 eigenstate,
-and every encoding, channel and eavesdropper action is a Pauli or a
-measurement in x or z.  This is the one-qubit case of stabilizer simulation
-(Aaronson-Gottesman, quant-ph/0406196); dense state vectors serve as its
-oracle in the tests.
+A run carries its signals as :class:`Signals`: one ``uint64`` bit-plane per
+column, bit i (bit i % 64 of word i // 64) for signal i, and 0 past the
+run's n signals.  Each signal is held as its Pauli frame, the pair (basis,
+bit) naming the BB84 eigenstate it is in.  That is exact for this gate set:
+every state a run prepares is a BB84 eigenstate, and every encoding,
+channel and eavesdropper action is a Pauli or a measurement in x or z.
+This is the one-qubit case of stabilizer simulation (Aaronson-Gottesman,
+quant-ph/0406196), 64 signals to a word as in Gidney's frame simulator
+(Stim, Quantum 5, 497 (2021)); dense state vectors are its test oracle.
 
-Codes: a basis is 0 = z, 1 = x, and a Pauli is x | z << 1 (I 0, X 1, Z 2,
-Y 3).  A Pauli maps an eigenstate to an eigenstate of the same basis, up to
-global phase, and flips its bit exactly when ``(op >> basis) & 1`` (X and Y
-flip z-bits, Z and Y flip x-bits).  The same expression is the key bit the
-operation encodes when that basis is announced, so encoding, channels,
-eavesdropping and decoding all share one rule.  A measurement in the
-state's own basis returns its bit; one in the other basis is a fair coin
-that leaves the eigenstate of the outcome.  Channels act as sampled Pauli
-operations (an exact unraveling of the modeled noise).  Each run draws
-every column from one ``np.random.default_rng(cfg.seed)``; identical seeds
-give bit-identical transcripts.
+Codes: a basis bit is 1 for x and 0 for z, and a Pauli is its x and z bits
+(code x | z << 1: I 0, X 1, Z 2, Y 3).  A Pauli maps an eigenstate to an
+eigenstate of the same basis, up to global phase, and flips its bit exactly
+when ``(x & ~basis) | (z & basis)`` (X and Y flip z-bits, Z and Y flip
+x-bits).  The same expression is the key bit the operation encodes when that
+basis is announced, so encoding, channels, eavesdropping and decoding all
+share one rule.  A measurement in the state's own basis returns its bit; one
+in the other basis is a fair coin that leaves the eigenstate of the outcome.
+Channels act as sampled Pauli operations (an exact unraveling of the
+modeled noise).  A run takes every draw from one :class:`BitStream` over
+the raw words of ``np.random.PCG64(cfg.seed)``, which NumPy keeps stable
+across versions (NEP 19): a seed gives bit-identical transcripts.
 
 Error correction is settled by an ideal authenticated oracle: the receiving
 side's string is overwritten with the sender's, and the ledger is charged
@@ -42,6 +44,7 @@ import numpy as np
 from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 
 __all__ = [
+    "BitStream",
     "ChannelModel",
     "EveModel",
     "ErrorEstimate",
@@ -66,34 +69,122 @@ __all__ = [
     "run_relay",
 ]
 
-_BASES = "zx"     # basis code -> name
+_BASES = "zx"     # basis bit -> name
 _PAULIS = "IXZY"  # Pauli code x | z << 1 -> name
 ROLES = ("none", "key", "test", "check", "discarded")
 MODES = ("none", "encode", "check")  # dqkd's per-signal choice; other runs leave "none"
 MIN_CHECK_PER_BASIS = 8  # dqkd aborts with fewer consistent-basis check bits
-_KEY, _TEST, _CHECK, _DISCARDED = (ROLES.index(r) for r in ("key", "test", "check", "discarded"))
-_ENCODE_MODE, _CHECK_MODE = MODES.index("encode"), MODES.index("check")
+_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
-def _flips(op, basis):
-    """Whether Pauli ``op`` flips an eigenstate of ``basis``; this is also the
-    key bit ``op`` encodes when ``basis`` is announced."""
-    return (op >> basis) & 1
+def _flips(x, z, basis):
+    """Whether the Pauli (x, z) flips an eigenstate of ``basis``, bits or planes
+    alike; this is also the key bit it encodes when ``basis`` is announced."""
+    return x ^ ((x ^ z) & basis)
 
 
-def _bits(rng, n: int) -> np.ndarray:
-    return rng.integers(0, 2, n, dtype=np.uint8)
+def _popcount(plane: np.ndarray) -> int:
+    # numpy 1.x has no bitwise_count, so a byte table counts there
+    if hasattr(np, "bitwise_count"):
+        return int(np.bitwise_count(plane).sum())
+    return int(_BYTE_WEIGHTS[plane.view(np.uint8)].sum())
 
 
-def _measure(basis, bit, in_basis, rng) -> np.ndarray:
+def _unpack(plane: np.ndarray, n: int) -> np.ndarray:
+    """A plane's first n bits as one uint8 per signal."""
+    return np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), bitorder="little")[:n]
+
+
+def _select(plane: np.ndarray, mask: np.ndarray, n: int) -> BitVector:
+    """The bits of ``plane`` at the signals in ``mask``, in signal order."""
+    return BitVector.from_bits(np.compress(_unpack(mask, n).view(bool), _unpack(plane, n)))
+
+
+def _measure(basis, bit, in_basis, stream) -> np.ndarray:
     # a frame's own basis returns its bit and the other one a fair coin; the
     # coins are drawn for every signal, so the stream does not depend on states
-    return np.where(basis == in_basis, bit, _bits(rng, len(basis)))
+    return bit ^ ((bit ^ stream.fair()) & (basis ^ in_basis))
 
 
 def decode_key_bit(basis: str, op: str) -> int:
     """Key bit encoded by the given operation when the basis is announced."""
-    return _flips(_PAULIS.index(op), _BASES.index(basis))
+    code = _PAULIS.index(op)
+    return _flips(code & 1, code >> 1, _BASES.index(basis))
+
+
+# ------------------------------------------------------------------ stream
+
+class BitStream:
+    """Every draw of a run, from the raw words of ``np.random.PCG64(seed)``
+    alone, which NEP 19 keeps stable across numpy versions.  Planes cover
+    ``n`` signals, and ``all`` is the plane of every one of them."""
+
+    def __init__(self, seed: int, n: int = 0):
+        self._words = np.random.PCG64(seed).random_raw
+        self.n = n
+        self.all = np.full(-(-n // 64), np.uint64(2**64 - 1))
+        if n % 64:
+            self.all[-1] = np.uint64((1 << n % 64) - 1)
+
+    def fair(self) -> np.ndarray:
+        """A plane of fair coins."""
+        return self._words(len(self.all)) & self.all
+
+    def bernoulli(self, p: float, within: np.ndarray | None = None) -> np.ndarray:
+        """A plane whose bits in ``within`` (default: every signal) are 1 with
+        probability exactly floor(p * 2**53) / 2**53, and whose other bits are 0."""
+        # bit i is u_i < threshold for a uniform 53-bit u_i, compared most
+        # significant bit first, one plane of u's bits per digit, until no
+        # signal is undecided or no digit of threshold is left set
+        threshold = math.floor(p * 2**53)
+        within = self.all if within is None else within
+        if threshold >> 53:
+            return within.copy()
+        out, undecided = np.zeros_like(within), within
+        for j in reversed(range(53)):
+            if not threshold & ((2 << j) - 1) or not undecided.any():
+                break
+            u = self._words(len(within))
+            if threshold >> j & 1:
+                out = out | (undecided & ~u)
+                undecided = undecided & u
+            else:
+                undecided = undecided & ~u
+        return out
+
+    def subset(self, k: int, eligible: np.ndarray) -> np.ndarray:
+        """A uniform k-subset of the m signals in ``eligible``, as a mask: a
+        Bernoulli(k/m) mask is uniform among the masks of its size, and so stays
+        when its surplus or deficit is dropped or added without replacement."""
+        m = _popcount(eligible)
+        if not 0 <= k <= m:
+            raise ValueError(f"cannot choose {k} of {m} signals")
+        if k == m:
+            return eligible.copy()
+        chosen = self.bernoulli(k / m, eligible)
+        surplus = _popcount(chosen) - k
+        if not surplus:
+            return chosen
+        # toggle the first |surplus| of a Fisher-Yates shuffle of the
+        # positions of the chosen signals (surplus) or of the others (deficit)
+        pool = np.flatnonzero(_unpack(chosen if surplus > 0 else eligible & ~chosen, self.n))
+        for i in range(abs(surplus)):
+            j = i + self._randbelow(len(pool) - i)
+            pool[[i, j]] = pool[[j, i]]
+        picks = pool[: abs(surplus)]
+        np.bitwise_xor.at(chosen, picks >> 6, np.uint64(1) << (picks & 63).astype(np.uint64))
+        return chosen
+
+    def _randbelow(self, bound: int) -> int:
+        # a raw word mod bound, redrawn while at or above the largest multiple of bound
+        while (word := int(self._words())) >= 2**64 - 2**64 % bound:
+            pass
+        return word % bound
+
+    def getrandbits(self, k: int) -> int:
+        """k uniform bits; bit i is bit i % 64 of word i // 64."""
+        words = self._words(-(-k // 64)).astype("<u8", copy=False)
+        return int.from_bytes(words.tobytes(), "little") & ((1 << k) - 1)
 
 
 # ------------------------------------------------------------------ models
@@ -139,17 +230,20 @@ class ChannelModel:
             raise ValueError(f"channel spec {text!r} needs kind:param")
         return cls(kind, float(param))
 
-    def paulis(self, basis: np.ndarray, rng) -> np.ndarray:
-        """One sampled Pauli code per signal; ``basis`` holds each signal's
-        own basis, whose eigenstates ``bsc`` flips."""
+    def paulis(self, basis: np.ndarray, stream: BitStream) -> tuple[np.ndarray, np.ndarray]:
+        """One sampled Pauli per signal, as its x and z planes; ``basis``
+        holds each signal's own basis, whose eigenstates ``bsc`` flips."""
         if self.kind == "noiseless":
-            return np.zeros(len(basis), np.uint8)
-        u = rng.random(len(basis))
+            return (np.zeros_like(stream.all),) * 2
         if self.kind == "bsc":
-            return np.where(u < self.param, 1 << basis, 0).astype(np.uint8)
-        # I below 1 - 3p/4, then X, Y and Z in cells of width p/4
-        edges = 1.0 - self.param * np.array([0.75, 0.5, 0.25])
-        return np.array([0, 1, 3, 2], np.uint8)[np.searchsorted(edges, u, side="right")]
+            flip = stream.bernoulli(self.param)
+            return flip & ~basis, flip & basis
+        # x (X or Y) with probability p/2; then z is a fair coin where x is
+        # set, and Z takes p/4 of the remaining 1 - p/2 elsewhere
+        p = self.param
+        x = stream.bernoulli(p / 2)
+        z = stream.fair() & x
+        return x, z | stream.bernoulli(p / 4 / (1 - p / 2), stream.all & ~x)
 
 
 @dataclass(frozen=True)
@@ -189,12 +283,12 @@ class EveModel:
             return cls.intercept_resend()
         return cls.intercept_resend(*lines.split(","))
 
-    def tap(self, basis: np.ndarray, bit: np.ndarray, line: str, rng):
-        """The (basis, bit) frames that leave ``line``."""
+    def tap(self, basis: np.ndarray, bit: np.ndarray, line: str, stream: BitStream):
+        """The (basis, bit) frame planes that leave ``line``."""
         if self.kind == "none" or line not in self.lines:
             return basis, bit
-        eve_basis = _bits(rng, len(basis))
-        return eve_basis, _measure(basis, bit, eve_basis, rng)
+        eve_basis = stream.fair()
+        return eve_basis, _measure(basis, bit, eve_basis, stream)
 
 
 # ------------------------------------------------------------------ ledgers
@@ -272,30 +366,41 @@ def _clamp_rate(e: float) -> float:
 
 @dataclass(eq=False)
 class Signals:
-    """One run's signals as equal-length ``uint8`` columns; position i is
-    signal i.
+    """One run's n signals as ``uint64`` bit-planes (module docstring); each
+    role in ``ROLES`` and mode in ``MODES`` but "none" is a mask, and a plane
+    holds 0 where its run fills nothing.  Runs replace planes and never write
+    into one, so unfilled planes share one array.  :meth:`column` unpacks."""
 
-    Bases and Paulis use the module's codes; ``role`` indexes ``ROLES`` and
-    ``mode`` indexes ``MODES``.  A column a run does not fill for a signal
-    holds 0 there.
-    """
-
+    n: int
     basis: np.ndarray           # prepared, and later announced, basis
     bob_bit: np.ndarray         # prepared bit
     forward_flip: np.ndarray    # the forward channel flipped the bit carried in ``basis``
     received_basis: np.ndarray  # the frame reaching the encoder after the forward line
     received_bit: np.ndarray
-    role: np.ndarray
-    mode: np.ndarray
     alice_bit: np.ndarray       # the encoder's measurement outcome
-    op: np.ndarray              # the encoder's Pauli
+    op_x: np.ndarray            # the encoder's Pauli
+    op_z: np.ndarray
     backward_flip: np.ndarray   # the backward channel flipped the bit carried in ``basis``
     bob_outcome: np.ndarray     # the sender's measurement of the returned signal
+    role_key: np.ndarray
+    role_test: np.ndarray
+    role_check: np.ndarray
+    role_discarded: np.ndarray
+    mode_encode: np.ndarray
+    mode_check: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        """One uint8 per signal: "role" and "mode" as indexes into ``ROLES``
+        and ``MODES``, "op" as the Pauli code, and a plane's name as its bits."""
+        if name in ("role", "mode"):
+            names = ROLES if name == "role" else MODES
+            return sum(i * self.column(f"{name}_{v}") for i, v in enumerate(names) if i)
+        if name == "op":
+            return self.column("op_x") | self.column("op_z") << 1
+        return _unpack(getattr(self, name), self.n)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Signals):
-            return NotImplemented
-        return all(
+        return isinstance(other, Signals) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
@@ -323,19 +428,14 @@ def _stderr(e: float, count: int) -> float:
     return math.sqrt(e * (1.0 - e) / count) if count else 0.0
 
 
-def estimate_errors(basis, alice_bit, bob_bit) -> ErrorEstimate:
-    """Rates from test bits given as columns: basis codes and both ends' bits.
+def estimate_errors(count_x: int, errors_x: int, count_z: int, errors_z: int) -> ErrorEstimate:
+    """Rates from the test bits of each basis: how many there are and how
+    many of them the two ends disagree on.
 
     e_x and e_z come from the disjoint per-basis subsets; the averaged bit
     and phase rates are both (e_x + e_z) / 2 (phase errors of one basis show
     up as bit errors of the other).
     """
-    basis = np.asarray(basis, np.uint8)
-    if not basis.size:
-        raise ValueError("empty test set")
-    wrong = np.asarray(alice_bit) != np.asarray(bob_bit)
-    count_z, count_x = (int(c) for c in np.bincount(basis, minlength=2))
-    errors_z, errors_x = (int(c) for c in np.bincount(basis, weights=wrong, minlength=2))
     for name, count in (("x", count_x), ("z", count_z)):
         if count == 0:
             raise ValueError(f"no test bits in basis {name}")
@@ -491,46 +591,40 @@ class RelayConfig:
 
 # ------------------------------------------------------------------ runs
 
-def _random_vector(rng, n: int) -> BitVector:
-    return BitVector.from_bits(_bits(rng, n))
-
-
-def _draw_pa_seed(n: int, pa_seed: BitVector | None, rng) -> BitVector:
+def _draw_pa_seed(n: int, pa_seed: BitVector | None, stream: BitStream) -> BitVector:
     """The (n - 1)-bit seed of the modified Toeplitz hash of n-bit keys."""
     if pa_seed is None:
-        return _random_vector(rng, n - 1)
+        return BitVector.random(n - 1, stream)
     if pa_seed.length != n - 1:
-        raise ValueError(
-            f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}"
-        )
+        raise ValueError(f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}")
     return pa_seed
 
 
-def _send(n: int, channel: ChannelModel, eve: EveModel, rng) -> Signals:
-    """n signals prepared in random bases and sent over the forward line."""
-    basis, bit = _bits(rng, n), _bits(rng, n)
-    flip = _flips(channel.paulis(basis, rng), basis)
-    received = eve.tap(basis, bit ^ flip, "forward", rng)
-    return Signals(basis, bit, flip, *received, *np.zeros((6, n), np.uint8))
+def _send(channel: ChannelModel, eve: EveModel, stream: BitStream) -> Signals:
+    """The stream's n signals prepared in random bases and sent over the forward line."""
+    basis, bit = stream.fair(), stream.fair()
+    flip = _flips(*channel.paulis(basis, stream), basis)
+    received = eve.tap(basis, bit ^ flip, "forward", stream)
+    zero = np.zeros_like(basis)
+    return Signals(stream.n, basis, bit, flip, *received, **{f.name: zero for f in fields(Signals)[6:]})
 
 
-def _backward(basis, state_basis, state_bit, channel: ChannelModel, eve: EveModel, rng):
-    """Frames crossing the backward line, measured by the sender in ``basis``:
-    whether the channel flipped the bit carried in ``basis``, and the outcomes."""
-    op = channel.paulis(basis, rng)
-    state_bit = state_bit ^ _flips(op, state_basis)
-    state_basis, state_bit = eve.tap(state_basis, state_bit, "backward", rng)
-    return _flips(op, basis), _measure(state_basis, state_bit, basis, rng)
+def _backward(s: Signals, code, state_basis, state_bit, channel: ChannelModel, eve: EveModel, stream) -> None:
+    """The signals in ``code`` cross the backward line and are measured in
+    ``s.basis``: whether the channel flipped the bit carried there, and the outcomes."""
+    x, z = channel.paulis(s.basis, stream)
+    state_bit = state_bit ^ _flips(x, z, state_basis)
+    state_basis, state_bit = eve.tap(state_basis, state_bit, "backward", stream)
+    s.backward_flip = _flips(x, z, s.basis) & code
+    s.bob_outcome = _measure(state_basis, state_bit, s.basis, stream) & code
 
 
-def _encode_and_return(s: Signals, idx: np.ndarray, channel: ChannelModel, eve: EveModel, rng) -> None:
-    # the encoder applies a uniform Pauli X^m1 Z^m2 (code m1 | m2 << 1) to
-    # each received signal at idx and sends it back
-    op = s.op[idx] = rng.integers(0, 4, len(idx), dtype=np.uint8)
-    rb = s.received_basis[idx]
-    s.backward_flip[idx], s.bob_outcome[idx] = _backward(
-        s.basis[idx], rb, s.received_bit[idx] ^ _flips(op, rb), channel, eve, rng
-    )
+def _encode_and_return(s: Signals, code: np.ndarray, channel: ChannelModel, eve: EveModel, stream) -> None:
+    # the encoder applies a uniform Pauli X^m1 Z^m2 (bits m1, m2) to each
+    # received signal in ``code`` and sends it back
+    s.op_x, s.op_z = stream.fair() & code, stream.fair() & code
+    rb = s.received_basis
+    _backward(s, code, rb, s.received_bit ^ _flips(s.op_x, s.op_z, rb), channel, eve, stream)
 
 
 def _abort(t, reason: str):
@@ -538,14 +632,17 @@ def _abort(t, reason: str):
     return t
 
 
-def _estimate(t: ProtocolTranscript, idx: np.ndarray, minimum: int, reason: str) -> ErrorEstimate | None:
-    """Per-basis rates over the test positions ``idx``, or an abort with
+def _estimate(t: ProtocolTranscript, test: np.ndarray, minimum: int, reason: str) -> ErrorEstimate | None:
+    """Per-basis rates over the test signals in ``test``, or an abort with
     ``reason`` when a basis has fewer than ``minimum`` of them."""
     s = t.signals
-    if np.bincount(s.basis[idx], minlength=2).min() < minimum:
+    in_x, wrong = test & s.basis, s.alice_bit ^ s.bob_bit
+    count_x, count_z = _popcount(in_x), _popcount(test & ~s.basis)
+    if min(count_x, count_z) < minimum:
         _abort(t, reason)
         return None
-    return estimate_errors(s.basis[idx], s.alice_bit[idx], s.bob_bit[idx])
+    errors_x = _popcount(in_x & wrong)
+    return estimate_errors(count_x, errors_x, count_z, _popcount(test & wrong) - errors_x)
 
 
 def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
@@ -557,37 +654,32 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     ledger prices hashing and ideal error correction, and both ends share
     the hashed key.
     """
-    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol="bb84", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    s = t.signals = _send(n_sent, cfg.channel, cfg.eve, rng)
-    alice_basis = s.basis if cfg.quantum_memory else _bits(rng, n_sent)
-    s.alice_bit[:] = _measure(s.received_basis, s.received_bit, alice_basis, rng)
-    kept = np.flatnonzero(alice_basis == s.basis)
-    s.role[alice_basis != s.basis] = _DISCARDED
-    t.sift_sent, t.sift_retained = n_sent, len(kept)
-    if len(kept) <= cfg.n_test:
+    stream = BitStream(cfg.seed, n_sent)
+    s = t.signals = _send(cfg.channel, cfg.eve, stream)
+    alice_basis = s.basis if cfg.quantum_memory else stream.fair()
+    s.alice_bit = _measure(s.received_basis, s.received_bit, alice_basis, stream)
+    s.role_discarded = alice_basis ^ s.basis
+    kept = stream.all & ~s.role_discarded
+    t.sift_sent, t.sift_retained = n_sent, _popcount(kept)
+    if t.sift_retained <= cfg.n_test:
         return _abort(t, "insufficient sifted bits")
-    test = np.sort(rng.choice(kept, cfg.n_test, replace=False))
-    s.role[kept] = _KEY
-    s.role[test] = _TEST
-    est = t.estimate = _estimate(t, test, 1, "insufficient test bits in one basis")
+    s.role_test = stream.subset(cfg.n_test, kept)
+    s.role_key = kept & ~s.role_test
+    est = t.estimate = _estimate(t, s.role_test, 1, "insufficient test bits in one basis")
     if est is None:
         return t
 
-    key = s.role == _KEY
     e_b = _clamp_rate(est.e_b)
-    ledger = t.ledger = _ledger(int(key.sum()), cfg.n_test, e_b, _clamp_rate(est.e_p), e_b)
+    ledger = t.ledger = _ledger(t.sift_retained - cfg.n_test, cfg.n_test, e_b, _clamp_rate(est.e_p), e_b)
     if ledger.abort:
         return _abort(t, "non-positive key length")
 
-    a = t.raw_key_alice = BitVector.from_bits(s.alice_bit[key])
-    if cfg.pa_seed is None:
-        t.pa_seed = _draw_pa_seed(ledger.n, None, rng)
-    else:
-        # a supplied seed is sized by the configured n, as the sifted count is
-        # random; its first ledger.n - 1 bits are a uniform seed of the family
-        t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, rng).cut(0, ledger.n - 1)
+    a = t.raw_key_alice = _select(s.alice_bit, s.role_key, n_sent)
+    # the seed is sized by the configured n, as the sifted count is random;
+    # its first ledger.n - 1 bits are a uniform seed of the family
+    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, stream).cut(0, ledger.n - 1)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
     t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
@@ -604,33 +696,26 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     reconcile key bits with no code bit discarded; a tested subset fixes the
     round-trip rate; hashing and ideal EC settle the ledger.
     """
-    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol="dqkd", seed=cfg.seed)
     n_code, n_check = cfg.n + cfg.n_test, cfg.n_check
-    total = n_code + n_check
-    s = t.signals = _send(total, cfg.forward, cfg.eve, rng)
-    is_check = np.zeros(total, bool)
-    is_check[rng.choice(total, n_check, replace=False)] = True
-    check, code = np.flatnonzero(is_check), np.flatnonzero(~is_check)
-    s.mode[:] = _ENCODE_MODE
-    s.mode[check] = _CHECK_MODE
-    s.role[check] = _CHECK
-    alice_basis = _bits(rng, n_check)
-    s.alice_bit[check] = _measure(s.received_basis[check], s.received_bit[check], alice_basis, rng)
-    _encode_and_return(s, code, cfg.backward, cfg.eve, rng)
+    stream = BitStream(cfg.seed, n_code + n_check)
+    s = t.signals = _send(cfg.forward, cfg.eve, stream)
+    check = s.mode_check = s.role_check = stream.subset(n_check, stream.all)
+    code = s.mode_encode = stream.all & ~check
+    alice_basis = stream.fair()
+    s.alice_bit = _measure(s.received_basis, s.received_bit, alice_basis, stream) & check
+    _encode_and_return(s, code, cfg.backward, cfg.eve, stream)
     t.sift_sent = t.sift_retained = n_code  # every encode-mode signal is reconciled
 
-    consistent = check[alice_basis == s.basis[check]]
+    consistent = check & ~(alice_basis ^ s.basis)
     est = _estimate(t, consistent, MIN_CHECK_PER_BASIS, "insufficient consistent-basis check bits")
     if est is None:
         return t
 
-    test = code[rng.choice(n_code, cfg.n_test, replace=False)]
-    s.role[code] = _KEY
-    s.role[test] = _TEST
-    alice_bits = _flips(s.op, s.basis)
-    bob_bits = s.bob_outcome ^ s.bob_bit
-    e_rt = int(np.count_nonzero(alice_bits[test] != bob_bits[test])) / cfg.n_test
+    test = s.role_test = stream.subset(cfg.n_test, code)
+    s.role_key = code & ~test
+    alice_bits = _flips(s.op_x, s.op_z, s.basis)
+    e_rt = _popcount((alice_bits ^ s.bob_outcome ^ s.bob_bit) & test) / cfg.n_test
     est = t.estimate = replace(
         est, e_roundtrip=e_rt, count_roundtrip=cfg.n_test, se_roundtrip=_stderr(e_rt, cfg.n_test)
     )
@@ -640,9 +725,8 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     if ledger.abort:
         return _abort(t, "non-positive key length")
 
-    key = s.role == _KEY
-    a = t.raw_key_alice = BitVector.from_bits(alice_bits[key])
-    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, rng)
+    a = t.raw_key_alice = _select(alice_bits, s.role_key, s.n)
+    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, stream)
     t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
     return t
 
@@ -656,21 +740,22 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     2c; hashing draws nothing from the stream, so its place does not change
     the transcript.
     """
-    rng = np.random.default_rng(cfg.seed)
     t = ProtocolTranscript(protocol=f"integrated-{cfg.variant}", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
-    s = t.signals = _send(n_sent, cfg.forward, cfg.eve, rng)
+    stream = BitStream(cfg.seed, n_sent)
+    s = t.signals = _send(cfg.forward, cfg.eve, stream)
     t.sift_sent = t.sift_retained = n_sent
 
-    test = np.sort(rng.choice(n_sent, cfg.n_test, replace=False))
-    s.role[test] = _TEST
-    s.alice_bit[test] = _measure(s.received_basis[test], s.received_bit[test], s.basis[test], rng)
+    test = s.role_test = stream.subset(cfg.n_test, stream.all)
+    # the encoder measures in the announced bases: the test signals now, and
+    # the code signals of 2, 2b and 2c before their backward phase
+    measured = _measure(s.received_basis, s.received_bit, s.basis, stream)
+    s.alice_bit = measured & test
     est = t.estimate = _estimate(t, test, 1, "insufficient test bits in one basis")
     if est is None:
         return t
 
-    code = np.flatnonzero(s.role != _TEST)
-    s.role[code] = _KEY
+    code = s.role_key = stream.all & ~test
     n_key = cfg.n
     e_p, e_b = _clamp_rate(est.e_p), _clamp_rate(est.e_b)
     # the ledger before any reconciliation: nothing spent yet
@@ -679,22 +764,19 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.ledger = ledger
         return _abort(t, "non-positive key length")
     n_pa = ledger.n_pa
-    t.pa_seed = _draw_pa_seed(n_key, cfg.pa_seed, rng)
+    t.pa_seed = _draw_pa_seed(n_key, cfg.pa_seed, stream)
 
     def f(*keys):
         return modified_toeplitz_hash(t.pa_seed, n_pa, keys)
 
     forward_ec, msg_error_rate = 0, 0.0
     if cfg.variant in ("2", "2b", "2c"):
-        # the encoder measures her code qubits in the announced bases
-        a_bits = s.alice_bit[code] = _measure(
-            s.received_basis[code], s.received_bit[code], s.basis[code], rng
-        )
-        a = t.raw_key_alice = BitVector.from_bits(a_bits)
+        s.alice_bit = measured
+        a = t.raw_key_alice = _select(measured, code, n_sent)
         # ideal EC on the forward raw keys before the backward phase
         forward_ec = math.ceil(n_key * binary_entropy(e_b))
-        m_bits = _bits(rng, n_key)
-        m = BitVector.from_bits(m_bits)
+        m_bits = stream.fair() & code
+        m = _select(m_bits, code, n_sent)
 
     if cfg.variant == "2":
         k, t.m_prime = f(a, m)
@@ -707,21 +789,18 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         t.alice_key = t.m_prime
         t.recovered_via_key = t.bob_key = f_cipher ^ k
     elif cfg.variant == "2c":
-        basis = s.basis[code]
-        s.backward_flip[code], s.bob_outcome[code] = _backward(
-            basis, basis, m_bits ^ a_bits, cfg.backward, cfg.eve, rng
-        )
-        y = BitVector.from_bits(s.bob_outcome[code])
+        _backward(s, code, s.basis, m_bits ^ measured, cfg.backward, cfg.eve, stream)
+        y = _select(s.bob_outcome, code, n_sent)
         k, t.m_prime, f_y, t.recovered_via_rawkey = f(a, m, y, y ^ a)
         t.recovered_via_key = f_y ^ k
         msg_error_rate = (y ^ a ^ m).weight() / n_key
         # ideal EC on the message settles both sides on f(m)
         t.alice_key = t.bob_key = t.m_prime
     else:  # "2d": no measurement before the backward line
-        _encode_and_return(s, code, cfg.backward, cfg.eve, rng)
+        _encode_and_return(s, code, cfg.backward, cfg.eve, stream)
         # the announced basis selects which flag (m1 for z, m2 for x) carries each bit
-        m = BitVector.from_bits(_flips(s.op[code], s.basis[code]))
-        m_hat = BitVector.from_bits(s.bob_outcome[code] ^ s.bob_bit[code])
+        m = _select(_flips(s.op_x, s.op_z, s.basis), code, n_sent)
+        m_hat = _select(s.bob_outcome ^ s.bob_bit, code, n_sent)
         t.m_prime, t.recovered_via_rawkey = f(m, m_hat)
         msg_error_rate = (m_hat ^ m).weight() / n_key
         t.alice_key = t.bob_key = t.m_prime
@@ -741,11 +820,11 @@ def run_relay(cfg: RelayConfig) -> RelayTranscript:
     key and Bob and Charlie hash afterwards (consuming n pool bits); in the
     normal scheme she pads n_pa bits with the hashed key (consuming n_pa).
     """
-    rng = np.random.default_rng(cfg.seed)
-    pool = _random_vector(rng, cfg.pool_size)
+    stream = BitStream(cfg.seed)
+    pool = BitVector.random(cfg.pool_size, stream)
     qkd = run_bb84(Bb84Config(
         n=cfg.n, n_test=cfg.n_test, channel=cfg.channel,
-        seed=int(rng.integers(2**32)), pa_seed=cfg.pa_seed,
+        seed=stream.getrandbits(32), pa_seed=cfg.pa_seed,
     ))
     scheme = "delayed" if cfg.delayed else "normal"
     t = RelayTranscript(scheme=scheme, seed=cfg.seed, qkd=qkd, pool_size=cfg.pool_size)

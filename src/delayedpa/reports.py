@@ -254,8 +254,9 @@ def build_config(doc: dict):
     protocol = doc.get("protocol")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if "n" not in doc:
-        raise ValueError("config needs n")
+    for key in ("n", "seed"):
+        if key not in doc:
+            raise ValueError(f"config needs {key}")
     for key, (accepts, kind) in _SCALARS.items():
         if key in doc and not accepts(doc[key]):
             raise ValueError(f"config {key} must be {kind}, got {doc[key]!r}")

@@ -37,6 +37,10 @@ a second, plainer route to a result the package computes another way:
   ``DelayedPaSession`` takes from its one batched hash call.
 - ``op_for_bit`` and ``single_signal_roundtrip``: the encoding table one
   signal at a time; check the protocol runs' Pauli-frame rule.
+- ``RawWords``, ``ref_fair``, ``ref_bernoulli``, ``ref_subset``,
+  ``ref_randbelow`` and ``ref_getrandbits``: every draw of
+  ``protocols.BitStream`` rebuilt from the same raw PCG64 words, with planes
+  as Python ints, one signal at a time; pin each draw of the stream.
 - ``PureState``, ``DensityMatrix``, ``projector``, ``tensor``,
   ``partial_trace``, ``decompose`` and ``BasisDecomposition``: dense
   states over named subsystems; check the Pauli-frame simulation and the
@@ -439,8 +443,73 @@ def op_for_bit(basis: str, bit: int, rng) -> str:
 def single_signal_roundtrip(basis: str, bob_bit: int, op: str) -> int:
     """Noiseless one-signal round trip: prepare, encode, measure in the
     prepared basis (which reads the frame's bit), decode."""
-    returned = bob_bit ^ _flips(_PAULIS.index(op), _BASES.index(basis))
+    code = _PAULIS.index(op)
+    returned = bob_bit ^ _flips(code & 1, code >> 1, _BASES.index(basis))
     return returned ^ bob_bit
+
+
+class RawWords:
+    """The raw 64-bit words of ``np.random.PCG64(seed)``, one Python int at a time."""
+
+    def __init__(self, seed: int):
+        self._gen = np.random.PCG64(seed)
+
+    def word(self) -> int:
+        return int(self._gen.random_raw())
+
+    def plane(self, n: int) -> int:
+        """ceil(n / 64) words as one int, word i in bits 64 i .. 64 i + 63."""
+        return sum(self.word() << (64 * i) for i in range(-(-n // 64)))
+
+
+def ref_fair(words: RawWords, n: int) -> int:
+    return words.plane(n) & ((1 << n) - 1)
+
+
+def ref_bernoulli(words: RawWords, n: int, threshold: int, within: int) -> int:
+    """Signal i of ``within`` is 1 when its random 53-bit u_i is below
+    ``threshold``; planes give u_i's bits most significant first while some
+    signal's prefix equals threshold's and a set digit of threshold is left,
+    and a signal whose drawn prefix equals threshold's is not below it."""
+    if threshold >= 1 << 53:
+        return within
+    signals = [i for i in range(n) if within >> i & 1]
+    u, d = dict.fromkeys(signals, 0), 0
+    while d < 53 and threshold % (1 << (53 - d)) and threshold >> (53 - d) in u.values():
+        plane, d = words.plane(n), d + 1
+        for i in signals:
+            u[i] = u[i] << 1 | (plane >> i & 1)
+    return sum(1 << i for i in signals if u[i] < threshold >> (53 - d))
+
+
+def ref_randbelow(words: RawWords, bound: int) -> int:
+    while True:
+        w = words.word()
+        if w < (2**64 // bound) * bound:
+            return w % bound
+
+
+def ref_subset(words: RawWords, n: int, k: int, eligible: int) -> int:
+    """A Bernoulli(k / m) mask over the m eligible signals,
+    then the first |surplus| of a Fisher-Yates shuffle of the positions of
+    its ones (surplus) or of the eligible zeros (deficit) toggled."""
+    m = eligible.bit_count()
+    if k == m:
+        return eligible
+    chosen = ref_bernoulli(words, n, math.floor(k / m * 2**53), eligible)
+    surplus = chosen.bit_count() - k
+    pool = chosen if surplus > 0 else eligible & ~chosen
+    positions = [i for i in range(n) if pool >> i & 1]
+    for i in range(abs(surplus)):
+        j = i + ref_randbelow(words, len(positions) - i)
+        positions[i], positions[j] = positions[j], positions[i]
+    for i in positions[: abs(surplus)]:
+        chosen ^= 1 << i
+    return chosen
+
+
+def ref_getrandbits(words: RawWords, k: int) -> int:
+    return words.plane(k) & ((1 << k) - 1)
 
 
 # ---------------------------------------------------------------- quantum

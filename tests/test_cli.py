@@ -414,6 +414,14 @@ def test_relay_pool_bound_holds_written_or_derived():
     assert reports.build_config({**base, "n": 100}).pool_size == 400
 
 
+@pytest.mark.parametrize("key", ["n", "seed"])
+def test_build_config_refuses_a_document_without_n_or_seed(key):
+    doc = {"protocol": "bb84", "n": 100, "seed": 5}
+    del doc[key]
+    with pytest.raises(ValueError, match=f"config needs {key}"):
+        reports.build_config(doc)
+
+
 @pytest.mark.parametrize("protocol", reports.PROTOCOLS)
 def test_build_config_leaves_unset_fields_at_the_config_defaults(protocol):
     # only n, seed and, for relay, the derived pool are written without a key

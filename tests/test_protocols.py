@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from delayedpa.gf2 import BitVector
 from delayedpa.protocols import (
     Bb84Config,
+    BitStream,
     ChannelModel,
     DqkdConfig,
     EveModel,
@@ -27,6 +28,8 @@ from delayedpa.protocols import (
     run_relay,
     two_way_rate_single_line,
     _flips,
+    _popcount,
+    _unpack,
 )
 from delayedpa.quantum import basis_ket, pauli
 from oracles import matvec, op_for_bit, single_signal_roundtrip, toeplitz_from_seed
@@ -72,8 +75,9 @@ def test_op_for_bit_consistent_and_two_valued():
 
 # --------------------------------------------------------------- frame oracle
 
-# every case below is one position of a column; bases and Paulis are coded
-# as in delayedpa.protocols (basis "zx"[b], Pauli "IXZY"[op])
+# every case below is one signal of a plane, 64 cases to the word; bases
+# and Paulis are coded as in delayedpa.protocols (basis "zx"[b], Pauli
+# "IXZY"[op], op = x | z << 1)
 _FRAME_CASES = list(itertools.product("zx", (0, 1), "IXZY", "IXZY"))
 
 
@@ -81,27 +85,42 @@ def _codes(values, alphabet=None) -> np.ndarray:
     return np.array([alphabet.index(v) if alphabet else v for v in values], np.uint8)
 
 
-class _ScriptedRng:
-    """Answers the k-th column draw with a column filled with ``answers[k]``."""
+def _plane(column) -> np.ndarray:
+    """A 0/1 column packed into a plane, signal i at bit i % 64 of word i // 64."""
+    packed = np.packbits(np.asarray(column, bool), bitorder="little")
+    words = np.zeros(-(-len(column) // 64) * 8, np.uint8)
+    words[: len(packed)] = packed
+    return words.view("<u8").astype(np.uint64)
 
-    def __init__(self, *answers):
+
+def _plane_flips(op, basis) -> np.ndarray:
+    """The plane rule of delayedpa.protocols, run on columns of Pauli codes and bases."""
+    return _unpack(_flips(_plane(op & 1), _plane(op >> 1), _plane(basis)), len(basis))
+
+
+class _ScriptedStream:
+    """Answers the k-th fair plane with ``answers[k]`` in every signal."""
+
+    def __init__(self, n, *answers):
+        self.all = BitStream(0, n).all
         self.answers, self.draws = answers, 0
 
-    def integers(self, low, high, size, dtype):
+    def fair(self):
         value = self.answers[self.draws]
         self.draws += 1
-        return np.full(size, value, dtype)
+        return self.all if value else np.zeros_like(self.all)
 
 
 def _frame_measurements(basis, bit, mb):
     """P(0) of frames measured in basis code ``mb`` by an intercept-resend
-    tap, exact over both coin values, and the frames it resends."""
+    tap, exact over both coin values, and the frames it resends, as columns."""
     tap = EveModel.intercept_resend("forward").tap
-    resent = []
+    n, resent = len(basis), []
     for coin in (0, 1):
-        rng = _ScriptedRng(mb, coin)
-        resent.append(tap(basis, bit, "forward", rng))
-        assert rng.draws == 2  # one basis column, one coin column per measurement
+        stream = _ScriptedStream(n, mb, coin)
+        new_basis, new_bit = tap(_plane(basis), _plane(bit), "forward", stream)
+        resent.append((_unpack(new_basis, n), _unpack(new_bit, n)))
+        assert stream.draws == 2  # one basis plane, one coin plane per measurement
     return sum((b == 0).astype(float) for _, b in resent) / 2, resent
 
 
@@ -115,13 +134,13 @@ def _same_ray(u, v) -> bool:
 
 def test_frame_matches_dense_paulis_and_measurements():
     # every frame state, encoding op, channel Pauli and measurement basis,
-    # run through the column kernels, against the dense amplitudes of
+    # run through the plane kernels, against the dense amplitudes of
     # delayedpa.quantum
     basis = _codes((c[0] for c in _FRAME_CASES), "zx")
     bit = _codes(c[1] for c in _FRAME_CASES)
     op = _codes((c[2] for c in _FRAME_CASES), "IXZY")
     chan = _codes((c[3] for c in _FRAME_CASES), "IXZY")
-    frame_bit = bit ^ _flips(op, basis) ^ _flips(chan, basis)
+    frame_bit = bit ^ _plane_flips(op, basis) ^ _plane_flips(chan, basis)
     states = [
         pauli(c) @ pauli(o) @ basis_ket(b_, bs) for bs, b_, o, c in _FRAME_CASES
     ]
@@ -231,25 +250,24 @@ def test_channel_validation():
         ChannelModel.parse("foo:0.1")
 
 
-def _channel_flips(ch, basis, n, rng) -> int:
+def _channel_flips(ch, basis, n, seed) -> int:
     """How many of n signals in ``basis`` the channel's sampled Paulis flip."""
-    b = np.full(n, "zx".index(basis), np.uint8)
-    return int(_flips(ch.paulis(b, rng), b).sum())
+    stream = BitStream(seed, n)
+    b = stream.all if basis == "x" else np.zeros_like(stream.all)
+    return _popcount(_flips(*ch.paulis(b, stream), b))
 
 
 def test_bsc_flips_at_rate_in_both_bases():
-    rng = np.random.default_rng(1)
     ch = ChannelModel.bsc(0.2)
-    for basis in ("x", "z"):
-        flips = _channel_flips(ch, basis, 4000, rng)
+    for seed, basis in enumerate(("x", "z")):
+        flips = _channel_flips(ch, basis, 4000, seed)
         assert abs(flips / 4000 - 0.2) < 3 * math.sqrt(0.2 * 0.8 / 4000)
 
 
 def test_depolarizing_bit_flip_rate_is_half_p():
-    rng = np.random.default_rng(2)
     ch = ChannelModel.depolarizing(0.1)
-    for basis in ("x", "z"):
-        flips = _channel_flips(ch, basis, 8000, rng)
+    for seed, basis in enumerate(("x", "z"), start=2):
+        flips = _channel_flips(ch, basis, 8000, seed)
         assert abs(flips / 8000 - 0.05) < 3 * math.sqrt(0.05 * 0.95 / 8000)
 
 
@@ -264,11 +282,12 @@ def test_eve_parse():
 # --------------------------------------------------------------- estimates
 
 def _estimate(triples):
-    """estimate_errors over (basis, alice_bit, bob_bit) triples as columns."""
-    if not triples:
-        return estimate_errors([], [], [])
-    basis, alice_bit, bob_bit = zip(*triples)
-    return estimate_errors(_codes(basis, "zx"), _codes(alice_bit), _codes(bob_bit))
+    """estimate_errors over the counts of (basis, alice_bit, bob_bit) triples."""
+    counts = []
+    for basis in "xz":
+        pairs = [(a, c) for b, a, c in triples if b == basis]
+        counts += [len(pairs), sum(a != c for a, c in pairs)]
+    return estimate_errors(*counts)
 
 
 def test_estimate_errors_zero():
@@ -400,11 +419,12 @@ def test_dqkd_error_pattern_is_xor_of_lines():
         )
     )
     s = t.signals
-    encode = s.mode == MODES.index("encode")
+    encode = s.column("mode") == MODES.index("encode")
     assert encode.any()
-    alice_bit = _flips(s.op, s.basis)
-    bob_bit = s.bob_outcome ^ s.bob_bit
-    assert np.array_equal((alice_bit != bob_bit)[encode], (s.forward_flip ^ s.backward_flip)[encode] == 1)
+    alice_bit = _plane_flips(s.column("op"), s.column("basis"))
+    bob_bit = s.column("bob_outcome") ^ s.column("bob_bit")
+    flips = s.column("forward_flip") ^ s.column("backward_flip")
+    assert np.array_equal((alice_bit != bob_bit)[encode], flips[encode] == 1)
 
 
 def test_dqkd_independent_line_composition_rate():
@@ -448,16 +468,17 @@ def test_dqkd_determinism():
 
 
 def test_record_counts_match_configured_sizes():
-    role = run_bb84(Bb84Config(n=700, n_test=150, seed=30)).signals.role
+    role = run_bb84(Bb84Config(n=700, n_test=150, seed=30)).signals.column("role")
     assert len(role) == 700 + 150
     assert np.count_nonzero(role == ROLES.index("key")) == 700
     assert np.count_nonzero(role == ROLES.index("test")) == 150
     s2 = run_dqkd(DqkdConfig(n=600, n_test=140, seed=31)).signals
-    encode = s2.role[s2.mode == MODES.index("encode")]
+    role, mode = s2.column("role"), s2.column("mode")
+    encode = role[mode == MODES.index("encode")]
     assert len(encode) == 600 + 140
     assert np.count_nonzero(encode == ROLES.index("key")) == 600
     assert np.count_nonzero(encode == ROLES.index("test")) == 140
-    assert np.all(s2.role[s2.mode == MODES.index("check")] == ROLES.index("check"))
+    assert np.all(role[mode == MODES.index("check")] == ROLES.index("check"))
 
 
 # --------------------------------------------------------------- integrated
@@ -490,14 +511,15 @@ def test_integrated_2d_message_bit_follows_basis():
     )
     assert not t.abort and t.ledger.n_pa < t.ledger.n
     s = t.signals
-    code = s.role == ROLES.index("key")
-    m1, m2 = s.op[code] & 1, s.op[code] >> 1  # the X and Z flags of X^m1 Z^m2
-    decoded = np.where(s.basis[code] == "zx".index("z"), m1, m2)
+    code = s.column("role") == ROLES.index("key")
+    op, basis = s.column("op")[code], s.column("basis")[code]
+    m1, m2 = op & 1, op >> 1  # the X and Z flags of X^m1 Z^m2
+    decoded = np.where(basis == "zx".index("z"), m1, m2)
     # the delivered secret is the hash of exactly that selected string
     m_sel = BitVector.from_bits(decoded)
     assert _modified_toeplitz_oracle(t.pa_seed, t.ledger.n_pa, m_sel) == t.m_prime
     # all-z subset decodes by the X-flag, all-x subset by the Z-flag
-    assert np.array_equal(_flips(s.op[code], s.basis[code]), decoded)
+    assert np.array_equal(_plane_flips(op, basis), decoded)
 
 
 def test_integrated_2c_noisy_backward_settles():
@@ -521,9 +543,10 @@ def test_integrated_2d_ledger_matches_dqkd_formula():
     # reconstruct the observed message error rate from the records and check
     # the ledger is exactly the two-way floor/ceil formula at that rate
     s = t.signals
-    code = s.role == ROLES.index("key")
-    selected = np.where(s.basis[code] == "zx".index("z"), s.op[code] & 1, s.op[code] >> 1)
-    mism = int(np.count_nonzero(selected != (s.bob_outcome[code] ^ s.bob_bit[code])))
+    code = s.column("role") == ROLES.index("key")
+    op = s.column("op")[code]
+    selected = np.where(s.column("basis")[code] == "zx".index("z"), op & 1, op >> 1)
+    mism = int(np.count_nonzero(selected != (s.column("bob_outcome") ^ s.column("bob_bit"))[code]))
     obs_rate = mism / int(code.sum())
     ref = key_length(1000, min(obs_rate, 0.5), min(t.estimate.e_p, 0.5))
     assert t.ledger.n_pa == ref.n_pa
@@ -544,8 +567,8 @@ def test_integrated_2d_per_signal_states_match_quantum_certificates():
     t = run_integrated(IntegratedConfig(variant="2d", n=100, n_test=30, seed=24))
     rng = np.random.default_rng(25)
     s = t.signals
-    code = np.flatnonzero(s.role == ROLES.index("key"))[:20]
-    for basis, bit in zip(s.received_basis[code], s.received_bit[code]):
+    code = np.flatnonzero(s.column("role") == ROLES.index("key"))[:20]
+    for basis, bit in zip(s.column("received_basis")[code], s.column("received_bit")[code]):
         qubit = PureState.qubit(int(bit), "zx"[basis])
         chi_amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         chi = PureState(chi_amps / np.linalg.norm(chi_amps), (2,), ("Abar",))
