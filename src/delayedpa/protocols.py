@@ -165,13 +165,14 @@ class BitStream:
         surplus = _popcount(chosen) - k
         if not surplus:
             return chosen
-        # toggle the first |surplus| of a Fisher-Yates shuffle of the
-        # positions of the chosen signals (surplus) or of the others (deficit)
-        pool = np.flatnonzero(_unpack(chosen if surplus > 0 else eligible & ~chosen, self.n))
+        # toggle the first |surplus| of a Fisher-Yates shuffle of the positions of
+        # the chosen signals (surplus) or the others (deficit), kept as its moves
+        pool = np.flatnonzero(_unpack(chosen if surplus > 0 else eligible & ~chosen, self.n).view(bool))
+        moved = {}
         for i in range(abs(surplus)):
             j = i + self._randbelow(len(pool) - i)
-            pool[[i, j]] = pool[[j, i]]
-        picks = pool[: abs(surplus)]
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        picks = pool[[moved[i] for i in range(abs(surplus))]]
         np.bitwise_xor.at(chosen, picks >> 6, np.uint64(1) << (picks & 63).astype(np.uint64))
         return chosen
 
@@ -242,8 +243,7 @@ class ChannelModel:
         # set, and Z takes p/4 of the remaining 1 - p/2 elsewhere
         p = self.param
         x = stream.bernoulli(p / 2)
-        z = stream.fair() & x
-        return x, z | stream.bernoulli(p / 4 / (1 - p / 2), stream.all & ~x)
+        return x, (stream.fair() & x) | stream.bernoulli(p / 4 / (1 - p / 2), stream.all & ~x)
 
 
 @dataclass(frozen=True)
