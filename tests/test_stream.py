@@ -21,7 +21,7 @@ def _int(plane: np.ndarray) -> int:
     return int.from_bytes(plane.astype("<u8").tobytes(), "little")
 
 
-def _plane(value: int, n: int) -> np.ndarray:
+def _from_int(value: int, n: int) -> np.ndarray:
     words = -(-n // 64)
     return np.frombuffer(value.to_bytes(8 * words, "little"), "<u8").astype(np.uint64)
 
@@ -43,10 +43,10 @@ def test_every_draw_matches_the_raw_word_oracle(seed, n):
     for p in (0.02, 0.375, 0.0, 1.0, 1 / 3):
         threshold = math.floor(p * 2**53)
         pin(stream.bernoulli(p), ref_bernoulli(words, n, threshold, (1 << n) - 1))
-    pin(stream.bernoulli(1 / 3, _plane(eligible, n)), ref_bernoulli(words, n, (1 << 53) // 3, eligible))
+    pin(stream.bernoulli(1 / 3, _from_int(eligible, n)), ref_bernoulli(words, n, math.floor(2**53 / 3), eligible))
     m = eligible.bit_count()
     for k in (0, m // 3, (m + 1) // 2, m):
-        pin(stream.subset(k, _plane(eligible, n)), ref_subset(words, n, k, eligible))
+        pin(stream.subset(k, _from_int(eligible, n)), ref_subset(words, n, k, eligible))
     for k in (0, 1, n // 2, n):
         pin(stream.subset(k, stream.all), ref_subset(words, n, k, (1 << n) - 1))
     for bound in (1, 3, 1000, 2**63 + 1, 2**64):
@@ -70,7 +70,7 @@ def test_subset_is_uniform_over_all_k_subsets(m):
     n = 70
     eligible = [3, 17, 63, 64, 65, 69][:m]
     stream = BitStream(1000 + m, n)
-    mask = _plane(sum(1 << i for i in eligible), n)
+    mask = _from_int(sum(1 << i for i in eligible), n)
     for k in range(m + 1):
         cells = {frozenset(c): 0 for c in itertools.combinations(eligible, k)}
         draws = 150 * len(cells)
