@@ -5,7 +5,7 @@ Bob shares a key with Charlie through relay Alice.  In the normal scheme the
 relay hashes its raw key first and pads N_PA pool bits; in the delayed
 scheme it pads N raw bits and leaves the hashing to Bob and Charlie, trading
 extra pool consumption for the relay never having to learn or apply the hash
-(whose seed alone is N + N_PA - 1 bits of coordination).
+(whose seed alone is N - 1 bits of coordination).
 
 Usage:
     python scripts/relay_demo.py --n 4096 --error 0.03 --seed 5

@@ -19,7 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from delayedpa.protocols import ChannelModel, DqkdConfig, binary_entropy, run_dqkd
+from delayedpa.ledger import binary_entropy
+from delayedpa.protocols import ChannelModel, DqkdConfig, run_dqkd
 from delayedpa.reports import ledger_csv_header, ledger_csv_row
 
 

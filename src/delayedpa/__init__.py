@@ -8,6 +8,7 @@ protocol-equivalence certificates, seeded protocol simulations, and the
 """
 
 from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.ledger import binary_entropy, key_length
 from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message
 from delayedpa.protocols import (
     Bb84Config,
@@ -16,8 +17,6 @@ from delayedpa.protocols import (
     EveModel,
     IntegratedConfig,
     RelayConfig,
-    binary_entropy,
-    key_length,
     run_bb84,
     run_dqkd,
     run_integrated,

@@ -22,17 +22,16 @@ import sys
 import time
 
 from delayedpa import reports
+from delayedpa.ledger import key_length, two_way_rate_single_line
 from delayedpa.protocols import (
     Bb84Config,
     DqkdConfig,
     IntegratedConfig,
     RelayConfig,
-    key_length,
     run_bb84,
     run_dqkd,
     run_integrated,
     run_relay,
-    two_way_rate_single_line,
 )
 
 EXIT_OK = 0

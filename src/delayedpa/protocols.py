@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo protocol runs and key-length accounting.
+"""Seeded Monte-Carlo protocol runs, whose keys :mod:`delayedpa.ledger` prices.
 
 A run carries its signals as :class:`Signals`: one ``uint64`` bit-plane per
 column, bit i (bit i % 64 of word i // 64) for signal i, and 0 past the
@@ -23,11 +23,6 @@ modeled noise).  A run takes every draw from one :class:`BitStream` over
 the raw words of ``np.random.PCG64(cfg.seed)``, which NumPy keeps stable
 across versions (NEP 19): a seed gives bit-identical transcripts.
 
-Error correction is settled by an ideal authenticated oracle: the receiving
-side's string is overwritten with the sender's, and the ledger is charged
-ceil(N * h(e)) pre-shared bits for the measured (or observed) error rate e.
-This isolates the key accounting from any particular reconciliation code.
-
 Privacy amplification: each run draws an (n - 1)-bit hash seed and hashes
 all its keys and messages with one ``gf2.modified_toeplitz_hash`` call:
 bb84 and dqkd one key, integrated-2 (a, m), 2b (a, m, c, c XOR a), 2c
@@ -42,13 +37,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from delayedpa.gf2 import BitVector, modified_toeplitz_hash
+from delayedpa.ledger import ErrorEstimate, KeyLedger, build_ledger, estimate_errors, with_roundtrip
 
 __all__ = [
     "BitStream",
     "ChannelModel",
     "EveModel",
-    "ErrorEstimate",
-    "KeyLedger",
     "Signals",
     "ROLES",
     "MODES",
@@ -58,11 +52,7 @@ __all__ = [
     "DqkdConfig",
     "IntegratedConfig",
     "RelayConfig",
-    "binary_entropy",
-    "key_length",
-    "two_way_rate_single_line",
     "decode_key_bit",
-    "estimate_errors",
     "run_bb84",
     "run_dqkd",
     "run_integrated",
@@ -291,77 +281,6 @@ class EveModel:
         return eve_basis, _measure(basis, bit, eve_basis, stream)
 
 
-# ------------------------------------------------------------------ ledgers
-
-def binary_entropy(e: float) -> float:
-    """h(e) = -e log2 e - (1-e) log2 (1-e), with h(0) = h(1) = 0."""
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("rate outside [0, 1]")
-    if e == 0.0 or e == 1.0:
-        return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
-
-
-@dataclass(frozen=True)
-class KeyLedger:
-    """Bit accounting for one run: N_key = N_PA - N_EC, abort when <= 0."""
-
-    n: int
-    n_test: int
-    n_pa: int
-    n_ec: int
-    n_key: int
-    preshared_consumed: int
-    pool_consumed: int
-    h_roundtrip: float
-    h_ep: float
-    h_eb: float | None
-    abort: bool
-
-
-def _ledger(n: int, n_test: int, e_roundtrip: float, e_p: float,
-            e_b: float | None = None, forward_ec: int = 0) -> KeyLedger:
-    """The one ledger builder: N_PA = floor(N(1 - h(e_p))) and N_EC =
-    ceil(N h(e_roundtrip)) plus ``forward_ec`` bits already spent
-    reconciling forward raw keys, all paid in pre-shared bits."""
-    h_rt = binary_entropy(e_roundtrip)
-    h_ep = binary_entropy(e_p)
-    n_pa = math.floor(n * (1.0 - h_ep))
-    n_ec = forward_ec + math.ceil(n * h_rt)
-    return KeyLedger(
-        n=n, n_test=n_test, n_pa=n_pa, n_ec=n_ec, n_key=n_pa - n_ec,
-        preshared_consumed=n_ec, pool_consumed=0, h_roundtrip=h_rt, h_ep=h_ep,
-        h_eb=None if e_b is None else binary_entropy(e_b), abort=n_pa - n_ec <= 0,
-    )
-
-
-def key_length(n: int, e_roundtrip: float, e_p: float) -> KeyLedger:
-    """Ledger for the two-way rate N[1 - h(e_roundtrip) - h(e_p)].
-
-    Conservative integer accounting: N_PA = floor(N(1 - h(e_p))) and
-    N_EC = ceil(N h(e_roundtrip)), the latter paid in pre-shared bits.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for rate in (e_roundtrip, e_p):
-        if not 0.0 <= rate <= 0.5:
-            raise ValueError("rate outside [0, 0.5]")
-    return _ledger(n, 0, e_roundtrip, e_p)
-
-
-def two_way_rate_single_line(e_b: float, e_p: float) -> float:
-    """Asymptotic rate 1 - h(2 e_b) - h(e_p) when both lines share rate e_b
-    and their errors may be fully correlated; the bound needs e_b <= 1/4."""
-    if not 0.0 <= e_b <= 0.25:
-        raise ValueError(f"single-line rate e_b outside [0, 0.25], got {e_b}")
-    return 1.0 - binary_entropy(2.0 * e_b) - binary_entropy(e_p)
-
-
-def _clamp_rate(e: float) -> float:
-    # rates past 1/2 carry no distillable key; the clamped ledger still aborts
-    return min(max(e, 0.0), 0.5)
-
-
 # ------------------------------------------------------------------ signals
 
 @dataclass(eq=False)
@@ -403,53 +322,6 @@ class Signals:
         return isinstance(other, Signals) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
-
-
-@dataclass
-class ErrorEstimate:
-    """Per-basis test-bit error rates and their derived averages."""
-
-    e_x: float
-    e_z: float
-    e_b: float
-    e_p: float
-    count_x: int
-    count_z: int
-    se_x: float
-    se_z: float
-    se_b: float
-    se_p: float
-    e_roundtrip: float | None = None
-    count_roundtrip: int = 0
-    se_roundtrip: float | None = None
-
-
-def _stderr(e: float, count: int) -> float:
-    return math.sqrt(e * (1.0 - e) / count) if count else 0.0
-
-
-def estimate_errors(count_x: int, errors_x: int, count_z: int, errors_z: int) -> ErrorEstimate:
-    """Rates from the test bits of each basis: how many there are and how
-    many of them the two ends disagree on.
-
-    e_x and e_z come from the disjoint per-basis subsets; the averaged bit
-    and phase rates are both (e_x + e_z) / 2 (phase errors of one basis show
-    up as bit errors of the other).
-    """
-    for name, count in (("x", count_x), ("z", count_z)):
-        if count == 0:
-            raise ValueError(f"no test bits in basis {name}")
-    e_x = errors_x / count_x
-    e_z = errors_z / count_z
-    se_x = _stderr(e_x, count_x)
-    se_z = _stderr(e_z, count_z)
-    avg = (e_x + e_z) / 2.0
-    se_avg = 0.5 * math.sqrt(se_x ** 2 + se_z ** 2)
-    return ErrorEstimate(
-        e_x=e_x, e_z=e_z, e_b=avg, e_p=avg,
-        count_x=count_x, count_z=count_z,
-        se_x=se_x, se_z=se_z, se_b=se_avg, se_p=se_avg,
-    )
 
 
 @dataclass
@@ -671,8 +543,7 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     if est is None:
         return t
 
-    e_b = _clamp_rate(est.e_b)
-    ledger = t.ledger = _ledger(t.sift_retained - cfg.n_test, cfg.n_test, e_b, _clamp_rate(est.e_p), e_b)
+    ledger = t.ledger = build_ledger(t.sift_retained - cfg.n_test, cfg.n_test, est.e_b, est.e_p, est.e_b)
     if ledger.abort:
         return _abort(t, "non-positive key length")
 
@@ -715,13 +586,9 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     test = s.role_test = stream.subset(cfg.n_test, code)
     s.role_key = code & ~test
     alice_bits = _flips(s.op_x, s.op_z, s.basis)
-    e_rt = _popcount((alice_bits ^ s.bob_outcome ^ s.bob_bit) & test) / cfg.n_test
-    est = t.estimate = replace(
-        est, e_roundtrip=e_rt, count_roundtrip=cfg.n_test, se_roundtrip=_stderr(e_rt, cfg.n_test)
-    )
-
-    e_p, e_b = _clamp_rate(est.e_p), _clamp_rate(est.e_b)
-    ledger = t.ledger = _ledger(cfg.n, cfg.n_test, _clamp_rate(e_rt), e_p, e_b)
+    errors_rt = _popcount((alice_bits ^ s.bob_outcome ^ s.bob_bit) & test)
+    est = t.estimate = with_roundtrip(est, cfg.n_test, errors_rt)
+    ledger = t.ledger = build_ledger(cfg.n, cfg.n_test, est.e_roundtrip, est.e_p, est.e_b)
     if ledger.abort:
         return _abort(t, "non-positive key length")
 
@@ -757,9 +624,8 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
 
     code = s.role_key = stream.all & ~test
     n_key = cfg.n
-    e_p, e_b = _clamp_rate(est.e_p), _clamp_rate(est.e_b)
     # the ledger before any reconciliation: nothing spent yet
-    ledger = _ledger(n_key, cfg.n_test, 0.0, e_p, e_b)
+    ledger = build_ledger(n_key, cfg.n_test, 0.0, est.e_p, est.e_b)
     if ledger.n_pa <= 0:
         t.ledger = ledger
         return _abort(t, "non-positive key length")
@@ -769,12 +635,12 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     def f(*keys):
         return modified_toeplitz_hash(t.pa_seed, n_pa, keys)
 
-    forward_ec, msg_error_rate = 0, 0.0
-    if cfg.variant in ("2", "2b", "2c"):
+    # every variant but 2d settles its forward raw keys by ideal EC before
+    # the backward phase, and the ledger charges for it
+    forward_reconciled, msg_error_rate = cfg.variant != "2d", 0.0
+    if forward_reconciled:
         s.alice_bit = measured
         a = t.raw_key_alice = _select(measured, code, n_sent)
-        # ideal EC on the forward raw keys before the backward phase
-        forward_ec = math.ceil(n_key * binary_entropy(e_b))
         m_bits = stream.fair() & code
         m = _select(m_bits, code, n_sent)
 
@@ -805,7 +671,7 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         msg_error_rate = (m_hat ^ m).weight() / n_key
         t.alice_key = t.bob_key = t.m_prime
 
-    ledger = t.ledger = _ledger(n_key, cfg.n_test, _clamp_rate(msg_error_rate), e_p, e_b, forward_ec)
+    ledger = t.ledger = build_ledger(n_key, cfg.n_test, msg_error_rate, est.e_p, est.e_b, forward_reconciled)
     if ledger.abort:
         _abort(t, "non-positive key length")
         t.alice_key = t.bob_key = None

@@ -12,14 +12,13 @@ import json
 from dataclasses import fields
 
 from delayedpa.gf2 import BitVector
+from delayedpa.ledger import ErrorEstimate, KeyLedger
 from delayedpa.protocols import (
     Bb84Config,
     ChannelModel,
     DqkdConfig,
-    ErrorEstimate,
     EveModel,
     IntegratedConfig,
-    KeyLedger,
     ProtocolTranscript,
     RelayConfig,
     RelayTranscript,
@@ -166,7 +165,8 @@ _OPTIONAL_FIELDS = {"pool": "pool_size", "channels.backward": "backward",
                     **{key: key for key in ("check_fraction", "eve", "delayed", "quantum_memory")}}
 # integrated-2/2b/2c/2d take IntegratedConfig
 _CONFIG_TYPES = {"bb84": Bb84Config, "dqkd": DqkdConfig, "relay": RelayConfig}
-# a desk-scale bound: a run holds a few dozen bytes per signal at once
+# a desk-scale bound: integrated-2c at n = 10**7 peaks at 810 MiB RSS (numpy 2.4),
+# set by the hash's FFT temporaries; all it allocates before the hash is under 125 MiB
 MAX_SIGNALS = 10**7
 
 
@@ -303,17 +303,10 @@ def build_config(doc: dict):
 
 # ------------------------------------------------------------------ sweeps
 
-_LEDGER_FIELDS = (
-    "n", "n_test", "n_pa", "n_ec", "n_key",
-    "preshared_consumed", "pool_consumed",
-    "h_roundtrip", "h_ep", "h_eb", "abort",
-)
-
-
 def ledger_csv_header() -> list[str]:
-    return ["protocol", "seed", *_LEDGER_FIELDS]
+    return ["protocol", "seed", *(f.name for f in fields(KeyLedger))]
 
 
 def ledger_csv_row(t: ProtocolTranscript) -> list:
     doc = ledger_doc(t.ledger) or {}
-    return [t.protocol, t.seed, *[doc.get(f) for f in _LEDGER_FIELDS]]
+    return [t.protocol, t.seed, *(doc.get(f.name) for f in fields(KeyLedger))]

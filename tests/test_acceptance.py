@@ -14,6 +14,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from delayedpa.gf2 import BitVector
+from delayedpa.ledger import key_length, two_way_rate_single_line
 from delayedpa.protocols import (
     Bb84Config,
     DqkdConfig,
@@ -21,13 +22,11 @@ from delayedpa.protocols import (
     ChannelModel,
     IntegratedConfig,
     RelayConfig,
-    key_length,
     decode_key_bit,
     run_bb84,
     run_dqkd,
     run_integrated,
     run_relay,
-    two_way_rate_single_line,
 )
 from delayedpa.security import (
     bank_tables,

@@ -60,6 +60,21 @@ def test_every_exported_name_is_run_outside_the_tests():
     assert unused == [], f"exported, but only tests reach them (move them to tests/oracles.py): {unused}"
 
 
+def test_only_the_ledger_module_calls_binary_entropy():
+    # the key is priced in one module, so no run grows its own pricing term
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "ledger.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "binary_entropy":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_no_package_file_mentions_the_test_oracles():
     files = [
         p for p in sorted((ROOT / "src").rglob("*"))

@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -20,13 +20,13 @@ import delayedpa.suites
 from delayedpa import cli, reports
 from delayedpa.cli import SUITES, build_parser, main
 from delayedpa.gf2 import BitVector
+from delayedpa.ledger import KeyLedger, key_length
 from delayedpa.protocols import (
     Bb84Config,
     ChannelModel,
     DqkdConfig,
     IntegratedConfig,
     RelayConfig,
-    key_length,
     run_bb84,
     run_dqkd,
 )
@@ -711,6 +711,19 @@ def test_report_dicts_equal_asdict():
     ledger = key_length(1000, 0.25, 0.25)
     assert ledger.abort
     assert reports.ledger_doc(ledger) == asdict(ledger)
+
+
+@pytest.mark.parametrize("cfg", [
+    DqkdConfig(n=300, n_test=80, seed=3),
+    DqkdConfig(n=300, n_test=80, forward=ChannelModel.bsc(0.3), backward=ChannelModel.bsc(0.3), seed=3),
+    DqkdConfig(n=20, n_test=2, check_fraction=0.1, seed=17),
+], ids=["completed", "aborted-with-ledger", "aborted-before-ledger"])
+def test_ledger_csv_columns_follow_the_ledger(cfg):
+    t = run_dqkd(cfg)
+    header = reports.ledger_csv_header()
+    assert header == ["protocol", "seed", *(f.name for f in fields(KeyLedger))]
+    doc = reports.ledger_doc(t.ledger) or dict.fromkeys(header[2:])
+    assert reports.ledger_csv_row(t) == [t.protocol, t.seed, *(doc[name] for name in header[2:])]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,13 @@ import pytest
 from mpmath import mp, mpf
 
 from delayedpa.gf2 import BitVector
+from delayedpa.ledger import (
+    KeyLedger,
+    binary_entropy,
+    estimate_errors,
+    key_length,
+    two_way_rate_single_line,
+)
 from delayedpa.protocols import (
     Bb84Config,
     BitStream,
@@ -14,19 +21,14 @@ from delayedpa.protocols import (
     DqkdConfig,
     EveModel,
     IntegratedConfig,
-    KeyLedger,
     MODES,
     ROLES,
     RelayConfig,
-    binary_entropy,
     decode_key_bit,
-    estimate_errors,
-    key_length,
     run_bb84,
     run_dqkd,
     run_integrated,
     run_relay,
-    two_way_rate_single_line,
     _flips,
     _popcount,
     _unpack,
@@ -529,6 +531,25 @@ def test_integrated_2c_noisy_backward_settles():
     assert not t.abort
     assert t.alice_key == t.bob_key == t.m_prime
     assert t.ledger.n_ec > 0
+
+
+@pytest.mark.parametrize("variant", ["2", "2b", "2c"])
+def test_integrated_ledger_charges_the_forward_reconciliation(variant):
+    # 2, 2b and 2c reconcile the forward raw keys before the backward phase,
+    # so N_EC = ceil(N h(e_b)) + ceil(N h(message error rate))
+    n = 2000
+    backward = ChannelModel.bsc(0.03) if variant == "2c" else ChannelModel.noiseless()
+    t = run_integrated(IntegratedConfig(
+        variant=variant, n=n, n_test=600, forward=ChannelModel.bsc(0.03), backward=backward, seed=31,
+    ))
+    assert not t.abort and t.estimate.e_b > 0
+    # with no eavesdropper a message bit arrives wrong exactly where the
+    # backward channel flipped it; the classical lines of 2 and 2b flip none
+    code = t.signals.column("role") == ROLES.index("key")
+    msg_rate = int(t.signals.column("backward_flip")[code].sum()) / n
+    assert (msg_rate > 0) == (variant == "2c")
+    expect = math.ceil(n * oracle_entropy(t.estimate.e_b)) + math.ceil(n * oracle_entropy(msg_rate))
+    assert t.ledger.n_ec == t.ledger.preshared_consumed == expect
 
 
 def test_integrated_2d_ledger_matches_dqkd_formula():
