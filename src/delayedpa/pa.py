@@ -15,11 +15,11 @@ f(c XOR a), all from one hash call.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from delayedpa.gf2 import BitVector, modified_toeplitz_hash
+from delayedpa.stream import BitStream
 
 __all__ = [
     "AdditivePaFunction",
@@ -135,11 +135,11 @@ class DelayedPaSession:
     """One delayed-PA exchange, immutable once built.
 
     ``create`` fixes ``m_prime`` and draws the expansion from
-    ``selector_seed`` before the raw key is touched, so the message is
-    independent of the key by construction.  Construction hashes m, a, c
-    and c XOR a in one call: f(m) checks the expansion, and the key f(a)
-    and the receiver's two decodings of m', f(c) XOR f(a) and f(c XOR a),
-    are kept.
+    ``BitStream(selector_seed)`` before the raw key is touched, so the
+    message is independent of the key by construction.  Construction hashes
+    m, a, c and c XOR a in one call: f(m) checks the expansion, and the key
+    f(a) and the receiver's two decodings of m', f(c) XOR f(a) and
+    f(c XOR a), are kept.
     """
 
     f: AdditivePaFunction
@@ -153,14 +153,14 @@ class DelayedPaSession:
     _via_rawkey: BitVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # create draws getrandbits(64); checked before any hash is run
+        if not 0 <= self.selector_seed < 1 << 64:
+            raise ValueError(f"selector_seed must be in [0, 2**64), got {self.selector_seed}")
         f_m, f_a, f_c, f_ca = pa_apply_many(self.f, [self.m, self.a, self.c, self.c ^ self.a])
         if f_m != self.m_prime:
             raise ValueError("expanded message does not hash to m_prime")
         if self.c != self.a ^ self.m:
             raise ValueError("ciphertext is not a XOR m")
-        # create draws getrandbits(64)
-        if not 0 <= self.selector_seed < 1 << 64:
-            raise ValueError(f"selector_seed must be in [0, 2**64), got {self.selector_seed}")
         object.__setattr__(self, "key", f_a)
         object.__setattr__(self, "_via_key", f_c ^ f_a)
         object.__setattr__(self, "_via_rawkey", f_ca)
@@ -168,7 +168,7 @@ class DelayedPaSession:
     @classmethod
     def create(cls, f: AdditivePaFunction, m_prime: BitVector, a: BitVector, rng) -> "DelayedPaSession":
         selector_seed = rng.getrandbits(64)
-        m = expand_message(f, m_prime, random.Random(selector_seed))
+        m = expand_message(f, m_prime, BitStream(selector_seed))
         return cls(f=f, a=a, m_prime=m_prime, m=m, selector_seed=selector_seed, c=a ^ m)
 
     def recover_via_key(self) -> BitVector:

@@ -19,9 +19,8 @@ basis is announced, so encoding, channels, eavesdropping and decoding all
 share one rule.  A measurement in the state's own basis returns its bit; one
 in the other basis is a fair coin that leaves the eigenstate of the outcome.
 Channels act as sampled Pauli operations (an exact unraveling of the
-modeled noise).  A run takes every draw from one :class:`BitStream` over
-the raw words of ``np.random.PCG64(cfg.seed)``, which NumPy keeps stable
-across versions (NEP 19): a seed gives bit-identical transcripts.
+modeled noise).  A run takes every draw from one
+:class:`delayedpa.stream.BitStream` seeded with ``cfg.seed``.
 
 Privacy amplification: each run draws an (n - 1)-bit hash seed and hashes
 all its keys and messages with one ``gf2.modified_toeplitz_hash`` call:
@@ -38,9 +37,9 @@ import numpy as np
 
 from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 from delayedpa.ledger import ErrorEstimate, KeyLedger, build_ledger, estimate_errors, with_roundtrip
+from delayedpa.stream import BitStream, _popcount, _unpack
 
 __all__ = [
-    "BitStream",
     "ChannelModel",
     "EveModel",
     "Signals",
@@ -64,25 +63,12 @@ _PAULIS = "IXZY"  # Pauli code x | z << 1 -> name
 ROLES = ("none", "key", "test", "check", "discarded")
 MODES = ("none", "encode", "check")  # dqkd's per-signal choice; other runs leave "none"
 MIN_CHECK_PER_BASIS = 8  # dqkd aborts with fewer consistent-basis check bits
-_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def _flips(x, z, basis):
     """Whether the Pauli (x, z) flips an eigenstate of ``basis``, bits or planes
     alike; this is also the key bit it encodes when ``basis`` is announced."""
     return x ^ ((x ^ z) & basis)
-
-
-def _popcount(plane: np.ndarray) -> int:
-    # numpy 1.x has no bitwise_count, so a byte table counts there
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(plane).sum())
-    return int(_BYTE_WEIGHTS[plane.view(np.uint8)].sum())
-
-
-def _unpack(plane: np.ndarray, n: int) -> np.ndarray:
-    """A plane's first n bits as one uint8 per signal."""
-    return np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), bitorder="little")[:n]
 
 
 def _select(plane: np.ndarray, mask: np.ndarray, n: int) -> BitVector:
@@ -100,82 +86,6 @@ def decode_key_bit(basis: str, op: str) -> int:
     """Key bit encoded by the given operation when the basis is announced."""
     code = _PAULIS.index(op)
     return _flips(code & 1, code >> 1, _BASES.index(basis))
-
-
-# ------------------------------------------------------------------ stream
-
-class BitStream:
-    """Every draw of a run, from the raw words of ``np.random.PCG64(seed)``
-    alone, which NEP 19 keeps stable across numpy versions.  Planes cover
-    ``n`` signals, and ``all`` is the plane of every one of them."""
-
-    def __init__(self, seed: int, n: int = 0):
-        self._words = np.random.PCG64(seed).random_raw
-        self.n = n
-        self.all = np.full(-(-n // 64), np.uint64(2**64 - 1))
-        if n % 64:
-            self.all[-1] = np.uint64((1 << n % 64) - 1)
-
-    def fair(self) -> np.ndarray:
-        """A plane of fair coins."""
-        return self._words(len(self.all)) & self.all
-
-    def bernoulli(self, p: float, within: np.ndarray | None = None) -> np.ndarray:
-        """A plane whose bits in ``within`` (default: every signal) are 1 with
-        probability exactly floor(p * 2**53) / 2**53, and whose other bits are 0."""
-        # bit i is u_i < threshold for a uniform 53-bit u_i, compared most
-        # significant bit first, one plane of u's bits per digit, until no
-        # signal is undecided or no digit of threshold is left set
-        threshold = math.floor(p * 2**53)
-        within = self.all if within is None else within
-        if threshold >> 53:
-            return within.copy()
-        out, undecided = np.zeros_like(within), within
-        for j in reversed(range(53)):
-            if not threshold & ((2 << j) - 1) or not undecided.any():
-                break
-            u = self._words(len(within))
-            if threshold >> j & 1:
-                out = out | (undecided & ~u)
-                undecided = undecided & u
-            else:
-                undecided = undecided & ~u
-        return out
-
-    def subset(self, k: int, eligible: np.ndarray) -> np.ndarray:
-        """A uniform k-subset of the m signals in ``eligible``, as a mask: a
-        Bernoulli(k/m) mask is uniform among the masks of its size, and so stays
-        when its surplus or deficit is dropped or added without replacement."""
-        m = _popcount(eligible)
-        if not 0 <= k <= m:
-            raise ValueError(f"cannot choose {k} of {m} signals")
-        if k == m:
-            return eligible.copy()
-        chosen = self.bernoulli(k / m, eligible)
-        surplus = _popcount(chosen) - k
-        if not surplus:
-            return chosen
-        # toggle the first |surplus| of a Fisher-Yates shuffle of the positions of
-        # the chosen signals (surplus) or the others (deficit), kept as its moves
-        pool = np.flatnonzero(_unpack(chosen if surplus > 0 else eligible & ~chosen, self.n).view(bool))
-        moved = {}
-        for i in range(abs(surplus)):
-            j = i + self._randbelow(len(pool) - i)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        picks = pool[[moved[i] for i in range(abs(surplus))]]
-        np.bitwise_xor.at(chosen, picks >> 6, np.uint64(1) << (picks & 63).astype(np.uint64))
-        return chosen
-
-    def _randbelow(self, bound: int) -> int:
-        # a raw word mod bound, redrawn while at or above the largest multiple of bound
-        while (word := int(self._words())) >= 2**64 - 2**64 % bound:
-            pass
-        return word % bound
-
-    def getrandbits(self, k: int) -> int:
-        """k uniform bits; bit i is bit i % 64 of word i // 64."""
-        words = self._words(-(-k // 64)).astype("<u8", copy=False)
-        return int.from_bytes(words.tobytes(), "little") & ((1 << k) - 1)
 
 
 # ------------------------------------------------------------------ models

@@ -58,6 +58,7 @@ import numpy as np
 
 from delayedpa.gf2 import BinaryMatrix
 from delayedpa.quantum import _check_density_blocks
+from delayedpa.stream import BitStream
 
 __all__ = [
     "CqJoint",
@@ -428,13 +429,13 @@ def bank_tables(bank: list[dict], n: int) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def random_eve_states(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+def random_eve_states(n: int, dim: int, stream: BitStream) -> np.ndarray:
     """One random density matrix of the given dimension per raw-key value, shape (2^n, dim, dim).
 
     State a is m m+ / tr(m m+) for m = re + i im, where re and im are the
-    a-th pair of dim x dim standard normal draws, by one draw for all states.
+    a-th pair of dim x dim standard normals of one ``stream.normal`` call.
     """
-    normal = rng.normal(size=(1 << n, 2, dim, dim))
+    normal = stream.normal(size=(1 << n, 2, dim, dim))
     m = normal[:, 0] + 1j * normal[:, 1]
     rho = m @ m.conj().swapaxes(-1, -2)
     return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]

@@ -9,7 +9,6 @@ the draw that sessions run, for every value of its one random word.
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from delayedpa.security import (
     random_eve_states,
     sweep_delayed_pa,
 )
+from delayedpa.stream import BitStream
 
 __all__ = [
     "suite_table1",
@@ -126,11 +126,11 @@ def suite_preimage_uniformity(
     # alpha 0 or below passes any p-value, and 1 or above fails nearly all
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    # random.Random would seed with abs(seed), so -5 would replay seed 5
+    # PCG64 refuses a negative seed too, in words that do not name the flag
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = random.Random(seed)
-    f = AdditivePaFunction.draw(n_pa, n, rng)  # refuses a shape without 1 <= n_pa < n
+    stream = BitStream(seed)
+    f = AdditivePaFunction.draw(n_pa, n, stream)  # refuses a shape without 1 <= n_pa < n
     k = n - n_pa
     cells = 1 << k
     # below 5 expected draws per cell the chi-square p-value is meaningless
@@ -138,7 +138,7 @@ def suite_preimage_uniformity(
         raise ValueError(
             f"draws must be at least 5 per preimage cell: {draws} draws over {cells} cells"
         )
-    y = BitVector.random(n_pa, rng)
+    y = BitVector.random(n_pa, stream)
     stubs = [_StubRng(g) for g in range(cells)]
     images = [expand_message(f, y, stub) for stub in stubs]
     in_preimage = np.array([h == y for h in pa_apply_many(f, images)])
@@ -147,11 +147,9 @@ def suite_preimage_uniformity(
     bijective = bool(one_call and distinct and in_preimage.all())
     per_g = np.zeros(cells, dtype=np.int64)
     for lo in range(0, draws, _DRAW_CHUNK):
-        count = min(_DRAW_CHUNK, draws - lo)
-        # getrandbits(k), k <= 32, is one 32-bit word shifted right by 32 - k,
-        # and getrandbits(32 * count) returns count such words, first word lowest
-        raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-        per_g += np.bincount(np.frombuffer(raw, dtype="<u4") >> (32 - k), minlength=cells)
+        # a draw's getrandbits(k), k <= 64, reads the low k bits of one raw word
+        g = stream.words(min(_DRAW_CHUNK, draws - lo)) & np.uint64(cells - 1)
+        per_g += np.bincount(g.astype(np.intp), minlength=cells)
     counts = np.where(in_preimage, per_g, 0)
     stray = draws - int(counts.sum())
     # counts.mean() unless draws stray, and not 0 when every draw does
@@ -187,15 +185,15 @@ def suite_protocol_2c2d(trials: int = 100, abar_dim: int = 8, seed: int = 0) -> 
         raise ValueError(
             f"limits exceeded: abar_dim must be at most {MAX_ABAR_DIM}, got {abar_dim}"
         )
-    rng = np.random.default_rng(seed)
+    stream = BitStream(seed)
     max_dz = max_dx = max_swap = 0.0
     for lo in range(0, trials, _TRIAL_CHUNK):
         # the states are drawn in trial order, then certified a dimension at a time
         by_dim: dict[int, list[np.ndarray]] = {}
         for _ in range(min(_TRIAL_CHUNK, trials - lo)):
-            dim = int(rng.integers(1, abar_dim + 1))
+            dim = 1 + stream.randbelow(abar_dim)
             # normalized complex Gaussian amplitudes: the real parts are drawn first
-            amps = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+            amps = stream.normal(2 * dim) + 1j * stream.normal(2 * dim)
             amps /= np.linalg.norm(amps)
             by_dim.setdefault(dim, []).append(amps.reshape(2, dim))
         for dim, states in by_dim.items():
@@ -256,16 +254,16 @@ def suite_delayed_pa(
     if classical["cases"] == 0:
         raise ValueError(f"the eve bank has no model for any width from 2 to {n}")
 
-    rng = np.random.default_rng(seed)
+    stream = BitStream(seed)
     # a uniform row space has the law of a uniform matrix with independent rows
     spaces = {}
     q_max = 0.0
     for _ in range(quantum_trials):
-        rows = int(rng.integers(1, min(2, quantum_n - 1), endpoint=True))
+        rows = 1 + stream.randbelow(min(2, quantum_n - 1))
         if rows not in spaces:
             spaces[rows] = list(enumerate_row_spaces(quantum_n, rows))
-        matrix = spaces[rows][rng.integers(len(spaces[rows]))]
-        states = random_eve_states(quantum_n, quantum_dim, rng)
+        matrix = spaces[rows][stream.randbelow(len(spaces[rows]))]
+        states = random_eve_states(quantum_n, quantum_dim, stream)
         eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
         q_max = max(q_max, abs(eps_key - eps_msg))
 

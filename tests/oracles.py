@@ -39,7 +39,7 @@ a second, plainer route to a result the package computes another way:
   signal at a time; check the protocol runs' Pauli-frame rule.
 - ``RawWords``, ``ref_fair``, ``ref_bernoulli``, ``ref_subset``,
   ``ref_randbelow`` and ``ref_getrandbits``: every draw of
-  ``protocols.BitStream`` rebuilt from the same raw PCG64 words, with planes
+  ``stream.BitStream`` rebuilt from the same raw PCG64 words, with planes
   as Python ints, one signal at a time; pin each draw of the stream.
 - ``PureState``, ``DensityMatrix``, ``projector``, ``tensor``,
   ``partial_trace``, ``decompose`` and ``BasisDecomposition``: dense

@@ -12,6 +12,8 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import delayedpa
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +75,37 @@ def test_only_the_ledger_module_calls_binary_entropy():
                 if name == "binary_entropy":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_every_seeded_draw_comes_from_the_stream():
+    # NEP 19 keeps PCG64's raw words stable but not Generator's methods, and
+    # a second generator type is a second stream: np.random is reached only
+    # in stream.py, for PCG64 and the one Generator whose normal it calls,
+    # and the random module only for cli's fresh seed
+    allowed = {
+        "stream.py": {"np.random.PCG64", "np.random.Generator"},
+        "cli.py": {"random", "random.SystemRandom"},
+    }
+    generator_methods = {m for m in dir(np.random.Generator) if not m.startswith("_")} - {"normal"}
+    found, normals = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        ok = allowed.get(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name in ("random", "numpy.random")]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names
+                         if node.module in ("random", "numpy.random") or f"{node.module}.{a.name}" == "numpy.random"]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("random", "np.random", "numpy.random"):
+                names = [f"{ast.unparse(node.value)}.{node.attr}".replace("numpy.", "np.")]
+            elif path.name == "stream.py" and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = [f"Generator.{node.func.attr}"] if node.func.attr in generator_methods else []
+                normals += node.func.attr == "normal"
+            else:
+                names = []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in ok]
+    assert found == []
+    assert normals == 1
 
 
 def test_no_package_file_mentions_the_test_oracles():

@@ -17,6 +17,7 @@ import oracles
 from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
 from delayedpa.pa import AdditivePaFunction, expand_message
 from oracles import (
+    RawWords,
     _full_rank_matrix,
     _full_rank_toeplitz,
     entry,
@@ -28,6 +29,7 @@ from oracles import (
     random_matrix,
     ref_clmul,
     ref_expand_message,
+    ref_getrandbits,
     ref_preimage_sampler,
     ref_row_reduce,
     ref_row_reduce_with_ops,
@@ -1035,7 +1037,7 @@ def test_uniformity_suite_unchanged_by_reference_draw(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [-1, -5])
 def test_uniformity_suite_refuses_a_negative_seed(seed):
-    # random.Random seeds with abs(seed), so -5 would replay seed 5's payload
+    # the suite's own message names the seed; PCG64's would not
     with pytest.raises(ValueError, match=rf"^seed must be non-negative, got {seed}$"):
         delayedpa.suites.suite_preimage_uniformity(seed=seed)
 
@@ -1120,15 +1122,15 @@ def test_uniformity_suite_statistic_matches_scipy(seed):
     payload, passed = delayedpa.suites.suite_preimage_uniformity(seed=seed)
     n, n_pa = payload["n"], payload["n_pa"]
     k = n - n_pa
-    # the suite's stream, replayed: one (n - 1)-bit seed, y, then one
-    # getrandbits(k) per fitted draw, looked up in the images of every g
-    # instead of drawn again
-    rng = random.Random(seed)
-    f = AdditivePaFunction(BitVector.random(n - 1, rng), n_pa, n)
-    y = BitVector.random(n_pa, rng)
+    # the suite's stream, replayed from its raw words: one (n - 1)-bit seed,
+    # y, then one getrandbits(k) per fitted draw, looked up in the images of
+    # every g instead of drawn again
+    words = RawWords(seed)
+    f = AdditivePaFunction(BitVector(n - 1, ref_getrandbits(words, n - 1)), n_pa, n)
+    y = BitVector(n_pa, ref_getrandbits(words, n_pa))
     images = [ref_expand_message(f, y, FixedBits(g)).bits for g in range(1 << k)]
     assert sorted(images) == sorted(ref_preimage(modified_toeplitz_matrix(f.seed, n_pa, n), y))
-    hist = Counter(images[rng.getrandbits(k)] for _ in range(payload["draws"]))
+    hist = Counter(images[ref_getrandbits(words, k)] for _ in range(payload["draws"]))
     counts = [hist[x] for x in images]  # in g order, as the suite sums
     assert len(counts) == payload["cells"] and sum(counts) == payload["draws"]
     result = stats.chisquare(counts)

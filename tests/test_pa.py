@@ -15,6 +15,7 @@ import delayedpa.gf2
 import delayedpa.pa
 from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
 from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message, pa_apply_many
+from delayedpa.stream import BitStream
 from oracles import (
     dpa_encrypt,
     dpa_recover_via_key,
@@ -389,7 +390,7 @@ def test_session_replay_from_selector_seed():
     rng = random.Random(123)
     f = random_pa_function(rng, 3, 8)
     s = DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng)
-    replay = expand_message(f, s.m_prime, random.Random(s.selector_seed))
+    replay = expand_message(f, s.m_prime, BitStream(s.selector_seed))
     assert replay == s.m
 
 
@@ -430,10 +431,29 @@ def test_session_refuses_a_selector_seed_create_cannot_draw(selector_seed):
     doc["selector_seed"] = selector_seed
     with pytest.raises(ValueError, match=r"^selector_seed must be in \[0, 2\*\*64\)"):
         DelayedPaSession.from_json(json.dumps(doc))
-    # the existing checks still come first
+    # the range is checked before the expansion, which takes a hash call
     doc["m"] = doc["c"]
-    with pytest.raises(ValueError, match="^expanded message does not hash to m_prime$"):
+    with pytest.raises(ValueError, match=r"^selector_seed must be in \[0, 2\*\*64\)"):
         DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_session_refuses_an_out_of_range_selector_seed_before_hashing(monkeypatch):
+    rng = random.Random(333)
+    f = AdditivePaFunction.draw(3, 8, rng)
+    doc = json.loads(DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng).to_json())
+    calls = []
+
+    def counting_hash(*args):
+        calls.append(args)
+        return modified_toeplitz_hash(*args)
+
+    monkeypatch.setattr(delayedpa.pa, "modified_toeplitz_hash", counting_hash)
+    DelayedPaSession.from_json(json.dumps(doc))
+    assert len(calls) == 1  # the counter sees the one hash call of a good document
+    doc["selector_seed"] = -1
+    with pytest.raises(ValueError, match=r"^selector_seed must be in \[0, 2\*\*64\), got -1$"):
+        DelayedPaSession.from_json(json.dumps(doc))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("selector_seed", [0, 2**64 - 1])

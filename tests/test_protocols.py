@@ -16,7 +16,6 @@ from delayedpa.ledger import (
 )
 from delayedpa.protocols import (
     Bb84Config,
-    BitStream,
     ChannelModel,
     DqkdConfig,
     EveModel,
@@ -30,10 +29,9 @@ from delayedpa.protocols import (
     run_integrated,
     run_relay,
     _flips,
-    _popcount,
-    _unpack,
 )
 from delayedpa.quantum import basis_ket, pauli
+from delayedpa.stream import BitStream, _popcount, _unpack
 from oracles import matvec, op_for_bit, single_signal_roundtrip, toeplitz_from_seed
 
 mp.dps = 40

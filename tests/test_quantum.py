@@ -14,6 +14,7 @@ from delayedpa.quantum import (
     pauli,
     verify_2c_2d_stack,
 )
+from delayedpa.stream import BitStream
 from delayedpa.suites import EQUIV_TOL, SWAP_TOL, suite_protocol_2c2d
 from oracles import (
     BasisDecomposition,
@@ -420,11 +421,11 @@ def ref_verify_2c_2d(psi):
 
 def ref_suite_protocol_2c2d(trials=100, abar_dim=8, seed=0):
     """The 2c/2d suite as one certificate per trial, in trial order."""
-    rng = np.random.default_rng(seed)
+    stream = BitStream(seed)
     max_dz = max_dx = max_swap = 0.0
     for _ in range(trials):
-        dim = int(rng.integers(1, abar_dim + 1))
-        psi = random_pure_state((2, dim), ("A", "Abar"), rng)
+        dim = 1 + stream.randbelow(abar_dim)
+        psi = random_pure_state((2, dim), ("A", "Abar"), stream)
         dz, dx = ref_verify_2c_2d(psi)
         swap = float(np.abs(ref_blocks_2d(psi, "xz") - ref_blocks_2d(psi, "zx")).max())
         max_dz, max_dx, max_swap = max(max_dz, dz), max(max_dx, dx), max(max_swap, swap)
