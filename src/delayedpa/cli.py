@@ -1,10 +1,12 @@
 """Command-line front end: key-rate accounting, protocol runs, verification.
 
-Exit codes: 0 success, 2 protocol abort, 3 config error (an ``--out``
-path that cannot be written included, found before any work is done), 4
-verification failure.  Every report carries the seed actually used, so any
-run can be replayed byte-identically (timing aside) by passing ``--seed``
-back in.
+Each command returns its report, and ``main`` alone picks the exit code:
+3 for a config error (a ``ValueError`` or ``OSError``, an ``--out`` path
+that cannot be written included, found before any work is done), 4 when
+the report's ``passed`` is false (verification failure), 2 when its
+``abort`` is true (protocol abort), else 0.  Every report carries the
+seed actually used, so any run can be replayed byte-identically (timing
+aside) by passing ``--seed`` back in.
 
 ``main(argv)`` may be called any number of times in one process: it builds
 the argument parser on its first call and reuses it, since parsing leaves
@@ -51,11 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fresh_seed() -> int:
     return random.SystemRandom().randrange(2**32)
-
-
-def _error(command: str, message) -> int:
-    print(f"delayedpa {command}: error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
 
 
 def _check_out(out_path: str | None) -> None:
@@ -149,33 +146,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_keyrate(args) -> int:
+def _cmd_keyrate(args) -> dict:
     start = time.perf_counter()
-    try:
-        ledger = key_length(args.n, args.eb_roundtrip, args.ep)
-        single = None
-        if args.eb_single is not None:
-            single = two_way_rate_single_line(args.eb_single, args.ep)
-    except ValueError as exc:
-        return _error("keyrate", exc)
-    report = reports.keyrate_report(
+    ledger = key_length(args.n, args.eb_roundtrip, args.ep)
+    single = None if args.eb_single is None else two_way_rate_single_line(args.eb_single, args.ep)
+    return reports.keyrate_report(
         args.n, args.eb_roundtrip, args.ep, ledger, single, time.perf_counter() - start
     )
-    try:
-        _emit(report, args.out)
-    except OSError as exc:
-        return _error("keyrate", exc)
-    return EXIT_ABORT if ledger.abort else EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        doc = reports.config_doc_from_args(args.protocol, args)
-        if "seed" not in doc:
-            doc["seed"] = _fresh_seed()
-        cfg = reports.build_config(doc)
-    except (ValueError, OSError, KeyError) as exc:
-        return _error("simulate", exc)
+def _cmd_simulate(args) -> dict:
+    doc = reports.config_doc_from_args(args.protocol, args)
+    if "seed" not in doc:
+        doc["seed"] = _fresh_seed()
+    cfg = reports.build_config(doc)
     # looked up per call, so a function rebound on its module (as a tracer
     # does) is the one called
     run, build_report = {
@@ -185,21 +169,13 @@ def _cmd_simulate(args) -> int:
         RelayConfig: (run_relay, reports.relay_report),
     }[type(cfg)]
     start = time.perf_counter()
-    try:
-        result = run(cfg)
-    except ValueError as exc:
-        return _error("simulate", exc)
-    report = build_report(result, doc, time.perf_counter() - start)
-    try:
-        _emit(report, args.out)
-    except OSError as exc:
-        return _error("simulate", exc)
-    return EXIT_ABORT if report["abort"] else EXIT_OK
+    result = run(cfg)
+    return build_report(result, doc, time.perf_counter() - start)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     if args.seed is not None and args.seed < 0:
-        return _error("verify", f"seed must be non-negative, got {args.seed}")
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     seed = args.seed if args.seed is not None else _fresh_seed()
     # suites pulls in quantum and security (about 20 ms to import), which
     # only verify needs
@@ -221,19 +197,14 @@ def _cmd_verify(args) -> int:
     for name in dict.fromkeys(p for _, names in table.values() for p in names):
         if name not in (*params, "seed") and flags[name] is not None:
             option = {"n_pa": "npa", "eve_bank_path": "eve-bank"}.get(name, name.replace("_", "-"))
-            return _error("verify", f"{args.suite} takes no flag --{option}")
+            raise ValueError(f"{args.suite} takes no flag --{option}")
     kwargs = {name: flags[name] for name in params if flags[name] is not None}
     start = time.perf_counter()
-    try:
-        payload, passed = suite(**kwargs)
-    except (ValueError, OSError) as exc:
-        return _error("verify", exc)
-    report = reports.verify_report(args.suite, seed, passed, payload, time.perf_counter() - start)
-    try:
-        _emit(report, args.out)
-    except OSError as exc:
-        return _error("verify", exc)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    payload, passed = suite(**kwargs)
+    return reports.verify_report(args.suite, seed, passed, payload, time.perf_counter() - start)
+
+
+_COMMANDS = {"keyrate": _cmd_keyrate, "simulate": _cmd_simulate, "verify": _cmd_verify}
 
 
 @functools.cache
@@ -245,15 +216,18 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a ValueError or OSError is a config error; anything else is a bug and
+    # keeps its traceback
     try:
         _check_out(args.out)
-    except OSError as exc:
-        return _error(args.command, exc)
-    if args.command == "keyrate":
-        return _cmd_keyrate(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    return _cmd_verify(args)
+        report = _COMMANDS[args.command](args)
+        _emit(report, args.out)
+    except (ValueError, OSError) as exc:
+        print(f"delayedpa {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not report.get("passed", True):
+        return EXIT_VERIFY_FAILED
+    return EXIT_ABORT if report.get("abort") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,8 +26,7 @@ from delayedpa.protocols import (
 
 __all__ = [
     "key_digest",
-    "estimate_doc",
-    "ledger_doc",
+    "fields_doc",
     "transcript_report",
     "relay_report",
     "keyrate_report",
@@ -53,17 +52,10 @@ def key_digest(v: BitVector | None) -> str | None:
     return h.hexdigest()
 
 
-def _fields_doc(obj) -> dict:
+def fields_doc(record: ErrorEstimate | KeyLedger | None) -> dict | None:
+    """An estimate's or a ledger's fields as a dict; None stays None."""
     # every field is a flat scalar, so this equals asdict() without its deep copies
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def estimate_doc(est: ErrorEstimate | None) -> dict | None:
-    return None if est is None else _fields_doc(est)
-
-
-def ledger_doc(ledger: KeyLedger | None) -> dict | None:
-    return None if ledger is None else _fields_doc(ledger)
+    return None if record is None else {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def transcript_report(t: ProtocolTranscript, config_doc: dict, seconds: float) -> dict:
@@ -72,8 +64,8 @@ def transcript_report(t: ProtocolTranscript, config_doc: dict, seconds: float) -
         "protocol": t.protocol,
         "seed": t.seed,
         "config": config_doc,
-        "error_estimate": estimate_doc(t.estimate),
-        "key_ledger": ledger_doc(t.ledger),
+        "error_estimate": fields_doc(t.estimate),
+        "key_ledger": fields_doc(t.ledger),
         "abort": t.abort,
         "abort_reason": t.abort_reason,
         "key_digest": key_digest(t.alice_key),
@@ -109,7 +101,7 @@ def keyrate_report(n: int, e_roundtrip: float, e_p: float, ledger: KeyLedger,
         "n": n,
         "e_roundtrip": e_roundtrip,
         "e_p": e_p,
-        "key_ledger": ledger_doc(ledger),
+        "key_ledger": fields_doc(ledger),
         "abort": ledger.abort,
         "single_line_rate": single_line_rate,
         "timing": {"seconds": seconds},
@@ -308,5 +300,5 @@ def ledger_csv_header() -> list[str]:
 
 
 def ledger_csv_row(t: ProtocolTranscript) -> list:
-    doc = ledger_doc(t.ledger) or {}
+    doc = fields_doc(t.ledger) or {}
     return [t.protocol, t.seed, *(doc.get(f.name) for f in fields(KeyLedger))]

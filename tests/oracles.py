@@ -21,8 +21,8 @@ a second, plainer route to a result the package computes another way:
 - ``ref_row_reduce_with_ops`` and ``ref_row_reduce``: Gauss-Jordan
   elimination one row operation at a time, with their record; check
   ``row_reduce``.
-- ``ref_preimage_sampler`` and ``ref_sample_preimage``: back-substitution
-  from that record; check ``preimage_sampler`` draw for draw.
+- ``ref_preimage_sampler``: back-substitution from that record; checks
+  ``preimage_sampler`` draw for draw.
 - ``_full_rank_matrix`` and ``_full_rank_toeplitz``: random matrices, and
   random seeds whose dense Toeplitz matrix has full rank, redrawn until
   their rows are independent; the draw and sweep tests' cases.
@@ -57,7 +57,10 @@ a second, plainer route to a result the package computes another way:
   checked and scored alone; the metric's properties are tested on them,
   and the verifier's batched scoring against them.
 - ``delayed_pa_epsilons``: (eps_key, eps_msg) for one matrix and one view
-  table; the verifier's cases one at a time, known answers included.
+  table, through the package's ``security._bank_epsilons`` on a one-matrix
+  stack, so it is a convenience, not an independent route; the verifier's
+  cases one at a time, known answers included.  The independent route is
+  ``tests/test_security.py::ref_bank_epsilons``, the scatter oracle.
 - ``enumerate_pa_matrices``: every ordered matrix with independent rows;
   checks the sweep's one case per row space, and runs the acceptance
   criterion over every matrix.
@@ -344,11 +347,6 @@ def ref_preimage_sampler(a: BinaryMatrix, y: BitVector):
         return BitVector(a.cols, x)
 
     return draw
-
-
-def ref_sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
-    """One uniform draw from {x : Ax = y}, by a fresh :func:`ref_preimage_sampler`."""
-    return ref_preimage_sampler(a, y)(rng)
 
 
 # a draw has independent rows with probability > 1/4 (more columns than
@@ -763,7 +761,9 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     is the distribution of a (uniform by default).  eps_key scores the hashed
     key f(a) against view e; eps_msg scores a uniform short message m'
     against the enlarged view (e, a XOR m) with m uniform over the preimage
-    of m'.  Both sides are built directly from their definitions.
+    of m'.  Both are scored by the package's ``_bank_epsilons`` on a
+    one-matrix stack, so this is not an independent oracle:
+    ``tests/test_security.py::ref_bank_epsilons`` (the scatter oracle) is.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:

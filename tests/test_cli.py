@@ -530,6 +530,31 @@ def test_verify_preimage_uniformity(capsys):
     check_schema(report)
 
 
+def test_verify_failure_exits_4_with_one_report(capsys):
+    # the fit's p-value at seed 1 (0.898) is below alpha, so the suite fails
+    code, report, out, err = run_cli(
+        ["verify", "--suite", "preimage-uniformity", "--alpha", "0.999", "--seed", "1"], capsys
+    )
+    assert code == 4
+    assert err == ""
+    assert report["passed"] is False
+    assert report["payload"]["p_value"] < 0.999
+    assert out == reports.dumps(report)
+    check_schema(report)
+
+
+@pytest.mark.parametrize("error", [KeyError, ZeroDivisionError])
+def test_a_bug_inside_a_run_keeps_its_traceback(monkeypatch, capsys, error):
+    # only ValueError and OSError are config errors; anything else is a bug
+    def broken(cfg):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "run_dqkd", broken)
+    with pytest.raises(error):
+        main(["simulate", "dqkd", "--n", "300", "--seed", "1"])
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_protocol_2c2d(capsys):
     code, report, _, _ = run_cli(
         ["verify", "--suite", "protocol-2c2d", "--trials", "20", "--abar-dim", "4",
@@ -707,10 +732,10 @@ def test_report_dicts_equal_asdict():
     assert without_roundtrip.e_roundtrip is None
     assert with_roundtrip.e_roundtrip is not None
     for est in (without_roundtrip, with_roundtrip):
-        assert reports.estimate_doc(est) == asdict(est)
+        assert reports.fields_doc(est) == asdict(est)
     ledger = key_length(1000, 0.25, 0.25)
     assert ledger.abort
-    assert reports.ledger_doc(ledger) == asdict(ledger)
+    assert reports.fields_doc(ledger) == asdict(ledger)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -722,7 +747,7 @@ def test_ledger_csv_columns_follow_the_ledger(cfg):
     t = run_dqkd(cfg)
     header = reports.ledger_csv_header()
     assert header == ["protocol", "seed", *(f.name for f in fields(KeyLedger))]
-    doc = reports.ledger_doc(t.ledger) or dict.fromkeys(header[2:])
+    doc = reports.fields_doc(t.ledger) or dict.fromkeys(header[2:])
     assert reports.ledger_csv_row(t) == [t.protocol, t.seed, *(doc[name] for name in header[2:])]
 
 
