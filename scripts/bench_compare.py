@@ -27,15 +27,26 @@ not enforced:
 floor, as a fraction of the base median.  Only ``setup_s`` has one, 15%:
 alternating runs of identical set-up code have read that far apart.
 
+``--scale`` writes the end-to-end table instead: per ``protocol:n`` of
+``--runs`` (by default the seven protocols at n = 10**4, 10**5 and 10**6,
+and integrated-2c at 3 * 10**6), each of ``--rounds`` rounds runs both
+revisions in fresh processes, in alternating order.  A process runs the
+``simulate`` twice and records the wall time of its second, warm call,
+its peak RSS, and a digest of the report without its ``timing``.  The file
+holds every run and, per entry, the medians, the head-to-base ratios and
+whether both revisions printed the same report.
+
 Usage:
     python scripts/bench_compare.py --base 904c7a0 --head HEAD --workload sim-large \\
         --seeds 104729,1,2,3,4,5,6,7,8,9 --seconds 16 --label modified_toeplitz
+    python scripts/bench_compare.py --scale --base 904c7a0 --head HEAD --label scale
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -47,6 +58,35 @@ REQUIRED_SEED = 104729
 MIN_PAIRS = 10
 CLAIM = "work_per_s"  # the metric whose gain the verdict line reports
 NOISE = {"setup_s": 0.15}
+
+SCALE_PROTOCOLS = (
+    "bb84", "dqkd", "integrated-2", "integrated-2b", "integrated-2c", "integrated-2d", "relay",
+)
+SCALE_RUNS = (
+    *(f"{p}:{n}" for n in (10**4, 10**5, 10**6) for p in SCALE_PROTOCOLS),
+    "integrated-2c:3000000",
+)
+_BACKWARD_NOISE = ("dqkd", "integrated-2c", "integrated-2d")
+# one fresh process: argv in sys.argv[1]; the second call is the one timed
+_SCALE_CHILD = """
+import contextlib, hashlib, io, json, resource, sys, time
+from delayedpa import cli
+argv = json.loads(sys.argv[1])
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        wall = time.perf_counter() - start
+report = json.loads(out.getvalue())
+report.pop("timing", None)
+print(json.dumps({
+    "exit": code,
+    "wall_s": wall,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "report_sha256": hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest(),
+}))
+"""
 
 
 def iqr(values: list[float]) -> float:
@@ -133,15 +173,68 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def scale_argv(protocol: str, n: int) -> list[str]:
+    """The ``simulate`` argv of a scale entry: n/5 test signals, bsc(0.02) lines."""
+    argv = ["simulate", protocol, "--n", str(n), "--n-test", str(n // 5), "--noise-fwd", "bsc:0.02"]
+    if protocol in _BACKWARD_NOISE:
+        argv += ["--noise-bwd", "bsc:0.02"]
+    return [*argv, "--seed", "7"]
+
+
+def _scale_run(tree: Path, argv: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCALE_CHILD, json.dumps(argv)],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"simulate in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scale(trees: dict, runs: list[str], rounds: int) -> list[dict]:
+    """Each ``protocol:n`` entry of ``runs`` timed ``rounds`` times per side."""
+    entries = []
+    for spec in runs:
+        protocol, n = spec.split(":")
+        entries.append({"protocol": protocol, "n": int(n), "argv": scale_argv(protocol, int(n)),
+                        "base": [], "head": []})
+    for r in range(rounds):
+        for i, entry in enumerate(entries):
+            order = ("base", "head") if (r + i) % 2 == 0 else ("head", "base")
+            for side in order:
+                entry[side].append(_scale_run(trees[side], entry["argv"]))
+            print(f"round {r} {entry['protocol']} n={entry['n']}: " + "  ".join(
+                f"{side} {entry[side][-1]['wall_s']:.3f} s" for side in ("base", "head")), flush=True)
+    for entry in entries:
+        for name in ("wall_s", "peak_rss_mb"):
+            base = statistics.median(run[name] for run in entry["base"])
+            head = statistics.median(run[name] for run in entry["head"])
+            entry[name] = {"base": base, "head": head, "ratio": head / base}
+        outputs = {(run["exit"], run["report_sha256"]) for run in entry["base"] + entry["head"]}
+        entry["same_report"] = len(outputs) == 1
+    return entries
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the parent")
     parser.add_argument("--head", required=True, help="git revision of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help=f"comma-separated, including {REQUIRED_SEED}")
+    parser.add_argument("--workload")
+    parser.add_argument("--seeds", help=f"comma-separated, including {REQUIRED_SEED}")
     parser.add_argument("--seconds", type=float, default=16)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--scale", action="store_true", help="time simulate at scale instead")
+    parser.add_argument("--runs", default=",".join(SCALE_RUNS), help="--scale: protocol:n entries")
+    parser.add_argument("--rounds", type=int, default=3, help="--scale: runs per entry and side")
+    parser.add_argument("--out", help="the output file, BENCH_<label>.json in the repo by default")
     args = parser.parse_args(argv)
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
+    recorded_argv = sys.argv if argv is None else ["scripts/bench_compare.py", *argv]
+    if args.scale:
+        return _main_scale(args, out, recorded_argv)
+    if args.workload is None or args.seeds is None:
+        parser.error("--workload and --seeds are required without --scale")
     seeds = [int(s) for s in args.seeds.split(",")]
     if REQUIRED_SEED not in seeds:
         parser.error(f"--seeds must include {REQUIRED_SEED}")
@@ -173,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics[name] = verdict(base, head, m["better"], m["bound"], NOISE.get(name, 0.0))
     doc = {
         "label": args.label,
-        "argv": sys.argv if argv is None else ["scripts/bench_compare.py", *argv],
+        "argv": recorded_argv,
         "workload": args.workload,
         "seconds": args.seconds,
         "base": revisions["base"],
@@ -182,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": metrics,
         "claim": {"metric": CLAIM, **metrics[CLAIM]},
     }
-    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
 
     for name, v in metrics.items():
@@ -197,6 +289,35 @@ def main(argv: list[str] | None = None) -> int:
     claim = metrics[CLAIM]
     print(f"verdict: {CLAIM} gain {'holds' if claim['gain_holds'] else 'does not hold'} "
           f"(needs >= {MIN_PAIRS} pairs, >= 9/10 pair wins and a median gap above the base IQR)")
+    print(f"wrote {out}")
+    return 0
+
+
+def _main_scale(args: argparse.Namespace, out: Path, recorded_argv: list[str]) -> int:
+    made: list[Path] = []
+    try:
+        trees, revisions = {}, {}
+        for side, rev in (("base", args.base), ("head", args.head)):
+            trees[side], revisions[side] = _checkout(rev, made)
+        entries = scale(trees, args.runs.split(","), args.rounds)
+    finally:
+        for tree in made:
+            _git("worktree", "remove", "--force", str(tree))
+    doc = {
+        "label": args.label,
+        "argv": recorded_argv,
+        "mode": "scale",
+        "rounds": args.rounds,
+        "base": revisions["base"],
+        "head": revisions["head"],
+        "entries": entries,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    for e in entries:
+        print(f"{e['protocol']:14s} n={e['n']:<8d} wall {e['wall_s']['base']:.3f} -> "
+              f"{e['wall_s']['head']:.3f} s ({e['wall_s']['ratio']:.2f})  peak "
+              f"{e['peak_rss_mb']['base']:.0f} -> {e['peak_rss_mb']['head']:.0f} MiB "
+              f"({e['peak_rss_mb']['ratio']:.2f})" + ("" if e["same_report"] else "  REPORTS DIFFER"))
     print(f"wrote {out}")
     return 0
 

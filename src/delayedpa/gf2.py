@@ -21,21 +21,27 @@ of an (n - 1)-bit seed; the n_pa x m Toeplitz matrix of an
 (m + n_pa - 1)-bit seed has entry (i, j) = seed[i - j + m - 1].  The family
 is universal_2, and its rows are independent by construction, so the
 delayed-PA proof applies to it as it is.
-:func:`modified_toeplitz_hash` computes T x2 without building T: one real
-FFT convolution (numpy) of the seed and the n - n_pa high key bits, at the
-power of two >= n - 1, reduced mod 2, in O(n log n) time and memory.  It
-takes all of a run's keys in one call, transforms the seed once, and packs
-as many keys into each transform as 44 bits of float64 hold exactly (two
-at n = 10**6, eleven at n - n_pa = 8).  Float rounding cannot flip a bit
-unnoticed, because an exactness guard raises if any convolution entry lies
-0.25 or more from an integer (a NaN or inf entry included).  T x2 alone
-is the hash of the key x2 << n_pa, whose low n_pa bits are zero.
+:func:`modified_toeplitz_hash` computes T x2 without building T, by real
+FFT convolutions (numpy) reduced mod 2, in O(n log n) time and memory.  It
+takes all of a run's keys in one call and transforms each distinct high
+part x2 once.  It cuts the n_pa outputs into C sections, which share one
+seed transform, and packs the sections and as many keys beside them as 44
+bits of float64 hold exactly: a one-key hash fills three sections at
+n = 30000 and n - n_pa = 4000, and two at n = 10**6 and n - n_pa = 3 * 10**5.  Each transform runs at the smallest
+2**a 3**b 5**c >= B + n - n_pa - 1, B = ceil(n_pa / C), and C is picked per
+shape from an estimate of the transforms' cost.  Float rounding cannot
+flip a bit unnoticed, because an exactness guard raises if any
+convolution entry the hash reads lies 0.25 or more from an integer (a NaN
+or inf entry included).  T x2 alone is the hash of the key x2 << n_pa,
+whose low n_pa bits are zero.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,16 +182,70 @@ def _unpack(length: int, *values: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(values), width), axis=1, bitorder="little")[:, :length]
 
 
-# Keys x2, x2', ... share one transform as x2 + 2**s x2' + ..., s =
-# w.bit_length(), while their count times s is <= _PACK_MAX_BITS: every count
-# is <= w < 2**s, so the packed entries stay below 2**_PACK_MAX_BITS and rint
-# recovers each count.  A float64 entry near 2**b is only exact to about
-# 2**(b - 53), so the error grows 2x per packed bit.  With all-ones seeds and
-# keys, the largest entries, the worst error measured for a pair was 1.2e-4 at
-# s = 20 (n = 10**6) and 0.0039 at s = 22, but 0.0625 at s = 24 (n = 10**7,
-# which runs allow), too close to the guard's 0.25; wider keys take one
-# transform each (error 4e-9 there).
+# A transform packs C seed sections and K keys at weights 2**(s*(c + C*k)),
+# s = w.bit_length(), while C*K*s is <= _PACK_MAX_BITS: each slot holds one
+# section-by-key convolution, whose entries are <= w < 2**s, so the packed
+# entries stay below 2**_PACK_MAX_BITS and rint recovers each slot.  A float64
+# entry near 2**b is only exact to about 2**(b - 53), so the error grows 2x
+# per packed bit.  With all-ones seeds and near-all-ones keys, the largest
+# entries, the worst error measured at 44 bits was 0.0156 (n = 10**7, s = 11,
+# C = 4); every layout at s = 11 and s = 22 read 0.0098-0.0156 at n = 10**7,
+# and at most 0.0117 at n = 10**6.  40 bits (s = 20) read at most 0.0011.  At
+# 48 bits it was 0.094 (s = 24, C = 2) and, at s = 12 with C = 4, 0.25 or
+# more, which the guard refuses.  So 44 bits keep a 16x margin to the guard.
 _PACK_MAX_BITS = 44
+# the fixed costs of a transform, with its share of packing and unpacking,
+# and of a seed section, in units of one length * log2(length) step of a
+# transform (about 1 ns each on a 2-vCPU x86 host)
+_TRANSFORM_OVERHEAD = 10_000
+_SECTION_OVERHEAD = 5_000
+
+
+class _Layout(NamedTuple):
+    sections: int  # C: the n_pa outputs split into C runs of ``width``
+    width: int  # B = ceil(n_pa / C), the entries read per slot
+    size: int  # the transform length, >= B + w - 1
+    per_transform: int  # keys packed into one transform beside the C sections
+
+
+def _fast_len(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= m, a length pocketfft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _plan(n_pa: int, w: int, sections: int, max_bits: int) -> _Layout:
+    """The layout of ``sections`` seed sections, or fewer if they would be empty."""
+    width = -(-n_pa // sections)
+    sections = -(-n_pa // width)
+    slots = max(1, max_bits // w.bit_length())
+    return _Layout(sections, width, _fast_len(width + w - 1), max(1, slots // sections))
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(n_pa: int, w: int, n_keys: int, max_bits: int) -> _Layout:
+    """The section count with the least estimated cost for ``n_keys`` keys.
+
+    Each group of keys costs a forward and an inverse transform, and the
+    seed one more; more sections shorten every transform but leave fewer
+    slots to the keys of each group.
+    """
+
+    def cost(lay: _Layout) -> float:
+        transforms = 1 + 2 * -(-n_keys // lay.per_transform)
+        step = lay.size * math.log2(lay.size) + _TRANSFORM_OVERHEAD
+        return transforms * step + lay.sections * _SECTION_OVERHEAD
+
+    slots = max(1, max_bits // w.bit_length())
+    return min((_plan(n_pa, w, c, max_bits) for c in range(1, min(slots, n_pa) + 1)), key=cost)
 
 
 def modified_toeplitz_hash(
@@ -195,9 +255,14 @@ def modified_toeplitz_hash(
 
     T is the seed's n_pa x (n - n_pa) Toeplitz matrix (module docstring).
     Output bit i of T x2 is entry w - 1 + i of the linear convolution of
-    the seed and the w = n - n_pa high key bits.  The seed is transformed
-    once per call, and consecutive keys are packed several to a transform
-    (see ``_PACK_MAX_BITS``).
+    the seed and the w = n - n_pa high key bits.  The outputs are cut into
+    C sections of B = ceil(n_pa / C) bits: bit cB + i is entry w - 1 + i of
+    the convolution of seed[cB : cB + B + w - 1] and x2, so every section
+    is read at entries [w - 1, w - 1 + B) of a transform of length
+    >= B + w - 1.  The C sections share one seed transform at weights
+    2**(s*c), and the distinct x2 go several to a transform at weights
+    2**(s*C*k) (see ``_PACK_MAX_BITS``); ``_layout`` picks C.  Equal high
+    bits x2 are transformed once.
 
     At n_pa = n, T has no columns and the hash is the identity, with no
     transform at all.  That is the family's own limit, not a special case:
@@ -213,40 +278,70 @@ def modified_toeplitz_hash(
     w = n - n_pa
     if w == 0:
         return [x.cut(0, n_pa) for x in keys]
-    # the circular convolution at size >= n - 1 wraps linear entries onto
+    tops = [x.bits >> n_pa for x in keys]
+    highs = list(dict.fromkeys(tops))
+    if not highs:
+        return []
+    lay = _layout(n_pa, w, len(highs), _PACK_MAX_BITS)
+    span = lay.width + w - 1
+    # zero past seed bit n - 2: the last section may run beyond the seed
+    seed_bits = _unpack(lay.sections * lay.width + w - 1, seed.bits)[0]
+    sections = [seed_bits[c * lay.width :][:span] for c in range(lay.sections)]
+    # the circular convolution at size >= B + w - 1 wraps linear entries onto
     # indices below w - 1, which are never read
-    size = 1 << (n - 2).bit_length()
-    seed_f = np.fft.rfft(_unpack(seed.length, seed.bits)[0], size)
-    s = w.bit_length()
-    step = max(1, _PACK_MAX_BITS // s)
+    seed_f = np.fft.rfft(_weighted(w.bit_length(), sections), lay.size)
+    hashed = {}
+    for i in range(0, len(highs), lay.per_transform):
+        group = highs[i : i + lay.per_transform]
+        hashed.update(zip(group, _hash_group(seed_f, lay, w, n_pa, group)))
     mask = (1 << n_pa) - 1
-    out = []
-    for i in range(0, len(keys), step):
-        group = keys[i : i + step]
-        # the bits are cast to float64 before scaling: on numpy 1.x, uint8
-        # times a Python float (or ldexp) gives float16, which overflows at 2**16
-        packed = np.zeros(w, dtype=np.float64)
-        for j, bits in enumerate(_unpack(n, *(x.bits for x in group))[:, n_pa:]):
-            packed += bits.astype(np.float64) * 2.0 ** (s * j)
-        # multiplied in place: seed_f lives for the whole call, so no third
-        # spectrum-sized array is alive at once
-        spectrum = np.fft.rfft(packed, size)
-        np.multiply(seed_f, spectrum, out=spectrum)
-        counts = _exact_counts(np.fft.irfft(spectrum, size)[w - 1 : n - 1])
-        shifts = s * np.arange(len(group))[:, None]
-        rows = np.packbits(((counts >> shifts) & 1).astype(np.uint8), axis=1, bitorder="little")
-        for x, row in zip(group, rows):
-            out.append(BitVector(n_pa, (x.bits & mask) ^ int.from_bytes(row.tobytes(), "little")))
-    return out
+    return [BitVector(n_pa, (x.bits & mask) ^ hashed[top]) for x, top in zip(keys, tops)]
+
+
+def _hash_group(seed_f: np.ndarray, lay: _Layout, w: int, n_pa: int, group: list[int]) -> list[int]:
+    """T x2 for each w-bit x2 of ``group``, from one transform of them all.
+
+    A helper, so that a group's arrays are freed before the next group's
+    transform.
+    """
+    s = w.bit_length()
+    packed = _weighted(s * lay.sections, _unpack(w, *group))
+    read = slice(w - 1, w - 1 + lay.width)
+    # one expression, so that the product's spectrum is freed before the
+    # counts are rounded and the inverse transform before they are unpacked
+    counts = _exact_counts(np.fft.irfft(seed_f * np.fft.rfft(packed, lay.size), lay.size)[read])
+    # slot (k, c) holds key k's section c
+    shifts = np.arange(0, s * len(group) * lay.sections, s)
+    slots = counts >> shifts.reshape(len(group), lay.sections, 1)
+    slots &= 1
+    bits = slots.astype(np.uint8).reshape(len(group), -1)[:, :n_pa]
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _weighted(step: int, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum of 0/1 rows, row j weighted by 2**(step * j), as float64.
+
+    The bits are cast to float64 before scaling: on numpy 1.x, uint8 times
+    a Python float (or ldexp) gives float16, which overflows at 2**16.
+    """
+    total = rows[0].astype(np.float64)
+    for j in range(1, len(rows)):
+        total += np.multiply(rows[j], 2.0 ** (step * j), dtype=np.float64)
+    return total
 
 
 def _exact_counts(conv: np.ndarray) -> np.ndarray:
     """An FFT convolution's entries as int64 counts, or ArithmeticError if
-    any entry is not finite or lies 0.25 or more from an integer."""
+    any entry is not finite or lies 0.25 or more from an integer.
+
+    ``conv`` is overwritten with the rounding errors.
+    """
     # checked first, so that no NaN or inf enters the rounding error
     if not np.isfinite(conv).all():
         raise ArithmeticError("FFT convolution is not finite")
     counts = np.rint(conv)
-    if np.abs(conv - counts).max() >= 0.25:
+    conv -= counts
+    if np.abs(conv, out=conv).max() >= 0.25:
         raise ArithmeticError("FFT convolution is not exact enough to round")
     return counts.astype(np.int64)

@@ -107,8 +107,9 @@ class AdditivePaFunction:
 def pa_apply_many(f: AdditivePaFunction, inputs: Sequence[BitVector]) -> list[BitVector]:
     """Hash n-bit inputs down to n_pa bits each, in one call.
 
-    That call, ``modified_toeplitz_hash``, packs several short inputs into
-    one transform.
+    That call, ``modified_toeplitz_hash``, transforms equal high bits once
+    and packs the inputs beside sections of the seed into as few short
+    transforms as its cost estimate finds.
     """
     for a in inputs:
         if a.length != f.n:

@@ -157,8 +157,9 @@ _OPTIONAL_FIELDS = {"pool": "pool_size", "channels.backward": "backward",
                     **{key: key for key in ("check_fraction", "eve", "delayed", "quantum_memory")}}
 # integrated-2/2b/2c/2d take IntegratedConfig
 _CONFIG_TYPES = {"bb84": Bb84Config, "dqkd": DqkdConfig, "relay": RelayConfig}
-# a desk-scale bound: integrated-2c at n = 10**7 peaks at 810 MiB RSS (numpy 2.4),
-# set by the hash's FFT temporaries; all it allocates before the hash is under 125 MiB
+# a desk-scale bound: integrated-2c at n = 10**7 (n_test = 2 * 10**6, bsc(0.02) both
+# ways) peaks at 480 MiB RSS (numpy 2.4): 171 MiB before its one hash call, whose
+# transforms, rounding and unpacking add at most 320 MiB
 MAX_SIGNALS = 10**7
 
 

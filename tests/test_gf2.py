@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import tracemalloc
@@ -392,7 +393,7 @@ def test_toeplitz_hash_guard_rejects_nonfinite_convolution(monkeypatch, bad):
 
     def poisoned(*args, **kw):
         conv = irfft(*args, **kw)
-        conv[conv.size // 2] = bad
+        conv[49] = bad  # entry w - 1, w = 100 - 50, which every layout reads
         return conv
 
     monkeypatch.setattr(np.fft, "irfft", poisoned)
@@ -410,15 +411,16 @@ def test_toeplitz_hasher_reuses_one_seed(monkeypatch):
     assert singles == [_dense_hash(seed, n_pa, x) for x in keys]
     # one seed transform and one per group of _PACK_MAX_BITS // s keys, s = 7
     # at w = 100: all five keys share one, and at 14 bits they go in pairs,
-    # the odd key out alone
+    # the odd key out alone; one section each time, at the smallest
+    # 2**a 3**b 5**c >= n - 1
     rfft, sizes = np.fft.rfft, []
     monkeypatch.setattr(np.fft, "rfft", lambda a, size: sizes.append(size) or rfft(a, size))
     assert modified_toeplitz_hash(seed, n_pa, keys) == singles
-    assert sizes == [512] * 2  # the power of two >= n - 1
+    assert sizes == [300] * 2
     sizes.clear()
     monkeypatch.setattr(delayedpa.gf2, "_PACK_MAX_BITS", 14)
     assert modified_toeplitz_hash(seed, n_pa, keys) == singles
-    assert sizes == [512] * 4
+    assert sizes == [300] * 4
     assert modified_toeplitz_hash(seed, n_pa, []) == []
     with pytest.raises(ValueError):
         modified_toeplitz_hash(seed, n_pa, [keys[0], BitVector.zeros(n + 1)])
@@ -459,19 +461,109 @@ def test_modified_toeplitz_hash_full_groups_match_dense(w):
     ones_seed, ones = BitVector(n - 1, (1 << (n - 1)) - 1), BitVector(n, (1 << n) - 1)
     expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
     assert modified_toeplitz_hash(ones_seed, n_pa, [ones] * 60) == [expect] * 60
+    # equal keys are hashed once, so full groups of near-maximal entries take
+    # distinct keys: all ones but for the binary digits of j in the high bits
+    near = [BitVector(n, ones.bits ^ (j << n_pa)) for j in range(min(60, 1 << w))]
+    assert modified_toeplitz_hash(ones_seed, n_pa, near) == [_dense_hash(ones_seed, n_pa, x) for x in near]
+
+
+def _assert_all_ones_closed_form(n, n_pa, sections):
+    # T of all ones adds w ones to each bit, so every output bit is
+    # 1 XOR (w mod 2); all ones are the largest entries, and one key leaves
+    # its idle slots to seed sections
+    w = n - n_pa
+    assert delayedpa.gf2._layout(n_pa, w, 1, delayedpa.gf2._PACK_MAX_BITS).sections == sections
+    ones_seed = BitVector(n - 1, (1 << (n - 1)) - 1)
+    ones = BitVector(n, (1 << n) - 1)
+    expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
+    assert modified_toeplitz_hash(ones_seed, n_pa, [ones]) == [expect]
+
+
+def test_modified_toeplitz_hash_all_ones_closed_form_at_sim_large_size():
+    _assert_all_ones_closed_form(30_000, 26_000, 3)
 
 
 def test_modified_toeplitz_hash_all_ones_closed_form_at_1e6():
-    # T of all ones adds w ones to each bit, so every output bit is
-    # 1 XOR (w mod 2); all ones are the largest entries a pair packs
-    n = 10**6
-    ones_seed = BitVector(n - 1, (1 << (n - 1)) - 1)
-    ones = BitVector(n, (1 << n) - 1)
     for n_pa in (860_000, 860_001):
-        w = n - n_pa
-        assert 2 * w.bit_length() <= delayedpa.gf2._PACK_MAX_BITS  # the pair path
-        expect = BitVector(n_pa, 0 if w % 2 else (1 << n_pa) - 1)
-        assert modified_toeplitz_hash(ones_seed, n_pa, [ones, ones]) == [expect, expect]
+        _assert_all_ones_closed_form(10**6, n_pa, 2)
+
+
+def _pool(n, n_pa, rng):
+    """Four random keys and one that shares the first one's high bits."""
+    keys = [BitVector.random(n, rng) for _ in range(4)]
+    low = rng.getrandbits(n_pa)
+    return keys + [BitVector(n, keys[0].bits >> n_pa << n_pa | low)]
+
+
+@given(
+    st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.lists(st.integers(0, 4), max_size=8),
+    st.sampled_from([0, 14, 44]),
+    st.integers(1, 8),
+    st.randoms(use_true_random=False),
+)
+# B + w - 1 equal to the transform length wraps the most entries: n - 1 =
+# 256 with one section, and B + w - 1 = 100 and 75 at n = 151, n_pa = 100
+# with two and four
+@example((257, 200), [0, 1, 1, 4], 44, 1, random.Random(0))
+@example((151, 100), [0, 4, 0], 44, 2, random.Random(0))
+@example((151, 100), [3, 2, 1, 0, 4], 44, 4, random.Random(0))
+@example((151, 100), [0, 1, 2], 0, 4, random.Random(0))
+@settings(max_examples=80, deadline=None)
+def test_toeplitz_hash_matches_dense_in_every_layout(shape, picks, max_bits, sections, rng):
+    # _PACK_MAX_BITS = 0 forces one section and one key per transform; the
+    # layout is then also forced to min(sections, slots) sections
+    n, n_pa = shape
+    w = n - n_pa
+    seed = BitVector.random(n - 1, rng)
+    pool = _pool(n, n_pa, rng)
+    keys = [pool[i] for i in picks]
+    expect = [_dense_hash(seed, n_pa, x) for x in keys]
+    slots = max(1, max_bits // max(w, 1).bit_length())
+    forced = delayedpa.gf2._plan(n_pa, w, min(sections, slots), max_bits) if w else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delayedpa.gf2, "_PACK_MAX_BITS", max_bits)
+        assert modified_toeplitz_hash(seed, n_pa, keys) == expect
+        mp.setattr(delayedpa.gf2, "_layout", lambda *args: forced)
+        assert modified_toeplitz_hash(seed, n_pa, keys) == expect
+
+
+def test_toeplitz_forced_layouts_have_the_sections_asked_for():
+    plan = delayedpa.gf2._plan
+    # B + w - 1 is 5-smooth in these, so the transform is exactly that long
+    assert plan(100, 51, 2, 44) == (2, 50, 100, 3)
+    assert plan(100, 51, 4, 44) == (4, 25, 75, 1)
+    assert plan(200, 57, 1, 0) == (1, 200, 256, 1)
+    # three sections of 2 cover n_pa = 5; a fourth would be empty
+    assert plan(5, 10, 4, 44).sections == 3
+
+
+def test_toeplitz_hash_transforms_equal_high_bits_once(monkeypatch):
+    n, n_pa = 30_000, 26_000
+    rng = random.Random(13)
+    seed = BitVector.random(n - 1, rng)
+    a, b, _, _, a_low = _pool(n, n_pa, rng)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(1) or rfft(*args))
+    assert modified_toeplitz_hash(seed, n_pa, [a, b])
+    pair = len(calls)
+    calls.clear()
+    hashed = modified_toeplitz_hash(seed, n_pa, [a, b, a, a_low, b])
+    assert len(calls) == pair == 3  # the seed and one per distinct key, at C = 3
+    assert hashed == [_dense_hash(seed, n_pa, x) for x in (a, b, a, a_low, b)]
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [k for k in range(1, 10_000) if smooth(k)]
+    for m in range(1, 5001):
+        assert delayedpa.gf2._fast_len(m) == lengths[bisect.bisect_left(lengths, m)]
 
 
 # ---------------------------------------------------------- toeplitz preimage
@@ -618,7 +710,7 @@ def test_toeplitz_preimage_takes_one_draw_as_the_dense_path(n, n_pa):
 @pytest.mark.parametrize("bad", [0.4, np.nan, np.inf])
 def test_toeplitz_preimage_products_pass_the_hash_guard(monkeypatch, bad):
     # the draw's one product T r runs under the hash's guard: its inverse
-    # transform is poisoned at entry n - 2, which the hash reads
+    # transform is poisoned at entry w - 1 = 29, which every layout reads
     irfft = np.fft.irfft
     rng = random.Random(7)
     f = AdditivePaFunction.draw(70, 100, rng)
@@ -630,7 +722,7 @@ def test_toeplitz_preimage_products_pass_the_hash_guard(monkeypatch, bad):
         calls.append(conv.shape)
         if bad == 0.4:
             return conv + bad
-        conv[..., 98] = bad
+        conv[..., 29] = bad
         return conv
 
     monkeypatch.setattr(np.fft, "irfft", poisoned)

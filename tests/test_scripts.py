@@ -1,6 +1,7 @@
 """Smoke runs of the example scripts at a tiny size."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,30 @@ def test_bench_compare_requires_seed_104729(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2 and "--seeds must include 104729" in proc.stderr
+
+
+def test_bench_compare_scale_runs_both_sides_at_a_tiny_size(tmp_path, monkeypatch):
+    # both sides run this checkout, so every report must match
+    module = _bench_compare()
+    root = SCRIPTS.parent
+    monkeypatch.setattr(module, "_checkout", lambda rev, made: (root, {"rev": rev}))
+    out = tmp_path / "scale.json"
+    argv = ["--scale", "--base", "A", "--head", "B", "--label", "tiny",
+            "--runs", "dqkd:2000,relay:2000", "--rounds", "1", "--out", str(out)]
+    assert module.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "scale" and doc["base"] == {"rev": "A"} and doc["head"] == {"rev": "B"}
+    assert [(e["protocol"], e["n"]) for e in doc["entries"]] == [("dqkd", 2000), ("relay", 2000)]
+    for entry in doc["entries"]:
+        assert entry["argv"] == module.scale_argv(entry["protocol"], 2000)
+        assert len(entry["base"]) == len(entry["head"]) == 1 and entry["same_report"]
+        assert all(run["exit"] == 0 for run in entry["base"] + entry["head"])
+        for name in ("wall_s", "peak_rss_mb"):
+            assert entry[name]["base"] > 0 and entry[name]["ratio"] > 0
+    assert "--noise-bwd" in module.scale_argv("dqkd", 10) and "--noise-bwd" not in module.scale_argv("relay", 10)
+    assert len(module.SCALE_RUNS) == 22 and module.SCALE_RUNS[-1] == "integrated-2c:3000000"
+
+
+def test_bench_compare_needs_a_workload_without_scale():
+    with pytest.raises(SystemExit):
+        _bench_compare().main(["--base", "HEAD", "--head", "HEAD", "--label", "x"])
