@@ -31,8 +31,9 @@ alternating runs of identical set-up code have read that far apart.
 ``--runs`` (by default the seven protocols at n = 10**4, 10**5 and 10**6,
 and integrated-2c at 3 * 10**6), each of ``--rounds`` rounds runs both
 revisions in fresh processes, in alternating order.  A process runs the
-``simulate`` twice and records the wall time of its second, warm call,
-its peak RSS, and a digest of the report without its ``timing``.  The file
+protocol once at n = 1000 to load every module, then the entry's
+``simulate``, and records that call's wall time, the process's peak RSS,
+and a digest of the report without its ``timing``.  The file
 holds every run and, per entry, the medians, the head-to-base ratios and
 whether both revisions printed the same report.
 
@@ -45,6 +46,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -66,18 +68,21 @@ SCALE_RUNS = (
     *(f"{p}:{n}" for n in (10**4, 10**5, 10**6) for p in SCALE_PROTOCOLS),
     "integrated-2c:3000000",
 )
+SCALE_WARM_N = 1000
 _BACKWARD_NOISE = ("dqkd", "integrated-2c", "integrated-2d")
-# one fresh process: argv in sys.argv[1]; the second call is the one timed
+# one fresh process: a small warm-up run loads every module, so the peak RSS
+# is the timed run's own, not that of two large runs' heaps
 _SCALE_CHILD = """
 import contextlib, hashlib, io, json, resource, sys, time
 from delayedpa import cli
-argv = json.loads(sys.argv[1])
-for _ in range(2):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        start = time.perf_counter()
-        code = cli.main(argv)
-        wall = time.perf_counter() - start
+warm, argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(warm)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    start = time.perf_counter()
+    code = cli.main(argv)
+    wall = time.perf_counter() - start
 report = json.loads(out.getvalue())
 report.pop("timing", None)
 print(json.dumps({
@@ -156,6 +161,20 @@ def _checkout(rev: str, made: list[Path]) -> tuple[Path, dict]:
     return tree, {"rev": rev, "commit": commit, "src_tree": _git("rev-parse", f"{commit}:src")}
 
 
+@contextlib.contextmanager
+def _worktrees(base: str, head: str):
+    """The trees to run and the records of both sides; added worktrees go after."""
+    made: list[Path] = []
+    try:
+        trees, revisions = {}, {}
+        for side, rev in (("base", base), ("head", head)):
+            trees[side], revisions[side] = _checkout(rev, made)
+        yield trees, revisions
+    finally:
+        for tree in made:
+            _git("worktree", "remove", "--force", str(tree))
+
+
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
@@ -182,8 +201,9 @@ def scale_argv(protocol: str, n: int) -> list[str]:
 
 
 def _scale_run(tree: Path, argv: list[str]) -> dict:
+    warm = scale_argv(argv[1], SCALE_WARM_N)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCALE_CHILD, json.dumps(argv)],
+        [sys.executable, "-c", _SCALE_CHILD, json.dumps([warm, argv])],
         cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
         capture_output=True, text=True,
     )
@@ -241,11 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
-    made: list[Path] = []
-    try:
-        trees, revisions = {}, {}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            trees[side], revisions[side] = _checkout(rev, made)
+    with _worktrees(args.base, args.head) as (trees, revisions):
         runs = []
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -255,9 +271,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair {i} seed {seed} {side}: {CLAIM} = "
                       f"{pair[side]['metrics'][CLAIM]}", flush=True)
             runs.append(pair)
-    finally:
-        for tree in made:
-            _git("worktree", "remove", "--force", str(tree))
 
     metrics = {}
     for name, m in end_to_end.items():
@@ -294,15 +307,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main_scale(args: argparse.Namespace, out: Path, recorded_argv: list[str]) -> int:
-    made: list[Path] = []
-    try:
-        trees, revisions = {}, {}
-        for side, rev in (("base", args.base), ("head", args.head)):
-            trees[side], revisions[side] = _checkout(rev, made)
+    with _worktrees(args.base, args.head) as (trees, revisions):
         entries = scale(trees, args.runs.split(","), args.rounds)
-    finally:
-        for tree in made:
-            _git("worktree", "remove", "--force", str(tree))
     doc = {
         "label": args.label,
         "argv": recorded_argv,

@@ -27,9 +27,10 @@ takes all of a run's keys in one call and transforms each distinct high
 part x2 once.  It cuts the n_pa outputs into C sections, which share one
 seed transform, and packs the sections and as many keys beside them as 44
 bits of float64 hold exactly: a one-key hash fills three sections at
-n = 30000 and n - n_pa = 4000, and two at n = 10**6 and n - n_pa = 3 * 10**5.  Each transform runs at the smallest
-2**a 3**b 5**c >= B + n - n_pa - 1, B = ceil(n_pa / C), and C is picked per
-shape from an estimate of the transforms' cost.  Float rounding cannot
+n = 30000 and n - n_pa = 4000, and two at n = 10**6 and n - n_pa =
+3 * 10**5.  Each transform runs at the smallest 2**a 3**b 5**c >=
+B + n - n_pa - 1, B = ceil(n_pa / C), and C is picked per shape from an
+estimate of the transforms' cost.  Float rounding cannot
 flip a bit unnoticed, because an exactness guard raises if any
 convolution entry the hash reads lies 0.25 or more from an integer (a NaN
 or inf entry included).  T x2 alone is the hash of the key x2 << n_pa,

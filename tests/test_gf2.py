@@ -543,15 +543,16 @@ def test_toeplitz_hash_transforms_equal_high_bits_once(monkeypatch):
     rng = random.Random(13)
     seed = BitVector.random(n - 1, rng)
     a, b, _, _, a_low = _pool(n, n_pa, rng)
+    keys = [a, b, a, a_low, b]
+    singles = [_hash_one(seed, n_pa, x) for x in keys]
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *args: calls.append(1) or rfft(*args))
-    assert modified_toeplitz_hash(seed, n_pa, [a, b])
+    assert modified_toeplitz_hash(seed, n_pa, [a, b]) == singles[:2]
     pair = len(calls)
     calls.clear()
-    hashed = modified_toeplitz_hash(seed, n_pa, [a, b, a, a_low, b])
+    assert modified_toeplitz_hash(seed, n_pa, keys) == singles
     assert len(calls) == pair == 3  # the seed and one per distinct key, at C = 3
-    assert hashed == [_dense_hash(seed, n_pa, x) for x in (a, b, a, a_low, b)]
 
 
 def test_fast_len_is_the_smallest_5_smooth_length():
