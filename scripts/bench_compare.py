@@ -33,9 +33,9 @@ and integrated-2c at 3 * 10**6), each of ``--rounds`` rounds runs both
 revisions in fresh processes, in alternating order.  A process runs the
 protocol once at n = 1000 to load every module, then the entry's
 ``simulate``, and records that call's wall time, the process's peak RSS,
-and a digest of the report without its ``timing``.  The file
-holds every run and, per entry, the medians, the head-to-base ratios and
-whether both revisions printed the same report.
+and a digest of the report without its ``timing``.  The file holds every
+run and, per entry, the medians, the head-to-base ratios and whether both
+revisions printed the same report.
 
 Usage:
     python scripts/bench_compare.py --base 904c7a0 --head HEAD --workload sim-large \\
