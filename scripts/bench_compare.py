@@ -28,8 +28,8 @@ floor, as a fraction of the base median.  Only ``setup_s`` has one, 15%:
 alternating runs of identical set-up code have read that far apart.
 
 ``--scale`` writes the end-to-end table instead: per ``protocol:n`` of
-``--runs`` (by default the seven protocols at n = 10**4, 10**5 and 10**6,
-and integrated-2c at 3 * 10**6), each of ``--rounds`` rounds runs both
+``SCALE_RUNS`` (the seven protocols at n = 10**4, 10**5 and 10**6, and
+integrated-2c at 3 * 10**6), each of ``SCALE_ROUNDS`` rounds runs both
 revisions in fresh processes, in alternating order.  A process runs the
 protocol once at n = 1000 to load every module, then the entry's
 ``simulate``, and records that call's wall time, the process's peak RSS,
@@ -68,6 +68,7 @@ SCALE_RUNS = (
     *(f"{p}:{n}" for n in (10**4, 10**5, 10**6) for p in SCALE_PROTOCOLS),
     "integrated-2c:3000000",
 )
+SCALE_ROUNDS = 3
 SCALE_WARM_N = 1000
 _BACKWARD_NOISE = ("dqkd", "integrated-2c", "integrated-2d")
 # one fresh process: a small warm-up run loads every module, so the peak RSS
@@ -212,7 +213,7 @@ def _scale_run(tree: Path, argv: list[str]) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scale(trees: dict, runs: list[str], rounds: int) -> list[dict]:
+def scale(trees: dict, runs: tuple[str, ...], rounds: int) -> list[dict]:
     """Each ``protocol:n`` entry of ``runs`` timed ``rounds`` times per side."""
     entries = []
     for spec in runs:
@@ -245,8 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=16)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--scale", action="store_true", help="time simulate at scale instead")
-    parser.add_argument("--runs", default=",".join(SCALE_RUNS), help="--scale: protocol:n entries")
-    parser.add_argument("--rounds", type=int, default=3, help="--scale: runs per entry and side")
     parser.add_argument("--out", help="the output file, BENCH_<label>.json in the repo by default")
     args = parser.parse_args(argv)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
@@ -308,12 +307,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main_scale(args: argparse.Namespace, out: Path, recorded_argv: list[str]) -> int:
     with _worktrees(args.base, args.head) as (trees, revisions):
-        entries = scale(trees, args.runs.split(","), args.rounds)
+        entries = scale(trees, SCALE_RUNS, SCALE_ROUNDS)
     doc = {
         "label": args.label,
         "argv": recorded_argv,
         "mode": "scale",
-        "rounds": args.rounds,
+        "rounds": SCALE_ROUNDS,
         "base": revisions["base"],
         "head": revisions["head"],
         "entries": entries,

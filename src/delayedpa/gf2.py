@@ -307,10 +307,14 @@ def _hash_group(seed_f: np.ndarray, lay: _Layout, w: int, n_pa: int, group: list
     """
     s = w.bit_length()
     packed = _weighted(s * lay.sections, _unpack(w, *group))
-    read = slice(w - 1, w - 1 + lay.width)
-    # one expression, so that the product's spectrum is freed before the
-    # counts are rounded and the inverse transform before they are unpacked
-    counts = _exact_counts(np.fft.irfft(seed_f * np.fft.rfft(packed, lay.size), lay.size)[read])
+    spectrum = np.fft.rfft(packed, lay.size)
+    # multiplied in place: seed_f lives for the whole call, so no third
+    # spectrum-sized array is alive at once
+    np.multiply(spectrum, seed_f, out=spectrum)
+    conv = np.fft.irfft(spectrum, lay.size)
+    del spectrum  # freed before the counts are rounded
+    counts = _exact_counts(conv[w - 1 : w - 1 + lay.width])
+    del conv  # and the inverse transform before they are unpacked
     # slot (k, c) holds key k's section c
     shifts = np.arange(0, s * len(group) * lay.sections, s)
     slots = counts >> shifts.reshape(len(group), lay.sections, 1)

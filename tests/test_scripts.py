@@ -108,11 +108,13 @@ def test_bench_compare_requires_seed_104729(tmp_path):
 def test_bench_compare_scale_runs_both_sides_at_a_tiny_size(tmp_path, monkeypatch):
     # both sides run this checkout, so every report must match
     module = _bench_compare()
+    assert len(module.SCALE_RUNS) == 22 and module.SCALE_RUNS[-1] == "integrated-2c:3000000"
     root = SCRIPTS.parent
     monkeypatch.setattr(module, "_checkout", lambda rev, made: (root, {"rev": rev}))
+    monkeypatch.setattr(module, "SCALE_RUNS", ("dqkd:2000", "relay:2000"))
+    monkeypatch.setattr(module, "SCALE_ROUNDS", 1)
     out = tmp_path / "scale.json"
-    argv = ["--scale", "--base", "A", "--head", "B", "--label", "tiny",
-            "--runs", "dqkd:2000,relay:2000", "--rounds", "1", "--out", str(out)]
+    argv = ["--scale", "--base", "A", "--head", "B", "--label", "tiny", "--out", str(out)]
     assert module.main(argv) == 0
     doc = json.loads(out.read_text())
     assert doc["mode"] == "scale" and doc["base"] == {"rev": "A"} and doc["head"] == {"rev": "B"}
@@ -124,7 +126,6 @@ def test_bench_compare_scale_runs_both_sides_at_a_tiny_size(tmp_path, monkeypatc
         for name in ("wall_s", "peak_rss_mb"):
             assert entry[name]["base"] > 0 and entry[name]["ratio"] > 0
     assert "--noise-bwd" in module.scale_argv("dqkd", 10) and "--noise-bwd" not in module.scale_argv("relay", 10)
-    assert len(module.SCALE_RUNS) == 22 and module.SCALE_RUNS[-1] == "integrated-2c:3000000"
 
 
 def test_bench_compare_needs_a_workload_without_scale():
