@@ -7,7 +7,7 @@ protocol-equivalence certificates, seeded protocol simulations, and the
 ``delayedpa`` command-line front end.
 """
 
-from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.gf2 import BitVector
 from delayedpa.ledger import binary_entropy, key_length
 from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message
 from delayedpa.protocols import (
@@ -24,7 +24,6 @@ from delayedpa.protocols import (
 )
 
 __all__ = [
-    "BinaryMatrix",
     "BitVector",
     "AdditivePaFunction",
     "DelayedPaSession",

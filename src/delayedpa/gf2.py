@@ -1,11 +1,12 @@
-"""Bit-packed linear algebra over GF(2).
+"""Bit-packed GF(2) vectors and the modified Toeplitz hash.
 
-Vectors and matrix rows are stored as arbitrary-precision Python integers
-with LSB-first packing: bit i lives at word i // 64, slot i % 64 when the
-integer is viewed as 64-bit words.  XOR of equal-length vectors and AND
-plus popcount dot products are then single big-int operations, which keeps
-desk-scale exhaustive checks and 10^4-bit protocol keys fast without any
-native extension.
+Vectors are stored as arbitrary-precision Python integers with LSB-first
+packing: bit i lives at word i // 64, slot i % 64 when the integer is
+viewed as 64-bit words.  XOR of equal-length vectors and popcount are then
+single big-int operations, which keeps 10^4-bit protocol keys fast without
+any native extension.  The verifier in ``security`` packs the rows of a
+linear hash the same way, as int64 row words: bit j of word i is entry
+(i, j).
 
 Text forms share the same order: a vector's 0/1 string (character i is bit
 i) is the reversed ``format(bits, "0{length}b")``, and its hex string
@@ -48,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "BitVector",
-    "BinaryMatrix",
     "modified_toeplitz_hash",
 ]
 
@@ -153,27 +153,6 @@ class BitVector:
         if self.length <= 32:
             return f"BitVector('{self.to01()}')"
         return f"BitVector(length={self.length}, hex='{self.to_hex()}')"
-
-
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """Dense GF(2) matrix, one packed integer per row.
-
-    Bit j of ``row_words[i]`` is entry (i, j).
-    """
-
-    rows: int
-    cols: int
-    row_words: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.row_words) != self.rows:
-            raise ValueError("row count does not match row_words")
-        for w in self.row_words:
-            if w < 0 or w.bit_length() > self.cols:
-                raise ValueError("row has set bits beyond cols")
 
 
 def _unpack(length: int, *values: int) -> np.ndarray:

@@ -367,6 +367,9 @@ class RelayConfig:
     pa_seed: BitVector | None = None
 
     def __post_init__(self) -> None:
+        # Bb84Config's check, made before the pool is sized against n
+        if self.n < 1 or self.n_test < 2:
+            raise ValueError("need n >= 1 and n_test >= 2")
         if self.pool_size < self.n:
             raise ValueError("pool exhausted: pool_size must be >= n")
 

@@ -82,8 +82,8 @@ def relay_report(rt: RelayTranscript, config_doc: dict, seconds: float) -> dict:
             "protocol": "relay",
             "seed": rt.seed,
             "scheme": rt.scheme,
-            "abort": rt.abort or rt.qkd.abort,
-            "abort_reason": rt.abort_reason or rt.qkd.abort_reason,
+            "abort": rt.abort,
+            "abort_reason": rt.abort_reason,
             "key_digest": key_digest(rt.bob_key),
             "bob_key_digest": key_digest(rt.bob_key),
             "charlie_key_digest": key_digest(rt.charlie_key),

@@ -33,16 +33,18 @@ matrices with the same row space differ by an invertible A (f' = A f).  That
 only renames the key values k -> A k and the messages m' -> A m' (the
 preimage of A m' under f' is the preimage of m' under f), so each joint's
 rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
-:func:`enumerate_row_spaces` yields one reduced row-echelon representative
+:func:`enumerate_row_spaces` returns one reduced row-echelon representative
 per subspace; the tests check that claim against the ordered enumeration
-of every matrix.  The sweep works one width at a time, on chunks of row spaces: one integer product hashes the
-chunk, one count checks its ranks (a linear f is balanced exactly when its
-rows are independent), one grouping serves every row space and bank model
-(the models' tables sit side by side along the view axis), and array
-operations score every (row space, model) pair.
-The models of one width are copied out together, every joint into its own
-contiguous slab, and scored in the order numpy scores one joint alone, so
-every eps is the one-joint value bit for bit.
+of every matrix.  A hash is its row words (bit j of word i is entry (i, j)),
+and R hashes of one shape are an int64 array of shape (R, n_pa).  The sweep
+works one width at a time, on chunks of row spaces: one integer product
+hashes the chunk, one count checks its ranks (a linear f is balanced exactly
+when its rows are independent), one grouping serves every row space and bank
+model (the models' tables sit side by side along the view axis), and array
+operations score every (row space, model) pair.  The models of one width are
+copied out together, every joint into its own contiguous slab, and scored in
+the order numpy scores one joint alone, so every eps is the one-joint value
+bit for bit.
 :func:`delayed_pa_epsilons_quantum` runs the same grouping on a chunk of one.
 """
 
@@ -52,11 +54,9 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix
 from delayedpa.quantum import _check_density_blocks
 from delayedpa.stream import BitStream
 
@@ -131,18 +131,17 @@ def cq_epsilon(joint: CqJoint) -> float:
 
 # ------------------------------------------------------------------ verifier
 
-def _hash_values(matrices) -> np.ndarray:
+def _hash_values(rows: np.ndarray, n: int) -> np.ndarray:
     """f(a) as an integer for every a in {0, ..., 2^n - 1}, by one product.
 
-    ``matrices`` is a sequence of R matrices of one shape; the table has
-    shape (R, 2^n), one row per matrix.
+    ``rows`` holds R hashes' row words, shape (R, n_pa); the table has
+    shape (R, 2^n), one row per hash.
     """
-    rows, cols = matrices[0].rows, matrices[0].cols
-    shifts = np.arange(cols)
-    inputs = (np.arange(1 << cols)[:, None] >> shifts) & 1
-    bits = (np.array([m.row_words for m in matrices]).reshape(-1, 1) >> shifts) & 1
-    f_bits = ((bits @ inputs.T) & 1).reshape(len(matrices), rows, 1 << cols)
-    return (1 << np.arange(rows)) @ f_bits
+    shifts = np.arange(n)
+    inputs = (np.arange(1 << n)[:, None] >> shifts) & 1
+    bits = (rows.reshape(-1, 1) >> shifts) & 1
+    f_bits = ((bits @ inputs.T) & 1).reshape(rows.shape + (1 << n,))
+    return (1 << np.arange(rows.shape[1])) @ f_bits
 
 
 # entries per chunk: the joint table of one sweep call and the views gathered
@@ -201,22 +200,21 @@ def _normalize_prior(prior, size: int) -> np.ndarray:
     return p
 
 
-def _delayed_pa_joints(matrices, views: np.ndarray, prior, max_n: int):
-    """The (key, msg) joints of the views weighted by the prior on a, one per matrix.
+def _delayed_pa_joints(rows: np.ndarray, n: int, views: np.ndarray, prior, max_n: int):
+    """The (key, msg) joints of the views weighted by the prior on a, one per hash.
 
-    ``matrices`` is a sequence of matrices of one shape; key and msg carry a
-    leading axis over them.
+    ``rows`` holds the hashes' row words, shape (R, n_pa), over n input
+    bits; key and msg carry a leading axis over them.
     """
-    rows, cols = matrices[0].rows, matrices[0].cols
-    if cols > max_n:
+    if n > max_n:
         raise ValueError("state space too large for exhaustive mode")
-    size, n_keys = 1 << cols, 1 << rows
-    f_vals = _hash_values(matrices)
+    size, n_keys = 1 << n, 1 << rows.shape[1]
+    f_vals = _hash_values(rows, n)
     # f is linear, so its rows are independent exactly when every key value
     # has 2^(n - n_pa) preimages: the one gate of the grouping's balance
     offsets = n_keys * np.arange(len(f_vals))[:, None]
     counts = np.bincount((f_vals + offsets).ravel(), minlength=offsets.size * n_keys)
-    if (counts != size >> rows).any():
+    if (counts != size // n_keys).any():
         raise ValueError("rows not independent")
     if views.shape[:1] != (size,):
         raise ValueError(f"need {size} views, one per raw key")
@@ -248,14 +246,15 @@ def _joint_epsilons(p: np.ndarray) -> np.ndarray:
     return 0.5 * p.reshape(len(p), -1).sum(axis=1)
 
 
-def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
-    """(eps_key, eps_msg), each of shape (R, models), for every matrix and model of a bank.
+def _bank_epsilons(rows: np.ndarray, n: int, views: np.ndarray, widths, prior=None):
+    """(eps_key, eps_msg), each of shape (R, models), for every hash and model of a bank.
 
+    ``rows`` holds the R hashes' row words over n input bits, shape (R, n_pa);
     ``views`` holds the models' tables side by side along the view axis and
     ``widths`` their column counts.  The columns are first reordered so that
     models of equal width sit side by side; one grouping then serves every
-    matrix and model, and each width's models are scored together: one copy
-    per side gives every (matrix, model) joint its own C-contiguous slab,
+    hash and model, and each width's models are scored together: one copy
+    per side gives every (hash, model) joint its own C-contiguous slab,
     shape (|K|, views), so each joint is checked and scored exactly as it
     would be alone.  A width whose joints would take more than
     ``_SCATTER_ENTRIES`` entries is copied a few models at a time, one at a
@@ -266,7 +265,7 @@ def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
     starts = list(itertools.accumulate(widths, initial=0))
     order = sorted(range(len(widths)), key=widths.__getitem__)  # stable: bank order within a width
     columns = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
-    key, msg = _delayed_pa_joints(matrices, views[:, columns], prior, MAX_EXHAUSTIVE_N)
+    key, msg = _delayed_pa_joints(rows, n, views[:, columns], prior, MAX_EXHAUSTIVE_N)
     n_rows, n_keys = key.shape[:2]
     eps = np.empty((2, n_rows, len(widths)))
     stop = 0
@@ -290,15 +289,24 @@ def _bank_epsilons(matrices, views: np.ndarray, widths, prior=None):
     return eps[0], eps[1]
 
 
-def delayed_pa_epsilons_quantum(matrix: BinaryMatrix, eve_states, prior=None) -> tuple[float, float]:
+def delayed_pa_epsilons_quantum(rows, eve_states, prior=None) -> tuple[float, float]:
     """Exhaustive (eps_key, eps_msg) for a quantum adversary.
 
-    ``eve_states[a]`` is the adversary's density matrix given raw key a.  In
-    the delayed scenario the ciphertext c is a classical register beside the
-    adversary system, so the msg joint holds one block per pad.
+    ``rows`` are the hash's row words: bit j of ``rows[i]`` is entry (i, j).
+    ``eve_states[a]`` is the adversary's density matrix given raw key a, so
+    the 2^n states fix the input width n.  In the delayed scenario the
+    ciphertext c is a classical register beside the adversary system, so the
+    msg joint holds one block per pad.
     """
     states = np.asarray(eve_states, dtype=complex)
-    key, msg = _delayed_pa_joints([matrix], states, prior, MAX_QUANTUM_N)
+    size = len(states) if states.ndim else 0
+    n = size.bit_length() - 1
+    if size < 2 or size != 1 << n:
+        raise ValueError(f"need 2^n states for some n >= 1, one per raw key, got {size}")
+    if not all(0 <= w < size for w in rows):
+        raise ValueError(f"row words must lie in [0, {size})")
+    words = np.array(rows, dtype=np.int64).reshape(1, -1)
+    key, msg = _delayed_pa_joints(words, n, states, prior, MAX_QUANTUM_N)
     return cq_epsilon(CqJoint(key[0])), cq_epsilon(CqJoint(msg[0]))
 
 
@@ -443,16 +451,19 @@ def random_eve_states(n: int, dim: int, stream: BitStream) -> np.ndarray:
 
 # ------------------------------------------------------------------ sweep
 
-def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
-    """One reduced row-echelon matrix per n_pa-dimensional subspace of GF(2)^n.
+def enumerate_row_spaces(n: int, n_pa: int) -> np.ndarray:
+    """One reduced row-echelon basis per n_pa-dimensional subspace of GF(2)^n.
 
+    Returns their row words as an int64 array of shape (count, n_pa).
     Pivots are read from bit 0, as column-by-column Gauss-Jordan elimination
     leaves them: a row's pivot is its lowest set column, the pivots increase
     with the row, and no other row has a 1 in a pivot column.  Every choice
     of pivot columns p_0 < ... < p_{n_pa-1} and of the bits of row r in the
     non-pivot columns above p_r gives one subspace, and each subspace arises
-    once, so there are Gaussian-binomial many.
+    once, so there are Gaussian-binomial many.  They come in lexicographic
+    order of the pivots, and for one choice of pivots by increasing free bits.
     """
+    spaces = []
     for pivots in itertools.combinations(range(n), n_pa):
         free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
         for bits in range(1 << len(free)):
@@ -460,7 +471,8 @@ def enumerate_row_spaces(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
             for j, (r, col) in enumerate(free):
                 if bits >> j & 1:
                     rows[r] |= col
-            yield BinaryMatrix(n_pa, n, tuple(rows))
+            spaces.append(rows)
+    return np.array(spaces, dtype=np.int64).reshape(len(spaces), n_pa)
 
 
 def sweep_delayed_pa(
@@ -489,19 +501,19 @@ def sweep_delayed_pa(
         views = np.concatenate([table for _, table in tables], axis=1)
         widths = [table.shape[1] for _, table in tables]
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
-            spaces = list(enumerate_row_spaces(n, n_pa))
+            spaces = enumerate_row_spaces(n, n_pa)
             # row spaces per call, so one call's joint table stays within the bound
             step = max(1, _SCATTER_ENTRIES // ((1 << n_pa) * (1 << n) * views.shape[1]))
             for lo in range(0, len(spaces), step):
                 chunk = spaces[lo:lo + step]
-                eps_key, eps_msg = _bank_epsilons(chunk, views, widths)
+                eps_key, eps_msg = _bank_epsilons(chunk, n, views, widths)
                 gaps = np.abs(eps_key - eps_msg).ravel()  # cases by row space, then model
                 cases += gaps.size
                 last = gaps.size - 1 - int(np.argmax(gaps[::-1]))
                 if gaps[last] >= max_gap:  # ties go to the last case
                     max_gap = float(gaps[last])
                     r, m = divmod(last, len(names))
-                    rows = tuple(chunk[r].row_words)
+                    rows = tuple(chunk[r].tolist())
                     worst = (n, n_pa, rows, names[m], float(eps_key[r, m]), float(eps_msg[r, m]))
     if worst is not None:
         n, n_pa, rows, name, eps_key, eps_msg = worst

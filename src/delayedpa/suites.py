@@ -259,12 +259,12 @@ def suite_delayed_pa(
     spaces = {}
     q_max = 0.0
     for _ in range(quantum_trials):
-        rows = 1 + stream.randbelow(min(2, quantum_n - 1))
-        if rows not in spaces:
-            spaces[rows] = list(enumerate_row_spaces(quantum_n, rows))
-        matrix = spaces[rows][stream.randbelow(len(spaces[rows]))]
+        n_rows = 1 + stream.randbelow(min(2, quantum_n - 1))
+        if n_rows not in spaces:
+            spaces[n_rows] = enumerate_row_spaces(quantum_n, n_rows)
+        rows = spaces[n_rows][stream.randbelow(len(spaces[n_rows]))]
         states = random_eve_states(quantum_n, quantum_dim, stream)
-        eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
+        eps_key, eps_msg = delayed_pa_epsilons_quantum(rows, states)
         q_max = max(q_max, abs(eps_key - eps_msg))
 
     passed = classical["max_gap"] <= CLASSICAL_GAP_TOL and q_max <= QUANTUM_GAP_TOL

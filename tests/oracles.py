@@ -3,6 +3,9 @@
 None of these runs in a command, a script or the documented API; each is
 a second, plainer route to a result the package computes another way:
 
+- ``BinaryMatrix``: a dense GF(2) matrix, one packed integer per row, with
+  its shape and a check of each row; the matrix type of every oracle
+  below.  The package holds a linear hash as its row words alone.
 - ``matvec`` and its ``_parity``: the dense GF(2) product, one row parity
   per bit; checks ``modified_toeplitz_hash``, ``pa_apply_many``, the hash
   tables of the verifier and every preimage draw.
@@ -57,24 +60,29 @@ a second, plainer route to a result the package computes another way:
   checked and scored alone; the metric's properties are tested on them,
   and the verifier's batched scoring against them.
 - ``delayed_pa_epsilons``: (eps_key, eps_msg) for one matrix and one view
-  table, through the package's ``security._bank_epsilons`` on a one-matrix
-  stack, so it is a convenience, not an independent route; the verifier's
+  table, through the package's ``security._bank_epsilons`` on a one-hash
+  stack of its row words, so it is a convenience, not an independent route; the verifier's
   cases one at a time, known answers included.  The independent route is
   ``tests/test_security.py::ref_bank_epsilons``, the scatter oracle.
 - ``enumerate_pa_matrices``: every ordered matrix with independent rows;
   checks the sweep's one case per row space, and runs the acceptance
   criterion over every matrix.
+- ``ref_enumerate_row_spaces``: the row spaces' echelon bases one tuple of
+  row words at a time; pins the order of the array that
+  ``enumerate_row_spaces`` returns, on which the sweep's tie-break and the
+  quantum trials' draws depend.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.gf2 import BitVector
 from delayedpa.pa import AdditivePaFunction, expand_message, pa_apply_many
 from delayedpa.protocols import _BASES, _PAULIS, _flips
 from delayedpa.quantum import (
@@ -89,6 +97,27 @@ from delayedpa.security import _bank_epsilons, _check_joints
 
 
 # ---------------------------------------------------------------- gf2
+
+@dataclass(frozen=True)
+class BinaryMatrix:
+    """Dense GF(2) matrix, one packed integer per row.
+
+    Bit j of ``row_words[i]`` is entry (i, j).
+    """
+
+    rows: int
+    cols: int
+    row_words: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative dimension")
+        if len(self.row_words) != self.rows:
+            raise ValueError("row count does not match row_words")
+        for w in self.row_words:
+            if w < 0 or w.bit_length() > self.cols:
+                raise ValueError("row has set bits beyond cols")
+
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
@@ -768,7 +797,8 @@ def delayed_pa_epsilons(matrix: BinaryMatrix, table, prior=None) -> tuple[float,
     table = np.asarray(table, dtype=float)
     if table.ndim != 2:
         raise ValueError("joint table must be 2-D")
-    eps_key, eps_msg = _bank_epsilons([matrix], table, table.shape[1:], prior)
+    rows = np.array([matrix.row_words], dtype=np.int64).reshape(1, matrix.rows)
+    eps_key, eps_msg = _bank_epsilons(rows, matrix.cols, table, table.shape[1:], prior)
     return float(eps_key[0, 0]), float(eps_msg[0, 0])
 
 
@@ -790,3 +820,21 @@ def enumerate_pa_matrices(n: int, n_pa: int) -> Iterator[BinaryMatrix]:
 
     for rows in extend((), frozenset({0})):
         yield BinaryMatrix(n_pa, n, rows)
+
+
+def ref_enumerate_row_spaces(n: int, n_pa: int) -> Iterator[tuple[int, ...]]:
+    """The row words of one reduced row-echelon basis per subspace, one
+    tuple at a time, in the order ``security.enumerate_row_spaces`` keeps.
+
+    Pivot columns in lexicographic order, and for each choice of pivots the
+    free bits counted up from zero; bit j of the free bits sets the j-th
+    (row, column) pair of the non-pivot columns above each row's pivot.
+    """
+    for pivots in itertools.combinations(range(n), n_pa):
+        free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for bits in range(1 << len(free)):
+            rows = [1 << p for p in pivots]
+            for j, (r, col) in enumerate(free):
+                if bits >> j & 1:
+                    rows[r] |= col
+            yield tuple(rows)

@@ -118,7 +118,7 @@ def test_criterion_2_security_equivalence():
             n_pa = pyrng.randint(1, n - 1)
             matrix = _full_rank_matrix(n_pa, n, pyrng)
             states = random_eve_states(n, 4, nprng)
-            eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix, states)
+            eps_key, eps_msg = delayed_pa_epsilons_quantum(matrix.row_words, states)
             assert abs(eps_key - eps_msg) <= 1e-9
 
 

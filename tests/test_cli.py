@@ -246,6 +246,14 @@ def _assert_one_line_config_error(code, out, err):
     assert err.count("\n") == 1 and "error" in err
 
 
+@pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "5", "--n-test", "1"]])
+def test_simulate_relay_refuses_n_and_n_test_as_bb84_does(capsys, flags):
+    # --n -1 used to be reported as an exhausted pool of -4 bits
+    code, _, out, err = run_cli(["simulate", "relay", *flags, "--seed", "1"], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "need n >= 1 and n_test >= 2" in err
+
+
 def test_simulate_rejects_negative_seed_flag(capsys):
     code, _, out, err = run_cli(["simulate", "bb84", "--n", "100", "--seed", "-1"], capsys)
     _assert_one_line_config_error(code, out, err)

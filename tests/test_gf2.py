@@ -15,9 +15,10 @@ from scipy import stats
 import delayedpa.gf2
 import delayedpa.suites
 import oracles
-from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
+from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 from delayedpa.pa import AdditivePaFunction, expand_message
 from oracles import (
+    BinaryMatrix,
     RawWords,
     _full_rank_matrix,
     _full_rank_toeplitz,

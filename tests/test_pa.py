@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import delayedpa.gf2
 import delayedpa.pa
-from delayedpa.gf2 import BinaryMatrix, BitVector, modified_toeplitz_hash
+from delayedpa.gf2 import BitVector, modified_toeplitz_hash
 from delayedpa.pa import AdditivePaFunction, DelayedPaSession, expand_message, pa_apply_many
 from delayedpa.stream import BitStream
 from oracles import (
+    BinaryMatrix,
     dpa_encrypt,
     dpa_recover_via_key,
     dpa_recover_via_rawkey,

@@ -701,6 +701,16 @@ def test_relay_pool_too_small():
         RelayConfig(n=1024, pool_size=100, seed=29)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"n": 0, "pool_size": 4}, {"n": -1, "pool_size": -4}, {"n": 5, "pool_size": 20, "n_test": 1}]
+)
+def test_relay_config_checks_n_and_n_test_before_the_pool(kwargs):
+    # a negative n used to pass as a pool-size error, and n_test = 1 was
+    # refused only inside run_relay, after the pool had been drawn
+    with pytest.raises(ValueError, match=r"^need n >= 1 and n_test >= 2$"):
+        RelayConfig(**kwargs)
+
+
 def test_ledger_is_frozen_record():
     ledger = key_length(100, 0.0, 0.0)
     assert isinstance(ledger, KeyLedger)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delayedpa.gf2 import BinaryMatrix, BitVector
+from delayedpa.gf2 import BitVector
 import delayedpa.security
 import delayedpa.suites
 from delayedpa.security import (
@@ -26,6 +26,7 @@ from delayedpa.security import (
     sweep_delayed_pa,
 )
 from oracles import (
+    BinaryMatrix,
     ClassicalJoint,
     _full_rank_matrix,
     classical_epsilon,
@@ -34,6 +35,7 @@ from oracles import (
     matrix_from_rows,
     matvec,
     random_matrix,
+    ref_enumerate_row_spaces,
     row_reduce,
 )
 
@@ -251,6 +253,21 @@ def test_enumerate_pa_matrices_counts():
     assert sum(1 for _ in enumerate_pa_matrices(4, 2)) == 15 * 14
 
 
+def words_of(matrices):
+    """The row words of matrices of one shape, as the verifier takes them: shape (R, rows)."""
+    return np.array([m.row_words for m in matrices], dtype=np.int64).reshape(len(matrices), -1)
+
+
+def row_space_matrices_of(rows, n):
+    """Each hash of a row-word array as an oracle matrix over n columns."""
+    return [BinaryMatrix(rows.shape[1], n, tuple(r)) for r in rows.tolist()]
+
+
+def row_space_matrices(n, k):
+    """enumerate_row_spaces(n, k), one oracle matrix per row space."""
+    return row_space_matrices_of(enumerate_row_spaces(n, k), n)
+
+
 def gaussian_binomial(n, k):
     """Number of k-dimensional subspaces of GF(2)^n."""
     return math.prod((1 << n) - (1 << i) for i in range(k)) // math.prod(
@@ -265,7 +282,9 @@ def test_enumerate_row_spaces_counts_and_echelon_form():
     assert gaussian_binomial(7, 3) == 11811
     for n in range(1, 8):
         for k in range(0, min(n, 3) + 1):
-            spaces = list(enumerate_row_spaces(n, k))
+            words = enumerate_row_spaces(n, k)
+            assert words.dtype == np.int64 and words.shape == (gaussian_binomial(n, k), k), (n, k)
+            spaces = row_space_matrices(n, k)
             assert len(spaces) == len(set(spaces)) == gaussian_binomial(n, k), (n, k)
             for matrix in spaces:
                 assert (matrix.rows, matrix.cols) == (k, n)
@@ -276,10 +295,21 @@ def test_enumerate_row_spaces_is_one_per_ordered_row_space():
     # the oracle: reduce every ordered independent-row matrix to its row space
     for n in range(1, 6):
         for k in range(1, min(n, 3) + 1):
-            spaces = list(enumerate_row_spaces(n, k))
+            spaces = row_space_matrices(n, k)
             want = {row_reduce(m).upper for m in enumerate_pa_matrices(n, k)}
             assert len(spaces) == len(set(spaces))
             assert set(spaces) == want, (n, k)
+
+
+def test_enumerate_row_spaces_keeps_the_reference_order():
+    # the sweep's tie-break (ties go to the last case) and the quantum
+    # trials' drawn index both read this order
+    for n in range(1, 7):
+        for k in range(1, n):
+            got = enumerate_row_spaces(n, k)
+            want = [list(rows) for rows in ref_enumerate_row_spaces(n, k)]
+            assert got.dtype == np.int64 and got.shape == (len(want), k), (n, k)
+            assert got.tolist() == want, (n, k)
 
 
 def test_ordered_matrices_score_as_their_row_space():
@@ -290,7 +320,7 @@ def test_ordered_matrices_score_as_their_row_space():
         tables = [t for _, t in bank_tables(bank, n)]
         for k in range(1, min(n, 3) + 1):
             by_space = {
-                m: [delayed_pa_epsilons(m, t) for t in tables] for m in enumerate_row_spaces(n, k)
+                m: [delayed_pa_epsilons(m, t) for t in tables] for m in row_space_matrices(n, k)
             }
             for matrix in enumerate_pa_matrices(n, k):
                 want = by_space[row_reduce(matrix).upper]
@@ -309,8 +339,8 @@ def test_bank_epsilons_equal_one_model_at_a_time():
         views = np.concatenate(tables, axis=1)
         widths = [t.shape[1] for t in tables]
         for k in range(1, min(n, 2) + 1):
-            spaces = list(enumerate_row_spaces(n, k))
-            eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+            eps_key, eps_msg = _bank_epsilons(enumerate_row_spaces(n, k), n, views, widths)
+            spaces = row_space_matrices(n, k)
             for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
                 got = list(zip(keys, msgs))
                 assert got == [delayed_pa_epsilons(matrix, t) for t in tables], (n, k, matrix)
@@ -340,15 +370,15 @@ def test_row_space_sweep_matches_ordered_sweep():
 def test_sweep_hashes_once_per_row_space(monkeypatch):
     calls = []
 
-    def counting(matrices):
-        calls.extend(matrices)
-        return _hash_values(matrices)
+    def counting(rows, n):
+        calls.extend(row_space_matrices_of(rows, n))
+        return _hash_values(rows, n)
 
     monkeypatch.setattr(delayedpa.security, "_hash_values", counting)
     result = sweep_delayed_pa(4, 2)
     assert len(calls) == 67
     spaces = {
-        m for n in range(2, 5) for k in range(1, min(2, n - 1) + 1) for m in enumerate_row_spaces(n, k)
+        m for n in range(2, 5) for k in range(1, min(2, n - 1) + 1) for m in row_space_matrices(n, k)
     }
     assert set(calls) == spaces
     assert result["cases"] == 67 * len(load_eve_bank())
@@ -450,7 +480,7 @@ def test_bank_has_at_least_five_models():
 def test_quantum_identical_states_give_zero():
     m = matrix_from_rows([[1, 1]])
     rho = np.eye(2, dtype=complex) / 2
-    eps_key, eps_msg = delayed_pa_epsilons_quantum(m, [rho] * 4)
+    eps_key, eps_msg = delayed_pa_epsilons_quantum(m.row_words, [rho] * 4)
     assert eps_key <= 1e-12
     assert eps_msg <= 1e-12
 
@@ -460,7 +490,7 @@ def test_quantum_matches_classical_embedding():
     table = eve_table("bit", 2, index=0)
     states = [np.diag(table[a]).astype(complex) for a in range(4)]
     c_key, c_msg = delayed_pa_epsilons(m, table)
-    q_key, q_msg = delayed_pa_epsilons_quantum(m, states)
+    q_key, q_msg = delayed_pa_epsilons_quantum(m.row_words, states)
     assert abs(c_key - q_key) <= 1e-9
     assert abs(c_msg - q_msg) <= 1e-9
 
@@ -470,7 +500,7 @@ def test_quantum_equivalence_random_models():
     m = matrix_from_rows([[1, 0, 1]])
     for _ in range(10):
         states = random_eve_states(3, 4, rng)
-        eps_key, eps_msg = delayed_pa_epsilons_quantum(m, states)
+        eps_key, eps_msg = delayed_pa_epsilons_quantum(m.row_words, states)
         assert abs(eps_key - eps_msg) <= 1e-9
         assert 0.0 <= eps_key <= 1.0 + 1e-12
 
@@ -478,7 +508,20 @@ def test_quantum_equivalence_random_models():
 def test_quantum_rejects_large_instance():
     m = matrix_from_rows([[1, 0, 0, 0, 1]])
     with pytest.raises(ValueError, match="too large"):
-        delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 32)
+        delayed_pa_epsilons_quantum(m.row_words, [np.eye(2, dtype=complex) / 2] * 32)
+
+
+@pytest.mark.parametrize("rows", [(0b1000,), (0b11, 8), (-1,), (0b11, -2)])
+def test_quantum_rejects_row_words_outside_the_input_width(rows):
+    # eight states fix n = 3: a word must lie in [0, 8)
+    with pytest.raises(ValueError, match="row words"):
+        delayed_pa_epsilons_quantum(rows, [np.eye(2, dtype=complex) / 2] * 8)
+
+
+@pytest.mark.parametrize("count", [6, 1, 0])
+def test_quantum_rejects_a_state_count_that_is_not_a_power_of_two(count):
+    with pytest.raises(ValueError, match="need 2\\^n states"):
+        delayed_pa_epsilons_quantum((1,), [np.eye(2, dtype=complex) / 2] * count)
 
 
 def test_security_report_bounds():
@@ -574,7 +617,7 @@ def test_hash_values_match_matvec_reference():
     for n in range(1, 13):
         for rows in range(1, n + 1):
             matrix = random_matrix(rows, n, rng)
-            assert _hash_values([matrix])[0].tolist() == ref_hash_values(matrix).tolist()
+            assert _hash_values(words_of([matrix]), n)[0].tolist() == ref_hash_values(matrix).tolist()
 
 
 def test_verifier_matches_loop_reference_on_every_small_matrix():
@@ -607,7 +650,7 @@ def test_quantum_verifier_matches_loop_reference():
         matrix = _full_rank_matrix(rows, n, pyrng)
         states = random_eve_states(n, pyrng.randint(1, 4), rng)
         prior = _random_prior(rng, 1 << n) if i % 2 else None
-        got = delayed_pa_epsilons_quantum(matrix, states, prior)
+        got = delayed_pa_epsilons_quantum(matrix.row_words, states, prior)
         want = ref_delayed_pa_epsilons_quantum(matrix, states, prior)
         assert abs(got[0] - want[0]) <= 1e-12
         assert abs(got[1] - want[1]) <= 1e-12
@@ -739,8 +782,8 @@ def test_grouped_views_match_scatter_oracle_on_every_small_row_space():
         views, _ = _bank_views(n)
         weighted = views / (1 << n)
         for k in range(1, n + 1):
-            spaces = list(enumerate_row_spaces(n, k))
-            key, msg = _grouped_views(_hash_values(spaces), 1 << k, weighted)
+            spaces = row_space_matrices(n, k)
+            key, msg = _grouped_views(_hash_values(enumerate_row_spaces(n, k), n), 1 << k, weighted)
             assert key.shape == (len(spaces), 1 << k, views.shape[1])
             for i, matrix in enumerate(spaces):
                 want_key, want_msg = ref_grouped_views(ref_hash_values(matrix), 1 << k, weighted)
@@ -756,7 +799,7 @@ def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
     size, n_keys, rows = 16, 4, 7
     weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
     width = weighted[0].size * 2
-    linear = _hash_values(list(enumerate_row_spaces(4, 2))[:rows])
+    linear = _hash_values(enumerate_row_spaces(4, 2)[:rows], 4)
     for f_vals in (linear, _balanced_tables(rng, rows, size, n_keys)):
         whole = _grouped_views(f_vals, n_keys, weighted)
         for pairs in (3, 3 * size):
@@ -789,10 +832,10 @@ def test_grouped_views_gather_from_a_c_contiguous_copy_of_an_f_ordered_stack(mon
     columns = np.arange(views.shape[1])[::-1].copy()
     stack = views[:, columns] / (1 << n)
     assert stack.flags.f_contiguous and not stack.flags.c_contiguous
-    spaces = list(enumerate_row_spaces(n, k))
+    spaces = row_space_matrices(n, k)
     receivers = []
     monkeypatch.setattr(_TakeSpy, "receivers", receivers)
-    key, msg = _grouped_views(_hash_values(spaces), 1 << k, stack.view(_TakeSpy))
+    key, msg = _grouped_views(_hash_values(words_of(spaces), n), 1 << k, stack.view(_TakeSpy))
     assert receivers and all(receivers)
     for i, matrix in enumerate(spaces):
         want_key, want_msg = ref_grouped_views(ref_hash_values(matrix), 1 << k, stack)
@@ -821,7 +864,7 @@ def test_balanced_non_additive_f_is_caught_only_by_a_biased_prior(n):
     # can, while a linear f still scores a zero gap under that prior
     a = np.arange(1 << n)
     bent = (a & 1) ^ ((a >> 1) & (a >> 2) & 1)
-    linear = _hash_values([BinaryMatrix(1, n, (0b11,))])[0]  # a0 ^ a1
+    linear = _hash_values(np.array([[0b11]]), n)[0]  # a0 ^ a1
     ones = np.array([bin(x).count("1") for x in a])
     uniform, biased = np.full(1 << n, 1.0 / (1 << n)), 0.3 ** ones * 0.7 ** (n - ones)
     assert max(_model_gaps(bent, uniform, n)) <= 1e-12
@@ -835,8 +878,8 @@ def test_bank_epsilons_equal_scatter_oracle_on_every_small_row_space():
     for n in range(1, 6):
         views, widths = _bank_views(n)
         for k in range(1, n + 1):
-            spaces = list(enumerate_row_spaces(n, k))
-            eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+            spaces = row_space_matrices(n, k)
+            eps_key, eps_msg = _bank_epsilons(words_of(spaces), n, views, widths)
             for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
                 want = ref_bank_epsilons(matrix, views, widths)
                 assert list(zip(keys, msgs)) == want, (n, k, matrix)
@@ -868,8 +911,8 @@ def test_width_grouped_bank_epsilons_equal_each_model_alone(entries, monkeypatch
     views = np.concatenate(tables, axis=1)
     widths = [t.shape[1] for t in tables]
     for k in range(1, 4):
-        spaces = list(enumerate_row_spaces(3, k))
-        eps_key, eps_msg = _bank_epsilons(spaces, views, widths)
+        spaces = row_space_matrices(3, k)
+        eps_key, eps_msg = _bank_epsilons(words_of(spaces), 3, views, widths)
         for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
             assert list(zip(keys, msgs)) == ref_bank_epsilons(matrix, views, widths), (k, matrix)
 
@@ -909,7 +952,7 @@ def test_product_state_epsilons_match_closed_form(overlap):
             states.append(rho)
         for row in range(1, 1 << n):
             want = 0.5 * delta ** bin(row).count("1")
-            eps_key, eps_msg = delayed_pa_epsilons_quantum(BinaryMatrix(1, n, (row,)), states)
+            eps_key, eps_msg = delayed_pa_epsilons_quantum((row,), states)
             assert abs(eps_key - want) <= 1e-15, (n, row)
             assert abs(eps_msg - want) <= 1e-15, (n, row)
 
@@ -918,17 +961,17 @@ def test_product_state_epsilons_match_closed_form(overlap):
 
 def test_stack_with_one_dependent_matrix_is_rejected():
     views, widths = _bank_views(3)
-    spaces = list(enumerate_row_spaces(3, 2))
+    spaces = row_space_matrices(3, 2)
     dependent = matrix_from_rows([[1, 1, 0], [1, 1, 0]])
-    _bank_epsilons(spaces, views, widths)
+    _bank_epsilons(words_of(spaces), 3, views, widths)
     with pytest.raises(ValueError, match="rows not independent"):
-        _bank_epsilons(spaces[:3] + [dependent] + spaces[3:], views, widths)
+        _bank_epsilons(words_of(spaces[:3] + [dependent] + spaces[3:]), 3, views, widths)
 
 
 def test_quantum_verifier_rejects_dependent_rows():
     m = matrix_from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])  # row 3 = row 1 + row 2
     with pytest.raises(ValueError, match="rows not independent"):
-        delayed_pa_epsilons_quantum(m, [np.eye(2, dtype=complex) / 2] * 8)
+        delayed_pa_epsilons_quantum(m.row_words, [np.eye(2, dtype=complex) / 2] * 8)
 
 
 def test_delayed_pa_suite_quantum_trials_draw_uniform_row_spaces(monkeypatch):
@@ -938,13 +981,15 @@ def test_delayed_pa_suite_quantum_trials_draw_uniform_row_spaces(monkeypatch):
     seen = []
     score = delayedpa.suites.delayed_pa_epsilons_quantum
     monkeypatch.setattr(
-        delayedpa.suites, "delayed_pa_epsilons_quantum", lambda m, states: seen.append(m) or score(m, states)
+        delayedpa.suites,
+        "delayed_pa_epsilons_quantum",
+        lambda rows, states: seen.append(BinaryMatrix(len(rows), 3, tuple(rows.tolist()))) or score(rows, states),
     )
     payload, passed = delayedpa.suites.suite_delayed_pa(
         n=2, n_pa=1, quantum_trials=300, quantum_n=3, quantum_dim=1, seed=3
     )
     assert passed and payload["quantum"]["trials"] == len(seen) == 300
-    spaces = [*enumerate_row_spaces(3, 1), *enumerate_row_spaces(3, 2)]
+    spaces = [*row_space_matrices(3, 1), *row_space_matrices(3, 2)]
     assert set(seen) == set(spaces) and len(spaces) == 14
 
 
@@ -971,10 +1016,10 @@ def test_one_wide_row_space_stays_within_memory_bound():
     # kernel peaks at 25.7 MiB under tracemalloc; the one-matrix scatter-add
     # verifier it replaced peaked at 40.9 MiB.
     views, widths = _bank_views(7)
-    matrix = next(enumerate_row_spaces(7, 6))
+    rows = enumerate_row_spaces(7, 6)[:1]
     tracemalloc.start()
     try:
-        _bank_epsilons([matrix], views, widths)
+        _bank_epsilons(rows, 7, views, widths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
