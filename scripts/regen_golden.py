@@ -54,6 +54,12 @@ COMMANDS = {
     "simulate integrated-2d": (
         "simulate", "integrated-2d", "--noise-fwd", "depolarizing:0.03",
         "--noise-bwd", "depolarizing:0.03", *_SIM),
+    # integrated's two abort points: the forward line priced alone, before
+    # the seed is drawn, and the message priced after the backward phase
+    "simulate integrated-2 abort before seed": (
+        "simulate", "integrated-2", "--noise-fwd", "bsc:0.9", *_SIM),
+    "simulate integrated-2d abort after seed": (
+        "simulate", "integrated-2d", "--eve", "intercept-resend", *_SIM),
     "simulate relay": ("simulate", "relay", "--noise-fwd", "bsc:0.02", *_SIM),
     "simulate relay normal-scheme": (
         "simulate", "relay", "--normal-scheme", "--noise-fwd", "bsc:0.02", *_SIM),
