@@ -40,7 +40,7 @@ class AdditivePaFunction:
     are never built.  :meth:`draw` draws a session's hash from an rng, and
     only this class sizes or parses a session's seed; runs hash with
     ``modified_toeplitz_hash`` directly, on seeds that ``protocols`` draws
-    and ``reports`` parses and sizes.
+    or its configs size-check, and that ``reports`` parses.
     """
 
     seed: BitVector

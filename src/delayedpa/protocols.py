@@ -22,10 +22,12 @@ Channels act as sampled Pauli operations (an exact unraveling of the
 modeled noise).  A run takes every draw from one
 :class:`delayedpa.stream.BitStream` seeded with ``cfg.seed``.
 
-Privacy amplification: each run draws an (n - 1)-bit hash seed and hashes
+Privacy amplification is one step, ``_distill``: it prices the key, and
+unless the ledger aborts, draws the run's (n - 1)-bit hash seed and hashes
 all its keys and messages with one ``gf2.modified_toeplitz_hash`` call:
 bb84 and dqkd one key, integrated-2 (a, m), 2b (a, m, c, c XOR a), 2c
-(a, m, y, y XOR a) and 2d (m, m^), and relay's delayed scheme its two keys.
+(a, m, y, y XOR a) and 2d (m, m^).  Relay's delayed scheme hashes its two
+keys with its inner bb84 run's seed.
 """
 
 from __future__ import annotations
@@ -269,6 +271,16 @@ class RelayTranscript:
 
 # ------------------------------------------------------------------ configs
 
+def _check_run(cfg, min_test: int = 2) -> None:
+    """The checks every run config makes: n and n_test, then the length of a
+    fixed hash seed, which every run takes with n - 1 bits (bb84 without
+    quantum memory hashes with a prefix of it)."""
+    if cfg.n < 1 or cfg.n_test < min_test:
+        raise ValueError(f"need n >= 1 and n_test >= {min_test}")
+    if cfg.pa_seed is not None and cfg.pa_seed.length != cfg.n - 1:
+        raise ValueError(f"pa_seed length {cfg.pa_seed.length} does not match required n - 1 = {cfg.n - 1}")
+
+
 @dataclass(frozen=True)
 class Bb84Config:
     """One-way run on the forward line.
@@ -288,8 +300,7 @@ class Bb84Config:
     quantum_memory: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n_test < 2:
-            raise ValueError("need n >= 1 and n_test >= 2")
+        _check_run(self)
 
 
 @dataclass(frozen=True)
@@ -306,8 +317,7 @@ class DqkdConfig:
     pa_seed: BitVector | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n_test < 1:
-            raise ValueError("need n >= 1 and n_test >= 1")
+        _check_run(self, min_test=1)
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must be in (0, 1)")
 
@@ -344,8 +354,7 @@ class IntegratedConfig:
     def __post_init__(self) -> None:
         if self.variant not in ("2", "2b", "2c", "2d"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n < 1 or self.n_test < 2:
-            raise ValueError("need n >= 1 and n_test >= 2")
+        _check_run(self)
         # the run would ignore a noisy classical line, yet the report would echo it
         if self.variant in ("2", "2b") and self.backward.kind != "noiseless":
             raise ValueError(
@@ -367,23 +376,12 @@ class RelayConfig:
     pa_seed: BitVector | None = None
 
     def __post_init__(self) -> None:
-        # Bb84Config's check, made before the pool is sized against n
-        if self.n < 1 or self.n_test < 2:
-            raise ValueError("need n >= 1 and n_test >= 2")
+        _check_run(self)  # before the pool is sized against n
         if self.pool_size < self.n:
             raise ValueError("pool exhausted: pool_size must be >= n")
 
 
 # ------------------------------------------------------------------ runs
-
-def _draw_pa_seed(n: int, pa_seed: BitVector | None, stream: BitStream) -> BitVector:
-    """The (n - 1)-bit seed of the modified Toeplitz hash of n-bit keys."""
-    if pa_seed is None:
-        return BitVector.random(n - 1, stream)
-    if pa_seed.length != n - 1:
-        raise ValueError(f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}")
-    return pa_seed
-
 
 def _send(channel: ChannelModel, eve: EveModel, stream: BitStream) -> Signals:
     """The stream's n signals prepared in random bases and sent over the forward line."""
@@ -430,6 +428,24 @@ def _estimate(t: ProtocolTranscript, test: np.ndarray, minimum: int, reason: str
     return estimate_errors(count_x, errors_x, count_z, _popcount(test & wrong) - errors_x)
 
 
+def _distill(t, cfg, stream, n: int, e_roundtrip: float, forward_reconciled=False, keys=()) -> list:
+    """Price n key bits at ``t.estimate`` with ideal EC charged at
+    ``e_roundtrip`` (and for the forward line if ``forward_reconciled``),
+    then hash ``keys``: one output per key, each None if the ledger aborts.
+    The first pricing that passes draws the seed with the configured n - 1
+    bits (or takes ``cfg.pa_seed``); the hash takes its first ledger.n - 1,
+    a uniform seed of the family, as bb84's sifted count is random."""
+    est = t.estimate
+    ledger = t.ledger = build_ledger(n, cfg.n_test, e_roundtrip, est.e_p, est.e_b, forward_reconciled)
+    if ledger.abort:
+        _abort(t, "non-positive key length")
+        return [None] * len(keys)
+    if t.pa_seed is None:
+        seed = BitVector.random(cfg.n - 1, stream) if cfg.pa_seed is None else cfg.pa_seed
+        t.pa_seed = seed.cut(0, ledger.n - 1)
+    return modified_toeplitz_hash(t.pa_seed, ledger.n_pa, keys)
+
+
 def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     """Forward-line key distillation with test-bit estimation and hashing.
 
@@ -456,17 +472,10 @@ def run_bb84(cfg: Bb84Config) -> ProtocolTranscript:
     if est is None:
         return t
 
-    ledger = t.ledger = build_ledger(t.sift_retained - cfg.n_test, cfg.n_test, est.e_b, est.e_p, est.e_b)
-    if ledger.abort:
-        return _abort(t, "non-positive key length")
-
     a = t.raw_key_alice = _select(s.alice_bit, s.role_key, n_sent)
-    # the seed is sized by the configured n, as the sifted count is random;
-    # its first ledger.n - 1 bits are a uniform seed of the family
-    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, stream).cut(0, ledger.n - 1)
     # ideal EC: the receiver's raw key becomes a (cost already in the ledger),
     # after which both sides hash to the same k
-    t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
+    t.alice_key = t.bob_key = _distill(t, cfg, stream, t.sift_retained - cfg.n_test, est.e_b, keys=[a])[0]
     return t
 
 
@@ -501,13 +510,8 @@ def run_dqkd(cfg: DqkdConfig) -> ProtocolTranscript:
     alice_bits = _flips(s.op_x, s.op_z, s.basis)
     errors_rt = _popcount((alice_bits ^ s.bob_outcome ^ s.bob_bit) & test)
     est = t.estimate = with_roundtrip(est, cfg.n_test, errors_rt)
-    ledger = t.ledger = build_ledger(cfg.n, cfg.n_test, est.e_roundtrip, est.e_p, est.e_b)
-    if ledger.abort:
-        return _abort(t, "non-positive key length")
-
     a = t.raw_key_alice = _select(alice_bits, s.role_key, s.n)
-    t.pa_seed = _draw_pa_seed(cfg.n, cfg.pa_seed, stream)
-    t.alice_key = t.bob_key = modified_toeplitz_hash(t.pa_seed, ledger.n_pa, [a])[0]
+    t.alice_key = t.bob_key = _distill(t, cfg, stream, cfg.n, est.e_roundtrip, keys=[a])[0]
     return t
 
 
@@ -515,10 +519,9 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
     """Forward distillation run glued to one backward variant (2/2b/2c/2d).
 
     All variants deliver the hashed message f(m) of length N_PA on both
-    sides; 2b, 2c, and 2d exercise the delayed-hash recovery routes.  Each
-    variant hashes all its keys in one call, after the backward phase of
-    2c; hashing draws nothing from the stream, so its place does not change
-    the transcript.
+    sides; 2b, 2c, and 2d exercise the delayed-hash recovery routes.  The
+    forward line is priced before the backward phase, and the message after
+    it, where each variant hashes all its keys in one call.
     """
     t = ProtocolTranscript(protocol=f"integrated-{cfg.variant}", seed=cfg.seed)
     n_sent = cfg.n + cfg.n_test
@@ -536,21 +539,15 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         return t
 
     code = s.role_key = stream.all & ~test
-    n_key = cfg.n
-    # the ledger before any reconciliation: nothing spent yet
-    ledger = build_ledger(n_key, cfg.n_test, 0.0, est.e_p, est.e_b)
-    if ledger.n_pa <= 0:
-        t.ledger = ledger
-        return _abort(t, "non-positive key length")
-    n_pa = ledger.n_pa
-    t.pa_seed = _draw_pa_seed(n_key, cfg.pa_seed, stream)
-
-    def f(*keys):
-        return modified_toeplitz_hash(t.pa_seed, n_pa, keys)
+    # the forward line priced before any reconciliation, with nothing spent
+    # yet; passing it draws the seed, before the message
+    _distill(t, cfg, stream, cfg.n, 0.0)
+    if t.abort:
+        return t
 
     # every variant but 2d settles its forward raw keys by ideal EC before
     # the backward phase, and the ledger charges for it
-    forward_reconciled, msg_error_rate = cfg.variant != "2d", 0.0
+    forward_reconciled, msg_errors = cfg.variant != "2d", 0
     if forward_reconciled:
         s.alice_bit = measured
         a = t.raw_key_alice = _select(measured, code, n_sent)
@@ -558,36 +555,38 @@ def run_integrated(cfg: IntegratedConfig) -> ProtocolTranscript:
         m = _select(m_bits, code, n_sent)
 
     if cfg.variant == "2":
-        k, t.m_prime = f(a, m)
-        t.alice_key = t.m_prime
-        cipher = t.m_prime ^ k
-        t.recovered_via_key = t.bob_key = cipher ^ k
+        keys = (a, m)
     elif cfg.variant == "2b":
         cipher = a ^ m
-        k, t.m_prime, f_cipher, t.recovered_via_rawkey = f(a, m, cipher, cipher ^ a)
-        t.alice_key = t.m_prime
-        t.recovered_via_key = t.bob_key = f_cipher ^ k
+        keys = (a, m, cipher, cipher ^ a)
     elif cfg.variant == "2c":
         _backward(s, code, s.basis, m_bits ^ measured, cfg.backward, cfg.eve, stream)
         y = _select(s.bob_outcome, code, n_sent)
-        k, t.m_prime, f_y, t.recovered_via_rawkey = f(a, m, y, y ^ a)
-        t.recovered_via_key = f_y ^ k
-        msg_error_rate = (y ^ a ^ m).weight() / n_key
-        # ideal EC on the message settles both sides on f(m)
-        t.alice_key = t.bob_key = t.m_prime
+        keys, msg_errors = (a, m, y, y ^ a), (y ^ a ^ m).weight()
     else:  # "2d": no measurement before the backward line
         _encode_and_return(s, code, cfg.backward, cfg.eve, stream)
         # the announced basis selects which flag (m1 for z, m2 for x) carries each bit
         m = _select(_flips(s.op_x, s.op_z, s.basis), code, n_sent)
         m_hat = _select(s.bob_outcome ^ s.bob_bit, code, n_sent)
-        t.m_prime, t.recovered_via_rawkey = f(m, m_hat)
-        msg_error_rate = (m_hat ^ m).weight() / n_key
-        t.alice_key = t.bob_key = t.m_prime
+        keys, msg_errors = (m, m_hat), (m_hat ^ m).weight()
 
-    ledger = t.ledger = build_ledger(n_key, cfg.n_test, msg_error_rate, est.e_p, est.e_b, forward_reconciled)
-    if ledger.abort:
-        _abort(t, "non-positive key length")
-        t.alice_key = t.bob_key = None
+    hashed = _distill(t, cfg, stream, cfg.n, msg_errors / cfg.n, forward_reconciled, keys)
+    if t.abort:
+        return t
+    if cfg.variant == "2":
+        k, t.m_prime = hashed
+        t.recovered_via_key = t.bob_key = (t.m_prime ^ k) ^ k  # the padded f(m), unpadded
+    elif cfg.variant == "2b":
+        k, t.m_prime, f_cipher, t.recovered_via_rawkey = hashed
+        t.recovered_via_key = t.bob_key = f_cipher ^ k
+    elif cfg.variant == "2c":
+        k, t.m_prime, f_y, t.recovered_via_rawkey = hashed
+        # ideal EC on the message settles both sides on f(m)
+        t.recovered_via_key, t.bob_key = f_y ^ k, t.m_prime
+    else:
+        t.m_prime, t.recovered_via_rawkey = hashed
+        t.bob_key = t.m_prime
+    t.alice_key = t.m_prime
     return t
 
 

@@ -267,10 +267,6 @@ def build_config(doc: dict):
     backward = _channel_from_doc(channels, "backward")
     eve = _eve_from_doc(doc.get("eve", {}))
     pa_seed = _pa_seed_from_doc(doc.get("pa", {}))
-    # every protocol hashes with an (n - 1)-bit seed (bb84 without quantum
-    # memory with a prefix of it), so a wrong one is refused before the run
-    if pa_seed is not None and pa_seed.length != n - 1:
-        raise ValueError(f"pa_seed length {pa_seed.length} does not match required n - 1 = {n - 1}")
 
     # each config takes the values its fields name; a key the document
     # leaves out keeps the field's default

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -303,6 +304,7 @@ def delayed_pa_epsilons_quantum(rows, eve_states, prior=None) -> tuple[float, fl
     n = size.bit_length() - 1
     if size < 2 or size != 1 << n:
         raise ValueError(f"need 2^n states for some n >= 1, one per raw key, got {size}")
+    rows = [operator.index(w) for w in rows]  # a float would be truncated
     if not all(0 <= w < size for w in rows):
         raise ValueError(f"row words must lie in [0, {size})")
     words = np.array(rows, dtype=np.int64).reshape(1, -1)

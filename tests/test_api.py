@@ -77,6 +77,22 @@ def test_only_the_ledger_module_calls_binary_entropy():
     assert calls == []
 
 
+def test_only_the_distillation_step_prices_and_hashes_a_run():
+    # one step prices, seeds, hashes and aborts for every run, so a finite-size
+    # term or a new stage lands once; relay hashes with its inner run's seed
+    calls = []
+    for stmt in ast.parse((PACKAGE / "protocols.py").read_text()).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("build_ledger", "modified_toeplitz_hash"):
+                    calls.append((getattr(stmt, "name", None), node.func.id))
+    assert sorted(calls) == [
+        ("_distill", "build_ledger"),
+        ("_distill", "modified_toeplitz_hash"),
+        ("run_relay", "modified_toeplitz_hash"),
+    ]
+
+
 def test_every_seeded_draw_comes_from_the_stream():
     # NEP 19 keeps PCG64's raw words stable but not Generator's methods, and
     # a second generator type is a second stream: np.random is reached only

@@ -381,6 +381,20 @@ def test_bb84_fixed_pa_seed_roundtrip():
         run_bb84(Bb84Config(n=1000, n_test=200, seed=11, pa_seed=BitVector.random(1999, random.Random(10))))
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: Bb84Config(n=2000, eve=EveModel.intercept_resend("forward"), seed=5, pa_seed=seed),
+    lambda seed: DqkdConfig(n=2000, eve=EveModel.intercept_resend("forward"), seed=5, pa_seed=seed),
+    lambda seed: IntegratedConfig("2b", n=2000, eve=EveModel.intercept_resend("forward"), seed=5, pa_seed=seed),
+    lambda seed: RelayConfig(n=2000, pool_size=8000, seed=5, pa_seed=seed),
+], ids=["bb84", "dqkd", "integrated", "relay"])
+def test_every_config_refuses_a_wrong_length_pa_seed(make):
+    # these runs abort before they hash, so a seed checked only where it
+    # was drawn let an aborting run accept a seed of any length
+    with pytest.raises(ValueError, match=r"^pa_seed length 10 does not match required n - 1 = 1999$"):
+        make(BitVector.random(10, random.Random(1)))
+    assert make(BitVector.random(1999, random.Random(1))).pa_seed.length == 1999
+
+
 # --------------------------------------------------------------- dqkd
 
 def test_dqkd_noiseless():
@@ -615,6 +629,25 @@ def test_integrated_abort_ledger_counts_the_spent_test_bits(variant):
     assert ledger.n_key == ledger.n_pa - ledger.n_ec
     assert ledger.abort
     assert t.alice_key is None and t.pa_seed is None
+
+
+@pytest.mark.parametrize("variant", ["2", "2b", "2c", "2d"])
+def test_integrated_abort_after_the_seed_leaves_every_hash_output_none(variant):
+    # forward intercept-resend passes the forward pricing, which draws the
+    # seed; the reconciliation charge at the message pricing leaves no key
+    t = run_integrated(
+        IntegratedConfig(variant=variant, n=2000, eve=EveModel.intercept_resend("forward"), seed=3)
+    )
+    assert t.abort and t.abort_reason == "non-positive key length"
+    assert t.pa_seed is not None and t.pa_seed.length == 1999
+    ledger = t.ledger
+    assert 0 < ledger.n_pa <= ledger.n_ec == ledger.preshared_consumed
+    assert ledger.n_test == 256 and ledger.n_key == ledger.n_pa - ledger.n_ec
+    # 2d's message crosses the tapped forward line; the others reconcile
+    # their forward raw keys and send the message over a clean backward one
+    assert (ledger.h_roundtrip > 0) == (variant == "2d")
+    hashed = (t.alice_key, t.bob_key, t.m_prime, t.recovered_via_key, t.recovered_via_rawkey)
+    assert hashed == (None,) * 5
 
 
 # --------------------------------------------------------------- physics at scale

@@ -518,6 +518,13 @@ def test_quantum_rejects_row_words_outside_the_input_width(rows):
         delayed_pa_epsilons_quantum(rows, [np.eye(2, dtype=complex) / 2] * 8)
 
 
+@pytest.mark.parametrize("rows", [(1.7,), (1, 2.0), (np.float64(1.0),)])
+def test_quantum_rejects_row_words_that_are_not_integers(rows):
+    # 1.7 lies in [0, 4) and used to be scored as row word 1
+    with pytest.raises(TypeError):
+        delayed_pa_epsilons_quantum(rows, [np.eye(2, dtype=complex) / 2] * 4)
+
+
 @pytest.mark.parametrize("count", [6, 1, 0])
 def test_quantum_rejects_a_state_count_that_is_not_a_power_of_two(count):
     with pytest.raises(ValueError, match="need 2\\^n states"):
