@@ -128,7 +128,8 @@ def dumps(report: dict) -> str:
 def parse_pa_seed(text: str) -> BitVector:
     """Parse a fixed ``BITS:HEX`` hash seed."""
     bits, sep, digits = text.partition(":")
-    if not sep:
+    # int() would also take "1_2", "+12", " 12" and non-ASCII digits
+    if not (sep and bits.isascii() and bits.isdigit()):
         raise ValueError("pa seed must look like BITS:HEX")
     return BitVector.from_hex(int(bits), digits)
 

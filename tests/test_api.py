@@ -5,6 +5,8 @@ read somewhere in ``src/delayedpa`` outside its own definition and outside
 the re-exports of ``__init__``, or be named in a fenced code block of
 README.md or read by a script under ``scripts/``.  A name that only tests
 call belongs in ``tests/oracles.py``, which no package file may mention.
+An oracle there stays only while a test reads it, directly or through
+another oracle, and its docstring index names every oracle and no other.
 """
 
 import ast
@@ -19,6 +21,7 @@ import delayedpa
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "delayedpa"
 MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _statements(path):
@@ -60,6 +63,37 @@ def test_every_exported_name_is_run_outside_the_tests():
 
     unused = sorted({f"{module}.{name}" for module, name in _exports() if not used(name)})
     assert unused == [], f"exported, but only tests reach them (move them to tests/oracles.py): {unused}"
+
+
+def _oracle_index():
+    """The names each entry of ``tests/oracles.py``'s docstring index opens with."""
+    doc = ast.get_docstring(ast.parse(ORACLES.read_text()))
+    entries = re.findall(r"^- (.*?(?=^- |\Z))", doc, flags=re.M | re.S)
+    return [name for entry in entries for name in re.findall(r"``(\w+)``", entry.split(": ", 1)[0])]
+
+
+def test_every_oracle_is_read_by_a_test_and_indexed():
+    # an oracle whose last reader left, or an index line for one that is
+    # gone, fails here instead of waiting for a hand cleanup
+    statements = _statements(ORACLES)
+    oracles = {defined for defined, _ in statements if defined}
+    reached = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "oracles" for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+                reached.add(imported[node.id])
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "oracles":
+                reached.add(node.attr)
+    reads = {defined: read - {defined} for defined, read in statements if defined}
+    frontier = reached & oracles
+    while frontier:
+        frontier = set().union(*(reads[name] for name in frontier)) & oracles - reached
+        reached |= frontier
+    assert sorted(oracles - reached) == []
+    assert sorted(_oracle_index()) == sorted(oracles)
 
 
 def test_only_the_ledger_module_calls_binary_entropy():

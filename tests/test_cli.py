@@ -299,6 +299,14 @@ def test_wrong_length_pa_seed_exits_3_before_the_run(tmp_path, capsys, monkeypat
     assert "pa_seed length 5 does not match required n - 1 = 999999" in err
 
 
+# int() would read each BITS below as 12 or raise its own message
+@pytest.mark.parametrize("text", ["1_2:000", "+12:000", " 12:000", "12 :000", "１２:000", "x:00", "0x1:0"])
+def test_pa_seed_rejects_int_literal_syntax(capsys, text):
+    code, _, out, err = run_cli(["simulate", "dqkd", "--n", "13", "--seed", "7", "--pa-seed", text], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert "pa seed must look like BITS:HEX" in err
+
+
 def test_simulate_bb84_without_quantum_memory_hashes_with_a_seed_prefix(capsys):
     # the sifted key length is random, so a supplied seed has the configured
     # n - 1 bits and the hash takes its first (sifted n) - 1
