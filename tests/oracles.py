@@ -21,12 +21,19 @@ a second, plainer route to a result the package computes another way:
   packed rows; the rank and row-space oracle of the [I | T] family's
   independent rows, the verifier's row spaces and its fiber-count rank
   check, and the dense draw.  Brute-force row spans check it.
-- ``PreimageSampler``, ``preimage_sampler`` and ``sample_preimage``:
-  uniform preimages of any matrix with independent rows, from [A | y]
-  reduced once; the dense draw that the Toeplitz draw is held to, draw
-  for draw.  Enumerated preimages check it.
-- ``_full_rank_matrix``: random matrices redrawn until their rows are
-  independent; the draw and sweep tests' cases.
+- ``PreimageSampler`` and ``preimage_sampler``: uniform preimages of any
+  matrix with independent rows, from [A | y] reduced once; the dense
+  draw that the Toeplitz draw is held to.  Enumerated preimages check it.
+- ``sample_preimage``: one draw of a fresh ``preimage_sampler``; checks
+  that a sampler set up once draws what a fresh one draws.
+- ``ref_row_reduce_with_ops`` and ``ref_row_reduce``: Gauss-Jordan
+  elimination one row operation at a time, with their record; check
+  ``row_reduce``.
+- ``ref_preimage_sampler``: back-substitution from that record; checks
+  ``preimage_sampler`` draw for draw.
+- ``_full_rank_matrix`` and ``_full_rank_toeplitz``: random matrices, and
+  random seeds whose dense Toeplitz matrix has full rank, redrawn until
+  their rows are independent; the draw and sweep tests' cases.
 - ``ref_clmul`` and ``ref_expand_message``: the [I | T] draw with its
   product T r made one shifted XOR at a time; checks ``expand_message``
   draw for draw, apart from the FFT.
@@ -301,6 +308,81 @@ def sample_preimage(a: BinaryMatrix, y: BitVector, rng) -> BitVector:
     return preimage_sampler(a, y)(rng)
 
 
+# ---------------------------------------------------------------- elimination
+
+def ref_row_reduce_with_ops(a: BinaryMatrix) -> tuple[RowReduction, BinaryMatrix]:
+    """Plain Gauss-Jordan elimination, one column and one row at a time.
+
+    Returns the reduction and ``row_ops``, the invertible product of the
+    row operations (XORs and swaps) applied in order: ``row_ops @ a`` is
+    the reduced form.
+    """
+    # row i's operation record sits above column a.cols, starting as e_i
+    work = [w | (1 << (a.cols + i)) for i, w in enumerate(a.row_words)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        mask = 1 << c
+        pivot = next((i for i in range(r, a.rows) if work[i] & mask), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+        for i in range(a.rows):
+            if i != r and work[i] & mask:
+                work[i] ^= work[r]
+        pivot_cols.append(c)
+        r += 1
+    pivots = set(pivot_cols)
+    free_cols = tuple(c for c in range(a.cols) if c not in pivots)
+    col_mask = (1 << a.cols) - 1
+    red = RowReduction(
+        upper=BinaryMatrix(a.rows, a.cols, tuple([w & col_mask for w in work])),
+        pivot_cols=tuple(pivot_cols),
+        free_cols=free_cols,
+    )
+    return red, BinaryMatrix(a.rows, a.rows, tuple([w >> a.cols for w in work]))
+
+
+def ref_row_reduce(a: BinaryMatrix) -> RowReduction:
+    return ref_row_reduce_with_ops(a)[0]
+
+
+def ref_preimage_sampler(a: BinaryMatrix, y: BitVector):
+    """Uniform draws from {x : Ax = y} for a matrix with independent rows.
+
+    Row-reduces once and takes z = row_ops y from the oracle's own record.
+    Each draw takes the free-column bits from one ``rng.getrandbits(n_free)``
+    and back-substitutes the pivot columns; every preimage element comes
+    out with probability 2**-(cols - rows).
+    """
+    if y.length != a.rows:
+        raise ValueError(f"dimension mismatch: matrix rows {a.rows}, vector length {y.length}")
+    red, row_ops = ref_row_reduce_with_ops(a)
+    if red.rank < a.rows:
+        raise ValueError("rows not independent")
+    z = matvec(row_ops, y)
+
+    def draw(rng) -> BitVector:
+        x = 0
+        n_free = len(red.free_cols)
+        if n_free:
+            bits = rng.getrandbits(n_free)
+            for idx, fc in enumerate(red.free_cols):
+                if (bits >> idx) & 1:
+                    x |= 1 << fc
+        # Reduced echelon form: each pivot row touches its pivot plus free
+        # columns only, so substitution needs no particular order.
+        for r, pc in enumerate(red.pivot_cols):
+            if z[r] ^ _parity(red.upper.row_words[r] & x):
+                x |= 1 << pc
+        return BitVector(a.cols, x)
+
+    return draw
+
+
 # a draw has independent rows with probability > 1/4 (more columns than
 # rows), so a correct row_reduce refuses this many draws with probability
 # < 1e-24; one that refuses every draw fails instead of hanging
@@ -316,6 +398,16 @@ def _full_rank_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
     raise RuntimeError(
         f"no {rows} x {cols} matrix with independent rows in {_FULL_RANK_ATTEMPTS} draws"
     )
+
+
+def _full_rank_toeplitz(rng, n_pa, n):
+    """A full-rank Toeplitz matrix and the seed it was built from."""
+    for _ in range(_FULL_RANK_ATTEMPTS):
+        seed = BitVector.random(n + n_pa - 1, rng)
+        a = toeplitz_from_seed(seed, n_pa, n)
+        if row_reduce(a).rank == n_pa:
+            return a, seed
+    raise RuntimeError(f"no full-rank Toeplitz matrix in {_FULL_RANK_ATTEMPTS} draws")
 
 
 def ref_clmul(a: int, b: int, n: int) -> int:

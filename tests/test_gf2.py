@@ -21,15 +21,20 @@ from oracles import (
     BinaryMatrix,
     RawWords,
     _full_rank_matrix,
+    _full_rank_toeplitz,
     entry,
     identity_matrix,
     matrix_from_rows,
     matvec,
     modified_toeplitz_matrix,
+    preimage_sampler,
     random_matrix,
     ref_clmul,
     ref_expand_message,
     ref_getrandbits,
+    ref_preimage_sampler,
+    ref_row_reduce,
+    ref_row_reduce_with_ops,
     row_reduce,
     sample_preimage,
     toeplitz_from_seed,
@@ -52,6 +57,12 @@ def ref_matvec(rows, vec):
 def to_lists(a):
     """The matrix as a list of rows of 0/1 entries."""
     return [[entry(a, i, j) for j in range(a.cols)] for i in range(a.rows)]
+
+
+def ref_matmul(a, b):
+    """Naive per-entry XOR/AND reference for A @ B."""
+    cols = list(zip(*to_lists(b)))
+    return matrix_from_rows([ref_matvec(cols, row) for row in to_lists(a)])
 
 
 def ref_from_bits(bits):
@@ -761,6 +772,64 @@ def test_toeplitz_preimage_rejects_bad_shapes():
 
 # ---------------------------------------------------------------- reduction
 
+def test_row_reduce_already_echelon():
+    a = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
+    red = row_reduce(a)
+    assert red.upper == a
+    assert ref_row_reduce_with_ops(a)[1] == identity_matrix(2)
+    assert red.pivot_cols == (0, 1)
+    assert red.free_cols == (2,)
+
+
+def test_row_reduce_records_swap():
+    a = matrix_from_rows([[0, 1], [1, 0]])
+    red = row_reduce(a)
+    assert red.upper == identity_matrix(2)
+    row_ops = ref_row_reduce_with_ops(a)[1]
+    assert row_ops == matrix_from_rows([[0, 1], [1, 0]])
+    assert ref_matmul(row_ops, a) == red.upper
+
+
+def test_row_reduce_rank_deficient():
+    a = matrix_from_rows([[1, 1], [1, 1]])
+    red = row_reduce(a)
+    assert red.rank == 1
+    assert red.free_cols == (1,)
+    assert red.upper.row_words[1] == 0
+    assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == red.upper
+
+
+@given(st.randoms(use_true_random=False))
+def test_row_ops_times_original_is_upper(rng):
+    rows = rng.randint(1, 10)
+    cols = rng.randint(1, 14)
+    a = random_matrix(rows, cols, rng)
+    red = row_reduce(a)
+    assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == red.upper
+    # echelon shape: pivots strictly increase and are the leading entries
+    prev = -1
+    for r, pc in enumerate(red.pivot_cols):
+        assert pc > prev
+        prev = pc
+        assert entry(red.upper, r, pc) == 1
+        for j in range(pc):
+            assert entry(red.upper, r, j) == 0
+
+
+def test_row_ops_product_large_random():
+    rng = random.Random(7)
+    for _ in range(10):
+        a = random_matrix(64, 128, rng)
+        assert ref_matmul(ref_row_reduce_with_ops(a)[1], a) == row_reduce(a).upper
+
+
+def test_row_ops_invertible():
+    rng = random.Random(11)
+    for _ in range(20):
+        a = random_matrix(rng.randint(1, 8), rng.randint(1, 8), rng)
+        assert row_reduce(ref_row_reduce_with_ops(a)[1]).rank == a.rows
+
+
 MATRIX_KINDS = ["dense", "zero", "sparse", "rank-1", "low-rank", "duplicates", "gaps"]
 
 
@@ -793,15 +862,40 @@ def _matrix(kind, rows, cols, rng):
     return BinaryMatrix(rows, cols, tuple(words))
 
 
-# empty, one-row and one-column edges, and narrow matrices of up to 4100
-# rows, where nearly every row is cleared to zero; ten columns at most, so
-# that every row span can be enumerated
+# empty, one-row and one-column edges; narrow matrices of up to 4100 rows,
+# where nearly every row is cleared to zero; and widths 31 .. 33 and
+# 63 .. 65, on either side of 32- and 64-bit word edges, for a matrix and
+# for the [A | y] one column wider that a preimage sampler reduces
 RR_SHAPES = [
-    (0, 0), (0, 9), (4, 0), (1, 1), (1, 9),
-    (5, 7), (5, 8), (5, 9), (8, 8), (12, 5),
+    (0, 0), (0, 9), (4, 0), (1, 1), (1, 9), (1, 70),
+    (5, 7), (5, 8), (5, 9), (8, 8), (12, 5), (30, 12),
+    (40, 63), (40, 64), (40, 65), (70, 65), (20, 200),
     (300, 7), (300, 8), (300, 9), (2100, 8), (2100, 9), (2100, 10),
-    (4100, 9), (4100, 10),
+    (4100, 9), (4100, 10), (4100, 11),
+    (31, 32), (31, 33), (32, 32), (33, 32),
+    (63, 64), (64, 64), (63, 65), (65, 64),
+    (257, 17), (260, 26), (300, 35), (270, 44), (280, 53), (290, 62), (300, 71),
 ]
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("shape", RR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_reduce_matches_gauss_jordan(kind, shape):
+    rng = random.Random(f"{kind}:{shape}")
+    a = _matrix(kind, *shape, rng)
+    assert row_reduce(a) == ref_row_reduce(a)
+
+
+@given(
+    st.sampled_from(MATRIX_KINDS),
+    st.integers(0, 24),
+    st.integers(0, 40),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300)
+def test_row_reduce_matches_gauss_jordan_random(kind, rows, cols, rng):
+    a = _matrix(kind, rows, cols, rng)
+    assert row_reduce(a) == ref_row_reduce(a)
 
 
 def _span(words):
@@ -833,7 +927,9 @@ def check_reduction_by_span(a, red):
 
 
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
-@pytest.mark.parametrize("shape", RR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize(
+    "shape", [s for s in RR_SHAPES if s[1] <= 10], ids=lambda s: f"{s[0]}x{s[1]}"
+)
 def test_row_reduce_is_the_echelon_form_of_the_row_span(kind, shape):
     rng = random.Random(f"span:{kind}:{shape}")
     a = _matrix(kind, *shape, rng)
@@ -850,6 +946,48 @@ def test_row_reduce_is_the_echelon_form_of_the_row_span(kind, shape):
 def test_row_reduce_is_the_echelon_form_of_the_row_span_random(kind, rows, cols, rng):
     a = _matrix(kind, rows, cols, rng)
     check_reduction_by_span(a, row_reduce(a))
+
+
+def test_row_reduce_matches_gauss_jordan_on_toeplitz():
+    n, n_pa = 1024, 716
+    rng = random.Random(1024)
+    seed = BitVector.random(n + n_pa - 1, rng)
+    a = toeplitz_from_seed(seed, n_pa, n)
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert red.rank == n_pa
+
+
+@pytest.mark.parametrize("pattern, max_rank", [("1", 1), ("1101001", 7)], ids=["ones", "period-7"])
+def test_row_reduce_matches_gauss_jordan_on_rank_deficient_toeplitz(pattern, max_rank):
+    # a periodic seed makes every row a shift of one period, so the session
+    # matrix has rank at most the period, and most columns are free
+    n, n_pa = 1024, 716
+    seed = BitVector.from01((pattern * (n + n_pa))[: n + n_pa - 1])
+    a = toeplitz_from_seed(seed, n_pa, n)
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert 1 <= red.rank <= max_rank
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@pytest.mark.parametrize("shape", [(716, 1024), (300, 70), (40, 300)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_reduce_matches_gauss_jordan_on_low_rank(rank, shape):
+    # rows are XORs of `rank` random rows, so every column past the last
+    # pivot is zero from the next pivot position down and is free
+    rows, cols = shape
+    rng = random.Random(f"{rank}:{shape}")
+    base = [rng.getrandbits(cols) for _ in range(rank)]
+    words = []
+    for _ in range(rows):
+        w = 0
+        for b in base:
+            w ^= b * rng.getrandbits(1)
+        words.append(w)
+    a = BinaryMatrix(rows, cols, tuple(words))
+    red = row_reduce(a)
+    assert red == ref_row_reduce(a)
+    assert red.rank <= rank
 
 
 # ---------------------------------------------------------------- preimage
@@ -906,6 +1044,72 @@ def test_preimage_always_consistent(seed):
     assert matvec(a, x) == y
 
 
+def assert_sampler_matches_oracle(a, seed, draws):
+    rng = random.Random(seed)
+    y = BitVector.random(a.rows, rng)
+    draw, ref_draw = preimage_sampler(a, y), ref_preimage_sampler(a, y)
+    ours, oracle, one_draw = random.Random(seed), random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        x = draw(ours)
+        assert x == ref_draw(oracle)
+        assert x == sample_preimage(a, y, one_draw)
+        assert matvec(a, x) == y
+    # the same stream: one getrandbits(n_free) per draw on every side
+    assert ours.getstate() == oracle.getstate() == one_draw.getstate()
+
+
+SAMPLER_CASES = {
+    "identity": lambda rng: identity_matrix(5),  # n_free = 0, no draw
+    "1x2": lambda rng: _full_rank_matrix(1, 2, rng),
+    "2x4": lambda rng: _full_rank_matrix(2, 4, rng),
+    "3x8": lambda rng: _full_rank_matrix(3, 8, rng),
+    # pivots at columns 1, 2 and 4: free columns 0, 3, 5 and 6 in three runs
+    "zero-leading-column": lambda rng: matrix_from_rows(
+        [[0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 1, 0, 0, 1], [0, 0, 0, 0, 1, 1, 0]]
+    ),
+    "32x96": lambda rng: _full_rank_matrix(32, 96, rng),
+    "toeplitz-358x512": lambda rng: _full_rank_toeplitz(rng, 358, 512)[0],
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_preimage_sampler_matches_oracle(case):
+    rng = random.Random(case)
+    a = SAMPLER_CASES[case](rng)
+    assert_sampler_matches_oracle(a, rng.getrandbits(32), 20 if a.cols > 100 else 200)
+
+
+def test_preimage_sampler_zero_leading_column_pivots():
+    a = SAMPLER_CASES["zero-leading-column"](None)
+    red = row_reduce(a)
+    assert red.pivot_cols == (1, 2, 4) and red.free_cols == (0, 3, 5, 6)
+
+
+@given(st.integers(1, 10), st.integers(0, 14), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_preimage_sampler_matches_oracle_random(rows, extra, seed):
+    a = _full_rank_matrix(rows, rows + extra, random.Random(seed))
+    assert_sampler_matches_oracle(a, seed, 8)
+
+
+@pytest.mark.parametrize("a_rows, y", [
+    ([[1, 1, 0], [1, 1, 0]], "10"),  # [A | y] has independent rows
+    ([[1, 1, 0], [1, 1, 0]], "11"),  # y is in A's image
+    ([[1, 0, 1], [0, 0, 0]], "01"),  # a zero row against a set y bit
+    ([[0, 0, 0]], "1"),
+], ids=["inconsistent", "consistent", "zero-row", "zero-matrix"])
+def test_preimage_sampler_rejects_dependent_rows_whatever_y(a_rows, y):
+    # [A | y]'s rank is rows when y is outside A's image, so a pivot in y's
+    # column must fail the check as a short rank does
+    a, y = matrix_from_rows(a_rows), BitVector.from01(y)
+    with pytest.raises(ValueError, match="rows not independent"):
+        preimage_sampler(a, y)
+    with pytest.raises(ValueError, match="rows not independent"):
+        sample_preimage(a, y, random.Random(0))
+    with pytest.raises(ValueError, match="rows not independent"):
+        ref_preimage_sampler(a, y)
+
+
 @pytest.mark.parametrize("seed", [1002, 104729])
 def test_uniformity_suite_unchanged_by_reference_draw(monkeypatch, seed):
     ours = delayedpa.suites.suite_preimage_uniformity(seed=seed)
@@ -960,6 +1164,20 @@ def test_uniformity_suite_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert payload["draws"] == 200_000 and payload["samples_outside_preimage"] == 0
     assert peak < 512 * 1024
+
+
+def test_preimage_uniformity_chi_square():
+    rng = random.Random(1234)
+    a = _full_rank_matrix(3, 8, rng)
+    y = BitVector.random(3, rng)
+    expected = sorted(ref_preimage(a, y))
+    assert len(expected) == 1 << 5
+    draw = preimage_sampler(a, y)
+    counts = dict.fromkeys(expected, 0)
+    for _ in range(32000):
+        counts[draw(rng).bits] += 1
+    result = stats.chisquare([counts[k] for k in expected])
+    assert result.pvalue >= 0.001
 
 
 @pytest.mark.parametrize("e", range(1, 12))
