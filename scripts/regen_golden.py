@@ -77,6 +77,13 @@ COMMANDS = {
     "verify delayed-pa": (
         "verify", "--suite", "delayed-pa", "--n", "3", "--npa", "2",
         "--quantum-trials", "0", "--seed", "5"),
+    # the benchmark's sweep shape, and one whose n_pa = 4 joints have 16 keys
+    "verify delayed-pa n4 npa2": (
+        "verify", "--suite", "delayed-pa", "--n", "4", "--npa", "2",
+        "--quantum-trials", "0", "--seed", "5"),
+    "verify delayed-pa n5 npa4": (
+        "verify", "--suite", "delayed-pa", "--n", "5", "--npa", "4",
+        "--quantum-trials", "0", "--seed", "5"),
 }
 
 SESSION_SIZES = (64, 256, 1024)
