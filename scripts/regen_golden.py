@@ -2,9 +2,9 @@
 """Rewrite tests/golden.json, the digests of a fixed set of seeded outputs.
 
 Each report entry runs one ``delayedpa`` command line in-process and hashes
-its report bytes with the ``timing`` field removed; each session entry
-hashes ``DelayedPaSession.to_json()`` for the README example at one raw-key
-length.  ``tests/test_golden.py`` recomputes every digest, so an RNG stream
+the bytes ``reports.dumps`` writes for its report, ``timing`` removed; each
+session entry hashes ``DelayedPaSession.to_json()`` for the README example
+at one raw-key length.  ``tests/test_golden.py`` recomputes every digest, so an RNG stream
 or a report field that changes by accident fails tier-1.  The delayed-pa
 quantum epsilons are left out (eigenvalues move in the last bits between
 LAPACK builds), so that suite runs with ``--quantum-trials 0``; the
@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from delayedpa import AdditivePaFunction, BitVector, DelayedPaSession  # noqa: E402
-from delayedpa import cli  # noqa: E402
+from delayedpa import cli, reports  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden.json"
 
@@ -94,14 +94,19 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report_digest(argv) -> str:
-    """Digest of the report one command line prints, ``timing`` removed."""
+def golden_report(argv) -> dict:
+    """The report one command line prints, ``timing`` removed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(list(argv))
     report = json.loads(out.getvalue())
     report.pop("timing")
-    return _sha256(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report
+
+
+def report_digest(argv) -> str:
+    """Digest of the bytes ``reports.dumps`` writes for one command line's report."""
+    return _sha256(reports.dumps(golden_report(argv)))
 
 
 def session_digest(n: int) -> str:

@@ -8,6 +8,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from delayedpa import reports
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regen_golden.py"
 
@@ -29,3 +31,12 @@ def test_golden_digests_unchanged():
         "rewrite tests/golden.json with `python scripts/regen_golden.py` "
         "and say so in CHANGES.md"
     )
+
+
+def test_golden_reports_are_hashed_as_sorted_indented_json():
+    # the corpus hashes reports.dumps' bytes, so a faster writer is checked
+    # by it only while those bytes are the sorted, indented JSON it pins
+    regen = _regen_golden()
+    for name, argv in regen.COMMANDS.items():
+        report = regen.golden_report(argv)
+        assert reports.dumps(report) == json.dumps(report, indent=2, sort_keys=True) + "\n", name
