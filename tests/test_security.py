@@ -1014,6 +1014,28 @@ def test_fiber_count_rank_check_agrees_with_row_reduce():
                         delayed_pa_epsilons(matrix, table)
 
 
+# ------------------------------------------------------------- joint checks
+
+@pytest.mark.parametrize("fault, message", [
+    (np.nan, "non-finite probability"),
+    (-1e-3, "negative probability"),
+    (0.0, "probabilities do not sum to 1"),
+])
+def test_sweep_rejects_a_fault_in_one_msg_entry(fault, message, monkeypatch):
+    # the sweep checks every joint it scores: one faulty entry of a msg
+    # table, its largest, stops it with that check's message
+    grouped_views = delayedpa.security._grouped_views
+
+    def faulty(*args):
+        key, msg = grouped_views(*args)
+        msg[np.unravel_index(msg.argmax(), msg.shape)] = fault
+        return key, msg
+
+    monkeypatch.setattr(delayedpa.security, "_grouped_views", faulty)
+    with pytest.raises(ValueError, match=message):
+        sweep_delayed_pa(3, 2)
+
+
 # ------------------------------------------------------------- memory
 
 def test_one_wide_row_space_stays_within_memory_bound():
