@@ -3,7 +3,7 @@
 A key K with adversary view E is epsilon-secure when the joint state is
 within trace distance epsilon of an ideal uniform key decoupled from E.
 Both metrics take the joint form: a classical joint p(k, e) is scored by
-summing |.| per entry (:func:`_joint_epsilons`, for a stack of joints);
+summing |.| per entry (:func:`_ordered_bank_epsilons`, for a stack of joints);
 :class:`CqJoint` holds sigma[k] = p(k) rho_k as a stack of d x d blocks,
 one per value of the classical registers beside E, and :func:`cq_epsilon`
 sums |eigenvalue| per block.
@@ -36,15 +36,14 @@ rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 :func:`enumerate_row_spaces` returns one reduced row-echelon representative
 per subspace; the tests check that claim against the ordered enumeration
 of every matrix.  A hash is its row words (bit j of word i is entry (i, j)),
-and R hashes of one shape are an int64 array of shape (R, n_pa).  The sweep
-works one width at a time, on chunks of row spaces: one integer product
-hashes the chunk, one count checks its ranks (a linear f is balanced exactly
-when its rows are independent), one grouping serves every row space and bank
-model (the models' tables sit side by side along the view axis), and array
-operations score every (row space, model) pair.  The models of one width are
-copied out together, every joint into its own contiguous slab, and scored in
-the order numpy scores one joint alone, so every eps is the one-joint value
-bit for bit.
+and R hashes of one shape are an int64 array of shape (R, n_pa).  For each
+input width the sweep sets the bank's tables side by side, models of equal
+width together, and works on chunks of row spaces: one integer product
+hashes a chunk, one count checks its ranks (a linear f is balanced exactly
+when its rows are independent), and one grouping serves every (row space,
+model) pair.  Each side is checked and centred once over the chunk; only
+the last sum copies each joint into its own contiguous slab, summed as
+numpy sums one joint alone, so every eps is the one-joint value bit for bit.
 :func:`delayed_pa_epsilons_quantum` runs the same grouping on a chunk of one.
 """
 
@@ -59,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from delayedpa.quantum import _check_density_blocks
-from delayedpa.stream import BitStream
+from delayedpa.stream import _BYTE_WEIGHTS, BitStream
 
 __all__ = [
     "CqJoint",
@@ -224,69 +223,66 @@ def _delayed_pa_joints(rows: np.ndarray, n: int, views: np.ndarray, prior, max_n
     return _grouped_views(f_vals, n_keys, weighted)
 
 
-def _check_joints(p: np.ndarray) -> None:
-    """Raise unless each joint p[r] of a stack is finite, nonnegative and sums to 1."""
-    if not np.isfinite(p).all():
-        raise ValueError("non-finite probability")
-    if p.min() < -1e-15:
-        raise ValueError("negative probability")
-    if (np.abs(p.reshape(len(p), -1).sum(axis=1) - 1.0) > 1e-12).any():
-        raise ValueError("probabilities do not sum to 1")
-
-
-def _joint_epsilons(p: np.ndarray) -> np.ndarray:
-    """Half the L1 distance of each C-contiguous joint p[r], shape (|K|, |E|),
-    from a uniform key times its e-marginal.
-
-    Summing axis 1 of the stack and then each contiguous row of |p - ideal|
-    runs numpy's reductions in the order they run on one joint, so every
-    value is the one-joint value.  p is overwritten with |p - ideal|.
-    """
-    p -= p.sum(axis=1, keepdims=True) / p.shape[1]
-    np.abs(p, out=p)
-    return 0.5 * p.reshape(len(p), -1).sum(axis=1)
+def _width_order(widths: list[int]) -> tuple[list[int], np.ndarray]:
+    """The models by increasing width, bank order within one, and their view columns."""
+    starts = list(itertools.accumulate(widths, initial=0))
+    order = sorted(range(len(widths)), key=widths.__getitem__)
+    return order, np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
 
 
 def _bank_epsilons(rows: np.ndarray, n: int, views: np.ndarray, widths, prior=None):
-    """(eps_key, eps_msg), each of shape (R, models), for every hash and model of a bank.
+    """:func:`_ordered_bank_epsilons` for views in bank order."""
+    order, columns = _width_order(list(widths))
+    return _ordered_bank_epsilons(rows, n, views[:, columns], list(widths), order, prior)
 
-    ``rows`` holds the R hashes' row words over n input bits, shape (R, n_pa);
-    ``views`` holds the models' tables side by side along the view axis and
-    ``widths`` their column counts.  The columns are first reordered so that
-    models of equal width sit side by side; one grouping then serves every
-    hash and model, and each width's models are scored together: one copy
-    per side gives every (hash, model) joint its own C-contiguous slab,
-    shape (|K|, views), so each joint is checked and scored exactly as it
-    would be alone.  A width whose joints would take more than
-    ``_SCATTER_ENTRIES`` entries is copied a few models at a time, one at a
-    time if need be.  Scoring
-    overwrites the joints, which nothing reads again.
+
+def _ordered_bank_epsilons(rows, n, views, widths, order, prior=None):
+    """(eps_key, eps_msg), each (R, models) in bank order, for R hashes'
+    row words ``rows`` over n input bits and the models' tables side by side
+    in ``views``, in the ``order`` that :func:`_width_order` gives.
+
+    One grouping serves every hash and model.  Each side (key, msg) is then
+    checked and centred in place once over the whole stack, its per-joint
+    totals for the sum-to-1 check taken from the key-axis sum that centres
+    it.  Only then is each width's run of models copied out, every joint
+    into its own C-contiguous slab (|K|, views), for the pairwise sum numpy
+    runs on one joint alone, so each eps is the one-joint value bit for bit.
+    A run over ``_SCATTER_ENTRIES`` entries is copied a few models at a time.
     """
-    widths = list(widths)
-    starts = list(itertools.accumulate(widths, initial=0))
-    order = sorted(range(len(widths)), key=widths.__getitem__)  # stable: bank order within a width
-    columns = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
-    key, msg = _delayed_pa_joints(rows, n, views[:, columns], prior, MAX_EXHAUSTIVE_N)
-    n_rows, n_keys = key.shape[:2]
+    key, msg = _delayed_pa_joints(rows, n, views, prior, MAX_EXHAUSTIVE_N)
+    n_rows, n_keys, n_pads = msg.shape[:3]
+    firsts = list(itertools.accumulate((widths[i] for i in order), initial=0))[:-1]
     eps = np.empty((2, n_rows, len(widths)))
-    stop = 0
-    for width, same in itertools.groupby(order, key=widths.__getitem__):
-        same = list(same)
-        # models per copy: a copy stays within the grouping's entry bound
-        # unless one model's joints alone exceed it
-        step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * msg.shape[2] * width))
-        for lo in range(0, len(same), step):
-            group = same[lo:lo + step]
-            start, stop = stop, stop + width * len(group)
-            # p(m', c, e): the msg view is the pair (c, e)
-            for side, joint in enumerate((key[..., start:stop], msg[..., start:stop])):
-                # [r, k, ..., (model, e)] -> [(r, model), k, ..., e], one slab per joint
-                joint = joint.reshape(joint.shape[:-1] + (len(group), width))
-                last = joint.ndim - 1
-                joint = joint.transpose(0, last - 1, *range(1, last - 1), last)
-                joint = np.ascontiguousarray(joint).reshape(n_rows * len(group), n_keys, -1)
-                _check_joints(joint)
-                eps[side][:, group] = _joint_epsilons(joint).reshape(n_rows, len(group))
+    # p(m', c, e): the msg view is the pair (c, e)
+    for side, p in enumerate((key, msg)):
+        total = p.sum(axis=1, keepdims=True)
+        # numpy sums the stack's key axis in order, but pairwise for a joint
+        # alone that is one view wide: such key joints, first, sum apart
+        for j in range(widths.count(1) if side == 0 else 0):
+            total[:, 0, j] = p[:, :, j].sum(axis=1)
+        if not np.isfinite(total).all():  # as is the column sum of a non-finite entry
+            raise ValueError("non-finite probability")
+        if p.min() < -1e-15:
+            raise ValueError("negative probability")
+        sums = np.add.reduceat(total.reshape(n_rows, -1, p.shape[-1]).sum(axis=1), firsts, axis=1)
+        if (np.abs(sums - 1.0) > 1e-12).any():
+            raise ValueError("probabilities do not sum to 1")
+        p -= total / n_keys
+        np.abs(p, out=p)
+        # [r, k, ..., (model, e)] -> [r, model, k, ..., e], one slab per joint
+        axes = (0, p.ndim - 1, *range(1, p.ndim - 1), p.ndim)
+        stop = 0
+        for width, same in itertools.groupby(order, key=widths.__getitem__):
+            same = list(same)
+            # models per copy: a copy stays within the grouping's entry bound
+            # unless one model's joints alone exceed it
+            step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * n_pads * width))
+            for lo in range(0, len(same), step):
+                group = same[lo:lo + step]
+                start, stop = stop, stop + width * len(group)
+                joint = p[..., start:stop].reshape(p.shape[:-1] + (len(group), width))
+                joint = np.ascontiguousarray(joint.transpose(axes)).reshape(n_rows, len(group), -1)
+                eps[side][:, group] = 0.5 * joint.sum(axis=2)
     return eps[0], eps[1]
 
 
@@ -367,10 +363,10 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
 
 def _popcount(x: np.ndarray, n: int) -> np.ndarray:
     """The number of set bits of each entry of x, for entries below 2^n."""
-    count = np.zeros_like(x)
-    for i in range(n):
-        count += (x >> i) & 1
-    return count
+    # numpy 1.x has no bitwise_count, so a byte table counts there
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(x)
+    return sum(_BYTE_WEIGHTS[(x >> shift) & 0xFF] for shift in range(0, n, 8))
 
 
 def default_eve_bank_path() -> Path:
@@ -467,14 +463,17 @@ def enumerate_row_spaces(n: int, n_pa: int) -> np.ndarray:
     """
     spaces = []
     for pivots in itertools.combinations(range(n), n_pa):
-        free = [(r, 1 << c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
-        for bits in range(1 << len(free)):
-            rows = [1 << p for p in pivots]
-            for j, (r, col) in enumerate(free):
-                if bits >> j & 1:
-                    rows[r] |= col
-            spaces.append(rows)
-    return np.array(spaces, dtype=np.int64).reshape(len(spaces), n_pa)
+        # row r's words: p_r with each subset of the non-pivot columns above
+        # it, the j-th such column as bit j of the subset's index
+        rows = [[1 << p] for p in pivots]
+        for words, p in zip(rows, pivots):
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    words += [w | 1 << c for w in words]
+        # the free bits count up from row 0's, so row 0 varies fastest
+        spaces += itertools.product(*rows[::-1])
+    flat = np.fromiter(itertools.chain.from_iterable(spaces), np.int64, len(spaces) * n_pa)
+    return flat.reshape(len(spaces), n_pa)[:, ::-1].copy()
 
 
 def sweep_delayed_pa(
@@ -500,15 +499,16 @@ def sweep_delayed_pa(
         if not tables:
             continue
         names = [name for name, _ in tables]
-        views = np.concatenate([table for _, table in tables], axis=1)
         widths = [table.shape[1] for _, table in tables]
+        order, columns = _width_order(widths)
+        views = np.concatenate([table for _, table in tables], axis=1)[:, columns]
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
             spaces = enumerate_row_spaces(n, n_pa)
             # row spaces per call, so one call's joint table stays within the bound
             step = max(1, _SCATTER_ENTRIES // ((1 << n_pa) * (1 << n) * views.shape[1]))
             for lo in range(0, len(spaces), step):
                 chunk = spaces[lo:lo + step]
-                eps_key, eps_msg = _bank_epsilons(chunk, n, views, widths)
+                eps_key, eps_msg = _ordered_bank_epsilons(chunk, n, views, widths, order)
                 gaps = np.abs(eps_key - eps_msg).ravel()  # cases by row space, then model
                 cases += gaps.size
                 last = gaps.size - 1 - int(np.argmax(gaps[::-1]))

@@ -98,7 +98,7 @@ from delayedpa.quantum import (
     basis_ket,
     verify_2c_2d_stack,
 )
-from delayedpa.security import _bank_epsilons, _check_joints
+from delayedpa.security import _bank_epsilons
 
 
 # ---------------------------------------------------------------- gf2
@@ -778,7 +778,12 @@ class ClassicalJoint:
         object.__setattr__(self, "probs", p)
         if p.ndim != 2:
             raise ValueError("joint table must be 2-D")
-        _check_joints(p[None])
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite probability")
+        if p.min() < -1e-15:
+            raise ValueError("negative probability")
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError("probabilities do not sum to 1")
 
 
 def classical_epsilon(joint: ClassicalJoint) -> float:

@@ -13,6 +13,7 @@ from delayedpa.security import (
     _bank_epsilons,
     _grouped_views,
     _hash_values,
+    _popcount,
     MAX_QUANTUM_N,
     CqJoint,
     SecurityReport,
@@ -453,6 +454,20 @@ def test_eve_table_matches_loop_oracle(rule, params):
         got = eve_table(rule, n, **params)
         want = ref_eve_table(rule, n, **params)
         assert got.dtype == want.dtype and np.array_equal(got, want), (rule, params, n)
+
+
+def test_eve_table_counts_bits_by_byte_table_without_bitwise_count(monkeypatch):
+    # numpy 1.x, the floor, has no bitwise_count; _popcount counts bytes there
+    x = np.random.default_rng(7).integers(0, 1 << 40, size=1000)
+    want = [bin(v).count("1") for v in x.tolist()]
+    assert _popcount(x, 40).tolist() == want
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert _popcount(x, 40).tolist() == want
+    for rule, params in EVE_RULES:
+        for n in range(1, 8):
+            got = eve_table(rule, n, **params)
+            want_table = ref_eve_table(rule, n, **params)
+            assert got.dtype == want_table.dtype and np.array_equal(got, want_table), (rule, params, n)
 
 
 def test_random_eve_states_match_per_state_oracle():
@@ -924,6 +939,28 @@ def test_width_grouped_bank_epsilons_equal_each_model_alone(entries, monkeypatch
             assert list(zip(keys, msgs)) == ref_bank_epsilons(matrix, views, widths), (k, matrix)
 
 
+def test_bank_epsilons_under_a_prior_equal_each_model_alone():
+    # a prior leaves the blind model's key joint off the dyadic grid, and
+    # numpy sums the key axis of a one-view joint of 8 keys or more
+    # pairwise, not in order; the bank's scoring must centre it alike
+    n = 5
+    views, widths = _bank_views(n)
+    starts = list(itertools.accumulate(widths, initial=0))
+    prior = np.random.default_rng(51).random(1 << n)
+    prior /= prior.sum()
+    for k in range(3, n + 1):
+        spaces = row_space_matrices(n, k)
+        eps_key, eps_msg = _bank_epsilons(words_of(spaces), n, views, widths, prior)
+        for matrix, keys, msgs in zip(spaces, eps_key.tolist(), eps_msg.tolist()):
+            key, msg = ref_grouped_views(ref_hash_values(matrix), 1 << k, prior[:, None] * views)
+            want = [
+                (classical_epsilon(ClassicalJoint(key[:, lo:hi].copy())),
+                 classical_epsilon(ClassicalJoint(msg[:, :, lo:hi].reshape(len(msg), -1))))
+                for lo, hi in zip(starts, starts[1:])
+            ]
+            assert list(zip(keys, msgs)) == want, (k, matrix)
+
+
 # ------------------------------------------------------------- closed forms
 # Values derived by hand, sharing no code with the verifier.
 
@@ -1040,10 +1077,10 @@ def test_sweep_rejects_a_fault_in_one_msg_entry(fault, message, monkeypatch):
 
 def test_one_wide_row_space_stays_within_memory_bound():
     # one n = 7, n_pa = 6 row space against the default bank: the joint table
-    # is 64 keys x 128 pads x 265 views (16.6 MiB), and scoring copies out one
-    # model's block (at most 8 MiB) at a time and overwrites it.  The batched
-    # kernel peaks at 25.7 MiB under tracemalloc; the one-matrix scatter-add
-    # verifier it replaced peaked at 40.9 MiB.
+    # is 64 keys x 128 pads x 265 views (16.6 MiB); scoring centres it in
+    # place, then copies out one model's block (at most 8 MiB) at a time for
+    # its last sum.  The batched kernel peaks at 25.2 MiB under tracemalloc;
+    # the one-matrix scatter-add verifier it replaced peaked at 40.9 MiB.
     views, widths = _bank_views(7)
     rows = enumerate_row_spaces(7, 6)[:1]
     tracemalloc.start()
