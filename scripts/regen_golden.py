@@ -4,11 +4,11 @@
 Each report entry runs one ``delayedpa`` command line in-process and hashes
 the bytes ``reports.dumps`` writes for its report, ``timing`` removed; each
 session entry hashes ``DelayedPaSession.to_json()`` for the README example
-at one raw-key length.  ``tests/test_golden.py`` recomputes every digest, so an RNG stream
-or a report field that changes by accident fails tier-1.  The delayed-pa
-quantum epsilons are left out (eigenvalues move in the last bits between
-LAPACK builds), so that suite runs with ``--quantum-trials 0``; the
-protocol-2c2d distances pass through no eigensolver and are kept.
+at one raw-key length.  ``tests/test_golden.py`` recomputes every digest,
+so an RNG stream or a report field that changes by accident fails tier-1.
+The delayed-pa quantum epsilons are left out (eigenvalues move in the last
+bits between LAPACK builds), so that suite runs with ``--quantum-trials 0``;
+the protocol-2c2d distances pass through no eigensolver and are kept.
 
 Rewrite the file only for a change that alters a stream or a report on
 purpose, and say so in CHANGES.md:

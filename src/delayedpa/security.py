@@ -256,11 +256,11 @@ def _ordered_bank_epsilons(rows, n, views, widths, order, prior=None):
     # p(m', c, e): the msg view is the pair (c, e)
     for side, p in enumerate((key, msg)):
         total = p.sum(axis=1, keepdims=True)
-        # numpy sums the stack's key axis in order, but pairwise for a joint
-        # alone that is one view wide: such key joints, first, sum apart
+        # numpy sums the stack's key axis in order but a one-view joint's alone
+        # pairwise: those key joints, the first columns, are summed apart
         for j in range(widths.count(1) if side == 0 else 0):
             total[:, 0, j] = p[:, :, j].sum(axis=1)
-        if not np.isfinite(total).all():  # as is the column sum of a non-finite entry
+        if not np.isfinite(total).all():  # a NaN or inf entry reaches its column sum
             raise ValueError("non-finite probability")
         if p.min() < -1e-15:
             raise ValueError("negative probability")
