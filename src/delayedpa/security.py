@@ -223,7 +223,7 @@ def _delayed_pa_joints(rows: np.ndarray, n: int, views: np.ndarray, prior, max_n
     return _grouped_views(f_vals, n_keys, weighted)
 
 
-def _width_order(widths: list[int]) -> tuple[list[int], np.ndarray]:
+def _width_order(widths) -> tuple[list[int], np.ndarray]:
     """The models by increasing width, bank order within one, and their view columns."""
     starts = list(itertools.accumulate(widths, initial=0))
     order = sorted(range(len(widths)), key=widths.__getitem__)
@@ -232,8 +232,8 @@ def _width_order(widths: list[int]) -> tuple[list[int], np.ndarray]:
 
 def _bank_epsilons(rows: np.ndarray, n: int, views: np.ndarray, widths, prior=None):
     """:func:`_ordered_bank_epsilons` for views in bank order."""
-    order, columns = _width_order(list(widths))
-    return _ordered_bank_epsilons(rows, n, views[:, columns], list(widths), order, prior)
+    order, columns = _width_order(widths)
+    return _ordered_bank_epsilons(rows, n, views[:, columns], widths, order, prior)
 
 
 def _ordered_bank_epsilons(rows, n, views, widths, order, prior=None):
