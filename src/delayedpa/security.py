@@ -3,7 +3,7 @@
 A key K with adversary view E is epsilon-secure when the joint state is
 within trace distance epsilon of an ideal uniform key decoupled from E.
 Both metrics take the joint form: a classical joint p(k, e) is scored by
-summing |.| per entry (:func:`_ordered_bank_epsilons`, for a stack of joints);
+summing |.| per entry (:func:`_bank_epsilons`, for a stack of joints);
 :class:`CqJoint` holds sigma[k] = p(k) rho_k as a stack of d x d blocks,
 one per value of the classical registers beside E, and :func:`cq_epsilon`
 sums |eigenvalue| per block.
@@ -223,33 +223,25 @@ def _delayed_pa_joints(rows: np.ndarray, n: int, views: np.ndarray, prior, max_n
     return _grouped_views(f_vals, n_keys, weighted)
 
 
-def _width_order(widths) -> tuple[list[int], np.ndarray]:
-    """The models by increasing width, bank order within one, and their view columns."""
-    starts = list(itertools.accumulate(widths, initial=0))
-    order = sorted(range(len(widths)), key=widths.__getitem__)
-    return order, np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
-
-
 def _bank_epsilons(rows: np.ndarray, n: int, views: np.ndarray, widths, prior=None):
-    """:func:`_ordered_bank_epsilons` for views in bank order."""
-    order, columns = _width_order(widths)
-    return _ordered_bank_epsilons(rows, n, views[:, columns], widths, order, prior)
+    """(eps_key, eps_msg), each of shape (R, models), for every hash and model of a bank.
 
-
-def _ordered_bank_epsilons(rows, n, views, widths, order, prior=None):
-    """(eps_key, eps_msg), each (R, models) in bank order, for R hashes'
-    row words ``rows`` over n input bits and the models' tables side by side
-    in ``views``, in the ``order`` that :func:`_width_order` gives.
-
-    One grouping serves every hash and model.  Each side (key, msg) is then
-    checked and centred in place once over the whole stack, its per-joint
-    totals for the sum-to-1 check taken from the key-axis sum that centres
-    it.  Only then is each width's run of models copied out, every joint
-    into its own C-contiguous slab (|K|, views), for the pairwise sum numpy
-    runs on one joint alone, so each eps is the one-joint value bit for bit.
-    A run over ``_SCATTER_ENTRIES`` entries is copied a few models at a time.
+    ``rows`` holds the R hashes' row words over n input bits, shape (R, n_pa);
+    ``views`` holds the models' tables side by side along the view axis and
+    ``widths`` their column counts.  The columns are first reordered so that
+    models of equal width sit side by side, and one grouping serves every
+    hash and model.  Each side (key, msg) is then checked and centred in
+    place once over the whole stack, its per-joint totals for the sum-to-1
+    check taken from the key-axis sum that centres it.  Only then is each
+    width's run of models copied out, every joint into its own C-contiguous
+    slab (|K|, views), for the pairwise sum numpy runs on one joint alone,
+    so each eps is the one-joint value bit for bit.  A run over
+    ``_SCATTER_ENTRIES`` entries is copied a few models at a time.
     """
-    key, msg = _delayed_pa_joints(rows, n, views, prior, MAX_EXHAUSTIVE_N)
+    starts = list(itertools.accumulate(widths, initial=0))
+    order = sorted(range(len(widths)), key=widths.__getitem__)  # stable: bank order within a width
+    columns = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
+    key, msg = _delayed_pa_joints(rows, n, views[:, columns], prior, MAX_EXHAUSTIVE_N)
     n_rows, n_keys, n_pads = msg.shape[:3]
     firsts = list(itertools.accumulate((widths[i] for i in order), initial=0))[:-1]
     eps = np.empty((2, n_rows, len(widths)))
@@ -363,10 +355,7 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
 
 def _popcount(x: np.ndarray, n: int) -> np.ndarray:
     """The number of set bits of each entry of x, for entries below 2^n."""
-    # numpy 1.x has no bitwise_count, so a byte table counts there
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x)
-    return sum(_BYTE_WEIGHTS[(x >> shift) & 0xFF] for shift in range(0, n, 8))
+    return sum((_BYTE_WEIGHTS[(x >> shift) & 0xFF] for shift in range(0, n, 8)), np.zeros_like(x))
 
 
 def default_eve_bank_path() -> Path:
@@ -499,16 +488,15 @@ def sweep_delayed_pa(
         if not tables:
             continue
         names = [name for name, _ in tables]
+        views = np.concatenate([table for _, table in tables], axis=1)
         widths = [table.shape[1] for _, table in tables]
-        order, columns = _width_order(widths)
-        views = np.concatenate([table for _, table in tables], axis=1)[:, columns]
         for n_pa in range(1, min(max_n_pa, n - 1) + 1):
             spaces = enumerate_row_spaces(n, n_pa)
             # row spaces per call, so one call's joint table stays within the bound
             step = max(1, _SCATTER_ENTRIES // ((1 << n_pa) * (1 << n) * views.shape[1]))
             for lo in range(0, len(spaces), step):
                 chunk = spaces[lo:lo + step]
-                eps_key, eps_msg = _ordered_bank_epsilons(chunk, n, views, widths, order)
+                eps_key, eps_msg = _bank_epsilons(chunk, n, views, widths)
                 gaps = np.abs(eps_key - eps_msg).ravel()  # cases by row space, then model
                 cases += gaps.size
                 last = gaps.size - 1 - int(np.argmax(gaps[::-1]))
