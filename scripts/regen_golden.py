@@ -94,19 +94,16 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def golden_report(argv) -> dict:
-    """The report one command line prints, ``timing`` removed."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(list(argv))
-    report = json.loads(out.getvalue())
-    report.pop("timing")
-    return report
-
-
-def report_digest(argv) -> str:
-    """Digest of the bytes ``reports.dumps`` writes for one command line's report."""
-    return _sha256(reports.dumps(golden_report(argv)))
+def golden_reports() -> dict[str, dict]:
+    """Each command line's report, ``timing`` removed, by entry name."""
+    out = {}
+    for name, argv in COMMANDS.items():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.main(list(argv))
+        out[name] = json.loads(text.getvalue())
+        out[name].pop("timing")
+    return out
 
 
 def session_digest(n: int) -> str:
@@ -119,8 +116,11 @@ def session_digest(n: int) -> str:
     return _sha256(DelayedPaSession.create(f, m_prime, raw_key, rng).to_json())
 
 
-def digests() -> dict[str, str]:
-    out = {name: report_digest(argv) for name, argv in COMMANDS.items()}
+def digests(reports_by_name: dict[str, dict] | None = None) -> dict[str, str]:
+    """Every entry's digest; a report's is that of the bytes ``reports.dumps`` writes."""
+    if reports_by_name is None:
+        reports_by_name = golden_reports()
+    out = {name: _sha256(reports.dumps(report)) for name, report in reports_by_name.items()}
     out.update({f"session n={n}": session_digest(n) for n in SESSION_SIZES})
     return out
 
