@@ -37,10 +37,10 @@ rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 per subspace; the tests check that claim against the ordered enumeration
 of every matrix.  A hash is its row words (bit j of word i is entry (i, j)),
 and R hashes of one shape are an int64 array of shape (R, n_pa).  For each
-input width the sweep sets the bank's tables side by side, models of equal
-width together, and works on chunks of row spaces: one integer product
-hashes a chunk, one count checks its ranks (a linear f is balanced exactly
-when its rows are independent), and one grouping serves every (row space,
+input width the sweep sets the bank's tables side by side and works on
+chunks of row spaces: one integer product hashes a chunk, one count checks
+its ranks (a linear f is balanced exactly when its rows are independent),
+and one grouping, models of equal width together, serves every (row space,
 model) pair.  Each side is checked and centred once over the chunk; only
 the last sum copies each joint into its own contiguous slab, summed as
 numpy sums one joint alone, so every eps is the one-joint value bit for bit.
