@@ -209,7 +209,10 @@ def config_doc_from_args(protocol: str, args) -> dict:
     doc = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
     doc["protocol"] = protocol

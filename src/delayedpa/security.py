@@ -37,13 +37,14 @@ rows are permuted and eps_key and eps_msg, sums over every entry, are unchanged.
 per subspace; the tests check that claim against the ordered enumeration
 of every matrix.  A hash is its row words (bit j of word i is entry (i, j)),
 and R hashes of one shape are an int64 array of shape (R, n_pa).  For each
-input width the sweep sets the bank's tables side by side and works on
-chunks of row spaces: one integer product hashes a chunk, one count checks
-its ranks (a linear f is balanced exactly when its rows are independent),
-and one grouping, models of equal width together, serves every (row space,
-model) pair.  Each side is checked and centred once over the chunk; only
-the last sum copies each joint into its own contiguous slab, summed as
-numpy sums one joint alone, so every eps is the one-joint value bit for bit.
+input width the sweep sets the bank's tables side by side, in bank order,
+and works on chunks of row spaces: one integer product hashes a chunk, one
+count checks its ranks (a linear f is balanced exactly when its rows are
+independent), and one grouping, run over chunks of pads, serves every (row
+space, model) pair.  Each side is checked and centred once over the chunk;
+the models are then scored one at a time, each joint copied into its own
+contiguous slab and summed as numpy sums one joint alone, so every eps is
+the one-joint value bit for bit.
 :func:`delayed_pa_epsilons_quantum` runs the same grouping on a chunk of one.
 """
 
@@ -162,28 +163,26 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     n_rows, size = f_vals.shape
     fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
     # each take gathers whole rows of a C-contiguous copy: from an F-ordered
-    # stack such as views[:, columns], every gather is strided and about 7x
-    # slower (asanyarray keeps an ndarray subclass, so a test can spy on take)
+    # or strided array, such as a caller's state stack, every gather is
+    # strided and about 7x slower (asanyarray keeps an ndarray subclass, so a
+    # test can spy on take)
     flat = np.asanyarray(weighted, order="C").reshape(size, -1).view(np.float64)
     width = flat.shape[1]  # complex views as (re, im) pairs
     pads = np.arange(size)
     table = np.zeros((n_rows, n_keys, size, width))
-    per_chunk = max(1, _SCATTER_ENTRIES // (n_keys * width))  # (row space, pad) pairs
-    pad_step = min(size, per_chunk)
-    row_step = max(1, per_chunk // size)
-    for r0 in range(0, n_rows, row_step):
-        for c0 in range(0, size, pad_step):
-            run = pads[c0:c0 + pad_step]
-            # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check
-            # must not assume the additivity it certifies
-            keyed = f_vals[r0:r0 + row_step, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
-            # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key;
-            # it cuts into the fibers, [r, c, m', j] -> [r, m', c, j]
-            order = np.sort(keyed * size + pads, axis=-1) % size
-            idx = order.reshape(keyed.shape[:2] + (n_keys, fiber)).transpose(0, 2, 1, 3)
-            sums = table[r0:r0 + row_step, :, c0:c0 + pad_step]
-            for j in range(fiber):
-                sums += flat.take(idx[..., j], axis=0)
+    step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * width))  # pads per chunk
+    for c0 in range(0, size, step):
+        run = pads[c0:c0 + step]
+        # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check
+        # must not assume the additivity it certifies
+        keyed = f_vals[:, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
+        # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key;
+        # it cuts into the fibers, [r, c, m', j] -> [r, m', c, j]
+        order = np.sort(keyed * size + pads, axis=-1) % size
+        idx = order.reshape(keyed.shape[:2] + (n_keys, fiber)).transpose(0, 2, 1, 3)
+        sums = table[:, :, c0:c0 + step]
+        for j in range(fiber):
+            sums += flat.take(idx[..., j], axis=0)
     table = table.view(weighted.dtype).reshape((n_rows, n_keys, size) + weighted.shape[1:])
     key = table[:, :, 0].copy()  # pad c = 0 is the undelayed key
     table /= size
@@ -228,53 +227,37 @@ def _bank_epsilons(rows: np.ndarray, n: int, views: np.ndarray, widths, prior=No
 
     ``rows`` holds the R hashes' row words over n input bits, shape (R, n_pa);
     ``views`` holds the models' tables side by side along the view axis and
-    ``widths`` their column counts.  The columns are first reordered so that
-    models of equal width sit side by side, and one grouping serves every
+    ``widths`` their column counts, in bank order.  One grouping serves every
     hash and model.  Each side (key, msg) is then checked and centred in
     place once over the whole stack, its per-joint totals for the sum-to-1
-    check taken from the key-axis sum that centres it.  Only then is each
-    width's run of models copied out, every joint into its own C-contiguous
-    slab (|K|, views), for the pairwise sum numpy runs on one joint alone,
-    so each eps is the one-joint value bit for bit.  A run over
-    ``_SCATTER_ENTRIES`` entries is copied a few models at a time.
+    check taken from the key-axis sum that centres it.  Last, the models are
+    scored one at a time: reshaping a model's columns to (R, -1) copies each
+    of its joints into its own C-contiguous slab, for the pairwise sum numpy
+    runs on one joint alone, so each eps is the one-joint value bit for bit.
     """
     starts = list(itertools.accumulate(widths, initial=0))
-    order = sorted(range(len(widths)), key=widths.__getitem__)  # stable: bank order within a width
-    columns = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order])
-    key, msg = _delayed_pa_joints(rows, n, views[:, columns], prior, MAX_EXHAUSTIVE_N)
-    n_rows, n_keys, n_pads = msg.shape[:3]
-    firsts = list(itertools.accumulate((widths[i] for i in order), initial=0))[:-1]
+    one_view = [start for start, width in zip(starts, widths) if width == 1]
+    key, msg = _delayed_pa_joints(rows, n, views, prior, MAX_EXHAUSTIVE_N)
+    n_rows, n_keys = key.shape[:2]
     eps = np.empty((2, n_rows, len(widths)))
     # p(m', c, e): the msg view is the pair (c, e)
     for side, p in enumerate((key, msg)):
         total = p.sum(axis=1, keepdims=True)
         # numpy sums the stack's key axis in order but a one-view joint's alone
-        # pairwise: those key joints, the first columns, are summed apart
-        for j in range(widths.count(1) if side == 0 else 0):
+        # pairwise: those key joints are summed apart, each at its own column
+        for j in one_view if side == 0 else ():
             total[:, 0, j] = p[:, :, j].sum(axis=1)
         if not np.isfinite(total).all():  # a NaN or inf entry reaches its column sum
             raise ValueError("non-finite probability")
         if p.min() < -1e-15:
             raise ValueError("negative probability")
-        sums = np.add.reduceat(total.reshape(n_rows, -1, p.shape[-1]).sum(axis=1), firsts, axis=1)
+        sums = np.add.reduceat(total.reshape(n_rows, -1, p.shape[-1]).sum(axis=1), starts[:-1], axis=1)
         if (np.abs(sums - 1.0) > 1e-12).any():
             raise ValueError("probabilities do not sum to 1")
         p -= total / n_keys
         np.abs(p, out=p)
-        # [r, k, ..., (model, e)] -> [r, model, k, ..., e], one slab per joint
-        axes = (0, p.ndim - 1, *range(1, p.ndim - 1), p.ndim)
-        stop = 0
-        for width, same in itertools.groupby(order, key=widths.__getitem__):
-            same = list(same)
-            # models per copy: a copy stays within the grouping's entry bound
-            # unless one model's joints alone exceed it
-            step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * n_pads * width))
-            for lo in range(0, len(same), step):
-                group = same[lo:lo + step]
-                start, stop = stop, stop + width * len(group)
-                joint = p[..., start:stop].reshape(p.shape[:-1] + (len(group), width))
-                joint = np.ascontiguousarray(joint.transpose(axes)).reshape(n_rows, len(group), -1)
-                eps[side][:, group] = 0.5 * joint.sum(axis=2)
+        for i, (start, stop) in enumerate(zip(starts, starts[1:])):
+            eps[side, :, i] = 0.5 * p[..., start:stop].reshape(n_rows, -1).sum(axis=1)
     return eps[0], eps[1]
 
 
@@ -364,7 +347,10 @@ def default_eve_bank_path() -> Path:
 
 def load_eve_bank(path=None) -> list[dict]:
     p = Path(path) if path is not None else default_eve_bank_path()
-    bank = json.loads(p.read_text())
+    try:
+        bank = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"view-model bank {p} is not valid JSON: {exc}") from None
     if not isinstance(bank, list):
         raise ValueError("view-model bank must be a JSON list")
     for i, entry in enumerate(bank):

@@ -246,6 +246,42 @@ def _assert_one_line_config_error(code, out, err):
     assert err.count("\n") == 1 and "error" in err
 
 
+def test_simulate_bb84_without_quantum_memory_aborts_on_too_few_sifted_bits(capsys):
+    # about half of the 10 + 256 signals sent survive sifting: too few to
+    # take the 256 test bits and leave a key
+    code, report, _, _ = run_cli(
+        ["simulate", "bb84", "--n", "10", "--no-quantum-memory", "--seed", "1"], capsys
+    )
+    assert code == 2
+    assert report["abort"] is True
+    assert report["abort_reason"] == "insufficient sifted bits"
+    assert report["error_estimate"] is None and report["key_digest"] is None
+    check_schema(report)
+
+
+@pytest.mark.parametrize("protocol", ["bb84", "integrated-2"])
+def test_simulate_aborts_when_one_basis_gets_no_test_bit(capsys, protocol):
+    # two test signals in the same basis at this seed leave the other basis
+    # with none to estimate from
+    code, report, _, _ = run_cli(
+        ["simulate", protocol, "--n", "50", "--n-test", "2", "--seed", "2"], capsys
+    )
+    assert code == 2
+    assert report["abort"] is True
+    assert report["abort_reason"] == "insufficient test bits in one basis"
+    assert report["error_estimate"] is None and report["key_digest"] is None
+    check_schema(report)
+
+
+def test_simulate_config_with_a_json_syntax_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 10,')
+    code, _, out, err = run_cli(["simulate", "bb84", "--config", str(path)], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert f"config file {path} is not valid JSON: " in err
+    assert "line 1 column 10 (char 9)" in err
+
+
 @pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "5", "--n-test", "1"]])
 def test_simulate_relay_refuses_n_and_n_test_as_bb84_does(capsys, flags):
     # --n -1 used to be reported as an exhausted pool of -4 bits
@@ -673,6 +709,15 @@ def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
     assert names in err
 
 
+def test_verify_eve_bank_with_a_json_syntax_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 10,')
+    code, _, out, err = run_cli(["verify", "--suite", "delayed-pa", "--eve-bank", str(path)], capsys)
+    _assert_one_line_config_error(code, out, err)
+    assert f"view-model bank {path} is not valid JSON: " in err
+    assert "line 1 column 10 (char 9)" in err
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [
@@ -705,11 +750,18 @@ def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
           "--seed", "1"], "abar_dim"),
         (["verify", "--suite", "delayed-pa", "--n", "2", "--npa", "1",
           "--quantum-dim", "100000", "--quantum-trials", "1", "--seed", "1"], "quantum_dim"),
+        (["simulate", "dqkd", "--n", "100", "--check-fraction", "1", "--seed", "1"],
+         "error: check_fraction must be in (0, 1)"),
+        (["verify", "--suite", "preimage-uniformity", "--n", "13", "--npa", "1"],
+         "error: limits exceeded: uniformity suite enumerates up to n = 12"),
+        (["keyrate", "--n", "-1", "--eb-roundtrip", "0.1", "--ep", "0.1"],
+         "error: n must be nonnegative"),
     ],
     ids=["abar-dim-0", "quantum-n-1", "quantum-dim-0", "eb-single-above-quarter",
          "preimage-too-few-draws", "delayed-pa-n-1", "delayed-pa-npa-0",
          "protocol-2c2d-negative-trials", "alpha-negative", "alpha-0", "alpha-nan", "alpha-2",
-         "quantum-trials-negative", "abar-dim-huge", "quantum-dim-huge"],
+         "quantum-trials-negative", "abar-dim-huge", "quantum-dim-huge",
+         "check-fraction-1", "preimage-uniformity-n-13", "keyrate-n-negative"],
 )
 def test_out_of_range_arguments_exit_3(capsys, argv, names):
     code, _, out, err = run_cli(argv, capsys)

@@ -128,6 +128,21 @@ def test_bitvector_rejects_padding_bits():
         BitVector(3, 0b1000)
 
 
+def test_bitvector_guards_refuse_out_of_range_lengths_and_indices():
+    with pytest.raises(ValueError, match=r"^length must be nonnegative$"):
+        BitVector(-1)
+    # one hex digit holds 4 bits, one more than the declared length
+    with pytest.raises(ValueError, match=r"^set bits beyond declared length$"):
+        BitVector.from_hex(3, "8")
+    v = BitVector.from01("10110")
+    for start, stop in ((-1, 2), (3, 2), (0, 6)):
+        with pytest.raises(ValueError, match=r"^cut range out of bounds$"):
+            v.cut(start, stop)
+    for i in (-1, 5):
+        with pytest.raises(IndexError, match=r"^bit index out of range$"):
+            v[i]
+
+
 def test_xor_is_elementwise_addition():
     u = BitVector.from01("1010")
     v = BitVector.from01("0110")

@@ -419,6 +419,22 @@ def test_session_rejects_inconsistent_fields():
         )
 
 
+def test_session_from_json_rejects_an_edited_ciphertext():
+    # m still hashes to m_prime, so the one broken relation is c = a XOR m
+    rng = random.Random(322)
+    f = AdditivePaFunction.draw(3, 8, rng)
+    doc = json.loads(DelayedPaSession.create(f, BitVector.random(3, rng), BitVector.random(8, rng), rng).to_json())
+    doc["c"] = (BitVector.from_hex(8, doc["c"]) ^ BitVector(8, 1)).to_hex()
+    with pytest.raises(ValueError, match=r"^ciphertext is not a XOR m$"):
+        DelayedPaSession.from_json(json.dumps(doc))
+
+
+def test_pa_function_call_hashes_as_its_matrix():
+    f, a = seeded(*KERNEL_111)
+    for x in range(1 << a.cols):
+        assert f(BitVector(a.cols, x)) == matvec(a, BitVector(a.cols, x)), x
+
+
 @pytest.mark.parametrize("selector_seed", [-3, -1, 2**64, 2**70])
 def test_session_refuses_a_selector_seed_create_cannot_draw(selector_seed):
     # create draws getrandbits(64), so a built and a parsed session alike

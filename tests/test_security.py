@@ -707,9 +707,9 @@ def test_grouped_views_use_no_linearity(trailing, complex_views):
 
 
 def test_grouped_views_in_runs_equal_one_scatter(monkeypatch):
-    # five tables of views too wide for one chunk are grouped two or four
-    # tables at a time; every cell still sums over a in increasing order, so
-    # the result is the one-run result bit for bit
+    # five tables of views too wide for one chunk are grouped 16 or 29 pads
+    # at a time; every cell still sums over a in increasing order, so the
+    # result is the one-run result bit for bit
     rng = np.random.default_rng(15)
     size, n_keys = 32, 4
     f_vals = _balanced_tables(rng, 5, size, n_keys)
@@ -810,9 +810,9 @@ def test_grouped_views_match_scatter_oracle_on_every_small_row_space():
 
 
 def test_grouped_views_chunks_match_scatter_oracle(monkeypatch):
-    # chunks of 3 (row space, pad) pairs leave a last chunk of one pad
-    # (16 = 5 * 3 + 1); chunks of 3 whole row spaces leave one of one row
-    # space (7 = 2 * 3 + 1)
+    # a bound of 3 (row space, pad) pairs gives chunks of one pad for all 7
+    # row spaces; a bound of 3 * 16 pairs gives chunks of 6 pads and a short
+    # last chunk of 4 (16 = 2 * 6 + 4)
     rng = np.random.default_rng(18)
     size, n_keys, rows = 16, 4, 7
     weighted = rng.random((size, 5)) + 1j * rng.random((size, 5))
@@ -842,9 +842,9 @@ class _TakeSpy(np.ndarray):
 
 
 def test_grouped_views_gather_from_a_c_contiguous_copy_of_an_f_ordered_stack(monkeypatch):
-    # _bank_epsilons hands the grouping views[:, columns]; advanced indexing
-    # after a slice returns it F-ordered, and gathering whole rows from that
-    # layout made every take strided
+    # a caller may hand the grouping an F-ordered stack, as advanced indexing
+    # after a slice returns; gathering whole rows from that layout made
+    # every take strided
     n, k = 5, 2
     views, _ = _bank_views(n)
     columns = np.arange(views.shape[1])[::-1].copy()
@@ -919,9 +919,10 @@ INTERLEAVED_BANK = [
 
 @pytest.mark.parametrize("entries", [None, 1 << 9])
 def test_width_grouped_bank_epsilons_equal_each_model_alone(entries, monkeypatch):
-    # models of one width are scored together, a few at a time under a
-    # small entry bound; each eps must still be classical_epsilon's of its
-    # own ClassicalJoint, in bank order
+    # a width-1 model sits after wider ones, and a small entry bound splits
+    # the grouping into chunks of pads; each model is scored from its own
+    # columns, and each eps must be classical_epsilon's of its own
+    # ClassicalJoint, in bank order
     if entries is not None:
         monkeypatch.setattr(delayedpa.security, "_SCATTER_ENTRIES", entries)
     tables = [t for _, t in bank_tables(INTERLEAVED_BANK, 3)]
