@@ -163,9 +163,9 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     n_rows, size = f_vals.shape
     fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
     # each take gathers whole rows of a C-contiguous copy: from an F-ordered
-    # or strided array, such as a caller's state stack, every gather is
-    # strided and about 7x slower (asanyarray keeps an ndarray subclass, so a
-    # test can spy on take)
+    # or strided array, as a caller of delayed_pa_epsilons_quantum may pass,
+    # every gather is strided and about 7x slower (asanyarray keeps an
+    # ndarray subclass, so a test can spy on take)
     flat = np.asanyarray(weighted, order="C").reshape(size, -1).view(np.float64)
     width = flat.shape[1]  # complex views as (re, im) pairs
     pads = np.arange(size)
