@@ -19,14 +19,15 @@ and reports the gap rather than assuming it.
 Both sides, classical and quantum, come from one grouping of the weighted
 views w_a (a row p(a) t[a, .] or a matrix p(a) rho_a) by a table of f over
 all 2^n inputs: the key side sums w_a with f(a) = k, the delayed side sums
-w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f is
-looked up at a XOR c rather than computed as f(a) XOR f(c), because that
-identity is the additivity on which the equivalence rests; the check must
-not assume it.  f must be balanced (2^(n - n_pa) preimages per value, as
-for an additive f with independent rows): only then has a uniform preimage
-m of m' P(m) = 2^-n, as the delayed side takes it.  The grouping gathers
-these equal fibers: per pad the inputs are sorted stably by f(a XOR c), and
-each fiber's views are summed in increasing a, as a scatter-add sums them.
+w_a with f(a XOR c) = m' for every pad c (one quantum block per pad).  f must
+be balanced (2^(n - n_pa) preimages per value, as for an additive f with
+independent rows): only then has a uniform preimage m of m' P(m) = 2^-n, as
+the delayed side takes it.  The fibers {b : f(b) = m'} come from one sort of
+the table, and a pad only relabels them: a -> a XOR c is a bijection, so
+{a : f(a XOR c) = m'} = {b XOR c : f(b) = m'} for every f.  f(a) XOR f(c),
+the additivity on which the equivalence rests, is never formed, so the check
+does not assume it.  Each relabelled fiber is sorted again, and its views
+are summed in increasing a, as a scatter-add sums them.
 
 :func:`sweep_delayed_pa` runs one case per row space, not per matrix.  Two
 matrices with the same row space differ by an invertible A (f' = A f).  That
@@ -158,10 +159,12 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     2^-n sum_a [f_r(a ^ c) = m'] w_a for R tables f_vals, shape (R, 2^n).
     Every table must be balanced, 2^n / n_keys preimages per value, since
     msg is the delayed-PA joint only when P(m) = 2^-n; the one gate is
-    :func:`_delayed_pa_joints`.  Each cell sums its fiber in increasing a.
+    :func:`_delayed_pa_joints`.  One argsort gives each table's fibers and
+    every pad relabels them, as the module docstring shows; each cell sums
+    its fiber in increasing a.
     """
     n_rows, size = f_vals.shape
-    fiber = size // n_keys  # for every pad too: a -> a ^ c permutes the inputs
+    fibers = np.argsort(f_vals, axis=-1).reshape(n_rows, n_keys, 1, -1)  # [r, m', 1, j]
     # each take gathers whole rows of a C-contiguous copy: from an F-ordered
     # or strided array, as a caller of delayed_pa_epsilons_quantum may pass,
     # every gather is strided and about 7x slower (asanyarray keeps an
@@ -172,16 +175,9 @@ def _grouped_views(f_vals: np.ndarray, n_keys: int, weighted: np.ndarray):
     table = np.zeros((n_rows, n_keys, size, width))
     step = max(1, _SCATTER_ENTRIES // (n_rows * n_keys * width))  # pads per chunk
     for c0 in range(0, size, step):
-        run = pads[c0:c0 + step]
-        # f is looked up at a ^ c, never formed as f(a) ^ f(c): the check
-        # must not assume the additivity it certifies
-        keyed = f_vals[:, run[:, None] ^ pads]  # [r, c, a] -> f(a ^ c)
-        # sorting f(a ^ c) * 2^n + a is a stable argsort of the a's by key;
-        # it cuts into the fibers, [r, c, m', j] -> [r, m', c, j]
-        order = np.sort(keyed * size + pads, axis=-1) % size
-        idx = order.reshape(keyed.shape[:2] + (n_keys, fiber)).transpose(0, 2, 1, 3)
+        idx = np.sort(fibers ^ pads[c0:c0 + step, None], axis=-1)  # [r, m', c, j]
         sums = table[:, :, c0:c0 + step]
-        for j in range(fiber):
+        for j in range(idx.shape[-1]):
             sums += flat.take(idx[..., j], axis=0)
     table = table.view(weighted.dtype).reshape((n_rows, n_keys, size) + weighted.shape[1:])
     key = table[:, :, 0].copy()  # pad c = 0 is the undelayed key
@@ -319,6 +315,8 @@ def eve_table(rule: str, n: int, **params) -> np.ndarray:
         index = params.get("index", 0)
         if not isinstance(index, int) or isinstance(index, bool):
             raise ValueError(f"index must be an integer, got {index!r}")
+        if n < 1:
+            raise ValueError(f"rule 'bit' needs n >= 1, got {n}")
         index %= n
         return np.eye(2)[(a >> index) & 1]
     if rule == "parity":
@@ -379,6 +377,9 @@ def _explicit_table(entry: dict) -> np.ndarray:
         raise ValueError(f"a table rule needs an integer n in 1..{MAX_EXHAUSTIVE_N} and a table")
     try:
         table = np.asarray(entry["table"], dtype=float)
+        # the float cast also reads true/false and numeric strings
+        if any(isinstance(x, (bool, str)) for x in np.asarray(entry["table"], dtype=object).flat):
+            raise ValueError
     except (TypeError, ValueError):
         raise ValueError("table must hold numbers in equal-length rows") from None
     if table.ndim != 2 or table.shape[0] != 1 << width:

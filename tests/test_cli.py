@@ -690,12 +690,20 @@ def test_verify_custom_eve_bank(tmp_path, capsys):
         # a bank with no model for the swept widths would certify nothing
         ([], "no model"),
         ([{"name": "a", "rule": "table", "n": 3, "table": [[1.0]] * 8}], "no model"),
+        # a float cast reads true/false as 1/0 and "0.5" as 0.5: neither is a JSON number
+        ([{"name": "a", "rule": "table", "n": 2,
+           "table": [[True, False], [False, True], [True, False], [False, True]]}],
+         "'a': table must hold numbers"),
+        ([{"name": "a", "rule": "table", "n": 2,
+           "table": [["0.5", "0.5"], ["1", "0"], ["0.5", "0.5"], ["0", "1"]]}],
+         "'a': table must hold numbers"),
     ],
     ids=["entry-not-object", "name-not-string", "rule-missing", "params-not-object",
          "index-not-integer", "flip-prob-not-number", "table-missing", "table-n-missing",
          "table-not-rows", "params-key-typo", "params-key-foreign-to-rule", "entry-key-typo",
          "table-nan", "table-outside-unit-interval", "table-row-sum", "table-row-count",
-         "table-ragged", "table-n-huge", "rule-unknown", "bank-empty", "bank-no-model-at-width"],
+         "table-ragged", "table-n-huge", "rule-unknown", "bank-empty", "bank-no-model-at-width",
+         "table-bools", "table-numeric-strings"],
 )
 def test_verify_rejects_malformed_eve_bank(tmp_path, capsys, bank, names):
     path = tmp_path / "bank.json"

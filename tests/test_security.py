@@ -466,6 +466,26 @@ def test_popcount_counts_every_byte_and_keeps_the_shape():
     assert np.array_equal(eve_table("parity", 0), np.eye(2)[[0]])
 
 
+def test_bit_rule_refuses_zero_input_bits():
+    # index % n has no bit to pick at n = 0
+    with pytest.raises(ValueError, match="rule 'bit'"):
+        eve_table("bit", 0)
+    with pytest.raises(ValueError, match="rule 'bit'"):
+        eve_table("bit", 0, index=3)
+
+
+@pytest.mark.parametrize("cell", [True, False, "0.5", "0"])
+def test_table_rule_refuses_a_non_number_among_numbers(cell):
+    rows = [[1.0, 0.0], [0.0, 1.0], [1, 0], [0.5, 0.5]]
+    rows[3] = [cell, 1.0 - float(cell)]
+    bank = [{"name": "t", "rule": "table", "n": 2, "table": rows}]
+    with pytest.raises(ValueError, match="'t': table must hold numbers"):
+        bank_tables(bank, 2)
+    # JSON integers stay numbers
+    rows[3] = [1, 0]
+    assert bank_tables(bank, 2)[0][1].tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+
+
 def test_random_eve_states_match_per_state_oracle():
     for n, dim in [(1, 1), (2, 1), (3, 4), (4, 4), (4, 8), (2, 9), (1, 32)]:
         rng, ref_rng = np.random.default_rng(n * 100 + dim), np.random.default_rng(n * 100 + dim)
